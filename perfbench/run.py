@@ -27,6 +27,7 @@ from time import perf_counter
 
 import checks
 import workloads
+from speed import Meter
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
@@ -41,15 +42,20 @@ SETUP_PROBES = 16
 #: pass over the certify-warm pool per CERTIFY_PASS_S seconds; one fresh
 #: floor-cold worker per FLOOR_REP_S seconds (at least MIN_FLOOR_REPS); and
 #: REFEREE_WORKERS fresh referee workers, each running verify, two demo scans
-#: and one block of queries per REFEREE_BLOCK_S seconds.
-CERTIFY_PASS_S = 4
+#: and one block of queries per REFEREE_BLOCK_S seconds.  The workers of a run
+#: all do the same work, and each item's time is its median over them.
+CERTIFY_PASS_S = 6
 FLOOR_REP_S = 10
 MIN_FLOOR_REPS = 2
-REFEREE_WORKERS = 2
+REFEREE_WORKERS = 3
 REFEREE_BLOCK_S = 15
-#: Percentile reported as op_tail_ms: the highest with at least ten samples
-#: beyond it at the workload's usual sample count.
-TAIL_PERCENTILE = {"certify-warm": 99, "floor-cold": 75, "referee": 75}
+#: op_tail_ms is the mean latency of the slowest TAIL_SHARE of a run's ops: the
+#: slowest 2% of the certify-warm pool (40 ops), the slowest quarter of the
+#: floor-cold ladder (12 of 48) and of the referee queries (5 of 20).  A mean
+#: over the tail, not a percentile, because the tail is steep (p98 and p99 of
+#: the certify-warm pool differ by half) and made of few ops, so a percentile,
+#: or the mean of fewer ops, moves with the seed.
+TAIL_SHARE = {"certify-warm": 0.02, "floor-cold": 0.25, "referee": 0.25}
 #: Which layer should dominate each workload's self time (see README.md).
 PREDICTED_DOMINANT = {
     "certify-warm": ("series.auto_truncate",),
@@ -104,17 +110,20 @@ def _finish(proc: subprocess.Popen, clock: Clock) -> str:
     return out
 
 
-def probe_setup(workload: str, clock: Clock) -> float:
-    """Seconds from starting a fresh interpreter until the workload is ready."""
+def probe_setup(workload: str, clock: Clock, meter: Meter) -> list:
+    """Seconds from starting a fresh interpreter until the workload is ready,
+    as an item that ``meter.finish()`` fills in."""
     job = {"root": ROOT, "workload": workload, "mode": "probe"}
     start = perf_counter()
     proc = _start_worker(job)
     line = proc.stdout.readline()
-    ready = perf_counter() - start
+    ready = perf_counter()
     _finish(proc, clock)
     if line.strip() != "ready":
         raise BenchError("setup probe did not report ready")
-    return ready
+    item: list = []
+    meter.record(item, start, ready)
+    return item
 
 
 def run_worker(workload: str, seed: int, clock: Clock, traced=False, **work) -> dict:
@@ -152,7 +161,7 @@ def check_report(workload: str, seed: int, report: dict) -> tuple[int, int, list
                 checks.check_demo(demo) for demo in report["demos"]]:
             if reason:
                 reasons.append(reason)
-        for query, result in zip(inputs["queries"][report["offset"]:], report["results"]):
+        for query, result in zip(inputs["queries"], report["results"]):
             reason = checks.check_query(query, result)
             if reason:
                 reasons.append(f"{query}: {reason}")
@@ -162,27 +171,55 @@ def check_report(workload: str, seed: int, report: dict) -> tuple[int, int, list
     return attempted, min(len(reasons), attempted), reasons
 
 
+def check_agreement(reports: list[dict]) -> list[str]:
+    """Workers of one run do the same work, so they must give the same results."""
+    reasons = []
+    for n, report in enumerate(reports[1:], start=2):
+        for key in ("results", "demos", "verify"):
+            ours, theirs = reports[0].get(key, []), report.get(key, [])
+            reasons += [f"worker {n} disagrees with worker 1 on {key}[{i}]"
+                        for i, (a, b) in enumerate(zip(ours, theirs)) if a != b]
+            if len(ours) != len(theirs):
+                reasons.append(f"worker {n} returned {len(theirs)} {key}, worker 1 {len(ours)}")
+    return reasons
+
+
 # -- metrics ------------------------------------------------------------------
 
 
-def _percentile(values: list[float], p: int) -> float:
-    if len(values) < 2:
-        return values[0]
-    return statistics.quantiles(values, n=100, method="inclusive")[p - 1]
+def tail_mean(values: list[float], share: float) -> float:
+    """Mean of the largest ``share`` of the values (at least one)."""
+    count = max(1, round(len(values) * share))
+    return statistics.fmean(sorted(values)[-count:])
+
+
+def per_item(reports: list[dict], key: str) -> list[float]:
+    """Per item, the median of its samples over all workers (every worker of
+    a run times the same items, each sample already scaled to host speed)."""
+    items = [r[key] for r in reports]
+    if len({len(i) for i in items}) != 1 or not items[0]:
+        raise BenchError(f"workers timed different items under {key!r}")
+    return [statistics.median(x for samples in column for x in samples)
+            for column in zip(*items)]
 
 
 def end_to_end(workload: str, reports: list[dict], setups: list[float]) -> dict:
-    latencies = [x for r in reports for x in r["latencies_ms"]]
-    pass1 = [x for r in reports for x in r["pass1"]]
-    pass2 = [x for r in reports for x in r["pass2"]]
+    latencies = [s * 1e3 for s in per_item(reports, "op_s")]
+    in_pass = reports[0]["op_pass"]
+    if workload == "referee":
+        pass1 = per_item(reports, "verify_s")[0]
+        pass2 = statistics.median(per_item(reports, "demo_s"))
+    else:
+        pass1, pass2 = (sum(x for x, p in zip(latencies, in_pass) if p == n) / 1e3
+                        for n in (1, 2))
     values = {
         "setup_s": statistics.median(setups),
         "peak_rss_mb": statistics.median(r["rss_mb"] for r in reports),
         "ops_per_s": len(latencies) / (sum(latencies) / 1e3),
         "op_p50_ms": statistics.median(latencies),
-        "op_tail_ms": _percentile(latencies, TAIL_PERCENTILE[workload]),
-        "pass1_s": statistics.median(pass1),
-        "pass2_s": statistics.median(pass2),
+        "op_tail_ms": tail_mean(latencies, TAIL_SHARE[workload]),
+        "pass1_s": pass1,
+        "pass2_s": pass2,
     }
     return values
 
@@ -245,8 +282,8 @@ def measure(workload: str, seed: int, seconds: int, clock: Clock) -> list[dict]:
         return [run_worker(workload, seed, clock, count=workloads.CERTIFY_POOL * passes)]
     if workload == "referee":
         count = workloads.QUERY_BLOCK * max(1, seconds // REFEREE_BLOCK_S)
-        return [run_worker(workload, seed, clock, count=count, offset=w * count,
-                           scans=[2 * w, 2 * w + 1]) for w in range(REFEREE_WORKERS)]
+        return [run_worker(workload, seed, clock, count=count, scans=[0, 1])
+                for _ in range(REFEREE_WORKERS)]
     reps = max(MIN_FLOOR_REPS, seconds // FLOOR_REP_S)
     return [run_worker(workload, seed, clock) for _ in range(reps)]
 
@@ -255,7 +292,7 @@ def traced_pair(workload: str, seed: int, clock: Clock) -> tuple[dict, dict]:
     """The same fixed work untraced, then traced: one certify-warm pass, one
     floor-cold worker, or verify, two demo scans and ten referee queries."""
     work = {"certify-warm": {"count": workloads.CERTIFY_POOL},
-            "referee": {"count": workloads.QUERY_BLOCK, "offset": 0, "scans": [0, 1]},
+            "referee": {"count": workloads.QUERY_BLOCK, "scans": [0, 1]},
             "floor-cold": {}}[workload]
     untraced = run_worker(workload, seed, clock, **work)
     traced = run_worker(workload, seed, clock, traced=True, **work)
@@ -283,9 +320,14 @@ def main(argv=None) -> int:
             metrics, verdict = per_layer(args.workload, traced, untraced)
             units = PER_LAYER
         else:
-            setups = [probe_setup(args.workload, clock) for _ in range(SETUP_PROBES // 2)]
+            meter = Meter(every_s=0)  # calibrates after each probe
+            probes = [probe_setup(args.workload, clock, meter)
+                      for _ in range(SETUP_PROBES // 2)]
             reports = measure(args.workload, args.seed, args.seconds, clock)
-            setups += [probe_setup(args.workload, clock) for _ in range(SETUP_PROBES // 2)]
+            probes += [probe_setup(args.workload, clock, meter)
+                       for _ in range(SETUP_PROBES // 2)]
+            meter.finish()
+            setups = [probe[0] for probe in probes]
             metrics, verdict = end_to_end(args.workload, reports, setups), None
             units = END_TO_END
         if set(metrics) != set(units):
@@ -296,6 +338,9 @@ def main(argv=None) -> int:
         for report in reports:
             a, f, r = check_report(args.workload, args.seed, report)
             attempted, failed, reasons = attempted + a, failed + f, reasons + r
+        disagreements = check_agreement(reports)
+        failed = min(attempted, failed + len(disagreements))
+        reasons += disagreements
     except BenchError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -309,9 +354,12 @@ def main(argv=None) -> int:
     for reason in reasons[:20]:
         print(f"FAILED: {reason}")
     if not args.trace:
-        samples = sum(len(r["latencies_ms"]) for r in reports)
-        print(f"op latencies: {samples} samples; op_tail_ms is "
-              f"p{TAIL_PERCENTILE[args.workload]}")
+        items = len(reports[0]["op_s"])
+        samples = sum(len(x) for r in reports for x in r["op_s"])
+        print(f"op latencies: {items} ops, the median of {samples // items} samples each; "
+              f"op_tail_ms is the mean of the slowest {TAIL_SHARE[args.workload]:.0%}")
+        factors = ", ".join(f"{r['host_factor']:.3g}" for r in reports)
+        print(f"host slowdown (calibration time / reference) per worker: {factors}")
     for name, value in metrics.items():
         print(f"{name} = {value:.6g} {units[name]}")
     if verdict:

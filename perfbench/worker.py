@@ -5,7 +5,9 @@ It imports envasym from the checkout's ``src``, does the workload's setup
 and prints ``ready``.  A setup probe stops there.  Otherwise it runs
 the workload, timing each op with nothing else inside the timed region, and
 prints one JSON line with the raw timings and the encoded results; the
-checks happen in ``run.py``.
+checks happen in ``run.py``.  Timings are lists of items (an op, a demo
+scan, the verify call), each the list of that item's samples in this worker,
+in seconds scaled to the reference host speed (``speed.py``).
 """
 
 from __future__ import annotations
@@ -22,7 +24,11 @@ import mpmath
 import mpmath.libmp
 
 import workloads
+from speed import Meter
 from tracer import Tracer
+
+#: Seconds of timed work between two calibrations of the host's speed.
+CALIBRATE_EVERY_S = 0.15
 
 
 def encode(x):
@@ -143,8 +149,8 @@ def _certify_call(runner: Runner, op: dict):
 def certify_warm(runner: Runner, job: dict) -> dict:
     ops = workloads.certify_ops(job["seed"])
     first: list = [None] * len(ops)
-    latencies, passes = [], []
-    pass_times = [0.0, 0.0]  # library ops, CLI ops
+    samples: list[list[float]] = [[] for _ in ops]
+    meter = Meter(CALIBRATE_EVERY_S)
     mismatches = executed = i = 0
     while executed < job["count"]:
         op = ops[i]
@@ -155,10 +161,8 @@ def certify_warm(runner: Runner, job: dict) -> dict:
             raw = _certify_call(runner, op)
         except Exception as exc:  # a failed op is counted, not fatal
             raw = exc
-        elapsed = perf_counter() - start
-        latencies.append(elapsed * 1e3)
+        meter.record(samples[i], start, perf_counter())
         is_cli = op["op"].startswith("cli")
-        pass_times[is_cli] += elapsed
         if is_cli and not isinstance(raw, Exception):
             result = {"code": raw[0], "out": raw[1], "err": raw[2]}
         else:
@@ -172,13 +176,13 @@ def certify_warm(runner: Runner, job: dict) -> dict:
         elif any(first[i].get(key) != value for key, value in result.items()):
             mismatches += 1
         executed += 1
-        i += 1
-        if i == len(ops):
-            passes.append(pass_times)
-            pass_times, i = [0.0, 0.0], 0
-    return {"latencies_ms": latencies, "pass1": [p[0] for p in passes],
-            "pass2": [p[1] for p in passes], "executed": executed, "mismatches": mismatches,
-            "results": [r for r in first if r is not None]}
+        i = (i + 1) % len(ops)
+    meter.finish()
+    ran = [n for n, op in enumerate(ops) if samples[n]]
+    return {"op_s": [samples[n] for n in ran],
+            "op_pass": [2 if ops[n]["op"].startswith("cli") else 1 for n in ran],
+            "host_factor": meter.host_factor(), "executed": executed,
+            "mismatches": mismatches, "results": [first[n] for n in ran]}
 
 
 def _floor_op(runner: Runner, op: dict):
@@ -192,10 +196,10 @@ def _floor_op(runner: Runner, op: dict):
 
 def floor_cold(runner: Runner, job: dict) -> dict:
     ladder = workloads.floor_ladder(job["seed"])
-    latencies, passes, results = [], [], []
+    op_s, op_pass, results = [], [], []
+    meter = Meter(CALIBRATE_EVERY_S)
     mismatches = 0
     for pass_no in range(2):  # cold caches, then the same ladder warm
-        total = 0.0
         for n, op in enumerate(ladder):
             if runner.tracer:
                 runner.tracer.op_id = pass_no * len(ladder) + n
@@ -204,9 +208,9 @@ def floor_cold(runner: Runner, job: dict) -> dict:
                 raised, at_floor = _floor_op(runner, op)
             except Exception as exc:
                 raised, at_floor = exc, None
-            elapsed = perf_counter() - start
-            total += elapsed
-            latencies.append(elapsed * 1e3)
+            op_s.append([])
+            meter.record(op_s[-1], start, perf_counter())
+            op_pass.append(pass_no + 1)
             result = runner.encode_result(raised)
             if at_floor is not None:
                 result["at_floor"] = runner.encode_result(at_floor)
@@ -214,8 +218,8 @@ def floor_cold(runner: Runner, job: dict) -> dict:
                 results.append(result)
             elif result != results[n]:
                 mismatches += 1
-        passes.append(total)
-    return {"latencies_ms": latencies, "pass1": passes[:1], "pass2": passes[1:],
+    meter.finish()
+    return {"op_s": op_s, "op_pass": op_pass, "host_factor": meter.host_factor(),
             "executed": 2 * len(ladder), "mismatches": mismatches, "results": results}
 
 
@@ -242,22 +246,27 @@ def _query(runner: Runner, query: dict):
 
 def referee(runner: Runner, job: dict) -> dict:
     """Verify cold, then the demo scans job["scans"], each followed by an equal
-    share of the queries job["offset"] .. job["offset"] + job["count"]."""
+    share of the first job["count"] queries."""
     plan = workloads.referee_plan(job["seed"])
+    meter = Meter(CALIBRATE_EVERY_S)
+    verify_s: list[float] = []
+    meter.lead_in()
     start = perf_counter()
     try:
         checks = [[c.name, c.passed, c.detail] for c in runner.verify.run_verification()]
     except Exception as exc:  # counted as a failed op by the checks
         checks = [["run_verification", False, runner.encode_result(exc)["error"]]]
-    verify_s = perf_counter() - start
+    meter.record(verify_s, start, perf_counter())
 
-    queries = plan["queries"][job["offset"]: job["offset"] + job["count"]]
+    queries = plan["queries"][: job["count"]]
     share = -(-len(queries) // len(job["scans"]))
-    demo_s, demos, latencies, results = [], [], [], []
+    demo_s, demos, op_s, results = [], [], [], []
     for i, scan_no in enumerate(job["scans"]):
+        meter.lead_in()
         start = perf_counter()
         demos.append(_demo_scan(runner, plan["scans"][scan_no], plan["k_max"]))
-        demo_s.append(perf_counter() - start)
+        demo_s.append([])
+        meter.record(demo_s[-1], start, perf_counter())
         for query in queries[i * share: (i + 1) * share]:
             if runner.tracer:
                 runner.tracer.op_id = len(results)
@@ -266,12 +275,14 @@ def referee(runner: Runner, job: dict) -> dict:
                 raw = _query(runner, query)
             except Exception as exc:
                 raw = exc
-            latencies.append((perf_counter() - start) * 1e3)
+            op_s.append([])
+            meter.record(op_s[-1], start, perf_counter())
             results.append(runner.encode_result(raw) if isinstance(raw, Exception)
                            else {"value": encode(raw[0]), "err": encode(raw[1])})
-    return {"latencies_ms": latencies, "pass1": [verify_s], "pass2": demo_s,
-            "executed": len(latencies), "mismatches": 0, "results": results,
-            "offset": job["offset"], "verify": checks, "demos": demos}
+    meter.finish()
+    return {"op_s": op_s, "op_pass": [0] * len(op_s), "verify_s": [verify_s],
+            "demo_s": demo_s, "host_factor": meter.host_factor(), "executed": len(op_s),
+            "mismatches": 0, "results": results, "verify": checks, "demos": demos}
 
 
 _BODIES = {"certify-warm": certify_warm, "floor-cold": floor_cold, "referee": referee}

@@ -110,12 +110,16 @@ class _Spread:
 
     ``uniform(key)`` walks a golden-ratio sequence from a seeded start, one
     sequence per key, so every seed puts nearly the same share of a key's
-    draws into every band of [0, 1); ``cycle(key, options)`` deals the options
-    round-robin from a seeded start.  The mix of a run then barely depends on
-    the seed, while the values and their order do.
+    draws into every band of [0, 1); ``pair(key)`` does the same for points
+    of the unit square (the R2 sequence), for two inputs whose joint value
+    sets an op's cost; ``cycle(key, options)`` deals the options round-robin
+    from a seeded start.  The mix of a run then barely depends on the seed,
+    while the values and their order do.
     """
 
     _STEP = (math.sqrt(5) - 1) / 2
+    _PLASTIC = 1.324717957244746  # x**3 = x + 1
+    _STEP2 = (1 / _PLASTIC, 1 / _PLASTIC**2)
 
     def __init__(self, rng: random.Random):
         self.rng = rng
@@ -126,6 +130,15 @@ class _Spread:
         u = (self.rng.random() if u is None else u + self._STEP) % 1.0
         self._state[key] = u
         return u
+
+    def pair(self, key) -> tuple[float, float]:
+        uv = self._state.get(key)
+        if uv is None:
+            uv = (self.rng.random(), self.rng.random())
+        else:
+            uv = tuple((x + step) % 1.0 for x, step in zip(uv, self._STEP2))
+        self._state[key] = uv
+        return uv
 
     def cycle(self, key, options):
         n = self._state.get(key)
@@ -163,16 +176,17 @@ def _log_uniform(u: float, lo: float, hi: float) -> float:
     return lo * (hi / lo) ** u
 
 
-def _argument(spread: _Spread, key, series: str, small: bool):
-    """A real z in about [0.5, 200] (decimal string) or an integer n up to 1e6."""
-    u = spread.uniform((key, "z"))
+def _argument(u: float, series: str, small: bool):
+    """A real z in about [0.5, 200] (decimal string) or an integer n up to 1e6,
+    at quantile u of its log-uniform range."""
     if series in INTEGER_SERIES:
         return max(1, round(_log_uniform(u, 1, 12 if small else 1e6)))
     return f"{_log_uniform(u, 0.5, 12 if small else 200):.6g}"
 
 
-def _tolerance(spread: _Spread, key, series: str, z, below_floor: bool):
-    """A tolerance string well above (or well below) the estimated floor, or None."""
+def _tolerance(rng: random.Random, v: float, series: str, z, below_floor: bool):
+    """A tolerance string well above (or well below) the estimated floor, with
+    its exponent at quantile v of the allowed range, or None."""
     floor_exp = -log10_floor_estimate(series, float(z))
     lo, hi = _TOL_EXP_RANGE
     if below_floor:
@@ -181,8 +195,8 @@ def _tolerance(spread: _Spread, key, series: str, z, below_floor: bool):
         hi = min(hi, math.floor(floor_exp) - _FLOOR_MARGIN_DECADES)
     if lo > hi:
         return None
-    exponent = lo + int(spread.uniform((key, "tol")) * (hi - lo + 1))
-    return f"{spread.rng.randint(1, 9)}e-{exponent}"
+    exponent = lo + int(v * (hi - lo + 1))
+    return f"{rng.randint(1, 9)}e-{exponent}"
 
 
 def _terms(spread: _Spread, key, series: str, z) -> int:
@@ -195,14 +209,17 @@ def _certify_op(spread: _Spread, slot: str) -> dict:
     key = (slot, series)
     op = {"op": slot, "series": series, "tol": None, "terms": None}
     if slot in ("eval", "floor") or (slot == "cli_eval" and spread.cycle(key, (True, False))):
+        # The cost of such an op grows with z and with the depth of tol, so
+        # both come from one two-dimensional sequence.
         while True:
-            z = _argument(spread, key, series, small=slot == "floor")
-            tol = _tolerance(spread, key, series, z, below_floor=slot == "floor")
+            u, v = spread.pair((key, "z", "tol"))
+            z = _argument(u, series, small=slot == "floor")
+            tol = _tolerance(spread.rng, v, series, z, below_floor=slot == "floor")
             if tol is not None:
                 break
         op.update(z=z, tol=tol)
     else:
-        z = _argument(spread, key, series, small=False)
+        z = _argument(spread.uniform((key, "z")), series, small=False)
         op.update(z=z, terms=_terms(spread, key, series, z))
     if slot.startswith("cli"):
         op["format"] = spread.cycle((key, "format"), FORMATS)
