@@ -10,9 +10,11 @@ ceil(P * 0.302) significant digits, with P recorded in the same record, so
 nothing is silently rounded below the working precision.  JSON records use
 a fixed field order and round-trip byte-identically through parse/serialize.
 
-Exit codes: 0 success, 1 usage error, 2 unattainable tolerance or numeric
-domain error, 3 verification failure.  The default precision is 256 bits,
-overridable with the ENVASYM_PRECISION environment variable.
+Exit codes: 0 success, 1 usage error, 2 unattainable tolerance (below the
+series' accuracy floor, or below what the precision can certify: raise
+``--precision``) or numeric domain error, 3 verification failure.  The
+default precision is 256 bits, overridable with the ENVASYM_PRECISION
+environment variable (``verify`` defaults to 256, or 512 with ``--deep``).
 """
 
 from __future__ import annotations
@@ -118,12 +120,11 @@ def _build_parser() -> _Parser:
 
 
 def _resolve_precision(args) -> int:
-    value = getattr(args, "precision", None)
-    if value is None:
+    if args.precision is None:
         return _default_precision()
-    if value < MIN_PRECISION:
+    if args.precision < MIN_PRECISION:
         raise _UsageError(f"--precision must be >= {MIN_PRECISION}")
-    return value
+    return args.precision
 
 
 def _parse_real(raw: str, precision: int, what: str):
@@ -134,33 +135,12 @@ def _parse_real(raw: str, precision: int, what: str):
         raise _UsageError(f"{what} must be a decimal number, got {raw!r}") from None
 
 
-def _parse_argument(raw: str, kind: SeriesKind, precision: int):
-    """Series argument: integer kinds get an int when the literal is one."""
+def _parse_argument(raw: str, precision: int):
+    """Series argument: an int when the literal is one, so integer kinds accept it."""
     try:
         return int(raw)
     except ValueError:
-        pass
-    value = _parse_real(raw, precision, "--z")
-    if kind.integer_argument:
-        # hand the non-integer through; the library rejects it as a domain error
-        return value
-    return value
-
-
-def _emit_json(record: dict) -> None:
-    sys.stdout.write(json.dumps(record) + "\n")
-
-
-def _emit_csv(header: list[str], rows: list[list], record: dict) -> None:
-    common = [record["command"], record["precision"], record["format_version"]]
-    sys.stdout.write(",".join(["command", "precision", "format_version"] + header) + "\n")
-    for row in rows:
-        sys.stdout.write(",".join(str(c) for c in common + row) + "\n")
-
-
-def _emit_plain(lines: list[str]) -> None:
-    for line in lines:
-        sys.stdout.write(line + "\n")
+        return _parse_real(raw, precision, "--z")
 
 
 def _record(command: str, params: dict, precision: int, result) -> dict:
@@ -173,48 +153,49 @@ def _record(command: str, params: dict, precision: int, result) -> dict:
     }
 
 
+def _emit(fmt: str, record: dict, csv_rows: list[dict], plain_lines: list[str]) -> None:
+    """Write one command's output: the record as JSON, the rows as CSV (the
+    record's common fields, then each row's; their keys are the header, and
+    None is an empty cell) or the plain lines."""
+    if fmt == "json":
+        lines = [json.dumps(record)]
+    elif fmt == "csv":
+        common = {key: record[key] for key in ("command", "precision", "format_version")}
+        rows = [{**common, **row} for row in csv_rows]
+        lines = [",".join(rows[0])]
+        lines += [",".join("" if c is None else str(c) for c in row.values()) for row in rows]
+    else:
+        lines = plain_lines
+    sys.stdout.write("".join(line + "\n" for line in lines))
+
+
 def _cmd_coeffs(args) -> int:
     if args.max_k < 0:
         raise _UsageError("--max-k must be >= 0")
-    precision = _default_precision()
     table = coeffs.coefficient_table(args.family, args.max_k)
     rows = [
         {"k": k, "numerator": f.numerator, "denominator": f.denominator,
          "fraction": f"{f.numerator}/{f.denominator}"}
         for k, f in enumerate(table)
     ]
-    record = _record(
-        "coeffs", {"family": args.family, "max_k": args.max_k}, precision, {"rows": rows}
-    )
-    if args.format == "json":
-        _emit_json(record)
-    elif args.format == "csv":
-        _emit_csv(
-            ["family", "k", "numerator", "denominator", "fraction"],
-            [[args.family, r["k"], r["numerator"], r["denominator"], r["fraction"]] for r in rows],
-            record,
-        )
-    else:
-        _emit_plain([f"{args.family}({r['k']}) = {r['fraction']}" for r in rows])
+    record = _record("coeffs", {"family": args.family, "max_k": args.max_k},
+                     _default_precision(), {"rows": rows})
+    _emit(args.format, record, [{"family": args.family, **r} for r in rows],
+          [f"{args.family}({r['k']}) = {r['fraction']}" for r in rows])
     return EXIT_OK
 
 
-_EVALUATORS = {
-    SeriesKind.BINET_J: series.ln_gamma,
-    SeriesKind.CENTRAL_BINOMIAL: series.ln_central_binomial,
-    SeriesKind.GAMMA_PLUS_HALF: series.ln_gamma_plus_half,
-    SeriesKind.DE_MOIVRE: series.ln_factorial_demoivre,
-}
+_EVALUATORS = {kind: getattr(series, kind._row.evaluation) for kind in SeriesKind}
 
 
 def _cmd_eval(args) -> int:
     precision = _resolve_precision(args)
     kind = SeriesKind.from_name(args.series)
-    z = _parse_argument(args.z, kind, precision)
+    z = _parse_argument(args.z, precision)
     tol = args.tol
     terms = args.terms
     if tol is None and terms is None:
-        tol = "1e-12"
+        tol = series._DEFAULT_TOL
     if tol is not None:
         # validate eagerly so garbage is a usage error, not a numeric one
         _parse_real(tol, precision, "--tol")
@@ -228,35 +209,17 @@ def _cmd_eval(args) -> int:
         "lo": format_real(lo, precision),
         "hi": format_real(hi, precision),
     }
-    record = _record(
-        "eval",
-        {"series": args.series, "z": args.z, "tol": tol, "terms": terms},
-        precision,
-        result,
-    )
-    if args.format == "json":
-        _emit_json(record)
-    elif args.format == "csv":
-        _emit_csv(
-            ["series", "z", "tol", "terms", "k_used", "value", "error_bound",
-             "error_sign", "lo", "hi"],
-            [[args.series, args.z, tol if tol is not None else "",
-              terms if terms is not None else "", certified.k_used,
-              result["value"], result["error_bound"], certified.error_sign,
-              result["lo"], result["hi"]]],
-            record,
-        )
-    else:
-        _emit_plain(
-            [f"series       = {args.series}",
-             f"z            = {args.z}",
-             f"k_used       = {certified.k_used}",
-             f"value        = {result['value']}",
-             f"error_bound  = {result['error_bound']}",
-             f"error_sign   = {certified.error_sign:+d}",
-             f"enclosure    = [{result['lo']}, {result['hi']}]",
-             f"precision    = {precision}"]
-        )
+    params = {"series": args.series, "z": args.z, "tol": tol, "terms": terms}
+    row = {**params, "k_used": certified.k_used, **result}  # k_used is the first result column
+    _emit(args.format, _record("eval", params, precision, result), [row],
+          [f"series       = {args.series}",
+           f"z            = {args.z}",
+           f"k_used       = {certified.k_used}",
+           f"value        = {result['value']}",
+           f"error_bound  = {result['error_bound']}",
+           f"error_sign   = {certified.error_sign:+d}",
+           f"enclosure    = [{result['lo']}, {result['hi']}]",
+           f"precision    = {precision}"])
     return EXIT_OK
 
 
@@ -265,7 +228,7 @@ def _cmd_bound(args) -> int:
     kind = SeriesKind.from_name(args.series)
     if args.terms < 0:
         raise _UsageError("--terms must be >= 0")
-    z = _parse_argument(args.z, kind, precision)
+    z = _parse_argument(args.z, precision)
     env = series.envelope_interval(kind, z, args.terms, precision)
     result = {
         "lo": format_real(env.lo, precision),
@@ -273,62 +236,32 @@ def _cmd_bound(args) -> int:
         "bound": format_real(env.bound, precision),
         "k_used": env.k_used,
     }
-    record = _record(
-        "bound",
-        {"series": args.series, "z": args.z, "terms": args.terms},
-        precision,
-        result,
-    )
-    if args.format == "json":
-        _emit_json(record)
-    elif args.format == "csv":
-        _emit_csv(
-            ["series", "z", "terms", "k_used", "lo", "hi", "bound"],
-            [[args.series, args.z, args.terms, env.k_used,
-              result["lo"], result["hi"], result["bound"]]],
-            record,
-        )
-    else:
-        _emit_plain(
-            [f"series    = {args.series}",
-             f"z         = {args.z}",
-             f"k_used    = {env.k_used}",
-             f"enclosure = [{result['lo']}, {result['hi']}]",
-             f"bound     = {result['bound']}",
-             f"precision = {precision}"]
-        )
+    params = {"series": args.series, "z": args.z, "terms": args.terms}
+    row = {**params, "k_used": env.k_used, **result}  # k_used is the first result column
+    _emit(args.format, _record("bound", params, precision, result), [row],
+          [f"series    = {args.series}",
+           f"z         = {args.z}",
+           f"k_used    = {env.k_used}",
+           f"enclosure = [{result['lo']}, {result['hi']}]",
+           f"bound     = {result['bound']}",
+           f"precision = {precision}"])
     return EXIT_OK
 
 
 def _cmd_verify(args) -> int:
-    precision = getattr(args, "precision", None)
-    if precision is not None and precision < MIN_PRECISION:
+    precision = verify._precision(args.deep, args.precision)
+    if precision < MIN_PRECISION:
         raise _UsageError(f"--precision must be >= {MIN_PRECISION}")
     results = verify.run_verification(deep=args.deep, precision=precision)
     passed = all(r.passed for r in results)
-    effective = precision if precision is not None else (512 if args.deep else 256)
-    record = _record(
-        "verify",
-        {"deep": args.deep},
-        effective,
-        {"passed": passed,
-         "checks": [{"name": r.name, "passed": r.passed, "detail": r.detail}
-                    for r in results]},
-    )
-    if args.format == "json":
-        _emit_json(record)
-    elif args.format == "csv":
-        _emit_csv(
-            ["deep", "name", "passed", "detail"],
-            [[args.deep, r.name, r.passed, '"' + r.detail.replace('"', "'") + '"']
-             for r in results],
-            record,
-        )
-    else:
-        _emit_plain(
-            [f"{'PASS' if r.passed else 'FAIL'} {r.name}: {r.detail}" for r in results]
-            + [f"{'PASS' if passed else 'FAIL'} overall ({len(results)} checks)"]
-        )
+    checks = [{"name": r.name, "passed": r.passed, "detail": r.detail} for r in results]
+    record = _record("verify", {"deep": args.deep}, precision,
+                     {"passed": passed, "checks": checks})
+    rows = [{"deep": args.deep, **c, "detail": '"' + c["detail"].replace('"', "'") + '"'}
+            for c in checks]
+    _emit(args.format, record, rows,
+          [f"{'PASS' if r.passed else 'FAIL'} {r.name}: {r.detail}" for r in results]
+          + [f"{'PASS' if passed else 'FAIL'} overall ({len(results)} checks)"])
     return EXIT_OK if passed else EXIT_VERIFY_FAILED
 
 
@@ -355,54 +288,33 @@ def _cmd_demo(args) -> int:
     spec = QuadratureSpec(precision=precision)
     witness = demo.find_envelope_violation(b, grid, args.k_max, spec)
     control = demo.enveloping_control_scan(grid, args.k_max, spec)
-    witness_payload = None
+    found = None
     if witness is not None:
-        witness_payload = {
+        found = {
             "x": format_real(witness.x, precision),
             "k": witness.k,
             "remainder": format_real(witness.remainder, precision),
             "next_term_bound": format_real(witness.next_term_bound, precision),
             "mode": witness.mode.value,
         }
-    record = _record(
-        "demo",
-        {"b": args.b, "x_from": args.x_from, "x_to": args.x_to,
-         "steps": args.steps, "k_max": args.k_max},
-        precision,
-        {"witness": witness_payload, "control_witnesses": len(control)},
-    )
-    if args.format == "json":
-        _emit_json(record)
-    elif args.format == "csv":
-        row = [args.b, args.x_from, args.x_to, args.steps, args.k_max,
-               witness is not None]
-        row += ([witness_payload["x"], witness_payload["k"], witness_payload["mode"],
-                 witness_payload["remainder"], witness_payload["next_term_bound"]]
-                if witness_payload else ["", "", "", "", ""])
-        row.append(len(control))
-        _emit_csv(
-            ["b", "x_from", "x_to", "steps", "k_max", "witness_found",
-             "x", "k", "mode", "remainder", "next_term_bound", "control_witnesses"],
-            [row],
-            record,
-        )
+    params = {"b": args.b, "x_from": args.x_from, "x_to": args.x_to,
+              "steps": args.steps, "k_max": args.k_max}
+    record = _record("demo", params, precision,
+                     {"witness": found, "control_witnesses": len(control)})
+    columns = ("x", "k", "mode", "remainder", "next_term_bound")
+    row = {**params, "witness_found": found is not None,
+           **{key: (found or {}).get(key) for key in columns},
+           "control_witnesses": len(control)}
+    lines = [f"perturbation exp(-b x) with b = {args.b}",
+             f"grid x in [{args.x_from}, {args.x_to}] ({args.steps} points), "
+             f"k <= {args.k_max}"]
+    if found:
+        lines.append("violation witness found:")
+        lines += [f"  {key:<15} = {found[key]}" for key in columns]
     else:
-        lines = [f"perturbation exp(-b x) with b = {args.b}",
-                 f"grid x in [{args.x_from}, {args.x_to}] ({args.steps} points), "
-                 f"k <= {args.k_max}"]
-        if witness_payload:
-            lines += [
-                "violation witness found:",
-                f"  x               = {witness_payload['x']}",
-                f"  k               = {witness_payload['k']}",
-                f"  mode            = {witness_payload['mode']}",
-                f"  remainder       = {witness_payload['remainder']}",
-                f"  next_term_bound = {witness_payload['next_term_bound']}",
-            ]
-        else:
-            lines.append("no violation witness found on this grid")
-        lines.append(f"control scan witnesses (unperturbed): {len(control)}")
-        _emit_plain(lines)
+        lines.append("no violation witness found on this grid")
+    lines.append(f"control scan witnesses (unperturbed): {len(control)}")
+    _emit(args.format, record, [row], lines)
     return EXIT_OK
 
 

@@ -23,7 +23,7 @@ from mpmath import mp, mpf
 from .errors import DomainError
 from .oracle import QuadratureSpec, binet_J
 from .precision import round_to, to_real, working
-from .series import SeriesKind, _checked_argument, _partial_sum_at
+from .series import SeriesKind, _checked_argument, _partial_sum_at, _signed_term
 
 __all__ = [
     "ViolationMode",
@@ -84,7 +84,7 @@ def _violations_at(
         noise_floor = _ERROR_MARGIN_FACTOR * j_err
         for k in ks:
             remainder = f_val - _partial_sum_at(kind, xx, k)
-            t_k = kind.term_sign(k) * mp.convert(kind.coefficient(k)) / xx ** (2 * k + 1)
+            t_k = _signed_term(kind, k, xx)
             bound = abs(t_k)
             if abs(remainder) - bound > noise_floor:
                 mode = ViolationMode.MAGNITUDE_EXCEEDED

@@ -32,6 +32,7 @@ from typing import Optional
 
 from mpmath import mp, mpf
 
+from ._expansions import EXPANSIONS
 from .errors import DomainError, QuadratureNonConvergence
 from .precision import (
     DEFAULT_PRECISION,
@@ -63,6 +64,10 @@ class ThetaFamily(enum.Enum):
     THETA_TILDE = "theta-tilde"
     THETA_HAT = "theta-hat"
 
+    def __init__(self, name: str):
+        # The signs come from the first series row integrating this weight.
+        self._row = next(row for row in EXPANSIONS.values() if row.weight == name)
+
     def weight(self, eta: mpf) -> mpf:
         """Evaluate the family's weight at eta > 0, at the ambient precision.
 
@@ -86,9 +91,7 @@ class ThetaFamily(enum.Enum):
 
     def remainder_sign(self, k: int) -> int:
         """Sign of the k-th remainder (equals the sign of the first omitted term)."""
-        if self is ThetaFamily.THETA:
-            return 1 if k % 2 == 0 else -1
-        return -1 if k % 2 == 0 else 1
+        return self._row.sign(k)
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,10 @@ truncation order, turns any two consecutive partial sums into a guaranteed
 enclosure of the limit function and the first omitted term into a certified
 error bound.
 
-The kinds and their term shapes (coefficients from :mod:`envasym.coeffs`):
+Every kind's j-th term is sign(j) c(j) / x^(2j+1).  What differs between
+the kinds (the coefficient family, the sign of term 0, whether x is z or
+z + 1/2, the integer flag and the elementary prefix) is one row of the table
+in :mod:`envasym._expansions`, which :class:`SeriesKind` reads:
 
 * ``BINET_J``           (-1)^j  beta(j)       / z^(2j+1)   -> J(z)
 * ``CENTRAL_BINOMIAL``  (-1)^(j+1) beta_tilde(j) / z^(2j+1) -> J~(z)
@@ -33,8 +36,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from mpmath import mp, mpf
+from mpmath.libmp import from_man_exp, round_ceiling
 
 from . import coeffs
+from ._expansions import EXPANSIONS
 from .errors import DomainError, ToleranceUnattainable
 from .precision import (
     DEFAULT_PRECISION,
@@ -67,12 +72,15 @@ _MIN_TERM_SCAN_CAP = 100_000
 
 
 class SeriesKind(enum.Enum):
-    """The four expansions, keyed by their CLI names."""
+    """The four expansions, keyed by their CLI names; each reads its table row."""
 
     BINET_J = "binet"
     CENTRAL_BINOMIAL = "central-binom"
     GAMMA_PLUS_HALF = "gamma-half"
     DE_MOIVRE = "demoivre"
+
+    def __init__(self, name: str):
+        self._row = EXPANSIONS[name]
 
     @classmethod
     def from_name(cls, name: str) -> "SeriesKind":
@@ -83,26 +91,20 @@ class SeriesKind(enum.Enum):
 
     def coefficient(self, j: int) -> Fraction:
         """Exact positive coefficient magnitude of the j-th term."""
-        if self is SeriesKind.BINET_J:
-            return coeffs.beta(j)
-        if self is SeriesKind.CENTRAL_BINOMIAL:
-            return coeffs.beta_tilde(j)
-        return coeffs.beta_hat(j)
+        return coeffs.COEFFICIENT_FAMILIES[self._row.coefficients](j)
 
     def term_sign(self, j: int) -> int:
-        if self is SeriesKind.BINET_J:
-            return 1 if j % 2 == 0 else -1
-        return -1 if j % 2 == 0 else 1
+        return self._row.sign(j)
 
     @property
     def half_shift(self) -> bool:
         """Whether the expansion variable is z + 1/2 rather than z."""
-        return self is SeriesKind.DE_MOIVRE
+        return self._row.half_shift
 
     @property
     def integer_argument(self) -> bool:
         """Whether the user-facing evaluation requires a positive integer."""
-        return self in (SeriesKind.CENTRAL_BINOMIAL, SeriesKind.DE_MOIVRE)
+        return self._row.integer_argument
 
 
 @dataclass(frozen=True)
@@ -175,8 +177,12 @@ def term(kind: SeriesKind, j: int, z, precision: int = DEFAULT_PRECISION) -> mpf
         raise ValueError("term index must be >= 0")
     zz = _checked_argument(kind, z, precision)
     with working(precision):
-        value = kind.term_sign(j) * mp.convert(kind.coefficient(j)) / zz ** (2 * j + 1)
-        return round_to(value, precision)
+        return round_to(_signed_term(kind, j, zz), precision)
+
+
+def _signed_term(kind: SeriesKind, j: int, zz: mpf) -> mpf:
+    """sign(j) * c(j) / zz^(2j+1) in the ambient context; zz is already shifted."""
+    return kind.term_sign(j) * mp.convert(kind.coefficient(j)) / zz ** (2 * j + 1)
 
 
 def partial_sum(kind: SeriesKind, z, k: int, precision: int = DEFAULT_PRECISION) -> mpf:
@@ -212,7 +218,7 @@ def envelope_interval(
     zz = _checked_argument(kind, z, precision)
     with working(precision):
         s_k = _partial_sum_at(kind, zz, k)
-        t_k = kind.term_sign(k) * mp.convert(kind.coefficient(k)) / zz ** (2 * k + 1)
+        t_k = _signed_term(kind, k, zz)
         s_next = s_k + t_k
         lo, hi = (s_k, s_next) if s_k <= s_next else (s_next, s_k)
         slop = relative_slop(precision)
@@ -226,29 +232,44 @@ def envelope_interval(
         )
 
 
-def _term_bound_fraction(kind: SeriesKind, zf: Fraction, k: int) -> Fraction:
-    return kind.coefficient(k) / zf ** (2 * k + 1)
-
-
 def _exact_argument(kind: SeriesKind, z, precision: int) -> Fraction:
-    zz = _checked_argument(kind, z, precision)
-    return real_to_fraction(zz)
+    return real_to_fraction(_checked_argument(kind, z, precision))
 
 
-def min_term_index(kind: SeriesKind, z, precision: int = DEFAULT_PRECISION) -> int:
-    """First index where term magnitudes stop strictly decreasing.
+def _decreasing_terms(kind: SeriesKind, zf: Fraction):
+    """Yield (k, c(k)) for k = 0 up to and including the minimum-term index.
 
-    Decided in exact rational arithmetic on the (dyadic) argument, so ties
+    The one minimum-term test: |t(k+1)| >= |t(k)|, i.e. c(k+1) >= c(k) z^2,
+    decided in exact rational arithmetic on the (dyadic) argument, so ties
     resolve deterministically to the earlier index.  Termination is
     guaranteed by the factorial growth of the coefficients.
     """
-    zf = _exact_argument(kind, z, precision)
     zf2 = zf * zf
+    c = kind.coefficient(0)
     for k in range(_MIN_TERM_SCAN_CAP):
-        # |t_{k+1}| >= |t_k|  <=>  c_{k+1} >= c_k * z^2
-        if kind.coefficient(k + 1) >= kind.coefficient(k) * zf2:
-            return k
+        yield k, c
+        c_next = kind.coefficient(k + 1)
+        if c_next >= c * zf2:
+            return
+        c = c_next
     raise RuntimeError("minimum-term scan cap exceeded")
+
+
+def min_term_index(kind: SeriesKind, z, precision: int = DEFAULT_PRECISION) -> int:
+    """First index where term magnitudes stop strictly decreasing."""
+    for k, _ in _decreasing_terms(kind, _exact_argument(kind, z, precision)):
+        pass
+    return k
+
+
+def _rounded_up(x: Fraction, precision: int) -> mpf:
+    """x > 0 rounded up to a precision-bit float, with one integer division."""
+    p, q = x.numerator, x.denominator
+    # The quotient below has at least `precision` bits, so its ceiling is on
+    # a grid nested in the precision-bit one and rounding twice is exact.
+    shift = precision + q.bit_length() - p.bit_length()
+    num, den = (p << shift, q) if shift >= 0 else (p, q << -shift)
+    return mp.make_mpf(from_man_exp(-(-num // den), -shift, precision, round_ceiling))
 
 
 def auto_truncate(
@@ -257,79 +278,45 @@ def auto_truncate(
     """Smallest k (at or below the minimum-term index) with |term(k)| <= tol.
 
     Returns ``(k, bound)`` where ``bound`` is the slop-widened magnitude of
-    the first omitted term; ``bound <= tol`` whenever the call succeeds.
-    Raises :class:`ToleranceUnattainable`, carrying the best achievable
-    bound, when the accuracy floor of the series at this argument is above
-    ``tol``.  All decisions are made in exact rational arithmetic.
+    the first omitted term, rounded up to ``precision`` bits; the decision
+    is made on that rounded number, so ``bound <= tol`` whenever the call
+    succeeds.  Raises :class:`ToleranceUnattainable`, carrying the best
+    achievable bound (rounded the same way), when the accuracy floor of the
+    series at this argument is above ``tol``.
     """
     zf = _exact_argument(kind, z, precision)
     with working(precision):
         tol_real = to_real(tol)
     if not mp.isfinite(tol_real) or tol_real <= 0:
         raise DomainError(f"tolerance must be a finite real > 0, got {tol!r}")
-    tol_frac = real_to_fraction(tol_real)
     inflate = 1 + relative_slop_fraction(precision)
-
     zf2 = zf * zf
-    k = 0
-    bound = _term_bound_fraction(kind, zf, k)
-    while True:
-        widened = bound * inflate
-        if widened <= tol_frac:
-            with working(precision):
-                return k, round_to(to_real(widened), precision)
-        nxt = bound * kind.coefficient(k + 1) / (kind.coefficient(k) * zf2)
-        if nxt >= bound:
-            with working(precision):
-                best = round_to(to_real(bound * inflate), precision)
-            raise ToleranceUnattainable(
-                f"tolerance {mp.nstr(tol_real, 8)} is below the accuracy floor of "
-                f"{kind.value} at this argument; best achievable bound is "
-                f"{mp.nstr(best, 8)} at k = {k}",
-                best_bound=best,
-                k_best=k,
-            )
-        k += 1
-        bound = nxt
-        if k > _MIN_TERM_SCAN_CAP:
-            raise RuntimeError("minimum-term scan cap exceeded")
-
-
-def _prefix(kind: SeriesKind, zz: mpf) -> mpf:
-    """The elementary (non-series) part of the full function."""
-    half_ln_two_pi = mp.log(2 * mp.pi) / 2
-    if kind is SeriesKind.BINET_J:
-        return (zz - mpf(1) / 2) * mp.log(zz) - zz + half_ln_two_pi
-    if kind is SeriesKind.CENTRAL_BINOMIAL:
-        return zz * mp.log(4) - mp.log(mp.pi * zz) / 2
-    # GAMMA_PLUS_HALF and DE_MOIVRE share one prefix in the shifted variable.
-    return zz * mp.log(zz) - zz + half_ln_two_pi
-
-
-def _resolve_terms(kind: SeriesKind, z, tol, terms, precision: int) -> int:
-    if terms is not None and tol is not None:
-        raise ValueError("pass either tol or terms, not both")
-    if terms is not None:
-        if terms < 0:
-            raise ValueError("terms must be >= 0")
-        return terms
-    if tol is None:
-        tol = _DEFAULT_TOL
-    k, _ = auto_truncate(kind, z, tol, precision)
-    return k
+    power = zf
+    for k, c in _decreasing_terms(kind, zf):
+        bound = _rounded_up(c * inflate / power, precision)
+        if bound <= tol_real:
+            return k, bound
+        power *= zf2
+    raise ToleranceUnattainable(
+        f"tolerance {mp.nstr(tol_real, 8)} is below the accuracy floor of "
+        f"{kind.value} at this argument; best achievable bound is "
+        f"{mp.nstr(bound, 8)} at k = {k}",
+        best_bound=bound,
+        k_best=k,
+    )
 
 
 def _certified(kind: SeriesKind, z, k: int, precision: int) -> CertifiedValue:
     zz = _checked_argument(kind, z, precision)
     with working(precision):
-        value = _prefix(kind, zz) + _partial_sum_at(kind, zz, k)
-        t_k = mp.convert(kind.coefficient(k)) / zz ** (2 * k + 1)
+        value = kind._row.prefix(zz) + _partial_sum_at(kind, zz, k)
+        t_k = _signed_term(kind, k, zz)
         sign = kind.term_sign(k)
         slop = relative_slop(precision)
         # Pull the anchor endpoint outward and widen the bound so the
         # one-sided containment survives rounding of value itself.
         anchored = value - sign * slop * abs(value)
-        bound = t_k * (1 + slop) + 2 * slop * abs(value)
+        bound = abs(t_k) * (1 + slop) + 2 * slop * abs(value)
         return CertifiedValue(
             value=round_to(anchored, precision),
             error_bound=round_to(bound, precision),
@@ -345,6 +332,40 @@ def _checked_integer(n, name: str) -> int:
     return n
 
 
+def _evaluate(kind: SeriesKind, z, tol, terms, precision: int) -> CertifiedValue:
+    """The certified value behind the four ``ln_*`` functions.
+
+    With a tolerance (``1e-12`` when neither it nor ``terms`` is given) the
+    returned bound is at most ``tol``.  Rounding adds ``2 * slop * |value|``
+    to the series bound; when that pushes it above ``tol``, precision rather
+    than the series is the limit, and :class:`ToleranceUnattainable` says so.
+    """
+    if kind.integer_argument:
+        _checked_integer(z, "n")
+    if terms is not None and tol is not None:
+        raise ValueError("pass either tol or terms, not both")
+    if terms is not None:
+        if terms < 0:
+            raise ValueError("terms must be >= 0")
+        return _certified(kind, z, terms, precision)
+    if tol is None:
+        tol = _DEFAULT_TOL
+    k, _ = auto_truncate(kind, z, tol, precision)
+    certified = _certified(kind, z, k, precision)
+    with working(precision):
+        tol_real = to_real(tol)
+    if certified.error_bound > tol_real:
+        raise ToleranceUnattainable(
+            f"tolerance {mp.nstr(tol_real, 8)} is below what {precision}-bit "
+            f"precision can certify for {kind.value} at this argument; achieved "
+            f"bound is {mp.nstr(certified.error_bound, 8)} at k = {k}; "
+            f"raise the precision",
+            best_bound=certified.error_bound,
+            k_best=k,
+        )
+    return certified
+
+
 def ln_gamma(
     z, tol=None, *, terms=None, precision: int = DEFAULT_PRECISION
 ) -> CertifiedValue:
@@ -353,8 +374,7 @@ def ln_gamma(
     value = (z - 1/2) ln z - z + ln(2 pi)/2 + partial sum; the remainder has
     sign (-1)^k and magnitude below the returned bound.
     """
-    k = _resolve_terms(SeriesKind.BINET_J, z, tol, terms, precision)
-    return _certified(SeriesKind.BINET_J, z, k, precision)
+    return _evaluate(SeriesKind.BINET_J, z, tol, terms, precision)
 
 
 def ln_central_binomial(
@@ -364,9 +384,7 @@ def ln_central_binomial(
 
     value = n ln 4 - ln(pi n)/2 + partial sum; remainder sign (-1)^(k+1).
     """
-    _checked_integer(n, "n")
-    k = _resolve_terms(SeriesKind.CENTRAL_BINOMIAL, n, tol, terms, precision)
-    return _certified(SeriesKind.CENTRAL_BINOMIAL, n, k, precision)
+    return _evaluate(SeriesKind.CENTRAL_BINOMIAL, n, tol, terms, precision)
 
 
 def ln_gamma_plus_half(
@@ -376,8 +394,7 @@ def ln_gamma_plus_half(
 
     value = z ln z - z + ln(2 pi)/2 + partial sum; remainder sign (-1)^(k+1).
     """
-    k = _resolve_terms(SeriesKind.GAMMA_PLUS_HALF, z, tol, terms, precision)
-    return _certified(SeriesKind.GAMMA_PLUS_HALF, z, k, precision)
+    return _evaluate(SeriesKind.GAMMA_PLUS_HALF, z, tol, terms, precision)
 
 
 def ln_factorial_demoivre(
@@ -388,6 +405,4 @@ def ln_factorial_demoivre(
     Pure relabeling of ``ln_gamma_plus_half`` at z = n + 1/2: the returned
     value is bit-identical to that evaluation at the same k.
     """
-    _checked_integer(n, "n")
-    k = _resolve_terms(SeriesKind.DE_MOIVRE, n, tol, terms, precision)
-    return _certified(SeriesKind.DE_MOIVRE, n, k, precision)
+    return _evaluate(SeriesKind.DE_MOIVRE, n, tol, terms, precision)

@@ -12,13 +12,21 @@ from dataclasses import dataclass
 
 from mpmath import mp, mpf
 
-from . import coeffs, oracle, series
+from . import oracle, series
 from .errors import ToleranceUnattainable
 from .oracle import QuadratureSpec, ThetaFamily
 from .precision import round_to, to_real, working
 from .series import SeriesKind
 
 __all__ = ["CheckResult", "run_verification"]
+
+
+#: The series whose coefficients each oracle weight family integrates to
+#: (de Moivre shares gamma-half's family, so the first row wins).
+_FAMILY_KINDS = {
+    family: next(kind for kind in SeriesKind if kind._row.weight == family.value)
+    for family in ThetaFamily
+}
 
 
 @dataclass(frozen=True)
@@ -59,7 +67,7 @@ def tail_truth(kind: SeriesKind, z, precision: int, spec: QuadratureSpec):
             full = oracle.exact_ln_factorial(int(zz - mpf(1) / 2), hi_prec)
         else:
             raise ValueError(f"no exact oracle for {kind} at z = {z}")
-        value = full - series._prefix(kind, zz)
+        value = full - kind._row.prefix(zz)
         err = (abs(full) + abs(value) + 1) * mpf(2) ** (6 - hi_prec)
         return round_to(value, precision), round_to(err, precision)
 
@@ -70,14 +78,9 @@ def _check_coefficient_quadrature(deep: bool, spec: QuadratureSpec) -> CheckResu
     with working(spec.precision):
         tol = mpf("1e-25")
         for family in ThetaFamily:
-            fn = {
-                ThetaFamily.THETA: coeffs.beta,
-                ThetaFamily.THETA_TILDE: coeffs.beta_tilde,
-                ThetaFamily.THETA_HAT: coeffs.beta_hat,
-            }[family]
             for k in range(k_max + 1):
                 got = oracle.coefficient_quadrature(family, k, spec)
-                want = to_real(fn(k))
+                want = to_real(_FAMILY_KINDS[family].coefficient(k))
                 worst = max(worst, abs(got - want) / want)
         return CheckResult(
             "coefficient-quadrature",
@@ -137,11 +140,6 @@ def _check_weight_linear_dependence(deep: bool, spec: QuadratureSpec) -> CheckRe
 def _check_remainder_identity(deep: bool, spec: QuadratureSpec) -> CheckResult:
     ks = [0, 1, 2, 3] if deep else [0, 2]
     zs = [mpf("0.5"), 1, 5, 20] if deep else [1, 5]
-    fn = {
-        ThetaFamily.THETA: coeffs.beta,
-        ThetaFamily.THETA_TILDE: coeffs.beta_tilde,
-        ThetaFamily.THETA_HAT: coeffs.beta_hat,
-    }
     worst = mpf(0)
     with working(spec.precision):
         for family in ThetaFamily:
@@ -149,13 +147,8 @@ def _check_remainder_identity(deep: bool, spec: QuadratureSpec) -> CheckResult:
                 for z in zs:
                     rem = oracle.remainder_quadrature(family, k, z, spec)
                     theta = oracle.theta_ratio(family, k, z, spec)
-                    zz = to_real(z)
-                    predicted = (
-                        family.remainder_sign(k)
-                        * theta
-                        * to_real(fn[family](k))
-                        / zz ** (2 * k + 1)
-                    )
+                    kind = _FAMILY_KINDS[family]
+                    predicted = theta * series._signed_term(kind, k, to_real(z))
                     worst = max(worst, abs(rem - predicted) / abs(predicted))
         tol = mpf(2) ** (64 - spec.precision)
         return CheckResult(
@@ -188,10 +181,7 @@ def _check_binet_cross_check(deep: bool, spec: QuadratureSpec) -> CheckResult:
         for n in ns:
             quad = oracle.binet_J(n, spec)
             exact = oracle.exact_ln_factorial(n - 1, spec.precision + 64)
-            zz = to_real(n)
-            direct = exact - (
-                (zz - mpf(1) / 2) * mp.log(zz) - zz + mp.log(2 * mp.pi) / 2
-            )
+            direct = exact - SeriesKind.BINET_J._row.prefix(to_real(n))
             worst = max(worst, abs(quad - direct) / abs(direct))
         tol = mpf(2) ** (64 - spec.precision)
         return CheckResult(
@@ -361,9 +351,14 @@ _CHECKS = [
 ]
 
 
+def _precision(deep: bool, precision: int | None) -> int:
+    """The working precision of a run: as given, else 256 bits (512 if deep)."""
+    if precision is None:
+        return 512 if deep else 256
+    return precision
+
+
 def run_verification(deep: bool = False, precision: int | None = None) -> list[CheckResult]:
     """Run every cross-check; deep mode widens grids and uses 512 bits."""
-    if precision is None:
-        precision = 512 if deep else 256
-    spec = QuadratureSpec(precision=precision)
+    spec = QuadratureSpec(precision=_precision(deep, precision))
     return [check(deep, spec) for check in _CHECKS]

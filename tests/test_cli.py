@@ -2,12 +2,15 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
 
 import pytest
 from mpmath import mp, mpf
 
+import envasym
+from envasym import verify
 from envasym.cli import run_cli
 from envasym.precision import PRECISION_ENV_VAR, decimal_digits
 
@@ -270,10 +273,133 @@ class TestUsageErrors:
 
 
 def test_console_entry_point_runs():
+    # The child imports the same envasym as this process, installed or not.
+    src = os.path.dirname(os.path.dirname(envasym.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "envasym", "coeffs", "--family", "beta",
          "--max-k", "1", "--format", "plain"],
         capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert "1/360" in proc.stdout
+
+
+EVAL_ARGV = ["eval", "--series", "central-binom", "--z", "10", "--tol", "1e-8",
+             "--precision", "64"]
+BOUND_ARGV = ["bound", "--series", "gamma-half", "--z", "5", "--terms", "2",
+              "--precision", "64"]
+
+FULL_OUTPUT = {
+    ("eval", "json"):
+        '{"format_version": "1", "command": "eval", "params": {"series": '
+        '"central-binom", "z": "10", "tol": "1e-8", "terms": null}, "precision": 64, '
+        '"result": {"value": "12.126791311662027966", "error_bound": '
+        '"5.7655598437289611043e-9", "error_sign": 1, "k_used": 3, "lo": '
+        '"12.126791311662027966", "hi": "12.126791317427587809"}}\n',
+    ("eval", "csv"):
+        "command,precision,format_version,series,z,tol,terms,k_used,value,"
+        "error_bound,error_sign,lo,hi\n"
+        "eval,64,1,central-binom,10,1e-8,,3,12.126791311662027966,"
+        "5.7655598437289611043e-9,1,12.126791311662027966,12.126791317427587809\n",
+    ("eval", "plain"):
+        "series       = central-binom\n"
+        "z            = 10\n"
+        "k_used       = 3\n"
+        "value        = 12.126791311662027966\n"
+        "error_bound  = 5.7655598437289611043e-9\n"
+        "error_sign   = +1\n"
+        "enclosure    = [12.126791311662027966, 12.126791317427587809]\n"
+        "precision    = 64\n",
+    ("bound", "json"):
+        '{"format_version": "1", "command": "bound", "params": {"series": '
+        '"gamma-half", "z": "5", "terms": 2}, "precision": 64, "result": {"lo": '
+        '"-0.0083141349225707060197", "hi": "-0.0083138888869531035042", "bound": '
+        '"2.4603174608902976154e-7", "k_used": 2}}\n',
+    ("bound", "csv"):
+        "command,precision,format_version,series,z,terms,k_used,lo,hi,bound\n"
+        "bound,64,1,gamma-half,5,2,2,-0.0083141349225707060197,"
+        "-0.0083138888869531035042,2.4603174608902976154e-7\n",
+    ("bound", "plain"):
+        "series    = gamma-half\n"
+        "z         = 5\n"
+        "k_used    = 2\n"
+        "enclosure = [-0.0083141349225707060197, -0.0083138888869531035042]\n"
+        "bound     = 2.4603174608902976154e-7\n"
+        "precision = 64\n",
+}
+
+
+class TestOutputFormats:
+    @pytest.mark.parametrize("command, fmt", sorted(FULL_OUTPUT))
+    def test_full_stdout(self, capsys, command, fmt):
+        argv = EVAL_ARGV if command == "eval" else BOUND_ARGV
+        code, out, err = run(capsys, *argv, "--format", fmt)
+        assert (code, err) == (0, "")
+        assert out == FULL_OUTPUT[command, fmt]
+
+    def test_coeffs_csv_header_and_plain_layout(self, capsys):
+        argv = ["coeffs", "--family", "beta-hat", "--max-k", "1"]
+        _, out, _ = run(capsys, *argv, "--format", "csv")
+        assert out.splitlines() == [
+            "command,precision,format_version,family,k,numerator,denominator,fraction",
+            "coeffs,256,1,beta-hat,0,1,24,1/24",
+            "coeffs,256,1,beta-hat,1,7,2880,7/2880",
+        ]
+        _, out, _ = run(capsys, *argv, "--format", "plain")
+        assert out == "beta-hat(0) = 1/24\nbeta-hat(1) = 7/2880\n"
+
+    def test_plain_layout_of_eval_and_bound(self, capsys):
+        _, out, _ = run(capsys, "eval", "--series", "binet", "--z", "3", "--terms", "1",
+                        "--format", "plain")
+        assert [line.split("=")[0] for line in out.splitlines()] == [
+            "series       ", "z            ", "k_used       ", "value        ",
+            "error_bound  ", "error_sign   ", "enclosure    ", "precision    "]
+        _, out, _ = run(capsys, "bound", "--series", "binet", "--z", "3", "--terms", "1",
+                        "--format", "plain")
+        assert [line.split("=")[0] for line in out.splitlines()] == [
+            "series    ", "z         ", "k_used    ", "enclosure ", "bound     ",
+            "precision "]
+
+    def test_verify_csv_header_and_quoted_detail(self, capsys, monkeypatch):
+        results = [verify.CheckResult("one", True, 'say "hi", twice'),
+                   verify.CheckResult("two", False, "bad")]
+        monkeypatch.setattr(verify, "run_verification", lambda deep, precision: results)
+        code, out, _ = run(capsys, "verify", "--format", "csv")
+        assert code == 3
+        assert out.splitlines() == [
+            "command,precision,format_version,deep,name,passed,detail",
+            "verify,256,1,False,one,True,\"say 'hi', twice\"",
+            'verify,256,1,False,two,False,"bad"',
+        ]
+        _, out, _ = run(capsys, "verify", "--deep", "--format", "plain")
+        assert out == ('PASS one: say "hi", twice\nFAIL two: bad\n'
+                       "FAIL overall (2 checks)\n")
+
+    def test_demo_csv_header(self, capsys):
+        code, out, _ = run(capsys, "demo", "--b", "1", "--x-from", "9", "--x-to", "9",
+                           "--steps", "1", "--k-max", "1", "--format", "csv")
+        assert code == 0
+        header, row = out.splitlines()
+        assert header == (
+            "command,precision,format_version,b,x_from,x_to,steps,k_max,witness_found,"
+            "x,k,mode,remainder,next_term_bound,control_witnesses")
+        assert row.startswith("demo,256,1,1,9,9,1,1,True,9.000")
+        assert row.endswith(",0")
+
+
+class TestPrecisionFloor:
+    def test_bound_above_tol_exits_2_naming_precision(self, capsys):
+        code, out, err = run(capsys, "eval", "--series", "binet", "--z", "50",
+                             "--tol", "1e-80")
+        assert code == 2
+        assert not out
+        assert "precision" in err
+        assert "best_bound: 1.07244829" in err
+
+    def test_more_bits_reach_the_tolerance(self, capsys):
+        code, out, _ = run(capsys, "eval", "--series", "binet", "--z", "50",
+                           "--tol", "1e-80", "--precision", "512")
+        assert code == 0
+        assert mpf(json.loads(out)["result"]["error_bound"]) <= mpf("1e-80")

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf
+from mpmath.libmp import from_rational, round_ceiling
 
 from envasym import (
     DomainError,
@@ -260,11 +261,84 @@ class TestAutoTruncate:
             if k > 0:
                 assert abs(term(kind, k - 1, z)) > tol * (1 - mpf(2) ** -200)
 
+    def test_bound_rounds_up_at_the_tolerance_boundary(self):
+        # The widened k = 0 bound at z = 3 lies just below this tolerance;
+        # rounded to nearest at 64 bits it would land just above it.
+        tol = "0.02777777778424529565724016368011901118"
+        k, bound = auto_truncate(SeriesKind.BINET_J, 3, tol, 64)
+        assert real_to_fraction(bound) <= Fraction(tol)
+        assert k == 1
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_bound_never_exceeds_a_tolerance_just_above_the_exact_bound(self, kind):
+        p = 64
+        for z in (3, 7, 20):
+            for k in range(4):
+                exact = abs(frac_term(kind, k, Fraction(z))) * (1 + Fraction(1, 2 ** (p - 32)))
+                tol = mp.make_mpf(
+                    from_rational(exact.numerator, exact.denominator, p + 32, round_ceiling)
+                )
+                k_used, bound = auto_truncate(kind, z, tol, p)
+                assert bound <= tol
+                assert k_used in (k, k + 1)
+
+    @pytest.mark.parametrize("z", ["1", "2.3", "4.75", "6.1"])
+    def test_best_bound_is_an_attainable_tolerance(self, z):
+        with pytest.raises(ToleranceUnattainable) as info:
+            auto_truncate(SeriesKind.BINET_J, z, "1e-60", 64)
+        exc = info.value
+        assert auto_truncate(SeriesKind.BINET_J, z, exc.best_bound, 64) == (
+            exc.k_best, exc.best_bound
+        )
+
     def test_rejects_bad_tolerance(self):
         with pytest.raises(DomainError):
             auto_truncate(SeriesKind.BINET_J, 5, 0)
         with pytest.raises(DomainError):
             auto_truncate(SeriesKind.BINET_J, 5, "-1e-5")
+
+
+EVALUATE = {
+    SeriesKind.BINET_J: ln_gamma,
+    SeriesKind.CENTRAL_BINOMIAL: ln_central_binomial,
+    SeriesKind.GAMMA_PLUS_HALF: ln_gamma_plus_half,
+    SeriesKind.DE_MOIVRE: ln_factorial_demoivre,
+}
+
+
+class TestPrecisionFloor:
+    """A tolerance the series reaches but P-bit rounding of the value does not."""
+
+    def test_raises_naming_the_achieved_bound_and_precision(self):
+        with pytest.raises(ToleranceUnattainable) as info:
+            ln_central_binomial(60, "1e-70")
+        exc = info.value
+        assert "precision" in str(exc)
+        assert exc.best_bound > mpf("1e-70")
+        assert exc.k_best == auto_truncate(SeriesKind.CENTRAL_BINOMIAL, 60, "1e-70")[0]
+        assert exc.best_bound == ln_central_binomial(60, terms=exc.k_best).error_bound
+
+    def test_more_bits_reach_the_tolerance(self):
+        cv = ln_central_binomial(60, "1e-70", precision=512)
+        assert cv.error_bound <= mpf("1e-70")
+        assert cv.contains(exact_ln_central_binomial(60, 512))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        kind=st.sampled_from(ALL_KINDS),
+        n=st.integers(min_value=1, max_value=300),
+        exponent=st.integers(min_value=1, max_value=120),
+    )
+    def test_returned_bound_never_exceeds_tol(self, kind, n, exponent):
+        tol = f"1e-{exponent}"
+        with mp.workprec(P + 32):
+            tol_real = mpf(tol)
+        try:
+            cv = EVALUATE[kind](n, tol)
+        except ToleranceUnattainable as exc:
+            assert exc.best_bound > tol_real
+        else:
+            assert cv.error_bound <= tol_real
 
 
 class TestLnGamma:
