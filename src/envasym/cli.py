@@ -13,8 +13,8 @@ a fixed field order and round-trip byte-identically through parse/serialize.
 Exit codes: 0 success, 1 usage error, 2 unattainable tolerance (below the
 series' accuracy floor, or below what the precision can certify: raise
 ``--precision``) or numeric domain error, 3 verification failure.  The
-default precision is 256 bits, overridable with the ENVASYM_PRECISION
-environment variable (``verify`` defaults to 256, or 512 with ``--deep``).
+precision is ``--precision`` if given, else the ENVASYM_PRECISION
+environment variable if set, else 256 bits (512 for ``verify --deep``).
 """
 
 from __future__ import annotations
@@ -59,10 +59,10 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _default_precision() -> int:
+def _default_precision(fallback: int = DEFAULT_PRECISION) -> int:
     raw = os.environ.get(PRECISION_ENV_VAR)
     if raw is None:
-        return DEFAULT_PRECISION
+        return fallback
     try:
         value = int(raw)
     except ValueError:
@@ -119,9 +119,9 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _resolve_precision(args) -> int:
+def _resolve_precision(args, fallback: int = DEFAULT_PRECISION) -> int:
     if args.precision is None:
-        return _default_precision()
+        return _default_precision(fallback)
     if args.precision < MIN_PRECISION:
         raise _UsageError(f"--precision must be >= {MIN_PRECISION}")
     return args.precision
@@ -249,9 +249,7 @@ def _cmd_bound(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    precision = verify._precision(args.deep, args.precision)
-    if precision < MIN_PRECISION:
-        raise _UsageError(f"--precision must be >= {MIN_PRECISION}")
+    precision = _resolve_precision(args, verify._precision(args.deep, None))
     results = verify.run_verification(deep=args.deep, precision=precision)
     passed = all(r.passed for r in results)
     checks = [{"name": r.name, "passed": r.passed, "detail": r.detail} for r in results]

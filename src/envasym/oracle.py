@@ -25,12 +25,14 @@ levels), not a proven bound.  Certification is the job of the series module.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
 from mpmath import mp, mpf
+from mpmath.libmp import MPZ, bitcount
 
 from ._expansions import EXPANSIONS
 from .errors import DomainError, QuadratureNonConvergence
@@ -128,9 +130,58 @@ _DEFAULT_SPEC = QuadratureSpec()
 _TAIL_RUN = 2
 _TAIL_CAP = 10**7
 
+# A node value is stored as one int, (mantissa << 64) | (exponent + 2**63),
+# about a third of the memory of an mpf.  The exponent field is 64 bits
+# because tail weights reach exponents near -1.7e12.
+_EXP_BITS = 64
+_EXP_BIAS = 1 << (_EXP_BITS - 1)
+_EXP_MASK = (1 << _EXP_BITS) - 1
 
-def _de_quad_half_line(f, spec: QuadratureSpec):
-    """Integrate f over (0, inf) by a double-exponential transform.
+
+def _pack(x: mpf) -> Optional[int]:
+    """x >= 0 as one int, or None when its exponent does not fit the field."""
+    _, man, exp, _ = x._mpf_
+    if not -_EXP_BIAS <= exp < _EXP_BIAS:
+        return None
+    return (int(man) << _EXP_BITS) | (exp + _EXP_BIAS)
+
+
+def _unpack(packed: int) -> mpf:
+    man = MPZ(packed >> _EXP_BITS)
+    return mp.make_mpf((0, man, (packed & _EXP_MASK) - _EXP_BIAS, bitcount(man)))
+
+
+_COLUMNS = {family: column for column, family in enumerate(ThetaFamily, start=1)}
+
+
+class _NodeTable:
+    """The z-free node values of one working precision, keyed by the exact t.
+
+    A row holds the packed eta = exp(lam*sinh t), shared by the three
+    families, then one packed W(t) = weight(eta)*lam*cosh(t)*eta per family,
+    filled when first needed.  A family stores nothing during its first
+    quadrature at this precision, so a one-off call leaves nothing behind.
+    Every stored value is a pure function of (t, precision, family), so a
+    slot two quadratures fill at once holds the same number either way.
+    """
+
+    def __init__(self):
+        self.rows: dict[float, list] = {}
+        # next() on a count is atomic, so no quadrature is counted twice.
+        self._quadratures = {family: itertools.count() for family in ThetaFamily}
+
+    def storing(self, family: ThetaFamily) -> bool:
+        """Count one quadrature of the family; True from the second on."""
+        return next(self._quadratures[family]) > 0
+
+
+@lru_cache(maxsize=4)
+def _node_table(precision: int) -> _NodeTable:
+    return _NodeTable()
+
+
+def _de_quad_half_line(family: ThetaFamily, factor, spec: QuadratureSpec):
+    """Integrate factor(eta) * weight(eta) over (0, inf), double-exponentially.
 
     Substitutes eta = exp((pi/2) * sinh(t)) and applies the trapezoid rule in
     t with dyadic step refinement, reusing previous levels.  Refinement stops
@@ -140,18 +191,40 @@ def _de_quad_half_line(f, spec: QuadratureSpec):
     the running sum; eta = 0 is never sampled, so integrable endpoint
     singularities need no special casing.
 
+    The node value at t is factor(eta) * W(t), where the z-free part
+    W(t) = weight(eta) * (pi/2) * cosh(t) * eta and eta itself come from the
+    precision's node table when an earlier quadrature stored them.
+
     Returns (value, error_estimate) at working precision.  Raises
     QuadratureNonConvergence if the level cap is hit first.
     """
     prec = spec.precision
+    table = _node_table(prec)
+    rows = table.rows
+    column = _COLUMNS[family]
+    store = table.storing(family)
     with working(prec):
         lam = mp.pi / 2
         tail_eps = mpf(2) ** (-(prec + GUARD_BITS))
         target = spec.effective_tol()
 
-        def g(t):
-            eta = mp.exp(lam * mp.sinh(t))
-            return f(eta) * lam * mp.cosh(t) * eta
+        def g(t: float):
+            # t is dyadic, so the float key and mpmath's conversion are exact
+            row = rows.get(t)
+            if row is None:
+                eta = mp.exp(lam * mp.sinh(t))
+                packed = _pack(eta) if store else None
+                if packed is not None:
+                    row = rows.setdefault(t, [packed, None, None, None])
+            else:
+                eta = _unpack(row[0])
+            packed = None if row is None else row[column]
+            if packed is not None:
+                return factor(eta) * _unpack(packed)
+            w = family.weight(eta) * lam * mp.cosh(t) * eta
+            if store and row is not None:
+                row[column] = _pack(w)
+            return factor(eta) * w
 
         def half_sums(h, start, step):
             # sum of g(j*h) over j = start, start+step, ... on both sides of 0
@@ -175,8 +248,8 @@ def _de_quad_half_line(f, spec: QuadratureSpec):
                         )
             return total
 
-        h = mpf(1)
-        estimate = h * (g(mpf(0)) + half_sums(h, 1, 1))
+        h = 1.0
+        estimate = h * (g(0.0) + half_sums(h, 1, 1))
         previous = None
         for _ in range(1, spec.max_levels + 1):
             h = h / 2
@@ -197,21 +270,19 @@ def _de_quad_half_line(f, spec: QuadratureSpec):
 def _moment_integral(family: ThetaFamily, k: int, spec: QuadratureSpec):
     """(value, err) of  integral eta^(2k) * weight(eta) deta  over (0, inf)."""
     with working(spec.precision):
-        if k == 0:
-            return _de_quad_half_line(family.weight, spec)
-        return _de_quad_half_line(lambda eta: eta ** (2 * k) * family.weight(eta), spec)
+        return _de_quad_half_line(family, lambda eta: eta ** (2 * k), spec)
 
 
-@lru_cache(maxsize=None)
+# Bounded, as it is keyed by every z seen; 1024 entries hold a demo scan's
+# grid for its perturbed and control passes many times over.
+@lru_cache(maxsize=1024)
 def _damped_moment_integral(family: ThetaFamily, k: int, z: mpf, spec: QuadratureSpec):
     """(value, err) of  integral eta^(2k)/(z^2+eta^2) * weight(eta) deta."""
     with working(spec.precision):
         z2 = mp.mpf(z) ** 2
-
-        def integrand(eta):
-            return eta ** (2 * k) / (z2 + eta * eta) * family.weight(eta)
-
-        return _de_quad_half_line(integrand, spec)
+        return _de_quad_half_line(
+            family, lambda eta: eta ** (2 * k) / (z2 + eta * eta), spec
+        )
 
 
 def _check_z(z, precision: int) -> mpf:

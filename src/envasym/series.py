@@ -272,6 +272,25 @@ def _rounded_up(x: Fraction, precision: int) -> mpf:
     return mp.make_mpf(from_man_exp(-(-num // den), -shift, precision, round_ceiling))
 
 
+def _at_most(bound: mpf, tol, tol_real: mpf) -> bool:
+    """Whether a precision-bit ``bound`` is <= the exact value of ``tol``.
+
+    ``tol_real`` is ``tol`` rounded to nearest at precision + 32 bits, a grid
+    the bound lies on, so a bound other than ``tol_real`` is on the same side
+    of ``tol`` as of ``tol_real``.  Only a tie needs the exact rational value
+    of ``tol`` (of the decimal a string spells, not of its rounding).
+    """
+    if bound != tol_real:
+        return bound < tol_real
+    if isinstance(tol, str):
+        exact = Fraction(tol.strip())
+    elif isinstance(tol, mpf):
+        exact = real_to_fraction(tol)
+    else:
+        exact = Fraction(tol)
+    return real_to_fraction(bound) <= exact
+
+
 def auto_truncate(
     kind: SeriesKind, z, tol, precision: int = DEFAULT_PRECISION
 ) -> tuple[int, mpf]:
@@ -279,10 +298,11 @@ def auto_truncate(
 
     Returns ``(k, bound)`` where ``bound`` is the slop-widened magnitude of
     the first omitted term, rounded up to ``precision`` bits; the decision
-    is made on that rounded number, so ``bound <= tol`` whenever the call
-    succeeds.  Raises :class:`ToleranceUnattainable`, carrying the best
-    achievable bound (rounded the same way), when the accuracy floor of the
-    series at this argument is above ``tol``.
+    is made on that rounded number against the exact value of ``tol``, so
+    ``bound <= tol`` whenever the call succeeds.  Raises
+    :class:`ToleranceUnattainable`, carrying the best achievable bound
+    (rounded the same way), when the accuracy floor of the series at this
+    argument is above ``tol``.
     """
     zf = _exact_argument(kind, z, precision)
     with working(precision):
@@ -294,7 +314,7 @@ def auto_truncate(
     power = zf
     for k, c in _decreasing_terms(kind, zf):
         bound = _rounded_up(c * inflate / power, precision)
-        if bound <= tol_real:
+        if _at_most(bound, tol, tol_real):
             return k, bound
         power *= zf2
     raise ToleranceUnattainable(
@@ -354,7 +374,7 @@ def _evaluate(kind: SeriesKind, z, tol, terms, precision: int) -> CertifiedValue
     certified = _certified(kind, z, k, precision)
     with working(precision):
         tol_real = to_real(tol)
-    if certified.error_bound > tol_real:
+    if not _at_most(certified.error_bound, tol, tol_real):
         raise ToleranceUnattainable(
             f"tolerance {mp.nstr(tol_real, 8)} is below what {precision}-bit "
             f"precision can certify for {kind.value} at this argument; achieved "

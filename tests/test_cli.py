@@ -244,6 +244,34 @@ class TestPrecisionPlumbing:
         assert code == 1
         assert PRECISION_ENV_VAR in err
 
+    @pytest.mark.parametrize("flags, env, expected", [
+        ([], None, 256),
+        (["--deep"], None, 512),
+        ([], "128", 128),
+        (["--deep"], "128", 128),
+        (["--deep", "--precision", "192"], "128", 192),
+        (["--precision", "32"], None, None),
+        ([], "32", None),
+    ])
+    def test_verify_precision_precedence(self, capsys, monkeypatch, flags, env, expected):
+        seen = []
+
+        def fake_run(deep, precision):
+            seen.append(precision)
+            return [verify.CheckResult("one", True, "ok")]
+
+        monkeypatch.setattr(verify, "run_verification", fake_run)
+        if env is None:
+            monkeypatch.delenv(PRECISION_ENV_VAR, raising=False)
+        else:
+            monkeypatch.setenv(PRECISION_ENV_VAR, env)
+        code, out, _ = run(capsys, "verify", *flags, "--format", "json")
+        if expected is None:
+            assert (code, seen) == (1, [])
+        else:
+            assert (code, seen) == (0, [expected])
+            assert json.loads(out)["precision"] == expected
+
     def test_too_small_precision_is_usage_error(self, capsys):
         code, _, _ = run(
             capsys, "eval", "--series", "binet", "--z", "4", "--precision", "32"

@@ -1,10 +1,13 @@
 """Oracle module: exact big-integer logs and quadrature cross-identities."""
 
 import math
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
 from mpmath import mp, mpf
+from mpmath.libmp import MPZ, bitcount
 
 from envasym import (
     DomainError,
@@ -20,7 +23,9 @@ from envasym import (
     remainder_quadrature,
     theta_ratio,
 )
+from envasym import oracle
 from envasym.coeffs import beta, beta_hat, beta_tilde
+from envasym.demo import enveloping_control_scan
 
 SPEC = QuadratureSpec(precision=256)
 TIGHT = mpf(2) ** -200
@@ -261,3 +266,129 @@ class TestQuadratureSpec:
         with pytest.raises(QuadratureNonConvergence) as info:
             binet_J(mpf("3.75"), starved)
         assert info.value.value is not None
+
+
+def _clear_value_caches():
+    oracle._moment_integral.cache_clear()
+    oracle._damped_moment_integral.cache_clear()
+
+
+def _quadratures(family, k, spec):
+    """The damped (z = 2) and undamped moment integrals, bypassing the value
+    caches, as exact mpf tuples."""
+    damped = oracle._damped_moment_integral.__wrapped__(family, k, mpf(2), spec)
+    moment = oracle._moment_integral.__wrapped__(family, k, spec)
+    return [x._mpf_ for pair in (damped, moment) for x in pair]
+
+
+def _stored(precision, family):
+    """Count of nodes whose W is stored for this family at this precision."""
+    column = list(ThetaFamily).index(family) + 1
+    rows = oracle._node_table(precision).rows.values()
+    return sum(row[column] is not None for row in rows)
+
+
+class TestNodeTable:
+    # 512 bits with a looser target: fewer levels, the same nodes and values
+    @pytest.mark.parametrize(
+        "spec",
+        [QuadratureSpec(precision=256),
+         QuadratureSpec(precision=512, rel_tol=mpf("1e-40"))],
+        ids=["256", "512"],
+    )
+    def test_warm_table_matches_cold_bit_for_bit(self, spec):
+        precision = spec.precision
+        cases = [(family, k) for family in ThetaFamily for k in (0, 3)]
+        cold = {}
+        for family, k in cases:
+            oracle._node_table.cache_clear()
+            cold[family, k] = _quadratures(family, k, spec)
+        oracle._node_table.cache_clear()
+        for _ in range(3):  # nothing stored, then storing, then reading
+            for family, k in cases:
+                assert _quadratures(family, k, spec) == cold[family, k]
+        assert all(_stored(precision, family) for family in ThetaFamily)
+
+    def test_single_call_at_a_new_precision_stores_nothing(self):
+        spec = QuadratureSpec(precision=192)
+        oracle._node_table.cache_clear()
+        _clear_value_caches()
+        binet_J(3, spec)
+        assert not oracle._node_table(192).rows
+        binet_J(4, spec)
+        assert _stored(192, ThetaFamily.THETA)
+        assert not _stored(192, ThetaFamily.THETA_HAT)
+
+    def test_other_precision_leaves_result_unchanged(self):
+        spec = QuadratureSpec(precision=256)
+        deep = QuadratureSpec(precision=512, rel_tol=mpf("1e-30"))
+        oracle._node_table.cache_clear()
+        results = []
+        for calls in ([spec, spec], [deep, deep], [spec]):
+            for call_spec in calls:
+                _clear_value_caches()
+                value = remainder_quadrature(ThetaFamily.THETA_TILDE, 1, 7, call_spec)
+                results.append((call_spec.precision, value._mpf_))
+        assert results[0] == results[1] == results[4]
+        assert _stored(512, ThetaFamily.THETA_TILDE)
+
+    def test_threads_reading_one_precision_match_serial(self):
+        # Filling the table runs mpmath's expm1/log1p/coth, which raise and
+        # restore the process-wide precision, so concurrent fills race even
+        # at one precision (the thread-safety open item).  The threads here
+        # read a table two serial passes have filled, with the ambient
+        # precision already the working one.
+        spec = QuadratureSpec(precision=256)
+        jobs = [(family, k) for family in ThetaFamily for k in (1, 2)]
+        oracle._node_table.cache_clear()
+        for _ in range(2):
+            serial = [_quadratures(family, k, spec) for family, k in jobs]
+        rows = len(oracle._node_table(256).rows)
+        results = [None] * len(jobs)
+
+        def work(i):
+            results[i] = [_quadratures(*jobs[i], spec) for _ in range(2)]
+
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(len(jobs))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with mp.workprec(256 + 32):
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=300)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert results == [[want, want] for want in serial]
+        assert len(oracle._node_table(256).rows) == rows
+
+    def test_pack_round_trips_tail_exponents(self):
+        man = MPZ(3) ** 161  # odd, 256 bits
+        for exp in (-1_700_000_000_000, -(2**63), 2**63 - 1, 0):
+            x = mp.make_mpf((0, man, exp, bitcount(man)))
+            assert oracle._unpack(oracle._pack(x))._mpf_ == x._mpf_
+        for exp in (-(2**63) - 1, 2**63):
+            assert oracle._pack(mp.make_mpf((0, man, exp, bitcount(man)))) is None
+
+    def test_pack_round_trips_a_real_tail_weight(self):
+        # the transformed node at t = 3.5, reached at step h = 1/2
+        with mp.workprec(288):
+            eta = mp.exp(mp.pi / 2 * mp.sinh(3.5))
+            w = ThetaFamily.THETA.weight(eta) * mp.pi / 2 * mp.cosh(3.5) * eta
+        assert w._mpf_[2] < -10**12
+        assert oracle._unpack(oracle._pack(w))._mpf_ == w._mpf_
+
+
+class TestDampedValueCache:
+    def test_bounded_and_hit_by_a_repeated_scan(self):
+        info = oracle._damped_moment_integral.cache_info()
+        assert info.maxsize is not None
+        spec = QuadratureSpec(precision=128)
+        grid = [5, 6, 7]
+        oracle._damped_moment_integral.cache_clear()
+        enveloping_control_scan(grid, 2, spec)
+        enveloping_control_scan(grid, 2, spec)
+        info = oracle._damped_moment_integral.cache_info()
+        assert (info.hits, info.misses) == (len(grid), len(grid))

@@ -1,6 +1,7 @@
 """Series evaluation, enclosures, truncation policy, and their invariants."""
 
 import math
+from decimal import ROUND_FLOOR, Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -35,6 +36,14 @@ from envasym.precision import real_to_fraction
 P = 256
 SPEC = QuadratureSpec(precision=P)
 ALL_KINDS = list(SeriesKind)
+
+
+def decimal_below(x: Fraction, digits: int = 80) -> str:
+    """x rounded down to a decimal string of the given significant digits."""
+    with localcontext() as ctx:
+        ctx.prec = digits
+        ctx.rounding = ROUND_FLOOR
+        return str(Decimal(x.numerator) / Decimal(x.denominator))
 
 
 def exactly_close(got, expected: Fraction, bits: int = 250) -> bool:
@@ -269,6 +278,15 @@ class TestAutoTruncate:
         assert real_to_fraction(bound) <= Fraction(tol)
         assert k == 1
 
+    def test_decides_against_the_exact_tolerance(self):
+        # tol is 2**-200 below the k = 0 bound; rounded to nearest at P + 32
+        # bits it would equal that bound, and k = 0 would be accepted.
+        _, bound0 = auto_truncate(SeriesKind.BINET_J, 3, "1", 64)
+        tol = decimal_below(real_to_fraction(bound0) - Fraction(1, 2**200))
+        k, bound = auto_truncate(SeriesKind.BINET_J, 3, tol, 64)
+        assert real_to_fraction(bound) <= Fraction(tol)
+        assert k == 1
+
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_bound_never_exceeds_a_tolerance_just_above_the_exact_bound(self, kind):
         p = 64
@@ -317,6 +335,16 @@ class TestPrecisionFloor:
         assert exc.best_bound > mpf("1e-70")
         assert exc.k_best == auto_truncate(SeriesKind.CENTRAL_BINOMIAL, 60, "1e-70")[0]
         assert exc.best_bound == ln_central_binomial(60, terms=exc.k_best).error_bound
+
+    def test_compares_with_the_exact_tolerance(self):
+        # tol is 2**-200 below the bound certified at the k auto_truncate
+        # picks; rounded to nearest at P + 32 bits it would equal that bound.
+        achieved = ln_gamma(3, terms=2, precision=64).error_bound
+        tol = decimal_below(real_to_fraction(achieved) - Fraction(1, 2**200))
+        assert auto_truncate(SeriesKind.BINET_J, 3, tol, 64)[0] == 2
+        with pytest.raises(ToleranceUnattainable) as info:
+            ln_gamma(3, tol, precision=64)
+        assert info.value.best_bound == achieved
 
     def test_more_bits_reach_the_tolerance(self):
         cv = ln_central_binomial(60, "1e-70", precision=512)
