@@ -9,16 +9,19 @@ Three interrelated positive sequences drive everything else in the package:
   series, equal to ``(1 - 2**-(2k+1)) * beta(k)``.
 
 All values are exact ``fractions.Fraction`` objects built from Bernoulli
-numbers; nothing here ever touches floating point except ``zeta_even``,
-which maps the exact coefficients back to zeta values at even integers.
+numbers, which come from Brent and Harvey's integer tangent numbers ("Fast
+computation of Bernoulli, Tangent and Secant numbers", 2011).  Floating point
+enters only in ``zeta_even``, which maps the exact coefficients back to zeta
+values at even integers, and in ``log_estimate``, a float guess the series
+module uses to decide where to look before it decides exactly.
 """
 
 from __future__ import annotations
 
+import math
 import threading
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
 
 from mpmath import mp, mpf
 
@@ -30,6 +33,7 @@ __all__ = [
     "beta_tilde",
     "beta_hat",
     "zeta_even",
+    "log_estimate",
     "coefficient_table",
     "COEFFICIENT_FAMILIES",
 ]
@@ -40,25 +44,41 @@ _BERNOULLI_EVEN: list[Fraction] = [Fraction(1)]
 _BERNOULLI_LOCK = threading.Lock()
 
 
-def _extend_bernoulli(upto: int) -> None:
-    # Binomial recurrence sum_{j=0}^{n} C(n+1, j) B_j = 0 with B_0 = 1,
-    # restricted to even indices (odd Bernoulli numbers vanish for n >= 3,
-    # and the lone B_1 = -1/2 contributes the constant 1/2 below).
-    with _BERNOULLI_LOCK:
-        for m in range(len(_BERNOULLI_EVEN), upto + 1):
-            n = 2 * m
-            acc = Fraction(0)
-            for i in range(m):
-                acc += comb(n + 1, 2 * i) * _BERNOULLI_EVEN[i]
-            _BERNOULLI_EVEN.append(Fraction(1, 2) - acc / (n + 1))
+def _tangent_numbers(n: int) -> list[int]:
+    """Tangent numbers T_1 .. T_n: tan x = sum T_k x^(2k-1) / (2k-1)!, 1, 2, 16, 272, ...
+
+    Brent and Harvey's in-place recurrence: O(n^2) products of an integer by
+    a small integer, and no division or gcd.
+    """
+    t = [0, 1] + [0] * (n - 1)
+    for k in range(2, n + 1):
+        t[k] = (k - 1) * t[k - 1]
+    for k in range(2, n + 1):
+        for j in range(k, n + 1):
+            t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
+    return t[1:]
 
 
 def bernoulli_even(m: int) -> Fraction:
-    """Exact Bernoulli number B_{2m} for m >= 1 (B_2 = 1/6, B_4 = -1/30, ...)."""
+    """Exact Bernoulli number B_{2m} for m >= 1 (B_2 = 1/6, B_4 = -1/30, ...).
+
+    The table grows from tangent numbers, B_{2k} = (-1)^(k-1) 2k T_k /
+    (4^k (4^k - 1)), to at least twice its length and an eighth past m: a
+    truncation search asks for the neighbours of m next, and rebuilding
+    n tangent numbers costs about n^3.
+    """
     if m < 1:
         raise ValueError("bernoulli_even requires m >= 1")
     if m >= len(_BERNOULLI_EVEN):
-        _extend_bernoulli(m)
+        with _BERNOULLI_LOCK:
+            have = len(_BERNOULLI_EVEN)
+            if m >= have:
+                n = max(m + m // 8 + 2, 2 * have)
+                tangent = _tangent_numbers(n)
+                for k in range(have, n + 1):
+                    four_k = 4**k
+                    _BERNOULLI_EVEN.append(Fraction(
+                        (-1) ** (k - 1) * 2 * k * tangent[k - 1], four_k * (four_k - 1)))
     return _BERNOULLI_EVEN[m]
 
 
@@ -101,6 +121,21 @@ def zeta_even(k: int, precision: int = DEFAULT_PRECISION) -> mpf:
         two_pi = 2 * mp.pi
         value = mp.convert(beta(k)) * two_pi ** (2 * k + 2) / (2 * mp.factorial(2 * k))
         return round_to(value, precision)
+
+
+#: (a, b) per family, with c(k) = (a - b * 2**-(2k+1)) * beta(k).
+_BETA_FACTORS = {"beta": (1, 0), "beta-tilde": (2, 1), "beta-hat": (1, 1)}
+
+
+def log_estimate(family: str, k: int) -> float:
+    """ln c(k) of one coefficient family, as a float that cannot overflow.
+
+    From beta(k) = 2 (2k)! zeta(2k+2) / (2 pi)^(2k+2) with zeta(2k+2),
+    which lies in (1, pi^2/6], taken as 1: a guess, never a decision.
+    """
+    a, b = _BETA_FACTORS[family]
+    return (math.log(2 * (a - b * 2.0 ** -(2 * k + 1))) + math.lgamma(2 * k + 1)
+            - (2 * k + 2) * math.log(2 * math.pi))
 
 
 COEFFICIENT_FAMILIES = {

@@ -23,6 +23,11 @@ in :mod:`envasym._expansions`, which :class:`SeriesKind` reads:
 add the elementary prefix and return a :class:`CertifiedValue` for the full
 function.
 
+``min_term_index`` and ``auto_truncate`` decide their index by exact rational
+checks at a boundary estimated in floats: the estimate sets only where the
+checks are made, so the index is the one a scan from k = 0 would give.
+Indices above ``INDEX_CAP`` are rejected with :class:`DomainError`.
+
 Rigor contract: the mathematical bounds are exact in exact arithmetic;
 computed endpoints and bounds are widened outward by a relative
 ``2**-(P-32)`` margin (see :func:`envasym.precision.relative_slop`) so that
@@ -31,7 +36,10 @@ containment survives floating-point rounding at precision P.
 
 from __future__ import annotations
 
+import bisect
 import enum
+import functools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -68,7 +76,13 @@ __all__ = [
 ]
 
 _DEFAULT_TOL = "1e-12"
-_MIN_TERM_SCAN_CAP = 100_000
+
+#: Largest index ``min_term_index`` and ``auto_truncate`` return.  An input
+#: whose index lies above it raises :class:`DomainError`: at once when the
+#: float guess lies above it, before any coefficient is built, else when the
+#: exact search passes it.  Building the coefficients up to the cap takes one
+#: to two seconds; explicit ``terms=`` are not capped.
+INDEX_CAP = 1000
 
 
 class SeriesKind(enum.Enum):
@@ -236,35 +250,109 @@ def _exact_argument(kind: SeriesKind, z, precision: int) -> Fraction:
     return real_to_fraction(_checked_argument(kind, z, precision))
 
 
-def _decreasing_terms(kind: SeriesKind, zf: Fraction):
-    """Yield (k, c(k)) for k = 0 up to and including the minimum-term index.
+# The searches below rest on one lemma: c(k+1)/c(k) is strictly increasing in
+# k for beta, beta_tilde and beta_hat.  With s = 2k+2,
+#
+#   beta(k+1)/beta(k) = (2k+1)(2k+2)/(2 pi)^2 * zeta(s+2)/zeta(s),
+#
+# where (2k+1)(2k+2) grows and zeta(s+2)/zeta(s) does not fall, zeta being
+# log-convex (a sum of the log-linear n^-s).  The other two families multiply
+# beta(k) by g(k) = a - 2^-(2k+1), a in {2, 1}, which is log-concave, so
+# g(k+1)/g(k) falls, but slowly: with u = 2^-(2k+1), g(k+1)^2 - g(k)g(k+2) =
+# 9au/16 < u g(k+1)^2, so the ratio of ratios is above 1 - u.  The growth of
+# (2k+1)(2k+2) outweighs it: its ratio of ratios is 6 at k = 0 and above
+# 1 + 1/(k+1) >= 1/(1 - u) for k >= 1.  Hence the minimum-term test
+# c(k+1) >= c(k) x^2 is false below the minimum-term index k* and true from
+# it on.  Below k* the terms fall strictly, so the rounded-up bounds never
+# rise, and the truncation test "bound <= tol or the terms turn" is also
+# false and then true.  The first k of either is found exactly by probing
+# near a float guess and bisecting.
 
-    The one minimum-term test: |t(k+1)| >= |t(k)|, i.e. c(k+1) >= c(k) z^2,
-    decided in exact rational arithmetic on the (dyadic) argument, so ties
-    resolve deterministically to the earlier index.  Termination is
-    guaranteed by the factorial growth of the coefficients.
+
+def _least(holds, guess: int) -> int | None:
+    """Least k in [0, INDEX_CAP] at which the monotone predicate ``holds`` is true.
+
+    Gallops outward from ``guess`` in doubling steps until it brackets the
+    answer, then bisects, so the result does not depend on the guess, and no
+    probe lies past both the guess and the answer by more than their distance.
+    None when the guess, or the answer, lies above ``INDEX_CAP``.
     """
-    zf2 = zf * zf
-    c = kind.coefficient(0)
-    for k in range(_MIN_TERM_SCAN_CAP):
-        yield k, c
-        c_next = kind.coefficient(k + 1)
-        if c_next >= c * zf2:
-            return
-        c = c_next
-    raise RuntimeError("minimum-term scan cap exceeded")
+    if guess > INDEX_CAP:
+        return None
+    step = 1
+    if holds(guess):
+        hi = guess  # holds(hi); the loop finds lo < hi with not holds(lo)
+        while True:
+            lo = hi - step
+            if lo < 0:
+                lo = -1
+                break
+            if not holds(lo):
+                break
+            hi, step = lo, 2 * step
+    else:
+        lo = guess  # not holds(lo); the loop finds hi > lo with holds(hi)
+        while True:
+            if lo == INDEX_CAP:
+                return None
+            hi = min(lo + step, INDEX_CAP)
+            if holds(hi):
+                break
+            lo, step = hi, 2 * step
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if holds(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def _ln(x: Fraction) -> float:
+    """ln x for x > 0, as a float at any exponent."""
+    return math.log(x.numerator) - math.log(x.denominator)
+
+
+def _guess(kind: SeriesKind, xf: Fraction, ln_tol: float | None = None) -> int:
+    """Float guess at the least k where the terms turn (or the bound meets tol).
+
+    The float mirror of the exact tests, with ``coeffs.log_estimate`` for
+    ln c(k); ``INDEX_CAP + 1`` when neither holds up to the cap.
+    """
+    ln_c = functools.partial(coeffs.log_estimate, kind._row.coefficients)
+    ln_x = _ln(xf)
+
+    def holds(k):
+        return (ln_c(k + 1) - ln_c(k) >= 2 * ln_x
+                or ln_tol is not None and ln_c(k) - (2 * k + 1) * ln_x <= ln_tol)
+
+    return bisect.bisect_left(range(INDEX_CAP + 1), True, key=holds)
+
+
+def _turns(kind: SeriesKind, xf: Fraction, k: int) -> bool:
+    """The one minimum-term test |t(k+1)| >= |t(k)|, i.e. c(k+1) >= c(k) x^2.
+
+    Decided in exact rational arithmetic on the (dyadic) argument, so ties
+    resolve deterministically to the earlier index.
+    """
+    return kind.coefficient(k + 1) >= kind.coefficient(k) * xf * xf
 
 
 def min_term_index(kind: SeriesKind, z, precision: int = DEFAULT_PRECISION) -> int:
-    """First index where term magnitudes stop strictly decreasing."""
-    for k, _ in _decreasing_terms(kind, _exact_argument(kind, z, precision)):
-        pass
+    """First index where term magnitudes stop strictly decreasing.
+
+    Raises :class:`DomainError` when it lies above ``INDEX_CAP``.
+    """
+    xf = _exact_argument(kind, z, precision)
+    k = _least(lambda k: _turns(kind, xf, k), _guess(kind, xf))
+    if k is None:
+        raise DomainError(f"the minimum-term index of {kind.value} at this "
+                          f"argument is above the cap of {INDEX_CAP}")
     return k
 
 
-def _rounded_up(x: Fraction, precision: int) -> mpf:
-    """x > 0 rounded up to a precision-bit float, with one integer division."""
-    p, q = x.numerator, x.denominator
+def _rounded_up(p: int, q: int, precision: int) -> mpf:
+    """p / q > 0 rounded up to a precision-bit float, with one integer division."""
     # The quotient below has at least `precision` bits, so its ceiling is on
     # a grid nested in the precision-bit one and rounding twice is exact.
     shift = precision + q.bit_length() - p.bit_length()
@@ -302,21 +390,40 @@ def auto_truncate(
     ``bound <= tol`` whenever the call succeeds.  Raises
     :class:`ToleranceUnattainable`, carrying the best achievable bound
     (rounded the same way), when the accuracy floor of the series at this
-    argument is above ``tol``.
+    argument is above ``tol``, and :class:`DomainError` when the index that
+    decides either lies above ``INDEX_CAP``.
+
+    The index is the least k where the bound meets ``tol`` or the terms
+    turn; it is found by exact checks near a float guess, with the same
+    result as a scan from k = 0, and without computing the minimum-term
+    index when ``tol`` is met first.
     """
-    zf = _exact_argument(kind, z, precision)
+    xf = _exact_argument(kind, z, precision)
     with working(precision):
         tol_real = to_real(tol)
     if not mp.isfinite(tol_real) or tol_real <= 0:
         raise DomainError(f"tolerance must be a finite real > 0, got {tol!r}")
-    inflate = 1 + relative_slop_fraction(precision)
-    zf2 = zf * zf
-    power = zf
-    for k, c in _decreasing_terms(kind, zf):
-        bound = _rounded_up(c * inflate / power, precision)
-        if _at_most(bound, tol, tol_real):
-            return k, bound
-        power *= zf2
+    # The bound c(k) (1 + slop) / x^(2k+1), as one integer ratio.
+    slop = relative_slop_fraction(precision)
+    bounds = {}
+
+    def settled(k):
+        c, power = kind.coefficient(k), 2 * k + 1
+        bounds[k] = _rounded_up(
+            c.numerator * (slop.denominator + slop.numerator) * xf.denominator**power,
+            c.denominator * slop.denominator * xf.numerator**power,
+            precision,
+        )
+        return _at_most(bounds[k], tol, tol_real) or _turns(kind, xf, k)
+
+    k = _least(settled, _guess(kind, xf, _ln(real_to_fraction(tol_real))))
+    if k is None:
+        raise DomainError(f"tolerance {mp.nstr(tol_real, 8)} for {kind.value} at "
+                          f"this argument needs a truncation index above the cap "
+                          f"of {INDEX_CAP}")
+    bound = bounds[k]
+    if _at_most(bound, tol, tol_real):
+        return k, bound
     raise ToleranceUnattainable(
         f"tolerance {mp.nstr(tol_real, 8)} is below the accuracy floor of "
         f"{kind.value} at this argument; best achievable bound is "

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 from mpmath import mp, mpf
@@ -13,6 +14,7 @@ import envasym
 from envasym import verify
 from envasym.cli import run_cli
 from envasym.precision import PRECISION_ENV_VAR, decimal_digits
+from envasym.series import INDEX_CAP
 
 
 def run(capsys, *argv):
@@ -81,6 +83,18 @@ class TestEvalCommand:
         assert not out
         assert "best" in err
         assert "0.0005952" in err  # 1/1680, the smallest term at z = 1
+
+    def test_index_above_the_cap_exits_2_at_once(self, capsys):
+        # The minimum-term index at z = 1000 is about 3142; the float guess
+        # rejects it before any coefficient is built.
+        start = time.perf_counter()
+        code, out, err = run(
+            capsys, "eval", "--series", "binet", "--z", "1000", "--tol", "1e-5000"
+        )
+        assert time.perf_counter() - start < 1
+        assert code == 2
+        assert not out
+        assert f"cap of {INDEX_CAP}" in err
 
     def test_terms_and_tol_conflict_is_usage_error(self, capsys):
         code, _, err = run(

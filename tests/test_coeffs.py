@@ -1,14 +1,18 @@
 """Coefficient generation against published values and independent recurrences."""
 
+import random
+import sys
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
 
 import pytest
+import sympy
 from hypothesis import given
 from hypothesis import strategies as st
 from mpmath import mp, mpf
 
-from envasym import bernoulli_even, beta, beta_hat, beta_tilde, zeta_even
+from envasym import bernoulli_even, beta, beta_hat, beta_tilde, coeffs, zeta_even
 from envasym.coeffs import coefficient_table
 
 # Exact table for k = 0..6, checked against the published values digit for digit.
@@ -55,6 +59,22 @@ def bernoulli_oracle(n: int) -> Fraction:
     return table[n]
 
 
+@lru_cache(maxsize=1)
+def even_recurrence(upto: int = 151) -> tuple[Fraction, ...]:
+    """B_0, B_2, ..., B_{2 upto} from the even-index binomial recurrence.
+
+    The package's own construction before tangent numbers, kept here as a
+    reference: sum_{j=0}^{n} C(n+1, j) B_j = 0 restricted to even j, where
+    the lone B_1 = -1/2 contributes the constant 1/2.
+    """
+    table = [Fraction(1)]
+    for m in range(1, upto + 1):
+        n = 2 * m
+        acc = sum((comb(n + 1, 2 * i) * table[i] for i in range(m)), Fraction(0))
+        table.append(Fraction(1, 2) - acc / (n + 1))
+    return tuple(table)
+
+
 def von_staudt_clausen_denominator(two_m: int) -> int:
     def is_prime(p):
         return p >= 2 and all(p % d for d in range(2, int(p**0.5) + 1))
@@ -91,6 +111,23 @@ def test_von_staudt_clausen_denominators(m):
 def test_bernoulli_matches_full_recurrence_through_b40():
     for m in range(1, 21):
         assert bernoulli_even(m) == bernoulli_oracle(2 * m)
+
+
+def test_bernoulli_matches_even_recurrence_through_k150():
+    # beta(150) needs B_302 = bernoulli_even(151).
+    expected = even_recurrence()
+    for m in range(1, 152):
+        assert bernoulli_even(m) == expected[m], m
+
+
+def test_bernoulli_matches_sympy_through_m300():
+    for m in range(1, 301):
+        b = sympy.bernoulli(2 * m)
+        assert bernoulli_even(m) == Fraction(int(b.p), int(b.q)), m
+
+
+def test_tangent_numbers_start():
+    assert coeffs._tangent_numbers(6) == [1, 2, 16, 272, 7936, 353792]
 
 
 def test_bernoulli_rejects_m_below_one():
@@ -148,10 +185,30 @@ def test_zeta_even_rejects_bad_arguments():
         zeta_even(0, precision=32)
 
 
-def test_concurrent_readers_see_fresh_values():
+def test_concurrent_readers_see_fresh_values(monkeypatch):
+    # Start from an empty table, so the requests span rebuilds: the last two
+    # are queued behind 604 requests up to B_302, which rebuild it first.
     from concurrent.futures import ThreadPoolExecutor
 
-    expected = [bernoulli_oracle(2 * m) for m in range(1, 41)]
-    with ThreadPoolExecutor(max_workers=8) as pool:
-        results = list(pool.map(bernoulli_even, list(range(1, 41)) * 4))
-    assert results == expected * 4
+    rebuilds = []
+    tangent_numbers = coeffs._tangent_numbers
+    monkeypatch.setattr(coeffs, "_BERNOULLI_EVEN", [Fraction(1)])
+    monkeypatch.setattr(coeffs, "_tangent_numbers",
+                        lambda n: rebuilds.append(n) or tangent_numbers(n))
+    expected = even_recurrence()
+    indices = list(range(1, 152)) * 4
+    random.Random(7).shuffle(indices)
+    indices += [200, 254]
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            results = list(pool.map(bernoulli_even, indices, timeout=120))
+    finally:
+        sys.setswitchinterval(old_interval)
+    assert results[:-2] == [expected[m] for m in indices[:-2]]
+    assert len(rebuilds) >= 2
+    table = coeffs._BERNOULLI_EVEN
+    assert len(table) > 254 and table[:152] == list(expected)
+    assert results[-2:] == [Fraction(int(b.p), int(b.q))
+                            for b in (sympy.bernoulli(400), sympy.bernoulli(508))]

@@ -1,6 +1,9 @@
 """Series evaluation, enclosures, truncation policy, and their invariants."""
 
 import math
+import os
+import subprocess
+import sys
 from decimal import ROUND_FLOOR, Decimal, localcontext
 from fractions import Fraction
 
@@ -10,6 +13,7 @@ from hypothesis import strategies as st
 from mpmath import mp, mpf
 from mpmath.libmp import from_rational, round_ceiling
 
+import envasym
 from envasym import (
     DomainError,
     QuadratureSpec,
@@ -30,8 +34,10 @@ from envasym import (
     partial_sum,
     term,
 )
-from envasym.coeffs import beta, beta_hat, beta_tilde
+from envasym import series
+from envasym.coeffs import COEFFICIENT_FAMILIES, beta, beta_hat, beta_tilde
 from envasym.precision import real_to_fraction
+from envasym.series import INDEX_CAP
 
 P = 256
 SPEC = QuadratureSpec(precision=P)
@@ -212,7 +218,9 @@ class TestMinTermIndex:
         assert got <= 40
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
-    @pytest.mark.parametrize("z", [Fraction(1, 2), Fraction(1), Fraction(5)])
+    @pytest.mark.parametrize(
+        "z", [Fraction(1, 2), Fraction(1), Fraction(5), Fraction(1, 10**300)]
+    )
     def test_matches_scan_oracle(self, kind, z):
         assert min_term_index(kind, z) == scan_min_term_index(kind, z)
 
@@ -226,18 +234,20 @@ class TestMinTermIndex:
 
 
 class TestAutoTruncate:
-    def test_loose_tolerance_needs_no_terms(self):
-        k, bound = auto_truncate(SeriesKind.BINET_J, 100, "1e-3")
+    @pytest.mark.parametrize("z", [100, "1e400"])
+    def test_loose_tolerance_needs_no_terms(self, z):
+        k, bound = auto_truncate(SeriesKind.BINET_J, z, "1e-3")
         assert k == 0
+        with mp.workprec(P + 32):
+            first = Fraction(1, 12) / real_to_fraction(mpf(z))
         bound_frac = real_to_fraction(bound)
-        assert Fraction(1, 1200) <= bound_frac < Fraction(1, 1200) * (
-            1 + Fraction(1, 2**200)
-        )
+        assert first <= bound_frac < first * (1 + Fraction(1, 2**200))
         assert bound <= mpf("1e-3")
 
-    def test_accuracy_floor_at_one(self):
+    @pytest.mark.parametrize("tol", ["1e-10", "1e-5000"])
+    def test_accuracy_floor_at_one(self, tol):
         with pytest.raises(ToleranceUnattainable) as info:
-            auto_truncate(SeriesKind.BINET_J, 1, "1e-10")
+            auto_truncate(SeriesKind.BINET_J, 1, tol)
         exc = info.value
         assert exc.k_best == 3
         with mp.workprec(320):
@@ -300,7 +310,7 @@ class TestAutoTruncate:
                 assert bound <= tol
                 assert k_used in (k, k + 1)
 
-    @pytest.mark.parametrize("z", ["1", "2.3", "4.75", "6.1"])
+    @pytest.mark.parametrize("z", ["1", "2.3", "4.75", "6.1", "1e-300"])
     def test_best_bound_is_an_attainable_tolerance(self, z):
         with pytest.raises(ToleranceUnattainable) as info:
             auto_truncate(SeriesKind.BINET_J, z, "1e-60", 64)
@@ -314,6 +324,182 @@ class TestAutoTruncate:
             auto_truncate(SeriesKind.BINET_J, 5, 0)
         with pytest.raises(DomainError):
             auto_truncate(SeriesKind.BINET_J, 5, "-1e-5")
+
+
+def scan_reference(kind, z, precision, tol=None):
+    """The linear scan the searches replaced: k = 0, 1, ... in exact rationals.
+
+    Stops at the first k whose rounded-up bound meets ``tol`` (when given),
+    else where the terms turn, c(k+1) >= c(k) x^2.  Returns (k, bound, met);
+    bound is None without ``tol``.
+    """
+    xf = series._exact_argument(kind, z, precision)
+    if tol is not None:
+        with mp.workprec(precision + 32):
+            tol_real = mp.convert(tol)
+    inflate = 1 + Fraction(1, 2 ** (precision - 32))
+    xf2 = xf * xf
+    power, bound, k = xf, None, 0
+    c = kind.coefficient(0)
+    while True:
+        if tol is not None:
+            x = c * inflate / power
+            bound = series._rounded_up(x.numerator, x.denominator, precision)
+            if series._at_most(bound, tol, tol_real):
+                return k, bound, True
+        c_next = kind.coefficient(k + 1)
+        if c_next >= c * xf2:
+            return k, bound, False
+        c, k = c_next, k + 1
+        if tol is not None:
+            power *= xf2
+
+
+def search_result(kind, z, precision, tol):
+    """auto_truncate's answer in scan_reference's shape."""
+    try:
+        k, bound = auto_truncate(kind, z, tol, precision)
+    except ToleranceUnattainable as exc:
+        return exc.k_best, exc.best_bound, False
+    return k, bound, True
+
+
+# Dyadic and non-dyadic real arguments from 0.5 to about 300.
+REAL_ARGUMENTS = ["0.5", "0.7", "1", "2.25", "3.1", "17.5", "20.3", "49.9", "64",
+                  "123.4", "299.9", "300"]
+SEARCH_PRECISIONS = [64, 256, 512]
+
+
+class TestSearchesMatchTheScan:
+    """Both searches give the linear scan's answer, bit for bit."""
+
+    @pytest.mark.parametrize("precision", SEARCH_PRECISIONS)
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_min_term_index(self, kind, precision):
+        arguments = ([1, 2, 7, 50, 300] if kind.integer_argument
+                     else REAL_ARGUMENTS)
+        for z in arguments:
+            assert min_term_index(kind, z, precision) == scan_reference(
+                kind, z, precision)[0], z
+
+    @pytest.mark.parametrize("precision", SEARCH_PRECISIONS)
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_auto_truncate_on_real_arguments(self, kind, precision):
+        for z in REAL_ARGUMENTS:
+            # The scan's cost grows with the index it reaches, so the floor
+            # (tol = 1e-5000) is compared only up to the floor-cold range.
+            for tol in ["1e-3", "1e-12", "3e-40", "1e-120"] + (
+                    ["1e-5000"] if float(z) <= 50 else []):
+                assert search_result(kind, z, precision, tol) == scan_reference(
+                    kind, z, precision, tol), (z, tol)
+
+    @pytest.mark.parametrize("precision", SEARCH_PRECISIONS)
+    @pytest.mark.parametrize(
+        "kind", [SeriesKind.CENTRAL_BINOMIAL, SeriesKind.DE_MOIVRE])
+    def test_auto_truncate_on_integer_arguments(self, kind, precision):
+        for n in [1, 3, 10, 41, 1000, 65536, 999_983, 10**6]:
+            for tol in ["0.5", "1e-12", "7e-40", "1e-200"]:
+                assert search_result(kind, n, precision, tol) == scan_reference(
+                    kind, n, precision, tol), (n, tol)
+
+    def test_ties_at_the_tolerance(self):
+        kind = SeriesKind.BINET_J
+        _, bound0 = auto_truncate(kind, 3, "1", 64)
+        achieved = ln_gamma(3, terms=2, precision=64).error_bound
+        ties = [
+            "0.02777777778424529565724016368011901118",
+            decimal_below(real_to_fraction(bound0) - Fraction(1, 2**200)),
+            decimal_below(real_to_fraction(achieved) - Fraction(1, 2**200)),
+            bound0,
+        ]
+        for tol in ties:
+            assert search_result(kind, 3, 64, tol) == scan_reference(kind, 3, 64, tol)
+
+    @pytest.mark.parametrize("guess", [0, 1, 5, 13, 40, INDEX_CAP])
+    def test_results_do_not_depend_on_the_guess(self, monkeypatch, guess):
+        def answers():
+            return (min_term_index(SeriesKind.BINET_J, "7.3"),
+                    search_result(SeriesKind.BINET_J, "7.3", 256, "1e-9"),
+                    search_result(SeriesKind.GAMMA_PLUS_HALF, "4.1", 256, "1e-80"))
+
+        expected = answers()
+        monkeypatch.setattr(series, "_guess", lambda *args: guess)
+        assert answers() == expected
+
+
+class TestLeast:
+    @pytest.mark.parametrize("answer", [0, 1, 2, 17, 400, INDEX_CAP])
+    def test_gallop_stays_near_guess_and_answer(self, answer):
+        for guess in sorted({0, 1, answer // 2, max(0, answer - 1), answer,
+                             min(INDEX_CAP, answer + 3), INDEX_CAP}):
+            probes = []
+
+            def holds(k):
+                probes.append(k)
+                return k >= answer
+
+            assert series._least(holds, guess) == answer
+            assert max(probes) <= max(guess, 2 * answer - guess)
+            assert len(probes) <= 2 * INDEX_CAP.bit_length() + 2
+
+    def test_answer_above_the_cap(self):
+        assert series._least(lambda k: False, 3) is None
+        assert series._least(lambda k: True, INDEX_CAP + 1) is None
+
+
+class TestIndexCap:
+    def test_guess_above_the_cap_raises_before_building_coefficients(self, monkeypatch):
+        def no_coefficients(j):
+            raise AssertionError("coefficient built")
+
+        monkeypatch.setattr(SeriesKind, "coefficient", lambda self, j: no_coefficients(j))
+        with pytest.raises(DomainError, match=str(INDEX_CAP)):
+            min_term_index(SeriesKind.BINET_J, 1000)
+        with pytest.raises(DomainError, match=str(INDEX_CAP)):
+            auto_truncate(SeriesKind.BINET_J, 1000, "1e-5000")
+        with pytest.raises(DomainError, match=str(INDEX_CAP)):
+            min_term_index(SeriesKind.GAMMA_PLUS_HALF, "1e400")
+
+    def test_exact_search_stops_at_the_cap(self, monkeypatch):
+        # A guess of 0 below a cap of 5 leaves the decision to the exact search.
+        monkeypatch.setattr(series, "INDEX_CAP", 5)
+        monkeypatch.setattr(series, "_guess", lambda *args: 0)
+        assert min_term_index(SeriesKind.BINET_J, "1.5") == 4
+        with pytest.raises(DomainError, match="cap of 5"):
+            min_term_index(SeriesKind.BINET_J, 3)
+        with pytest.raises(DomainError, match="cap of 5"):
+            auto_truncate(SeriesKind.BINET_J, 3, "1e-30")
+        assert auto_truncate(SeriesKind.BINET_J, 3, "1e-4")[0] == 2
+
+    def test_explicit_terms_are_not_capped(self):
+        cv = ln_gamma(2000, terms=INDEX_CAP + 1, precision=64)
+        assert cv.k_used == INDEX_CAP + 1
+
+    def test_search_does_not_build_past_a_reached_tolerance(self):
+        # In a fresh interpreter: the minimum-term index at n = 10**6 is about
+        # 3.1e6, far above the cap, and tol is met at k = 1.
+        src = os.path.dirname(os.path.dirname(envasym.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        code = ("from envasym import SeriesKind, auto_truncate, coeffs; "
+                "k, _ = auto_truncate(SeriesKind.CENTRAL_BINOMIAL, 10**6, '1e-12'); "
+                "print(k, len(coeffs._BERNOULLI_EVEN))")
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            timeout=120, env={**os.environ, "PYTHONPATH": path},
+        )
+        assert proc.returncode == 0, proc.stderr
+        k, table_length = map(int, proc.stdout.split())
+        assert k == 1
+        assert table_length <= 8
+
+
+@pytest.mark.parametrize("family", sorted(COEFFICIENT_FAMILIES))
+def test_coefficient_ratios_increase_through_the_cap(family):
+    # The lemma the searches rest on: c(k+1)/c(k) strictly increases, i.e.
+    # c(k+2) c(k) > c(k+1)^2, for every k whose test a search can decide.
+    c = [COEFFICIENT_FAMILIES[family](k) for k in range(INDEX_CAP + 4)]
+    for k in range(INDEX_CAP + 2):
+        assert c[k + 2] * c[k] > c[k + 1] ** 2, k
 
 
 EVALUATE = {
