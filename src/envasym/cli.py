@@ -172,12 +172,17 @@ def _emit(fmt: str, record: dict, csv_rows: list[dict], plain_lines: list[str]) 
 def _cmd_coeffs(args) -> int:
     if args.max_k < 0:
         raise _UsageError("--max-k must be >= 0")
-    table = coeffs.coefficient_table(args.family, args.max_k)
-    rows = [
-        {"k": k, "numerator": f.numerator, "denominator": f.denominator,
-         "fraction": f"{f.numerator}/{f.denominator}"}
-        for k, f in enumerate(table)
-    ]
+    rows = []
+    for k, f in enumerate(coeffs.coefficient_table(args.family, args.max_k)):
+        try:
+            fraction = f"{f.numerator}/{f.denominator}"
+        except ValueError:  # the same integers are printed below, so one check serves
+            raise DomainError(
+                f"{args.family}({k}) has more decimal digits than Python's limit of "
+                f"{sys.get_int_max_str_digits()} for printing an integer "
+                f"(sys.set_int_max_str_digits); use a smaller --max-k") from None
+        rows.append({"k": k, "numerator": f.numerator, "denominator": f.denominator,
+                     "fraction": fraction})
     record = _record("coeffs", {"family": args.family, "max_k": args.max_k},
                      _default_precision(), {"rows": rows})
     _emit(args.format, record, [{"family": args.family, **r} for r in rows],

@@ -63,9 +63,10 @@ def bernoulli_even(m: int) -> Fraction:
     """Exact Bernoulli number B_{2m} for m >= 1 (B_2 = 1/6, B_4 = -1/30, ...).
 
     The table grows from tangent numbers, B_{2k} = (-1)^(k-1) 2k T_k /
-    (4^k (4^k - 1)), to at least twice its length and an eighth past m: a
-    truncation search asks for the neighbours of m next, and rebuilding
-    n tangent numbers costs about n^3.
+    (4^k (4^k - 1)), to an eighth past m: a truncation search asks for the
+    neighbours of m next.  Rebuilding n tangent numbers costs about n^3, so
+    growing by at least 9/8 keeps the total within a constant factor of the
+    last build, and the table never holds much more than the largest m asked.
     """
     if m < 1:
         raise ValueError("bernoulli_even requires m >= 1")
@@ -73,7 +74,7 @@ def bernoulli_even(m: int) -> Fraction:
         with _BERNOULLI_LOCK:
             have = len(_BERNOULLI_EVEN)
             if m >= have:
-                n = max(m + m // 8 + 2, 2 * have)
+                n = m + m // 8 + 2
                 tangent = _tangent_numbers(n)
                 for k in range(have, n + 1):
                     four_k = 4**k

@@ -22,7 +22,7 @@ from mpmath import mp, mpf
 
 from .errors import DomainError
 from .oracle import QuadratureSpec, binet_J
-from .precision import round_to, to_real, working
+from .precision import round_to, to_real, working, working_bits
 from .series import SeriesKind, _checked_argument, _partial_sum_at, _signed_term
 
 __all__ = [
@@ -76,15 +76,15 @@ def _violations_at(
     xx: mpf, ks: Iterable[int], spec: QuadratureSpec, b: Optional[mpf]
 ) -> list[ViolationWitness]:
     """Witnesses among the given truncation indices at one argument."""
-    kind = SeriesKind.BINET_J
+    kind, prec = SeriesKind.BINET_J, working_bits(spec.precision)
     j_val, j_err = binet_J(xx, spec, error=True)
     found = []
     with working(spec.precision):
         f_val = j_val if b is None else j_val + mp.exp(-b * xx)
         noise_floor = _ERROR_MARGIN_FACTOR * j_err
         for k in ks:
-            remainder = f_val - _partial_sum_at(kind, xx, k)
-            t_k = _signed_term(kind, k, xx)
+            remainder = f_val - _partial_sum_at(kind, xx, k, prec)
+            t_k = _signed_term(kind, k, xx, prec)
             bound = abs(t_k)
             if abs(remainder) - bound > noise_floor:
                 mode = ViolationMode.MAGNITUDE_EXCEEDED

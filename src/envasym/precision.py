@@ -23,9 +23,14 @@ GUARD_BITS = 32
 PRECISION_ENV_VAR = "ENVASYM_PRECISION"
 
 
+def working_bits(precision: int) -> int:
+    """The working precision ``precision + GUARD_BITS`` of a P-bit result."""
+    return precision + GUARD_BITS
+
+
 def working(precision: int):
-    """Context manager setting mpmath precision to ``precision + GUARD_BITS``."""
-    return mp.workprec(precision + GUARD_BITS)
+    """Context manager setting mpmath precision to ``working_bits(precision)``."""
+    return mp.workprec(working_bits(precision))
 
 
 def to_real(x) -> mpf:

@@ -44,7 +44,20 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from mpmath import mp, mpf
-from mpmath.libmp import from_man_exp, round_ceiling
+from mpmath.libmp import (
+    from_man_exp,
+    from_rational,
+    fzero,
+    mpf_add,
+    mpf_div,
+    mpf_mul,
+    mpf_neg,
+    mpf_pow_int,
+    mpf_sub,
+    round_ceiling,
+    round_down,
+    round_nearest,
+)
 
 from . import coeffs
 from ._expansions import EXPANSIONS
@@ -58,6 +71,7 @@ from .precision import (
     round_to,
     to_real,
     working,
+    working_bits,
 )
 
 __all__ = [
@@ -190,13 +204,28 @@ def term(kind: SeriesKind, j: int, z, precision: int = DEFAULT_PRECISION) -> mpf
     if j < 0:
         raise ValueError("term index must be >= 0")
     zz = _checked_argument(kind, z, precision)
-    with working(precision):
-        return round_to(_signed_term(kind, j, zz), precision)
+    return round_to(_signed_term(kind, j, zz, working_bits(precision)), precision)
 
 
-def _signed_term(kind: SeriesKind, j: int, zz: mpf) -> mpf:
-    """sign(j) * c(j) / zz^(2j+1) in the ambient context; zz is already shifted."""
-    return kind.term_sign(j) * mp.convert(kind.coefficient(j)) / zz ** (2 * j + 1)
+@functools.lru_cache(maxsize=8192)
+def _rounded_coefficient(family: str, j: int, prec: int) -> tuple:
+    """c(j) of one coefficient family as a raw mpf of ``prec`` bits.
+
+    Rounded toward zero, as ``mp.convert`` rounds a Fraction, so the sums
+    below have the bits they had when every term converted its coefficient.
+    The Fraction is already reduced, so no gcd is taken.  An entry takes
+    about 0.4 KB up to 544 bits, so a full table takes about 3 MB.
+    """
+    c = coeffs.COEFFICIENT_FAMILIES[family](j)
+    return from_rational(c.numerator, c.denominator, prec, round_down)
+
+
+def _signed_term(kind: SeriesKind, j: int, zz: mpf, prec: int) -> mpf:
+    """sign(j) * c(j) / zz^(2j+1) at ``prec`` bits; zz is already shifted."""
+    term = mpf_div(_rounded_coefficient(kind._row.coefficients, j, prec),
+                   mpf_pow_int(zz._mpf_, 2 * j + 1, prec, round_nearest),
+                   prec, round_nearest)
+    return mp.make_mpf(term if kind.term_sign(j) > 0 else mpf_neg(term))
 
 
 def partial_sum(kind: SeriesKind, z, k: int, precision: int = DEFAULT_PRECISION) -> mpf:
@@ -204,19 +233,23 @@ def partial_sum(kind: SeriesKind, z, k: int, precision: int = DEFAULT_PRECISION)
     if k < 0:
         raise ValueError("term count must be >= 0")
     zz = _checked_argument(kind, z, precision)
-    with working(precision):
-        return round_to(_partial_sum_at(kind, zz, k), precision)
+    return round_to(_partial_sum_at(kind, zz, k, working_bits(precision)), precision)
 
 
-def _partial_sum_at(kind: SeriesKind, zz: mpf, k: int) -> mpf:
-    # Caller supplies the validated, shifted argument and the precision context.
-    total = mpf(0)
-    zz2 = zz * zz
-    power = zz
+def _partial_sum_at(kind: SeriesKind, zz: mpf, k: int, prec: int) -> mpf:
+    """Sum of the first k terms at ``prec`` bits; zz is already shifted.
+
+    Each operation rounds to nearest at ``prec``, whatever ``mp.prec`` is.
+    """
+    family, x = kind._row.coefficients, zz._mpf_
+    x2 = mpf_mul(x, x, prec, round_nearest)
+    total, power = fzero, x
     for j in range(k):
-        total += kind.term_sign(j) * mp.convert(kind.coefficient(j)) / power
-        power *= zz2
-    return total
+        term = mpf_div(_rounded_coefficient(family, j, prec), power, prec, round_nearest)
+        total = (mpf_add if kind.term_sign(j) > 0 else mpf_sub)(
+            total, term, prec, round_nearest)
+        power = mpf_mul(power, x2, prec, round_nearest)
+    return mp.make_mpf(total)
 
 
 def envelope_interval(
@@ -230,9 +263,9 @@ def envelope_interval(
     if k < 0:
         raise ValueError("term count must be >= 0")
     zz = _checked_argument(kind, z, precision)
+    s_k = _partial_sum_at(kind, zz, k, working_bits(precision))
+    t_k = _signed_term(kind, k, zz, working_bits(precision))
     with working(precision):
-        s_k = _partial_sum_at(kind, zz, k)
-        t_k = _signed_term(kind, k, zz)
         s_next = s_k + t_k
         lo, hi = (s_k, s_next) if s_k <= s_next else (s_next, s_k)
         slop = relative_slop(precision)
@@ -404,13 +437,15 @@ def auto_truncate(
     if not mp.isfinite(tol_real) or tol_real <= 0:
         raise DomainError(f"tolerance must be a finite real > 0, got {tol!r}")
     # The bound c(k) (1 + slop) / x^(2k+1), as one integer ratio.
+    # x is dyadic, so its denominator's power is a shift.
     slop = relative_slop_fraction(precision)
+    den_bits = xf.denominator.bit_length() - 1
     bounds = {}
 
     def settled(k):
         c, power = kind.coefficient(k), 2 * k + 1
         bounds[k] = _rounded_up(
-            c.numerator * (slop.denominator + slop.numerator) * xf.denominator**power,
+            (c.numerator * (slop.denominator + slop.numerator)) << (den_bits * power),
             c.denominator * slop.denominator * xf.numerator**power,
             precision,
         )
@@ -435,9 +470,10 @@ def auto_truncate(
 
 def _certified(kind: SeriesKind, z, k: int, precision: int) -> CertifiedValue:
     zz = _checked_argument(kind, z, precision)
+    s_k = _partial_sum_at(kind, zz, k, working_bits(precision))
+    t_k = _signed_term(kind, k, zz, working_bits(precision))
     with working(precision):
-        value = kind._row.prefix(zz) + _partial_sum_at(kind, zz, k)
-        t_k = _signed_term(kind, k, zz)
+        value = kind._row.prefix(zz) + s_k
         sign = kind.term_sign(k)
         slop = relative_slop(precision)
         # Pull the anchor endpoint outward and widen the bound so the

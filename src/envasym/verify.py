@@ -15,7 +15,7 @@ from mpmath import mp, mpf
 from . import oracle, series
 from .errors import ToleranceUnattainable
 from .oracle import QuadratureSpec, ThetaFamily
-from .precision import round_to, to_real, working
+from .precision import round_to, to_real, working, working_bits
 from .series import SeriesKind
 
 __all__ = ["CheckResult", "run_verification"]
@@ -140,7 +140,7 @@ def _check_weight_linear_dependence(deep: bool, spec: QuadratureSpec) -> CheckRe
 def _check_remainder_identity(deep: bool, spec: QuadratureSpec) -> CheckResult:
     ks = [0, 1, 2, 3] if deep else [0, 2]
     zs = [mpf("0.5"), 1, 5, 20] if deep else [1, 5]
-    worst = mpf(0)
+    worst, prec = mpf(0), working_bits(spec.precision)
     with working(spec.precision):
         for family in ThetaFamily:
             for k in ks:
@@ -148,7 +148,7 @@ def _check_remainder_identity(deep: bool, spec: QuadratureSpec) -> CheckResult:
                     rem = oracle.remainder_quadrature(family, k, z, spec)
                     theta = oracle.theta_ratio(family, k, z, spec)
                     kind = _FAMILY_KINDS[family]
-                    predicted = theta * series._signed_term(kind, k, to_real(z))
+                    predicted = theta * series._signed_term(kind, k, to_real(z), prec)
                     worst = max(worst, abs(rem - predicted) / abs(predicted))
         tol = mpf(2) ** (64 - spec.precision)
         return CheckResult(

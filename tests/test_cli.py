@@ -51,6 +51,19 @@ class TestCoeffsCommand:
         assert code == 0
         assert out.strip() == "beta-hat(0) = 1/24"
 
+    def test_digits_past_the_int_to_str_limit_exit_2(self, capsys):
+        # beta(230) has 672 digits; 640 is the lowest limit Python allows.
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            code, out, err = run(capsys, "coeffs", "--family", "beta", "--max-k", "240")
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert code == 2
+        assert not out
+        assert err.count("\n") == 1 and "limit of 640" in err
+        assert "Traceback" not in err
+
     def test_unknown_family_is_usage_error(self, capsys):
         code, _, err = run(capsys, "coeffs", "--family", "gamma", "--max-k", "3")
         assert code == 1

@@ -126,6 +126,17 @@ def test_bernoulli_matches_sympy_through_m300():
         assert bernoulli_even(m) == Fraction(int(b.p), int(b.q)), m
 
 
+def test_table_grows_an_eighth_past_the_request(monkeypatch):
+    # Growth to twice the length made B_1400 after B_1200 build 1,357 entries
+    # (3 s); an eighth past m builds 790.
+    monkeypatch.setattr(coeffs, "_BERNOULLI_EVEN", [Fraction(1)])
+    bernoulli_even(600)
+    assert len(coeffs._BERNOULLI_EVEN) == 678
+    b = mp.bernfrac(1400)
+    assert bernoulli_even(700) == Fraction(int(b[0]), int(b[1]))
+    assert len(coeffs._BERNOULLI_EVEN) <= 790
+
+
 def test_tangent_numbers_start():
     assert coeffs._tangent_numbers(6) == [1, 2, 16, 272, 7936, 353792]
 

@@ -199,6 +199,89 @@ class TestEnvelopeInterval:
         assert bound <= width <= bound + 4 * scale * Fraction(1, 2 ** (P - 32))
 
 
+def ambient_signed_term(kind, j, zz):
+    """The j-th term as the package computed it before the rounded-coefficient
+    table: ``mp.convert`` of the exact coefficient in the ambient context."""
+    return kind.term_sign(j) * mp.convert(kind.coefficient(j)) / zz ** (2 * j + 1)
+
+
+def ambient_partial_sums(kind, zz, k):
+    """The partial sums 0..k of the ambient-context loop, the reference for
+    ``series._partial_sum_at``."""
+    total = mpf(0)
+    sums = [total]
+    zz2 = zz * zz
+    power = zz
+    for j in range(k):
+        total += kind.term_sign(j) * mp.convert(kind.coefficient(j)) / power
+        power *= zz2
+        sums.append(total)
+    return sums
+
+
+SUM_PRECISIONS = (64, 256, 512)
+SUM_ARGUMENTS = ("2.75", "7.3", "0.3", 5, 40)  # dyadic, non-dyadic, integer
+SUM_K_MAX = 160
+
+
+class TestRoundedCoefficientSum:
+    """The libmp sum over the rounded-coefficient table against the ambient
+    ``mp.convert`` loop it replaced, bit for bit at the working precision."""
+
+    @pytest.mark.parametrize("precision", SUM_PRECISIONS)
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_partial_sums_match_the_ambient_loop(self, kind, precision):
+        wp = precision + 32
+        for z in SUM_ARGUMENTS:
+            zz = series._checked_argument(kind, z, precision)
+            with mp.workprec(wp):
+                expected = ambient_partial_sums(kind, zz, SUM_K_MAX)
+                terms = [ambient_signed_term(kind, j, zz) for j in range(SUM_K_MAX + 1)]
+            for k in range(SUM_K_MAX + 1):
+                got = series._partial_sum_at(kind, zz, k, wp)
+                assert got._mpf_ == expected[k]._mpf_, (z, k)
+                assert series._signed_term(kind, k, zz, wp)._mpf_ == terms[k]._mpf_, (z, k)
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_the_ambient_precision_is_not_read(self, kind):
+        wp = 256 + 32
+        zz = series._checked_argument(kind, "7.3", 256)
+        with mp.workprec(wp):
+            expected = ambient_partial_sums(kind, zz, 40)[-1]
+            term_40 = ambient_signed_term(kind, 40, zz)
+        with mp.workprec(53):
+            got = series._partial_sum_at(kind, zz, 40, wp)
+            got_term = series._signed_term(kind, 40, zz, wp)
+            assert mp.prec == 53
+        assert got._mpf_ == expected._mpf_
+        assert got_term._mpf_ == term_40._mpf_
+
+    def test_the_coefficient_table_is_bounded(self):
+        assert series._rounded_coefficient.cache_info().maxsize == 8192
+
+    @pytest.mark.parametrize("precision", SUM_PRECISIONS)
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_public_results_are_unchanged(self, kind, precision, monkeypatch):
+        ks = (0, 1, 7, 40, SUM_K_MAX)
+        new = {z: [(term(kind, k, z, precision), envelope_interval(kind, z, k, precision))
+                   for k in ks] for z in SUM_ARGUMENTS}
+
+        def ambient_sum(kind, zz, k, prec):
+            with mp.workprec(prec):
+                return ambient_partial_sums(kind, zz, k)[-1]
+
+        def ambient_term(kind, j, zz, prec):
+            with mp.workprec(prec):
+                return ambient_signed_term(kind, j, zz)
+
+        monkeypatch.setattr(series, "_partial_sum_at", ambient_sum)
+        monkeypatch.setattr(series, "_signed_term", ambient_term)
+        for z in SUM_ARGUMENTS:
+            for k, (t, env) in zip(ks, new[z]):
+                assert t._mpf_ == term(kind, k, z, precision)._mpf_, (z, k)
+                assert env == envelope_interval(kind, z, k, precision), (z, k)
+
+
 class TestMinTermIndex:
     def test_binet_at_one(self):
         # terms shrink through beta_3 = 1/1680 and grow again at beta_4 = 1/1188
