@@ -12,17 +12,21 @@ They differ only in the facts each row below records:
 * ``prefix``            the elementary part of the full function, in x;
 * ``evaluation``        name of the certified evaluation in ``series``.
 
-``series.SeriesKind`` and ``oracle.ThetaFamily`` read their rows here.  The
-table holds names, not coefficient values, so the oracle can read its signs
-without touching a Bernoulli number.
+``series.SeriesKind`` and ``oracle.ThetaFamily`` expose their rows as a
+public ``row``: ``SeriesKind.BINET_J.row.sign(k)``, ``.row.coefficient(k)``,
+``.row.prefix``.  The table holds names, not coefficient values, so the
+oracle can read its signs without touching a Bernoulli number.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable
 
 from mpmath import mp, mpf
+
+from . import coeffs
 
 
 def _stirling_prefix(x: mpf) -> mpf:
@@ -51,6 +55,10 @@ class Expansion:
         """Sign of term j, which is also the sign of the remainder after j terms."""
         return self.first_sign if j % 2 == 0 else -self.first_sign
 
+    def coefficient(self, j: int) -> Fraction:
+        """Exact c(j), from ``coeffs.COEFFICIENT_FAMILIES`` as it is at the call."""
+        return coeffs.COEFFICIENT_FAMILIES[self.coefficients](j)
+
 
 #: Rows keyed by the series' CLI name (the ``SeriesKind`` value).
 EXPANSIONS = {
@@ -66,3 +74,6 @@ EXPANSIONS = {
         "beta-hat", "theta-hat", -1, True, True, _half_shift_prefix,
         "ln_factorial_demoivre"),
 }
+
+#: Each weight's row, the first integrating it (``theta-hat`` reads gamma-half's).
+WEIGHTS = {row.weight: row for row in reversed(EXPANSIONS.values())}

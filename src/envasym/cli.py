@@ -34,8 +34,8 @@ from .precision import (
     MIN_PRECISION,
     PRECISION_ENV_VAR,
     format_real,
+    positive_real,
     real_to_fraction,
-    to_real,
     working,
 )
 from .series import SeriesKind
@@ -130,7 +130,7 @@ def _resolve_precision(args, fallback: int = DEFAULT_PRECISION) -> int:
 def _parse_real(raw: str, precision: int, what: str):
     try:
         with working(precision):
-            return to_real(raw)
+            return mp.convert(raw)
     except (ValueError, TypeError):
         raise _UsageError(f"{what} must be a decimal number, got {raw!r}") from None
 
@@ -190,7 +190,7 @@ def _cmd_coeffs(args) -> int:
     return EXIT_OK
 
 
-_EVALUATORS = {kind: getattr(series, kind._row.evaluation) for kind in SeriesKind}
+_EVALUATORS = {kind: getattr(series, kind.row.evaluation) for kind in SeriesKind}
 
 
 def _cmd_eval(args) -> int:
@@ -271,15 +271,17 @@ def _cmd_verify(args) -> int:
 def _demo_grid(x_from, x_to, steps: int, precision: int):
     if steps < 1:
         raise _UsageError("--steps must be >= 1")
-    a = real_to_fraction(_parse_real(x_from, precision, "--x-from"))
-    c = real_to_fraction(_parse_real(x_to, precision, "--x-to"))
+    a = _parse_real(x_from, precision, "--x-from")
+    c = _parse_real(x_to, precision, "--x-to")
+    a = real_to_fraction(positive_real(a, precision, "--x-from"))
+    c = real_to_fraction(positive_real(c, precision, "--x-to"))
     if steps == 1:
         points = [a]
     else:
         step = (c - a) / (steps - 1)
         points = [a + i * step for i in range(steps)]
     with working(precision):
-        return [to_real(p) for p in points]
+        return [mp.convert(p) for p in points]
 
 
 def _cmd_demo(args) -> int:

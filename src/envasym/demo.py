@@ -15,14 +15,14 @@ the quadrature error estimate, so witnesses are evidence, not noise.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Iterable, Optional
+from dataclasses import dataclass, replace
+from typing import Iterable, Iterator, Optional
 
 from mpmath import mp, mpf
 
 from .errors import DomainError
 from .oracle import QuadratureSpec, binet_J
-from .precision import round_to, to_real, working, working_bits
+from .precision import round_to, working, working_bits
 from .series import SeriesKind, _checked_argument, _partial_sum_at, _signed_term
 
 __all__ = [
@@ -55,7 +55,7 @@ class ViolationWitness:
 
 def _checked_rate(b, precision: int) -> mpf:
     with working(precision):
-        bb = to_real(b)
+        bb = mp.convert(b)
         if not mp.isfinite(bb) or bb <= 0 or bb >= 2 * mp.pi:
             raise DomainError(
                 f"decay rate must lie strictly inside (0, 2*pi), got {b!r}"
@@ -76,15 +76,15 @@ def _violations_at(
     xx: mpf, ks: Iterable[int], spec: QuadratureSpec, b: Optional[mpf]
 ) -> list[ViolationWitness]:
     """Witnesses among the given truncation indices at one argument."""
-    kind, prec = SeriesKind.BINET_J, working_bits(spec.precision)
+    row, prec = SeriesKind.BINET_J.row, working_bits(spec.precision)
     j_val, j_err = binet_J(xx, spec, error=True)
     found = []
     with working(spec.precision):
         f_val = j_val if b is None else j_val + mp.exp(-b * xx)
         noise_floor = _ERROR_MARGIN_FACTOR * j_err
         for k in ks:
-            remainder = f_val - _partial_sum_at(kind, xx, k, prec)
-            t_k = _signed_term(kind, k, xx, prec)
+            remainder = f_val - _partial_sum_at(row, xx, k, prec)
+            t_k = _signed_term(row, k, xx, prec)
             bound = abs(t_k)
             if abs(remainder) - bound > noise_floor:
                 mode = ViolationMode.MAGNITUDE_EXCEEDED
@@ -104,6 +104,18 @@ def _violations_at(
     return found
 
 
+def _scan(
+    x_grid: Iterable, k_max: int, spec: QuadratureSpec, b: Optional[mpf]
+) -> Iterator[ViolationWitness]:
+    """Witnesses in grid order, k = 0..k_max at each argument; J itself if b is None."""
+    grid = list(x_grid)
+    if not grid:
+        raise ValueError("x_grid must be nonempty")
+    for x in grid:
+        xx = _checked_argument(SeriesKind.BINET_J, x, spec.precision)
+        yield from _violations_at(xx, range(k_max + 1), spec, b)
+
+
 def find_envelope_violation(
     b, x_grid: Iterable, k_max: int, spec: QuadratureSpec = QuadratureSpec()
 ) -> Optional[ViolationWitness]:
@@ -113,32 +125,17 @@ def find_envelope_violation(
     each.  Returns ``None`` when no pair on this grid violates the bound by
     more than ten times the quadrature error estimate.
     """
-    grid = list(x_grid)
-    if not grid:
-        raise ValueError("x_grid must be nonempty")
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
     bb = _checked_rate(b, spec.precision)
-    for x in grid:
-        xx = _checked_argument(SeriesKind.BINET_J, x, spec.precision)
-        found = _violations_at(xx, range(k_max + 1), spec, bb)
-        if found:
-            return found[0]
-    return None
+    return next(_scan(x_grid, k_max, spec, bb), None)
 
 
 def enveloping_control_scan(
     x_grid: Iterable, k_max: int, spec: QuadratureSpec = QuadratureSpec()
 ) -> list[ViolationWitness]:
     """The same scan against the unperturbed J(x); must come back empty."""
-    grid = list(x_grid)
-    if not grid:
-        raise ValueError("x_grid must be nonempty")
-    witnesses = []
-    for x in grid:
-        xx = _checked_argument(SeriesKind.BINET_J, x, spec.precision)
-        witnesses.extend(_violations_at(xx, range(k_max + 1), spec, None))
-    return witnesses
+    return list(_scan(x_grid, k_max, spec, None))
 
 
 def revalidate_witness(
@@ -148,11 +145,7 @@ def revalidate_witness(
 
     True if the same violation mode still holds with the margin intact.
     """
-    doubled = QuadratureSpec(
-        precision=2 * spec.precision,
-        rel_tol=None,
-        max_levels=spec.max_levels,
-    )
+    doubled = replace(spec, precision=2 * spec.precision, rel_tol=None)
     bb = _checked_rate(b, doubled.precision)
     xx = _checked_argument(SeriesKind.BINET_J, witness.x, doubled.precision)
     found = _violations_at(xx, [witness.k], doubled, bb)

@@ -34,14 +34,14 @@ from typing import Optional
 from mpmath import mp, mpf
 from mpmath.libmp import MPZ, bitcount
 
-from ._expansions import EXPANSIONS
-from .errors import DomainError, QuadratureNonConvergence
+from ._expansions import WEIGHTS
+from .errors import QuadratureNonConvergence
 from .precision import (
     DEFAULT_PRECISION,
     GUARD_BITS,
     MIN_PRECISION,
+    positive_real,
     round_to,
-    to_real,
     working,
 )
 
@@ -60,15 +60,14 @@ __all__ = [
 
 
 class ThetaFamily(enum.Enum):
-    """One positive integrand weight per expansion."""
+    """One positive integrand weight per expansion; ``row`` is its table row."""
 
     THETA = "theta"
     THETA_TILDE = "theta-tilde"
     THETA_HAT = "theta-hat"
 
     def __init__(self, name: str):
-        # The signs come from the first series row integrating this weight.
-        self._row = next(row for row in EXPANSIONS.values() if row.weight == name)
+        self.row = WEIGHTS[name]
 
     def weight(self, eta: mpf) -> mpf:
         """Evaluate the family's weight at eta > 0, at the ambient precision.
@@ -90,10 +89,6 @@ class ThetaFamily(enum.Enum):
                 return mp.log(mp.coth(mp.pi * eta))
             return 2 * mp.atanh(mp.exp(-2 * mp.pi * eta))
         return mp.log1p(mp.exp(-2 * mp.pi * eta))
-
-    def remainder_sign(self, k: int) -> int:
-        """Sign of the k-th remainder (equals the sign of the first omitted term)."""
-        return self._row.sign(k)
 
 
 @dataclass(frozen=True)
@@ -269,8 +264,7 @@ def _de_quad_half_line(family: ThetaFamily, factor, spec: QuadratureSpec):
 @lru_cache(maxsize=None)
 def _moment_integral(family: ThetaFamily, k: int, spec: QuadratureSpec):
     """(value, err) of  integral eta^(2k) * weight(eta) deta  over (0, inf)."""
-    with working(spec.precision):
-        return _de_quad_half_line(family, lambda eta: eta ** (2 * k), spec)
+    return _de_quad_half_line(family, lambda eta: eta ** (2 * k), spec)
 
 
 # Bounded, as it is keyed by every z seen; 1024 entries hold a demo scan's
@@ -283,14 +277,6 @@ def _damped_moment_integral(family: ThetaFamily, k: int, z: mpf, spec: Quadratur
         return _de_quad_half_line(
             family, lambda eta: eta ** (2 * k) / (z2 + eta * eta), spec
         )
-
-
-def _check_z(z, precision: int) -> mpf:
-    with working(precision):
-        zz = to_real(z)
-    if not mp.isfinite(zz) or zz <= 0:
-        raise DomainError(f"argument must be a finite real > 0, got {z!r}")
-    return zz
 
 
 def _finish(value, err, spec: QuadratureSpec, error: bool):
@@ -334,17 +320,22 @@ def exact_ln_gamma_half(n: int, precision: int = DEFAULT_PRECISION) -> mpf:
         return round_to(value, precision)
 
 
+def _remainder(family: ThetaFamily, k: int, z, spec: QuadratureSpec):
+    """(remainder, error): sign(k) z / (pi z^(2k)) times the damped moment integral."""
+    zz = positive_real(z, spec.precision, "argument")
+    value, err = _damped_moment_integral(family, k, zz, spec)
+    with working(spec.precision):
+        scale = zz / (mp.pi * zz ** (2 * k))
+        return family.row.sign(k) * scale * value, scale * err
+
+
 def binet_J(z, spec: QuadratureSpec = _DEFAULT_SPEC, *, error: bool = False):
     """Binet's function J(z) = (z/pi) * integral of weight/(z^2+eta^2).
 
     J(z) is the correction term in Stirling's formula:
     ln Gamma(z) = (z - 1/2) ln z - z + ln(2 pi)/2 + J(z).
     """
-    zz = _check_z(z, spec.precision)
-    value, err = _damped_moment_integral(ThetaFamily.THETA, 0, zz, spec)
-    with working(spec.precision):
-        scale = zz / mp.pi
-        return _finish(scale * value, scale * err, spec, error)
+    return _finish(*_remainder(ThetaFamily.THETA, 0, z, spec), spec, error)
 
 
 def binet_J_tilde(z, spec: QuadratureSpec = _DEFAULT_SPEC, *, error: bool = False):
@@ -354,11 +345,7 @@ def binet_J_tilde(z, spec: QuadratureSpec = _DEFAULT_SPEC, *, error: bool = Fals
     -(z/pi) * integral of ln(coth(pi eta))/(z^2+eta^2), i.e. the k = 0
     remainder of the central-binomial series, not from two J evaluations.
     """
-    zz = _check_z(z, spec.precision)
-    value, err = _damped_moment_integral(ThetaFamily.THETA_TILDE, 0, zz, spec)
-    with working(spec.precision):
-        scale = zz / mp.pi
-        return _finish(-scale * value, scale * err, spec, error)
+    return _finish(*_remainder(ThetaFamily.THETA_TILDE, 0, z, spec), spec, error)
 
 
 def theta_ratio(
@@ -377,7 +364,7 @@ def theta_ratio(
     """
     if k < 0:
         raise ValueError("k must be >= 0")
-    zz = _check_z(z, spec.precision)
+    zz = positive_real(z, spec.precision, "argument")
     num, num_err = _damped_moment_integral(family, k, zz, spec)
     den, den_err = _moment_integral(family, k, spec)
     with working(spec.precision):
@@ -396,17 +383,12 @@ def remainder_quadrature(
 ):
     """Signed truncation remainder after k terms, from its integral form.
 
-    For the Binet family the sign is (-1)^k; for the other two families it
-    is (-1)^(k+1).  The k = 0 remainder is the whole correction function.
+    Its sign is ``family.row.sign(k)``.  The k = 0 remainder is the whole
+    correction function.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
-    zz = _check_z(z, spec.precision)
-    value, err = _damped_moment_integral(family, k, zz, spec)
-    with working(spec.precision):
-        scale = 1 / (mp.pi * zz ** (2 * k - 1))
-        signed = family.remainder_sign(k) * scale * value
-        return _finish(signed, scale * err, spec, error)
+    return _finish(*_remainder(family, k, z, spec), spec, error)
 
 
 def coefficient_quadrature(

@@ -15,6 +15,8 @@ from fractions import Fraction
 from mpmath import mp, mpf
 from mpmath.libmp import to_rational
 
+from .errors import DomainError
+
 DEFAULT_PRECISION = 256
 MIN_PRECISION = 64
 GUARD_BITS = 32
@@ -33,9 +35,13 @@ def working(precision: int):
     return mp.workprec(working_bits(precision))
 
 
-def to_real(x) -> mpf:
-    """Convert ``x`` (int, float, str, Fraction, mpf) at the ambient precision."""
-    return mp.convert(x)
+def positive_real(x, precision: int, what: str) -> mpf:
+    """``x`` at ``working_bits(precision)``; :class:`DomainError` unless finite and > 0."""
+    with working(precision):
+        xx = mp.convert(x)
+    if not mp.isfinite(xx) or xx <= 0:
+        raise DomainError(f"{what} must be a finite real > 0, got {x!r}")
+    return xx
 
 
 def round_to(x, precision: int) -> mpf:
@@ -59,10 +65,8 @@ def relative_slop_fraction(precision: int) -> Fraction:
     return Fraction(1, 2 ** (precision - 32))
 
 
-def real_to_fraction(x) -> Fraction:
+def real_to_fraction(x: mpf) -> Fraction:
     """Exact rational value of a finite binary float (no re-rounding)."""
-    if not isinstance(x, mpf):
-        x = mp.convert(x)
     if not mp.isfinite(x):
         raise ValueError("cannot convert non-finite value to a fraction")
     p, q = to_rational(x._mpf_)
@@ -77,9 +81,6 @@ def decimal_digits(precision: int) -> int:
     return (precision * 302 + 999) // 1000
 
 
-def format_real(x, precision: int) -> str:
+def format_real(x: mpf, precision: int) -> str:
     """Deterministic full-precision decimal rendering of ``x``."""
-    if not isinstance(x, mpf):
-        with working(precision):
-            x = to_real(x)
     return mp.nstr(x, decimal_digits(precision), strip_zeros=False)

@@ -10,7 +10,9 @@ error bound.
 Every kind's j-th term is sign(j) c(j) / x^(2j+1).  What differs between
 the kinds (the coefficient family, the sign of term 0, whether x is z or
 z + 1/2, the integer flag and the elementary prefix) is one row of the table
-in :mod:`envasym._expansions`, which :class:`SeriesKind` reads:
+in :mod:`envasym._expansions`, public as ``kind.row``: for instance
+``SeriesKind.BINET_J.row.sign(k)``, ``.row.coefficient(k)`` and
+``.row.prefix``.
 
 * ``BINET_J``           (-1)^j  beta(j)       / z^(2j+1)   -> J(z)
 * ``CENTRAL_BINOMIAL``  (-1)^(j+1) beta_tilde(j) / z^(2j+1) -> J~(z)
@@ -60,16 +62,16 @@ from mpmath.libmp import (
 )
 
 from . import coeffs
-from ._expansions import EXPANSIONS
+from ._expansions import EXPANSIONS, Expansion
 from .errors import DomainError, ToleranceUnattainable
 from .precision import (
     DEFAULT_PRECISION,
     MIN_PRECISION,
+    positive_real,
     real_to_fraction,
     relative_slop,
     relative_slop_fraction,
     round_to,
-    to_real,
     working,
     working_bits,
 )
@@ -100,7 +102,7 @@ INDEX_CAP = 1000
 
 
 class SeriesKind(enum.Enum):
-    """The four expansions, keyed by their CLI names; each reads its table row."""
+    """The four expansions, keyed by their CLI names; ``row`` is the table row."""
 
     BINET_J = "binet"
     CENTRAL_BINOMIAL = "central-binom"
@@ -108,7 +110,7 @@ class SeriesKind(enum.Enum):
     DE_MOIVRE = "demoivre"
 
     def __init__(self, name: str):
-        self._row = EXPANSIONS[name]
+        self.row = EXPANSIONS[name]
 
     @classmethod
     def from_name(cls, name: str) -> "SeriesKind":
@@ -116,23 +118,6 @@ class SeriesKind(enum.Enum):
             if kind.value == name:
                 return kind
         raise ValueError(f"unknown series kind {name!r}")
-
-    def coefficient(self, j: int) -> Fraction:
-        """Exact positive coefficient magnitude of the j-th term."""
-        return coeffs.COEFFICIENT_FAMILIES[self._row.coefficients](j)
-
-    def term_sign(self, j: int) -> int:
-        return self._row.sign(j)
-
-    @property
-    def half_shift(self) -> bool:
-        """Whether the expansion variable is z + 1/2 rather than z."""
-        return self._row.half_shift
-
-    @property
-    def integer_argument(self) -> bool:
-        """Whether the user-facing evaluation requires a positive integer."""
-        return self._row.integer_argument
 
 
 @dataclass(frozen=True)
@@ -190,13 +175,11 @@ def _checked_argument(kind: SeriesKind, z, precision: int) -> mpf:
     """Convert and validate z, applying the half shift where the kind wants it."""
     if precision < MIN_PRECISION:
         raise ValueError(f"precision must be >= {MIN_PRECISION}")
-    with working(precision):
-        zz = to_real(z)
-        if not mp.isfinite(zz) or zz <= 0:
-            raise DomainError(f"series argument must be a finite real > 0, got {z!r}")
-        if kind.half_shift:
+    zz = positive_real(z, precision, "series argument")
+    if kind.row.half_shift:
+        with working(precision):
             zz = zz + mpf(1) / 2
-        return zz
+    return zz
 
 
 def term(kind: SeriesKind, j: int, z, precision: int = DEFAULT_PRECISION) -> mpf:
@@ -204,7 +187,7 @@ def term(kind: SeriesKind, j: int, z, precision: int = DEFAULT_PRECISION) -> mpf
     if j < 0:
         raise ValueError("term index must be >= 0")
     zz = _checked_argument(kind, z, precision)
-    return round_to(_signed_term(kind, j, zz, working_bits(precision)), precision)
+    return round_to(_signed_term(kind.row, j, zz, working_bits(precision)), precision)
 
 
 @functools.lru_cache(maxsize=8192)
@@ -220,12 +203,12 @@ def _rounded_coefficient(family: str, j: int, prec: int) -> tuple:
     return from_rational(c.numerator, c.denominator, prec, round_down)
 
 
-def _signed_term(kind: SeriesKind, j: int, zz: mpf, prec: int) -> mpf:
+def _signed_term(row: Expansion, j: int, zz: mpf, prec: int) -> mpf:
     """sign(j) * c(j) / zz^(2j+1) at ``prec`` bits; zz is already shifted."""
-    term = mpf_div(_rounded_coefficient(kind._row.coefficients, j, prec),
+    term = mpf_div(_rounded_coefficient(row.coefficients, j, prec),
                    mpf_pow_int(zz._mpf_, 2 * j + 1, prec, round_nearest),
                    prec, round_nearest)
-    return mp.make_mpf(term if kind.term_sign(j) > 0 else mpf_neg(term))
+    return mp.make_mpf(term if row.sign(j) > 0 else mpf_neg(term))
 
 
 def partial_sum(kind: SeriesKind, z, k: int, precision: int = DEFAULT_PRECISION) -> mpf:
@@ -233,20 +216,20 @@ def partial_sum(kind: SeriesKind, z, k: int, precision: int = DEFAULT_PRECISION)
     if k < 0:
         raise ValueError("term count must be >= 0")
     zz = _checked_argument(kind, z, precision)
-    return round_to(_partial_sum_at(kind, zz, k, working_bits(precision)), precision)
+    return round_to(_partial_sum_at(kind.row, zz, k, working_bits(precision)), precision)
 
 
-def _partial_sum_at(kind: SeriesKind, zz: mpf, k: int, prec: int) -> mpf:
+def _partial_sum_at(row: Expansion, zz: mpf, k: int, prec: int) -> mpf:
     """Sum of the first k terms at ``prec`` bits; zz is already shifted.
 
     Each operation rounds to nearest at ``prec``, whatever ``mp.prec`` is.
     """
-    family, x = kind._row.coefficients, zz._mpf_
+    family, x = row.coefficients, zz._mpf_
     x2 = mpf_mul(x, x, prec, round_nearest)
     total, power = fzero, x
     for j in range(k):
         term = mpf_div(_rounded_coefficient(family, j, prec), power, prec, round_nearest)
-        total = (mpf_add if kind.term_sign(j) > 0 else mpf_sub)(
+        total = (mpf_add if row.sign(j) > 0 else mpf_sub)(
             total, term, prec, round_nearest)
         power = mpf_mul(power, x2, prec, round_nearest)
     return mp.make_mpf(total)
@@ -263,8 +246,8 @@ def envelope_interval(
     if k < 0:
         raise ValueError("term count must be >= 0")
     zz = _checked_argument(kind, z, precision)
-    s_k = _partial_sum_at(kind, zz, k, working_bits(precision))
-    t_k = _signed_term(kind, k, zz, working_bits(precision))
+    s_k = _partial_sum_at(kind.row, zz, k, working_bits(precision))
+    t_k = _signed_term(kind.row, k, zz, working_bits(precision))
     with working(precision):
         s_next = s_k + t_k
         lo, hi = (s_k, s_next) if s_k <= s_next else (s_next, s_k)
@@ -352,7 +335,7 @@ def _guess(kind: SeriesKind, xf: Fraction, ln_tol: float | None = None) -> int:
     The float mirror of the exact tests, with ``coeffs.log_estimate`` for
     ln c(k); ``INDEX_CAP + 1`` when neither holds up to the cap.
     """
-    ln_c = functools.partial(coeffs.log_estimate, kind._row.coefficients)
+    ln_c = functools.partial(coeffs.log_estimate, kind.row.coefficients)
     ln_x = _ln(xf)
 
     def holds(k):
@@ -368,7 +351,7 @@ def _turns(kind: SeriesKind, xf: Fraction, k: int) -> bool:
     Decided in exact rational arithmetic on the (dyadic) argument, so ties
     resolve deterministically to the earlier index.
     """
-    return kind.coefficient(k + 1) >= kind.coefficient(k) * xf * xf
+    return kind.row.coefficient(k + 1) >= kind.row.coefficient(k) * xf * xf
 
 
 def min_term_index(kind: SeriesKind, z, precision: int = DEFAULT_PRECISION) -> int:
@@ -432,10 +415,7 @@ def auto_truncate(
     index when ``tol`` is met first.
     """
     xf = _exact_argument(kind, z, precision)
-    with working(precision):
-        tol_real = to_real(tol)
-    if not mp.isfinite(tol_real) or tol_real <= 0:
-        raise DomainError(f"tolerance must be a finite real > 0, got {tol!r}")
+    tol_real = positive_real(tol, precision, "tolerance")
     # The bound c(k) (1 + slop) / x^(2k+1), as one integer ratio.
     # x is dyadic, so its denominator's power is a shift.
     slop = relative_slop_fraction(precision)
@@ -443,7 +423,7 @@ def auto_truncate(
     bounds = {}
 
     def settled(k):
-        c, power = kind.coefficient(k), 2 * k + 1
+        c, power = kind.row.coefficient(k), 2 * k + 1
         bounds[k] = _rounded_up(
             (c.numerator * (slop.denominator + slop.numerator)) << (den_bits * power),
             c.denominator * slop.denominator * xf.numerator**power,
@@ -470,11 +450,11 @@ def auto_truncate(
 
 def _certified(kind: SeriesKind, z, k: int, precision: int) -> CertifiedValue:
     zz = _checked_argument(kind, z, precision)
-    s_k = _partial_sum_at(kind, zz, k, working_bits(precision))
-    t_k = _signed_term(kind, k, zz, working_bits(precision))
+    s_k = _partial_sum_at(kind.row, zz, k, working_bits(precision))
+    t_k = _signed_term(kind.row, k, zz, working_bits(precision))
     with working(precision):
-        value = kind._row.prefix(zz) + s_k
-        sign = kind.term_sign(k)
+        value = kind.row.prefix(zz) + s_k
+        sign = kind.row.sign(k)
         slop = relative_slop(precision)
         # Pull the anchor endpoint outward and widen the bound so the
         # one-sided containment survives rounding of value itself.
@@ -489,12 +469,6 @@ def _certified(kind: SeriesKind, z, k: int, precision: int) -> CertifiedValue:
         )
 
 
-def _checked_integer(n, name: str) -> int:
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise DomainError(f"{name} must be a positive integer, got {n!r}")
-    return n
-
-
 def _evaluate(kind: SeriesKind, z, tol, terms, precision: int) -> CertifiedValue:
     """The certified value behind the four ``ln_*`` functions.
 
@@ -503,8 +477,8 @@ def _evaluate(kind: SeriesKind, z, tol, terms, precision: int) -> CertifiedValue
     to the series bound; when that pushes it above ``tol``, precision rather
     than the series is the limit, and :class:`ToleranceUnattainable` says so.
     """
-    if kind.integer_argument:
-        _checked_integer(z, "n")
+    if kind.row.integer_argument and (not isinstance(z, int) or isinstance(z, bool) or z < 1):
+        raise DomainError(f"n must be a positive integer, got {z!r}")
     if terms is not None and tol is not None:
         raise ValueError("pass either tol or terms, not both")
     if terms is not None:
@@ -515,8 +489,7 @@ def _evaluate(kind: SeriesKind, z, tol, terms, precision: int) -> CertifiedValue
         tol = _DEFAULT_TOL
     k, _ = auto_truncate(kind, z, tol, precision)
     certified = _certified(kind, z, k, precision)
-    with working(precision):
-        tol_real = to_real(tol)
+    tol_real = positive_real(tol, precision, "tolerance")
     if not _at_most(certified.error_bound, tol, tol_real):
         raise ToleranceUnattainable(
             f"tolerance {mp.nstr(tol_real, 8)} is below what {precision}-bit "

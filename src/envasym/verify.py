@@ -15,18 +15,10 @@ from mpmath import mp, mpf
 from . import oracle, series
 from .errors import ToleranceUnattainable
 from .oracle import QuadratureSpec, ThetaFamily
-from .precision import round_to, to_real, working, working_bits
+from .precision import positive_real, round_to, working, working_bits
 from .series import SeriesKind
 
 __all__ = ["CheckResult", "run_verification"]
-
-
-#: The series whose coefficients each oracle weight family integrates to
-#: (de Moivre shares gamma-half's family, so the first row wins).
-_FAMILY_KINDS = {
-    family: next(kind for kind in SeriesKind if kind._row.weight == family.value)
-    for family in ThetaFamily
-}
 
 
 @dataclass(frozen=True)
@@ -40,7 +32,7 @@ def _grid_arguments(kind: SeriesKind, deep: bool) -> list:
     zs = [mpf("0.5"), 1, 2, 5, 10, 30]
     if deep:
         zs.append(50)
-    if kind.integer_argument:
+    if kind.row.integer_argument:
         zs = [z for z in zs if isinstance(z, int)]
     return zs
 
@@ -67,7 +59,7 @@ def tail_truth(kind: SeriesKind, z, precision: int, spec: QuadratureSpec):
             full = oracle.exact_ln_factorial(int(zz - mpf(1) / 2), hi_prec)
         else:
             raise ValueError(f"no exact oracle for {kind} at z = {z}")
-        value = full - kind._row.prefix(zz)
+        value = full - kind.row.prefix(zz)
         err = (abs(full) + abs(value) + 1) * mpf(2) ** (6 - hi_prec)
         return round_to(value, precision), round_to(err, precision)
 
@@ -76,11 +68,12 @@ def _check_coefficient_quadrature(deep: bool, spec: QuadratureSpec) -> CheckResu
     k_max = 6 if deep else 4
     worst = mpf(0)
     with working(spec.precision):
-        tol = mpf("1e-25")
+        # 1e-25, or the quadrature's own floor where P is below 116 bits
+        tol = max(mpf("1e-25"), spec.effective_tol())
         for family in ThetaFamily:
             for k in range(k_max + 1):
                 got = oracle.coefficient_quadrature(family, k, spec)
-                want = to_real(_FAMILY_KINDS[family].coefficient(k))
+                want = mp.convert(family.row.coefficient(k))
                 worst = max(worst, abs(got - want) / want)
         return CheckResult(
             "coefficient-quadrature",
@@ -137,74 +130,66 @@ def _check_weight_linear_dependence(deep: bool, spec: QuadratureSpec) -> CheckRe
         )
 
 
+def _mismatch_check(name: str, pairs, spec: QuadratureSpec) -> CheckResult:
+    """Pass when each (reference, value), made at working precision, agrees to 2^(64-P)."""
+    worst = mpf(0)
+    with working(spec.precision):
+        for reference, value in pairs:
+            worst = max(worst, abs(value - reference) / abs(reference))
+        return CheckResult(
+            name,
+            worst <= mpf(2) ** (64 - spec.precision),
+            f"max relative mismatch {mp.nstr(worst, 4)}",
+        )
+
+
 def _check_remainder_identity(deep: bool, spec: QuadratureSpec) -> CheckResult:
     ks = [0, 1, 2, 3] if deep else [0, 2]
     zs = [mpf("0.5"), 1, 5, 20] if deep else [1, 5]
-    worst, prec = mpf(0), working_bits(spec.precision)
-    with working(spec.precision):
-        for family in ThetaFamily:
-            for k in ks:
-                for z in zs:
-                    rem = oracle.remainder_quadrature(family, k, z, spec)
-                    theta = oracle.theta_ratio(family, k, z, spec)
-                    kind = _FAMILY_KINDS[family]
-                    predicted = theta * series._signed_term(kind, k, to_real(z), prec)
-                    worst = max(worst, abs(rem - predicted) / abs(predicted))
-        tol = mpf(2) ** (64 - spec.precision)
-        return CheckResult(
-            "remainder-identity",
-            worst <= tol,
-            f"max relative mismatch {mp.nstr(worst, 4)}",
-        )
+    prec = working_bits(spec.precision)
+    return _mismatch_check("remainder-identity", (
+        (oracle.theta_ratio(family, k, z, spec)
+         * series._signed_term(family.row, k, mp.convert(z), prec),
+         oracle.remainder_quadrature(family, k, z, spec))
+        for family in ThetaFamily for k in ks for z in zs), spec)
 
 
 def _check_jtilde_decomposition(deep: bool, spec: QuadratureSpec) -> CheckResult:
     zs = [1, 2, 5, 10] if deep else [1, 2, 5]
-    worst = mpf(0)
-    with working(spec.precision):
-        for z in zs:
-            direct = oracle.binet_J_tilde(z, spec)
-            composed = oracle.binet_J(2 * z, spec) - 2 * oracle.binet_J(z, spec)
-            worst = max(worst, abs(direct - composed) / abs(direct))
-        tol = mpf(2) ** (64 - spec.precision)
-        return CheckResult(
-            "jtilde-decomposition",
-            worst <= tol,
-            f"max relative mismatch {mp.nstr(worst, 4)}",
-        )
+    return _mismatch_check("jtilde-decomposition", (
+        (oracle.binet_J_tilde(z, spec),
+         oracle.binet_J(2 * z, spec) - 2 * oracle.binet_J(z, spec))
+        for z in zs), spec)
 
 
 def _check_binet_cross_check(deep: bool, spec: QuadratureSpec) -> CheckResult:
     ns = [1, 2, 5, 10] if deep else [1, 5]
-    worst = mpf(0)
-    with working(spec.precision):
-        for n in ns:
-            quad = oracle.binet_J(n, spec)
-            exact = oracle.exact_ln_factorial(n - 1, spec.precision + 64)
-            direct = exact - SeriesKind.BINET_J._row.prefix(to_real(n))
-            worst = max(worst, abs(quad - direct) / abs(direct))
-        tol = mpf(2) ** (64 - spec.precision)
-        return CheckResult(
-            "binet-vs-exact-gamma",
-            worst <= tol,
-            f"max relative mismatch {mp.nstr(worst, 4)}",
-        )
+    return _mismatch_check("binet-vs-exact-gamma", (
+        (oracle.exact_ln_factorial(n - 1, spec.precision + 64)
+         - SeriesKind.BINET_J.row.prefix(mp.convert(n)),
+         oracle.binet_J(n, spec))
+        for n in ns), spec)
+
+
+def _grid_truths(deep: bool, spec: QuadratureSpec):
+    """(kind, z, truth, err) over every kind's grid arguments."""
+    for kind in SeriesKind:
+        for z in _grid_arguments(kind, deep):
+            yield (kind, z, *tail_truth(kind, z, spec.precision, spec))
 
 
 def _check_bracketing_grid(deep: bool, spec: QuadratureSpec) -> CheckResult:
     k_range = range(11) if deep else range(9)
     checks = 0
     failures = []
-    for kind in SeriesKind:
-        for z in _grid_arguments(kind, deep):
-            truth, err = tail_truth(kind, z, spec.precision, spec)
-            for k in k_range:
-                env = series.envelope_interval(kind, z, k, spec.precision)
-                with working(spec.precision):
-                    margin = min(truth - env.lo, env.hi - truth)
-                checks += 1
-                if not (env.contains(truth) and margin >= 10 * err):
-                    failures.append((kind.value, str(z), k))
+    for kind, z, truth, err in _grid_truths(deep, spec):
+        for k in k_range:
+            env = series.envelope_interval(kind, z, k, spec.precision)
+            with working(spec.precision):
+                margin = min(truth - env.lo, env.hi - truth)
+            checks += 1
+            if not (env.contains(truth) and margin >= 10 * err):
+                failures.append((kind.value, str(z), k))
     return CheckResult(
         "bracketing-grid",
         not failures,
@@ -217,17 +202,15 @@ def _check_sign_alternation(deep: bool, spec: QuadratureSpec) -> CheckResult:
     k_range = range(11) if deep else range(9)
     bad = []
     skipped = 0
-    for kind in SeriesKind:
-        for z in _grid_arguments(kind, deep):
-            truth, err = tail_truth(kind, z, spec.precision, spec)
-            for k in k_range:
-                with working(spec.precision):
-                    remainder = truth - series.partial_sum(kind, z, k, spec.precision)
-                    if abs(remainder) < 10 * err:
-                        skipped += 1
-                        continue
-                    if mp.sign(remainder) != kind.term_sign(k):
-                        bad.append((kind.value, str(z), k))
+    for kind, z, truth, err in _grid_truths(deep, spec):
+        for k in k_range:
+            with working(spec.precision):
+                remainder = truth - series.partial_sum(kind, z, k, spec.precision)
+                if abs(remainder) < 10 * err:
+                    skipped += 1
+                    continue
+                if mp.sign(remainder) != kind.row.sign(k):
+                    bad.append((kind.value, str(z), k))
     return CheckResult(
         "sign-alternation",
         not bad,
@@ -296,8 +279,7 @@ def _check_auto_truncate_policy(deep: bool, spec: QuadratureSpec) -> CheckResult
         ]
     bad = []
     for kind, z, tol in samples:
-        with working(spec.precision):
-            tol_real = to_real(tol)
+        tol_real = positive_real(tol, spec.precision, "tolerance")
         k_star = series.min_term_index(kind, z, spec.precision)
         try:
             k, bound = series.auto_truncate(kind, z, tol, spec.precision)
@@ -322,7 +304,7 @@ def _check_half_shift_relabeling(deep: bool, spec: QuadratureSpec) -> CheckResul
     for n, k in samples:
         a = series.ln_factorial_demoivre(n, terms=k, precision=spec.precision)
         with working(spec.precision):
-            shifted = to_real(n) + mpf(1) / 2
+            shifted = mp.convert(n) + mpf(1) / 2
         b = series.ln_gamma_plus_half(shifted, terms=k, precision=spec.precision)
         if not (a.value == b.value and a.error_bound == b.error_bound):
             bad.append((n, k))

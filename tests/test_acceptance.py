@@ -109,7 +109,7 @@ def test_criterion_3_bracketing_grid():
         checks = 0
         for kind in SeriesKind:
             zs = [mpf("0.5"), 1, 2, 5, 10, 30]
-            if kind.integer_argument:
+            if kind.row.integer_argument:
                 zs = [z for z in zs if isinstance(z, int)]
             for z in zs:
                 truth, err = _tail_oracle(kind, z)

@@ -11,9 +11,9 @@ import pytest
 from mpmath import mp, mpf
 
 import envasym
-from envasym import verify
+from envasym import demo, verify
 from envasym.cli import run_cli
-from envasym.precision import PRECISION_ENV_VAR, decimal_digits
+from envasym.precision import MIN_PRECISION, PRECISION_ENV_VAR, decimal_digits
 from envasym.series import INDEX_CAP
 
 
@@ -228,6 +228,13 @@ class TestVerifyCommand:
         )
         assert "286 containment checks" in grid_detail
 
+    @pytest.mark.parametrize("deep", [False, True])
+    def test_passes_at_the_minimum_precision(self, deep):
+        # the coefficient check's 1e-25 is below the unit roundoff of a
+        # 64-bit result; it takes the quadrature's own floor there
+        results = verify.run_verification(deep=deep, precision=MIN_PRECISION)
+        assert [(r.name, r.detail) for r in results if not r.passed] == []
+
 
 class TestDemoCommand:
     def test_default_invocation_reports_witness_and_clean_control(self, capsys):
@@ -245,6 +252,20 @@ class TestDemoCommand:
     def test_bad_rate_exits_2(self, capsys):
         code, _, _ = run(capsys, "demo", "--b", "7")
         assert code == 2
+
+    @pytest.mark.parametrize("flag", ["--x-from", "--x-to"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-1"])
+    def test_bad_endpoint_exits_2_before_any_quadrature(self, capsys, monkeypatch,
+                                                         flag, value):
+        def no_quadrature(*args, **kwargs):
+            raise AssertionError("quadrature ran")
+
+        monkeypatch.setattr(demo, "binet_J", no_quadrature)
+        code, out, err = run(capsys, "demo", "--b", "1", f"{flag}={value}")
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {flag} must be a finite real > 0, got ")
+        assert err.count("\n") == 1
 
 
 class TestPrecisionPlumbing:

@@ -186,7 +186,7 @@ class TestRemainderQuadrature:
             rem = remainder_quadrature(family, k, z, SPEC)
             theta = theta_ratio(family, k, z, SPEC)
             term = mp.convert(fn(k)) / mpf(z) ** (2 * k + 1)
-            assert close(rem, family.remainder_sign(k) * theta * term)
+            assert close(rem, family.row.sign(k) * theta * term)
 
 
 class TestCoefficientQuadrature:

@@ -35,6 +35,7 @@ from envasym import (
     term,
 )
 from envasym import series
+from envasym._expansions import Expansion
 from envasym.coeffs import COEFFICIENT_FAMILIES, beta, beta_hat, beta_tilde
 from envasym.precision import real_to_fraction
 from envasym.series import INDEX_CAP
@@ -199,13 +200,13 @@ class TestEnvelopeInterval:
         assert bound <= width <= bound + 4 * scale * Fraction(1, 2 ** (P - 32))
 
 
-def ambient_signed_term(kind, j, zz):
+def ambient_signed_term(row, j, zz):
     """The j-th term as the package computed it before the rounded-coefficient
     table: ``mp.convert`` of the exact coefficient in the ambient context."""
-    return kind.term_sign(j) * mp.convert(kind.coefficient(j)) / zz ** (2 * j + 1)
+    return row.sign(j) * mp.convert(row.coefficient(j)) / zz ** (2 * j + 1)
 
 
-def ambient_partial_sums(kind, zz, k):
+def ambient_partial_sums(row, zz, k):
     """The partial sums 0..k of the ambient-context loop, the reference for
     ``series._partial_sum_at``."""
     total = mpf(0)
@@ -213,7 +214,7 @@ def ambient_partial_sums(kind, zz, k):
     zz2 = zz * zz
     power = zz
     for j in range(k):
-        total += kind.term_sign(j) * mp.convert(kind.coefficient(j)) / power
+        total += row.sign(j) * mp.convert(row.coefficient(j)) / power
         power *= zz2
         sums.append(total)
     return sums
@@ -235,23 +236,23 @@ class TestRoundedCoefficientSum:
         for z in SUM_ARGUMENTS:
             zz = series._checked_argument(kind, z, precision)
             with mp.workprec(wp):
-                expected = ambient_partial_sums(kind, zz, SUM_K_MAX)
-                terms = [ambient_signed_term(kind, j, zz) for j in range(SUM_K_MAX + 1)]
+                expected = ambient_partial_sums(kind.row, zz, SUM_K_MAX)
+                terms = [ambient_signed_term(kind.row, j, zz) for j in range(SUM_K_MAX + 1)]
             for k in range(SUM_K_MAX + 1):
-                got = series._partial_sum_at(kind, zz, k, wp)
+                got = series._partial_sum_at(kind.row, zz, k, wp)
                 assert got._mpf_ == expected[k]._mpf_, (z, k)
-                assert series._signed_term(kind, k, zz, wp)._mpf_ == terms[k]._mpf_, (z, k)
+                assert series._signed_term(kind.row, k, zz, wp)._mpf_ == terms[k]._mpf_, (z, k)
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_the_ambient_precision_is_not_read(self, kind):
         wp = 256 + 32
         zz = series._checked_argument(kind, "7.3", 256)
         with mp.workprec(wp):
-            expected = ambient_partial_sums(kind, zz, 40)[-1]
-            term_40 = ambient_signed_term(kind, 40, zz)
+            expected = ambient_partial_sums(kind.row, zz, 40)[-1]
+            term_40 = ambient_signed_term(kind.row, 40, zz)
         with mp.workprec(53):
-            got = series._partial_sum_at(kind, zz, 40, wp)
-            got_term = series._signed_term(kind, 40, zz, wp)
+            got = series._partial_sum_at(kind.row, zz, 40, wp)
+            got_term = series._signed_term(kind.row, 40, zz, wp)
             assert mp.prec == 53
         assert got._mpf_ == expected._mpf_
         assert got_term._mpf_ == term_40._mpf_
@@ -266,13 +267,13 @@ class TestRoundedCoefficientSum:
         new = {z: [(term(kind, k, z, precision), envelope_interval(kind, z, k, precision))
                    for k in ks] for z in SUM_ARGUMENTS}
 
-        def ambient_sum(kind, zz, k, prec):
+        def ambient_sum(row, zz, k, prec):
             with mp.workprec(prec):
-                return ambient_partial_sums(kind, zz, k)[-1]
+                return ambient_partial_sums(row, zz, k)[-1]
 
-        def ambient_term(kind, j, zz, prec):
+        def ambient_term(row, j, zz, prec):
             with mp.workprec(prec):
-                return ambient_signed_term(kind, j, zz)
+                return ambient_signed_term(row, j, zz)
 
         monkeypatch.setattr(series, "_partial_sum_at", ambient_sum)
         monkeypatch.setattr(series, "_signed_term", ambient_term)
@@ -423,14 +424,14 @@ def scan_reference(kind, z, precision, tol=None):
     inflate = 1 + Fraction(1, 2 ** (precision - 32))
     xf2 = xf * xf
     power, bound, k = xf, None, 0
-    c = kind.coefficient(0)
+    c = kind.row.coefficient(0)
     while True:
         if tol is not None:
             x = c * inflate / power
             bound = series._rounded_up(x.numerator, x.denominator, precision)
             if series._at_most(bound, tol, tol_real):
                 return k, bound, True
-        c_next = kind.coefficient(k + 1)
+        c_next = kind.row.coefficient(k + 1)
         if c_next >= c * xf2:
             return k, bound, False
         c, k = c_next, k + 1
@@ -459,7 +460,7 @@ class TestSearchesMatchTheScan:
     @pytest.mark.parametrize("precision", SEARCH_PRECISIONS)
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_min_term_index(self, kind, precision):
-        arguments = ([1, 2, 7, 50, 300] if kind.integer_argument
+        arguments = ([1, 2, 7, 50, 300] if kind.row.integer_argument
                      else REAL_ARGUMENTS)
         for z in arguments:
             assert min_term_index(kind, z, precision) == scan_reference(
@@ -535,7 +536,7 @@ class TestIndexCap:
         def no_coefficients(j):
             raise AssertionError("coefficient built")
 
-        monkeypatch.setattr(SeriesKind, "coefficient", lambda self, j: no_coefficients(j))
+        monkeypatch.setattr(Expansion, "coefficient", lambda self, j: no_coefficients(j))
         with pytest.raises(DomainError, match=str(INDEX_CAP)):
             min_term_index(SeriesKind.BINET_J, 1000)
         with pytest.raises(DomainError, match=str(INDEX_CAP)):
@@ -777,7 +778,7 @@ def tail_oracle(kind, z):
 
 def grid_for(kind):
     zs = [mpf("0.5"), 1, 2, 5, 10, 30]
-    return [z for z in zs if isinstance(z, int)] if kind.integer_argument else zs
+    return [z for z in zs if isinstance(z, int)] if kind.row.integer_argument else zs
 
 
 class TestEnvelopingInvariants:
