@@ -20,6 +20,7 @@ environment variable if set, else 256 bits (512 for ``verify --deep``).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -74,7 +75,10 @@ def _default_precision(fallback: int = DEFAULT_PRECISION) -> int:
     return value
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """Built at the first call and shared by every later one, so nothing may
+    change it; it holds no default that ``ENVASYM_PRECISION`` sets."""
     parser = _Parser(prog="envasym", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -333,9 +337,10 @@ _COMMANDS = {
 
 
 def run_cli(argv: list[str]) -> int:
-    parser = _build_parser()
+    """Run one command and return its exit code.  In-process calls share one
+    parser, built at the first call."""
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
         return _COMMANDS[args.command](args)
     except _UsageError as exc:
         sys.stderr.write(f"error: {exc}\n")

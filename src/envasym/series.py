@@ -135,11 +135,6 @@ class EnvelopeInterval:
     bound: mpf
     precision: int
 
-    @property
-    def width(self) -> mpf:
-        with working(self.precision):
-            return self.hi - self.lo
-
     def contains(self, x) -> bool:
         return self.lo <= x <= self.hi
 
@@ -345,13 +340,15 @@ def _guess(kind: SeriesKind, xf: Fraction, ln_tol: float | None = None) -> int:
     return bisect.bisect_left(range(INDEX_CAP + 1), True, key=holds)
 
 
-def _turns(kind: SeriesKind, xf: Fraction, k: int) -> bool:
+def _turns(row: Expansion, x2: tuple[int, int], k: int) -> bool:
     """The one minimum-term test |t(k+1)| >= |t(k)|, i.e. c(k+1) >= c(k) x^2.
 
-    Decided in exact rational arithmetic on the (dyadic) argument, so ties
-    resolve deterministically to the earlier index.
+    Decided exactly, with x^2 = x2[0] / x2[1] (squared once per search), as
+    one comparison of cross-multiplied integers (denominators are positive),
+    so ties resolve deterministically to the earlier index.
     """
-    return kind.row.coefficient(k + 1) >= kind.row.coefficient(k) * xf * xf
+    c0, c1 = row.coefficient(k), row.coefficient(k + 1)
+    return c1.numerator * c0.denominator * x2[1] >= c0.numerator * c1.denominator * x2[0]
 
 
 def min_term_index(kind: SeriesKind, z, precision: int = DEFAULT_PRECISION) -> int:
@@ -360,7 +357,8 @@ def min_term_index(kind: SeriesKind, z, precision: int = DEFAULT_PRECISION) -> i
     Raises :class:`DomainError` when it lies above ``INDEX_CAP``.
     """
     xf = _exact_argument(kind, z, precision)
-    k = _least(lambda k: _turns(kind, xf, k), _guess(kind, xf))
+    x2 = xf.numerator**2, xf.denominator**2
+    k = _least(lambda k: _turns(kind.row, x2, k), _guess(kind, xf))
     if k is None:
         raise DomainError(f"the minimum-term index of {kind.value} at this "
                           f"argument is above the cap of {INDEX_CAP}")
@@ -416,6 +414,7 @@ def auto_truncate(
     """
     xf = _exact_argument(kind, z, precision)
     tol_real = positive_real(tol, precision, "tolerance")
+    x2 = xf.numerator**2, xf.denominator**2
     # The bound c(k) (1 + slop) / x^(2k+1), as one integer ratio.
     # x is dyadic, so its denominator's power is a shift.
     slop = relative_slop_fraction(precision)
@@ -429,7 +428,7 @@ def auto_truncate(
             c.denominator * slop.denominator * xf.numerator**power,
             precision,
         )
-        return _at_most(bounds[k], tol, tol_real) or _turns(kind, xf, k)
+        return _at_most(bounds[k], tol, tol_real) or _turns(kind.row, x2, k)
 
     k = _least(settled, _guess(kind, xf, _ln(real_to_fraction(tol_real))))
     if k is None:

@@ -11,7 +11,7 @@ import pytest
 from mpmath import mp, mpf
 
 import envasym
-from envasym import demo, verify
+from envasym import cli, demo, verify
 from envasym.cli import run_cli
 from envasym.precision import MIN_PRECISION, PRECISION_ENV_VAR, decimal_digits
 from envasym.series import INDEX_CAP
@@ -346,6 +346,48 @@ class TestUsageErrors:
         code, out, _ = run(capsys, "eval", "--help")
         assert code == 0
         assert "--tol" in out
+
+
+# One call of each kind, a usage error and help among them; eval comes twice.
+REUSE_SEQUENCE = [
+    ["eval", "--series", "binet", "--z", "7.3", "--tol", "1e-20"],
+    ["eval", "--series", "demoivre", "--z", "5", "--terms", "3", "--format", "plain"],
+    ["bound", "--series", "gamma-half", "--z", "5", "--terms", "2", "--format", "csv"],
+    ["coeffs", "--family", "beta-tilde", "--max-k", "6"],
+    ["eval", "--series", "binet", "--z", "3", "--tol", "1e-3", "--terms", "2"],
+    ["--help"],
+    ["eval", "--series", "central-binom", "--z", "10", "--tol", "1e-8"],
+]
+
+
+class TestParserReuse:
+    """In-process calls share one parser, built at the first call."""
+
+    def test_shared_parser_gives_the_output_of_a_fresh_one(self, capsys):
+        shared = [run(capsys, *argv) for argv in REUSE_SEQUENCE]
+        fresh = []
+        for argv in REUSE_SEQUENCE:
+            cli._build_parser.cache_clear()
+            fresh.append(run(capsys, *argv))
+        assert shared == fresh
+        assert [code for code, _, _ in shared] == [0, 0, 0, 0, 1, 0, 0]
+        assert "not allowed with argument" in shared[4][2]
+
+    def test_env_var_set_between_calls_is_honoured(self, capsys, monkeypatch):
+        argv = ["eval", "--series", "binet", "--z", "4", "--tol", "1e-6"]
+        seen = []
+        for bits in ("128", "192"):
+            monkeypatch.setenv(PRECISION_ENV_VAR, bits)
+            code, out, _ = run(capsys, *argv)
+            seen.append((code, json.loads(out)["precision"]))
+        assert seen == [(0, 128), (0, 192)]
+
+    def test_parser_is_built_once(self, capsys):
+        cli._build_parser.cache_clear()
+        for i in range(20):
+            run(capsys, *REUSE_SEQUENCE[i % len(REUSE_SEQUENCE)])
+        info = cli._build_parser.cache_info()
+        assert (info.misses, info.hits) == (1, 19)
 
 
 def test_console_entry_point_runs():

@@ -831,3 +831,48 @@ def test_concurrent_same_precision_evaluations_agree():
     with ThreadPoolExecutor(max_workers=6) as pool:
         results = list(pool.map(lambda a: partial_sum(a[0], a[1], a[2], P), args * 5))
     assert results == expected * 5
+
+
+def composed(kind, z, tol, precision):
+    """``_evaluate``'s answer from the public calls: auto_truncate, then terms=k.
+
+    Returns (outcome, answer): the outcome is "met", "series floor" or
+    "precision floor", the latter decided by the exact value of ``tol``; the
+    answer is a certified value's fields, or (k_best, best_bound) of a raise.
+    """
+    try:
+        k, _ = auto_truncate(kind, z, tol, precision)
+    except ToleranceUnattainable as exc:
+        return "series floor", (exc.k_best, exc.best_bound._mpf_)
+    cv = EVALUATE[kind](z, terms=k, precision=precision)
+    if real_to_fraction(cv.error_bound) > Fraction(tol):
+        return "precision floor", (k, cv.error_bound._mpf_)
+    return "met", (cv.value._mpf_, cv.error_bound._mpf_, cv.error_sign, cv.k_used,
+                   cv.precision)
+
+
+def evaluated(kind, z, tol, precision):
+    """``_evaluate``'s answer in ``composed``'s shape, with outcome "met" or "raised"."""
+    try:
+        cv = series._evaluate(kind, z, tol, None, precision)
+    except ToleranceUnattainable as exc:
+        return "raised", (exc.k_best, exc.best_bound._mpf_)
+    return "met", (cv.value._mpf_, cv.error_bound._mpf_, cv.error_sign, cv.k_used,
+                   cv.precision)
+
+
+class TestEvaluateIsTheComposition:
+    """``_evaluate`` returns or raises, bit for bit, what the public calls give."""
+
+    @pytest.mark.parametrize("precision", SEARCH_PRECISIONS)
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_matches_auto_truncate_then_terms(self, kind, precision):
+        arguments = [1, 3, 10, 60] if kind.row.integer_argument else ["0.5", "3.1", "20.5", 7, "60"]
+        outcomes = set()
+        for z in arguments:
+            for tol in ("1e-3", "1e-12", "1e-40", "1e-70", "1e-150"):
+                outcome, answer = composed(kind, z, tol, precision)
+                got = evaluated(kind, z, tol, precision)
+                assert got == ("met" if outcome == "met" else "raised", answer), (z, tol)
+                outcomes.add(outcome)
+        assert outcomes == {"met", "series floor", "precision floor"}
