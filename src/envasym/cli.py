@@ -177,7 +177,8 @@ def _cmd_coeffs(args) -> int:
     if args.max_k < 0:
         raise _UsageError("--max-k must be >= 0")
     rows = []
-    for k, f in enumerate(coeffs.coefficient_table(args.family, args.max_k)):
+    for k in range(args.max_k + 1):
+        f = coeffs.COEFFICIENT_FAMILIES[args.family](k)
         try:
             fraction = f"{f.numerator}/{f.denominator}"
         except ValueError:  # the same integers are printed below, so one check serves
@@ -203,6 +204,8 @@ def _cmd_eval(args) -> int:
     z = _parse_argument(args.z, precision)
     tol = args.tol
     terms = args.terms
+    if terms is not None and terms < 0:
+        raise _UsageError("--terms must be >= 0")
     if tol is None and terms is None:
         tol = series._DEFAULT_TOL
     if tol is not None:

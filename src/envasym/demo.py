@@ -15,7 +15,7 @@ the quadrature error estimate, so witnesses are evidence, not noise.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
 from mpmath import mp, mpf
@@ -145,7 +145,7 @@ def revalidate_witness(
 
     True if the same violation mode still holds with the margin intact.
     """
-    doubled = replace(spec, precision=2 * spec.precision, rel_tol=None)
+    doubled = QuadratureSpec(precision=2 * spec.precision)
     bb = _checked_rate(b, doubled.precision)
     xx = _checked_argument(SeriesKind.BINET_J, witness.x, doubled.precision)
     found = _violations_at(xx, [witness.k], doubled, bb)

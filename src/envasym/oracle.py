@@ -93,31 +93,27 @@ class ThetaFamily(enum.Enum):
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """How hard to integrate: working precision, relative target, level cap.
+    """The working precision of a quadrature, in bits.
 
-    ``rel_tol`` of ``None`` means the floor ``2**-(precision-32)``; explicit
-    values are clamped to that floor, which is as much as precision-P
-    arithmetic can honestly resolve.
+    Refinement stops when two levels agree to ``effective_tol()``, the floor
+    ``2**-(precision-32)``, which is as much as precision-P arithmetic can
+    honestly resolve, or raises after ``_MAX_LEVELS`` levels.
     """
 
     precision: int = DEFAULT_PRECISION
-    rel_tol: Optional[mpf] = None
-    max_levels: int = 20
 
     def __post_init__(self):
         if self.precision < MIN_PRECISION:
             raise ValueError(f"precision must be >= {MIN_PRECISION}")
-        if self.max_levels < 1:
-            raise ValueError("max_levels must be >= 1")
 
     def effective_tol(self) -> mpf:
-        floor = mpf(2) ** (32 - self.precision)
-        if self.rel_tol is None:
-            return floor
-        return max(mpf(self.rel_tol), floor)
+        return mpf(2) ** (32 - self.precision)
 
 
 _DEFAULT_SPEC = QuadratureSpec()
+
+# Refinement levels before a quadrature gives up.
+_MAX_LEVELS = 20
 
 # Stop extending a tail once this many consecutive transformed-integrand
 # values fall below the running-sum threshold; guards against a lone
@@ -180,7 +176,7 @@ def _de_quad_half_line(family: ThetaFamily, factor, spec: QuadratureSpec):
 
     Substitutes eta = exp((pi/2) * sinh(t)) and applies the trapezoid rule in
     t with dyadic step refinement, reusing previous levels.  Refinement stops
-    when two successive levels agree to the spec's relative target; the
+    when two successive levels agree to the spec's relative tolerance; the
     returned error is that last inter-level difference.  The infinite tails
     are truncated where the transformed integrand falls below 2**-(P+32) of
     the running sum; eta = 0 is never sampled, so integrable endpoint
@@ -246,7 +242,7 @@ def _de_quad_half_line(family: ThetaFamily, factor, spec: QuadratureSpec):
         h = 1.0
         estimate = h * (g(0.0) + half_sums(h, 1, 1))
         previous = None
-        for _ in range(1, spec.max_levels + 1):
+        for _ in range(1, _MAX_LEVELS + 1):
             h = h / 2
             estimate = estimate / 2 + h * half_sums(h, 1, 2)
             if previous is not None:
@@ -255,7 +251,7 @@ def _de_quad_half_line(family: ThetaFamily, factor, spec: QuadratureSpec):
                     return estimate, err
             previous = estimate
         raise QuadratureNonConvergence(
-            f"no convergence within {spec.max_levels} refinement levels",
+            f"no convergence within {_MAX_LEVELS} refinement levels",
             value=estimate,
             error=abs(estimate - previous) if previous is not None else None,
         )

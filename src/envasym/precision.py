@@ -56,13 +56,10 @@ def relative_slop(precision: int) -> mpf:
     The enveloping bounds are exact in exact arithmetic; every returned
     interval endpoint and error bound is widened outward by this relative
     margin so the containment guarantee survives rounding without full
-    directed-rounding machinery.
+    directed-rounding machinery.  The value is a power of two, so
+    ``real_to_fraction`` gives it exactly for the rational checks.
     """
     return mpf(2) ** (32 - precision)
-
-
-def relative_slop_fraction(precision: int) -> Fraction:
-    return Fraction(1, 2 ** (precision - 32))
 
 
 def real_to_fraction(x: mpf) -> Fraction:

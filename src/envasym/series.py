@@ -70,7 +70,6 @@ from .precision import (
     positive_real,
     real_to_fraction,
     relative_slop,
-    relative_slop_fraction,
     round_to,
     working,
     working_bits,
@@ -417,7 +416,7 @@ def auto_truncate(
     x2 = xf.numerator**2, xf.denominator**2
     # The bound c(k) (1 + slop) / x^(2k+1), as one integer ratio.
     # x is dyadic, so its denominator's power is a shift.
-    slop = relative_slop_fraction(precision)
+    slop = real_to_fraction(relative_slop(precision))
     den_bits = xf.denominator.bit_length() - 1
     bounds = {}
 

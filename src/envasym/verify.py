@@ -37,26 +37,23 @@ def _grid_arguments(kind: SeriesKind, deep: bool) -> list:
     return zs
 
 
-def tail_truth(kind: SeriesKind, z, precision: int, spec: QuadratureSpec):
-    """Independent (value, error_estimate) for the series-tail function.
+def tail_truth(kind: SeriesKind, z, precision: int):
+    """Independent (value, error_estimate) for the series-tail function at z.
 
-    Exact big-integer routes are used wherever the argument allows; Binet's
-    function falls back to quadrature of its integral representation.
+    The full function is exact at P + 64 bits: ln C(2n, n) for central-binom,
+    else ln Gamma(w), w = x for Binet or x + 1/2 (x is de Moivre's n + 1/2),
+    from (w - 1)! or, for half-integer w, the duplication formula.
     """
-    if kind is SeriesKind.BINET_J:
-        return oracle.binet_J(z, spec, error=True)
     hi_prec = precision + 64
     with working(hi_prec):
         zz = series._checked_argument(kind, z, hi_prec)
+        w = zz if kind is SeriesKind.BINET_J else zz + mpf(1) / 2
         if kind is SeriesKind.CENTRAL_BINOMIAL:
             full = oracle.exact_ln_central_binomial(int(z), hi_prec)
-        elif kind is SeriesKind.DE_MOIVRE:
-            full = oracle.exact_ln_factorial(int(z), hi_prec)
-        elif mp.isint(zz):
-            full = oracle.exact_ln_gamma_half(int(zz), hi_prec)
-        elif mp.isint(2 * zz):
-            # half-integer z: Gamma(z + 1/2) = Gamma(m + 1) = m!
-            full = oracle.exact_ln_factorial(int(zz - mpf(1) / 2), hi_prec)
+        elif mp.isint(w):
+            full = oracle.exact_ln_factorial(int(w) - 1, hi_prec)
+        elif mp.isint(2 * w):
+            full = oracle.exact_ln_gamma_half(int(w - mpf(1) / 2), hi_prec)
         else:
             raise ValueError(f"no exact oracle for {kind} at z = {z}")
         value = full - kind.row.prefix(zz)
@@ -171,18 +168,18 @@ def _check_binet_cross_check(deep: bool, spec: QuadratureSpec) -> CheckResult:
         for n in ns), spec)
 
 
-def _grid_truths(deep: bool, spec: QuadratureSpec):
+def _grid_truths(deep: bool, precision: int):
     """(kind, z, truth, err) over every kind's grid arguments."""
     for kind in SeriesKind:
         for z in _grid_arguments(kind, deep):
-            yield (kind, z, *tail_truth(kind, z, spec.precision, spec))
+            yield (kind, z, *tail_truth(kind, z, precision))
 
 
 def _check_bracketing_grid(deep: bool, spec: QuadratureSpec) -> CheckResult:
     k_range = range(11) if deep else range(9)
     checks = 0
     failures = []
-    for kind, z, truth, err in _grid_truths(deep, spec):
+    for kind, z, truth, err in _grid_truths(deep, spec.precision):
         for k in k_range:
             env = series.envelope_interval(kind, z, k, spec.precision)
             with working(spec.precision):
@@ -202,7 +199,7 @@ def _check_sign_alternation(deep: bool, spec: QuadratureSpec) -> CheckResult:
     k_range = range(11) if deep else range(9)
     bad = []
     skipped = 0
-    for kind, z, truth, err in _grid_truths(deep, spec):
+    for kind, z, truth, err in _grid_truths(deep, spec.precision):
         for k in k_range:
             with working(spec.precision):
                 remainder = truth - series.partial_sum(kind, z, k, spec.precision)

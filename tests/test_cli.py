@@ -11,7 +11,7 @@ import pytest
 from mpmath import mp, mpf
 
 import envasym
-from envasym import cli, demo, verify
+from envasym import cli, coeffs, demo, verify
 from envasym.cli import run_cli
 from envasym.precision import MIN_PRECISION, PRECISION_ENV_VAR, decimal_digits
 from envasym.series import INDEX_CAP
@@ -64,6 +64,27 @@ class TestCoeffsCommand:
         assert err.count("\n") == 1 and "limit of 640" in err
         assert "Traceback" not in err
 
+    def test_stops_at_the_first_row_past_the_int_to_str_limit(self, capsys, monkeypatch):
+        # beta(223) is the first row with more than 640 digits
+        beta = coeffs.COEFFICIENT_FAMILIES["beta"]
+        seen = []
+
+        def counted(k):
+            seen.append(k)
+            return beta(k)
+
+        monkeypatch.setitem(coeffs.COEFFICIENT_FAMILIES, "beta", counted)
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            code, out, err = run(capsys, "coeffs", "--family", "beta", "--max-k", "600")
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert code == 2
+        assert not out
+        assert err.startswith("error: beta(223) has more decimal digits")
+        assert max(seen) == 223
+
     def test_unknown_family_is_usage_error(self, capsys):
         code, _, err = run(capsys, "coeffs", "--family", "gamma", "--max-k", "3")
         assert code == 1
@@ -87,6 +108,14 @@ class TestEvalCommand:
             assert mpf(result["lo"]) <= truth <= mpf(result["hi"])
         assert record["params"]["series"] == "central-binom"
         assert record["precision"] == 256
+
+    def test_negative_terms_is_usage_error(self, capsys):
+        code, out, err = run(
+            capsys, "eval", "--series", "binet", "--z", "3", "--terms", "-1"
+        )
+        assert code == 1
+        assert not out
+        assert err == "error: --terms must be >= 0\n"
 
     def test_unattainable_tolerance_exits_2_naming_best_bound(self, capsys):
         code, out, err = run(
@@ -228,11 +257,17 @@ class TestVerifyCommand:
         )
         assert "286 containment checks" in grid_detail
 
-    @pytest.mark.parametrize("deep", [False, True])
-    def test_passes_at_the_minimum_precision(self, deep):
-        # the coefficient check's 1e-25 is below the unit roundoff of a
-        # 64-bit result; it takes the quadrature's own floor there
-        results = verify.run_verification(deep=deep, precision=MIN_PRECISION)
+    # At 64 bits the coefficient check's 1e-25 is below the unit roundoff
+    # of the result; it takes the quadrature's own floor there.  At 80 and
+    # 82 bits (and 116 and 118 when deep) a quadrature truth for Binet's
+    # function once had an error estimate as large as the enclosure's
+    # rounding margin.
+    @pytest.mark.parametrize("deep, precision", [
+        (False, MIN_PRECISION), (True, MIN_PRECISION),
+        (False, 80), (False, 82), (True, 80), (True, 82), (True, 116), (True, 118),
+    ])
+    def test_passes_at_the_minimum_precision(self, deep, precision):
+        results = verify.run_verification(deep=deep, precision=precision)
         assert [(r.name, r.detail) for r in results if not r.passed] == []
 
 
