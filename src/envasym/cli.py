@@ -60,21 +60,6 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _default_precision(fallback: int = DEFAULT_PRECISION) -> int:
-    raw = os.environ.get(PRECISION_ENV_VAR)
-    if raw is None:
-        return fallback
-    try:
-        value = int(raw)
-    except ValueError:
-        raise _UsageError(
-            f"{PRECISION_ENV_VAR} must be an integer number of bits, got {raw!r}"
-        ) from None
-    if value < MIN_PRECISION:
-        raise _UsageError(f"{PRECISION_ENV_VAR} must be >= {MIN_PRECISION}")
-    return value
-
-
 @functools.cache
 def _build_parser() -> _Parser:
     """Built at the first call and shared by every later one, so nothing may
@@ -123,12 +108,24 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _resolve_precision(args, fallback: int = DEFAULT_PRECISION) -> int:
-    if args.precision is None:
-        return _default_precision(fallback)
-    if args.precision < MIN_PRECISION:
-        raise _UsageError(f"--precision must be >= {MIN_PRECISION}")
-    return args.precision
+def _resolve_precision(flag, fallback: int = DEFAULT_PRECISION) -> int:
+    """``--precision`` if given, else ``ENVASYM_PRECISION`` if set, else ``fallback``."""
+    if flag is not None:
+        if flag < MIN_PRECISION:
+            raise _UsageError(f"--precision must be >= {MIN_PRECISION}")
+        return flag
+    raw = os.environ.get(PRECISION_ENV_VAR)
+    if raw is None:
+        return fallback
+    try:
+        value = int(raw)
+    except ValueError:
+        raise _UsageError(
+            f"{PRECISION_ENV_VAR} must be an integer number of bits, got {raw!r}"
+        ) from None
+    if value < MIN_PRECISION:
+        raise _UsageError(f"{PRECISION_ENV_VAR} must be >= {MIN_PRECISION}")
+    return value
 
 
 def _parse_real(raw: str, precision: int, what: str):
@@ -189,7 +186,7 @@ def _cmd_coeffs(args) -> int:
         rows.append({"k": k, "numerator": f.numerator, "denominator": f.denominator,
                      "fraction": fraction})
     record = _record("coeffs", {"family": args.family, "max_k": args.max_k},
-                     _default_precision(), {"rows": rows})
+                     _resolve_precision(None), {"rows": rows})
     _emit(args.format, record, [{"family": args.family, **r} for r in rows],
           [f"{args.family}({r['k']}) = {r['fraction']}" for r in rows])
     return EXIT_OK
@@ -199,7 +196,7 @@ _EVALUATORS = {kind: getattr(series, kind.row.evaluation) for kind in SeriesKind
 
 
 def _cmd_eval(args) -> int:
-    precision = _resolve_precision(args)
+    precision = _resolve_precision(args.precision)
     kind = SeriesKind.from_name(args.series)
     z = _parse_argument(args.z, precision)
     tol = args.tol
@@ -236,7 +233,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_bound(args) -> int:
-    precision = _resolve_precision(args)
+    precision = _resolve_precision(args.precision)
     kind = SeriesKind.from_name(args.series)
     if args.terms < 0:
         raise _UsageError("--terms must be >= 0")
@@ -261,7 +258,7 @@ def _cmd_bound(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    precision = _resolve_precision(args, verify._precision(args.deep, None))
+    precision = _resolve_precision(args.precision, verify._precision(args.deep, None))
     results = verify.run_verification(deep=args.deep, precision=precision)
     passed = all(r.passed for r in results)
     checks = [{"name": r.name, "passed": r.passed, "detail": r.detail} for r in results]
@@ -292,7 +289,7 @@ def _demo_grid(x_from, x_to, steps: int, precision: int):
 
 
 def _cmd_demo(args) -> int:
-    precision = _resolve_precision(args)
+    precision = _resolve_precision(args.precision)
     if args.k_max < 1:
         raise _UsageError("--k-max must be >= 1")
     b = _parse_real(args.b, precision, "--b")

@@ -29,10 +29,8 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional
 
 from mpmath import mp, mpf
-from mpmath.libmp import MPZ, bitcount
 
 from ._expansions import WEIGHTS
 from .errors import QuadratureNonConvergence
@@ -121,37 +119,17 @@ _MAX_LEVELS = 20
 _TAIL_RUN = 2
 _TAIL_CAP = 10**7
 
-# A node value is stored as one int, (mantissa << 64) | (exponent + 2**63),
-# about a third of the memory of an mpf.  The exponent field is 64 bits
-# because tail weights reach exponents near -1.7e12.
-_EXP_BITS = 64
-_EXP_BIAS = 1 << (_EXP_BITS - 1)
-_EXP_MASK = (1 << _EXP_BITS) - 1
-
-
-def _pack(x: mpf) -> Optional[int]:
-    """x >= 0 as one int, or None when its exponent does not fit the field."""
-    _, man, exp, _ = x._mpf_
-    if not -_EXP_BIAS <= exp < _EXP_BIAS:
-        return None
-    return (int(man) << _EXP_BITS) | (exp + _EXP_BIAS)
-
-
-def _unpack(packed: int) -> mpf:
-    man = MPZ(packed >> _EXP_BITS)
-    return mp.make_mpf((0, man, (packed & _EXP_MASK) - _EXP_BIAS, bitcount(man)))
-
-
 _COLUMNS = {family: column for column, family in enumerate(ThetaFamily, start=1)}
 
 
 class _NodeTable:
     """The z-free node values of one working precision, keyed by the exact t.
 
-    A row holds the packed eta = exp(lam*sinh t), shared by the three
-    families, then one packed W(t) = weight(eta)*lam*cosh(t)*eta per family,
-    filled when first needed.  A family stores nothing during its first
-    quadrature at this precision, so a one-off call leaves nothing behind.
+    A row holds eta = exp(lam*sinh t), shared by the three families, then one
+    W(t) = weight(eta)*lam*cosh(t)*eta per family, filled when first needed,
+    all as the mpf values the quadrature computed.  A family stores nothing
+    during its first quadrature at this precision, so a one-off call leaves
+    nothing behind.
     Every stored value is a pure function of (t, precision, family), so a
     slot two quadratures fill at once holds the same number either way.
     """
@@ -183,8 +161,9 @@ def _de_quad_half_line(family: ThetaFamily, factor, spec: QuadratureSpec):
     singularities need no special casing.
 
     The node value at t is factor(eta) * W(t), where the z-free part
-    W(t) = weight(eta) * (pi/2) * cosh(t) * eta and eta itself come from the
-    precision's node table when an earlier quadrature stored them.
+    W(t) = weight(eta) * (pi/2) * cosh(t) * eta and eta itself are read from
+    the precision's node table when an earlier quadrature stored them, and
+    computed otherwise.
 
     Returns (value, error_estimate) at working precision.  Raises
     QuadratureNonConvergence if the level cap is hit first.
@@ -204,17 +183,15 @@ def _de_quad_half_line(family: ThetaFamily, factor, spec: QuadratureSpec):
             row = rows.get(t)
             if row is None:
                 eta = mp.exp(lam * mp.sinh(t))
-                packed = _pack(eta) if store else None
-                if packed is not None:
-                    row = rows.setdefault(t, [packed, None, None, None])
+                if store:
+                    row = rows.setdefault(t, [eta, None, None, None])
             else:
-                eta = _unpack(row[0])
-            packed = None if row is None else row[column]
-            if packed is not None:
-                return factor(eta) * _unpack(packed)
-            w = family.weight(eta) * lam * mp.cosh(t) * eta
-            if store and row is not None:
-                row[column] = _pack(w)
+                eta = row[0]
+            w = None if row is None else row[column]
+            if w is None:
+                w = family.weight(eta) * lam * mp.cosh(t) * eta
+                if store and row is not None:
+                    row[column] = w
             return factor(eta) * w
 
         def half_sums(h, start, step):

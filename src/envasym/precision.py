@@ -37,11 +37,14 @@ def working(precision: int):
 
 def positive_real(x, precision: int, what: str) -> mpf:
     """``x`` at ``working_bits(precision)``; :class:`DomainError` unless finite and > 0."""
-    with working(precision):
-        xx = mp.convert(x)
-    if not mp.isfinite(xx) or xx <= 0:
-        raise DomainError(f"{what} must be a finite real > 0, got {x!r}")
-    return xx
+    try:
+        with working(precision):
+            xx = mp.convert(x)
+        if mp.isfinite(xx) and xx > 0:
+            return xx
+    except (TypeError, ValueError, ArithmeticError):  # unparseable, complex, "1/0"
+        pass
+    raise DomainError(f"{what} must be a finite real > 0, got {x!r}")
 
 
 def round_to(x, precision: int) -> mpf:

@@ -58,6 +58,7 @@ from mpmath.libmp import (
     mpf_sub,
     round_ceiling,
     round_down,
+    round_floor,
     round_nearest,
 )
 
@@ -364,32 +365,34 @@ def min_term_index(kind: SeriesKind, z, precision: int = DEFAULT_PRECISION) -> i
     return k
 
 
-def _rounded_up(p: int, q: int, precision: int) -> mpf:
-    """p / q > 0 rounded up to a precision-bit float, with one integer division."""
-    # The quotient below has at least `precision` bits, so its ceiling is on
-    # a grid nested in the precision-bit one and rounding twice is exact.
+def _rounded(p: int, q: int, precision: int, rounding: str) -> mpf:
+    """p / q > 0 rounded by ``rounding`` (round_floor or round_ceiling) to a
+    precision-bit float, with one integer division; ``from_rational`` would
+    strip q's trailing zero bits, in time quadratic in their count."""
+    # The quotient below has at least `precision` bits, so its floor or
+    # ceiling is on a grid nested in the precision-bit one and rounding twice
+    # is exact.
     shift = precision + q.bit_length() - p.bit_length()
     num, den = (p << shift, q) if shift >= 0 else (p, q << -shift)
-    return mp.make_mpf(from_man_exp(-(-num // den), -shift, precision, round_ceiling))
+    quotient = num // den if rounding == round_floor else -(-num // den)
+    return mp.make_mpf(from_man_exp(quotient, -shift, precision, rounding))
 
 
-def _at_most(bound: mpf, tol, tol_real: mpf) -> bool:
-    """Whether a precision-bit ``bound`` is <= the exact value of ``tol``.
+def _tolerance(tol, precision: int) -> mpf:
+    """The exact value of ``tol`` rounded down to ``precision`` bits.
 
-    ``tol_real`` is ``tol`` rounded to nearest at precision + 32 bits, a grid
-    the bound lies on, so a bound other than ``tol_real`` is on the same side
-    of ``tol`` as of ``tol_real``.  Only a tie needs the exact rational value
-    of ``tol`` (of the decimal a string spells, not of its rounding).
+    The exact value is the decimal a string spells, or that of an mpf,
+    Fraction, int or float (other types, such as numpy floats, as mpmath
+    converts them).  A precision-bit bound is at most ``tol`` exactly when
+    it is at most this value, so the stop decisions compare against it.
     """
-    if bound != tol_real:
-        return bound < tol_real
-    if isinstance(tol, str):
-        exact = Fraction(tol.strip())
-    elif isinstance(tol, mpf):
-        exact = real_to_fraction(tol)
-    else:
+    try:
         exact = Fraction(tol)
-    return real_to_fraction(bound) <= exact
+    except (TypeError, ValueError, ArithmeticError):
+        exact = real_to_fraction(positive_real(tol, precision, "tolerance"))
+    if exact <= 0:
+        raise DomainError(f"tolerance must be a finite real > 0, got {tol!r}")
+    return _rounded(exact.numerator, exact.denominator, precision, round_floor)
 
 
 def auto_truncate(
@@ -399,12 +402,12 @@ def auto_truncate(
 
     Returns ``(k, bound)`` where ``bound`` is the slop-widened magnitude of
     the first omitted term, rounded up to ``precision`` bits; the decision
-    is made on that rounded number against the exact value of ``tol``, so
-    ``bound <= tol`` whenever the call succeeds.  Raises
-    :class:`ToleranceUnattainable`, carrying the best achievable bound
-    (rounded the same way), when the accuracy floor of the series at this
-    argument is above ``tol``, and :class:`DomainError` when the index that
-    decides either lies above ``INDEX_CAP``.
+    is made on that rounded number against the exact value of ``tol``
+    rounded down to ``precision`` bits, so ``bound <= tol`` whenever the
+    call succeeds.  Raises :class:`ToleranceUnattainable`, carrying the best
+    achievable bound (rounded the same way), when the accuracy floor of the
+    series at this argument is above ``tol``, and :class:`DomainError` when
+    the index that decides either lies above ``INDEX_CAP``.
 
     The index is the least k where the bound meets ``tol`` or the terms
     turn; it is found by exact checks near a float guess, with the same
@@ -412,7 +415,7 @@ def auto_truncate(
     index when ``tol`` is met first.
     """
     xf = _exact_argument(kind, z, precision)
-    tol_real = positive_real(tol, precision, "tolerance")
+    tol = _tolerance(tol, precision)
     x2 = xf.numerator**2, xf.denominator**2
     # The bound c(k) (1 + slop) / x^(2k+1), as one integer ratio.
     # x is dyadic, so its denominator's power is a shift.
@@ -422,23 +425,24 @@ def auto_truncate(
 
     def settled(k):
         c, power = kind.row.coefficient(k), 2 * k + 1
-        bounds[k] = _rounded_up(
+        bounds[k] = _rounded(
             (c.numerator * (slop.denominator + slop.numerator)) << (den_bits * power),
             c.denominator * slop.denominator * xf.numerator**power,
             precision,
+            round_ceiling,
         )
-        return _at_most(bounds[k], tol, tol_real) or _turns(kind.row, x2, k)
+        return bounds[k] <= tol or _turns(kind.row, x2, k)
 
-    k = _least(settled, _guess(kind, xf, _ln(real_to_fraction(tol_real))))
+    k = _least(settled, _guess(kind, xf, _ln(real_to_fraction(tol))))
     if k is None:
-        raise DomainError(f"tolerance {mp.nstr(tol_real, 8)} for {kind.value} at "
+        raise DomainError(f"tolerance {mp.nstr(tol, 8)} for {kind.value} at "
                           f"this argument needs a truncation index above the cap "
                           f"of {INDEX_CAP}")
     bound = bounds[k]
-    if _at_most(bound, tol, tol_real):
+    if bound <= tol:
         return k, bound
     raise ToleranceUnattainable(
-        f"tolerance {mp.nstr(tol_real, 8)} is below the accuracy floor of "
+        f"tolerance {mp.nstr(tol, 8)} is below the accuracy floor of "
         f"{kind.value} at this argument; best achievable bound is "
         f"{mp.nstr(bound, 8)} at k = {k}",
         best_bound=bound,
@@ -487,10 +491,10 @@ def _evaluate(kind: SeriesKind, z, tol, terms, precision: int) -> CertifiedValue
         tol = _DEFAULT_TOL
     k, _ = auto_truncate(kind, z, tol, precision)
     certified = _certified(kind, z, k, precision)
-    tol_real = positive_real(tol, precision, "tolerance")
-    if not _at_most(certified.error_bound, tol, tol_real):
+    tol = _tolerance(tol, precision)
+    if certified.error_bound > tol:
         raise ToleranceUnattainable(
-            f"tolerance {mp.nstr(tol_real, 8)} is below what {precision}-bit "
+            f"tolerance {mp.nstr(tol, 8)} is below what {precision}-bit "
             f"precision can certify for {kind.value} at this argument; achieved "
             f"bound is {mp.nstr(certified.error_bound, 8)} at k = {k}; "
             f"raise the precision",

@@ -7,7 +7,6 @@ from fractions import Fraction
 
 import pytest
 from mpmath import mp, mpf
-from mpmath.libmp import MPZ, bitcount
 
 from envasym import (
     DomainError,
@@ -360,21 +359,25 @@ class TestNodeTable:
         assert results == [[want, want] for want in serial]
         assert len(oracle._node_table(256).rows) == rows
 
-    def test_pack_round_trips_tail_exponents(self):
-        man = MPZ(3) ** 161  # odd, 256 bits
-        for exp in (-1_700_000_000_000, -(2**63), 2**63 - 1, 0):
-            x = mp.make_mpf((0, man, exp, bitcount(man)))
-            assert oracle._unpack(oracle._pack(x))._mpf_ == x._mpf_
-        for exp in (-(2**63) - 1, 2**63):
-            assert oracle._pack(mp.make_mpf((0, man, exp, bitcount(man)))) is None
-
-    def test_pack_round_trips_a_real_tail_weight(self):
-        # the transformed node at t = 3.5, reached at step h = 1/2
-        with mp.workprec(288):
-            eta = mp.exp(mp.pi / 2 * mp.sinh(3.5))
-            w = ThetaFamily.THETA.weight(eta) * mp.pi / 2 * mp.cosh(3.5) * eta
+    def test_a_deep_tail_node_is_stored_as_computed(self):
+        # the transformed node at t = 3.5, reached at step h = 1/2, where W's
+        # exponent is below -10**12
+        spec = QuadratureSpec(precision=256)
+        oracle._node_table.cache_clear()
+        _clear_value_caches()
+        binet_J(3, spec)  # nothing stored, then storing, then reading
+        binet_J(4, spec)
+        warm = _quadratures(ThetaFamily.THETA, 1, spec)
+        with mp.workprec(256 + 32):
+            lam = mp.pi / 2
+            eta = mp.exp(lam * mp.sinh(3.5))
+            w = ThetaFamily.THETA.weight(eta) * lam * mp.cosh(3.5) * eta
         assert w._mpf_[2] < -10**12
-        assert oracle._unpack(oracle._pack(w))._mpf_ == w._mpf_
+        row = oracle._node_table(256).rows[3.5]
+        column = oracle._COLUMNS[ThetaFamily.THETA]
+        assert (row[0]._mpf_, row[column]._mpf_) == (eta._mpf_, w._mpf_)
+        oracle._node_table.cache_clear()
+        assert warm == _quadratures(ThetaFamily.THETA, 1, spec)
 
 
 class TestDampedValueCache:

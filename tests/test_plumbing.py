@@ -97,6 +97,18 @@ class TestPositiveReal:
         with pytest.raises(DomainError, match=f"^{what} must be a finite real > 0, got "):
             call(raw)
 
+    @pytest.mark.parametrize("raw", ["abc", "1,5"])
+    @pytest.mark.parametrize("caller", [c for c in CALLERS if not c.startswith("demo")])
+    def test_library_callers_reject_an_unparseable_string(self, caller, raw):
+        what, call = self.CALLERS[caller]
+        with pytest.raises(DomainError, match=f"^{what} must be a finite real > 0, got "):
+            call(raw)
+
+    @pytest.mark.parametrize("caller", ["demo --x-from", "demo --x-to"])
+    def test_cli_callers_reject_an_unparseable_string_as_usage(self, caller):
+        with pytest.raises(cli._UsageError, match="must be a decimal number, got 'abc'"):
+            self.CALLERS[caller][1]("abc")
+
     def test_a_tiny_positive_value_is_accepted_exactly(self):
         x = positive_real("1e-400", 64, "x")
         with mp.workprec(96):

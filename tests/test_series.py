@@ -419,8 +419,7 @@ def scan_reference(kind, z, precision, tol=None):
     """
     xf = series._exact_argument(kind, z, precision)
     if tol is not None:
-        with mp.workprec(precision + 32):
-            tol_real = mp.convert(tol)
+        tol = real_to_fraction(tol) if isinstance(tol, mpf) else Fraction(tol)
     inflate = 1 + Fraction(1, 2 ** (precision - 32))
     xf2 = xf * xf
     power, bound, k = xf, None, 0
@@ -428,8 +427,9 @@ def scan_reference(kind, z, precision, tol=None):
     while True:
         if tol is not None:
             x = c * inflate / power
-            bound = series._rounded_up(x.numerator, x.denominator, precision)
-            if series._at_most(bound, tol, tol_real):
+            bound = series._rounded(x.numerator, x.denominator, precision,
+                                    round_ceiling)
+            if real_to_fraction(bound) <= tol:
                 return k, bound, True
         c_next = kind.row.coefficient(k + 1)
         if c_next >= c * xf2:
@@ -509,6 +509,60 @@ class TestSearchesMatchTheScan:
         expected = answers()
         monkeypatch.setattr(series, "_guess", lambda *args: guess)
         assert answers() == expected
+
+
+def assert_floor(got, exact: Fraction, precision: int):
+    """got is the largest precision-bit float at most exact."""
+    _, _, exp, bc = got._mpf_
+    assert bc <= precision
+    got_f = real_to_fraction(got)
+    assert got_f <= exact < got_f + Fraction(2) ** (exp + bc - precision)
+
+
+class TestTolerance:
+    """``series._tolerance``: the exact value of tol, rounded down once."""
+
+    @pytest.mark.parametrize("precision", [64, 128])
+    def test_decimals_either_side_of_a_grid_value(self, precision):
+        # the grid values here are near 1e-12, where 2^-200 is below one unit
+        for z in ("7.3", "20.3", 64):
+            _, v = auto_truncate(SeriesKind.BINET_J, z, "1e-12", precision)
+            exact = real_to_fraction(v)
+            above, below = exact + Fraction(1, 2**200), exact - Fraction(1, 2**200)
+            n = exact.denominator.bit_length() - 1
+            for tol in (f"{exact.numerator * 5**n}e-{n}", decimal_below(above),
+                        str(above.numerator) + "/" + str(above.denominator)):
+                assert series._tolerance(tol, precision) == v, tol
+            for tol in (decimal_below(below), decimal_below(below, 30)):
+                got = series._tolerance(tol, precision)
+                assert got < v
+                assert_floor(got, Fraction(tol), precision)
+
+    @pytest.mark.parametrize("precision", [64, 256])
+    def test_an_mpf_with_more_bits_is_rounded_down(self, precision):
+        with mp.workprec(precision + 200):
+            x = mp.pi / 10**9
+        got = series._tolerance(x, precision)
+        assert_floor(got, real_to_fraction(x), precision)
+        assert got < x
+        assert series._tolerance(got, precision) == got
+
+    @pytest.mark.parametrize("precision", [64, 256])
+    def test_fractions_floats_ints_and_far_decimals(self, precision):
+        for tol in (Fraction(1, 3), Fraction(10**40 + 1, 10**80), 0.1, 1e-300,
+                    3, 10**30, 7**100, "3e-100000", "7e+100000"):
+            assert_floor(series._tolerance(tol, precision), Fraction(tol), precision)
+        assert series._tolerance(0.1, precision) == mpf(0.1)
+        # a string only mpmath reads is taken as mpmath reads it
+        assert series._tolerance("1 / 3", precision) == series._tolerance(
+            Fraction(1, 3), precision)
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "0", "-1", "abc",
+                                     float("nan"), float("inf"), -float("inf"),
+                                     0, -1, mpf("nan"), mpf("-inf"), None], ids=repr)
+    def test_rejects_what_is_not_a_positive_real(self, tol):
+        with pytest.raises(DomainError, match="^tolerance must be a finite real > 0, got "):
+            series._tolerance(tol, 64)
 
 
 class TestLeast:
