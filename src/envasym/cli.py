@@ -137,11 +137,13 @@ def _parse_real(raw: str, precision: int, what: str):
 
 
 def _parse_argument(raw: str, precision: int):
-    """Series argument: an int when the literal is one, so integer kinds accept it."""
+    """Series argument: an int when the literal is one, so integer kinds accept
+    it, else the checked literal, so the library reads the number it spells."""
     try:
         return int(raw)
     except ValueError:
-        return _parse_real(raw, precision, "--z")
+        _parse_real(raw, precision, "--z")
+        return raw
 
 
 def _record(command: str, params: dict, precision: int, result) -> dict:

@@ -25,10 +25,12 @@ in :mod:`envasym._expansions`, public as ``kind.row``: for instance
 add the elementary prefix and return a :class:`CertifiedValue` for the full
 function.
 
-``min_term_index`` and ``auto_truncate`` decide their index by exact rational
-checks at a boundary estimated in floats: the estimate sets only where the
-checks are made, so the index is the one a scan from k = 0 would give.
-Indices above ``INDEX_CAP`` are rejected with :class:`DomainError`.
+``min_term_index`` and ``auto_truncate`` decide on z and ``tol`` as the
+numbers they spell (see ``_exact``): exact rational checks walk from a float
+estimate of the index, so the index is the one a scan from k = 0 would give,
+and it does not depend on the precision.  Indices above ``INDEX_CAP``, and
+decimal strings whose exponent lies outside ``+-EXPONENT_LIMIT``, are
+rejected with :class:`DomainError`.
 
 Rigor contract: the mathematical bounds are exact in exact arithmetic;
 computed endpoints and bounds are widened outward by a relative
@@ -48,7 +50,6 @@ from fractions import Fraction
 from mpmath import mp, mpf
 from mpmath.libmp import (
     from_man_exp,
-    from_rational,
     fzero,
     mpf_add,
     mpf_div,
@@ -57,7 +58,6 @@ from mpmath.libmp import (
     mpf_pow_int,
     mpf_sub,
     round_ceiling,
-    round_down,
     round_floor,
     round_nearest,
 )
@@ -99,6 +99,10 @@ _DEFAULT_TOL = "1e-12"
 #: exact search passes it.  Building the coefficients up to the cap takes one
 #: to two seconds; explicit ``terms=`` are not capped.
 INDEX_CAP = 1000
+
+#: Largest decimal exponent of a string the searches read exactly; beyond it,
+#: building 10**|e| takes seconds to minutes.  ``terms=`` has no such limit.
+EXPONENT_LIMIT = 100_000
 
 
 class SeriesKind(enum.Enum):
@@ -187,15 +191,12 @@ def term(kind: SeriesKind, j: int, z, precision: int = DEFAULT_PRECISION) -> mpf
 
 @functools.lru_cache(maxsize=8192)
 def _rounded_coefficient(family: str, j: int, prec: int) -> tuple:
-    """c(j) of one coefficient family as a raw mpf of ``prec`` bits.
-
-    Rounded toward zero, as ``mp.convert`` rounds a Fraction, so the sums
-    below have the bits they had when every term converted its coefficient.
-    The Fraction is already reduced, so no gcd is taken.  An entry takes
-    about 0.4 KB up to 544 bits, so a full table takes about 3 MB.
-    """
+    """c(j) of one coefficient family as a raw mpf of ``prec`` bits, rounded
+    down (toward zero, as ``mp.convert`` rounds a Fraction, so the sums have
+    the bits they had when every term converted its coefficient).  An entry
+    takes about 0.4 KB up to 544 bits, so a full table takes about 3 MB."""
     c = coeffs.COEFFICIENT_FAMILIES[family](j)
-    return from_rational(c.numerator, c.denominator, prec, round_down)
+    return _rounded(c.numerator, c.denominator, prec, round_floor)._mpf_
 
 
 def _signed_term(row: Expansion, j: int, zz: mpf, prec: int) -> mpf:
@@ -257,8 +258,31 @@ def envelope_interval(
         )
 
 
+def _exact(x, precision: int, what: str) -> Fraction:
+    """The exact value of x, which must be a finite real > 0: the decimal a
+    string spells (its exponent within +-EXPONENT_LIMIT), or the value of an
+    int, Fraction, float or mpf.  Other types, and strings only mpmath reads,
+    count as mpmath converts them at ``precision``."""
+    if isinstance(x, str):
+        digits = x.lower().partition("e")[2].strip().lstrip("+-").replace("_", "").lstrip("0")
+        if digits.isdecimal() and (len(digits) > 6 or int(digits) > EXPONENT_LIMIT):
+            raise DomainError(f"the decimal exponent of the {what} must lie between "
+                              f"-{EXPONENT_LIMIT} and {EXPONENT_LIMIT}, got {x!r}")
+    try:
+        exact = Fraction(x)
+    except (TypeError, ValueError, ArithmeticError):
+        exact = real_to_fraction(positive_real(x, precision, what))
+    if exact <= 0:
+        raise DomainError(f"{what} must be a finite real > 0, got {x!r}")
+    return exact
+
+
 def _exact_argument(kind: SeriesKind, z, precision: int) -> Fraction:
-    return real_to_fraction(_checked_argument(kind, z, precision))
+    """The exact value of z, shifted by 1/2 where the kind wants it."""
+    if precision < MIN_PRECISION:
+        raise ValueError(f"precision must be >= {MIN_PRECISION}")
+    xf = _exact(z, precision, "series argument")
+    return xf + Fraction(1, 2) if kind.row.half_shift else xf
 
 
 # The searches below rest on one lemma: c(k+1)/c(k) is strictly increasing in
@@ -276,47 +300,30 @@ def _exact_argument(kind: SeriesKind, z, precision: int) -> Fraction:
 # c(k+1) >= c(k) x^2 is false below the minimum-term index k* and true from
 # it on.  Below k* the terms fall strictly, so the rounded-up bounds never
 # rise, and the truncation test "bound <= tol or the terms turn" is also
-# false and then true.  The first k of either is found exactly by probing
-# near a float guess and bisecting.
+# false and then true.  The first k of either is found exactly by walking
+# from a float guess, which on measured traffic is the answer or one below.
 
 
 def _least(holds, guess: int) -> int | None:
     """Least k in [0, INDEX_CAP] at which the monotone predicate ``holds`` is true.
 
-    Gallops outward from ``guess`` in doubling steps until it brackets the
-    answer, then bisects, so the result does not depend on the guess, and no
-    probe lies past both the guess and the answer by more than their distance.
-    None when the guess, or the answer, lies above ``INDEX_CAP``.
+    Walks from ``guess`` one index at a time, down while ``holds`` is true
+    below, else up until it is true: at most |answer - guess| + 2 probes, none
+    above both or more than one below both.  None when the guess, or the
+    answer, lies above ``INDEX_CAP``.
     """
     if guess > INDEX_CAP:
         return None
-    step = 1
-    if holds(guess):
-        hi = guess  # holds(hi); the loop finds lo < hi with not holds(lo)
-        while True:
-            lo = hi - step
-            if lo < 0:
-                lo = -1
-                break
-            if not holds(lo):
-                break
-            hi, step = lo, 2 * step
-    else:
-        lo = guess  # not holds(lo); the loop finds hi > lo with holds(hi)
-        while True:
-            if lo == INDEX_CAP:
-                return None
-            hi = min(lo + step, INDEX_CAP)
-            if holds(hi):
-                break
-            lo, step = hi, 2 * step
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if holds(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    k = guess
+    if holds(k):
+        while k > 0 and holds(k - 1):
+            k -= 1
+        return k
+    while k < INDEX_CAP:
+        k += 1
+        if holds(k):
+            return k
+    return None
 
 
 def _ln(x: Fraction) -> float:
@@ -340,25 +347,27 @@ def _guess(kind: SeriesKind, xf: Fraction, ln_tol: float | None = None) -> int:
     return bisect.bisect_left(range(INDEX_CAP + 1), True, key=holds)
 
 
-def _turns(row: Expansion, x2: tuple[int, int], k: int) -> bool:
+def _turns(row: Expansion, xf: Fraction, k: int) -> bool:
     """The one minimum-term test |t(k+1)| >= |t(k)|, i.e. c(k+1) >= c(k) x^2.
 
-    Decided exactly, with x^2 = x2[0] / x2[1] (squared once per search), as
-    one comparison of cross-multiplied integers (denominators are positive),
-    so ties resolve deterministically to the earlier index.
+    Decided exactly, as one comparison of cross-multiplied integers
+    (denominators are positive), so ties resolve to the earlier index.
     """
     c0, c1 = row.coefficient(k), row.coefficient(k + 1)
-    return c1.numerator * c0.denominator * x2[1] >= c0.numerator * c1.denominator * x2[0]
+    return (c1.numerator * c0.denominator * xf.denominator**2
+            >= c0.numerator * c1.denominator * xf.numerator**2)
 
 
 def min_term_index(kind: SeriesKind, z, precision: int = DEFAULT_PRECISION) -> int:
     """First index where term magnitudes stop strictly decreasing.
 
-    Raises :class:`DomainError` when it lies above ``INDEX_CAP``.
+    Decided at z as the number it spells (see ``_exact``), so the index does
+    not depend on ``precision``.  Raises :class:`DomainError` when it lies
+    above ``INDEX_CAP``, or when z is a decimal string whose exponent lies
+    outside ``+-EXPONENT_LIMIT``.
     """
     xf = _exact_argument(kind, z, precision)
-    x2 = xf.numerator**2, xf.denominator**2
-    k = _least(lambda k: _turns(kind.row, x2, k), _guess(kind, xf))
+    k = _least(lambda k: _turns(kind.row, xf, k), _guess(kind, xf))
     if k is None:
         raise DomainError(f"the minimum-term index of {kind.value} at this "
                           f"argument is above the cap of {INDEX_CAP}")
@@ -379,19 +388,10 @@ def _rounded(p: int, q: int, precision: int, rounding: str) -> mpf:
 
 
 def _tolerance(tol, precision: int) -> mpf:
-    """The exact value of ``tol`` rounded down to ``precision`` bits.
-
-    The exact value is the decimal a string spells, or that of an mpf,
-    Fraction, int or float (other types, such as numpy floats, as mpmath
-    converts them).  A precision-bit bound is at most ``tol`` exactly when
-    it is at most this value, so the stop decisions compare against it.
-    """
-    try:
-        exact = Fraction(tol)
-    except (TypeError, ValueError, ArithmeticError):
-        exact = real_to_fraction(positive_real(tol, precision, "tolerance"))
-    if exact <= 0:
-        raise DomainError(f"tolerance must be a finite real > 0, got {tol!r}")
+    """The exact value of ``tol`` (see ``_exact``) rounded down to ``precision``
+    bits.  A precision-bit bound is at most ``tol`` exactly when it is at
+    most this value, so the stop decisions compare against it."""
+    exact = _exact(tol, precision, "tolerance")
     return _rounded(exact.numerator, exact.denominator, precision, round_floor)
 
 
@@ -401,37 +401,34 @@ def auto_truncate(
     """Smallest k (at or below the minimum-term index) with |term(k)| <= tol.
 
     Returns ``(k, bound)`` where ``bound`` is the slop-widened magnitude of
-    the first omitted term, rounded up to ``precision`` bits; the decision
+    the first omitted term at z as the number it spells (see ``_exact``),
+    rounded up to ``precision`` bits; the decision
     is made on that rounded number against the exact value of ``tol``
     rounded down to ``precision`` bits, so ``bound <= tol`` whenever the
     call succeeds.  Raises :class:`ToleranceUnattainable`, carrying the best
     achievable bound (rounded the same way), when the accuracy floor of the
     series at this argument is above ``tol``, and :class:`DomainError` when
-    the index that decides either lies above ``INDEX_CAP``.
+    the index that decides either lies above ``INDEX_CAP`` or when z or
+    ``tol`` is a decimal string whose exponent lies outside
+    ``+-EXPONENT_LIMIT``.
 
     The index is the least k where the bound meets ``tol`` or the terms
-    turn; it is found by exact checks near a float guess, with the same
-    result as a scan from k = 0, and without computing the minimum-term
+    turn; it is found by exact checks walking from a float guess, with the
+    same result as a scan from k = 0, and without computing the minimum-term
     index when ``tol`` is met first.
     """
     xf = _exact_argument(kind, z, precision)
     tol = _tolerance(tol, precision)
-    x2 = xf.numerator**2, xf.denominator**2
     # The bound c(k) (1 + slop) / x^(2k+1), as one integer ratio.
-    # x is dyadic, so its denominator's power is a shift.
     slop = real_to_fraction(relative_slop(precision))
-    den_bits = xf.denominator.bit_length() - 1
     bounds = {}
 
     def settled(k):
         c, power = kind.row.coefficient(k), 2 * k + 1
         bounds[k] = _rounded(
-            (c.numerator * (slop.denominator + slop.numerator)) << (den_bits * power),
-            c.denominator * slop.denominator * xf.numerator**power,
-            precision,
-            round_ceiling,
-        )
-        return bounds[k] <= tol or _turns(kind.row, x2, k)
+            c.numerator * (slop.denominator + slop.numerator) * xf.denominator**power,
+            c.denominator * slop.denominator * xf.numerator**power, precision, round_ceiling)
+        return bounds[k] <= tol or _turns(kind.row, xf, k)
 
     k = _least(settled, _guess(kind, xf, _ln(real_to_fraction(tol))))
     if k is None:

@@ -138,6 +138,26 @@ class TestEvalCommand:
         assert not out
         assert f"cap of {INDEX_CAP}" in err
 
+    def test_decides_on_the_argument_as_typed(self, capsys):
+        # sqrt(beta(6)/beta(5)) - 1e-35: the terms turn at k = 5, but the
+        # 96-bit rounding of this decimal lies past the turn, where k = 6.
+        code, out, err = run(
+            capsys, "eval", "--series", "binet",
+            "--z", "1.828382122721058102987729815173610049198637433",
+            "--tol", "1e-30", "--precision", "64",
+        )
+        assert code == 2
+        assert not out
+        assert "at k = 5" in err
+
+    @pytest.mark.parametrize("z, tol", [("20.5", "1e-100001"), ("1e100001", "1e-5")])
+    def test_decimal_exponent_out_of_range_exits_2(self, capsys, z, tol):
+        code, out, err = run(capsys, "eval", "--series", "binet", "--z", z, "--tol", tol)
+        assert code == 2
+        assert not out
+        assert err.count("\n") == 1
+        assert "between -100000 and 100000" in err
+
     def test_terms_and_tol_conflict_is_usage_error(self, capsys):
         code, _, err = run(
             capsys, "eval", "--series", "binet", "--z", "5",
@@ -151,6 +171,11 @@ class TestEvalCommand:
         )
         assert code == 2
         assert "integer" in err
+
+    def test_integer_series_error_echoes_the_argument_as_typed(self, capsys):
+        code, _, err = run(capsys, "eval", "--series", "central-binom", "--z", "1e3")
+        assert code == 2
+        assert err == "error: n must be a positive integer, got '1e3'\n"
 
     def test_nonpositive_argument_exits_2(self, capsys):
         code, _, _ = run(capsys, "eval", "--series", "binet", "--z", "-3")

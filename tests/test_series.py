@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from decimal import ROUND_FLOOR, Decimal, localcontext
 from fractions import Fraction
 
@@ -308,6 +309,12 @@ class TestMinTermIndex:
     def test_matches_scan_oracle(self, kind, z):
         assert min_term_index(kind, z) == scan_min_term_index(kind, z)
 
+    @pytest.mark.parametrize("z", ["nan", "inf", "0", "-1", "abc", float("inf"), 0, -1,
+                                   mpf("nan"), mpf("-inf"), None], ids=repr)
+    def test_rejects_what_is_not_a_positive_real(self, z):
+        with pytest.raises(DomainError, match="^series argument must be a finite real > 0"):
+            min_term_index(SeriesKind.BINET_J, z)
+
     def test_term_magnitudes_pivot_at_index(self):
         kind = SeriesKind.BINET_J
         k_star = min_term_index(kind, 2)
@@ -413,11 +420,12 @@ class TestAutoTruncate:
 def scan_reference(kind, z, precision, tol=None):
     """The linear scan the searches replaced: k = 0, 1, ... in exact rationals.
 
-    Stops at the first k whose rounded-up bound meets ``tol`` (when given),
-    else where the terms turn, c(k+1) >= c(k) x^2.  Returns (k, bound, met);
-    bound is None without ``tol``.
+    Decides on ``Fraction(z)``, the number z spells, and stops at the first k
+    whose rounded-up bound meets ``tol`` (when given), else where the terms
+    turn, c(k+1) >= c(k) x^2.  Returns (k, bound, met); bound is None without
+    ``tol``.
     """
-    xf = series._exact_argument(kind, z, precision)
+    xf = Fraction(z) + (Fraction(1, 2) if kind is SeriesKind.DE_MOIVRE else 0)
     if tol is not None:
         tol = real_to_fraction(tol) if isinstance(tol, mpf) else Fraction(tol)
     inflate = 1 + Fraction(1, 2 ** (precision - 32))
@@ -511,6 +519,79 @@ class TestSearchesMatchTheScan:
         assert answers() == expected
 
 
+def near_turn(kind, k: int, offset: str) -> str:
+    """The argument where |t(k+1)| = |t(k)|, sqrt(c(k+1)/c(k)) (less 1/2 for
+    de Moivre), plus ``offset``, as a decimal with 45 places."""
+    r = FAMILY[kind](k + 1) / FAMILY[kind](k)
+    with localcontext() as ctx:
+        ctx.prec = 100
+        x = (Decimal(r.numerator) / Decimal(r.denominator)).sqrt() + Decimal(offset)
+        if kind is SeriesKind.DE_MOIVRE:
+            x -= Decimal("0.5")
+        return str(x.quantize(Decimal("1e-45")))
+
+
+class TestSearchesDecideOnTheDecimalAsWritten:
+    """A decimal within 2^-(P+32) of a turn: its P+32-bit rounding may lie on
+    the other side, but the index is that of the number it spells."""
+
+    BOUNDARY = near_turn(SeriesKind.BINET_J, 5, "-1e-35")
+
+    @pytest.mark.parametrize("precision", [64, 256, 1024])
+    def test_min_term_index_at_the_boundary_decimal(self, precision):
+        assert self.BOUNDARY == "1.828382122721058102987729815173610049198637433"
+        expected = scan_min_term_index(SeriesKind.BINET_J, Fraction(self.BOUNDARY))
+        assert expected == 5
+        assert min_term_index(SeriesKind.BINET_J, self.BOUNDARY, precision) == 5
+
+    def test_auto_truncate_at_the_boundary_decimal(self):
+        with pytest.raises(ToleranceUnattainable) as info:
+            auto_truncate(SeriesKind.BINET_J, self.BOUNDARY, "1e-30", 64)
+        assert info.value.k_best == 5
+
+    @pytest.mark.parametrize("precision", [64, 256, 1024])
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_grid_of_decimals_either_side_of_a_turn(self, kind, precision):
+        for k in (1, 3, 5, 8):
+            for offset, expected in (("-1e-35", k), ("1e-35", k + 1)):
+                z = near_turn(kind, k, offset)
+                assert scan_min_term_index(kind, Fraction(z)) == expected, z
+                assert min_term_index(kind, z, precision) == expected, z
+                for tol in ("1e-3", "1e-30"):
+                    assert search_result(kind, z, precision, tol) == scan_reference(
+                        kind, z, precision, tol), (z, tol)
+
+
+class TestExponentRange:
+    """Strings the searches read exactly have decimal exponents within
+    +-EXPONENT_LIMIT; beyond it they are rejected before 10^|e| is built."""
+
+    LIMIT = 100_000
+
+    @pytest.mark.parametrize("call", [
+        lambda: series._tolerance("1e-100001", 64),
+        lambda: ln_gamma("1e100001"),
+        lambda: min_term_index(SeriesKind.BINET_J, "1e-100001"),
+        lambda: auto_truncate(SeriesKind.BINET_J, "20.5", "2.5E-1_000_000"),
+        lambda: auto_truncate(SeriesKind.BINET_J, "20.5", " 1e-" + "9" * 5000 + " "),
+    ], ids=["tolerance", "ln_gamma", "min_term_index", "underscores", "5000-digit"])
+    def test_rejected_at_once_naming_the_range(self, call):
+        start = time.perf_counter()
+        with pytest.raises(DomainError, match=f"between -{self.LIMIT} and {self.LIMIT}"):
+            call()
+        assert time.perf_counter() - start < 0.1
+
+    def test_the_limit_itself_is_read_exactly(self):
+        assert series.EXPONENT_LIMIT == self.LIMIT
+        assert series._exact("25e-100000", 64, "x") == Fraction(25, 10**100000)
+        assert series._exact("1e+0100000", 64, "x") == 10**100000
+        assert min_term_index(SeriesKind.BINET_J, "1e-100000") == 0
+
+    def test_explicit_terms_take_any_exponent(self):
+        assert term(SeriesKind.BINET_J, 0, "1e100001") > 0
+        assert ln_gamma("1e-100001", terms=0, precision=64).value > 0
+
+
 def assert_floor(got, exact: Fraction, precision: int):
     """got is the largest precision-bit float at most exact."""
     _, _, exp, bc = got._mpf_
@@ -567,7 +648,7 @@ class TestTolerance:
 
 class TestLeast:
     @pytest.mark.parametrize("answer", [0, 1, 2, 17, 400, INDEX_CAP])
-    def test_gallop_stays_near_guess_and_answer(self, answer):
+    def test_walk_stays_near_guess_and_answer(self, answer):
         for guess in sorted({0, 1, answer // 2, max(0, answer - 1), answer,
                              min(INDEX_CAP, answer + 3), INDEX_CAP}):
             probes = []
@@ -578,11 +659,28 @@ class TestLeast:
 
             assert series._least(holds, guess) == answer
             assert max(probes) <= max(guess, 2 * answer - guess)
-            assert len(probes) <= 2 * INDEX_CAP.bit_length() + 2
+            assert len(probes) <= abs(answer - guess) + 2
+            assert min(probes) >= min(guess, answer) - 1
 
     def test_answer_above_the_cap(self):
         assert series._least(lambda k: False, 3) is None
         assert series._least(lambda k: True, INDEX_CAP + 1) is None
+
+    @pytest.mark.parametrize("precision", [64, 256, 1024])
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_the_float_guess_is_the_answer_or_one_below(self, kind, precision):
+        arguments = ([1, 3, 10, 41, 300] if kind.row.integer_argument
+                     else ["0.05", "0.7", "1", "3.1", "17.5", "49.9", "123.4", "316"])
+        for z in arguments:
+            xf = series._exact_argument(kind, z, precision)
+            for tol in [None, "1", "1e-3", "1e-12", "1e-40", "1e-120", "1e-900"]:
+                if tol is None:
+                    answer, guess = min_term_index(kind, z, precision), series._guess(kind, xf)
+                else:
+                    answer = search_result(kind, z, precision, tol)[0]
+                    ln_tol = series._ln(real_to_fraction(series._tolerance(tol, precision)))
+                    guess = series._guess(kind, xf, ln_tol)
+                assert answer - guess in (0, 1), (z, tol)
 
 
 class TestIndexCap:
