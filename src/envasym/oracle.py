@@ -31,16 +31,32 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from mpmath import mp, mpf
+from mpmath.libmp import (
+    from_float,
+    fzero,
+    mpf_abs,
+    mpf_add,
+    mpf_cosh_sinh,
+    mpf_div,
+    mpf_exp,
+    mpf_le,
+    mpf_mul,
+    mpf_pi,
+    mpf_pow_int,
+    mpf_shift,
+    mpf_sub,
+    round_nearest,
+)
 
 from ._expansions import WEIGHTS
 from .errors import QuadratureNonConvergence
 from .precision import (
     DEFAULT_PRECISION,
-    GUARD_BITS,
     MIN_PRECISION,
     positive_real,
     round_to,
     working,
+    working_bits,
 )
 
 __all__ = [
@@ -127,9 +143,9 @@ class _NodeTable:
 
     A row holds eta = exp(lam*sinh t), shared by the three families, then one
     W(t) = weight(eta)*lam*cosh(t)*eta per family, filled when first needed,
-    all as the mpf values the quadrature computed.  A family stores nothing
-    during its first quadrature at this precision, so a one-off call leaves
-    nothing behind.
+    all as the raw libmp tuples (``mpf._mpf_``) the quadrature computed.  A
+    family stores nothing during its first quadrature at this precision, so
+    a one-off call leaves nothing behind.
     Every stored value is a pure function of (t, precision, family), so a
     slot two quadratures fill at once holds the same number either way.
     """
@@ -144,6 +160,18 @@ class _NodeTable:
         return next(self._quadratures[family]) > 0
 
 
+def _negligible(term, total, wp: int) -> bool:
+    """|term| <= 2**-wp * |total| for nonzero raw mpf tuples.
+
+    Decided from the magnitudes (exponent plus bit count) unless they lie
+    exactly wp binades apart; only then are the values compared.
+    """
+    gap = (total[2] + total[3]) - (term[2] + term[3])
+    if gap != wp:
+        return gap > wp
+    return mpf_le(mpf_abs(term), mpf_shift(mpf_abs(total), -wp))
+
+
 @lru_cache(maxsize=4)
 def _node_table(precision: int) -> _NodeTable:
     return _NodeTable()
@@ -156,88 +184,100 @@ def _de_quad_half_line(family: ThetaFamily, factor, spec: QuadratureSpec):
     t with dyadic step refinement, reusing previous levels.  Refinement stops
     when two successive levels agree to the spec's relative tolerance; the
     returned error is that last inter-level difference.  The infinite tails
-    are truncated where the transformed integrand falls below 2**-(P+32) of
-    the running sum; eta = 0 is never sampled, so integrable endpoint
-    singularities need no special casing.
+    are truncated where the transformed integrand falls to 2**-(P+32) of the
+    running sum, however small the sum; eta = 0 is never sampled, so
+    integrable endpoint singularities need no special casing.
 
     The node value at t is factor(eta) * W(t), where the z-free part
     W(t) = weight(eta) * (pi/2) * cosh(t) * eta and eta itself are read from
     the precision's node table when an earlier quadrature stored them, and
-    computed otherwise.
+    computed otherwise.  ``factor`` maps a raw libmp eta to a raw value at
+    ``working_bits(P)``.  Every operation is a libmp call at that precision,
+    rounding to nearest, so the loop reads no ``mp.prec``; only a cold W's
+    weight runs in mpmath's context.
 
-    Returns (value, error_estimate) at working precision.  Raises
+    Returns (value, error_estimate) as mpf at working precision.  Raises
     QuadratureNonConvergence if the level cap is hit first.
     """
     prec = spec.precision
+    wp = working_bits(prec)
     table = _node_table(prec)
     rows = table.rows
     column = _COLUMNS[family]
     store = table.storing(family)
-    with working(prec):
-        lam = mp.pi / 2
-        tail_eps = mpf(2) ** (-(prec + GUARD_BITS))
-        target = spec.effective_tol()
+    lam = mpf_shift(mpf_pi(wp, round_nearest), -1)
+    target = spec.effective_tol()._mpf_
 
-        def g(t: float):
-            # t is dyadic, so the float key and mpmath's conversion are exact
-            row = rows.get(t)
-            if row is None:
-                eta = mp.exp(lam * mp.sinh(t))
-                if store:
-                    row = rows.setdefault(t, [eta, None, None, None])
-            else:
-                eta = row[0]
-            w = None if row is None else row[column]
-            if w is None:
-                w = family.weight(eta) * lam * mp.cosh(t) * eta
-                if store and row is not None:
-                    row[column] = w
-            return factor(eta) * w
+    def g(t: float):
+        # t is dyadic, so the float key and its conversion are exact
+        row = rows.get(t)
+        if row is not None and row[column] is not None:
+            return mpf_mul(factor(row[0]), row[column], wp, round_nearest)
+        cosh, sinh = mpf_cosh_sinh(from_float(t), wp, round_nearest)
+        if row is None:
+            eta = mpf_exp(mpf_mul(lam, sinh, wp, round_nearest), wp, round_nearest)
+            if store:
+                row = rows.setdefault(t, [eta, None, None, None])
+        else:
+            eta = row[0]
+        with working(prec):
+            w = family.weight(mp.make_mpf(eta))._mpf_
+        for x in (lam, cosh, eta):
+            w = mpf_mul(w, x, wp, round_nearest)
+        if store and row is not None:
+            row[column] = w
+        return mpf_mul(factor(eta), w, wp, round_nearest)
 
-        def half_sums(h, start, step):
-            # sum of g(j*h) over j = start, start+step, ... on both sides of 0
-            total = mpf(0)
-            for sgn in (1, -1):
-                j = start
-                run = 0
-                while True:
-                    term = g(sgn * j * h)
-                    total += term
-                    if abs(term) <= tail_eps * (abs(total) + tail_eps):
-                        run += 1
-                        if run >= _TAIL_RUN:
-                            break
-                    else:
-                        run = 0
-                    j += step
-                    if j > _TAIL_CAP:
-                        raise QuadratureNonConvergence(
-                            "tail truncation cap exceeded", value=total
-                        )
-            return total
+    def half_sums(h, start, step):
+        # sum of g(j*h) over j = start, start+step, ... on both sides of 0
+        total = fzero
+        for sgn in (1, -1):
+            j = start
+            run = 0
+            while True:
+                term = g(sgn * j * h)
+                total = mpf_add(total, term, wp, round_nearest)
+                if _negligible(term, total, wp):
+                    run += 1
+                    if run >= _TAIL_RUN:
+                        break
+                else:
+                    run = 0
+                j += step
+                if j > _TAIL_CAP:
+                    raise QuadratureNonConvergence(
+                        "tail truncation cap exceeded", value=mp.make_mpf(total)
+                    )
+        return total
 
-        h = 1.0
-        estimate = h * (g(0.0) + half_sums(h, 1, 1))
-        previous = None
-        for _ in range(1, _MAX_LEVELS + 1):
-            h = h / 2
-            estimate = estimate / 2 + h * half_sums(h, 1, 2)
-            if previous is not None:
-                err = abs(estimate - previous)
-                if err <= target * abs(estimate):
-                    return estimate, err
-            previous = estimate
-        raise QuadratureNonConvergence(
-            f"no convergence within {_MAX_LEVELS} refinement levels",
-            value=estimate,
-            error=abs(estimate - previous) if previous is not None else None,
-        )
+    h = 1.0
+    estimate = mpf_add(g(0.0), half_sums(h, 1, 1), wp, round_nearest)
+    previous = None
+    for level in range(1, _MAX_LEVELS + 1):
+        h = h / 2
+        # estimate/2 + h * (sum over the new nodes), with h = 2**-level
+        estimate = mpf_add(mpf_shift(estimate, -1),
+                           mpf_shift(half_sums(h, 1, 2), -level), wp, round_nearest)
+        if previous is not None:
+            err = mpf_abs(mpf_sub(estimate, previous, wp, round_nearest))
+            if mpf_le(err, mpf_mul(target, mpf_abs(estimate), wp, round_nearest)):
+                return mp.make_mpf(estimate), mp.make_mpf(err)
+        previous = estimate
+    raise QuadratureNonConvergence(
+        f"no convergence within {_MAX_LEVELS} refinement levels",
+        value=mp.make_mpf(estimate),
+        error=None if previous is None else mp.make_mpf(
+            mpf_abs(mpf_sub(estimate, previous, wp, round_nearest))),
+    )
 
 
 @lru_cache(maxsize=None)
 def _moment_integral(family: ThetaFamily, k: int, spec: QuadratureSpec):
     """(value, err) of  integral eta^(2k) * weight(eta) deta  over (0, inf)."""
-    return _de_quad_half_line(family, lambda eta: eta ** (2 * k), spec)
+    wp = working_bits(spec.precision)
+    return _de_quad_half_line(
+        family, lambda eta: mpf_pow_int(eta, 2 * k, wp, round_nearest), spec
+    )
 
 
 # Bounded, as it is keyed by every z seen; 1024 entries hold a demo scan's
@@ -245,11 +285,18 @@ def _moment_integral(family: ThetaFamily, k: int, spec: QuadratureSpec):
 @lru_cache(maxsize=1024)
 def _damped_moment_integral(family: ThetaFamily, k: int, z: mpf, spec: QuadratureSpec):
     """(value, err) of  integral eta^(2k)/(z^2+eta^2) * weight(eta) deta."""
+    wp = working_bits(spec.precision)
     with working(spec.precision):
-        z2 = mp.mpf(z) ** 2
-        return _de_quad_half_line(
-            family, lambda eta: eta ** (2 * k) / (z2 + eta * eta), spec
+        z2 = (mp.mpf(z) ** 2)._mpf_
+
+    def factor(eta):
+        return mpf_div(
+            mpf_pow_int(eta, 2 * k, wp, round_nearest),
+            mpf_add(z2, mpf_mul(eta, eta, wp, round_nearest), wp, round_nearest),
+            wp, round_nearest,
         )
+
+    return _de_quad_half_line(family, factor, spec)
 
 
 def _finish(value, err, spec: QuadratureSpec, error: bool):

@@ -25,6 +25,7 @@ from envasym import (
 from envasym import oracle
 from envasym.coeffs import beta, beta_hat, beta_tilde
 from envasym.demo import enveloping_control_scan
+from envasym.precision import positive_real
 
 SPEC = QuadratureSpec(precision=256)
 TIGHT = mpf(2) ** -200
@@ -262,7 +263,45 @@ class TestQuadratureSpec:
         _clear_value_caches()  # a cached value would skip the quadrature
         with pytest.raises(QuadratureNonConvergence) as info:
             binet_J(mpf("3.75"), SPEC)
-        assert info.value.value is not None
+        assert isinstance(info.value.value, mpf)
+        assert isinstance(info.value.error, mpf)
+
+    def test_tail_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(oracle, "_TAIL_CAP", 3)
+        _clear_value_caches()
+        with pytest.raises(QuadratureNonConvergence, match="tail") as info:
+            binet_J(mpf("3.75"), SPEC)
+        assert isinstance(info.value.value, mpf)
+
+
+class TestLargeArgument:
+    # At z = 1e50 the damped integral is about 2**-330, far below 2**-(P+32)
+    # at 128 bits; a tail test with that absolute floor stopped every tail at
+    # once and never converged.
+    SPEC = QuadratureSpec(precision=128)
+    Z = "1e50"
+
+    @staticmethod
+    def _near(value, want):
+        with mp.workprec(320):
+            want = mp.convert(want)
+            return abs(value - want) <= mpf(2) ** -90 * abs(want)
+
+    def test_binet_J(self):
+        assert self._near(binet_J(self.Z, self.SPEC), 1 / (12 * Fraction(self.Z)))
+
+    def test_binet_J_tilde(self):
+        assert self._near(binet_J_tilde(self.Z, self.SPEC), -1 / (8 * Fraction(self.Z)))
+
+    @pytest.mark.parametrize("family", list(ThetaFamily))
+    def test_remainder_after_one_term(self, family):
+        coefficient = {
+            ThetaFamily.THETA: beta,
+            ThetaFamily.THETA_TILDE: beta_tilde,
+            ThetaFamily.THETA_HAT: beta_hat,
+        }[family](1)
+        want = family.row.sign(1) * coefficient / Fraction(self.Z) ** 3
+        assert self._near(remainder_quadrature(family, 1, self.Z, self.SPEC), want)
 
 
 def _clear_value_caches():
@@ -375,9 +414,114 @@ class TestNodeTable:
         assert w._mpf_[2] < -10**12
         row = oracle._node_table(256).rows[3.5]
         column = oracle._COLUMNS[ThetaFamily.THETA]
-        assert (row[0]._mpf_, row[column]._mpf_) == (eta._mpf_, w._mpf_)
+        assert (row[0], row[column]) == (eta._mpf_, w._mpf_)
         oracle._node_table.cache_clear()
         assert warm == _quadratures(ThetaFamily.THETA, 1, spec)
+
+
+def ambient_de_quad(family, k, z, precision):
+    """(value, err) of the ambient-context loop with no node table, the
+    reference for ``oracle._de_quad_half_line``: the damped moment integral
+    at z, or the undamped one when z is None."""
+    with mp.workprec(precision + 32):
+        lam = mp.pi / 2
+        tail_eps = mpf(2) ** (-(precision + 32))
+        target = mpf(2) ** (32 - precision)
+        z2 = None if z is None else mp.mpf(z) ** 2
+
+        def g(t):
+            eta = mp.exp(lam * mp.sinh(t))
+            w = family.weight(eta) * lam * mp.cosh(t) * eta
+            if z2 is None:
+                return eta ** (2 * k) * w
+            return eta ** (2 * k) / (z2 + eta * eta) * w
+
+        def half_sums(h, start, step):
+            total = mpf(0)
+            for sgn in (1, -1):
+                j = start
+                run = 0
+                while True:
+                    term = g(sgn * j * h)
+                    total += term
+                    if abs(term) <= tail_eps * abs(total):
+                        run += 1
+                        if run >= 2:
+                            break
+                    else:
+                        run = 0
+                    j += step
+            return total
+
+        h = 1.0
+        estimate = h * (g(0.0) + half_sums(h, 1, 1))
+        previous = None
+        for _ in range(oracle._MAX_LEVELS):
+            h = h / 2
+            estimate = estimate / 2 + h * half_sums(h, 1, 2)
+            if previous is not None:
+                err = abs(estimate - previous)
+                if err <= target * abs(estimate):
+                    return estimate, err
+            previous = estimate
+        raise AssertionError("the reference did not converge")
+
+
+def _quadrature(family, k, z, spec):
+    """The damped (at z) or undamped (z None) moment integral, bypassing the
+    value caches, as exact mpf tuples."""
+    if z is None:
+        pair = oracle._moment_integral.__wrapped__(family, k, spec)
+    else:
+        zz = positive_real(z, spec.precision, "argument")
+        pair = oracle._damped_moment_integral.__wrapped__(family, k, zz, spec)
+    return [x._mpf_ for x in pair]
+
+
+class TestLibmpLoop:
+    CASES = [(family, k, z) for family in ThetaFamily for k in (0, 3)
+             for z in ("2", "7.3", None)]
+
+    @pytest.mark.parametrize("precision", [64, 128, 256])
+    def test_matches_the_ambient_loop_bit_for_bit(self, precision):
+        spec = QuadratureSpec(precision=precision)
+        want = {}
+        for family, k, z in self.CASES:
+            zz = None if z is None else positive_real(z, precision, "argument")
+            want[family, k, z] = [x._mpf_ for x in ambient_de_quad(family, k, zz, precision)]
+        for ambient in (53, 1000):
+            oracle._node_table.cache_clear()
+            with mp.workprec(ambient):
+                # the first case of each family stores nothing, the next ones
+                # fill the table, the later passes read it
+                for _ in range(3):
+                    for case in self.CASES:
+                        assert _quadrature(*case, spec) == want[case], case
+                assert mp.prec == ambient
+
+    def test_a_warm_node_makes_no_context_arithmetic(self, monkeypatch):
+        mpf_type = type(mpf(1))
+        calls = []
+
+        def counted(op):
+            def wrapper(self, other):
+                calls.append(op)
+                return op(self, other)
+            return wrapper
+
+        counts = {}
+        for precision in (64, 256):
+            spec = QuadratureSpec(precision=precision)
+            for _ in range(3):  # nothing stored, then storing, then reading
+                _quadrature(ThetaFamily.THETA, 1, "7.3", spec)
+            calls.clear()
+            with monkeypatch.context() as patch:
+                for name in ("__mul__", "__add__"):
+                    patch.setattr(mpf_type, name, counted(getattr(mpf_type, name)))
+                _quadrature(ThetaFamily.THETA, 1, "7.3", spec)
+            counts[precision] = len(calls)
+        assert len(oracle._node_table(64).rows) < len(oracle._node_table(256).rows)
+        assert counts[64] == counts[256]
 
 
 class TestDampedValueCache:
