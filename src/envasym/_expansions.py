@@ -9,7 +9,9 @@ They differ only in the facts each row below records:
 * ``first_sign``        sign of term 0, after which the signs alternate;
 * ``half_shift``        whether x is z + 1/2 rather than z;
 * ``integer_argument``  whether the certified evaluation takes a positive integer;
-* ``prefix``            the elementary part of the full function, in x;
+* ``prefix``            the elementary part of the full function: ``prefix(x, wp)``
+                        maps a raw x to the raw bits that the mpf expression in
+                        its comment has at ``mp.prec = wp``, by the same libmp calls;
 * ``evaluation``        name of the certified evaluation in ``series``.
 
 ``series.SeriesKind`` and ``oracle.ThetaFamily`` expose their rows as a
@@ -20,25 +22,41 @@ oracle can read its signs without touching a Bernoulli number.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from mpmath import mp, mpf
+from mpmath.libmp import fhalf, from_int, mpf_add, mpf_log, mpf_mul, mpf_pi, mpf_shift, mpf_sub
+from mpmath.libmp import round_nearest as rnd
 
 from . import coeffs
 
 
-def _stirling_prefix(x: mpf) -> mpf:
-    return (x - mpf(1) / 2) * mp.log(x) - x + mp.log(2 * mp.pi) / 2
+@functools.lru_cache(maxsize=16)
+def _constants(wp: int) -> tuple:
+    """Raw ``mp.log(2*mp.pi)/2``, ``mp.log(4)`` and ``+mp.pi`` at ``mp.prec = wp``."""
+    pi = mpf_pi(wp, rnd)
+    return mpf_shift(mpf_log(mpf_shift(pi, 1), wp, rnd), -1), mpf_log(from_int(4), wp, rnd), pi
 
 
-def _central_binomial_prefix(x: mpf) -> mpf:
-    return x * mp.log(4) - mp.log(mp.pi * x) / 2
+def _stirling_prefix(x: tuple, wp: int) -> tuple:
+    # (x - 1/2) ln x - x + ln(2 pi)/2
+    product = mpf_mul(mpf_sub(x, fhalf, wp, rnd), mpf_log(x, wp, rnd), wp, rnd)
+    return mpf_add(mpf_sub(product, x, wp, rnd), _constants(wp)[0], wp, rnd)
 
 
-def _half_shift_prefix(x: mpf) -> mpf:
-    return x * mp.log(x) - x + mp.log(2 * mp.pi) / 2
+def _central_binomial_prefix(x: tuple, wp: int) -> tuple:
+    # x ln 4 - ln(pi x)/2
+    _, ln4, pi = _constants(wp)
+    half_ln_pi_x = mpf_shift(mpf_log(mpf_mul(pi, x, wp, rnd), wp, rnd), -1)
+    return mpf_sub(mpf_mul(x, ln4, wp, rnd), half_ln_pi_x, wp, rnd)
+
+
+def _half_shift_prefix(x: tuple, wp: int) -> tuple:
+    # x ln x - x + ln(2 pi)/2
+    product = mpf_mul(x, mpf_log(x, wp, rnd), wp, rnd)
+    return mpf_add(mpf_sub(product, x, wp, rnd), _constants(wp)[0], wp, rnd)
 
 
 @dataclass(frozen=True)
@@ -48,7 +66,7 @@ class Expansion:
     first_sign: int
     half_shift: bool
     integer_argument: bool
-    prefix: Callable[[mpf], mpf]
+    prefix: Callable[[tuple, int], tuple]
     evaluation: str
 
     def sign(self, j: int) -> int:

@@ -34,10 +34,10 @@ from .precision import (
     DEFAULT_PRECISION,
     MIN_PRECISION,
     PRECISION_ENV_VAR,
+    convert,
     format_real,
     positive_real,
     real_to_fraction,
-    working,
 )
 from .series import SeriesKind
 
@@ -130,8 +130,7 @@ def _resolve_precision(flag, fallback: int = DEFAULT_PRECISION) -> int:
 
 def _parse_real(raw: str, precision: int, what: str):
     try:
-        with working(precision):
-            return mp.convert(raw)
+        return convert(raw, precision)
     except (ValueError, TypeError):
         raise _UsageError(f"{what} must be a decimal number, got {raw!r}") from None
 
@@ -286,8 +285,7 @@ def _demo_grid(x_from, x_to, steps: int, precision: int):
     else:
         step = (c - a) / (steps - 1)
         points = [a + i * step for i in range(steps)]
-    with working(precision):
-        return [mp.convert(p) for p in points]
+    return [convert(p, precision) for p in points]
 
 
 def _cmd_demo(args) -> int:

@@ -128,6 +128,7 @@ def zeta_even(k: int, precision: int = DEFAULT_PRECISION) -> mpf:
 _BETA_FACTORS = {"beta": (1, 0), "beta-tilde": (2, 1), "beta-hat": (1, 1)}
 
 
+@lru_cache(maxsize=4096)
 def log_estimate(family: str, k: int) -> float:
     """ln c(k) of one coefficient family, as a float that cannot overflow.
 

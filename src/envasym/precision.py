@@ -4,15 +4,17 @@ All inexact computation in this package runs on mpmath reals.  Public
 functions take a precision ``P`` (bits), do their internal arithmetic at
 ``P + GUARD_BITS``, and round results back to ``P``.  Constants such as pi
 and ln(2*pi) are therefore always carried with guard bits, which keeps the
-floating-point contribution to any returned bound far below the widening
-margin ``2**-(P-32)`` documented in :func:`relative_slop`.
+floating-point contribution to any returned bound far below the outward
+widening margin ``2**-(P-32) * |x|`` of the series module.
 """
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 
 from mpmath import mp, mpf
+from mpmath.ctx_mp import MPContext
 from mpmath.libmp import to_rational
 
 from .errors import DomainError
@@ -35,11 +37,25 @@ def working(precision: int):
     return mp.workprec(working_bits(precision))
 
 
+@functools.lru_cache(maxsize=16)
+def _context(precision: int) -> MPContext:
+    """A private mpmath context at ``working_bits(precision)``, never changed after."""
+    ctx = MPContext()
+    ctx.prec = working_bits(precision)
+    return ctx
+
+
+def convert(x, precision: int):
+    """``mp.convert(x)`` at ``working_bits(precision)``, run in the private
+    context of that precision, so the global ``mp.prec`` is never set."""
+    value = _context(precision).convert(x)
+    return mp.make_mpf(value._mpf_) if hasattr(value, "_mpf_") else mp.make_mpc(value._mpc_)
+
+
 def positive_real(x, precision: int, what: str) -> mpf:
-    """``x`` at ``working_bits(precision)``; :class:`DomainError` unless finite and > 0."""
+    """``convert(x, precision)``; :class:`DomainError` unless finite and > 0."""
     try:
-        with working(precision):
-            xx = mp.convert(x)
+        xx = convert(x, precision)
         if mp.isfinite(xx) and xx > 0:
             return xx
     except (TypeError, ValueError, ArithmeticError):  # unparseable, complex, "1/0"
@@ -51,18 +67,6 @@ def round_to(x, precision: int) -> mpf:
     """Round ``x`` to ``precision`` bits (round to nearest)."""
     with mp.workprec(precision):
         return +x
-
-
-def relative_slop(precision: int) -> mpf:
-    """Relative widening margin ``2**-(precision-32)`` applied to enclosures.
-
-    The enveloping bounds are exact in exact arithmetic; every returned
-    interval endpoint and error bound is widened outward by this relative
-    margin so the containment guarantee survives rounding without full
-    directed-rounding machinery.  The value is a power of two, so
-    ``real_to_fraction`` gives it exactly for the rational checks.
-    """
-    return mpf(2) ** (32 - precision)
 
 
 def real_to_fraction(x: mpf) -> Fraction:

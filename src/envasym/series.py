@@ -33,9 +33,9 @@ decimal strings whose exponent lies outside ``+-EXPONENT_LIMIT``, are
 rejected with :class:`DomainError`.
 
 Rigor contract: the mathematical bounds are exact in exact arithmetic;
-computed endpoints and bounds are widened outward by a relative
-``2**-(P-32)`` margin (see :func:`envasym.precision.relative_slop`) so that
-containment survives floating-point rounding at precision P.
+computed endpoints and bounds are widened outward by ``2**-(P-32) * |x|``, x
+the endpoint or value widened, so that containment survives rounding at P
+bits.  Every step is a libmp call at an explicit precision; none sets ``mp.prec``.
 """
 
 from __future__ import annotations
@@ -49,13 +49,19 @@ from fractions import Fraction
 
 from mpmath import mp, mpf
 from mpmath.libmp import (
+    fhalf,
     from_man_exp,
     fzero,
+    mpf_abs,
     mpf_add,
     mpf_div,
+    mpf_gt,
+    mpf_le,
     mpf_mul,
     mpf_neg,
+    mpf_pos,
     mpf_pow_int,
+    mpf_shift,
     mpf_sub,
     round_ceiling,
     round_floor,
@@ -70,9 +76,6 @@ from .precision import (
     MIN_PRECISION,
     positive_real,
     real_to_fraction,
-    relative_slop,
-    round_to,
-    working,
     working_bits,
 )
 
@@ -159,8 +162,8 @@ class CertifiedValue:
 
     def interval(self) -> tuple[mpf, mpf]:
         """The enclosure as an ordered (lo, hi) pair."""
-        with working(self.precision):
-            other = self.value + self.error_sign * self.error_bound
+        other = mp.make_mpf((mpf_add if self.error_sign > 0 else mpf_sub)(
+            self.value._mpf_, self.error_bound._mpf_, working_bits(self.precision), round_nearest))
         if self.error_sign > 0:
             return self.value, other
         return other, self.value
@@ -176,9 +179,18 @@ def _checked_argument(kind: SeriesKind, z, precision: int) -> mpf:
         raise ValueError(f"precision must be >= {MIN_PRECISION}")
     zz = positive_real(z, precision, "series argument")
     if kind.row.half_shift:
-        with working(precision):
-            zz = zz + mpf(1) / 2
+        zz = mp.make_mpf(mpf_add(zz._mpf_, fhalf, working_bits(precision), round_nearest))
     return zz
+
+
+def _to_precision(x: tuple, precision: int) -> mpf:
+    """Raw x rounded to nearest at ``precision`` bits, as an mpf."""
+    return mp.make_mpf(mpf_pos(x, precision, round_nearest))
+
+
+def _widened(size: tuple, wp: int, precision: int) -> tuple:
+    """size (1 + 2**-(precision-32)) at wp bits, one rounding as in the product."""
+    return mpf_add(size, mpf_shift(size, 32 - precision), wp, round_nearest)
 
 
 def term(kind: SeriesKind, j: int, z, precision: int = DEFAULT_PRECISION) -> mpf:
@@ -186,7 +198,8 @@ def term(kind: SeriesKind, j: int, z, precision: int = DEFAULT_PRECISION) -> mpf
     if j < 0:
         raise ValueError("term index must be >= 0")
     zz = _checked_argument(kind, z, precision)
-    return round_to(_signed_term(kind.row, j, zz, working_bits(precision)), precision)
+    return _to_precision(_signed_term(kind.row, j, zz, working_bits(precision))._mpf_,
+                         precision)
 
 
 @functools.lru_cache(maxsize=8192)
@@ -212,7 +225,8 @@ def partial_sum(kind: SeriesKind, z, k: int, precision: int = DEFAULT_PRECISION)
     if k < 0:
         raise ValueError("term count must be >= 0")
     zz = _checked_argument(kind, z, precision)
-    return round_to(_partial_sum_at(kind.row, zz, k, working_bits(precision)), precision)
+    return _to_precision(_partial_sum_at(kind.row, zz, k, working_bits(precision))._mpf_,
+                         precision)
 
 
 def _partial_sum_at(row: Expansion, zz: mpf, k: int, prec: int) -> mpf:
@@ -231,6 +245,15 @@ def _partial_sum_at(row: Expansion, zz: mpf, k: int, prec: int) -> mpf:
     return mp.make_mpf(total)
 
 
+def _sum_and_term(kind: SeriesKind, z, k: int, precision: int) -> tuple:
+    """Raw (x, s_k, t_k) for the checked argument at the working precision wp, and wp."""
+    if k < 0:
+        raise ValueError("term count must be >= 0")
+    zz, wp = _checked_argument(kind, z, precision), working_bits(precision)
+    return (zz._mpf_, _partial_sum_at(kind.row, zz, k, wp)._mpf_,
+            _signed_term(kind.row, k, zz, wp)._mpf_, wp)
+
+
 def envelope_interval(
     kind: SeriesKind, z, k: int, precision: int = DEFAULT_PRECISION
 ) -> EnvelopeInterval:
@@ -239,23 +262,18 @@ def envelope_interval(
     Valid for every k >= 0, not only below the minimum-term index: the
     remainder always lies strictly between consecutive partial sums.
     """
-    if k < 0:
-        raise ValueError("term count must be >= 0")
-    zz = _checked_argument(kind, z, precision)
-    s_k = _partial_sum_at(kind.row, zz, k, working_bits(precision))
-    t_k = _signed_term(kind.row, k, zz, working_bits(precision))
-    with working(precision):
-        s_next = s_k + t_k
-        lo, hi = (s_k, s_next) if s_k <= s_next else (s_next, s_k)
-        slop = relative_slop(precision)
-        pad = slop * max(abs(lo), abs(hi))
-        return EnvelopeInterval(
-            lo=round_to(lo - pad, precision),
-            hi=round_to(hi + pad, precision),
-            k_used=k,
-            bound=round_to(abs(t_k) * (1 + slop), precision),
-            precision=precision,
-        )
+    _, s_k, t_k, wp = _sum_and_term(kind, z, k, precision)
+    s_next = mpf_add(s_k, t_k, wp, round_nearest)
+    lo, hi = (s_k, s_next) if mpf_le(s_k, s_next) else (s_next, s_k)
+    # lo <= hi, so hi or -lo is the larger magnitude; the margin is it times 2**-(P-32).
+    pad = mpf_shift(hi if mpf_gt(hi, mpf_neg(lo)) else mpf_neg(lo), 32 - precision)
+    return EnvelopeInterval(
+        lo=_to_precision(mpf_sub(lo, pad, wp, round_nearest), precision),
+        hi=_to_precision(mpf_add(hi, pad, wp, round_nearest), precision),
+        k_used=k,
+        bound=_to_precision(_widened(mpf_abs(t_k), wp, precision), precision),
+        precision=precision,
+    )
 
 
 def _exact(x, precision: int, what: str) -> Fraction:
@@ -420,7 +438,7 @@ def auto_truncate(
     xf = _exact_argument(kind, z, precision)
     tol = _tolerance(tol, precision)
     # The bound c(k) (1 + slop) / x^(2k+1), as one integer ratio.
-    slop = real_to_fraction(relative_slop(precision))
+    slop = Fraction(1, 2 ** (precision - 32))
     bounds = {}
 
     def settled(k):
@@ -448,24 +466,23 @@ def auto_truncate(
 
 
 def _certified(kind: SeriesKind, z, k: int, precision: int) -> CertifiedValue:
-    zz = _checked_argument(kind, z, precision)
-    s_k = _partial_sum_at(kind.row, zz, k, working_bits(precision))
-    t_k = _signed_term(kind.row, k, zz, working_bits(precision))
-    with working(precision):
-        value = kind.row.prefix(zz) + s_k
-        sign = kind.row.sign(k)
-        slop = relative_slop(precision)
-        # Pull the anchor endpoint outward and widen the bound so the
-        # one-sided containment survives rounding of value itself.
-        anchored = value - sign * slop * abs(value)
-        bound = abs(t_k) * (1 + slop) + 2 * slop * abs(value)
-        return CertifiedValue(
-            value=round_to(anchored, precision),
-            error_bound=round_to(bound, precision),
-            error_sign=sign,
-            k_used=k,
-            precision=precision,
-        )
+    x, s_k, t_k, wp = _sum_and_term(kind, z, k, precision)
+    value = mpf_add(kind.row.prefix(x, wp), s_k, wp, round_nearest)
+    sign = kind.row.sign(k)
+    # Pull the anchor outward by 2**-(P-32) |value| and widen the bound by twice
+    # that (exact shifts), so the containment survives rounding of value itself.
+    size = mpf_abs(value)
+    anchored = (mpf_sub if sign > 0 else mpf_add)(
+        value, mpf_shift(size, 32 - precision), wp, round_nearest)
+    bound = mpf_add(_widened(mpf_abs(t_k), wp, precision), mpf_shift(size, 33 - precision),
+                    wp, round_nearest)
+    return CertifiedValue(
+        value=_to_precision(anchored, precision),
+        error_bound=_to_precision(bound, precision),
+        error_sign=sign,
+        k_used=k,
+        precision=precision,
+    )
 
 
 def _evaluate(kind: SeriesKind, z, tol, terms, precision: int) -> CertifiedValue:

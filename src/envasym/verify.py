@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from mpmath import mp, mpf
+from mpmath.libmp import from_int
 
 from . import oracle, series
 from .errors import ToleranceUnattainable
@@ -56,7 +57,7 @@ def tail_truth(kind: SeriesKind, z, precision: int):
             full = oracle.exact_ln_gamma_half(int(w - mpf(1) / 2), hi_prec)
         else:
             raise ValueError(f"no exact oracle for {kind} at z = {z}")
-        value = full - kind.row.prefix(zz)
+        value = full - mp.make_mpf(kind.row.prefix(zz._mpf_, working_bits(hi_prec)))
         err = (abs(full) + abs(value) + 1) * mpf(2) ** (6 - hi_prec)
         return round_to(value, precision), round_to(err, precision)
 
@@ -161,9 +162,10 @@ def _check_jtilde_decomposition(deep: bool, spec: QuadratureSpec) -> CheckResult
 
 def _check_binet_cross_check(deep: bool, spec: QuadratureSpec) -> CheckResult:
     ns = [1, 2, 5, 10] if deep else [1, 5]
+    row, wp = SeriesKind.BINET_J.row, working_bits(spec.precision)
     return _mismatch_check("binet-vs-exact-gamma", (
         (oracle.exact_ln_factorial(n - 1, spec.precision + 64)
-         - SeriesKind.BINET_J.row.prefix(mp.convert(n)),
+         - mp.make_mpf(row.prefix(from_int(n), wp)),
          oracle.binet_J(n, spec))
         for n in ns), spec)
 

@@ -4,15 +4,17 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import time
 from decimal import ROUND_FLOOR, Decimal, localcontext
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf
-from mpmath.libmp import from_rational, round_ceiling
+from mpmath.libmp import from_man_exp, from_rational, round_ceiling
 
 import envasym
 from envasym import (
@@ -35,10 +37,10 @@ from envasym import (
     partial_sum,
     term,
 )
-from envasym import series
-from envasym._expansions import Expansion
+from envasym import coeffs, precision, series
+from envasym._expansions import Expansion, _constants
 from envasym.coeffs import COEFFICIENT_FAMILIES, beta, beta_hat, beta_tilde
-from envasym.precision import real_to_fraction
+from envasym.precision import positive_real, real_to_fraction
 from envasym.series import INDEX_CAP
 
 P = 256
@@ -282,6 +284,256 @@ class TestRoundedCoefficientSum:
             for k, (t, env) in zip(ks, new[z]):
                 assert t._mpf_ == term(kind, k, z, precision)._mpf_, (z, k)
                 assert env == envelope_interval(kind, z, k, precision), (z, k)
+
+
+# The certified path as it ran in the global mpmath context, before every
+# step became a libmp call at an explicit precision: the references for the
+# bit-for-bit tests below.
+
+def ambient_positive_real(x, precision):
+    with mp.workprec(precision + 32):
+        return mp.convert(x)
+
+
+AMBIENT_PREFIXES = {
+    SeriesKind.BINET_J: lambda x: (x - mpf(1) / 2) * mp.log(x) - x + mp.log(2 * mp.pi) / 2,
+    SeriesKind.CENTRAL_BINOMIAL: lambda x: x * mp.log(4) - mp.log(mp.pi * x) / 2,
+    SeriesKind.GAMMA_PLUS_HALF: lambda x: x * mp.log(x) - x + mp.log(2 * mp.pi) / 2,
+    SeriesKind.DE_MOIVRE: lambda x: x * mp.log(x) - x + mp.log(2 * mp.pi) / 2,
+}
+
+
+def ambient_argument(kind, z, precision):
+    zz = ambient_positive_real(z, precision)
+    if kind.row.half_shift:
+        with mp.workprec(precision + 32):
+            zz = zz + mpf(1) / 2
+    return zz
+
+
+def ambient_certified(kind, z, k, precision):
+    """(value, error_bound, error_sign) of ``series._certified``."""
+    zz = ambient_argument(kind, z, precision)
+    with mp.workprec(precision + 32):
+        s_k = ambient_partial_sums(kind.row, zz, k)[-1]
+        t_k = ambient_signed_term(kind.row, k, zz)
+        value = AMBIENT_PREFIXES[kind](zz) + s_k
+        sign = kind.row.sign(k)
+        slop = mpf(2) ** (32 - precision)
+        anchored = value - sign * slop * abs(value)
+        bound = abs(t_k) * (1 + slop) + 2 * slop * abs(value)
+    with mp.workprec(precision):
+        return +anchored, +bound, sign
+
+
+def ambient_envelope(kind, z, k, precision):
+    """(lo, hi, bound) of ``series.envelope_interval``."""
+    zz = ambient_argument(kind, z, precision)
+    with mp.workprec(precision + 32):
+        s_k = ambient_partial_sums(kind.row, zz, k)[-1]
+        t_k = ambient_signed_term(kind.row, k, zz)
+        s_next = s_k + t_k
+        lo, hi = (s_k, s_next) if s_k <= s_next else (s_next, s_k)
+        slop = mpf(2) ** (32 - precision)
+        pad = slop * max(abs(lo), abs(hi))
+        lo, hi, bound = lo - pad, hi + pad, abs(t_k) * (1 + slop)
+    with mp.workprec(precision):
+        return +lo, +hi, +bound
+
+
+def ambient_interval(value, error_bound, error_sign, precision):
+    """``CertifiedValue.interval()``."""
+    with mp.workprec(precision + 32):
+        other = value + error_sign * error_bound
+    return (value, other) if error_sign > 0 else (other, value)
+
+
+def long_mpf(precision):
+    """An mpf near 4/3 with 50 bits more than the working precision."""
+    bits = precision + 32 + 50
+    return mp.make_mpf(from_man_exp((1 << (bits + 1)) // 3 | 1, -bits + 1))
+
+
+EXPLICIT_PRECISIONS = (64, 128, 256, 512)
+EXPLICIT_KS = (0, 1, 4, 9)
+
+
+def explicit_arguments(precision):
+    """z as an int, a dyadic, a decimal string, "1/3", a long mpf and a numpy float64."""
+    return (7, 2.75, "20.37", "1/3", long_mpf(precision), np.float64(7.3))
+
+
+def raw(*xs):
+    return [x._mpf_ for x in xs]
+
+
+class TestExplicitPrecisionPath:
+    """The libmp certified path against the global-context path it replaced,
+    bit for bit, whatever the ambient precision."""
+
+    @pytest.mark.parametrize("ambient", (53, 1000))
+    @pytest.mark.parametrize("precision", EXPLICIT_PRECISIONS)
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_matches_the_global_context_path(self, kind, precision, ambient):
+        for z in explicit_arguments(precision):
+            with mp.workprec(ambient):
+                zz = positive_real(z, precision, "z")
+                want_zz = ambient_positive_real(z, precision)
+                prefix = kind.row.prefix(zz._mpf_, precision + 32)
+                with mp.workprec(precision + 32):
+                    want_prefix = AMBIENT_PREFIXES[kind](zz)
+                got, want = [], []
+                for k in EXPLICIT_KS:
+                    cv = series._certified(kind, z, k, precision)
+                    value, bound, sign = ambient_certified(kind, z, k, precision)
+                    env = envelope_interval(kind, z, k, precision)
+                    got.append((raw(cv.value, cv.error_bound, *cv.interval(),
+                                    env.lo, env.hi, env.bound), cv.error_sign))
+                    want.append((raw(value, bound,
+                                     *ambient_interval(value, bound, sign, precision),
+                                     *ambient_envelope(kind, z, k, precision)), sign))
+                assert mp.prec == ambient
+            assert zz._mpf_ == want_zz._mpf_, z
+            assert prefix == want_prefix._mpf_, z
+            assert got == want, z
+
+    @pytest.mark.parametrize("precision", EXPLICIT_PRECISIONS)
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_public_evaluations_match(self, kind, precision):
+        evaluate = getattr(series, kind.row.evaluation)
+        zs = (1, 12, 10**5) if kind.row.integer_argument else explicit_arguments(precision)
+        for z in zs:
+            for k in EXPLICIT_KS:
+                cv = evaluate(z, terms=k, precision=precision)
+                value, bound, sign = ambient_certified(kind, z, k, precision)
+                assert raw(cv.value, cv.error_bound) == raw(value, bound), (z, k)
+
+    @pytest.mark.parametrize("wp", (53, 96, 160, 288, 544, 1056, 3232))
+    def test_the_constants_are_the_global_context_ones(self, wp):
+        with mp.workprec(wp):
+            want = raw(mp.log(2 * mp.pi) / 2, mp.log(4), +mp.pi)
+        assert list(_constants(wp)) == want
+
+    def test_the_log_estimate_is_cached(self):
+        assert coeffs.log_estimate.cache_info().maxsize == 4096
+
+    def test_the_private_context_is_not_the_global_one(self):
+        ctx = precision._context(256)
+        assert ctx is not mp and ctx.prec == 288
+        with mp.workprec(53):
+            x = positive_real("0.1", 256, "x")
+        assert x._mpf_ == ambient_positive_real("0.1", 256)._mpf_
+        assert ctx.prec == 288
+
+    def test_complex_input_is_rejected(self):
+        for z in (2j, "2+1j", mp.mpc(2, 0)):
+            with pytest.raises(DomainError, match="must be a finite real > 0"):
+                positive_real(z, 64, "z")
+
+
+def _race(background, threads: int, main):
+    """``main()`` while ``threads`` threads loop ``background()``, with the
+    interpreter switching threads every 10 microseconds."""
+    stop = threading.Event()
+
+    def loop():
+        while not stop.is_set():
+            background()
+
+    workers = [threading.Thread(target=loop, daemon=True) for _ in range(threads)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for worker in workers:
+            worker.start()
+        return main()
+    finally:
+        stop.set()
+        for worker in workers:
+            worker.join(timeout=30)
+        sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+
+
+class TestThreads:
+    """Evaluations at one precision while other threads evaluate at another
+    give the serial bits: no step reads or sets the global precision."""
+
+    def test_central_binomial_beside_a_64_bit_ln_gamma(self):
+        def call():
+            cv = ln_central_binomial(10**5, terms=10, precision=256)
+            return raw(cv.value, cv.error_bound)
+
+        serial = call()
+        results = _race(lambda: ln_gamma("7.3", terms=5, precision=64), 1,
+                        lambda: [call() for _ in range(600)])
+        mismatches = sum(result != serial for result in results)
+        assert mismatches == 0, f"{mismatches} of 600 differ from the serial result"
+
+    def test_decimal_strings_beside_two_64_bit_threads(self):
+        def call():
+            cv = ln_gamma("20.37", terms=12, precision=256)
+            env = envelope_interval(SeriesKind.DE_MOIVRE, 40, 7, 512)
+            return raw(cv.value, cv.error_bound, *cv.interval(), env.lo, env.hi, env.bound)
+
+        serial = call()
+        results = _race(lambda: ln_gamma_plus_half("7.3", terms=5, precision=64), 2,
+                        lambda: [call() for _ in range(400)])
+        mismatches = sum(result != serial for result in results)
+        assert mismatches == 0, f"{mismatches} of 400 differ from the serial result"
+
+
+class TestNoGlobalPrecisionWrites:
+    CALLS = {
+        "ln_gamma tol": lambda: ln_gamma("7.3", "1e-20"),
+        "ln_gamma terms": lambda: ln_gamma("7.3", terms=5, precision=64),
+        "ln_central_binomial tol": lambda: ln_central_binomial(10**5, "1e-30"),
+        "ln_central_binomial terms": lambda: ln_central_binomial(12, terms=3),
+        "ln_gamma_plus_half tol": lambda: ln_gamma_plus_half("13/3", "1e-6", precision=128),
+        "ln_gamma_plus_half terms": lambda: ln_gamma_plus_half(np.float64(7.3), terms=4),
+        "ln_factorial_demoivre tol": lambda: ln_factorial_demoivre(40, "1e-40", precision=512),
+        "ln_factorial_demoivre terms": lambda: ln_factorial_demoivre(40, terms=7),
+        "envelope_interval": lambda: envelope_interval(SeriesKind.BINET_J, "20.37", 6),
+        "term": lambda: term(SeriesKind.GAMMA_PLUS_HALF, 3, "2.75"),
+        "partial_sum": lambda: partial_sum(SeriesKind.DE_MOIVRE, 9, 5, 128),
+        "auto_truncate": lambda: auto_truncate(SeriesKind.CENTRAL_BINOMIAL, "3.5", "1e-9"),
+        "auto_truncate mpf": lambda: auto_truncate(SeriesKind.BINET_J, mpf("7.3"), "1e-12"),
+        "min_term_index": lambda: min_term_index(SeriesKind.BINET_J, "7.3"),
+        "interval": lambda: ln_gamma("0.5", terms=2, precision=64).interval(),
+    }
+
+    @staticmethod
+    def floor_raise():
+        with pytest.raises(ToleranceUnattainable):
+            ln_gamma("2.5", "1e-300")
+
+    @staticmethod
+    def precision_raise():
+        with pytest.raises(ToleranceUnattainable, match="raise the precision"):
+            ln_gamma("7.3", "1e-20", precision=64)
+
+    def test_the_series_path_never_sets_the_global_precision(self, monkeypatch):
+        calls = [*self.CALLS.values(), self.floor_raise, self.precision_raise]
+        for call in calls:  # make the private contexts and fill the caches
+            call()
+        writes = []
+        context_class = type(mp)
+        for name in ("prec", "dps"):
+            prop = getattr(context_class, name)
+
+            def counted(ctx, value, set_=prop.fset, name=name):
+                if ctx is mp:
+                    writes.append(name)
+                set_(ctx, value)
+
+            monkeypatch.setattr(context_class, name, property(prop.fget, counted))
+        with mp.workprec(300):  # the probe itself sees writes
+            pass
+        assert writes == ["prec", "prec"]
+        writes.clear()
+        for call in calls:
+            call()
+        assert writes == []
 
 
 class TestMinTermIndex:
