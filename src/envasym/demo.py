@@ -56,7 +56,7 @@ class ViolationWitness:
 def _checked_rate(b, precision: int) -> mpf:
     with working(precision):
         bb = mp.convert(b)
-        if not mp.isfinite(bb) or bb <= 0 or bb >= 2 * mp.pi:
+        if not isinstance(bb, mpf) or not mp.isfinite(bb) or bb <= 0 or bb >= 2 * mp.pi:
             raise DomainError(
                 f"decay rate must lie strictly inside (0, 2*pi), got {b!r}"
             )

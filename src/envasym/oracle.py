@@ -20,6 +20,9 @@ e**(-2*pi*eta); a well-known misprint in some references has 2**(-2*pi*eta).
 Quadrature results are trustworthy rather than certified: each value carries
 an a-posteriori error estimate (the difference of the last two refinement
 levels), not a proven bound.  Certification is the job of the series module.
+Every step is a libmp call at an explicit precision; apart from
+``ThetaFamily.weight``, which rounds to the ambient precision, none reads or
+sets ``mp.prec``.
 """
 
 from __future__ import annotations
@@ -32,7 +35,10 @@ from functools import lru_cache
 
 from mpmath import mp, mpf
 from mpmath.libmp import (
+    fone,
     from_float,
+    from_int,
+    ftwo,
     fzero,
     mpf_abs,
     mpf_add,
@@ -40,9 +46,14 @@ from mpmath.libmp import (
     mpf_div,
     mpf_exp,
     mpf_le,
+    mpf_log,
     mpf_mul,
+    mpf_mul_int,
+    mpf_neg,
     mpf_pi,
+    mpf_pos,
     mpf_pow_int,
+    mpf_rdiv_int,
     mpf_shift,
     mpf_sub,
     round_nearest,
@@ -54,8 +65,7 @@ from .precision import (
     DEFAULT_PRECISION,
     MIN_PRECISION,
     positive_real,
-    round_to,
-    working,
+    to_precision,
     working_bits,
 )
 
@@ -83,26 +93,61 @@ class ThetaFamily(enum.Enum):
     def __init__(self, name: str):
         self.row = WEIGHTS[name]
 
-    def weight(self, eta: mpf) -> mpf:
-        """Evaluate the family's weight at eta > 0, at the ambient precision.
+    def weight(self, eta) -> mpf:
+        """The family's weight at eta > 0, rounded to the ambient ``mp.prec``.
 
-        Each weight keeps full relative precision at both ends of the range:
-        expm1 avoids the 1 - e^(-u) cancellation as eta -> 0, and log1p or
-        atanh forms avoid the log-near-one absolute-error floor as
-        eta -> infinity (which moment factors eta^(2k) would amplify).
+        The quadrature calls ``_weight`` at an explicit precision instead;
+        this is that function at ``mp.prec``, for callers of the ambient
+        context.
         """
-        if self is ThetaFamily.THETA:
-            # -ln(1 - e^(-2 pi eta))
-            u = 2 * mp.pi * eta
-            if u < 1:
-                return -mp.log(-mp.expm1(-u))
-            return -mp.log1p(-mp.exp(-u))
-        if self is ThetaFamily.THETA_TILDE:
-            # ln(coth(pi eta)) = 2 artanh(e^(-2 pi eta))
-            if eta <= 1:
-                return mp.log(mp.coth(mp.pi * eta))
-            return 2 * mp.atanh(mp.exp(-2 * mp.pi * eta))
-        return mp.log1p(mp.exp(-2 * mp.pi * eta))
+        return mp.make_mpf(_weight(self, mp.convert(eta)._mpf_, mp.prec))
+
+
+# Bits a weight's intermediate values carry beyond the precision it returns.
+_WEIGHT_GUARD = 10
+
+
+def _log1p(x: tuple, wp: int) -> tuple:
+    """Raw ln(1 + x) for raw x > -1, rounded to nearest at wp bits.
+
+    Where x*x/3 is below 2**-(wp+2*_WEIGHT_GUARD), x - x*x/2 is the value;
+    it never rounds to 0 however small x is.  Elsewhere 1 + x is formed
+    exactly, and ``mpf_log`` adds the bits its cancellation near 1 costs.
+    """
+    if x[2] + x[3] < -(wp // 2 + _WEIGHT_GUARD):
+        return mpf_sub(x, mpf_shift(mpf_mul(x, x, wp, round_nearest), -1), wp, round_nearest)
+    return mpf_log(mpf_add(fone, x), wp, round_nearest)
+
+
+def _weight(family: ThetaFamily, eta: tuple, wp: int) -> tuple:
+    """The family's weight at raw eta > 0, rounded to nearest at wp bits.
+
+    With u = 2 pi eta and q = e^(-u) the weights are theta = -ln(1 - q),
+    theta-hat = ln(1 + q) and theta-tilde = ln(1 + 2q/(1 - q)), each one
+    logarithm of a quantity known to ``_WEIGHT_GUARD`` bits more than wp, so
+    the result is within about one rounding at wp bits.  u carries as many
+    bits again as its integer part, so that q keeps them at large eta; q,
+    which reaches 2**-(10**12) in the tails, never rounds to 0.  Below
+    u = 1, 1 - q cancels about -log2(u) bits, so q carries that many more,
+    and once u*u is negligible 1 - q is u - u*u/2.
+    """
+    g = wp + _WEIGHT_GUARD
+    pu = g + max(eta[2] + eta[3] + 3, 0)  # u < 2**(mag(eta) + 3)
+    u = mpf_mul(mpf_pi(pu, round_nearest), mpf_shift(eta, 1), pu, round_nearest)
+    mag = u[2] + u[3]
+    if mag < -(g // 2):
+        q = mpf_sub(fone, u, g, round_nearest)
+        one_minus_q = mpf_sub(u, mpf_shift(mpf_mul(u, u, g, round_nearest), -1), g, round_nearest)
+    else:
+        q = mpf_exp(mpf_neg(u), g - min(mag, 0), round_nearest)
+        one_minus_q = mpf_sub(fone, q, g, round_nearest)
+    if family is ThetaFamily.THETA_HAT:
+        return _log1p(q, wp)
+    if family is ThetaFamily.THETA_TILDE:
+        return _log1p(mpf_div(mpf_shift(q, 1), one_minus_q, g, round_nearest), wp)
+    if mag <= 0:  # u < 1: 1 - q <= 1 - 1/e, far from 1
+        return mpf_neg(mpf_log(one_minus_q, wp, round_nearest))
+    return mpf_neg(_log1p(mpf_neg(q), wp))
 
 
 @dataclass(frozen=True)
@@ -121,7 +166,7 @@ class QuadratureSpec:
             raise ValueError(f"precision must be >= {MIN_PRECISION}")
 
     def effective_tol(self) -> mpf:
-        return mpf(2) ** (32 - self.precision)
+        return mp.make_mpf(mpf_shift(fone, 32 - self.precision))
 
 
 _DEFAULT_SPEC = QuadratureSpec()
@@ -161,11 +206,14 @@ class _NodeTable:
 
 
 def _negligible(term, total, wp: int) -> bool:
-    """|term| <= 2**-wp * |total| for nonzero raw mpf tuples.
+    """|term| <= 2**-wp * |total| for raw mpf tuples.
 
-    Decided from the magnitudes (exponent plus bit count) unless they lie
-    exactly wp binades apart; only then are the values compared.
+    A zero term is negligible.  Otherwise it is decided from the magnitudes
+    (exponent plus bit count) unless they lie exactly wp binades apart; only
+    then are the values compared.
     """
+    if term == fzero:
+        return True
     gap = (total[2] + total[3]) - (term[2] + term[3])
     if gap != wp:
         return gap > wp
@@ -192,9 +240,8 @@ def _de_quad_half_line(family: ThetaFamily, factor, spec: QuadratureSpec):
     W(t) = weight(eta) * (pi/2) * cosh(t) * eta and eta itself are read from
     the precision's node table when an earlier quadrature stored them, and
     computed otherwise.  ``factor`` maps a raw libmp eta to a raw value at
-    ``working_bits(P)``.  Every operation is a libmp call at that precision,
-    rounding to nearest, so the loop reads no ``mp.prec``; only a cold W's
-    weight runs in mpmath's context.
+    ``working_bits(P)``.  Every operation, the weight's included, is a libmp
+    call at that precision, rounding to nearest.
 
     Returns (value, error_estimate) as mpf at working precision.  Raises
     QuadratureNonConvergence if the level cap is hit first.
@@ -220,8 +267,7 @@ def _de_quad_half_line(family: ThetaFamily, factor, spec: QuadratureSpec):
                 row = rows.setdefault(t, [eta, None, None, None])
         else:
             eta = row[0]
-        with working(prec):
-            w = family.weight(mp.make_mpf(eta))._mpf_
+        w = _weight(family, eta, wp)
         for x in (lam, cosh, eta):
             w = mpf_mul(w, x, wp, round_nearest)
         if store and row is not None:
@@ -286,8 +332,8 @@ def _moment_integral(family: ThetaFamily, k: int, spec: QuadratureSpec):
 def _damped_moment_integral(family: ThetaFamily, k: int, z: mpf, spec: QuadratureSpec):
     """(value, err) of  integral eta^(2k)/(z^2+eta^2) * weight(eta) deta."""
     wp = working_bits(spec.precision)
-    with working(spec.precision):
-        z2 = (mp.mpf(z) ** 2)._mpf_
+    # z is rounded to wp bits before it is squared
+    z2 = mpf_pow_int(mpf_pos(z._mpf_, wp, round_nearest), 2, wp, round_nearest)
 
     def factor(eta):
         return mpf_div(
@@ -299,27 +345,30 @@ def _damped_moment_integral(family: ThetaFamily, k: int, z: mpf, spec: Quadratur
     return _de_quad_half_line(family, factor, spec)
 
 
-def _finish(value, err, spec: QuadratureSpec, error: bool):
-    value = round_to(value, spec.precision)
+def _finish(value: tuple, err: tuple, spec: QuadratureSpec, error: bool):
+    value = to_precision(value, spec.precision)
     if error:
-        return value, round_to(err, spec.precision)
+        return value, to_precision(err, spec.precision)
     return value
+
+
+def _ln_int(n: int, wp: int) -> tuple:
+    """Raw ln(n), n rounded to wp bits first, then the log at wp bits."""
+    return mpf_log(from_int(n, wp, round_nearest), wp, round_nearest)
 
 
 def exact_ln_factorial(n: int, precision: int = DEFAULT_PRECISION) -> mpf:
     """ln(n!) from the exact big integer, correct to the stated precision."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    with working(precision):
-        return round_to(mp.log(mpf(math.factorial(n))), precision)
+    return to_precision(_ln_int(math.factorial(n), working_bits(precision)), precision)
 
 
 def exact_ln_central_binomial(n: int, precision: int = DEFAULT_PRECISION) -> mpf:
     """ln C(2n, n) from the exact big-integer binomial coefficient."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    with working(precision):
-        return round_to(mp.log(mpf(math.comb(2 * n, n))), precision)
+    return to_precision(_ln_int(math.comb(2 * n, n), working_bits(precision)), precision)
 
 
 def exact_ln_gamma_half(n: int, precision: int = DEFAULT_PRECISION) -> mpf:
@@ -330,23 +379,27 @@ def exact_ln_gamma_half(n: int, precision: int = DEFAULT_PRECISION) -> mpf:
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    with working(precision):
-        value = (
-            mp.log(mpf(math.factorial(2 * n)))
-            - mp.log(mpf(math.factorial(n)))
-            - 2 * n * mp.log(2)
-            + mp.log(mp.pi) / 2
-        )
-        return round_to(value, precision)
+    wp = working_bits(precision)
+    # ln (2n)! - ln n! - 2n ln 2 + ln(pi)/2, rounding after each step
+    value = mpf_sub(_ln_int(math.factorial(2 * n), wp), _ln_int(math.factorial(n), wp),
+                    wp, round_nearest)
+    value = mpf_sub(value, mpf_mul_int(mpf_log(ftwo, wp, round_nearest), 2 * n, wp,
+                                       round_nearest), wp, round_nearest)
+    half_ln_pi = mpf_shift(mpf_log(mpf_pi(wp, round_nearest), wp, round_nearest), -1)
+    return to_precision(mpf_add(value, half_ln_pi, wp, round_nearest), precision)
 
 
 def _remainder(family: ThetaFamily, k: int, z, spec: QuadratureSpec):
     """(remainder, error): sign(k) z / (pi z^(2k)) times the damped moment integral."""
     zz = positive_real(z, spec.precision, "argument")
     value, err = _damped_moment_integral(family, k, zz, spec)
-    with working(spec.precision):
-        scale = zz / (mp.pi * zz ** (2 * k))
-        return family.row.sign(k) * scale * value, scale * err
+    wp, x = working_bits(spec.precision), zz._mpf_
+    power = mpf_pow_int(x, 2 * k, wp, round_nearest)
+    scale = mpf_div(x, mpf_mul(mpf_pi(wp, round_nearest), power, wp, round_nearest),
+                    wp, round_nearest)
+    signed = scale if family.row.sign(k) > 0 else mpf_neg(scale)
+    return (mpf_mul(signed, value._mpf_, wp, round_nearest),
+            mpf_mul(scale, err._mpf_, wp, round_nearest))
 
 
 def binet_J(z, spec: QuadratureSpec = _DEFAULT_SPEC, *, error: bool = False):
@@ -385,12 +438,17 @@ def theta_ratio(
     if k < 0:
         raise ValueError("k must be >= 0")
     zz = positive_real(z, spec.precision, "argument")
-    num, num_err = _damped_moment_integral(family, k, zz, spec)
-    den, den_err = _moment_integral(family, k, spec)
-    with working(spec.precision):
-        value = zz * zz * num / den
-        err = abs(value) * (num_err / abs(num) + den_err / abs(den))
-        return _finish(value, err, spec, error)
+    wp, x = working_bits(spec.precision), zz._mpf_
+    num, num_err = (v._mpf_ for v in _damped_moment_integral(family, k, zz, spec))
+    den, den_err = (v._mpf_ for v in _moment_integral(family, k, spec))
+    # z z num / den;  |value| (num_err/|num| + den_err/|den|)
+    value = mpf_div(mpf_mul(mpf_mul(x, x, wp, round_nearest), num, wp, round_nearest), den,
+                    wp, round_nearest)
+    relative = mpf_add(mpf_div(num_err, mpf_abs(num, wp, round_nearest), wp, round_nearest),
+                       mpf_div(den_err, mpf_abs(den, wp, round_nearest), wp, round_nearest),
+                       wp, round_nearest)
+    err = mpf_mul(mpf_abs(value, wp, round_nearest), relative, wp, round_nearest)
+    return _finish(value, err, spec, error)
 
 
 def remainder_quadrature(
@@ -426,6 +484,7 @@ def coefficient_quadrature(
     if k < 0:
         raise ValueError("k must be >= 0")
     value, err = _moment_integral(family, k, spec)
-    with working(spec.precision):
-        inv_pi = 1 / mp.pi
-        return _finish(inv_pi * value, inv_pi * err, spec, error)
+    wp = working_bits(spec.precision)
+    inv_pi = mpf_rdiv_int(1, mpf_pi(wp, round_nearest), wp, round_nearest)
+    return _finish(mpf_mul(inv_pi, value._mpf_, wp, round_nearest),
+                   mpf_mul(inv_pi, err._mpf_, wp, round_nearest), spec, error)

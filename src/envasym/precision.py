@@ -15,7 +15,8 @@ from fractions import Fraction
 
 from mpmath import mp, mpf
 from mpmath.ctx_mp import MPContext
-from mpmath.libmp import to_rational
+from mpmath.ctx_mp_python import _constant
+from mpmath.libmp import mpf_pos, round_nearest, to_rational
 
 from .errors import DomainError
 
@@ -47,7 +48,11 @@ def _context(precision: int) -> MPContext:
 
 def convert(x, precision: int):
     """``mp.convert(x)`` at ``working_bits(precision)``, run in the private
-    context of that precision, so the global ``mp.prec`` is never set."""
+    context of that precision, so the global ``mp.prec`` is never set.  A
+    constant such as ``mp.pi`` is evaluated at that precision too, not at
+    the one its own context holds."""
+    if isinstance(x, _constant):
+        return mp.make_mpf(x.func(working_bits(precision), round_nearest))
     value = _context(precision).convert(x)
     return mp.make_mpf(value._mpf_) if hasattr(value, "_mpf_") else mp.make_mpc(value._mpc_)
 
@@ -61,6 +66,11 @@ def positive_real(x, precision: int, what: str) -> mpf:
     except (TypeError, ValueError, ArithmeticError):  # unparseable, complex, "1/0"
         pass
     raise DomainError(f"{what} must be a finite real > 0, got {x!r}")
+
+
+def to_precision(x: tuple, precision: int) -> mpf:
+    """Raw x rounded to nearest at ``precision`` bits, as an mpf."""
+    return mp.make_mpf(mpf_pos(x, precision, round_nearest))
 
 
 def round_to(x, precision: int) -> mpf:

@@ -59,7 +59,6 @@ from mpmath.libmp import (
     mpf_le,
     mpf_mul,
     mpf_neg,
-    mpf_pos,
     mpf_pow_int,
     mpf_shift,
     mpf_sub,
@@ -76,6 +75,7 @@ from .precision import (
     MIN_PRECISION,
     positive_real,
     real_to_fraction,
+    to_precision,
     working_bits,
 )
 
@@ -183,11 +183,6 @@ def _checked_argument(kind: SeriesKind, z, precision: int) -> mpf:
     return zz
 
 
-def _to_precision(x: tuple, precision: int) -> mpf:
-    """Raw x rounded to nearest at ``precision`` bits, as an mpf."""
-    return mp.make_mpf(mpf_pos(x, precision, round_nearest))
-
-
 def _widened(size: tuple, wp: int, precision: int) -> tuple:
     """size (1 + 2**-(precision-32)) at wp bits, one rounding as in the product."""
     return mpf_add(size, mpf_shift(size, 32 - precision), wp, round_nearest)
@@ -198,7 +193,7 @@ def term(kind: SeriesKind, j: int, z, precision: int = DEFAULT_PRECISION) -> mpf
     if j < 0:
         raise ValueError("term index must be >= 0")
     zz = _checked_argument(kind, z, precision)
-    return _to_precision(_signed_term(kind.row, j, zz, working_bits(precision))._mpf_,
+    return to_precision(_signed_term(kind.row, j, zz, working_bits(precision))._mpf_,
                          precision)
 
 
@@ -225,7 +220,7 @@ def partial_sum(kind: SeriesKind, z, k: int, precision: int = DEFAULT_PRECISION)
     if k < 0:
         raise ValueError("term count must be >= 0")
     zz = _checked_argument(kind, z, precision)
-    return _to_precision(_partial_sum_at(kind.row, zz, k, working_bits(precision))._mpf_,
+    return to_precision(_partial_sum_at(kind.row, zz, k, working_bits(precision))._mpf_,
                          precision)
 
 
@@ -268,10 +263,10 @@ def envelope_interval(
     # lo <= hi, so hi or -lo is the larger magnitude; the margin is it times 2**-(P-32).
     pad = mpf_shift(hi if mpf_gt(hi, mpf_neg(lo)) else mpf_neg(lo), 32 - precision)
     return EnvelopeInterval(
-        lo=_to_precision(mpf_sub(lo, pad, wp, round_nearest), precision),
-        hi=_to_precision(mpf_add(hi, pad, wp, round_nearest), precision),
+        lo=to_precision(mpf_sub(lo, pad, wp, round_nearest), precision),
+        hi=to_precision(mpf_add(hi, pad, wp, round_nearest), precision),
         k_used=k,
-        bound=_to_precision(_widened(mpf_abs(t_k), wp, precision), precision),
+        bound=to_precision(_widened(mpf_abs(t_k), wp, precision), precision),
         precision=precision,
     )
 
@@ -477,8 +472,8 @@ def _certified(kind: SeriesKind, z, k: int, precision: int) -> CertifiedValue:
     bound = mpf_add(_widened(mpf_abs(t_k), wp, precision), mpf_shift(size, 33 - precision),
                     wp, round_nearest)
     return CertifiedValue(
-        value=_to_precision(anchored, precision),
-        error_bound=_to_precision(bound, precision),
+        value=to_precision(anchored, precision),
+        error_bound=to_precision(bound, precision),
         error_sign=sign,
         k_used=k,
         precision=precision,

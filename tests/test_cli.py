@@ -313,6 +313,13 @@ class TestDemoCommand:
         code, _, _ = run(capsys, "demo", "--b", "7")
         assert code == 2
 
+    def test_complex_rate_exits_2_with_one_line(self, capsys):
+        code, out, err = run(capsys, "demo", "--b", "2j", "--steps", "2")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: decay rate must lie strictly inside (0, 2*pi), got ")
+        assert err.count("\n") == 1
+
     @pytest.mark.parametrize("flag", ["--x-from", "--x-to"])
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-1"])
     def test_bad_endpoint_exits_2_before_any_quadrature(self, capsys, monkeypatch,

@@ -3,10 +3,14 @@
 import math
 import sys
 import threading
+import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mp, mpf
+from mpmath.libmp import fone, from_int, fzero, mpf_gt
 
 from envasym import (
     DomainError,
@@ -367,11 +371,8 @@ class TestNodeTable:
         assert _stored(320, ThetaFamily.THETA_TILDE)
 
     def test_threads_reading_one_precision_match_serial(self):
-        # Filling the table runs mpmath's expm1/log1p/coth, which raise and
-        # restore the process-wide precision, so concurrent fills race even
-        # at one precision (the thread-safety open item).  The threads here
-        # read a table two serial passes have filled, with the ambient
-        # precision already the working one.
+        # the threads read a table two serial passes have filled; threads
+        # filling cold tables are TestThreads' case
         spec = QuadratureSpec(precision=256)
         jobs = [(family, k) for family in ThetaFamily for k in (1, 2)]
         oracle._node_table.cache_clear()
@@ -387,11 +388,10 @@ class TestNodeTable:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
-            with mp.workprec(256 + 32):
-                for thread in threads:
-                    thread.start()
-                for thread in threads:
-                    thread.join(timeout=300)
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=300)
         finally:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
@@ -535,3 +535,194 @@ class TestDampedValueCache:
         enveloping_control_scan(grid, 2, spec)
         info = oracle._damped_moment_integral.cache_info()
         assert (info.hits, info.misses) == (len(grid), len(grid))
+
+
+def reference_weight(family, eta, precision):
+    """The weight at raw eta through mpmath's own functions at ``precision``
+    bits: a route that shares no code with ``oracle._weight``."""
+    with mp.workprec(precision):
+        u = 2 * mp.pi * mp.make_mpf(eta)
+        if family is ThetaFamily.THETA:
+            return -mp.log(-mp.expm1(-u)) if u < 1 else -mp.log1p(-mp.exp(-u))
+        if family is ThetaFamily.THETA_HAT:
+            return mp.log1p(mp.exp(-u))
+        return mp.log(mp.coth(u / 2)) if u < 1 else 2 * mp.atanh(mp.exp(-u))
+
+
+class TestWeight:
+    @settings(max_examples=150, deadline=None)
+    @given(st.floats(min_value=-2000, max_value=12),
+           st.sampled_from([64, 128, 256, 512, 1024]))
+    def test_within_one_unit_of_2_to_the_minus_working_bits(self, log2_eta, precision):
+        wp = precision + 32
+        with mp.workprec(wp):
+            eta = (mpf(2) ** log2_eta)._mpf_
+        for family in ThetaFamily:
+            got = oracle._weight(family, eta, wp)
+            want = reference_weight(family, eta, precision + 200)
+            with mp.workprec(precision + 200):
+                assert want > 0 and mp.make_mpf(got) > 0
+                assert abs(mp.make_mpf(got) - want) <= mpf(2) ** -wp * want, family
+
+    @pytest.mark.parametrize("family", list(ThetaFamily))
+    def test_positive_deep_in_the_tail(self, family):
+        # q = e^(-2 pi eta) near 2**-(10**13) at eta = 2**40: the weight is q or 2q,
+        # and a logarithm of 1 + q would round it to 0
+        for precision in (64, 1024):
+            w = oracle._weight(family, from_int(2**40), precision + 32)
+            assert w[0] == 0 and w[1] > 0 and w[2] + w[3] < -9 * 10**12
+
+    def test_the_ambient_weight_is_the_raw_weight_at_mp_prec(self):
+        eta = mpf("0.3")._mpf_
+        for family in ThetaFamily:
+            with mp.workprec(150):
+                assert family.weight(mp.make_mpf(eta))._mpf_ == oracle._weight(family, eta, 150)
+
+
+class TestZeroTerms:
+    def test_a_zero_term_is_negligible(self):
+        total = mpf(3)._mpf_
+        assert oracle._negligible(fzero, total, 288)
+        assert oracle._negligible(fzero, fzero, 288)
+        assert not oracle._negligible(mpf(1)._mpf_, total, 288)
+
+    def test_a_factor_that_vanishes_in_the_tail_ends_the_tail(self, monkeypatch):
+        # zero terms that were never negligible walked the tail to the cap
+        monkeypatch.setattr(oracle, "_TAIL_CAP", 10**3)
+        cut = from_int(2**8)
+        value, _ = oracle._de_quad_half_line(
+            ThetaFamily.THETA, lambda eta: fzero if mpf_gt(eta, cut) else fone, SPEC)
+        # beyond the cut theta < e^(-1600), far below 2**-288 of the whole
+        # integral, which is pi times beta_0 = 1/12
+        with mp.workprec(320):
+            want = mp.pi / 12
+        assert close(value, want)
+
+
+class TestThreads:
+    def test_six_cold_threads_at_two_precisions_match_serial(self):
+        jobs = [(ThetaFamily.THETA, 1, 256), (ThetaFamily.THETA_TILDE, 1, 320),
+                (ThetaFamily.THETA_HAT, 2, 256), (ThetaFamily.THETA, 2, 320),
+                (ThetaFamily.THETA_TILDE, 0, 256), (ThetaFamily.THETA_HAT, 0, 320)]
+        serial = [_quadratures(family, k, QuadratureSpec(precision=precision))
+                  for family, k, precision in jobs]
+        oracle._node_table.cache_clear()
+        results = [None] * len(jobs)
+
+        def work(i):
+            family, k, precision = jobs[i]
+            results[i] = _quadratures(family, k, QuadratureSpec(precision=precision))
+
+        threads = [threading.Thread(target=work, args=(i,), daemon=True)
+                   for i in range(len(jobs))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            deadline = time.monotonic() + 120
+            for thread in threads:
+                thread.join(timeout=max(0.0, deadline - time.monotonic()))
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert results == serial
+
+
+class TestNoGlobalPrecisionWrites:
+    CALLS = {
+        "binet_J": lambda: binet_J("7.3", SPEC, error=True),
+        "binet_J_tilde": lambda: binet_J_tilde(5, QuadratureSpec(precision=128)),
+        "theta_ratio": lambda: theta_ratio(ThetaFamily.THETA_HAT, 2, "3.5", SPEC, error=True),
+        "remainder_quadrature": lambda: remainder_quadrature(ThetaFamily.THETA_TILDE, 1, 4, SPEC),
+        "coefficient_quadrature": lambda: coefficient_quadrature(
+            ThetaFamily.THETA, 3, QuadratureSpec(precision=64), error=True),
+        "exact_ln_factorial": lambda: exact_ln_factorial(50, 128),
+        "exact_ln_central_binomial": lambda: exact_ln_central_binomial(10**4),
+        "exact_ln_gamma_half": lambda: exact_ln_gamma_half(7, 512),
+    }
+
+    def test_the_oracle_never_sets_the_global_precision(self, monkeypatch):
+        for call in self.CALLS.values():  # make the private contexts
+            call()
+        writes = []
+        context_class = type(mp)
+        for name in ("prec", "dps"):
+            prop = getattr(context_class, name)
+
+            def counted(ctx, value, set_=prop.fset, name=name):
+                if ctx is mp:
+                    writes.append(name)
+                set_(ctx, value)
+
+            monkeypatch.setattr(context_class, name, property(prop.fget, counted))
+        with mp.workprec(300):  # the probe itself sees writes
+            pass
+        assert writes == ["prec", "prec"]
+        writes.clear()
+        oracle._node_table.cache_clear()
+        _clear_value_caches()
+        for _ in range(3):  # cold, storing, warm
+            for call in self.CALLS.values():
+                call()
+        assert writes == []
+
+
+def ambient_wrappers(family, k, z, precision):
+    """What remainder_quadrature, theta_ratio and coefficient_quadrature
+    return with error=True, from the same quadratures, by mpf operators in
+    the global context."""
+    spec = QuadratureSpec(precision=precision)
+    zz = positive_real(z, precision, "argument")
+    num, num_err = oracle._damped_moment_integral(family, k, zz, spec)
+    den, den_err = oracle._moment_integral(family, k, spec)
+    with mp.workprec(precision + 32):
+        scale = zz / (mp.pi * zz ** (2 * k))
+        values = [family.row.sign(k) * scale * num, scale * num_err]
+        ratio = zz * zz * num / den
+        values += [ratio, abs(ratio) * (num_err / abs(num) + den_err / abs(den))]
+        inv_pi = 1 / mp.pi
+        values += [inv_pi * den, inv_pi * den_err]
+    with mp.workprec(precision):
+        return [(+x)._mpf_ for x in values]
+
+
+def ambient_exact_logs(n, precision):
+    with mp.workprec(precision + 32):
+        values = [mp.log(mpf(math.factorial(n))),
+                  mp.log(mpf(math.factorial(2 * n)))
+                  - mp.log(mpf(math.factorial(n))) - 2 * n * mp.log(2) + mp.log(mp.pi) / 2]
+        if n:
+            values.append(mp.log(mpf(math.comb(2 * n, n))))
+    with mp.workprec(precision):
+        return [(+x)._mpf_ for x in values]
+
+
+class TestLibmpWrappers:
+    @pytest.mark.parametrize("precision", [64, 256])
+    def test_match_the_mpf_expressions_bit_for_bit(self, precision):
+        with mp.workprec(1000):
+            deep_z = mp.mpf(22) / 3
+        spec = QuadratureSpec(precision=precision)
+        for family in ThetaFamily:
+            for k, z in ((0, "0.3"), (3, deep_z)):
+                want = ambient_wrappers(family, k, z, precision)
+                got = [*remainder_quadrature(family, k, z, spec, error=True),
+                       *theta_ratio(family, k, z, spec, error=True),
+                       *coefficient_quadrature(family, k, spec, error=True)]
+                assert [x._mpf_ for x in got] == want, (family, k)
+
+    def test_z_squared_rounds_a_deep_argument_first(self):
+        with mp.workprec(1000):
+            z = mp.mpf(22) / 3
+        spec = QuadratureSpec(precision=64)
+        want = ambient_de_quad(ThetaFamily.THETA, 1, z, 64)
+        assert _quadrature(ThetaFamily.THETA, 1, z, spec) == [x._mpf_ for x in want]
+
+    @pytest.mark.parametrize("precision", [64, 100, 1024])
+    def test_exact_logs_match_the_mpf_expressions_bit_for_bit(self, precision):
+        for n in (0, 1, 7, 1000):
+            got = [exact_ln_factorial(n, precision), exact_ln_gamma_half(n, precision)]
+            if n:
+                got.append(exact_ln_central_binomial(n, precision))
+            assert [x._mpf_ for x in got] == ambient_exact_logs(n, precision), n

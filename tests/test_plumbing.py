@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 from mpmath import mp, mpf
+from mpmath.libmp import mpf_pi, round_nearest
 
 import envasym
 from envasym import (
@@ -17,6 +18,7 @@ from envasym import (
     cli,
     coeffs,
     demo,
+    ln_gamma,
     min_term_index,
     oracle,
     remainder_quadrature,
@@ -121,6 +123,15 @@ class TestPositiveReal:
             assert mp.prec == 53
         with mp.workprec(288):
             assert x == mpf("0.1")
+
+    def test_a_constant_is_taken_at_the_working_precision(self):
+        # an mpmath constant used to evaluate at whatever mp.prec was set
+        values = []
+        for ambient in (53, 1000):
+            with mp.workprec(ambient):
+                assert positive_real(mp.pi, 256, "x")._mpf_ == mpf_pi(288, round_nearest)
+                values.append(ln_gamma(mp.pi, terms=3, precision=256).value._mpf_)
+        assert values[0] == values[1]
 
 
 def _unused_imports(path: pathlib.Path) -> list[str]:
