@@ -128,9 +128,10 @@ def _resolve_precision(flag, fallback: int = DEFAULT_PRECISION) -> int:
     return value
 
 
-def _parse_real(raw: str, precision: int, what: str):
+def _parse_real(raw: str, precision: int, what: str) -> None:
+    """A usage error unless ``raw`` parses as a number; callers pass ``raw`` on."""
     try:
-        return convert(raw, precision)
+        convert(raw, precision)
     except (ValueError, TypeError):
         raise _UsageError(f"{what} must be a decimal number, got {raw!r}") from None
 
@@ -276,10 +277,10 @@ def _cmd_verify(args) -> int:
 def _demo_grid(x_from, x_to, steps: int, precision: int):
     if steps < 1:
         raise _UsageError("--steps must be >= 1")
-    a = _parse_real(x_from, precision, "--x-from")
-    c = _parse_real(x_to, precision, "--x-to")
-    a = real_to_fraction(positive_real(a, precision, "--x-from"))
-    c = real_to_fraction(positive_real(c, precision, "--x-to"))
+    _parse_real(x_from, precision, "--x-from")
+    _parse_real(x_to, precision, "--x-to")
+    a = real_to_fraction(positive_real(x_from, precision, "--x-from"))
+    c = real_to_fraction(positive_real(x_to, precision, "--x-to"))
     if steps == 1:
         points = [a]
     else:
@@ -292,10 +293,10 @@ def _cmd_demo(args) -> int:
     precision = _resolve_precision(args.precision)
     if args.k_max < 1:
         raise _UsageError("--k-max must be >= 1")
-    b = _parse_real(args.b, precision, "--b")
+    _parse_real(args.b, precision, "--b")
     grid = _demo_grid(args.x_from, args.x_to, args.steps, precision)
     spec = QuadratureSpec(precision=precision)
-    witness = demo.find_envelope_violation(b, grid, args.k_max, spec)
+    witness = demo.find_envelope_violation(args.b, grid, args.k_max, spec)
     control = demo.enveloping_control_scan(grid, args.k_max, spec)
     found = None
     if witness is not None:

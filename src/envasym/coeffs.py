@@ -12,7 +12,8 @@ All values are exact ``fractions.Fraction`` objects built from Bernoulli
 numbers, which come from Brent and Harvey's integer tangent numbers ("Fast
 computation of Bernoulli, Tangent and Secant numbers", 2011).  Floating point
 enters only in ``zeta_even``, which maps the exact coefficients back to zeta
-values at even integers, and in ``log_estimate``, a float guess the series
+values at even integers in the private context of its precision (see
+:mod:`envasym.precision`), and in ``log_estimate``, a float guess the series
 module uses to decide where to look before it decides exactly.
 """
 
@@ -23,9 +24,9 @@ import threading
 from fractions import Fraction
 from functools import lru_cache
 
-from mpmath import mp, mpf
+from mpmath import mpf
 
-from .precision import DEFAULT_PRECISION, MIN_PRECISION, round_to, working
+from .precision import DEFAULT_PRECISION, MIN_PRECISION, _context, to_precision
 
 __all__ = [
     "bernoulli_even",
@@ -112,16 +113,16 @@ def beta_hat(k: int) -> Fraction:
 def zeta_even(k: int, precision: int = DEFAULT_PRECISION) -> mpf:
     """zeta(2k+2) at the requested precision, derived from the exact beta(k).
 
-    Uses zeta(2k+2) = beta(k) * (2*pi)**(2k+2) / (2 * (2k)!).
+    Uses zeta(2k+2) = beta(k) * (2*pi)**(2k+2) / (2 * (2k)!), evaluated in the
+    private context of the precision.
     """
     if k < 0:
         raise ValueError("zeta_even requires k >= 0")
     if precision < MIN_PRECISION:
         raise ValueError(f"precision must be >= {MIN_PRECISION}")
-    with working(precision):
-        two_pi = 2 * mp.pi
-        value = mp.convert(beta(k)) * two_pi ** (2 * k + 2) / (2 * mp.factorial(2 * k))
-        return round_to(value, precision)
+    ctx = _context(precision)
+    value = ctx.convert(beta(k)) * (2 * ctx.pi) ** (2 * k + 2) / (2 * ctx.factorial(2 * k))
+    return to_precision(value._mpf_, precision)
 
 
 #: (a, b) per family, with c(k) = (a - b * 2**-(2k+1)) * beta(k).

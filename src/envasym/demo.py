@@ -22,7 +22,7 @@ from mpmath import mp, mpf
 
 from .errors import DomainError
 from .oracle import QuadratureSpec, binet_J
-from .precision import round_to, working, working_bits
+from .precision import _context, convert, to_precision, working_bits
 from .series import SeriesKind, _checked_argument, _partial_sum_at, _signed_term
 
 __all__ = [
@@ -54,22 +54,20 @@ class ViolationWitness:
 
 
 def _checked_rate(b, precision: int) -> mpf:
-    with working(precision):
-        bb = mp.convert(b)
-        if not isinstance(bb, mpf) or not mp.isfinite(bb) or bb <= 0 or bb >= 2 * mp.pi:
-            raise DomainError(
-                f"decay rate must lie strictly inside (0, 2*pi), got {b!r}"
-            )
-        return bb
+    bb = convert(b, precision)
+    if (not isinstance(bb, mpf) or not mp.isfinite(bb) or bb <= 0
+            or bb >= 2 * _context(precision).pi):
+        raise DomainError(f"decay rate must lie strictly inside (0, 2*pi), got {b!r}")
+    return bb
 
 
 def perturbed_binet(x, b, spec: QuadratureSpec = QuadratureSpec()) -> mpf:
     """J(x) + exp(-b*x) for x > 0 and b strictly inside (0, 2*pi)."""
     bb = _checked_rate(b, spec.precision)
     xx = _checked_argument(SeriesKind.BINET_J, x, spec.precision)
-    j_val = binet_J(xx, spec)
-    with working(spec.precision):
-        return round_to(j_val + mp.exp(-bb * xx), spec.precision)
+    ctx = _context(spec.precision)
+    value = ctx.convert(binet_J(xx, spec)) + ctx.exp(-ctx.convert(bb) * xx)
+    return to_precision(value._mpf_, spec.precision)
 
 
 def _violations_at(
@@ -77,30 +75,30 @@ def _violations_at(
 ) -> list[ViolationWitness]:
     """Witnesses among the given truncation indices at one argument."""
     row, prec = SeriesKind.BINET_J.row, working_bits(spec.precision)
+    ctx = _context(spec.precision)
     j_val, j_err = binet_J(xx, spec, error=True)
+    f_val = ctx.convert(j_val)
+    if b is not None:
+        f_val += ctx.exp(-ctx.convert(b) * xx)
+    noise_floor = _ERROR_MARGIN_FACTOR * ctx.convert(j_err)
     found = []
-    with working(spec.precision):
-        f_val = j_val if b is None else j_val + mp.exp(-b * xx)
-        noise_floor = _ERROR_MARGIN_FACTOR * j_err
-        for k in ks:
-            remainder = f_val - _partial_sum_at(row, xx, k, prec)
-            t_k = _signed_term(row, k, xx, prec)
-            bound = abs(t_k)
-            if abs(remainder) - bound > noise_floor:
-                mode = ViolationMode.MAGNITUDE_EXCEEDED
-            elif abs(remainder) > noise_floor and mp.sign(remainder) != mp.sign(t_k):
-                mode = ViolationMode.SIGN_MISMATCH
-            else:
-                continue
-            found.append(
-                ViolationWitness(
-                    x=round_to(xx, spec.precision),
-                    k=k,
-                    remainder=round_to(remainder, spec.precision),
-                    next_term_bound=round_to(bound, spec.precision),
-                    mode=mode,
-                )
-            )
+    for k in ks:
+        remainder = f_val - _partial_sum_at(row, xx, k, prec)
+        t_k = ctx.convert(_signed_term(row, k, xx, prec))
+        bound = abs(t_k)
+        if abs(remainder) - bound > noise_floor:
+            mode = ViolationMode.MAGNITUDE_EXCEEDED
+        elif abs(remainder) > noise_floor and ctx.sign(remainder) != ctx.sign(t_k):
+            mode = ViolationMode.SIGN_MISMATCH
+        else:
+            continue
+        found.append(ViolationWitness(
+            x=to_precision(xx._mpf_, spec.precision),
+            k=k,
+            remainder=to_precision(remainder._mpf_, spec.precision),
+            next_term_bound=to_precision(bound._mpf_, spec.precision),
+            mode=mode,
+        ))
     return found
 
 

@@ -20,9 +20,11 @@ e**(-2*pi*eta); a well-known misprint in some references has 2**(-2*pi*eta).
 Quadrature results are trustworthy rather than certified: each value carries
 an a-posteriori error estimate (the difference of the last two refinement
 levels), not a proven bound.  Certification is the job of the series module.
-Every step is a libmp call at an explicit precision; apart from
-``ThetaFamily.weight``, which rounds to the ambient precision, none reads or
-sets ``mp.prec``.
+The quadrature's node loop is libmp calls at an explicit precision; the
+wrappers around it and the exact logarithms are operators in the private
+context of the precision (see :mod:`envasym.precision`).  Apart from
+``ThetaFamily.weight``, which rounds to the ambient precision, nothing reads
+or sets ``mp.prec``.
 """
 
 from __future__ import annotations
@@ -37,8 +39,6 @@ from mpmath import mp, mpf
 from mpmath.libmp import (
     fone,
     from_float,
-    from_int,
-    ftwo,
     fzero,
     mpf_abs,
     mpf_add,
@@ -48,12 +48,10 @@ from mpmath.libmp import (
     mpf_le,
     mpf_log,
     mpf_mul,
-    mpf_mul_int,
     mpf_neg,
     mpf_pi,
     mpf_pos,
     mpf_pow_int,
-    mpf_rdiv_int,
     mpf_shift,
     mpf_sub,
     round_nearest,
@@ -64,6 +62,7 @@ from .errors import QuadratureNonConvergence
 from .precision import (
     DEFAULT_PRECISION,
     MIN_PRECISION,
+    _context,
     positive_real,
     to_precision,
     working_bits,
@@ -345,30 +344,32 @@ def _damped_moment_integral(family: ThetaFamily, k: int, z: mpf, spec: Quadratur
     return _de_quad_half_line(family, factor, spec)
 
 
-def _finish(value: tuple, err: tuple, spec: QuadratureSpec, error: bool):
-    value = to_precision(value, spec.precision)
+def _finish(value, err, spec: QuadratureSpec, error: bool):
+    """value, or (value, err) with error, each rounded to the spec's precision."""
+    value = to_precision(value._mpf_, spec.precision)
     if error:
-        return value, to_precision(err, spec.precision)
+        return value, to_precision(err._mpf_, spec.precision)
     return value
 
 
-def _ln_int(n: int, wp: int) -> tuple:
-    """Raw ln(n), n rounded to wp bits first, then the log at wp bits."""
-    return mpf_log(from_int(n, wp, round_nearest), wp, round_nearest)
+def _ln_int(n: int, precision: int):
+    """ln(n) in the private context of the precision, n rounded to its bits first."""
+    ctx = _context(precision)
+    return ctx.log(ctx.mpf(n))
 
 
 def exact_ln_factorial(n: int, precision: int = DEFAULT_PRECISION) -> mpf:
     """ln(n!) from the exact big integer, correct to the stated precision."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    return to_precision(_ln_int(math.factorial(n), working_bits(precision)), precision)
+    return to_precision(_ln_int(math.factorial(n), precision)._mpf_, precision)
 
 
 def exact_ln_central_binomial(n: int, precision: int = DEFAULT_PRECISION) -> mpf:
     """ln C(2n, n) from the exact big-integer binomial coefficient."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    return to_precision(_ln_int(math.comb(2 * n, n), working_bits(precision)), precision)
+    return to_precision(_ln_int(math.comb(2 * n, n), precision)._mpf_, precision)
 
 
 def exact_ln_gamma_half(n: int, precision: int = DEFAULT_PRECISION) -> mpf:
@@ -379,27 +380,20 @@ def exact_ln_gamma_half(n: int, precision: int = DEFAULT_PRECISION) -> mpf:
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    wp = working_bits(precision)
-    # ln (2n)! - ln n! - 2n ln 2 + ln(pi)/2, rounding after each step
-    value = mpf_sub(_ln_int(math.factorial(2 * n), wp), _ln_int(math.factorial(n), wp),
-                    wp, round_nearest)
-    value = mpf_sub(value, mpf_mul_int(mpf_log(ftwo, wp, round_nearest), 2 * n, wp,
-                                       round_nearest), wp, round_nearest)
-    half_ln_pi = mpf_shift(mpf_log(mpf_pi(wp, round_nearest), wp, round_nearest), -1)
-    return to_precision(mpf_add(value, half_ln_pi, wp, round_nearest), precision)
+    ctx = _context(precision)
+    value = (_ln_int(math.factorial(2 * n), precision) - _ln_int(math.factorial(n), precision)
+             - 2 * n * ctx.log(2) + ctx.log(ctx.pi) / 2)
+    return to_precision(value._mpf_, precision)
 
 
 def _remainder(family: ThetaFamily, k: int, z, spec: QuadratureSpec):
     """(remainder, error): sign(k) z / (pi z^(2k)) times the damped moment integral."""
     zz = positive_real(z, spec.precision, "argument")
     value, err = _damped_moment_integral(family, k, zz, spec)
-    wp, x = working_bits(spec.precision), zz._mpf_
-    power = mpf_pow_int(x, 2 * k, wp, round_nearest)
-    scale = mpf_div(x, mpf_mul(mpf_pi(wp, round_nearest), power, wp, round_nearest),
-                    wp, round_nearest)
-    signed = scale if family.row.sign(k) > 0 else mpf_neg(scale)
-    return (mpf_mul(signed, value._mpf_, wp, round_nearest),
-            mpf_mul(scale, err._mpf_, wp, round_nearest))
+    ctx = _context(spec.precision)
+    x = ctx.convert(zz)
+    scale = x / (ctx.pi * x ** (2 * k))
+    return family.row.sign(k) * scale * value, scale * err
 
 
 def binet_J(z, spec: QuadratureSpec = _DEFAULT_SPEC, *, error: bool = False):
@@ -438,16 +432,12 @@ def theta_ratio(
     if k < 0:
         raise ValueError("k must be >= 0")
     zz = positive_real(z, spec.precision, "argument")
-    wp, x = working_bits(spec.precision), zz._mpf_
-    num, num_err = (v._mpf_ for v in _damped_moment_integral(family, k, zz, spec))
-    den, den_err = (v._mpf_ for v in _moment_integral(family, k, spec))
-    # z z num / den;  |value| (num_err/|num| + den_err/|den|)
-    value = mpf_div(mpf_mul(mpf_mul(x, x, wp, round_nearest), num, wp, round_nearest), den,
-                    wp, round_nearest)
-    relative = mpf_add(mpf_div(num_err, mpf_abs(num, wp, round_nearest), wp, round_nearest),
-                       mpf_div(den_err, mpf_abs(den, wp, round_nearest), wp, round_nearest),
-                       wp, round_nearest)
-    err = mpf_mul(mpf_abs(value, wp, round_nearest), relative, wp, round_nearest)
+    ctx = _context(spec.precision)
+    num, num_err = map(ctx.convert, _damped_moment_integral(family, k, zz, spec))
+    den, den_err = map(ctx.convert, _moment_integral(family, k, spec))
+    x = ctx.convert(zz)
+    value = x * x * num / den
+    err = abs(value) * (num_err / abs(num) + den_err / abs(den))
     return _finish(value, err, spec, error)
 
 
@@ -484,7 +474,5 @@ def coefficient_quadrature(
     if k < 0:
         raise ValueError("k must be >= 0")
     value, err = _moment_integral(family, k, spec)
-    wp = working_bits(spec.precision)
-    inv_pi = mpf_rdiv_int(1, mpf_pi(wp, round_nearest), wp, round_nearest)
-    return _finish(mpf_mul(inv_pi, value._mpf_, wp, round_nearest),
-                   mpf_mul(inv_pi, err._mpf_, wp, round_nearest), spec, error)
+    inv_pi = 1 / _context(spec.precision).pi
+    return _finish(inv_pi * value, inv_pi * err, spec, error)

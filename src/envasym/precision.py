@@ -6,6 +6,14 @@ functions take a precision ``P`` (bits), do their internal arithmetic at
 and ln(2*pi) are therefore always carried with guard bits, which keeps the
 floating-point contribution to any returned bound far below the outward
 widening margin ``2**-(P-32) * |x|`` of the series module.
+
+No module reads or sets mpmath's global ``mp.prec``, apart from
+``oracle.ThetaFamily.weight``, which reads it by design.  Hot paths are libmp
+calls at an explicit precision; other code uses operators on the numbers of
+``_context(P)``, a private context at ``working_bits(P)``.  An operator rounds
+at its left operand's context, so a global mpf goes through ``ctx.convert``
+(exact) before any arithmetic, and results go back as global mpf values,
+``to_precision(x._mpf_, P)``.
 """
 
 from __future__ import annotations
@@ -31,11 +39,6 @@ PRECISION_ENV_VAR = "ENVASYM_PRECISION"
 def working_bits(precision: int) -> int:
     """The working precision ``precision + GUARD_BITS`` of a P-bit result."""
     return precision + GUARD_BITS
-
-
-def working(precision: int):
-    """Context manager setting mpmath precision to ``working_bits(precision)``."""
-    return mp.workprec(working_bits(precision))
 
 
 @functools.lru_cache(maxsize=16)
@@ -71,12 +74,6 @@ def positive_real(x, precision: int, what: str) -> mpf:
 def to_precision(x: tuple, precision: int) -> mpf:
     """Raw x rounded to nearest at ``precision`` bits, as an mpf."""
     return mp.make_mpf(mpf_pos(x, precision, round_nearest))
-
-
-def round_to(x, precision: int) -> mpf:
-    """Round ``x`` to ``precision`` bits (round to nearest)."""
-    with mp.workprec(precision):
-        return +x
 
 
 def real_to_fraction(x: mpf) -> Fraction:

@@ -39,6 +39,16 @@ class TestPerturbedBinet:
             with pytest.raises(DomainError):
                 perturbed_binet(1, bad, SPEC)
 
+    def test_a_constant_rate_is_taken_at_the_working_precision(self):
+        # mp.convert(mp.pi) is the constant itself, not an mpf
+        values = []
+        for ambient in (53, 1000):
+            with mp.workprec(ambient):
+                values.append(perturbed_binet(1, mp.pi, SPEC))
+        assert values[0]._mpf_ == values[1]._mpf_
+        with mp.workprec(320):
+            assert abs(values[0] - binet_J(1, SPEC) - mp.exp(-mp.pi)) < mpf(2) ** -240
+
     def test_rejects_nonpositive_x(self):
         with pytest.raises(DomainError):
             perturbed_binet(0, 1, SPEC)

@@ -1,5 +1,6 @@
 """Oracle module: exact big-integer logs and quadrature cross-identities."""
 
+import itertools
 import math
 import sys
 import threading
@@ -642,24 +643,10 @@ class TestNoGlobalPrecisionWrites:
         "exact_ln_gamma_half": lambda: exact_ln_gamma_half(7, 512),
     }
 
-    def test_the_oracle_never_sets_the_global_precision(self, monkeypatch):
+    def test_the_oracle_never_sets_the_global_precision(self, precision_writes):
         for call in self.CALLS.values():  # make the private contexts
             call()
-        writes = []
-        context_class = type(mp)
-        for name in ("prec", "dps"):
-            prop = getattr(context_class, name)
-
-            def counted(ctx, value, set_=prop.fset, name=name):
-                if ctx is mp:
-                    writes.append(name)
-                set_(ctx, value)
-
-            monkeypatch.setattr(context_class, name, property(prop.fget, counted))
-        with mp.workprec(300):  # the probe itself sees writes
-            pass
-        assert writes == ["prec", "prec"]
-        writes.clear()
+        writes = precision_writes()
         oracle._node_table.cache_clear()
         _clear_value_caches()
         for _ in range(3):  # cold, storing, warm
@@ -698,6 +685,11 @@ def ambient_exact_logs(n, precision):
         return [(+x)._mpf_ for x in values]
 
 
+# The global precision while a wrapper runs: too low, the default, and far above
+# any working precision used here.
+AMBIENT_PRECISIONS = (12, 53, 1000)
+
+
 class TestLibmpWrappers:
     @pytest.mark.parametrize("precision", [64, 256])
     def test_match_the_mpf_expressions_bit_for_bit(self, precision):
@@ -707,10 +699,12 @@ class TestLibmpWrappers:
         for family in ThetaFamily:
             for k, z in ((0, "0.3"), (3, deep_z)):
                 want = ambient_wrappers(family, k, z, precision)
-                got = [*remainder_quadrature(family, k, z, spec, error=True),
-                       *theta_ratio(family, k, z, spec, error=True),
-                       *coefficient_quadrature(family, k, spec, error=True)]
-                assert [x._mpf_ for x in got] == want, (family, k)
+                for ambient in AMBIENT_PRECISIONS:
+                    with mp.workprec(ambient):
+                        got = [*remainder_quadrature(family, k, z, spec, error=True),
+                               *theta_ratio(family, k, z, spec, error=True),
+                               *coefficient_quadrature(family, k, spec, error=True)]
+                    assert [x._mpf_ for x in got] == want, (family, k, ambient)
 
     def test_z_squared_rounds_a_deep_argument_first(self):
         with mp.workprec(1000):
@@ -721,8 +715,9 @@ class TestLibmpWrappers:
 
     @pytest.mark.parametrize("precision", [64, 100, 1024])
     def test_exact_logs_match_the_mpf_expressions_bit_for_bit(self, precision):
-        for n in (0, 1, 7, 1000):
-            got = [exact_ln_factorial(n, precision), exact_ln_gamma_half(n, precision)]
-            if n:
-                got.append(exact_ln_central_binomial(n, precision))
-            assert [x._mpf_ for x in got] == ambient_exact_logs(n, precision), n
+        for n, ambient in itertools.product((0, 1, 7, 1000), AMBIENT_PRECISIONS):
+            with mp.workprec(ambient):
+                got = [exact_ln_factorial(n, precision), exact_ln_gamma_half(n, precision)]
+                if n:
+                    got.append(exact_ln_central_binomial(n, precision))
+            assert [x._mpf_ for x in got] == ambient_exact_logs(n, precision), (n, ambient)

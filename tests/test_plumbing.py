@@ -1,5 +1,5 @@
 """Shared plumbing: the table rows and the names the benchmark tracer reaches,
-the one positive-real check, and the package's imports."""
+the one positive-real check, and the package's imports and precision writes."""
 
 import ast
 import pathlib
@@ -164,3 +164,42 @@ def test_the_import_check_sees_an_unused_name(tmp_path):
     module.write_text("from __future__ import annotations\nimport os, sys\n"
                       "from math import pi as tau, e\n__all__ = ['e']\nprint(sys.argv)\n")
     assert _unused_imports(module) == ["m.py:2 os", "m.py:3 tau"]
+
+
+_PRECISION_SETTERS = {"workprec", "workdps", "extraprec", "extradps"}
+
+
+def _global_precision_writes(path: pathlib.Path) -> list[str]:
+    """Calls that set mpmath's global precision (``mp.workprec`` and its
+    kin), and stores to ``mp.prec`` or ``mp.dps``, as file:line name."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name in _PRECISION_SETTERS:
+                found.append((node.lineno, name))
+        elif (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+              and node.attr in ("prec", "dps")
+              and (getattr(node.value, "id", None) == "mp"
+                   or getattr(node.value, "attr", None) == "mp")):
+            found.append((node.lineno, f"mp.{node.attr}"))
+    return [f"{path.name}:{line} {name}" for line, name in sorted(found)]
+
+
+@pytest.mark.parametrize("path", sorted(pathlib.Path(envasym.__file__).parent.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_global_precision_writes(path):
+    assert _global_precision_writes(path) == []
+
+
+def test_the_precision_check_sees_a_global_write(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text("import mpmath\nfrom mpmath import mp, workdps\nctx.prec = 80\n"
+                      "with mp.workprec(80):\n    mp.dps = 30\nmpmath.mp.prec += 1\n"
+                      "f = workdps(5)(f)\nmp.extraprec(10)(f)\nx, mp.dps = 1, 2\n"
+                      "y = mp.prec\n")
+    assert _global_precision_writes(module) == [
+        "m.py:4 workprec", "m.py:5 mp.dps", "m.py:6 mp.prec", "m.py:7 workdps",
+        "m.py:8 extraprec", "m.py:9 mp.dps"]

@@ -512,25 +512,11 @@ class TestNoGlobalPrecisionWrites:
         with pytest.raises(ToleranceUnattainable, match="raise the precision"):
             ln_gamma("7.3", "1e-20", precision=64)
 
-    def test_the_series_path_never_sets_the_global_precision(self, monkeypatch):
+    def test_the_series_path_never_sets_the_global_precision(self, precision_writes):
         calls = [*self.CALLS.values(), self.floor_raise, self.precision_raise]
         for call in calls:  # make the private contexts and fill the caches
             call()
-        writes = []
-        context_class = type(mp)
-        for name in ("prec", "dps"):
-            prop = getattr(context_class, name)
-
-            def counted(ctx, value, set_=prop.fset, name=name):
-                if ctx is mp:
-                    writes.append(name)
-                set_(ctx, value)
-
-            monkeypatch.setattr(context_class, name, property(prop.fget, counted))
-        with mp.workprec(300):  # the probe itself sees writes
-            pass
-        assert writes == ["prec", "prec"]
-        writes.clear()
+        writes = precision_writes()
         for call in calls:
             call()
         assert writes == []
