@@ -179,17 +179,20 @@ _MAX_LEVELS = 20
 _TAIL_RUN = 2
 _TAIL_CAP = 10**7
 
-_COLUMNS = {family: column for column, family in enumerate(ThetaFamily, start=1)}
+# A row is [eta, cosh t, eta**2, W per family]; these are the W columns.
+_COLUMNS = {family: column for column, family in enumerate(ThetaFamily, start=3)}
 
 
 class _NodeTable:
     """The z-free node values of one working precision, keyed by the exact t.
 
-    A row holds eta = exp(lam*sinh t), shared by the three families, then one
-    W(t) = weight(eta)*lam*cosh(t)*eta per family, filled when first needed,
-    all as the raw libmp tuples (``mpf._mpf_``) the quadrature computed.  A
-    family stores nothing during its first quadrature at this precision, so
-    a one-off call leaves nothing behind.
+    A row holds eta = exp(lam*sinh t), cosh t and eta**2, free of z and
+    shared by the three families, then one W(t) = weight(eta)*lam*cosh(t)*eta
+    per family, filled when first needed, all as the raw libmp tuples
+    (``mpf._mpf_``) the quadrature computed.  Every quadrature fills its
+    family's W in the rows that exist, but only a family's second and later
+    quadratures at this precision create rows, so a one-off call leaves
+    nothing behind.
     Every stored value is a pure function of (t, precision, family), so a
     slot two quadratures fill at once holds the same number either way.
     """
@@ -225,7 +228,7 @@ def _node_table(precision: int) -> _NodeTable:
 
 
 def _de_quad_half_line(family: ThetaFamily, factor, spec: QuadratureSpec):
-    """Integrate factor(eta) * weight(eta) over (0, inf), double-exponentially.
+    """Integrate factor(eta, eta**2) * weight(eta) over (0, inf), double-exponentially.
 
     Substitutes eta = exp((pi/2) * sinh(t)) and applies the trapezoid rule in
     t with dyadic step refinement, reusing previous levels.  Refinement stops
@@ -235,12 +238,13 @@ def _de_quad_half_line(family: ThetaFamily, factor, spec: QuadratureSpec):
     running sum, however small the sum; eta = 0 is never sampled, so
     integrable endpoint singularities need no special casing.
 
-    The node value at t is factor(eta) * W(t), where the z-free part
-    W(t) = weight(eta) * (pi/2) * cosh(t) * eta and eta itself are read from
-    the precision's node table when an earlier quadrature stored them, and
-    computed otherwise.  ``factor`` maps a raw libmp eta to a raw value at
-    ``working_bits(P)``.  Every operation, the weight's included, is a libmp
-    call at that precision, rounding to nearest.
+    The node value at t is factor(eta, eta**2) * W(t), with
+    W(t) = weight(eta) * (pi/2) * cosh(t) * eta.  These z-free values are
+    read from the precision's node table where stored, and computed
+    otherwise (see ``_NodeTable`` for what is stored when).  ``factor`` maps
+    a raw libmp eta and its square to a raw value at ``working_bits(P)``.
+    Every operation, the weight's included, is a libmp call at that
+    precision, rounding to nearest.
 
     Returns (value, error_estimate) as mpf at working precision.  Raises
     QuadratureNonConvergence if the level cap is hit first.
@@ -257,21 +261,23 @@ def _de_quad_half_line(family: ThetaFamily, factor, spec: QuadratureSpec):
     def g(t: float):
         # t is dyadic, so the float key and its conversion are exact
         row = rows.get(t)
-        if row is not None and row[column] is not None:
-            return mpf_mul(factor(row[0]), row[column], wp, round_nearest)
-        cosh, sinh = mpf_cosh_sinh(from_float(t), wp, round_nearest)
         if row is None:
+            cosh, sinh = mpf_cosh_sinh(from_float(t), wp, round_nearest)
             eta = mpf_exp(mpf_mul(lam, sinh, wp, round_nearest), wp, round_nearest)
+            eta2 = mpf_mul(eta, eta, wp, round_nearest)
+            w = None
             if store:
-                row = rows.setdefault(t, [eta, None, None, None])
+                row = rows.setdefault(t, [eta, cosh, eta2, None, None, None])
         else:
-            eta = row[0]
-        w = _weight(family, eta, wp)
-        for x in (lam, cosh, eta):
-            w = mpf_mul(w, x, wp, round_nearest)
-        if store and row is not None:
-            row[column] = w
-        return mpf_mul(factor(eta), w, wp, round_nearest)
+            eta, cosh, eta2 = row[:3]
+            w = row[column]
+        if w is None:
+            w = _weight(family, eta, wp)
+            for x in (lam, cosh, eta):
+                w = mpf_mul(w, x, wp, round_nearest)
+            if row is not None:
+                row[column] = w
+        return mpf_mul(factor(eta, eta2), w, wp, round_nearest)
 
     def half_sums(h, start, step):
         # sum of g(j*h) over j = start, start+step, ... on both sides of 0
@@ -321,7 +327,7 @@ def _moment_integral(family: ThetaFamily, k: int, spec: QuadratureSpec):
     """(value, err) of  integral eta^(2k) * weight(eta) deta  over (0, inf)."""
     wp = working_bits(spec.precision)
     return _de_quad_half_line(
-        family, lambda eta: mpf_pow_int(eta, 2 * k, wp, round_nearest), spec
+        family, lambda eta, eta2: mpf_pow_int(eta, 2 * k, wp, round_nearest), spec
     )
 
 
@@ -334,10 +340,10 @@ def _damped_moment_integral(family: ThetaFamily, k: int, z: mpf, spec: Quadratur
     # z is rounded to wp bits before it is squared
     z2 = mpf_pow_int(mpf_pos(z._mpf_, wp, round_nearest), 2, wp, round_nearest)
 
-    def factor(eta):
+    def factor(eta, eta2):
         return mpf_div(
             mpf_pow_int(eta, 2 * k, wp, round_nearest),
-            mpf_add(z2, mpf_mul(eta, eta, wp, round_nearest), wp, round_nearest),
+            mpf_add(z2, eta2, wp, round_nearest),
             wp, round_nearest,
         )
 

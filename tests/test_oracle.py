@@ -324,7 +324,7 @@ def _quadratures(family, k, spec):
 
 def _stored(precision, family):
     """Count of nodes whose W is stored for this family at this precision."""
-    column = list(ThetaFamily).index(family) + 1
+    column = oracle._COLUMNS[family]
     rows = oracle._node_table(precision).rows.values()
     return sum(row[column] is not None for row in rows)
 
@@ -357,6 +357,53 @@ class TestNodeTable:
         binet_J(4, spec)
         assert _stored(192, ThetaFamily.THETA)
         assert not _stored(192, ThetaFamily.THETA_HAT)
+
+    def test_one_off_queries_of_each_family_store_nothing(self):
+        spec = QuadratureSpec(precision=192)
+        oracle._node_table.cache_clear()
+        _clear_value_caches()
+        binet_J(3, spec)
+        binet_J_tilde(3, spec)
+        remainder_quadrature(ThetaFamily.THETA_HAT, 1, 3, spec)
+        assert not oracle._node_table(192).rows
+
+    def test_no_node_is_computed_twice_at_a_precision(self, monkeypatch):
+        spec = QuadratureSpec(precision=256)
+        oracle._node_table.cache_clear()
+        _clear_value_caches()
+        binet_J(3, spec)  # stores nothing
+        binet_J(4, spec)  # creates THETA's rows
+        table = oracle._node_table(256)
+        had_row = set(table.rows)
+        assert had_row
+        visited = []
+
+        class Visits(dict):
+            def get(self, t, default=None):
+                visited.append(t)
+                return super().get(t, default)
+
+        calls = {"cosh_sinh": 0, "weight": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(table, "rows", Visits(table.rows))
+        monkeypatch.setattr(oracle, "mpf_cosh_sinh", counted("cosh_sinh", oracle.mpf_cosh_sinh))
+        monkeypatch.setattr(oracle, "_weight", counted("weight", oracle._weight))
+        binet_J_tilde(3, spec)  # THETA_TILDE's first quadrature at 256 bits
+        assert len(set(visited)) == len(visited)
+        old = [t for t in visited if t in had_row]
+        assert old
+        assert calls["cosh_sinh"] == len(visited) - len(old)
+        assert calls["weight"] == len(visited)
+        assert set(table.rows) == had_row
+        column = oracle._COLUMNS[ThetaFamily.THETA_TILDE]
+        assert all(table.rows[t][column] is not None for t in old)
+        assert _stored(256, ThetaFamily.THETA_TILDE) == len(old)
 
     def test_other_precision_leaves_result_unchanged(self):
         spec = QuadratureSpec(precision=256)
@@ -416,6 +463,8 @@ class TestNodeTable:
         row = oracle._node_table(256).rows[3.5]
         column = oracle._COLUMNS[ThetaFamily.THETA]
         assert (row[0], row[column]) == (eta._mpf_, w._mpf_)
+        with mp.workprec(256 + 32):
+            assert (row[1], row[2]) == (mp.cosh(3.5)._mpf_, (eta * eta)._mpf_)
         oracle._node_table.cache_clear()
         assert warm == _quadratures(ThetaFamily.THETA, 1, spec)
 
@@ -592,7 +641,7 @@ class TestZeroTerms:
         monkeypatch.setattr(oracle, "_TAIL_CAP", 10**3)
         cut = from_int(2**8)
         value, _ = oracle._de_quad_half_line(
-            ThetaFamily.THETA, lambda eta: fzero if mpf_gt(eta, cut) else fone, SPEC)
+            ThetaFamily.THETA, lambda eta, eta2: fzero if mpf_gt(eta, cut) else fone, SPEC)
         # beyond the cut theta < e^(-1600), far below 2**-288 of the whole
         # integral, which is pi times beta_0 = 1/12
         with mp.workprec(320):
