@@ -26,7 +26,7 @@ from functools import lru_cache
 
 from mpmath import mpf
 
-from .precision import DEFAULT_PRECISION, MIN_PRECISION, _context, to_precision
+from .precision import DEFAULT_PRECISION, _context, checked_precision, to_precision
 
 __all__ = [
     "bernoulli_even",
@@ -118,9 +118,7 @@ def zeta_even(k: int, precision: int = DEFAULT_PRECISION) -> mpf:
     """
     if k < 0:
         raise ValueError("zeta_even requires k >= 0")
-    if precision < MIN_PRECISION:
-        raise ValueError(f"precision must be >= {MIN_PRECISION}")
-    ctx = _context(precision)
+    ctx = _context(checked_precision(precision))
     value = ctx.convert(beta(k)) * (2 * ctx.pi) ** (2 * k + 2) / (2 * ctx.factorial(2 * k))
     return to_precision(value._mpf_, precision)
 

@@ -41,7 +41,6 @@ from mpmath.libmp import (
     fzero,
     mpf_abs,
     mpf_add,
-    mpf_cosh_sinh,
     mpf_div,
     mpf_exp,
     mpf_le,
@@ -60,8 +59,9 @@ from ._expansions import WEIGHTS
 from .errors import QuadratureNonConvergence
 from .precision import (
     DEFAULT_PRECISION,
-    MIN_PRECISION,
     _context,
+    checked_int,
+    checked_precision,
     positive_real,
     to_precision,
     working_bits,
@@ -151,8 +151,7 @@ class QuadratureSpec:
     precision: int = DEFAULT_PRECISION
 
     def __post_init__(self):
-        if self.precision < MIN_PRECISION:
-            raise ValueError(f"precision must be >= {MIN_PRECISION}")
+        checked_precision(self.precision)
 
     def effective_tol(self) -> mpf:
         return mp.make_mpf(mpf_shift(fone, 32 - self.precision))
@@ -169,14 +168,20 @@ _MAX_LEVELS = 20
 _TAIL_RUN = 2
 _TAIL_CAP = 10**7
 
-# A row is [eta, cosh t, eta**2, W per family]; these are the W columns.
+# A row is [eta, lam*cosh t, eta**2, W per family]; these are the W columns.
 _COLUMNS = {family: column for column, family in enumerate(ThetaFamily, start=3)}
+
+# Bits the running a = (lam/2) e^t and b = (lam/2) e^-t of a level carry
+# beyond the working precision, and the node indices, its multiples, where
+# they are recomputed from a direct exp.
+_NODE_GUARD = 30
+_RESEED = 1024
 
 
 class _NodeTable:
     """The z-free node values of one working precision, keyed by the exact t.
 
-    A row holds eta = exp(lam*sinh t), cosh t and eta**2, free of z and
+    A row holds eta = exp(lam*sinh t), lam*cosh t and eta**2, free of z and
     shared by the three families, then one W(t) = weight(eta)*lam*cosh(t)*eta
     per family, filled when first needed, all as the raw libmp tuples
     (``mpf._mpf_``) the quadrature computed.  Every quadrature fills its
@@ -195,6 +200,66 @@ class _NodeTable:
     def storing(self, family: ThetaFamily) -> bool:
         """Count one quadrature of the family; True from the second on."""
         return next(self._quadratures[family]) > 0
+
+
+class _Level:
+    """(eta, lam*cosh t) at the nodes t = t0 + n*dt of one refinement level,
+    and at their mirrors -t, from a recurrence instead of exps.
+
+    With lam = pi/2, a = (lam/2) e^t and b = (lam/2) e^-t, lam*sinh t = a - b
+    and lam*cosh t = a + b, and a step along the level multiplies a by e^dt
+    and b by e^-dt, at gp = wp + _NODE_GUARD bits.  At every index n
+    divisible by _RESEED, a and b are made afresh from one exp, so the a and
+    b at n come from the same n % _RESEED steps whatever ran before, and
+    every value is a pure function of (t, wp).  Rounded to nearest at wp,
+
+        lam*cosh t = a + b,    eta(t) = exp(a - b),    eta(-t) = 1/eta(t).
+
+    Error: a and b start within 3 roundings of 2**-gp and each step adds 3,
+    so they stay within 3*_RESEED*2**-gp < 2**-(wp+18) relative; the
+    exponent a - b is then within 2**-(wp+17)*lam*cosh t.  For |t| <= 11,
+    where lam*cosh t < 2**16 (beyond every tail below P = 50,000), eta(t)
+    and lam*cosh t are within 2**(1-wp) relative and eta(-t) within
+    2**(2-wp).
+    """
+
+    def __init__(self, t0: float, dt: float, wp: int):
+        self.t0, self.dt, self.wp, self.gp = t0, dt, wp, wp + _NODE_GUARD
+        self._steps = None  # (e^dt, e^-dt) at gp bits, made on first use
+        self._last = None  # (n, a, b) of the last index computed
+
+    def _ab(self, n: int) -> tuple:
+        """a and b at index n, rounded to nearest at gp bits."""
+        gp = self.gp
+        start = n - n % _RESEED
+        if self._last is None or not start <= self._last[0] <= n:
+            quarter_pi = mpf_shift(mpf_pi(gp, round_nearest), -2)
+            e = mpf_exp(from_float(self.t0 + start * self.dt), gp, round_nearest)
+            self._last = (start, mpf_mul(quarter_pi, e, gp, round_nearest),
+                          mpf_div(quarter_pi, e, gp, round_nearest))
+        m, a, b = self._last
+        if m < n:
+            if self._steps is None:
+                up = mpf_exp(from_float(self.dt), gp, round_nearest)
+                self._steps = up, mpf_div(fone, up, gp, round_nearest)
+            up, down = self._steps
+            for _ in range(n - m):
+                a = mpf_mul(a, up, gp, round_nearest)
+                b = mpf_mul(b, down, gp, round_nearest)
+        self._last = (n, a, b)
+        return a, b
+
+    def node(self, n: int) -> tuple:
+        """(eta, lam*cosh t) at t = t0 + n*dt."""
+        a, b = self._ab(n)
+        wp = self.wp
+        return (mpf_exp(mpf_sub(a, b, self.gp, round_nearest), wp, round_nearest),
+                mpf_add(a, b, wp, round_nearest))
+
+    def mirror(self, n: int) -> tuple:
+        """(eta, lam*cosh t) at t = -(t0 + n*dt)."""
+        eta, lc = self.node(n)
+        return mpf_div(fone, eta, self.wp, round_nearest), lc
 
 
 def _negligible(term, total, wp: int) -> bool:
@@ -231,10 +296,14 @@ def _de_quad_half_line(family: ThetaFamily, factor, spec: QuadratureSpec):
     The node value at t is factor(eta, eta**2) * W(t), with
     W(t) = weight(eta) * (pi/2) * cosh(t) * eta.  These z-free values are
     read from the precision's node table where stored, and computed
-    otherwise (see ``_NodeTable`` for what is stored when).  ``factor`` maps
+    otherwise (see ``_NodeTable`` for what is stored when).  A computed
+    node takes eta and (pi/2)*cosh t from its level's recurrence (see
+    ``_Level``): along a level each costs two multiplications and the exp
+    of eta, and a node at -t one division more, eta(-t) = 1/eta(t).  At
+    t = 0 they are 1 and pi/2.  ``factor`` maps
     a raw libmp eta and its square to a raw value at ``working_bits(P)``.
     Every operation, the weight's included, is a libmp call at that
-    precision, rounding to nearest.
+    precision or, in the recurrence, at a higher one, rounding to nearest.
 
     Returns (value, error_estimate) as mpf at working precision.  Raises
     QuadratureNonConvergence if the level cap is hit first.
@@ -245,38 +314,41 @@ def _de_quad_half_line(family: ThetaFamily, factor, spec: QuadratureSpec):
     rows = table.rows
     column = _COLUMNS[family]
     store = table.storing(family)
-    lam = mpf_shift(mpf_pi(wp, round_nearest), -1)
     target = spec.effective_tol()._mpf_
 
-    def g(t: float):
-        # t is dyadic, so the float key and its conversion are exact
+    def g(t: float, cold, n: int):
+        # the node value at t; cold(n) gives (eta, lam*cosh t) where t has no
+        # row.  t is dyadic, so the float key is exact.
         row = rows.get(t)
         if row is None:
-            cosh, sinh = mpf_cosh_sinh(from_float(t), wp, round_nearest)
-            eta = mpf_exp(mpf_mul(lam, sinh, wp, round_nearest), wp, round_nearest)
+            eta, lc = cold(n)
             eta2 = mpf_mul(eta, eta, wp, round_nearest)
             w = None
             if store:
-                row = rows.setdefault(t, [eta, cosh, eta2, None, None, None])
+                row = rows.setdefault(t, [eta, lc, eta2, None, None, None])
         else:
-            eta, cosh, eta2 = row[:3]
+            eta, lc, eta2 = row[:3]
             w = row[column]
         if w is None:
-            w = _weight(family, eta, wp)
-            for x in (lam, cosh, eta):
-                w = mpf_mul(w, x, wp, round_nearest)
+            w = mpf_mul(mpf_mul(_weight(family, eta, wp), lc, wp, round_nearest),
+                        eta, wp, round_nearest)
             if row is not None:
                 row[column] = w
         return mpf_mul(factor(eta, eta2), w, wp, round_nearest)
 
     def half_sums(h, start, step):
         # sum of g(j*h) over j = start, start+step, ... on both sides of 0
+        level = _Level(start * h, step * h, wp)
         total = fzero
-        for sgn in (1, -1):
-            j = start
-            run = 0
+        for sgn, cold in ((1, level.node), (-1, level.mirror)):
+            n = run = 0
             while True:
-                term = g(sgn * j * h)
+                j = start + n * step
+                if j > _TAIL_CAP:
+                    raise QuadratureNonConvergence(
+                        "tail truncation cap exceeded", value=mp.make_mpf(total)
+                    )
+                term = g(sgn * j * h, cold, n)
                 total = mpf_add(total, term, wp, round_nearest)
                 if _negligible(term, total, wp):
                     run += 1
@@ -284,15 +356,13 @@ def _de_quad_half_line(family: ThetaFamily, factor, spec: QuadratureSpec):
                         break
                 else:
                     run = 0
-                j += step
-                if j > _TAIL_CAP:
-                    raise QuadratureNonConvergence(
-                        "tail truncation cap exceeded", value=mp.make_mpf(total)
-                    )
+                n += 1
         return total
 
+    lam = mpf_shift(mpf_pi(wp, round_nearest), -1)
     h = 1.0
-    estimate = mpf_add(g(0.0), half_sums(h, 1, 1), wp, round_nearest)
+    estimate = mpf_add(g(0.0, lambda n: (fone, lam), 0), half_sums(h, 1, 1),
+                       wp, round_nearest)
     previous = None
     for level in range(1, _MAX_LEVELS + 1):
         h = h / 2
@@ -425,8 +495,7 @@ def theta_ratio(
     true remainder amounts to, so its containment in (0, 1) is the
     enveloping property itself.
     """
-    if k < 0:
-        raise ValueError("k must be >= 0")
+    k = checked_int(k, 0, "k")
     zz = positive_real(z, spec.precision, "argument")
     ctx = _context(spec.precision)
     num, num_err = map(ctx.convert, _damped_moment_integral(family, k, zz, spec))
@@ -450,8 +519,7 @@ def remainder_quadrature(
     Its sign is ``family.row.sign(k)``.  The k = 0 remainder is the whole
     correction function.
     """
-    if k < 0:
-        raise ValueError("k must be >= 0")
+    k = checked_int(k, 0, "k")
     return _finish(*_remainder(family, k, z, spec), spec, error)
 
 
@@ -467,8 +535,7 @@ def coefficient_quadrature(
     Independent of the Bernoulli-number route in :mod:`envasym.coeffs`; the
     two must agree, and the test suite holds them to it.
     """
-    if k < 0:
-        raise ValueError("k must be >= 0")
+    k = checked_int(k, 0, "k")
     value, err = _moment_integral(family, k, spec)
     inv_pi = 1 / _context(spec.precision).pi
     return _finish(inv_pi * value, inv_pi * err, spec, error)

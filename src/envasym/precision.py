@@ -18,6 +18,7 @@ at its left operand's context, so a global mpf goes through ``ctx.convert``
 from __future__ import annotations
 
 import functools
+import operator
 from fractions import Fraction
 
 from mpmath import mp, mpf
@@ -57,6 +58,28 @@ def convert(x, precision: int):
         return mp.make_mpf(x.func(working_bits(precision), round_nearest))
     value = _context(precision).convert(x)
     return mp.make_mpf(value._mpf_) if hasattr(value, "_mpf_") else mp.make_mpc(value._mpc_)
+
+
+def checked_int(value, least: int, what: str) -> int:
+    """value as an int, if an integer (``operator.index`` takes it; not a
+    bool) >= least; ValueError otherwise."""
+    try:
+        if not isinstance(value, bool) and operator.index(value) >= least:
+            return operator.index(value)
+    except TypeError:
+        pass
+    raise ValueError(f"{what} must be an int >= {least}, got {value!r}")
+
+
+def checked_precision(precision) -> int:
+    """precision, if an int (not a bool) >= MIN_PRECISION; ValueError otherwise.
+
+    Unlike an index, a fixed-width integer such as numpy's is refused: a
+    precision is passed on as given, into shifts and bit counts it overflows.
+    """
+    if isinstance(precision, int):
+        return checked_int(precision, MIN_PRECISION, "precision")
+    raise ValueError(f"precision must be an int >= {MIN_PRECISION}, got {precision!r}")
 
 
 def positive_real(x, precision: int, what: str) -> mpf:

@@ -72,7 +72,8 @@ from ._expansions import EXPANSIONS, Expansion
 from .errors import DomainError, ToleranceUnattainable
 from .precision import (
     DEFAULT_PRECISION,
-    MIN_PRECISION,
+    checked_int,
+    checked_precision,
     positive_real,
     real_to_fraction,
     to_precision,
@@ -181,9 +182,7 @@ def _within(lo: mpf, hi: mpf, x) -> bool:
 
 def _checked_argument(kind: SeriesKind, z, precision: int) -> mpf:
     """Convert and validate z, applying the half shift where the kind wants it."""
-    if precision < MIN_PRECISION:
-        raise ValueError(f"precision must be >= {MIN_PRECISION}")
-    zz = positive_real(z, precision, "series argument")
+    zz = positive_real(z, checked_precision(precision), "series argument")
     if kind.row.half_shift:
         zz = mp.make_mpf(mpf_add(zz._mpf_, fhalf, working_bits(precision), round_nearest))
     return zz
@@ -196,8 +195,7 @@ def _widened(size: tuple, wp: int, precision: int) -> tuple:
 
 def term(kind: SeriesKind, j: int, z, precision: int = DEFAULT_PRECISION) -> mpf:
     """The signed j-th term of the expansion at working precision."""
-    if j < 0:
-        raise ValueError("term index must be >= 0")
+    j = checked_int(j, 0, "term index")
     zz = _checked_argument(kind, z, precision)
     return to_precision(_signed_term(kind.row, j, zz, working_bits(precision))._mpf_,
                          precision)
@@ -223,8 +221,7 @@ def _signed_term(row: Expansion, j: int, zz: mpf, prec: int) -> mpf:
 
 def partial_sum(kind: SeriesKind, z, k: int, precision: int = DEFAULT_PRECISION) -> mpf:
     """Sum of the first k terms (an empty sum for k = 0)."""
-    if k < 0:
-        raise ValueError("term count must be >= 0")
+    k = checked_int(k, 0, "term count")
     zz = _checked_argument(kind, z, precision)
     return to_precision(_partial_sum_at(kind.row, zz, k, working_bits(precision))._mpf_,
                          precision)
@@ -248,8 +245,7 @@ def _partial_sum_at(row: Expansion, zz: mpf, k: int, prec: int) -> mpf:
 
 def _sum_and_term(kind: SeriesKind, z, k: int, precision: int) -> tuple:
     """Raw (x, s_k, t_k) for the checked argument at the working precision wp, and wp."""
-    if k < 0:
-        raise ValueError("term count must be >= 0")
+    k = checked_int(k, 0, "term count")
     zz, wp = _checked_argument(kind, z, precision), working_bits(precision)
     return (zz._mpf_, _partial_sum_at(kind.row, zz, k, wp)._mpf_,
             _signed_term(kind.row, k, zz, wp)._mpf_, wp)
@@ -298,9 +294,7 @@ def _exact(x, precision: int, what: str) -> Fraction:
 
 def _exact_argument(kind: SeriesKind, z, precision: int) -> Fraction:
     """The exact value of z, shifted by 1/2 where the kind wants it."""
-    if precision < MIN_PRECISION:
-        raise ValueError(f"precision must be >= {MIN_PRECISION}")
-    xf = _exact(z, precision, "series argument")
+    xf = _exact(z, checked_precision(precision), "series argument")
     return xf + Fraction(1, 2) if kind.row.half_shift else xf
 
 
@@ -499,9 +493,7 @@ def _evaluate(kind: SeriesKind, z, tol, terms, precision: int) -> CertifiedValue
     if terms is not None and tol is not None:
         raise ValueError("pass either tol or terms, not both")
     if terms is not None:
-        if terms < 0:
-            raise ValueError("terms must be >= 0")
-        return _certified(kind, z, terms, precision)
+        return _certified(kind, z, checked_int(terms, 0, "terms"), precision)
     if tol is None:
         tol = _DEFAULT_TOL
     k, _ = auto_truncate(kind, z, tol, precision)

@@ -11,7 +11,12 @@ library call raises is recorded as its type, message and payload.
 
     PYTHONPATH=src python tests/make_corpus.py
 
-to rewrite the file after a change that is meant to move bits.
+to rewrite the file after a change that is meant to move bits, and
+
+    PYTHONPATH=src python tests/make_corpus.py --check
+
+to print every record that differs from the file without writing it (exit
+status 1 if any does).
 """
 
 from __future__ import annotations
@@ -233,9 +238,9 @@ def _moves(old, new, precision, path=""):
     return [f"{label}: {old!r:.120} -> {new!r:.120}"]
 
 
-def differences(expected: list[dict], actual: list[dict], first: int = 5) -> str:
+def differences(expected: list[dict], actual: list[dict], first: int | None = 5) -> str:
     """'' when the records agree; else the count of differing records, then
-    the first ``first`` of them with what moved in each."""
+    the first ``first`` of them (all of them for None) with what moved in each."""
     ids = [r["id"] for r in expected]
     if ids != [r["id"] for r in actual]:
         missing = sorted(set(ids) - {r["id"] for r in actual})
@@ -245,14 +250,27 @@ def differences(expected: list[dict], actual: list[dict], first: int = 5) -> str
              if (lines := _moves(e["value"], a["value"], e["precision"]))]
     if not moved:
         return ""
-    report = [f"{len(moved)} of {len(expected)} records differ; the first {first}:"]
+    shown = "" if first is None else f"; the first {first}"
+    report = [f"{len(moved)} of {len(expected)} records differ{shown}:"]
     for name, lines in moved[:first]:
         report.append(f"{name}: " + "; ".join(lines[:3])
                       + (f"; and {len(lines) - 3} more" if len(lines) > 3 else ""))
     return "\n".join(report)
 
 
-if __name__ == "__main__":
+def main(argv: list[str]) -> int:
+    if argv == ["--check"]:
+        report = differences(load(), compute(), first=None)
+        sys.stdout.write((report or f"every record of {PATH.name} is reproduced") + "\n")
+        return 1 if report else 0
+    if argv:
+        sys.stderr.write("usage: make_corpus.py [--check]\n")
+        return 2
     PATH.parent.mkdir(exist_ok=True)
     PATH.write_text(render(compute()))
     sys.stdout.write(f"wrote {PATH}\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

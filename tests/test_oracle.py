@@ -7,11 +7,12 @@ import threading
 import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf
-from mpmath.libmp import fone, from_int, fzero, mpf_gt
+from mpmath.libmp import fone, from_int, fzero, mpf_div, mpf_gt, round_nearest
 
 from envasym import (
     DomainError,
@@ -106,6 +107,16 @@ class TestBinetJ:
             binet_J(0, SPEC)
         with pytest.raises(DomainError):
             binet_J(-3, SPEC)
+
+    def test_near_zero_against_log_gamma(self):
+        # z = 1e-30 walks the negative tails far: J(z) = ln Gamma(z) - (z - 1/2) ln z
+        # + z - ln(2 pi)/2 at P + 128 bits, to the quadrature's tolerance
+        precision = 128
+        got = binet_J("1e-30", QuadratureSpec(precision))
+        with mp.workprec(precision + 128):
+            z = mpf("1e-30")
+            want = mp.loggamma(z) - (z - mpf(1) / 2) * mp.log(z) + z - mp.log(2 * mp.pi) / 2
+            assert abs(got - want) <= mpf(2) ** (32 - precision) * abs(want)
 
 
 class TestBinetJTilde:
@@ -278,6 +289,32 @@ class TestQuadratureSpec:
         assert isinstance(info.value.value, mpf)
 
 
+class TestIntegerArguments:
+    # theta_ratio(THETA, 1.5, 3, ...) returned 0.9507 and a remainder after
+    # 2.5 terms -7.7e-7; QuadratureSpec(64.5) constructed and then raised a
+    # bare TypeError inside libmp.
+    @pytest.mark.parametrize("bad", (1.5, 2.0, True, -1, "2"))
+    def test_an_index_must_be_a_nonnegative_int(self, bad):
+        spec = QuadratureSpec(precision=64)
+        family = ThetaFamily.THETA
+        for call in (lambda: theta_ratio(family, bad, 3, spec),
+                     lambda: remainder_quadrature(family, bad, 3, spec),
+                     lambda: coefficient_quadrature(family, bad, spec)):
+            with pytest.raises(ValueError, match="k must be an int >= 0"):
+                call()
+
+    def test_a_numpy_index_is_an_int(self):
+        spec = QuadratureSpec(precision=64)
+        family = ThetaFamily.THETA
+        assert (coefficient_quadrature(family, np.int64(2), spec)
+                == coefficient_quadrature(family, 2, spec))
+
+    @pytest.mark.parametrize("bad", (64.0, 64.5, "128", True, 63, np.int64(64)))
+    def test_a_spec_precision_must_be_an_int_of_at_least_64_bits(self, bad):
+        with pytest.raises(ValueError, match="precision must be an int >= 64"):
+            QuadratureSpec(bad)
+
+
 class TestLargeArgument:
     # At z = 1e50 the damped integral is about 2**-330, far below 2**-(P+32)
     # at 128 bits; a tail test with that absolute floor stopped every tail at
@@ -328,6 +365,40 @@ def _stored(precision, family):
     return sum(row[column] is not None for row in rows)
 
 
+def _watch(monkeypatch, table):
+    """Record the t of every row lookup in the table, and of every call of
+    the level recurrence: node() makes the exp of a node at t > 0, mirror()
+    the node at -t from node() at +t and a division."""
+    calls = {"visited": [], "node": [], "mirror": []}
+
+    class Visits(dict):
+        def get(self, t, default=None):
+            calls["visited"].append(t)
+            return super().get(t, default)
+
+    def recorded(name, sign):
+        fn = getattr(oracle._Level, name)
+
+        def wrapper(level, n):
+            calls[name].append(sign * (level.t0 + n * level.dt))
+            return fn(level, n)
+        return wrapper
+
+    monkeypatch.setattr(table, "rows", Visits(table.rows))
+    monkeypatch.setattr(oracle._Level, "node", recorded("node", 1))
+    monkeypatch.setattr(oracle._Level, "mirror", recorded("mirror", -1))
+    return calls
+
+
+def _each_cold_node_once(calls, cold):
+    """Every t in ``cold`` (the visited t without a row) is computed once; a
+    mirror at -t calls node() at +t, whether or not the walk visited +t."""
+    visited, nodes, mirrors = calls["visited"], calls["node"], calls["mirror"]
+    assert len(set(visited)) == len(visited)
+    assert sorted(mirrors) == sorted(t for t in cold if t < 0)
+    assert sorted(nodes) == sorted([t for t in cold if t > 0] + [-t for t in mirrors])
+
+
 class TestNodeTable:
     @pytest.mark.parametrize(
         "spec",
@@ -375,34 +446,31 @@ class TestNodeTable:
         table = oracle._node_table(256)
         had_row = set(table.rows)
         assert had_row
-        visited = []
+        weights = []
 
-        class Visits(dict):
-            def get(self, t, default=None):
-                visited.append(t)
-                return super().get(t, default)
+        def weight(*args, fn=oracle._weight):
+            weights.append(args)
+            return fn(*args)
 
-        calls = {"cosh_sinh": 0, "weight": 0}
-
-        def counted(name, fn):
-            def wrapper(*args):
-                calls[name] += 1
-                return fn(*args)
-            return wrapper
-
-        monkeypatch.setattr(table, "rows", Visits(table.rows))
-        monkeypatch.setattr(oracle, "mpf_cosh_sinh", counted("cosh_sinh", oracle.mpf_cosh_sinh))
-        monkeypatch.setattr(oracle, "_weight", counted("weight", oracle._weight))
+        calls = _watch(monkeypatch, table)
+        monkeypatch.setattr(oracle, "_weight", weight)
         binet_J_tilde(3, spec)  # THETA_TILDE's first quadrature at 256 bits
-        assert len(set(visited)) == len(visited)
+        visited = calls["visited"]
         old = [t for t in visited if t in had_row]
         assert old
-        assert calls["cosh_sinh"] == len(visited) - len(old)
-        assert calls["weight"] == len(visited)
+        _each_cold_node_once(calls, [t for t in visited if t not in had_row])
+        assert len(weights) == len(visited)
         assert set(table.rows) == had_row
         column = oracle._COLUMNS[ThetaFamily.THETA_TILDE]
         assert all(table.rows[t][column] is not None for t in old)
         assert _stored(256, ThetaFamily.THETA_TILDE) == len(old)
+
+    def test_a_one_off_quadrature_computes_each_node_once(self, monkeypatch):
+        oracle._node_table.cache_clear()
+        _clear_value_caches()
+        calls = _watch(monkeypatch, oracle._node_table(192))
+        binet_J(3, QuadratureSpec(precision=192))  # one-off: every node is cold
+        _each_cold_node_once(calls, [t for t in calls["visited"] if t != 0])
 
     def test_other_precision_leaves_result_unchanged(self):
         spec = QuadratureSpec(precision=256)
@@ -454,46 +522,90 @@ class TestNodeTable:
         binet_J(3, spec)  # nothing stored, then storing, then reading
         binet_J(4, spec)
         warm = _quadratures(ThetaFamily.THETA, 1, spec)
-        with mp.workprec(256 + 32):
-            lam = mp.pi / 2
-            eta = mp.exp(lam * mp.sinh(3.5))
-            w = mp.make_mpf(oracle._weight(ThetaFamily.THETA, eta._mpf_, 256 + 32))
-            w = w * lam * mp.cosh(3.5) * eta
+        wp = 256 + 32
+        eta, lc = recurrence_nodes(0.5, 1.0, wp)(3.5)  # level 1: t = 0.5 + 3 * 1
+        with mp.workprec(wp):
+            w = mp.make_mpf(oracle._weight(ThetaFamily.THETA, eta._mpf_, wp)) * lc * eta
         assert w._mpf_[2] < -10**12
         row = oracle._node_table(256).rows[3.5]
         column = oracle._COLUMNS[ThetaFamily.THETA]
-        assert (row[0], row[column]) == (eta._mpf_, w._mpf_)
-        with mp.workprec(256 + 32):
-            assert (row[1], row[2]) == (mp.cosh(3.5)._mpf_, (eta * eta)._mpf_)
+        with mp.workprec(wp):
+            assert row[:3] == [eta._mpf_, lc._mpf_, (eta * eta)._mpf_]
+        assert row[column] == w._mpf_
         oracle._node_table.cache_clear()
         assert warm == _quadratures(ThetaFamily.THETA, 1, spec)
 
 
-def ambient_de_quad(family, k, z, precision):
+def recurrence_nodes(t0, dt, wp):
+    """t -> (eta, lam*cosh t) at the nodes t = +-(t0 + n*dt) of one level and
+    at t = 0, by the recurrence ``oracle._Level`` documents, on mpf operators:
+    a and b at every index in turn, from a direct exp at every _RESEED-th."""
+    gp = wp + oracle._NODE_GUARD
+    pairs = []  # (a, b) at n = 0, 1, ...
+    with mp.workprec(gp):
+        up = mp.exp(dt)
+        down = 1 / up
+
+    def at(t):
+        if t == 0:
+            with mp.workprec(wp):
+                return mpf(1), mp.pi / 2
+        n = int((abs(t) - t0) / dt)
+        with mp.workprec(gp):
+            while len(pairs) <= n:
+                m = len(pairs)
+                if m % oracle._RESEED == 0:
+                    e = mp.exp(t0 + m * dt)
+                    pairs.append((mp.pi / 4 * e, mp.pi / 4 / e))
+                else:
+                    a, b = pairs[-1]
+                    pairs.append((a * up, b * down))
+            a, b = pairs[n]
+            exponent = a - b
+        with mp.workprec(wp):
+            eta = mp.exp(exponent)
+            return eta if t > 0 else 1 / eta, a + b
+
+    return at
+
+
+def cosh_sinh_nodes(t0, dt, wp):
+    """t -> (eta, lam*cosh t) from a cosh and a sinh at each t, the route
+    the quadrature took before the recurrence."""
+    def at(t):
+        with mp.workprec(wp):
+            lam = mp.pi / 2
+            return mp.exp(lam * mp.sinh(t)), lam * mp.cosh(t)
+
+    return at
+
+
+def ambient_de_quad(family, k, z, precision, nodes=recurrence_nodes):
     """(value, err) of the ambient-context loop with no node table, the
     reference for ``oracle._de_quad_half_line``: the damped moment integral
-    at z, or the undamped one when z is None."""
-    with mp.workprec(precision + 32):
-        lam = mp.pi / 2
+    at z, or the undamped one when z is None.  ``nodes(t0, dt, wp)`` gives
+    eta and lam*cosh t on the level with nodes +-(t0 + n*dt)."""
+    wp = precision + 32
+    with mp.workprec(wp):
         tail_eps = mpf(2) ** (-(precision + 32))
         target = mpf(2) ** (32 - precision)
         z2 = None if z is None else mp.mpf(z) ** 2
 
-        def g(t):
-            eta = mp.exp(lam * mp.sinh(t))
-            w = mp.make_mpf(oracle._weight(family, eta._mpf_, precision + 32))
-            w = w * lam * mp.cosh(t) * eta
+        def g(t, at):
+            eta, lc = at(t)
+            w = mp.make_mpf(oracle._weight(family, eta._mpf_, wp)) * lc * eta
             if z2 is None:
                 return eta ** (2 * k) * w
             return eta ** (2 * k) / (z2 + eta * eta) * w
 
         def half_sums(h, start, step):
+            at = nodes(start * h, step * h, wp)
             total = mpf(0)
             for sgn in (1, -1):
                 j = start
                 run = 0
                 while True:
-                    term = g(sgn * j * h)
+                    term = g(sgn * j * h, at)
                     total += term
                     if abs(term) <= tail_eps * abs(total):
                         run += 1
@@ -505,7 +617,7 @@ def ambient_de_quad(family, k, z, precision):
             return total
 
         h = 1.0
-        estimate = h * (g(0.0) + half_sums(h, 1, 1))
+        estimate = h * (g(0.0, nodes(0.0, 1.0, wp)) + half_sums(h, 1, 1))
         previous = None
         for _ in range(oracle._MAX_LEVELS):
             h = h / 2
@@ -550,6 +662,18 @@ class TestLibmpLoop:
                         assert _quadrature(*case, spec) == want[case], case
                 assert mp.prec == ambient
 
+    @pytest.mark.parametrize("precision", [64, 128, 256])
+    def test_matches_the_cosh_sinh_loop_within_the_tolerance(self, precision):
+        # the route before the recurrence, an independent reference: values
+        # agree to the quadrature's own tolerance 2**(32-P) relative
+        spec = QuadratureSpec(precision=precision)
+        for family, k, z in self.CASES:
+            zz = None if z is None else positive_real(z, precision, "argument")
+            want, _ = ambient_de_quad(family, k, zz, precision, nodes=cosh_sinh_nodes)
+            got = mp.make_mpf(_quadrature(family, k, z, spec)[0])
+            with mp.workprec(precision + 64):
+                assert abs(got - want) <= mpf(2) ** (32 - precision) * abs(want), (family, k, z)
+
     def test_a_warm_node_makes_no_context_arithmetic(self, monkeypatch):
         mpf_type = type(mpf(1))
         calls = []
@@ -573,6 +697,61 @@ class TestLibmpLoop:
             counts[precision] = len(calls)
         assert len(oracle._node_table(64).rows) < len(oracle._node_table(256).rows)
         assert counts[64] == counts[256]
+
+
+class TestLevelRecurrence:
+    """``oracle._Level`` against a direct exp and cosh at P + 96 bits."""
+
+    @staticmethod
+    def _errors(pairs, ts, wp):
+        """Relative errors of (eta, lam*cosh t) at each t, in units of 2**-wp."""
+        errors = []
+        with mp.workprec(wp + 64):
+            lam = mp.pi / 2
+            for (eta, lc), t in zip(pairs, ts):
+                want = mp.exp(lam * mp.sinh(t)), lam * mp.cosh(t)
+                errors.append([abs(mp.make_mpf(x) / y - 1) * mpf(2) ** wp
+                               for x, y in zip((eta, lc), want)])
+        return errors
+
+    @pytest.mark.parametrize("precision", [64, 512])
+    def test_a_walk_past_a_reseed_stays_within_the_bound(self, precision):
+        # level 10: t = (2n + 1) / 1024, up to t = 2.98, a reseed at n = 1024
+        wp = precision + 32
+        h = 2.0 ** -10
+        count = oracle._RESEED + 500
+        level = oracle._Level(h, 2 * h, wp)
+        positive = [level.node(n) for n in range(count)]
+        ts = [h + n * 2 * h for n in range(count)]
+        # eta(t) and lam*cosh t within 2 units, eta(-t) = 1/eta(t) within 4
+        assert all(e <= 2 and c <= 2 for e, c in self._errors(positive, ts, wp))
+        mirrors = [level.mirror(n) for n in range(count)]
+        assert [lc for _, lc in mirrors] == [lc for _, lc in positive]
+        assert all(e <= 4 for e, _ in self._errors(mirrors, [-t for t in ts], wp))
+
+    def test_far_tails_stay_within_the_bound(self):
+        # level 1 up to t = 10.5, where lam*cosh t is near 2**15
+        wp = 512 + 32
+        level = oracle._Level(0.5, 1.0, wp)
+        ts = [0.5 + n for n in range(11)]
+        positive = [level.node(n) for n in range(11)]
+        assert all(e <= 2 and c <= 2 for e, c in self._errors(positive, ts, wp))
+        negative = [level.mirror(n) for n in range(11)]
+        assert all(e <= 4 for e, _ in self._errors(negative, [-t for t in ts], wp))
+
+    def test_a_node_does_not_depend_on_what_ran_before(self):
+        wp = 128 + 32
+        h = 2.0 ** -10
+        walked = oracle._Level(h, 2 * h, wp)
+        sequence = [walked.node(n) for n in range(1100)]
+        for order in ([1099, 1030, 5], [5, 1023, 1024, 1099], [1030, 1029]):
+            fresh = oracle._Level(h, 2 * h, wp)
+            assert [fresh.node(n) for n in order] == [sequence[n] for n in order], order
+        # a mirror divides by the eta its +t has in the walk
+        for n in (3, 1050):
+            eta, lc = sequence[n]
+            assert oracle._Level(h, 2 * h, wp).mirror(n) == (
+                mpf_div(fone, eta, wp, round_nearest), lc)
 
 
 class TestDampedValueCache:

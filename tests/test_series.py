@@ -1283,3 +1283,39 @@ class TestEvaluateIsTheComposition:
                 assert got == ("met" if outcome == "met" else "raised", answer), (z, tol)
                 outcomes.add(outcome)
         assert outcomes == {"met", "series floor", "precision floor"}
+
+
+class TestIntegerArguments:
+    # A float index used to return a meaningless number (term(binet, 1.5, 3)
+    # was -3.48e-5) or raise a bare TypeError from inside libmp; a float
+    # precision constructed and then failed deep inside.
+    BAD_INDICES = (1.5, 2.0, True, -1, "2", Fraction(2))
+
+    @pytest.mark.parametrize("bad", BAD_INDICES)
+    def test_an_index_must_be_a_nonnegative_int(self, bad):
+        kind = SeriesKind.BINET_J
+        for call in (lambda: term(kind, bad, 3), lambda: partial_sum(kind, 3, bad),
+                     lambda: envelope_interval(kind, 3, bad), lambda: ln_gamma(3, terms=bad),
+                     lambda: ln_central_binomial(3, terms=bad)):
+            with pytest.raises(ValueError, match="must be an int >= 0"):
+                call()
+
+    @pytest.mark.parametrize("bad", (64.0, 64.5, "128", True, 63, None, np.int64(64)))
+    def test_a_precision_must_be_an_int_of_at_least_64_bits(self, bad):
+        kind = SeriesKind.GAMMA_PLUS_HALF
+        for call in (lambda: ln_gamma(3, terms=2, precision=bad),
+                     lambda: ln_gamma(3, "1e-6", precision=bad),
+                     lambda: term(kind, 1, 3, bad), lambda: auto_truncate(kind, 3, "1e-6", bad),
+                     lambda: min_term_index(kind, 3, bad), lambda: coeffs.zeta_even(2, bad)):
+            with pytest.raises(ValueError, match="precision must be an int >= 64"):
+                call()
+
+    def test_an_integer_type_other_than_bool_is_an_int(self):
+        class Index(int):
+            pass
+
+        kind = SeriesKind.BINET_J
+        for index in (Index(2), np.int64(2)):
+            assert term(kind, index, 3) == term(kind, 2, 3)
+            assert ln_gamma(3, terms=index) == ln_gamma(3, terms=2)
+        assert ln_gamma(3, terms=2, precision=Index(64)) == ln_gamma(3, terms=2, precision=64)
