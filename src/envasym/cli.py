@@ -50,6 +50,11 @@ EXIT_USAGE = 1
 EXIT_NUMERIC = 2
 EXIT_VERIFY_FAILED = 3
 
+#: Most grid points ``demo --steps`` takes: each costs about 10 ms at 256
+#: bits, so the cap is about 10 s; a larger value is a usage error, raised
+#: before the grid is built.
+DEMO_STEPS_CAP = 1000
+
 
 class _UsageError(Exception):
     pass
@@ -100,7 +105,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--b", required=True, metavar="B")
     p.add_argument("--x-from", default="5", metavar="A")
     p.add_argument("--x-to", default="20", metavar="C")
-    p.add_argument("--steps", type=int, default=16, metavar="N")
+    p.add_argument("--steps", type=int, default=16, metavar="N",
+                   help=f"grid points, 1 to {DEMO_STEPS_CAP} (default 16)")
     p.add_argument("--k-max", type=int, default=5, metavar="K")
     p.add_argument("--precision", type=int, metavar="P")
     p.add_argument("--format", **fmt)
@@ -277,6 +283,8 @@ def _cmd_verify(args) -> int:
 def _demo_grid(x_from, x_to, steps: int, precision: int):
     if steps < 1:
         raise _UsageError("--steps must be >= 1")
+    if steps > DEMO_STEPS_CAP:
+        raise _UsageError(f"--steps must be <= {DEMO_STEPS_CAP}, got {steps}")
     _parse_real(x_from, precision, "--x-from")
     _parse_real(x_to, precision, "--x-to")
     a = real_to_fraction(positive_real(x_from, precision, "--x-from"))

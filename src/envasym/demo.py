@@ -15,6 +15,7 @@ the quadrature error estimate, so witnesses are evidence, not noise.
 from __future__ import annotations
 
 import enum
+import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
@@ -23,7 +24,7 @@ from mpmath import mp, mpf
 from .errors import DomainError
 from .oracle import QuadratureSpec, binet_J
 from .precision import _context, convert, to_precision, working_bits
-from .series import SeriesKind, _checked_argument, _partial_sum_at, _signed_term
+from .series import SeriesKind, _checked_argument, _walk
 
 __all__ = [
     "ViolationMode",
@@ -71,10 +72,11 @@ def perturbed_binet(x, b, spec: QuadratureSpec = QuadratureSpec()) -> mpf:
 
 
 def _violations_at(
-    xx: mpf, ks: Iterable[int], spec: QuadratureSpec, b: Optional[mpf]
+    xx: mpf, ks: range, spec: QuadratureSpec, b: Optional[mpf]
 ) -> list[ViolationWitness]:
-    """Witnesses among the given truncation indices at one argument."""
-    row, prec = SeriesKind.BINET_J.row, working_bits(spec.precision)
+    """Witnesses among the truncation indices ``ks`` at one argument, from one
+    walk of the series."""
+    walk = _walk(SeriesKind.BINET_J.row, xx._mpf_, working_bits(spec.precision))
     ctx = _context(spec.precision)
     j_val, j_err = binet_J(xx, spec, error=True)
     f_val = ctx.convert(j_val)
@@ -82,9 +84,9 @@ def _violations_at(
         f_val += ctx.exp(-ctx.convert(b) * xx)
     noise_floor = _ERROR_MARGIN_FACTOR * ctx.convert(j_err)
     found = []
-    for k in ks:
-        remainder = f_val - _partial_sum_at(row, xx, k, prec)
-        t_k = ctx.convert(_signed_term(row, k, xx, prec))
+    for k, (s_k, t_k) in itertools.islice(enumerate(walk), ks.start, ks.stop):
+        remainder = f_val - ctx.make_mpf(s_k)
+        t_k = ctx.make_mpf(t_k)
         bound = abs(t_k)
         if abs(remainder) - bound > noise_floor:
             mode = ViolationMode.MAGNITUDE_EXCEEDED
@@ -146,5 +148,5 @@ def revalidate_witness(
     doubled = QuadratureSpec(precision=2 * spec.precision)
     bb = _checked_rate(b, doubled.precision)
     xx = _checked_argument(SeriesKind.BINET_J, witness.x, doubled.precision)
-    found = _violations_at(xx, [witness.k], doubled, bb)
+    found = _violations_at(xx, range(witness.k, witness.k + 1), doubled, bb)
     return bool(found) and found[0].mode == witness.mode

@@ -83,10 +83,11 @@ def checked_precision(precision) -> int:
 
 
 def positive_real(x, precision: int, what: str) -> mpf:
-    """``convert(x, precision)``; :class:`DomainError` unless finite and > 0."""
+    """``convert(x, precision)``; :class:`DomainError` unless finite and > 0
+    (a bool is refused, not read as 0 or 1)."""
     try:
         xx = convert(x, precision)
-        if mp.isfinite(xx) and xx > 0:
+        if not isinstance(x, bool) and mp.isfinite(xx) and xx > 0:
             return xx
     except (TypeError, ValueError, ArithmeticError):  # unparseable, complex, "1/0"
         pass

@@ -19,6 +19,11 @@ in :mod:`envasym._expansions`, public as ``kind.row``: for instance
 * ``GAMMA_PLUS_HALF``   (-1)^(j+1) beta_hat(j)  / z^(2j+1)  -> ln-Gamma(z+1/2) tail
 * ``DE_MOIVRE``         same as GAMMA_PLUS_HALF with z = n + 1/2
 
+Every partial sum s_k and term t_k comes from one loop, ``_walk``: it
+carries the signed power x^(2j+1) with one multiplication per term and
+yields (s_j, t_j), so t_k divides by the power the sum reached.  ``term``
+walks too, so term j costs j + 1 divisions.
+
 ``term``, ``partial_sum``, ``envelope_interval``, ``min_term_index`` and
 ``auto_truncate`` operate on the series tail itself; ``ln_gamma``,
 ``ln_central_binomial``, ``ln_gamma_plus_half`` and ``ln_factorial_demoivre``
@@ -43,9 +48,11 @@ from __future__ import annotations
 import bisect
 import enum
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterator
 
 from mpmath import mp, mpf
 from mpmath.libmp import (
@@ -59,7 +66,6 @@ from mpmath.libmp import (
     mpf_le,
     mpf_mul,
     mpf_neg,
-    mpf_pow_int,
     mpf_shift,
     mpf_sub,
     round_ceiling,
@@ -194,11 +200,10 @@ def _widened(size: tuple, wp: int, precision: int) -> tuple:
 
 
 def term(kind: SeriesKind, j: int, z, precision: int = DEFAULT_PRECISION) -> mpf:
-    """The signed j-th term of the expansion at working precision."""
-    j = checked_int(j, 0, "term index")
-    zz = _checked_argument(kind, z, precision)
-    return to_precision(_signed_term(kind.row, j, zz, working_bits(precision))._mpf_,
-                         precision)
+    """The signed j-th term at working precision: the walk's t_j, so it costs
+    j + 1 divisions and multiplications, not one power and one division."""
+    _, _, t_j, _ = _sum_and_term(kind, z, checked_int(j, 0, "term index"), precision)
+    return to_precision(t_j, precision)
 
 
 @functools.lru_cache(maxsize=8192)
@@ -211,44 +216,36 @@ def _rounded_coefficient(family: str, j: int, prec: int) -> tuple:
     return _rounded(c.numerator, c.denominator, prec, round_floor)._mpf_
 
 
-def _signed_term(row: Expansion, j: int, zz: mpf, prec: int) -> mpf:
-    """sign(j) * c(j) / zz^(2j+1) at ``prec`` bits; zz is already shifted."""
-    term = mpf_div(_rounded_coefficient(row.coefficients, j, prec),
-                   mpf_pow_int(zz._mpf_, 2 * j + 1, prec, round_nearest),
-                   prec, round_nearest)
-    return mp.make_mpf(term if row.sign(j) > 0 else mpf_neg(term))
+def _walk(row: Expansion, x: tuple, wp: int) -> Iterator[tuple]:
+    """Raw (s_j, t_j) for j = 0, 1, 2, ...: s_j the sum of the first j terms
+    and t_j = c(j) / (sign(j) x^(2j+1)) the signed term j, at ``wp`` bits
+    whatever ``mp.prec`` is; x is the raw, already shifted argument.  The
+    signed power is carried with one multiplication by -x^2 per term."""
+    power = x if row.first_sign > 0 else mpf_neg(x)
+    minus_x2, total = mpf_neg(mpf_mul(x, x, wp, round_nearest)), fzero
+    for j in itertools.count():
+        t_j = mpf_div(_rounded_coefficient(row.coefficients, j, wp), power, wp, round_nearest)
+        yield total, t_j
+        total = mpf_add(total, t_j, wp, round_nearest)
+        power = mpf_mul(power, minus_x2, wp, round_nearest)
+
+
+def _walk_to(row: Expansion, x: tuple, wp: int, k: int) -> tuple:
+    """The walk's pair (s_k, t_k)."""
+    return next(itertools.islice(_walk(row, x, wp), k, None))
 
 
 def partial_sum(kind: SeriesKind, z, k: int, precision: int = DEFAULT_PRECISION) -> mpf:
     """Sum of the first k terms (an empty sum for k = 0)."""
-    k = checked_int(k, 0, "term count")
-    zz = _checked_argument(kind, z, precision)
-    return to_precision(_partial_sum_at(kind.row, zz, k, working_bits(precision))._mpf_,
-                         precision)
-
-
-def _partial_sum_at(row: Expansion, zz: mpf, k: int, prec: int) -> mpf:
-    """Sum of the first k terms at ``prec`` bits; zz is already shifted.
-
-    Each operation rounds to nearest at ``prec``, whatever ``mp.prec`` is.
-    """
-    family, x = row.coefficients, zz._mpf_
-    x2 = mpf_mul(x, x, prec, round_nearest)
-    total, power = fzero, x
-    for j in range(k):
-        term = mpf_div(_rounded_coefficient(family, j, prec), power, prec, round_nearest)
-        total = (mpf_add if row.sign(j) > 0 else mpf_sub)(
-            total, term, prec, round_nearest)
-        power = mpf_mul(power, x2, prec, round_nearest)
-    return mp.make_mpf(total)
+    _, s_k, _, _ = _sum_and_term(kind, z, k, precision)
+    return to_precision(s_k, precision)
 
 
 def _sum_and_term(kind: SeriesKind, z, k: int, precision: int) -> tuple:
     """Raw (x, s_k, t_k) for the checked argument at the working precision wp, and wp."""
     k = checked_int(k, 0, "term count")
     zz, wp = _checked_argument(kind, z, precision), working_bits(precision)
-    return (zz._mpf_, _partial_sum_at(kind.row, zz, k, wp)._mpf_,
-            _signed_term(kind.row, k, zz, wp)._mpf_, wp)
+    return (zz._mpf_, *_walk_to(kind.row, zz._mpf_, wp, k), wp)
 
 
 def envelope_interval(
@@ -276,8 +273,8 @@ def envelope_interval(
 def _exact(x, precision: int, what: str) -> Fraction:
     """The exact value of x, which must be a finite real > 0: the decimal a
     string spells (its exponent within +-EXPONENT_LIMIT), or the value of an
-    int, Fraction, float or mpf.  Other types, and strings only mpmath reads,
-    count as mpmath converts them at ``precision``."""
+    int (not a bool), Fraction, float or mpf.  Other types, and strings only
+    mpmath reads, count as mpmath converts them at ``precision``."""
     if isinstance(x, str):
         digits = x.lower().partition("e")[2].strip().lstrip("+-").replace("_", "").lstrip("0")
         if digits.isdecimal() and (len(digits) > 6 or int(digits) > EXPONENT_LIMIT):
@@ -287,7 +284,7 @@ def _exact(x, precision: int, what: str) -> Fraction:
         exact = Fraction(x)
     except (TypeError, ValueError, ArithmeticError):
         exact = real_to_fraction(positive_real(x, precision, what))
-    if exact <= 0:
+    if exact <= 0 or isinstance(x, bool):
         raise DomainError(f"{what} must be a finite real > 0, got {x!r}")
     return exact
 
@@ -488,8 +485,11 @@ def _evaluate(kind: SeriesKind, z, tol, terms, precision: int) -> CertifiedValue
     to the series bound; when that pushes it above ``tol``, precision rather
     than the series is the limit, and :class:`ToleranceUnattainable` says so.
     """
-    if kind.row.integer_argument and (not isinstance(z, int) or isinstance(z, bool) or z < 1):
-        raise DomainError(f"n must be a positive integer, got {z!r}")
+    if kind.row.integer_argument:
+        try:
+            z = checked_int(z, 1, "n")
+        except ValueError:
+            raise DomainError(f"n must be a positive integer, got {z!r}") from None
     if terms is not None and tol is not None:
         raise ValueError("pass either tol or terms, not both")
     if terms is not None:

@@ -150,7 +150,7 @@ def _check_remainder_identity(deep: bool, spec: QuadratureSpec) -> CheckResult:
     ctx, prec = _context(spec.precision), working_bits(spec.precision)
     return _mismatch_check("remainder-identity", (
         (ctx.convert(oracle.theta_ratio(family, k, z, spec))
-         * series._signed_term(family.row, k, ctx.convert(z), prec),
+         * ctx.make_mpf(series._walk_to(family.row, ctx.convert(z)._mpf_, prec, k)[1]),
          oracle.remainder_quadrature(family, k, z, spec))
         for family in ThetaFamily for k in ks for z in zs), spec)
 

@@ -320,6 +320,25 @@ class TestDemoCommand:
         assert out == ""
         assert err == "error: decay rate must lie strictly inside (0, 2*pi), got '2j'\n"
 
+    @pytest.mark.parametrize("steps", [cli.DEMO_STEPS_CAP + 1, 10**12])
+    def test_steps_above_the_cap_exit_1_before_the_grid_is_built(self, capsys, monkeypatch,
+                                                                 steps):
+        # --steps 100000 used to scan for about 17 minutes, after building
+        # every grid point
+        def no_grid(*args, **kwargs):
+            raise AssertionError("grid built")
+
+        monkeypatch.setattr(cli, "real_to_fraction", no_grid)
+        monkeypatch.setattr(demo, "binet_J", no_grid)
+        code, out, err = run(capsys, "demo", "--b", "1", "--steps", str(steps))
+        assert (code, out) == (1, "")
+        assert err == f"error: --steps must be <= {cli.DEMO_STEPS_CAP}, got {steps}\n"
+
+    def test_the_steps_cap_is_in_the_help(self, capsys):
+        code, out, _ = run(capsys, "demo", "--help")
+        assert code == 0
+        assert f"1 to {cli.DEMO_STEPS_CAP}" in out
+
     @pytest.mark.parametrize("flag", ["--x-from", "--x-to"])
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-1"])
     def test_bad_endpoint_exits_2_before_any_quadrature(self, capsys, monkeypatch,

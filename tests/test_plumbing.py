@@ -73,7 +73,7 @@ class TestTracedNames:
         assert 22 in calls and 23 in calls
 
 
-BAD_REALS = ["nan", "inf", "-inf", "0", "-1"]
+BAD_REALS = ["nan", "inf", "-inf", "0", "-1", True]
 
 
 class TestPositiveReal:

@@ -1,5 +1,6 @@
 """Series evaluation, enclosures, truncation policy, and their invariants."""
 
+import itertools
 import math
 import os
 import subprocess
@@ -215,24 +216,25 @@ class TestEnvelopeInterval:
         assert bound <= width <= bound + 4 * scale * Fraction(1, 2 ** (P - 32))
 
 
-def ambient_signed_term(row, j, zz):
-    """The j-th term as the package computed it before the rounded-coefficient
-    table: ``mp.convert`` of the exact coefficient in the ambient context."""
-    return row.sign(j) * mp.convert(row.coefficient(j)) / zz ** (2 * j + 1)
+def ambient_walk(row, zz, wp):
+    """(s_j, t_j) for j = 0, 1, 2, ... from mpf operators in the global context
+    at wp bits, with the running power zz^(2j+1) and ``mp.convert`` of the
+    exact coefficient: the bit-for-bit reference for ``series._walk``."""
+    total, power = mpf(0), zz
+    with mp.workprec(wp):
+        zz2 = zz * zz
+    for j in itertools.count():
+        with mp.workprec(wp):
+            t_j = row.sign(j) * mp.convert(row.coefficient(j)) / power
+        yield total, t_j
+        with mp.workprec(wp):
+            total += t_j
+            power *= zz2
 
 
-def ambient_partial_sums(row, zz, k):
-    """The partial sums 0..k of the ambient-context loop, the reference for
-    ``series._partial_sum_at``."""
-    total = mpf(0)
-    sums = [total]
-    zz2 = zz * zz
-    power = zz
-    for j in range(k):
-        total += row.sign(j) * mp.convert(row.coefficient(j)) / power
-        power *= zz2
-        sums.append(total)
-    return sums
+def ambient_pair(row, zz, k, wp):
+    """(s_k, t_k) of ``ambient_walk``."""
+    return next(itertools.islice(ambient_walk(row, zz, wp), k, None))
 
 
 SUM_PRECISIONS = (64, 256, 512)
@@ -241,36 +243,29 @@ SUM_K_MAX = 160
 
 
 class TestRoundedCoefficientSum:
-    """The libmp sum over the rounded-coefficient table against the ambient
+    """The libmp walk over the rounded-coefficient table against the ambient
     ``mp.convert`` loop it replaced, bit for bit at the working precision."""
 
     @pytest.mark.parametrize("precision", SUM_PRECISIONS)
     @pytest.mark.parametrize("kind", ALL_KINDS)
-    def test_partial_sums_match_the_ambient_loop(self, kind, precision):
+    def test_the_walk_matches_the_ambient_loop(self, kind, precision):
         wp = precision + 32
         for z in SUM_ARGUMENTS:
             zz = series._checked_argument(kind, z, precision)
-            with mp.workprec(wp):
-                expected = ambient_partial_sums(kind.row, zz, SUM_K_MAX)
-                terms = [ambient_signed_term(kind.row, j, zz) for j in range(SUM_K_MAX + 1)]
-            for k in range(SUM_K_MAX + 1):
-                got = series._partial_sum_at(kind.row, zz, k, wp)
-                assert got._mpf_ == expected[k]._mpf_, (z, k)
-                assert series._signed_term(kind.row, k, zz, wp)._mpf_ == terms[k]._mpf_, (z, k)
+            expected = itertools.islice(ambient_walk(kind.row, zz, wp), SUM_K_MAX + 1)
+            got = itertools.islice(series._walk(kind.row, zz._mpf_, wp), SUM_K_MAX + 1)
+            for k, ((s_k, t_k), want) in enumerate(zip(got, expected, strict=True)):
+                assert [s_k, t_k] == raw(*want), (z, k)
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_the_ambient_precision_is_not_read(self, kind):
         wp = 256 + 32
         zz = series._checked_argument(kind, "7.3", 256)
-        with mp.workprec(wp):
-            expected = ambient_partial_sums(kind.row, zz, 40)[-1]
-            term_40 = ambient_signed_term(kind.row, 40, zz)
+        expected = ambient_pair(kind.row, zz, 40, wp)
         with mp.workprec(53):
-            got = series._partial_sum_at(kind.row, zz, 40, wp)
-            got_term = series._signed_term(kind.row, 40, zz, wp)
+            got = series._walk_to(kind.row, zz._mpf_, wp, 40)
             assert mp.prec == 53
-        assert got._mpf_ == expected._mpf_
-        assert got_term._mpf_ == term_40._mpf_
+        assert list(got) == raw(*expected)
 
     def test_the_coefficient_table_is_bounded(self):
         assert series._rounded_coefficient.cache_info().maxsize == 8192
@@ -279,23 +274,19 @@ class TestRoundedCoefficientSum:
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_public_results_are_unchanged(self, kind, precision, monkeypatch):
         ks = (0, 1, 7, 40, SUM_K_MAX)
-        new = {z: [(term(kind, k, z, precision), envelope_interval(kind, z, k, precision))
+        new = {z: [(term(kind, k, z, precision), partial_sum(kind, z, k, precision),
+                    envelope_interval(kind, z, k, precision))
                    for k in ks] for z in SUM_ARGUMENTS}
 
-        def ambient_sum(row, zz, k, prec):
-            with mp.workprec(prec):
-                return ambient_partial_sums(row, zz, k)[-1]
+        def ambient(row, x, wp):
+            for pair in ambient_walk(row, mp.make_mpf(x), wp):
+                yield tuple(raw(*pair))
 
-        def ambient_term(row, j, zz, prec):
-            with mp.workprec(prec):
-                return ambient_signed_term(row, j, zz)
-
-        monkeypatch.setattr(series, "_partial_sum_at", ambient_sum)
-        monkeypatch.setattr(series, "_signed_term", ambient_term)
+        monkeypatch.setattr(series, "_walk", ambient)
         for z in SUM_ARGUMENTS:
-            for k, (t, env) in zip(ks, new[z]):
-                assert t._mpf_ == term(kind, k, z, precision)._mpf_, (z, k)
-                assert env == envelope_interval(kind, z, k, precision), (z, k)
+            for k, results in zip(ks, new[z]):
+                assert results == (term(kind, k, z, precision), partial_sum(kind, z, k, precision),
+                                   envelope_interval(kind, z, k, precision)), (z, k)
 
 
 # The certified path as it ran in the global mpmath context, before every
@@ -327,8 +318,7 @@ def ambient_certified(kind, z, k, precision):
     """(value, error_bound, error_sign) of ``series._certified``."""
     zz = ambient_argument(kind, z, precision)
     with mp.workprec(precision + 32):
-        s_k = ambient_partial_sums(kind.row, zz, k)[-1]
-        t_k = ambient_signed_term(kind.row, k, zz)
+        s_k, t_k = ambient_pair(kind.row, zz, k, precision + 32)
         value = AMBIENT_PREFIXES[kind](zz) + s_k
         sign = kind.row.sign(k)
         slop = mpf(2) ** (32 - precision)
@@ -342,8 +332,7 @@ def ambient_envelope(kind, z, k, precision):
     """(lo, hi, bound) of ``series.envelope_interval``."""
     zz = ambient_argument(kind, z, precision)
     with mp.workprec(precision + 32):
-        s_k = ambient_partial_sums(kind.row, zz, k)[-1]
-        t_k = ambient_signed_term(kind.row, k, zz)
+        s_k, t_k = ambient_pair(kind.row, zz, k, precision + 32)
         s_next = s_k + t_k
         lo, hi = (s_k, s_next) if s_k <= s_next else (s_next, s_k)
         slop = mpf(2) ** (32 - precision)
@@ -1104,8 +1093,8 @@ class TestLnCentralBinomial:
             assert cv.contains(mp.log(mpf(math.comb(60, 30))))
 
     def test_rejects_non_integers(self):
-        for bad in (0, -4, mpf("2.5"), 2.0):
-            with pytest.raises(DomainError):
+        for bad in (0, -4, mpf("2.5"), 2.0, True, Fraction(5), "5", np.int64(0), np.int8(-3)):
+            with pytest.raises(DomainError, match="^n must be a positive integer, got "):
                 ln_central_binomial(bad, "1e-6")
 
 
@@ -1158,8 +1147,9 @@ class TestLnFactorialDeMoivre:
             assert a.error_sign == b.error_sign
 
     def test_rejects_non_integers(self):
-        with pytest.raises(DomainError):
-            ln_factorial_demoivre(mpf("1.5"), "1e-5")
+        for bad in (mpf("1.5"), False, np.float64(5), np.int64(0)):
+            with pytest.raises(DomainError, match="^n must be a positive integer, got "):
+                ln_factorial_demoivre(bad, terms=2)
 
 
 def tail_oracle(kind, z):
@@ -1309,6 +1299,26 @@ class TestIntegerArguments:
                      lambda: min_term_index(kind, 3, bad), lambda: coeffs.zeta_even(2, bad)):
             with pytest.raises(ValueError, match="precision must be an int >= 64"):
                 call()
+
+    @pytest.mark.parametrize("n", (np.int32(5), np.int64(5), np.uint8(5)))
+    def test_the_integer_kinds_take_a_numpy_integer(self, n):
+        # refused with "n must be a positive integer" while term and the
+        # exact oracles took the same value
+        for evaluate in (ln_central_binomial, ln_factorial_demoivre):
+            assert evaluate(n, terms=2) == evaluate(5, terms=2)
+            assert evaluate(n, "1e-6", precision=64) == evaluate(5, "1e-6", precision=64)
+
+    def test_the_real_kinds_refuse_a_bool(self):
+        # ln_gamma(True, terms=2) quietly evaluated at 1
+        for evaluate in (ln_gamma, ln_gamma_plus_half):
+            for call in (lambda: evaluate(True, terms=2), lambda: evaluate(True)):
+                with pytest.raises(DomainError, match="^series argument must be a finite "):
+                    call()
+            with pytest.raises(DomainError, match="^tolerance must be a finite real > 0"):
+                evaluate(3, True)
+        for kind in ALL_KINDS:
+            with pytest.raises(DomainError, match="^series argument must be a finite "):
+                min_term_index(kind, True)
 
     def test_an_integer_type_other_than_bool_is_an_int(self):
         class Index(int):
