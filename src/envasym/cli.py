@@ -35,9 +35,8 @@ from .precision import (
     MIN_PRECISION,
     PRECISION_ENV_VAR,
     convert,
+    exact,
     format_real,
-    positive_real,
-    real_to_fraction,
 )
 from .series import SeriesKind
 
@@ -287,14 +286,12 @@ def _demo_grid(x_from, x_to, steps: int, precision: int):
         raise _UsageError(f"--steps must be <= {DEMO_STEPS_CAP}, got {steps}")
     _parse_real(x_from, precision, "--x-from")
     _parse_real(x_to, precision, "--x-to")
-    a = real_to_fraction(positive_real(x_from, precision, "--x-from"))
-    c = real_to_fraction(positive_real(x_to, precision, "--x-to"))
+    a = exact(x_from, precision, "--x-from")
+    c = exact(x_to, precision, "--x-to")
     if steps == 1:
-        points = [a]
-    else:
-        step = (c - a) / (steps - 1)
-        points = [a + i * step for i in range(steps)]
-    return [convert(p, precision) for p in points]
+        return [a]
+    step = (c - a) / (steps - 1)
+    return [a + i * step for i in range(steps)]
 
 
 def _cmd_demo(args) -> int:

@@ -7,6 +7,10 @@ and ln(2*pi) are therefore always carried with guard bits, which keeps the
 floating-point contribution to any returned bound far below the outward
 widening margin ``2**-(P-32) * |x|`` of the series module.
 
+Every number a caller passes is read by ``exact``, as the number it spells,
+and rounded once by ``rounded``; ``positive_real`` is that number rounded to
+nearest at ``working_bits(P)``.  So every path sees the same number.
+
 No module reads or sets mpmath's global ``mp.prec``.  Hot paths are libmp
 calls at an explicit precision; other code uses operators on the numbers of
 ``_context(P)``, a private context at ``working_bits(P)``.  An operator rounds
@@ -24,7 +28,7 @@ from fractions import Fraction
 from mpmath import mp, mpf
 from mpmath.ctx_mp import MPContext
 from mpmath.ctx_mp_python import _constant
-from mpmath.libmp import mpf_pos, round_nearest, to_rational
+from mpmath.libmp import from_man_exp, mpf_pos, round_nearest, to_rational
 
 from .errors import DomainError
 
@@ -34,6 +38,9 @@ GUARD_BITS = 32
 
 #: Environment variable the CLI consults for a default precision override.
 PRECISION_ENV_VAR = "ENVASYM_PRECISION"
+
+#: Largest decimal exponent ``exact`` reads: building 10**|e| takes seconds beyond it.
+EXPONENT_LIMIT = 100_000
 
 
 def working_bits(precision: int) -> int:
@@ -82,16 +89,47 @@ def checked_precision(precision) -> int:
     raise ValueError(f"precision must be an int >= {MIN_PRECISION}, got {precision!r}")
 
 
-def positive_real(x, precision: int, what: str) -> mpf:
-    """``convert(x, precision)``; :class:`DomainError` unless finite and > 0
-    (a bool is refused, not read as 0 or 1)."""
+def exact(x, precision: int, what: str) -> Fraction:
+    """The exact value of x, a finite real > 0 (else :class:`DomainError`):
+    the decimal a string spells (its exponent within +-EXPONENT_LIMIT), or
+    the value of an int (not a bool), float or mpf; a positive Fraction is
+    returned as it is.  What ``Fraction`` refuses (an mpmath constant,
+    "1 / 3", a numpy float32) counts as ``convert(x, precision)``."""
+    if isinstance(x, Fraction) and x > 0:
+        return x
+    if isinstance(x, str):
+        digits = x.lower().partition("e")[2].strip().lstrip("+-").replace("_", "").lstrip("0")
+        if digits.isdecimal() and (len(digits) > 6 or int(digits) > EXPONENT_LIMIT):
+            raise DomainError(f"the decimal exponent of the {what} must lie between "
+                              f"-{EXPONENT_LIMIT} and {EXPONENT_LIMIT}, got {x!r}")
     try:
-        xx = convert(x, precision)
-        if not isinstance(x, bool) and mp.isfinite(xx) and xx > 0:
-            return xx
-    except (TypeError, ValueError, ArithmeticError):  # unparseable, complex, "1/0"
+        try:
+            value = Fraction(x)
+        except (TypeError, ValueError):
+            value = real_to_fraction(convert(x, precision))
+        if value > 0 and not isinstance(x, bool):
+            return value
+    except (TypeError, ValueError, ArithmeticError):  # unparseable, complex, "inf", "1/0"
         pass
     raise DomainError(f"{what} must be a finite real > 0, got {x!r}")
+
+
+def rounded(p: int, q: int, precision: int, rounding: str) -> mpf:
+    """p / q (q > 0) rounded by ``rounding`` to a precision-bit float: one
+    integer division (``from_rational`` strips q's trailing zero bits, in
+    quadratic time) gives a quotient of at least precision + 1 bits, and a
+    nonzero remainder, one sticky bit below it, decides every mode."""
+    shift = precision + 1 + q.bit_length() - p.bit_length()
+    num, den = (p << shift, q) if shift >= 0 else (p, q << -shift)
+    quotient, remainder = divmod(num, den)
+    return mp.make_mpf(from_man_exp(2 * quotient + bool(remainder), -shift - 1, precision,
+                                    rounding))
+
+
+def positive_real(x, precision: int, what: str) -> mpf:
+    """``exact(x, precision, what)`` rounded to nearest at ``working_bits(precision)``."""
+    value = exact(x, precision, what)
+    return rounded(value.numerator, value.denominator, working_bits(precision), round_nearest)
 
 
 def to_precision(x: tuple, precision: int) -> mpf:
@@ -101,8 +139,8 @@ def to_precision(x: tuple, precision: int) -> mpf:
 
 def real_to_fraction(x: mpf) -> Fraction:
     """Exact rational value of a finite binary float (no re-rounding)."""
-    if not mp.isfinite(x):
-        raise ValueError("cannot convert non-finite value to a fraction")
+    if not (isinstance(x, mpf) and mp.isfinite(x)):
+        raise ValueError(f"cannot convert {x!r} to a fraction")
     p, q = to_rational(x._mpf_)
     return Fraction(int(p), int(q))
 

@@ -30,11 +30,11 @@ walks too, so term j costs j + 1 divisions.
 add the elementary prefix and return a :class:`CertifiedValue` for the full
 function.
 
-``min_term_index`` and ``auto_truncate`` decide on z and ``tol`` as the
-numbers they spell (see ``_exact``): exact rational checks walk from a float
-estimate of the index, so the index is the one a scan from k = 0 would give,
-and it does not depend on the precision.  Indices above ``INDEX_CAP``, and
-decimal strings whose exponent lies outside ``+-EXPONENT_LIMIT``, are
+z and ``tol`` count as the numbers they spell (``precision.exact``); the
+sums round x once, to nearest.  ``min_term_index`` and ``auto_truncate``
+decide exactly, walking from a float estimate of the index, so the index is
+the one a scan from k = 0 would give, whatever the precision.  Indices above
+``INDEX_CAP``, and decimal exponents outside ``+-EXPONENT_LIMIT``, are
 rejected with :class:`DomainError`.
 
 Rigor contract: the mathematical bounds are exact in exact arithmetic;
@@ -56,12 +56,11 @@ from typing import Iterator
 
 from mpmath import mp, mpf
 from mpmath.libmp import (
-    fhalf,
-    from_man_exp,
     fzero,
     mpf_abs,
     mpf_add,
     mpf_div,
+    mpf_ge,
     mpf_gt,
     mpf_le,
     mpf_mul,
@@ -80,8 +79,9 @@ from .precision import (
     DEFAULT_PRECISION,
     checked_int,
     checked_precision,
-    positive_real,
+    exact,
     real_to_fraction,
+    rounded,
     to_precision,
     working_bits,
 )
@@ -109,10 +109,6 @@ _DEFAULT_TOL = "1e-12"
 #: exact search passes it.  Building the coefficients up to the cap takes one
 #: to two seconds; explicit ``terms=`` are not capped.
 INDEX_CAP = 1000
-
-#: Largest decimal exponent of a string the searches read exactly; beyond it,
-#: building 10**|e| takes seconds to minutes.  ``terms=`` has no such limit.
-EXPONENT_LIMIT = 100_000
 
 
 class SeriesKind(enum.Enum):
@@ -187,11 +183,9 @@ def _within(lo: mpf, hi: mpf, x) -> bool:
 
 
 def _checked_argument(kind: SeriesKind, z, precision: int) -> mpf:
-    """Convert and validate z, applying the half shift where the kind wants it."""
-    zz = positive_real(z, checked_precision(precision), "series argument")
-    if kind.row.half_shift:
-        zz = mp.make_mpf(mpf_add(zz._mpf_, fhalf, working_bits(precision), round_nearest))
-    return zz
+    """``_exact_argument`` rounded once, to nearest at the working precision."""
+    xf = _exact_argument(kind, z, precision)
+    return rounded(xf.numerator, xf.denominator, working_bits(precision), round_nearest)
 
 
 def _widened(size: tuple, wp: int, precision: int) -> tuple:
@@ -213,7 +207,7 @@ def _rounded_coefficient(family: str, j: int, prec: int) -> tuple:
     the bits they had when every term converted its coefficient).  An entry
     takes about 0.4 KB up to 544 bits, so a full table takes about 3 MB."""
     c = coeffs.COEFFICIENT_FAMILIES[family](j)
-    return _rounded(c.numerator, c.denominator, prec, round_floor)._mpf_
+    return rounded(c.numerator, c.denominator, prec, round_floor)._mpf_
 
 
 def _walk(row: Expansion, x: tuple, wp: int) -> Iterator[tuple]:
@@ -270,28 +264,9 @@ def envelope_interval(
     )
 
 
-def _exact(x, precision: int, what: str) -> Fraction:
-    """The exact value of x, which must be a finite real > 0: the decimal a
-    string spells (its exponent within +-EXPONENT_LIMIT), or the value of an
-    int (not a bool), Fraction, float or mpf.  Other types, and strings only
-    mpmath reads, count as mpmath converts them at ``precision``."""
-    if isinstance(x, str):
-        digits = x.lower().partition("e")[2].strip().lstrip("+-").replace("_", "").lstrip("0")
-        if digits.isdecimal() and (len(digits) > 6 or int(digits) > EXPONENT_LIMIT):
-            raise DomainError(f"the decimal exponent of the {what} must lie between "
-                              f"-{EXPONENT_LIMIT} and {EXPONENT_LIMIT}, got {x!r}")
-    try:
-        exact = Fraction(x)
-    except (TypeError, ValueError, ArithmeticError):
-        exact = real_to_fraction(positive_real(x, precision, what))
-    if exact <= 0 or isinstance(x, bool):
-        raise DomainError(f"{what} must be a finite real > 0, got {x!r}")
-    return exact
-
-
 def _exact_argument(kind: SeriesKind, z, precision: int) -> Fraction:
-    """The exact value of z, shifted by 1/2 where the kind wants it."""
-    xf = _exact(z, checked_precision(precision), "series argument")
+    """The exact value of z (``exact``), shifted by 1/2 where the kind wants it."""
+    xf = exact(z, checked_precision(precision), "series argument")
     return xf + Fraction(1, 2) if kind.row.half_shift else xf
 
 
@@ -371,7 +346,7 @@ def _turns(row: Expansion, xf: Fraction, k: int) -> bool:
 def min_term_index(kind: SeriesKind, z, precision: int = DEFAULT_PRECISION) -> int:
     """First index where term magnitudes stop strictly decreasing.
 
-    Decided at z as the number it spells (see ``_exact``), so the index does
+    Decided at z as the number it spells (see ``exact``), so the index does
     not depend on ``precision``.  Raises :class:`DomainError` when it lies
     above ``INDEX_CAP``, or when z is a decimal string whose exponent lies
     outside ``+-EXPONENT_LIMIT``.
@@ -384,25 +359,12 @@ def min_term_index(kind: SeriesKind, z, precision: int = DEFAULT_PRECISION) -> i
     return k
 
 
-def _rounded(p: int, q: int, precision: int, rounding: str) -> mpf:
-    """p / q > 0 rounded by ``rounding`` (round_floor or round_ceiling) to a
-    precision-bit float, with one integer division; ``from_rational`` would
-    strip q's trailing zero bits, in time quadratic in their count."""
-    # The quotient below has at least `precision` bits, so its floor or
-    # ceiling is on a grid nested in the precision-bit one and rounding twice
-    # is exact.
-    shift = precision + q.bit_length() - p.bit_length()
-    num, den = (p << shift, q) if shift >= 0 else (p, q << -shift)
-    quotient = num // den if rounding == round_floor else -(-num // den)
-    return mp.make_mpf(from_man_exp(quotient, -shift, precision, rounding))
-
-
 def _tolerance(tol, precision: int) -> mpf:
-    """The exact value of ``tol`` (see ``_exact``) rounded down to ``precision``
+    """The exact value of ``tol`` (see ``exact``) rounded down to ``precision``
     bits.  A precision-bit bound is at most ``tol`` exactly when it is at
     most this value, so the stop decisions compare against it."""
-    exact = _exact(tol, precision, "tolerance")
-    return _rounded(exact.numerator, exact.denominator, precision, round_floor)
+    value = exact(tol, precision, "tolerance")
+    return rounded(value.numerator, value.denominator, precision, round_floor)
 
 
 def auto_truncate(
@@ -411,7 +373,7 @@ def auto_truncate(
     """Smallest k (at or below the minimum-term index) with |term(k)| <= tol.
 
     Returns ``(k, bound)`` where ``bound`` is the slop-widened magnitude of
-    the first omitted term at z as the number it spells (see ``_exact``),
+    the first omitted term at z as the number it spells (see ``exact``),
     rounded up to ``precision`` bits; the decision
     is made on that rounded number against the exact value of ``tol``
     rounded down to ``precision`` bits, so ``bound <= tol`` whenever the
@@ -435,7 +397,7 @@ def auto_truncate(
 
     def settled(k):
         c, power = kind.row.coefficient(k), 2 * k + 1
-        bounds[k] = _rounded(
+        bounds[k] = rounded(
             c.numerator * (slop.denominator + slop.numerator) * xf.denominator**power,
             c.denominator * slop.denominator * xf.numerator**power, precision, round_ceiling)
         return bounds[k] <= tol or _turns(kind.row, xf, k)
@@ -457,33 +419,44 @@ def auto_truncate(
     )
 
 
+def _certificates(kind: SeriesKind, z, k: int, precision: int) -> Iterator[CertifiedValue]:
+    """The certified values at k, k + 1, k + 2, ..., from one walk."""
+    x, wp = _checked_argument(kind, z, precision)._mpf_, working_bits(precision)
+    prefix = kind.row.prefix(x, wp)
+    for j, (s_j, t_j) in itertools.islice(enumerate(_walk(kind.row, x, wp)), k, None):
+        value = mpf_add(prefix, s_j, wp, round_nearest)
+        sign = kind.row.sign(j)
+        # Pull the anchor outward by 2**-(P-32) |value| and widen the bound by twice
+        # that (exact shifts), so the containment survives rounding of value itself.
+        size = mpf_abs(value)
+        anchored = (mpf_sub if sign > 0 else mpf_add)(
+            value, mpf_shift(size, 32 - precision), wp, round_nearest)
+        bound = mpf_add(_widened(mpf_abs(t_j), wp, precision), mpf_shift(size, 33 - precision),
+                        wp, round_nearest)
+        yield CertifiedValue(
+            value=to_precision(anchored, precision),
+            error_bound=to_precision(bound, precision),
+            error_sign=sign,
+            k_used=j,
+            precision=precision,
+        )
+
+
 def _certified(kind: SeriesKind, z, k: int, precision: int) -> CertifiedValue:
-    x, s_k, t_k, wp = _sum_and_term(kind, z, k, precision)
-    value = mpf_add(kind.row.prefix(x, wp), s_k, wp, round_nearest)
-    sign = kind.row.sign(k)
-    # Pull the anchor outward by 2**-(P-32) |value| and widen the bound by twice
-    # that (exact shifts), so the containment survives rounding of value itself.
-    size = mpf_abs(value)
-    anchored = (mpf_sub if sign > 0 else mpf_add)(
-        value, mpf_shift(size, 32 - precision), wp, round_nearest)
-    bound = mpf_add(_widened(mpf_abs(t_k), wp, precision), mpf_shift(size, 33 - precision),
-                    wp, round_nearest)
-    return CertifiedValue(
-        value=to_precision(anchored, precision),
-        error_bound=to_precision(bound, precision),
-        error_sign=sign,
-        k_used=k,
-        precision=precision,
-    )
+    return next(_certificates(kind, z, k, precision))
 
 
 def _evaluate(kind: SeriesKind, z, tol, terms, precision: int) -> CertifiedValue:
     """The certified value behind the four ``ln_*`` functions.
 
+    z and ``tol`` are read once (``exact``) and passed on as Fractions.
     With a tolerance (``1e-12`` when neither it nor ``terms`` is given) the
     returned bound is at most ``tol``.  Rounding adds ``2 * slop * |value|``
-    to the series bound; when that pushes it above ``tol``, precision rather
-    than the series is the limit, and :class:`ToleranceUnattainable` says so.
+    to the series bound; when that pushes it above ``tol`` at the k
+    ``auto_truncate`` picks, the same walk goes on to k + 1, k + 2, ...
+    while the terms still fall and that rounding share alone is below
+    ``tol``.  When none of them meets ``tol``, precision rather than the
+    series is the limit, and :class:`ToleranceUnattainable` says so.
     """
     if kind.row.integer_argument:
         try:
@@ -492,23 +465,28 @@ def _evaluate(kind: SeriesKind, z, tol, terms, precision: int) -> CertifiedValue
             raise DomainError(f"n must be a positive integer, got {z!r}") from None
     if terms is not None and tol is not None:
         raise ValueError("pass either tol or terms, not both")
+    z = exact(z, checked_precision(precision), "series argument")
     if terms is not None:
         return _certified(kind, z, checked_int(terms, 0, "terms"), precision)
-    if tol is None:
-        tol = _DEFAULT_TOL
+    tol = exact(_DEFAULT_TOL if tol is None else tol, precision, "tolerance")
     k, _ = auto_truncate(kind, z, tol, precision)
-    certified = _certified(kind, z, k, precision)
     tol = _tolerance(tol, precision)
-    if certified.error_bound > tol:
-        raise ToleranceUnattainable(
-            f"tolerance {mp.nstr(tol, 8)} is below what {precision}-bit "
-            f"precision can certify for {kind.value} at this argument; achieved "
-            f"bound is {mp.nstr(certified.error_bound, 8)} at k = {k}; "
-            f"raise the precision",
-            best_bound=certified.error_bound,
-            k_best=k,
-        )
-    return certified
+    for certified in _certificates(kind, z, k, precision):
+        k = certified.k_used
+        if certified.error_bound <= tol:
+            return certified
+        share = mpf_shift(mpf_abs(certified.value._mpf_), 33 - precision)
+        if (mpf_ge(share, tol._mpf_) or k >= INDEX_CAP
+                or _turns(kind.row, _exact_argument(kind, z, precision), k)):
+            break
+    raise ToleranceUnattainable(
+        f"tolerance {mp.nstr(tol, 8)} is below what {precision}-bit "
+        f"precision can certify for {kind.value} at this argument; achieved "
+        f"bound is {mp.nstr(certified.error_bound, 8)} at k = {k}; "
+        f"raise the precision",
+        best_bound=certified.error_bound,
+        k_best=k,
+    )
 
 
 def ln_gamma(

@@ -158,6 +158,16 @@ class TestEvalCommand:
         assert err.count("\n") == 1
         assert "between -100000 and 100000" in err
 
+    @pytest.mark.parametrize("command", ["eval", "bound"])
+    def test_the_exponent_range_holds_with_terms_too(self, capsys, command):
+        start = time.perf_counter()
+        code, out, err = run(capsys, command, "--series", "binet", "--z", "1e100001",
+                             "--terms", "2")
+        assert time.perf_counter() - start < 0.1
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1
+        assert "between -100000 and 100000" in err
+
     def test_terms_and_tol_conflict_is_usage_error(self, capsys):
         code, _, err = run(
             capsys, "eval", "--series", "binet", "--z", "5",
@@ -328,7 +338,7 @@ class TestDemoCommand:
         def no_grid(*args, **kwargs):
             raise AssertionError("grid built")
 
-        monkeypatch.setattr(cli, "real_to_fraction", no_grid)
+        monkeypatch.setattr(cli, "exact", no_grid)
         monkeypatch.setattr(demo, "binet_J", no_grid)
         code, out, err = run(capsys, "demo", "--b", "1", "--steps", str(steps))
         assert (code, out) == (1, "")

@@ -15,7 +15,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf
-from mpmath.libmp import from_man_exp, from_rational, round_ceiling
+from mpmath.libmp import (
+    from_man_exp,
+    from_rational,
+    round_ceiling,
+    round_floor,
+    round_nearest,
+)
 
 import envasym
 from envasym import (
@@ -41,7 +47,7 @@ from envasym import (
 from envasym import coeffs, precision, series
 from envasym._expansions import Expansion, _constants
 from envasym.coeffs import COEFFICIENT_FAMILIES, beta, beta_hat, beta_tilde
-from envasym.precision import positive_real, real_to_fraction
+from envasym.precision import positive_real, real_to_fraction, rounded
 from envasym.series import INDEX_CAP
 
 P = 256
@@ -295,7 +301,7 @@ class TestRoundedCoefficientSum:
 
 def ambient_positive_real(x, precision):
     with mp.workprec(precision + 32):
-        return mp.convert(x)
+        return +mp.convert(x)
 
 
 AMBIENT_PREFIXES = {
@@ -674,8 +680,7 @@ def scan_reference(kind, z, precision, tol=None):
     while True:
         if tol is not None:
             x = c * inflate / power
-            bound = series._rounded(x.numerator, x.denominator, precision,
-                                    round_ceiling)
+            bound = rounded(x.numerator, x.denominator, precision, round_ceiling)
             if real_to_fraction(bound) <= tol:
                 return k, bound, True
         c_next = kind.row.coefficient(k + 1)
@@ -802,8 +807,9 @@ class TestSearchesDecideOnTheDecimalAsWritten:
 
 
 class TestExponentRange:
-    """Strings the searches read exactly have decimal exponents within
-    +-EXPONENT_LIMIT; beyond it they are rejected before 10^|e| is built."""
+    """Every path reads a decimal string exactly, so its exponent must lie
+    within +-EXPONENT_LIMIT; beyond it the string is rejected before 10^|e|
+    is built, with ``terms=`` as with a tolerance."""
 
     LIMIT = 100_000
 
@@ -813,7 +819,13 @@ class TestExponentRange:
         lambda: min_term_index(SeriesKind.BINET_J, "1e-100001"),
         lambda: auto_truncate(SeriesKind.BINET_J, "20.5", "2.5E-1_000_000"),
         lambda: auto_truncate(SeriesKind.BINET_J, "20.5", " 1e-" + "9" * 5000 + " "),
-    ], ids=["tolerance", "ln_gamma", "min_term_index", "underscores", "5000-digit"])
+        lambda: ln_gamma("1e100001", terms=2),
+        lambda: ln_gamma("1e-100001", terms=0, precision=64),
+        lambda: envelope_interval(SeriesKind.BINET_J, "1e100001", 2),
+        lambda: term(SeriesKind.BINET_J, 0, "1e100001"),
+        lambda: binet_J("1e100001"),
+    ], ids=["tolerance", "ln_gamma", "min_term_index", "underscores", "5000-digit",
+            "terms", "terms-small", "envelope_interval", "term", "binet_J"])
     def test_rejected_at_once_naming_the_range(self, call):
         start = time.perf_counter()
         with pytest.raises(DomainError, match=f"between -{self.LIMIT} and {self.LIMIT}"):
@@ -821,14 +833,59 @@ class TestExponentRange:
         assert time.perf_counter() - start < 0.1
 
     def test_the_limit_itself_is_read_exactly(self):
-        assert series.EXPONENT_LIMIT == self.LIMIT
-        assert series._exact("25e-100000", 64, "x") == Fraction(25, 10**100000)
-        assert series._exact("1e+0100000", 64, "x") == 10**100000
+        assert precision.EXPONENT_LIMIT == self.LIMIT
+        assert precision.exact("25e-100000", 64, "x") == Fraction(25, 10**100000)
+        assert precision.exact("1e+0100000", 64, "x") == 10**100000
         assert min_term_index(SeriesKind.BINET_J, "1e-100000") == 0
+        assert term(SeriesKind.BINET_J, 0, "1e100000") > 0
 
-    def test_explicit_terms_take_any_exponent(self):
-        assert term(SeriesKind.BINET_J, 0, "1e100001") > 0
-        assert ln_gamma("1e-100001", terms=0, precision=64).value > 0
+
+class TestOneMeaningPerNumber:
+    """z and tol are read once, by ``precision.exact``, and every path rounds
+    that exact number: a Fraction and the decimal it equals are one number."""
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_a_fraction_and_its_decimal_give_the_same_argument(self, kind):
+        for p in (64, 256):
+            got = series._checked_argument(kind, Fraction(73, 10), p)
+            assert got._mpf_ == series._checked_argument(kind, "7.3", p)._mpf_
+
+    def test_a_fraction_is_returned_as_it_is(self):
+        x = Fraction(22, 7)
+        assert precision.exact(x, 64, "x") is x
+
+    # mpmath's own conversion rounds 49e15219 one unit off at 96 bits
+    @pytest.mark.parametrize("x", ["49e15219", "1e-5000", "3.7e+4321", "7e-100000"])
+    def test_a_far_decimal_is_rounded_to_nearest(self, x):
+        got = positive_real(x, 64, "x")
+        _, _, exp, bc = got._mpf_
+        assert bc <= 96
+        assert 2 * abs(real_to_fraction(got) - Fraction(x)) <= Fraction(2) ** (exp + bc - 96)
+
+    @settings(max_examples=300, deadline=None)
+    @given(p=st.integers(1, 2**300), q=st.integers(1, 2**300), bits=st.integers(2, 200),
+           rounding=st.sampled_from([round_nearest, round_floor, round_ceiling]))
+    def test_rounded_is_correctly_rounded_in_every_mode(self, p, q, bits, rounding):
+        assert rounded(p, q, bits, rounding)._mpf_ == from_rational(p, q, bits, rounding)
+        # ties to even: m + 1/2 with m of exactly `bits` bits
+        m = (1 << (bits - 1)) | p % (1 << (bits - 1))
+        assert rounded(2 * m + 1, 2, bits, rounding)._mpf_ == from_rational(
+            2 * m + 1, 2, bits, rounding)
+
+    def test_a_warm_evaluation_decodes_z_and_tol_once_each(self, monkeypatch):
+        ln_gamma("7.3", "1e-12")
+        decoded = []
+        read = precision.exact
+
+        def counted(x, *args):
+            if not isinstance(x, Fraction):
+                decoded.append(x)
+            return read(x, *args)
+
+        for module in (precision, series):
+            monkeypatch.setattr(module, "exact", counted)
+        ln_gamma("7.3", "1e-12")
+        assert decoded == ["7.3", "1e-12"]
 
 
 def assert_floor(got, exact: Fraction, precision: int):
@@ -999,13 +1056,38 @@ class TestPrecisionFloor:
 
     def test_compares_with_the_exact_tolerance(self):
         # tol is 2**-200 below the bound certified at the k auto_truncate
-        # picks; rounded to nearest at P + 32 bits it would equal that bound.
+        # picks; rounded to nearest at P + 32 bits it would equal that bound,
+        # and k = 2 would be accepted.  The next index meets it.
         achieved = ln_gamma(3, terms=2, precision=64).error_bound
         tol = decimal_below(real_to_fraction(achieved) - Fraction(1, 2**200))
         assert auto_truncate(SeriesKind.BINET_J, 3, tol, 64)[0] == 2
-        with pytest.raises(ToleranceUnattainable) as info:
-            ln_gamma(3, tol, precision=64)
-        assert info.value.best_bound == achieved
+        cv = ln_gamma(3, tol, precision=64)
+        assert cv.k_used == 3
+        assert real_to_fraction(cv.error_bound) <= Fraction(tol)
+
+    def test_a_later_index_at_the_same_precision_meets_tol(self, monkeypatch):
+        # The series bound meets tol at k = 2, the rounding share pushes the
+        # certified one above it there, and k = 3 meets it: one walk, no raise.
+        assert auto_truncate(SeriesKind.CENTRAL_BINOMIAL, 11, "1e-8", 64)[0] == 2
+        assert ln_central_binomial(11, terms=2, precision=64).error_bound > mpf("1e-8")
+        walks = []
+        walk = series._walk
+        monkeypatch.setattr(series, "_walk", lambda *args: walks.append(args) or walk(*args))
+        cv = ln_central_binomial(11, "1e-8", precision=64)
+        assert len(walks) == 1
+        assert cv.k_used == 3
+        assert real_to_fraction(cv.error_bound) <= Fraction("1e-8")
+        assert cv == ln_central_binomial(11, terms=3, precision=64)
+
+    def test_no_step_where_the_rounding_share_alone_exceeds_tol(self):
+        # 2**-31 |ln Gamma(10**6)| is about 0.006, far above tol at every k:
+        # the raise comes at once, at the index auto_truncate picks.
+        k, _ = auto_truncate(SeriesKind.BINET_J, "1e6", "1e-12", 64)
+        start = time.perf_counter()
+        with pytest.raises(ToleranceUnattainable, match="raise the precision") as info:
+            ln_gamma("1e6", "1e-12", precision=64)
+        assert time.perf_counter() - start < 0.5
+        assert info.value.k_best == k
 
     def test_more_bits_reach_the_tolerance(self):
         cv = ln_central_binomial(60, "1e-70", precision=512)
