@@ -106,7 +106,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--x-to", default="20", metavar="C")
     p.add_argument("--steps", type=int, default=16, metavar="N",
                    help=f"grid points, 1 to {DEMO_STEPS_CAP} (default 16)")
-    p.add_argument("--k-max", type=int, default=5, metavar="K")
+    p.add_argument("--k-max", type=int, default=5, metavar="K",
+                   help=f"largest truncation index, 1 to {series.INDEX_CAP} (default 5)")
     p.add_argument("--precision", type=int, metavar="P")
     p.add_argument("--format", **fmt)
 
@@ -298,6 +299,8 @@ def _cmd_demo(args) -> int:
     precision = _resolve_precision(args.precision)
     if args.k_max < 1:
         raise _UsageError("--k-max must be >= 1")
+    if args.k_max > series.INDEX_CAP:
+        raise _UsageError(f"--k-max must be <= {series.INDEX_CAP}, got {args.k_max}")
     _parse_real(args.b, precision, "--b")
     grid = _demo_grid(args.x_from, args.x_to, args.steps, precision)
     spec = QuadratureSpec(precision=precision)

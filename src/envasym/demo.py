@@ -19,11 +19,11 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
-from mpmath import mp, mpf
+from mpmath import mpf
 
 from .errors import DomainError
 from .oracle import QuadratureSpec, binet_J
-from .precision import _context, convert, to_precision, working_bits
+from .precision import _context, positive_real, to_precision, working_bits
 from .series import SeriesKind, _checked_argument, _walk
 
 __all__ = [
@@ -55,11 +55,13 @@ class ViolationWitness:
 
 
 def _checked_rate(b, precision: int) -> mpf:
-    bb = convert(b, precision)
-    if (not isinstance(bb, mpf) or not mp.isfinite(bb) or bb <= 0
-            or bb >= 2 * _context(precision).pi):
-        raise DomainError(f"decay rate must lie strictly inside (0, 2*pi), got {b!r}")
-    return bb
+    try:
+        bb = positive_real(b, precision, "decay rate")
+        if bb < 2 * _context(precision).pi:
+            return bb
+    except DomainError:
+        pass
+    raise DomainError(f"decay rate must lie strictly inside (0, 2*pi), got {b!r}")
 
 
 def perturbed_binet(x, b, spec: QuadratureSpec = QuadratureSpec()) -> mpf:

@@ -37,10 +37,10 @@ the one a scan from k = 0 would give, whatever the precision.  Indices above
 ``INDEX_CAP``, and decimal exponents outside ``+-EXPONENT_LIMIT``, are
 rejected with :class:`DomainError`.
 
-Rigor contract: the mathematical bounds are exact in exact arithmetic;
-computed endpoints and bounds are widened outward by ``2**-(P-32) * |x|``, x
-the endpoint or value widened, so that containment survives rounding at P
-bits.  Every step is a libmp call at an explicit precision; none sets ``mp.prec``.
+Rigor contract: the mathematical bounds are exact in exact arithmetic; each
+computed endpoint or bound x is widened outward by ``_margin(x, P)``, the exact
+2**-(P-32) |x| (``auto_truncate``'s ``slop`` is its exact twin), so containment
+survives rounding at P bits.  Every step is a libmp call at explicit precision.
 """
 
 from __future__ import annotations
@@ -80,6 +80,7 @@ from .precision import (
     checked_int,
     checked_precision,
     exact,
+    positive_real,
     real_to_fraction,
     rounded,
     to_precision,
@@ -134,9 +135,9 @@ class SeriesKind(enum.Enum):
 class EnvelopeInterval:
     """Ordered enclosure [lo, hi] of a series tail, plus truncation metadata.
 
-    ``bound`` is the magnitude of the first omitted term; hi - lo equals it
-    up to the documented rounding slop.  For real z > 0 the true tail value
-    lies in [lo, hi].
+    ``bound`` is the magnitude of the first omitted term plus its ``_margin``;
+    hi - lo is that magnitude plus twice the larger end's ``_margin``.  For
+    real z > 0 the true tail value lies in [lo, hi].
     """
 
     lo: mpf
@@ -184,19 +185,18 @@ def _within(lo: mpf, hi: mpf, x) -> bool:
 
 def _checked_argument(kind: SeriesKind, z, precision: int) -> mpf:
     """``_exact_argument`` rounded once, to nearest at the working precision."""
-    xf = _exact_argument(kind, z, precision)
-    return rounded(xf.numerator, xf.denominator, working_bits(precision), round_nearest)
+    return positive_real(_exact_argument(kind, z, precision), precision, "series argument")
 
 
-def _widened(size: tuple, wp: int, precision: int) -> tuple:
-    """size (1 + 2**-(precision-32)) at wp bits, one rounding as in the product."""
-    return mpf_add(size, mpf_shift(size, 32 - precision), wp, round_nearest)
+def _margin(x: tuple, precision: int) -> tuple:
+    """The rounding margin 2**-(precision-32) |x| of a raw x: an exact shift."""
+    return mpf_shift(mpf_abs(x), 32 - precision)
 
 
 def term(kind: SeriesKind, j: int, z, precision: int = DEFAULT_PRECISION) -> mpf:
     """The signed j-th term at working precision: the walk's t_j, so it costs
     j + 1 divisions and multiplications, not one power and one division."""
-    _, _, t_j, _ = _sum_and_term(kind, z, checked_int(j, 0, "term index"), precision)
+    _, t_j, _ = _sum_and_term(kind, z, checked_int(j, 0, "term index"), precision)
     return to_precision(t_j, precision)
 
 
@@ -231,15 +231,15 @@ def _walk_to(row: Expansion, x: tuple, wp: int, k: int) -> tuple:
 
 def partial_sum(kind: SeriesKind, z, k: int, precision: int = DEFAULT_PRECISION) -> mpf:
     """Sum of the first k terms (an empty sum for k = 0)."""
-    _, s_k, _, _ = _sum_and_term(kind, z, k, precision)
+    s_k, _, _ = _sum_and_term(kind, z, k, precision)
     return to_precision(s_k, precision)
 
 
 def _sum_and_term(kind: SeriesKind, z, k: int, precision: int) -> tuple:
-    """Raw (x, s_k, t_k) for the checked argument at the working precision wp, and wp."""
+    """Raw (s_k, t_k) for the checked argument at the working precision wp, and wp."""
     k = checked_int(k, 0, "term count")
     zz, wp = _checked_argument(kind, z, precision), working_bits(precision)
-    return (zz._mpf_, *_walk_to(kind.row, zz._mpf_, wp, k), wp)
+    return (*_walk_to(kind.row, zz._mpf_, wp, k), wp)
 
 
 def envelope_interval(
@@ -250,16 +250,17 @@ def envelope_interval(
     Valid for every k >= 0, not only below the minimum-term index: the
     remainder always lies strictly between consecutive partial sums.
     """
-    _, s_k, t_k, wp = _sum_and_term(kind, z, k, precision)
+    s_k, t_k, wp = _sum_and_term(kind, z, k, precision)
     s_next = mpf_add(s_k, t_k, wp, round_nearest)
     lo, hi = (s_k, s_next) if mpf_le(s_k, s_next) else (s_next, s_k)
-    # lo <= hi, so hi or -lo is the larger magnitude; the margin is it times 2**-(P-32).
-    pad = mpf_shift(hi if mpf_gt(hi, mpf_neg(lo)) else mpf_neg(lo), 32 - precision)
+    # lo <= hi, so hi or lo has the larger magnitude; both ends move by its margin.
+    pad = _margin(hi if mpf_gt(hi, mpf_neg(lo)) else lo, precision)
     return EnvelopeInterval(
         lo=to_precision(mpf_sub(lo, pad, wp, round_nearest), precision),
         hi=to_precision(mpf_add(hi, pad, wp, round_nearest), precision),
         k_used=k,
-        bound=to_precision(_widened(mpf_abs(t_k), wp, precision), precision),
+        bound=to_precision(mpf_add(mpf_abs(t_k), _margin(t_k, precision), wp, round_nearest),
+                           precision),
         precision=precision,
     )
 
@@ -391,7 +392,7 @@ def auto_truncate(
     """
     xf = _exact_argument(kind, z, precision)
     tol = _tolerance(tol, precision)
-    # The bound c(k) (1 + slop) / x^(2k+1), as one integer ratio.
+    # The bound c(k) (1 + slop) / x^(2k+1) as one integer ratio; slop is _margin's twin.
     slop = Fraction(1, 2 ** (precision - 32))
     bounds = {}
 
@@ -426,13 +427,12 @@ def _certificates(kind: SeriesKind, z, k: int, precision: int) -> Iterator[Certi
     for j, (s_j, t_j) in itertools.islice(enumerate(_walk(kind.row, x, wp)), k, None):
         value = mpf_add(prefix, s_j, wp, round_nearest)
         sign = kind.row.sign(j)
-        # Pull the anchor outward by 2**-(P-32) |value| and widen the bound by twice
-        # that (exact shifts), so the containment survives rounding of value itself.
-        size = mpf_abs(value)
-        anchored = (mpf_sub if sign > 0 else mpf_add)(
-            value, mpf_shift(size, 32 - precision), wp, round_nearest)
-        bound = mpf_add(_widened(mpf_abs(t_j), wp, precision), mpf_shift(size, 33 - precision),
-                        wp, round_nearest)
+        # Pull the anchor outward by value's margin and widen the widened term
+        # by twice that, so the containment survives rounding of value itself.
+        margin = _margin(value, precision)
+        anchored = (mpf_sub if sign > 0 else mpf_add)(value, margin, wp, round_nearest)
+        bound = mpf_add(mpf_add(mpf_abs(t_j), _margin(t_j, precision), wp, round_nearest),
+                        mpf_shift(margin, 1), wp, round_nearest)
         yield CertifiedValue(
             value=to_precision(anchored, precision),
             error_bound=to_precision(bound, precision),
@@ -451,8 +451,8 @@ def _evaluate(kind: SeriesKind, z, tol, terms, precision: int) -> CertifiedValue
 
     z and ``tol`` are read once (``exact``) and passed on as Fractions.
     With a tolerance (``1e-12`` when neither it nor ``terms`` is given) the
-    returned bound is at most ``tol``.  Rounding adds ``2 * slop * |value|``
-    to the series bound; when that pushes it above ``tol`` at the k
+    returned bound is at most ``tol``.  Rounding adds twice the value's
+    ``_margin`` to the series bound; when that pushes it above ``tol`` at the k
     ``auto_truncate`` picks, the same walk goes on to k + 1, k + 2, ...
     while the terms still fall and that rounding share alone is below
     ``tol``.  When none of them meets ``tol``, precision rather than the
@@ -470,14 +470,13 @@ def _evaluate(kind: SeriesKind, z, tol, terms, precision: int) -> CertifiedValue
         return _certified(kind, z, checked_int(terms, 0, "terms"), precision)
     tol = exact(_DEFAULT_TOL if tol is None else tol, precision, "tolerance")
     k, _ = auto_truncate(kind, z, tol, precision)
-    tol = _tolerance(tol, precision)
+    tol, xf = _tolerance(tol, precision), _exact_argument(kind, z, precision)
     for certified in _certificates(kind, z, k, precision):
         k = certified.k_used
         if certified.error_bound <= tol:
             return certified
-        share = mpf_shift(mpf_abs(certified.value._mpf_), 33 - precision)
-        if (mpf_ge(share, tol._mpf_) or k >= INDEX_CAP
-                or _turns(kind.row, _exact_argument(kind, z, precision), k)):
+        share = mpf_shift(_margin(certified.value._mpf_, precision), 1)
+        if mpf_ge(share, tol._mpf_) or k >= INDEX_CAP or _turns(kind.row, xf, k):
             break
     raise ToleranceUnattainable(
         f"tolerance {mp.nstr(tol, 8)} is below what {precision}-bit "

@@ -16,7 +16,7 @@ from mpmath.libmp import from_int
 from . import oracle, series
 from .errors import ToleranceUnattainable
 from .oracle import QuadratureSpec, ThetaFamily
-from .precision import _context, positive_real, to_precision, working_bits
+from .precision import _context, exact, real_to_fraction, to_precision, working_bits
 from .series import SeriesKind
 
 __all__ = ["CheckResult", "run_verification"]
@@ -283,14 +283,14 @@ def _check_auto_truncate_policy(deep: bool, spec: QuadratureSpec) -> CheckResult
         ]
     bad = []
     for kind, z, tol in samples:
-        tol_real = positive_real(tol, spec.precision, "tolerance")
+        tol_exact = exact(tol, spec.precision, "tolerance")
         k_star = series.min_term_index(kind, z, spec.precision)
         try:
             k, bound = series.auto_truncate(kind, z, tol, spec.precision)
-            if not (bound <= tol_real and k <= k_star):
+            if not (real_to_fraction(bound) <= tol_exact and k <= k_star):
                 bad.append((kind.value, str(z), tol, "bad success"))
         except ToleranceUnattainable as exc:
-            floor_ok = exc.best_bound > tol_real and exc.k_best == k_star
+            floor_ok = real_to_fraction(exc.best_bound) > tol_exact and exc.k_best == k_star
             if not floor_ok:
                 bad.append((kind.value, str(z), tol, "bad floor"))
     return CheckResult(

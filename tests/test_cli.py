@@ -349,6 +349,33 @@ class TestDemoCommand:
         assert code == 0
         assert f"1 to {cli.DEMO_STEPS_CAP}" in out
 
+    @pytest.mark.parametrize("k_max", [INDEX_CAP + 1, 10**12])
+    def test_k_max_above_the_cap_exit_1_before_the_grid_is_built(self, capsys, monkeypatch,
+                                                                 k_max):
+        # --steps 1 --k-max 3000 at 64 bits ran for more than 20 s, building
+        # the coefficients up to k = 3000
+        def no_grid(*args, **kwargs):
+            raise AssertionError("grid built")
+
+        monkeypatch.setattr(cli, "exact", no_grid)
+        monkeypatch.setattr(demo, "binet_J", no_grid)
+        code, out, err = run(capsys, "demo", "--b", "1", "--steps", "1",
+                             "--k-max", str(k_max))
+        assert (code, out) == (1, "")
+        assert err == f"error: --k-max must be <= {INDEX_CAP}, got {k_max}\n"
+
+    def test_the_k_max_cap_is_in_the_help(self, capsys):
+        code, out, _ = run(capsys, "demo", "--help")
+        assert code == 0
+        assert f"truncation index, 1 to {INDEX_CAP}" in " ".join(out.split())
+
+    def test_no_witness_is_reported_in_plain_format(self, capsys):
+        code, out, _ = run(capsys, "demo", "--b", "6", "--steps", "1", "--k-max", "1",
+                           "--precision", "64", "--format", "plain")
+        assert code == 0
+        assert out.splitlines()[2:] == ["no violation witness found on this grid",
+                                        "control scan witnesses (unperturbed): 0"]
+
     @pytest.mark.parametrize("flag", ["--x-from", "--x-to"])
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-1"])
     def test_bad_endpoint_exits_2_before_any_quadrature(self, capsys, monkeypatch,
@@ -441,6 +468,14 @@ class TestUsageErrors:
         code, out, _ = run(capsys, "eval", "--help")
         assert code == 0
         assert "--tol" in out
+
+    @pytest.mark.parametrize("argv, message", [
+        (["coeffs", "--family", "beta", "--max-k", "-1"], "--max-k must be >= 0"),
+        (["demo", "--b", "1", "--steps", "0"], "--steps must be >= 1"),
+        (["demo", "--b", "1", "--k-max", "0"], "--k-max must be >= 1"),
+    ])
+    def test_index_below_its_range(self, capsys, argv, message):
+        assert run(capsys, *argv) == (1, "", f"error: {message}\n")
 
 
 # One call of each kind, a usage error and help among them; eval comes twice.

@@ -148,6 +148,21 @@ def test_bernoulli_rejects_m_below_one():
         bernoulli_even(-3)
 
 
+@pytest.mark.parametrize("family, message", [
+    (beta, "beta requires k >= 0"),
+    (beta_tilde, "beta_tilde requires k >= 0"),
+    (beta_hat, "beta_hat requires k >= 0"),
+])
+def test_coefficients_reject_a_negative_index(family, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        family(-1)
+
+
+def test_coefficient_table_rejects_an_unknown_family():
+    with pytest.raises(ValueError, match="^unknown coefficient family 'gamma'$"):
+        coefficient_table("gamma", 3)
+
+
 def test_linear_dependence_through_k50():
     for k in range(51):
         assert beta_tilde(k) == beta(k) + beta_hat(k)

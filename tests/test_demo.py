@@ -1,5 +1,7 @@
 """Witness search for the non-enveloping perturbation of Binet's function."""
 
+from fractions import Fraction
+
 import pytest
 from mpmath import mp, mpf
 
@@ -8,12 +10,15 @@ from envasym import (
     QuadratureSpec,
     ViolationMode,
     binet_J,
+    demo,
     enveloping_control_scan,
     find_envelope_violation,
     perturbed_binet,
     revalidate_witness,
 )
 from envasym.coeffs import beta
+from envasym.precision import positive_real
+from envasym.series import SeriesKind, _checked_argument
 
 SPEC = QuadratureSpec(precision=256)
 
@@ -48,6 +53,20 @@ class TestPerturbedBinet:
         assert values[0]._mpf_ == values[1]._mpf_
         with mp.workprec(320):
             assert abs(values[0] - binet_J(1, SPEC) - mp.exp(-mp.pi)) < mpf(2) ** -240
+
+    def test_a_rate_is_the_number_it_spells(self):
+        # a Fraction used to be rounded toward zero, one unit at 96 bits
+        # below the string that spells the same number
+        from_fraction, from_string = (demo._checked_rate(b, 64)._mpf_
+                                      for b in (Fraction(1, 3), "1/3"))
+        assert from_fraction == from_string == positive_real("1/3", 64, "b")._mpf_
+
+    @pytest.mark.parametrize("bad", ["9", "0", "-1", "nan", "inf", "2j", "x", True,
+                                     Fraction(7), mpf(7), "1e200000"])
+    def test_every_refused_rate_gets_one_message(self, bad):
+        with pytest.raises(DomainError) as info:
+            demo._checked_rate(bad, 64)
+        assert str(info.value) == f"decay rate must lie strictly inside (0, 2*pi), got {bad!r}"
 
     def test_rejects_nonpositive_x(self):
         with pytest.raises(DomainError):
@@ -93,6 +112,19 @@ class TestWitnessSearch:
         witness = find_envelope_violation(1, [mpf("0.5")], 1, SPEC)
         assert witness is not None
         assert witness.k == 0
+
+    def test_a_remainder_of_the_wrong_sign_is_a_sign_mismatch(self):
+        # at x = 10 the remainder of J after one term is negative and below
+        # the k = 1 term's 2.8e-6; adding e^(-1.25 x) ~ 3.7e-6 makes it
+        # positive, 9.6e-7, without making it larger than that term
+        spec = QuadratureSpec(precision=128)
+        xx = _checked_argument(SeriesKind.BINET_J, 10, spec.precision)
+        found = demo._violations_at(xx, range(0, 4), spec, demo._checked_rate("1.25", 128))
+        assert [(w.k, w.mode) for w in found] == [
+            (0, ViolationMode.MAGNITUDE_EXCEEDED), (1, ViolationMode.SIGN_MISMATCH),
+            (2, ViolationMode.MAGNITUDE_EXCEEDED), (3, ViolationMode.MAGNITUDE_EXCEEDED)]
+        assert found[1].remainder > 0
+        assert mpf("2.7e-6") < found[1].next_term_bound < mpf("2.8e-6")
 
     def test_scan_order_is_grid_major(self):
         witness = find_envelope_violation(1, [20, 10, 5], 5, SPEC)

@@ -1,0 +1,135 @@
+"""Every ``verify`` check reports FAIL when the quantity it checks is wrong.
+
+Each case plants one fault at 64 bits in a function that a check reads
+through its module attribute, and runs the whole suite: the check that reads
+the fault, and no other, must report ``passed=False``.  A warm 64-bit suite
+takes about 0.05 s, so the file costs well under a second.
+"""
+
+import dataclasses
+
+import pytest
+from mpmath import mp, mpf
+
+from envasym import oracle, series, verify
+from envasym.series import SeriesKind
+
+PRECISION = 64
+SLIGHTLY_MORE = 1 + mpf(2) ** -20  # above the 64-bit quadrature floor of 2**-32
+
+
+def _scaled(factor, with_error=(False, True)):
+    """A quadrature whose value is multiplied by ``factor`` (exactly), for the
+    calls whose ``error`` flag is in ``with_error``."""
+    def plant(original):
+        def fault(*args, error=False, **kwargs):
+            result = original(*args, error=error, **kwargs)
+            if error not in with_error:
+                return result
+            if error:
+                return mp.fmul(result[0], factor, exact=True), result[1]
+            return mp.fmul(result, factor, exact=True)
+        return fault
+    return plant
+
+
+def _with_error(err):
+    """A quadrature whose error estimate, when asked for, is ``err``."""
+    def plant(original):
+        def fault(*args, error=False, **kwargs):
+            result = original(*args, error=error, **kwargs)
+            return (result[0], mpf(err)) if error else result
+        return fault
+    return plant
+
+
+def _interval_moved(lo_by, hi_by):
+    """``envelope_interval`` with its ends moved by lo_by(k) and hi_by(k), exactly."""
+    def plant(original):
+        def fault(kind, z, k, precision):
+            env = original(kind, z, k, precision)
+            return dataclasses.replace(env, lo=mp.fadd(env.lo, lo_by(k), exact=True),
+                                       hi=mp.fadd(env.hi, hi_by(k), exact=True))
+        return fault
+    return plant
+
+
+def _certified_changed(**changes):
+    """A certified evaluation with each named field mapped by its function."""
+    def plant(original):
+        def fault(*args, **kwargs):
+            value = original(*args, **kwargs)
+            return dataclasses.replace(
+                value, **{name: f(getattr(value, name)) for name, f in changes.items()})
+        return fault
+    return plant
+
+
+FAULTS = {
+    "coefficient-quadrature": (oracle, "coefficient_quadrature", _scaled(SLIGHTLY_MORE)),
+    # the integral identity compares theta + theta_hat with theta_tilde, the
+    # one coefficient it asks for with its error estimate
+    "weight-linear-dependence": (oracle, "coefficient_quadrature",
+                                 _scaled(SLIGHTLY_MORE, with_error=(True,))),
+    "theta-containment": (oracle, "theta_ratio", _with_error(1)),
+    # the mismatch checks allow a relative gap of 2**(64 - P), all of 1 at
+    # 64 bits, so these two faults flip the sign
+    "remainder-identity": (oracle, "remainder_quadrature", _scaled(-1)),
+    "jtilde-decomposition": (oracle, "binet_J_tilde", _scaled(-1)),
+    # the elementary prefix of ln Gamma(n) taken at n + 1
+    "binet-vs-exact-gamma": (verify, "from_int",
+                             lambda original: lambda n: original(n + 1)),
+    # every enclosure moved up by 1, so nested ones stay nested
+    "bracketing-grid": (series, "envelope_interval",
+                        _interval_moved(lambda k: 1, lambda k: 1)),
+    # the enclosure after k terms widened by k on each side, so it still
+    # contains the truth but no longer nests in the one before it
+    "nesting-below-minimum-term": (series, "envelope_interval",
+                                   _interval_moved(lambda k: -k, lambda k: k)),
+    # the sum of k + 1 terms for the sum of k: every remainder flips sign
+    "sign-alternation": (series, "partial_sum",
+                         lambda original: lambda kind, z, k, precision:
+                         original(kind, z, k + 1, precision)),
+    "half-shift-consistency": (series, "ln_gamma",
+                               _certified_changed(value=lambda v: mp.fadd(v, 1, exact=True))),
+    # a floor reported one index above the minimum-term index
+    "auto-truncate-policy": (series, "min_term_index",
+                             lambda original: lambda *args: original(*args) - 1),
+    "half-shift-relabeling": (series, "ln_factorial_demoivre",
+                              _certified_changed(error_bound=lambda e: mp.ldexp(e, 1))),
+}
+
+
+
+def _bound_raised(original):
+    """``auto_truncate`` returning its bound times 2**64, above every tol."""
+    def fault(*args):
+        k, bound = original(*args)
+        return k, mp.ldexp(bound, 64)
+    return fault
+
+
+def _failing(monkeypatch, module, name, plant):
+    monkeypatch.setattr(module, name, plant(getattr(module, name)))
+    return [r.name for r in verify.run_verification(precision=PRECISION) if not r.passed]
+
+
+def test_every_check_has_a_fault():
+    assert sorted(FAULTS) == sorted(check.name for check in
+                                    verify.run_verification(precision=PRECISION))
+
+
+@pytest.mark.parametrize("check", sorted(FAULTS))
+def test_the_fault_fails_its_check_alone(monkeypatch, check):
+    assert _failing(monkeypatch, *FAULTS[check]) == [check]
+
+
+def test_a_bound_above_tol_fails_the_truncation_policy_alone(monkeypatch):
+    # the floor fault above reaches only the policy's floor branch
+    assert _failing(monkeypatch, series, "auto_truncate", _bound_raised) == [
+        "auto-truncate-policy"]
+
+
+def test_an_argument_without_an_exact_truth_is_refused():
+    with pytest.raises(ValueError, match="no exact oracle"):
+        verify.tail_truth(SeriesKind.BINET_J, mpf("0.3"), PRECISION)
