@@ -15,7 +15,6 @@ the quadrature error estimate, so witnesses are evidence, not noise.
 from __future__ import annotations
 
 import enum
-import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
@@ -78,7 +77,7 @@ def _violations_at(
 ) -> list[ViolationWitness]:
     """Witnesses among the truncation indices ``ks`` at one argument, from one
     walk of the series."""
-    walk = _walk(SeriesKind.BINET_J.row, xx._mpf_, working_bits(spec.precision))
+    walk = _walk(SeriesKind.BINET_J.row, xx._mpf_, working_bits(spec.precision), ks.start)
     ctx = _context(spec.precision)
     j_val, j_err = binet_J(xx, spec, error=True)
     f_val = ctx.convert(j_val)
@@ -86,7 +85,7 @@ def _violations_at(
         f_val += ctx.exp(-ctx.convert(b) * xx)
     noise_floor = _ERROR_MARGIN_FACTOR * ctx.convert(j_err)
     found = []
-    for k, (s_k, t_k) in itertools.islice(enumerate(walk), ks.start, ks.stop):
+    for k, (s_k, t_k) in zip(ks, walk):
         remainder = f_val - ctx.make_mpf(s_k)
         t_k = ctx.make_mpf(t_k)
         bound = abs(t_k)

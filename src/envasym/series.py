@@ -22,7 +22,10 @@ in :mod:`envasym._expansions`, public as ``kind.row``: for instance
 Every partial sum s_k and term t_k comes from one loop, ``_walk``: it
 carries the signed power x^(2j+1) with one multiplication per term and
 yields (s_j, t_j), so t_k divides by the power the sum reached.  ``term``
-walks too, so term j costs j + 1 divisions.
+walks too, so term j costs j + 1 divisions.  The walk runs on signed integer
+(mantissa, exponent) pairs: each step is exact integer arithmetic rounded to
+nearest by one helper, ``_nearest``, so it is correctly rounded and has the
+one answer libmp's ``mpf_mul``, ``mpf_div`` and ``mpf_add`` give.
 
 ``term``, ``partial_sum``, ``envelope_interval``, ``min_term_index`` and
 ``auto_truncate`` operate on the series tail itself; ``ln_gamma``,
@@ -40,7 +43,8 @@ rejected with :class:`DomainError`.
 Rigor contract: the mathematical bounds are exact in exact arithmetic; each
 computed endpoint or bound x is widened outward by ``_margin(x, P)``, the exact
 2**-(P-32) |x| (``auto_truncate``'s ``slop`` is its exact twin), so containment
-survives rounding at P bits.  Every step is a libmp call at explicit precision.
+survives rounding at P bits.  Every step is a libmp call at explicit precision,
+or in the walk its correctly rounded integer twin.
 """
 
 from __future__ import annotations
@@ -56,14 +60,12 @@ from typing import Iterator
 
 from mpmath import mp, mpf
 from mpmath.libmp import (
-    fzero,
+    from_man_exp,
     mpf_abs,
     mpf_add,
-    mpf_div,
     mpf_ge,
     mpf_gt,
     mpf_le,
-    mpf_mul,
     mpf_neg,
     mpf_shift,
     mpf_sub,
@@ -210,23 +212,89 @@ def _rounded_coefficient(family: str, j: int, prec: int) -> tuple:
     return rounded(c.numerator, c.denominator, prec, round_floor)._mpf_
 
 
-def _walk(row: Expansion, x: tuple, wp: int) -> Iterator[tuple]:
-    """Raw (s_j, t_j) for j = 0, 1, 2, ...: s_j the sum of the first j terms
-    and t_j = c(j) / (sign(j) x^(2j+1)) the signed term j, at ``wp`` bits
-    whatever ``mp.prec`` is; x is the raw, already shifted argument.  The
-    signed power is carried with one multiplication by -x^2 per term."""
-    power = x if row.first_sign > 0 else mpf_neg(x)
-    minus_x2, total = mpf_neg(mpf_mul(x, x, wp, round_nearest)), fzero
+def _nearest(m: int, e: int, wp: int) -> tuple:
+    """m * 2**e rounded to nearest, ties to even, at ``wp`` bits, as a signed
+    (mantissa, exponent) pair: the one rounding of the walk, bit for bit
+    libmp's ``round_nearest``.  A mantissa of at most ``wp`` bits is kept as
+    it is, and a carry out of an all-ones mantissa leaves 2**wp."""
+    n = m.bit_length() - wp
+    if n <= 0:
+        return m, e
+    # Shifts and masks of a negative m act on its two's complement, so h >> 1
+    # is the floor of m / 2**n and the bits below it are its fraction.
+    h = m >> (n - 1)  # the kept bits and the half bit below them
+    if h & 1 and (h & 2 or m & ((1 << (n - 1)) - 1)):
+        h += 1
+    return h >> 1, e + n
+
+
+# The walk's three steps on signed (mantissa, exponent) pairs whose values
+# have at most wp bits, as ``_nearest`` leaves them: each is exact integer
+# arithmetic then ``_nearest``, so each is correctly rounded and has the bits
+# of ``mpf_mul``, ``mpf_div`` and ``mpf_add`` at wp bits, round to nearest.
+
+def _product(a: tuple, b: tuple, wp: int) -> tuple:
+    """a * b, rounded."""
+    return _nearest(a[0] * b[0], a[1] + b[1], wp)
+
+
+def _quotient(a: tuple, b: tuple, wp: int) -> tuple:
+    """a / b (b nonzero), rounded from a quotient of at least wp + 2 bits and
+    a sticky bit for a nonzero remainder, as ``mpf_div`` does.  q is the
+    floor, so with a remainder the exact value lies strictly between 2q and
+    2q + 2, whatever the signs, and rounds as 2q + 1 does."""
+    (am, ae), (bm, be) = a, b
+    shift = wp + 2 + bm.bit_length() - am.bit_length()
+    q, r = divmod(am << shift, bm)
+    return _nearest(2 * q + (r != 0), ae - be - shift - 1, wp)
+
+
+def _sum(a: tuple, b: tuple, wp: int) -> tuple:
+    """a + b, rounded.  When one addend's top bit lies more than wp + 2
+    binades below the other's, it is below a quarter unit in the other's last
+    place, so the other is the rounded sum and is returned without aligning:
+    at z = 1e100000 the aligned integers would grow by 660,000 bits a term."""
+    (am, ae), (bm, be) = a, b
+    if not am:
+        return b
+    if not bm:
+        return a
+    gap = ae + am.bit_length() - be - bm.bit_length()
+    if gap > wp + 2:
+        return a
+    if gap < -wp - 2:
+        return b
+    if ae > be:
+        return _nearest((am << (ae - be)) + bm, be, wp)
+    return _nearest(am + (bm << (be - ae)), ae, wp)
+
+
+def _walk(row: Expansion, x: tuple, wp: int, start: int = 0) -> Iterator[tuple]:
+    """Raw (s_j, t_j) for j = start, start + 1, ...: s_j the sum of the first
+    j terms and t_j = c(j) / (sign(j) x^(2j+1)) the signed term j, at ``wp``
+    bits whatever ``mp.prec`` is; x is the raw, already shifted argument.
+
+    The signed power, carried with one ``_product`` by -x^2 per term, the
+    sum and each term are integer pairs; only the yielded pairs, from
+    ``start`` on, become libmp tuples.  A correctly rounded step has one
+    answer, so the bits are those of the same loop in libmp calls, which
+    ``tests/test_series.py::ambient_walk`` runs as the reference."""
+    xm, xe = x[1], x[2]
+    minus_x2 = _product((-xm, xe), (xm, xe), wp)
+    power = (xm if row.first_sign > 0 else -xm), xe
+    total = (0, 0)
     for j in itertools.count():
-        t_j = mpf_div(_rounded_coefficient(row.coefficients, j, wp), power, wp, round_nearest)
-        yield total, t_j
-        total = mpf_add(total, t_j, wp, round_nearest)
-        power = mpf_mul(power, minus_x2, wp, round_nearest)
+        _, cm, ce, _ = _rounded_coefficient(row.coefficients, j, wp)
+        t_j = _quotient((cm, ce), power, wp)
+        if j >= start:
+            yield from_man_exp(*total), from_man_exp(*t_j)
+        total = _sum(total, t_j, wp)
+        power = _product(power, minus_x2, wp)
 
 
 def _walk_to(row: Expansion, x: tuple, wp: int, k: int) -> tuple:
     """The walk's pair (s_k, t_k)."""
-    return next(itertools.islice(_walk(row, x, wp), k, None))
+    return next(_walk(row, x, wp, k))
 
 
 def partial_sum(kind: SeriesKind, z, k: int, precision: int = DEFAULT_PRECISION) -> mpf:
@@ -424,7 +492,7 @@ def _certificates(kind: SeriesKind, z, k: int, precision: int) -> Iterator[Certi
     """The certified values at k, k + 1, k + 2, ..., from one walk."""
     x, wp = _checked_argument(kind, z, precision)._mpf_, working_bits(precision)
     prefix = kind.row.prefix(x, wp)
-    for j, (s_j, t_j) in itertools.islice(enumerate(_walk(kind.row, x, wp)), k, None):
+    for j, (s_j, t_j) in enumerate(_walk(kind.row, x, wp, k), k):
         value = mpf_add(prefix, s_j, wp, round_nearest)
         sign = kind.row.sign(j)
         # Pull the anchor outward by value's margin and widen the widened term

@@ -1,7 +1,14 @@
-"""Fixtures shared by the test modules."""
+"""Fixtures shared by the test modules, and the Hypothesis profiles:
+``HYPOTHESIS_PROFILE=ci`` runs each property on 2,000 examples."""
+
+import os
 
 import pytest
+from hypothesis import settings
 from mpmath import mp
+
+settings.register_profile("ci", max_examples=2000)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 @pytest.fixture

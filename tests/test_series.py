@@ -244,7 +244,9 @@ def ambient_pair(row, zz, k, wp):
 
 
 SUM_PRECISIONS = (64, 256, 512)
-SUM_ARGUMENTS = ("2.75", "7.3", "0.3", 5, 40)  # dyadic, non-dyadic, integer
+# dyadic, non-dyadic, integer; 3's odd powers cross wp + 1 bits, so some
+# steps of the walk are exact ties
+SUM_ARGUMENTS = ("2.75", "7.3", "0.3", 5, 40, 3)
 SUM_K_MAX = 160
 
 
@@ -273,6 +275,25 @@ class TestRoundedCoefficientSum:
             assert mp.prec == 53
         assert list(got) == raw(*expected)
 
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_a_walk_from_start_is_the_tail_of_the_whole_walk(self, kind):
+        wp = 256 + 32
+        zz = series._checked_argument(kind, "7.3", 256)._mpf_
+        for start in (0, 1, 7, 40):
+            assert (list(itertools.islice(series._walk(kind.row, zz, wp, start), 10))
+                    == list(itertools.islice(series._walk(kind.row, zz, wp), start, start + 10)))
+
+    def test_a_far_argument_keeps_the_sum_without_aligning(self):
+        # every term past t_0 lies some 664,000 binades below the sum; an
+        # exact alignment would build integers of hundreds of millions of bits
+        row, wp = SeriesKind.BINET_J.row, 256 + 32
+        zz = series._checked_argument(SeriesKind.BINET_J, "1e100000", 256)
+        expected = ambient_pair(row, zz, 300, wp)
+        start = time.perf_counter()
+        got = series._walk_to(row, zz._mpf_, wp, 300)
+        assert time.perf_counter() - start < 0.5
+        assert list(got) == raw(*expected)
+
     def test_the_coefficient_table_is_bounded(self):
         assert series._rounded_coefficient.cache_info().maxsize == 8192
 
@@ -284,8 +305,8 @@ class TestRoundedCoefficientSum:
                     envelope_interval(kind, z, k, precision))
                    for k in ks] for z in SUM_ARGUMENTS}
 
-        def ambient(row, x, wp):
-            for pair in ambient_walk(row, mp.make_mpf(x), wp):
+        def ambient(row, x, wp, start=0):
+            for pair in itertools.islice(ambient_walk(row, mp.make_mpf(x), wp), start, None):
                 yield tuple(raw(*pair))
 
         monkeypatch.setattr(series, "_walk", ambient)

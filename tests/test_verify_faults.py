@@ -72,8 +72,6 @@ FAULTS = {
     "weight-linear-dependence": (oracle, "coefficient_quadrature",
                                  _scaled(SLIGHTLY_MORE, with_error=(True,))),
     "theta-containment": (oracle, "theta_ratio", _with_error(1)),
-    # the mismatch checks allow a relative gap of 2**(64 - P), all of 1 at
-    # 64 bits, so these two faults flip the sign
     "remainder-identity": (oracle, "remainder_quadrature", _scaled(-1)),
     "jtilde-decomposition": (oracle, "binet_J_tilde", _scaled(-1)),
     # the elementary prefix of ln Gamma(n) taken at n + 1
@@ -122,6 +120,14 @@ def test_every_check_has_a_fault():
 @pytest.mark.parametrize("check", sorted(FAULTS))
 def test_the_fault_fails_its_check_alone(monkeypatch, check):
     assert _failing(monkeypatch, *FAULTS[check]) == [check]
+
+
+@pytest.mark.parametrize("factor", [3, SLIGHTLY_MORE], ids=["3", "1+2**-20"])
+def test_a_scaled_jtilde_fails_its_mismatch_check_alone(monkeypatch, factor):
+    # the mismatch checks allow a few times the quadrature floor, not a
+    # relative gap of 1 at 64 bits
+    assert _failing(monkeypatch, oracle, "binet_J_tilde", _scaled(factor)) == [
+        "jtilde-decomposition"]
 
 
 def test_a_bound_above_tol_fails_the_truncation_policy_alone(monkeypatch):

@@ -1,0 +1,112 @@
+"""The series walk's integer steps against the libmp calls they stand for.
+
+``series._nearest`` rounds a signed m * 2**e to nearest at wp bits, and
+``_product``, ``_quotient`` and ``_sum`` are exact integer arithmetic followed
+by it.  Round to nearest is correctly rounded in libmp, so each must give
+libmp's bits exactly: ``from_man_exp(m, e, wp, round_nearest)``, ``mpf_mul``,
+``mpf_div`` and ``mpf_add``.  CI runs this file a second time under the
+``ci`` Hypothesis profile (``HYPOTHESIS_PROFILE=ci``, 2,000 examples).
+"""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from mpmath.libmp import from_man_exp, mpf_add, mpf_div, mpf_mul, round_nearest
+
+from envasym.series import _nearest, _product, _quotient, _sum
+
+WP = st.integers(1, 600)
+EXPONENT = st.integers(-3000, 3000)
+SIGN = st.sampled_from([1, -1])
+
+
+def raw(pair):
+    return from_man_exp(*pair)
+
+
+def operand(wp):
+    """A signed pair of at most wp bits, as the walk's steps take."""
+    return st.tuples(st.integers(-(2**wp - 1), 2**wp - 1), EXPONENT)
+
+
+def nonzero(wp):
+    return operand(wp).filter(lambda pair: pair[0] != 0)
+
+
+@st.composite
+def mantissas(draw):
+    """(m, wp): m random, or shorter than wp, or a kept part and the bits
+    below it, which may be an exact tie (of either parity) and may carry an
+    all-ones kept part up to 2**wp."""
+    wp = draw(WP)
+    n = draw(st.integers(1, 300))  # bits below the last kept one
+    kept = draw(st.one_of(st.integers(2 ** (wp - 1), 2**wp - 1), st.just(2**wp - 1)))
+    below = draw(st.one_of(st.just(1 << (n - 1)), st.integers(0, (1 << n) - 1)))
+    m = draw(st.one_of(st.integers(0, 2 ** (2 * wp + 8)), st.integers(0, 2**wp - 1),
+                       st.just((kept << n) | below)))
+    return draw(SIGN) * m, wp
+
+
+@settings(deadline=None)
+@given(mantissas(), EXPONENT)
+def test_nearest_is_libmps_round_to_nearest(m_wp, e):
+    m, wp = m_wp
+    got = _nearest(m, e, wp)
+    assert raw(got) == from_man_exp(m, e, wp, round_nearest)
+    assert abs(got[0]).bit_length() <= wp or abs(got[0]) == 2**wp
+
+
+@settings(deadline=None)
+@given(st.data(), WP)
+def test_product_and_quotient_are_libmps(data, wp):
+    a, b = data.draw(operand(wp)), data.draw(nonzero(wp))
+    assert raw(_product(a, b, wp)) == mpf_mul(raw(a), raw(b), wp, round_nearest)
+    assert raw(_quotient(a, b, wp)) == mpf_div(raw(a), raw(b), wp, round_nearest)
+
+
+@st.composite
+def addends(draw):
+    """(a, b, wp): random, or b's top bit wp - 3 to wp + 3 binades from a's
+    (either way round; a may be a power of two, below which the unit in the
+    last place halves), or b = -a, or a zero at any exponent."""
+    wp = draw(WP)
+    a = draw(operand(wp))
+    shape = draw(st.sampled_from(["random", "gap", "cancel", "zero"]))
+    if shape == "random":
+        b = draw(operand(wp))
+    elif shape == "cancel":
+        b = (-a[0], a[1])
+    elif shape == "zero":
+        b = (0, draw(EXPONENT))
+        if draw(st.booleans()):
+            a, b = b, a
+    else:
+        bits = draw(st.integers(1, wp))
+        b_man = draw(SIGN) * draw(st.integers(2 ** (bits - 1), 2**bits - 1))
+        a = (draw(st.sampled_from([a[0] or 1, draw(SIGN) << draw(st.integers(0, wp))])), a[1])
+        top = a[1] + abs(a[0]).bit_length() - draw(st.integers(wp - 3, wp + 3))
+        b = (b_man, top - bits)
+        if draw(st.booleans()):
+            a, b = b, a
+    return a, b, wp
+
+
+@settings(deadline=None)
+@given(addends())
+def test_sum_is_libmps(a_b_wp):
+    a, b, wp = a_b_wp
+    assert raw(_sum(a, b, wp)) == mpf_add(raw(a), raw(b), wp, round_nearest)
+
+
+def test_sum_around_the_shortcut_threshold():
+    # Every gap from wp - 3 to wp + 3 binades, with the larger addend a power
+    # of two (where a smaller one of opposite sign meets the halved unit
+    # below it) or not, and the smaller one short or long, either order.
+    for wp in (1, 2, 3, 10, 64, 288):
+        for large in {2 ** (wp - 1), 2**wp - 1, 2 ** (wp - 1) + 1}:
+            for gap in range(wp - 3, wp + 4):
+                for small in (1, 3, 5, 2**wp - 1):
+                    for sign in (1, -1):
+                        b = (sign * small, wp - gap - small.bit_length())
+                        for x, y in (((large, 0), b), (b, (large, 0))):
+                            assert raw(_sum(x, y, wp)) == mpf_add(
+                                raw(x), raw(y), wp, round_nearest), (wp, large, gap, small, sign)
