@@ -94,20 +94,28 @@ def beta(k: int) -> Fraction:
     return value
 
 
+#: (a, b) per family, with c(k) = (a - b * 2**-(2k+1)) * beta(k).
+_BETA_FACTORS = {"beta": (1, 0), "beta-tilde": (2, 1), "beta-hat": (1, 1)}
+
+
+def _scaled_beta(family: str, k: int) -> Fraction:
+    """c(k) of one family from its ``_BETA_FACTORS``; k < 0 is refused by name."""
+    if k < 0:
+        raise ValueError(f"{family.replace('-', '_')} requires k >= 0")
+    a, b = _BETA_FACTORS[family]
+    return (a - Fraction(b, 2 ** (2 * k + 1))) * beta(k)
+
+
 @lru_cache(maxsize=None)
 def beta_tilde(k: int) -> Fraction:
     """Central-binomial series coefficient (2 - 2**-(2k+1)) * beta(k)."""
-    if k < 0:
-        raise ValueError("beta_tilde requires k >= 0")
-    return (2 - Fraction(1, 2 ** (2 * k + 1))) * beta(k)
+    return _scaled_beta("beta-tilde", k)
 
 
 @lru_cache(maxsize=None)
 def beta_hat(k: int) -> Fraction:
     """Half-shift series coefficient (1 - 2**-(2k+1)) * beta(k)."""
-    if k < 0:
-        raise ValueError("beta_hat requires k >= 0")
-    return (1 - Fraction(1, 2 ** (2 * k + 1))) * beta(k)
+    return _scaled_beta("beta-hat", k)
 
 
 def zeta_even(k: int, precision: int = DEFAULT_PRECISION) -> mpf:
@@ -121,10 +129,6 @@ def zeta_even(k: int, precision: int = DEFAULT_PRECISION) -> mpf:
     ctx = _context(checked_precision(precision))
     value = ctx.convert(beta(k)) * (2 * ctx.pi) ** (2 * k + 2) / (2 * ctx.factorial(2 * k))
     return to_precision(value._mpf_, precision)
-
-
-#: (a, b) per family, with c(k) = (a - b * 2**-(2k+1)) * beta(k).
-_BETA_FACTORS = {"beta": (1, 0), "beta-tilde": (2, 1), "beta-hat": (1, 1)}
 
 
 @lru_cache(maxsize=4096)

@@ -1,15 +1,18 @@
 """Working-precision plumbing for binary floating point with explicit P bits.
 
-All inexact computation in this package runs on mpmath reals.  Public
-functions take a precision ``P`` (bits), do their internal arithmetic at
-``P + GUARD_BITS``, and round results back to ``P``.  Constants such as pi
-and ln(2*pi) are therefore always carried with guard bits, which keeps the
-floating-point contribution to any returned bound far below the outward
-widening margin ``2**-(P-32) * |x|`` of the series module.
+Public functions take a precision ``P`` (bits), compute at ``working_bits(P)``
+= ``P + GUARD_BITS`` and round results back to ``P``, so constants such as pi
+and ln(2*pi) carry guard bits far below the series module's outward margin
+``2**-(P-32) * |x|``.
 
-Every number a caller passes is read by ``exact``, as the number it spells,
-and rounded once by ``rounded``; ``positive_real`` is that number rounded to
-nearest at ``working_bits(P)``.  So every path sees the same number.
+Every number a caller passes is read by ``exact``, as the number it spells.
+One rounder makes an exact value a float: ``_round`` rounds to nearest, down
+or up, ``_quotient`` divides into it, and ``rounded`` is that quotient of two
+integers.  z is rounded to nearest, ``tol`` and the coefficient table down,
+the truncation search's bound up.  The series walk's ``_product``,
+``_quotient`` and ``_sum`` are exact integer arithmetic on (mantissa,
+exponent) pairs rounded to nearest by it, so they have the bits of libmp's
+``mpf_mul``, ``mpf_div`` and ``mpf_add``.
 
 No module reads or sets mpmath's global ``mp.prec``.  Hot paths are libmp
 calls at an explicit precision; other code uses operators on the numbers of
@@ -28,7 +31,7 @@ from fractions import Fraction
 from mpmath import mp, mpf
 from mpmath.ctx_mp import MPContext
 from mpmath.ctx_mp_python import _constant
-from mpmath.libmp import from_man_exp, mpf_pos, round_nearest, to_rational
+from mpmath.libmp import from_man_exp, mpf_pos, round_floor, round_nearest, to_rational
 
 from .errors import DomainError
 
@@ -114,16 +117,67 @@ def exact(x, precision: int, what: str) -> Fraction:
     raise DomainError(f"{what} must be a finite real > 0, got {x!r}")
 
 
+def _round(m: int, e: int, bits: int, rounding: str) -> tuple:
+    """m * 2**e rounded to ``bits`` bits, to nearest with ties to even, down
+    or up (``round_nearest``, ``round_floor``, ``round_ceiling``), as a signed
+    (mantissa, exponent) pair with the value libmp's ``from_man_exp`` gives.
+    A mantissa of at most ``bits`` bits is kept; a carry leaves 2**bits."""
+    n = m.bit_length() - bits
+    if n <= 0:
+        return m, e
+    # Shifts and masks of a negative m act on its two's complement, so m >> n
+    # is the floor of m / 2**n and the bits below it are its fraction.
+    if rounding == round_nearest:
+        h = m >> (n - 1)  # the kept bits and the half bit below them
+        if h & 1 and (h & 2 or m & ((1 << (n - 1)) - 1)):
+            h += 1
+        return h >> 1, e + n
+    if rounding == round_floor:
+        return m >> n, e + n
+    return -(-m >> n), e + n  # round_ceiling
+
+
+def _product(a: tuple, b: tuple, wp: int) -> tuple:
+    """a * b, rounded to nearest."""
+    return _round(a[0] * b[0], a[1] + b[1], wp, round_nearest)
+
+
+def _quotient(a: tuple, b: tuple, bits: int, rounding: str) -> tuple:
+    """a / b (b nonzero), from a floor quotient q of at least bits + 2 bits
+    and a sticky bit for a nonzero remainder, as ``mpf_div`` does: with a
+    remainder the exact value lies strictly between 2q and 2q + 2, whatever
+    the signs, and rounds as 2q + 1 does in every mode."""
+    (am, ae), (bm, be) = a, b
+    shift = bits + 2 + bm.bit_length() - am.bit_length()
+    if shift >= 0:
+        am <<= shift
+    else:
+        bm <<= -shift
+    q, r = divmod(am, bm)
+    return _round(2 * q + (r != 0), ae - be - shift - 1, bits, rounding)
+
+
+def _sum(a: tuple, b: tuple, wp: int) -> tuple:
+    """a + b, rounded to nearest, for addends of at most wp bits.  When one
+    addend's top bit lies more than wp + 2 binades below the other's, it is
+    below a quarter unit in the other's last place, so the other is the
+    rounded sum and is returned without aligning: at z = 1e100000 the aligned
+    integers would grow by 660,000 bits a term."""
+    (am, ae), (bm, be) = a, b
+    if not am or not bm:
+        return a if am else b
+    gap = ae + am.bit_length() - be - bm.bit_length()
+    if abs(gap) > wp + 2:
+        return a if gap > 0 else b
+    if ae > be:
+        return _round((am << (ae - be)) + bm, be, wp, round_nearest)
+    return _round(am + (bm << (be - ae)), ae, wp, round_nearest)
+
+
 def rounded(p: int, q: int, precision: int, rounding: str) -> mpf:
     """p / q (q > 0) rounded by ``rounding`` to a precision-bit float: one
-    integer division (``from_rational`` strips q's trailing zero bits, in
-    quadratic time) gives a quotient of at least precision + 1 bits, and a
-    nonzero remainder, one sticky bit below it, decides every mode."""
-    shift = precision + 1 + q.bit_length() - p.bit_length()
-    num, den = (p << shift, q) if shift >= 0 else (p, q << -shift)
-    quotient, remainder = divmod(num, den)
-    return mp.make_mpf(from_man_exp(2 * quotient + bool(remainder), -shift - 1, precision,
-                                    rounding))
+    ``_quotient`` (``from_rational`` strips q's trailing zeros, in quadratic time)."""
+    return mp.make_mpf(from_man_exp(*_quotient((p, 0), (q, 0), precision, rounding)))
 
 
 def positive_real(x, precision: int, what: str) -> mpf:

@@ -22,10 +22,8 @@ in :mod:`envasym._expansions`, public as ``kind.row``: for instance
 Every partial sum s_k and term t_k comes from one loop, ``_walk``: it
 carries the signed power x^(2j+1) with one multiplication per term and
 yields (s_j, t_j), so t_k divides by the power the sum reached.  ``term``
-walks too, so term j costs j + 1 divisions.  The walk runs on signed integer
-(mantissa, exponent) pairs: each step is exact integer arithmetic rounded to
-nearest by one helper, ``_nearest``, so it is correctly rounded and has the
-one answer libmp's ``mpf_mul``, ``mpf_div`` and ``mpf_add`` give.
+walks too, so term j costs j + 1 divisions.  Each step is rounded to
+nearest by the one rounder of :mod:`envasym.precision`, on integer pairs.
 
 ``term``, ``partial_sum``, ``envelope_interval``, ``min_term_index`` and
 ``auto_truncate`` operate on the series tail itself; ``ln_gamma``,
@@ -33,12 +31,12 @@ one answer libmp's ``mpf_mul``, ``mpf_div`` and ``mpf_add`` give.
 add the elementary prefix and return a :class:`CertifiedValue` for the full
 function.
 
-z and ``tol`` count as the numbers they spell (``precision.exact``); the
-sums round x once, to nearest.  ``min_term_index`` and ``auto_truncate``
-decide exactly, walking from a float estimate of the index, so the index is
-the one a scan from k = 0 would give, whatever the precision.  Indices above
-``INDEX_CAP``, and decimal exponents outside ``+-EXPONENT_LIMIT``, are
-rejected with :class:`DomainError`.
+z and ``tol`` count as the numbers they spell (``precision.exact``); the one
+rounder takes x to nearest, ``tol`` and the coefficients down, the search
+bound up.  ``min_term_index`` and ``auto_truncate`` decide exactly, walking
+from a float estimate of the index, so the index is the one a scan from k = 0
+would give, whatever the precision.  Indices above ``INDEX_CAP`` and decimal
+exponents outside ``+-EXPONENT_LIMIT`` raise :class:`DomainError`.
 
 Rigor contract: the mathematical bounds are exact in exact arithmetic; each
 computed endpoint or bound x is widened outward by ``_margin(x, P)``, the exact
@@ -79,6 +77,9 @@ from ._expansions import EXPANSIONS, Expansion
 from .errors import DomainError, ToleranceUnattainable
 from .precision import (
     DEFAULT_PRECISION,
+    _product,
+    _quotient,
+    _sum,
     checked_int,
     checked_precision,
     exact,
@@ -204,69 +205,11 @@ def term(kind: SeriesKind, j: int, z, precision: int = DEFAULT_PRECISION) -> mpf
 
 @functools.lru_cache(maxsize=8192)
 def _rounded_coefficient(family: str, j: int, prec: int) -> tuple:
-    """c(j) of one coefficient family as a raw mpf of ``prec`` bits, rounded
-    down (toward zero, as ``mp.convert`` rounds a Fraction, so the sums have
-    the bits they had when every term converted its coefficient).  An entry
-    takes about 0.4 KB up to 544 bits, so a full table takes about 3 MB."""
+    """c(j) of one family as the walk's (mantissa, exponent) pair of ``prec``
+    bits, rounded down as ``mp.convert`` rounds a Fraction.  An entry takes
+    about 0.32 KB at 544 bits, so a full table takes about 2.6 MB."""
     c = coeffs.COEFFICIENT_FAMILIES[family](j)
-    return rounded(c.numerator, c.denominator, prec, round_floor)._mpf_
-
-
-def _nearest(m: int, e: int, wp: int) -> tuple:
-    """m * 2**e rounded to nearest, ties to even, at ``wp`` bits, as a signed
-    (mantissa, exponent) pair: the one rounding of the walk, bit for bit
-    libmp's ``round_nearest``.  A mantissa of at most ``wp`` bits is kept as
-    it is, and a carry out of an all-ones mantissa leaves 2**wp."""
-    n = m.bit_length() - wp
-    if n <= 0:
-        return m, e
-    # Shifts and masks of a negative m act on its two's complement, so h >> 1
-    # is the floor of m / 2**n and the bits below it are its fraction.
-    h = m >> (n - 1)  # the kept bits and the half bit below them
-    if h & 1 and (h & 2 or m & ((1 << (n - 1)) - 1)):
-        h += 1
-    return h >> 1, e + n
-
-
-# The walk's three steps on signed (mantissa, exponent) pairs whose values
-# have at most wp bits, as ``_nearest`` leaves them: each is exact integer
-# arithmetic then ``_nearest``, so each is correctly rounded and has the bits
-# of ``mpf_mul``, ``mpf_div`` and ``mpf_add`` at wp bits, round to nearest.
-
-def _product(a: tuple, b: tuple, wp: int) -> tuple:
-    """a * b, rounded."""
-    return _nearest(a[0] * b[0], a[1] + b[1], wp)
-
-
-def _quotient(a: tuple, b: tuple, wp: int) -> tuple:
-    """a / b (b nonzero), rounded from a quotient of at least wp + 2 bits and
-    a sticky bit for a nonzero remainder, as ``mpf_div`` does.  q is the
-    floor, so with a remainder the exact value lies strictly between 2q and
-    2q + 2, whatever the signs, and rounds as 2q + 1 does."""
-    (am, ae), (bm, be) = a, b
-    shift = wp + 2 + bm.bit_length() - am.bit_length()
-    q, r = divmod(am << shift, bm)
-    return _nearest(2 * q + (r != 0), ae - be - shift - 1, wp)
-
-
-def _sum(a: tuple, b: tuple, wp: int) -> tuple:
-    """a + b, rounded.  When one addend's top bit lies more than wp + 2
-    binades below the other's, it is below a quarter unit in the other's last
-    place, so the other is the rounded sum and is returned without aligning:
-    at z = 1e100000 the aligned integers would grow by 660,000 bits a term."""
-    (am, ae), (bm, be) = a, b
-    if not am:
-        return b
-    if not bm:
-        return a
-    gap = ae + am.bit_length() - be - bm.bit_length()
-    if gap > wp + 2:
-        return a
-    if gap < -wp - 2:
-        return b
-    if ae > be:
-        return _nearest((am << (ae - be)) + bm, be, wp)
-    return _nearest(am + (bm << (be - ae)), ae, wp)
+    return _quotient((c.numerator, 0), (c.denominator, 0), prec, round_floor)
 
 
 def _walk(row: Expansion, x: tuple, wp: int, start: int = 0) -> Iterator[tuple]:
@@ -274,18 +217,17 @@ def _walk(row: Expansion, x: tuple, wp: int, start: int = 0) -> Iterator[tuple]:
     j terms and t_j = c(j) / (sign(j) x^(2j+1)) the signed term j, at ``wp``
     bits whatever ``mp.prec`` is; x is the raw, already shifted argument.
 
-    The signed power, carried with one ``_product`` by -x^2 per term, the
-    sum and each term are integer pairs; only the yielded pairs, from
-    ``start`` on, become libmp tuples.  A correctly rounded step has one
-    answer, so the bits are those of the same loop in libmp calls, which
+    The power (one ``_product`` by -x^2 per term), the sum and each term
+    are integer pairs rounded to nearest in ``precision``; only the yielded
+    pairs, from ``start`` on, become libmp tuples.  Correctly rounded steps
+    have one answer, the bits of the same loop in libmp calls, which
     ``tests/test_series.py::ambient_walk`` runs as the reference."""
     xm, xe = x[1], x[2]
     minus_x2 = _product((-xm, xe), (xm, xe), wp)
     power = (xm if row.first_sign > 0 else -xm), xe
     total = (0, 0)
     for j in itertools.count():
-        _, cm, ce, _ = _rounded_coefficient(row.coefficients, j, wp)
-        t_j = _quotient((cm, ce), power, wp)
+        t_j = _quotient(_rounded_coefficient(row.coefficients, j, wp), power, wp, round_nearest)
         if j >= start:
             yield from_man_exp(*total), from_man_exp(*t_j)
         total = _sum(total, t_j, wp)
@@ -429,9 +371,8 @@ def min_term_index(kind: SeriesKind, z, precision: int = DEFAULT_PRECISION) -> i
 
 
 def _tolerance(tol, precision: int) -> mpf:
-    """The exact value of ``tol`` (see ``exact``) rounded down to ``precision``
-    bits.  A precision-bit bound is at most ``tol`` exactly when it is at
-    most this value, so the stop decisions compare against it."""
+    """The exact ``tol`` (see ``exact``) rounded down to ``precision`` bits: a
+    precision-bit bound is at most ``tol`` exactly when it is at most this."""
     value = exact(tol, precision, "tolerance")
     return rounded(value.numerator, value.denominator, precision, round_floor)
 

@@ -202,3 +202,40 @@ def test_the_precision_check_sees_a_global_write(tmp_path):
     assert _global_precision_uses(module) == [
         "m.py:4 workprec", "m.py:5 mp.dps", "m.py:6 mp.prec", "m.py:7 workdps",
         "m.py:8 extraprec", "m.py:9 mp.dps", "m.py:10 mp.prec"]
+
+
+def _roundings(path: pathlib.Path) -> list[str]:
+    """Calls that turn an exact value into a float, as file:line name: every
+    ``divmod``, and every ``from_man_exp`` or ``from_rational`` given a
+    precision (a third argument or any keyword)."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name == "divmod" or (name in ("from_man_exp", "from_rational")
+                                    and (len(node.args) > 2 or node.keywords)):
+                found.append((node.lineno, name))
+    return [f"{path.name}:{line} {name}" for line, name in sorted(found)]
+
+
+@pytest.mark.parametrize("path", sorted(pathlib.Path(envasym.__file__).parent.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_rounding_lives_in_precision(path):
+    # precision._quotient's one division is the package's one rounder; every
+    # other module rounds through it, and from_man_exp there only packs a pair
+    found = _roundings(path)
+    if path.name == "precision.py":
+        assert [use.split()[1] for use in found] == ["divmod"]
+    else:
+        assert found == []
+
+
+def test_the_rounding_check_sees_a_rounding(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text("from mpmath import libmp\nq, r = divmod(7, 2)\nx = from_man_exp(1, 2)\n"
+                      "y = from_man_exp(1, 2, 53, 'f')\nz = libmp.from_rational(1, 3, 53, 'n')\n"
+                      "w = from_man_exp(*pair)\nv = from_man_exp(1, 2, prec=53)\n")
+    assert _roundings(module) == [
+        "m.py:2 divmod", "m.py:4 from_man_exp", "m.py:5 from_rational", "m.py:7 from_man_exp"]

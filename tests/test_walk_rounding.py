@@ -1,22 +1,37 @@
-"""The series walk's integer steps against the libmp calls they stand for.
+"""The one rounder and the series walk's integer steps against libmp.
 
-``series._nearest`` rounds a signed m * 2**e to nearest at wp bits, and
-``_product``, ``_quotient`` and ``_sum`` are exact integer arithmetic followed
-by it.  Round to nearest is correctly rounded in libmp, so each must give
-libmp's bits exactly: ``from_man_exp(m, e, wp, round_nearest)``, ``mpf_mul``,
-``mpf_div`` and ``mpf_add``.  CI runs this file a second time under the
-``ci`` Hypothesis profile (``HYPOTHESIS_PROFILE=ci``, 2,000 examples).
+``precision._round`` rounds a signed m * 2**e to nearest, down or up at a
+given number of bits, and ``_product``, ``_quotient`` and ``_sum`` are exact
+integer arithmetic followed by it.  libmp rounds correctly in these modes, so
+each must give libmp's bits exactly: ``from_man_exp(m, e, bits, rounding)``,
+``mpf_mul``, ``mpf_div`` and ``mpf_add``.  The walk's coefficient table,
+``series._rounded_coefficient``, must hold ``from_rational``'s floor.  CI runs
+this file a second time under the ``ci`` Hypothesis profile
+(``HYPOTHESIS_PROFILE=ci``, 2,000 examples).
 """
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from mpmath.libmp import from_man_exp, mpf_add, mpf_div, mpf_mul, round_nearest
+from mpmath.libmp import (
+    from_man_exp,
+    from_rational,
+    mpf_add,
+    mpf_div,
+    mpf_mul,
+    round_ceiling,
+    round_floor,
+    round_nearest,
+)
 
-from envasym.series import _nearest, _product, _quotient, _sum
+from envasym import coeffs
+from envasym.precision import _product, _quotient, _round, _sum
+from envasym.series import _rounded_coefficient
 
 WP = st.integers(1, 600)
 EXPONENT = st.integers(-3000, 3000)
 SIGN = st.sampled_from([1, -1])
+MODE = st.sampled_from([round_nearest, round_floor, round_ceiling])
 
 
 def raw(pair):
@@ -47,11 +62,16 @@ def mantissas(draw):
 
 
 @settings(deadline=None)
-@given(mantissas(), EXPONENT)
-def test_nearest_is_libmps_round_to_nearest(m_wp, e):
+@given(mantissas(), EXPONENT, MODE)
+# negative all-ones mantissas whose floor carries to -2**wp, and exact ties
+@example((-((2**53 - 1) << 5 | 1), 53), 0, round_floor)
+@example((-((2**1 - 1) << 5 | 1), 1), 0, round_floor)
+@example((-((2**52 + 1) << 4 | 8), 53), 0, round_nearest)
+@example((-(2**52 << 4 | 8), 53), 0, round_nearest)
+def test_round_is_libmps_in_every_mode(m_wp, e, rounding):
     m, wp = m_wp
-    got = _nearest(m, e, wp)
-    assert raw(got) == from_man_exp(m, e, wp, round_nearest)
+    got = _round(m, e, wp, rounding)
+    assert raw(got) == from_man_exp(m, e, wp, rounding)
     assert abs(got[0]).bit_length() <= wp or abs(got[0]) == 2**wp
 
 
@@ -60,7 +80,50 @@ def test_nearest_is_libmps_round_to_nearest(m_wp, e):
 def test_product_and_quotient_are_libmps(data, wp):
     a, b = data.draw(operand(wp)), data.draw(nonzero(wp))
     assert raw(_product(a, b, wp)) == mpf_mul(raw(a), raw(b), wp, round_nearest)
-    assert raw(_quotient(a, b, wp)) == mpf_div(raw(a), raw(b), wp, round_nearest)
+    assert raw(_quotient(a, b, wp, round_nearest)) == mpf_div(raw(a), raw(b), wp, round_nearest)
+
+
+def signed(draw, bits):
+    return draw(SIGN) * draw(st.integers(2 ** (bits - 1), 2**bits - 1))
+
+
+@st.composite
+def divisions(draw):
+    """(a, b, bits): signed operands of any length, the numerator often
+    longer than bits + 2 plus the denominator (where the quotient shifts the
+    denominator up); or a = b * c * 2**t + d, d in {-1, 0, 1}, whose quotient
+    lies on or just off the bits-bit number c * 2**t, where only the
+    remainder tells floor and ceiling apart."""
+    bits, b_len = draw(st.integers(1, 200)), draw(st.integers(1, 200))
+    bm = signed(draw, b_len)
+    if draw(st.booleans()):
+        a_len = draw(st.one_of(st.integers(1, 400),
+                               st.integers(bits + 3 + b_len, bits + 203 + b_len)))
+        am = signed(draw, a_len)
+    else:
+        c = signed(draw, draw(st.integers(1, bits)))
+        am = (bm * c << draw(st.integers(0, 400))) + draw(st.sampled_from([-1, 0, 1]))
+    return (am, draw(EXPONENT)), (bm, draw(EXPONENT)), bits
+
+
+@settings(deadline=None)
+@given(divisions(), MODE)
+# 400 bits over 3 at 53: the numerator's shift would be negative
+@example(((2**400 - 1, 0), (-3, 0), 53), round_floor)
+@example(((2**400 - 1, 0), (3, 0), 53), round_ceiling)
+def test_quotient_is_libmps_in_every_mode(a_b_bits, rounding):
+    a, b, bits = a_b_bits
+    assert raw(_quotient(a, b, bits, rounding)) == mpf_div(raw(a), raw(b), bits, rounding)
+
+
+@pytest.mark.parametrize("family", sorted(coeffs.COEFFICIENT_FAMILIES))
+def test_the_coefficient_table_holds_the_floor(family):
+    for wp in (96, 288, 544):
+        for j in range(201):
+            c = coeffs.COEFFICIENT_FAMILIES[family](j)
+            got = _rounded_coefficient(family, j, wp)
+            assert abs(got[0]).bit_length() <= wp
+            assert raw(got) == from_rational(c.numerator, c.denominator, wp, round_floor), (wp, j)
 
 
 @st.composite
