@@ -20,10 +20,14 @@ e**(-2*pi*eta); a well-known misprint in some references has 2**(-2*pi*eta).
 Quadrature results are trustworthy rather than certified: each value carries
 an a-posteriori error estimate (the difference of the last two refinement
 levels), not a proven bound.  Certification is the job of the series module.
-The quadrature's node loop is libmp calls at an explicit precision; the
-wrappers around it and the exact logarithms are operators in the private
-context of the precision (see :mod:`envasym.precision`).  Nothing reads or
-sets ``mp.prec``.
+The quadrature's warm node loop (the factor, its product with the node's
+weight, the running sum and the tail test) is exact integer arithmetic on
+signed (mantissa, exponent) pairs, rounded to nearest by the one rounder of
+:mod:`envasym.precision`, so it has the bits of the same loop in libmp calls.
+Cold nodes, the weights and the combination of levels are libmp calls at an
+explicit precision; the wrappers around the quadrature and the exact
+logarithms are operators in the private context of the precision.  Nothing
+reads or sets ``mp.prec``.
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ from mpmath import mp, mpf
 from mpmath.libmp import (
     fone,
     from_float,
-    fzero,
+    from_man_exp,
     mpf_abs,
     mpf_add,
     mpf_div,
@@ -60,6 +64,9 @@ from .errors import QuadratureNonConvergence
 from .precision import (
     DEFAULT_PRECISION,
     _context,
+    _product,
+    _quotient,
+    _sum,
     checked_int,
     checked_precision,
     positive_real,
@@ -262,19 +269,31 @@ class _Level:
         return mpf_div(fone, eta, self.wp, round_nearest), lc
 
 
-def _negligible(term, total, wp: int) -> bool:
-    """|term| <= 2**-wp * |total| for raw mpf tuples.
+def _pair(x: tuple) -> tuple:
+    """A raw libmp number as the signed (mantissa, exponent) pair that
+    :mod:`envasym.precision`'s steps take."""
+    sign, man, exp, _ = x
+    return (-man if sign else man), exp
+
+
+def _negligible(term: tuple, total: tuple, wp: int) -> bool:
+    """|term| <= 2**-wp * |total| for signed (mantissa, exponent) pairs.
 
     A zero term is negligible.  Otherwise it is decided from the magnitudes
-    (exponent plus bit count) unless they lie exactly wp binades apart; only
-    then are the values compared.
+    (exponent plus bit length, 0 for a zero total) unless they lie exactly wp
+    binades apart; only then are the mantissas compared, aligned by a shift
+    no longer than either of them.
     """
-    if term == fzero:
+    (tm, te), (sm, se) = term, total
+    if not tm:
         return True
-    gap = (total[2] + total[3]) - (term[2] + term[3])
-    if gap != wp:
+    gap = (se + sm.bit_length() if sm else 0) - te - tm.bit_length()
+    if gap != wp or not sm:
         return gap > wp
-    return mpf_le(mpf_abs(term), mpf_shift(mpf_abs(total), -wp))
+    shift = te + wp - se
+    if shift >= 0:
+        return abs(tm) << shift <= abs(sm)
+    return abs(tm) <= abs(sm) << -shift
 
 
 @lru_cache(maxsize=4)
@@ -301,9 +320,14 @@ def _de_quad_half_line(family: ThetaFamily, factor, spec: QuadratureSpec):
     ``_Level``): along a level each costs two multiplications and the exp
     of eta, and a node at -t one division more, eta(-t) = 1/eta(t).  At
     t = 0 they are 1 and pi/2.  ``factor`` maps
-    a raw libmp eta and its square to a raw value at ``working_bits(P)``.
-    Every operation, the weight's included, is a libmp call at that
-    precision or, in the recurrence, at a higher one, rounding to nearest.
+    a raw libmp eta and its square to a signed (mantissa, exponent) pair at
+    ``working_bits(P)``.  A cold node's values, the weight's included, are
+    libmp calls at that precision or, in the recurrence, at a higher one.
+    The factor's product with W and the running half-sums are
+    ``precision``'s ``_product`` and ``_sum`` on pairs, with the rows read as
+    pairs, and ``_negligible`` tests the tail on pairs; only each half-sum
+    goes back to a libmp tuple.  Every step rounds to nearest, so the bits
+    are those of the same loop in libmp calls.
 
     Returns (value, error_estimate) as mpf at working precision.  Raises
     QuadratureNonConvergence if the level cap is hit first.
@@ -334,22 +358,22 @@ def _de_quad_half_line(family: ThetaFamily, factor, spec: QuadratureSpec):
                         eta, wp, round_nearest)
             if row is not None:
                 row[column] = w
-        return mpf_mul(factor(eta, eta2), w, wp, round_nearest)
+        return _product(factor(eta, eta2), _pair(w), wp)
 
     def half_sums(h, start, step):
         # sum of g(j*h) over j = start, start+step, ... on both sides of 0
         level = _Level(start * h, step * h, wp)
-        total = fzero
+        total = (0, 0)
         for sgn, cold in ((1, level.node), (-1, level.mirror)):
             n = run = 0
             while True:
                 j = start + n * step
                 if j > _TAIL_CAP:
                     raise QuadratureNonConvergence(
-                        "tail truncation cap exceeded", value=mp.make_mpf(total)
+                        "tail truncation cap exceeded", value=mp.make_mpf(from_man_exp(*total))
                     )
                 term = g(sgn * j * h, cold, n)
-                total = mpf_add(total, term, wp, round_nearest)
+                total = _sum(total, term, wp)
                 if _negligible(term, total, wp):
                     run += 1
                     if run >= _TAIL_RUN:
@@ -357,13 +381,13 @@ def _de_quad_half_line(family: ThetaFamily, factor, spec: QuadratureSpec):
                 else:
                     run = 0
                 n += 1
-        return total
+        return from_man_exp(*total)
 
     lam = mpf_shift(mpf_pi(wp, round_nearest), -1)
     h = 1.0
-    estimate = mpf_add(g(0.0, lambda n: (fone, lam), 0), half_sums(h, 1, 1),
+    estimate = mpf_add(from_man_exp(*g(0.0, lambda n: (fone, lam), 0)), half_sums(h, 1, 1),
                        wp, round_nearest)
-    previous = None
+    previous = err = None
     for level in range(1, _MAX_LEVELS + 1):
         h = h / 2
         # estimate/2 + h * (sum over the new nodes), with h = 2**-level
@@ -377,18 +401,26 @@ def _de_quad_half_line(family: ThetaFamily, factor, spec: QuadratureSpec):
     raise QuadratureNonConvergence(
         f"no convergence within {_MAX_LEVELS} refinement levels",
         value=mp.make_mpf(estimate),
-        error=None if previous is None else mp.make_mpf(
-            mpf_abs(mpf_sub(estimate, previous, wp, round_nearest))),
+        error=None if err is None else mp.make_mpf(err),
     )
+
+
+def _even_power(k: int, wp: int):
+    """(eta, eta**2) -> eta**(2k) at wp bits, as a pair: (1, 0) at k = 0, the
+    row's eta**2 at k = 1 (``mpf_pow_int`` squares as ``mpf_mul`` does), and
+    ``mpf_pow_int``'s own above, whose binary powering truncates at its own
+    working precision."""
+    if k == 0:
+        return lambda eta, eta2: (1, 0)
+    if k == 1:
+        return lambda eta, eta2: _pair(eta2)
+    return lambda eta, eta2: _pair(mpf_pow_int(eta, 2 * k, wp, round_nearest))
 
 
 @lru_cache(maxsize=None)
 def _moment_integral(family: ThetaFamily, k: int, spec: QuadratureSpec):
     """(value, err) of  integral eta^(2k) * weight(eta) deta  over (0, inf)."""
-    wp = working_bits(spec.precision)
-    return _de_quad_half_line(
-        family, lambda eta, eta2: mpf_pow_int(eta, 2 * k, wp, round_nearest), spec
-    )
+    return _de_quad_half_line(family, _even_power(k, working_bits(spec.precision)), spec)
 
 
 # Bounded, as it is keyed by every z seen; 1024 entries hold a demo scan's
@@ -398,14 +430,11 @@ def _damped_moment_integral(family: ThetaFamily, k: int, z: mpf, spec: Quadratur
     """(value, err) of  integral eta^(2k)/(z^2+eta^2) * weight(eta) deta."""
     wp = working_bits(spec.precision)
     # z is rounded to wp bits before it is squared
-    z2 = mpf_pow_int(mpf_pos(z._mpf_, wp, round_nearest), 2, wp, round_nearest)
+    z2 = _pair(mpf_pow_int(mpf_pos(z._mpf_, wp, round_nearest), 2, wp, round_nearest))
+    power = _even_power(k, wp)
 
     def factor(eta, eta2):
-        return mpf_div(
-            mpf_pow_int(eta, 2 * k, wp, round_nearest),
-            mpf_add(z2, eta2, wp, round_nearest),
-            wp, round_nearest,
-        )
+        return _quotient(power(eta, eta2), _sum(z2, _pair(eta2), wp), wp, round_nearest)
 
     return _de_quad_half_line(family, factor, spec)
 

@@ -9,10 +9,11 @@ Every number a caller passes is read by ``exact``, as the number it spells.
 One rounder makes an exact value a float: ``_round`` rounds to nearest, down
 or up, ``_quotient`` divides into it, and ``rounded`` is that quotient of two
 integers.  z is rounded to nearest, ``tol`` and the coefficient table down,
-the truncation search's bound up.  The series walk's ``_product``,
-``_quotient`` and ``_sum`` are exact integer arithmetic on (mantissa,
-exponent) pairs rounded to nearest by it, so they have the bits of libmp's
-``mpf_mul``, ``mpf_div`` and ``mpf_add``.
+the truncation search's bound up.  ``_product``, ``_quotient`` and ``_sum``
+are exact integer arithmetic on (mantissa, exponent) pairs rounded to
+nearest by it, so they have the bits of libmp's ``mpf_mul``, ``mpf_div`` and
+``mpf_add``; their callers are the series walk and the quadrature's warm
+node loop.
 
 No module reads or sets mpmath's global ``mp.prec``.  Hot paths are libmp
 calls at an explicit precision; other code uses operators on the numbers of

@@ -12,7 +12,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf
-from mpmath.libmp import fone, from_int, fzero, mpf_div, mpf_gt, round_nearest
+from mpmath.libmp import (
+    fone,
+    from_int,
+    from_man_exp,
+    fzero,
+    mpf_abs,
+    mpf_div,
+    mpf_gt,
+    mpf_le,
+    mpf_shift,
+    mpf_sub,
+    round_nearest,
+)
 
 from envasym import (
     DomainError,
@@ -273,20 +285,38 @@ class TestQuadratureSpec:
     def test_tolerance_floor(self):
         assert QuadratureSpec(precision=256).effective_tol() == mpf(2) ** -224
 
-    def test_level_cap_raises(self, monkeypatch):
-        monkeypatch.setattr(oracle, "_MAX_LEVELS", 2)
+    # The estimate after two levels, and the sum of the three nodes t = 1, 2, 3
+    # before the tail cap, at 288 bits: raw tuples, so a value that is not a
+    # finite positive mpf (mp.make_mpf of a pair passes isinstance) is seen.
+    LEVEL_2 = (0, int("295586165260473897924705915904922505333777951386"
+                      "321456544204875310421185107756460392137"), -293, 288)
+    TAIL_3 = (0, int("287206533851969911196028640534658032370819811689"
+                     "189650374400751291895063328724634987835"), -293, 288)
+
+    @staticmethod
+    def _raised(monkeypatch, name, cap):
+        monkeypatch.setattr(oracle, name, cap)
         _clear_value_caches()  # a cached value would skip the quadrature
         with pytest.raises(QuadratureNonConvergence) as info:
             binet_J(mpf("3.75"), SPEC)
-        assert isinstance(info.value.value, mpf)
-        assert isinstance(info.value.error, mpf)
+        mp.nstr(info.value.value, 10)
+        return info.value
+
+    def test_level_cap_raises(self, monkeypatch):
+        first = self._raised(monkeypatch, "_MAX_LEVELS", 1)
+        assert first.error is None  # one level has nothing to differ from
+        raised = self._raised(monkeypatch, "_MAX_LEVELS", 2)
+        assert raised.value._mpf_ == self.LEVEL_2
+        # the error is the difference of the last two levels (it was always 0)
+        wp = SPEC.precision + 32
+        assert raised.error._mpf_ == mpf_abs(
+            mpf_sub(self.LEVEL_2, first.value._mpf_, wp, round_nearest))
+        assert raised.error > 0
 
     def test_tail_cap_raises(self, monkeypatch):
-        monkeypatch.setattr(oracle, "_TAIL_CAP", 3)
-        _clear_value_caches()
-        with pytest.raises(QuadratureNonConvergence, match="tail") as info:
-            binet_J(mpf("3.75"), SPEC)
-        assert isinstance(info.value.value, mpf)
+        raised = self._raised(monkeypatch, "_TAIL_CAP", 3)
+        assert "tail" in str(raised)
+        assert raised.value._mpf_ == self.TAIL_3
 
 
 class TestIntegerArguments:
@@ -580,11 +610,14 @@ def cosh_sinh_nodes(t0, dt, wp):
     return at
 
 
-def ambient_de_quad(family, k, z, precision, nodes=recurrence_nodes):
+def ambient_de_quad(family, k, z, precision, nodes=recurrence_nodes, memo=None):
     """(value, err) of the ambient-context loop with no node table, the
     reference for ``oracle._de_quad_half_line``: the damped moment integral
     at z, or the undamped one when z is None.  ``nodes(t0, dt, wp)`` gives
-    eta and lam*cosh t on the level with nodes +-(t0 + n*dt)."""
+    eta and lam*cosh t on the level with nodes +-(t0 + n*dt).  A ``memo``
+    dict, shared by calls at one precision and one ``nodes``, keeps eta and
+    the weight by (family, t): each t lies on one level, so they depend on
+    nothing else."""
     wp = precision + 32
     with mp.workprec(wp):
         tail_eps = mpf(2) ** (-(precision + 32))
@@ -592,8 +625,13 @@ def ambient_de_quad(family, k, z, precision, nodes=recurrence_nodes):
         z2 = None if z is None else mp.mpf(z) ** 2
 
         def g(t, at):
-            eta, lc = at(t)
-            w = mp.make_mpf(oracle._weight(family, eta._mpf_, wp)) * lc * eta
+            if memo is not None and (family, t) in memo:
+                eta, w = memo[family, t]
+            else:
+                eta, lc = at(t)
+                w = mp.make_mpf(oracle._weight(family, eta._mpf_, wp)) * lc * eta
+                if memo is not None:
+                    memo[family, t] = eta, w
             if z2 is None:
                 return eta ** (2 * k) * w
             return eta ** (2 * k) / (z2 + eta * eta) * w
@@ -642,16 +680,19 @@ def _quadrature(family, k, z, spec):
 
 
 class TestLibmpLoop:
-    CASES = [(family, k, z) for family in ThetaFamily for k in (0, 3)
-             for z in ("2", "7.3", None)]
+    CASES = [(family, k, z) for family in ThetaFamily for k in (0, 1, 2, 3, 4)
+             for z in ("0.5", "2", "7.3", "45", None)]
+    COSH_SINH_CASES = [(family, k, z) for family, k, z in CASES
+                       if k in (0, 3) and z in ("2", "7.3", None)]
 
     @pytest.mark.parametrize("precision", [64, 128, 256])
     def test_matches_the_ambient_loop_bit_for_bit(self, precision):
         spec = QuadratureSpec(precision=precision)
-        want = {}
+        want, memo = {}, {}
         for family, k, z in self.CASES:
             zz = None if z is None else positive_real(z, precision, "argument")
-            want[family, k, z] = [x._mpf_ for x in ambient_de_quad(family, k, zz, precision)]
+            want[family, k, z] = [x._mpf_ for x in ambient_de_quad(family, k, zz, precision,
+                                                                   memo=memo)]
         for ambient in (53, 1000):
             oracle._node_table.cache_clear()
             with mp.workprec(ambient):
@@ -667,7 +708,7 @@ class TestLibmpLoop:
         # the route before the recurrence, an independent reference: values
         # agree to the quadrature's own tolerance 2**(32-P) relative
         spec = QuadratureSpec(precision=precision)
-        for family, k, z in self.CASES:
+        for family, k, z in self.COSH_SINH_CASES:
             zz = None if z is None else positive_real(z, precision, "argument")
             want, _ = ambient_de_quad(family, k, zz, precision, nodes=cosh_sinh_nodes)
             got = mp.make_mpf(_quadrature(family, k, z, spec)[0])
@@ -697,6 +738,66 @@ class TestLibmpLoop:
             counts[precision] = len(calls)
         assert len(oracle._node_table(64).rows) < len(oracle._node_table(256).rows)
         assert counts[64] == counts[256]
+
+
+def tuple_negligible(term, total, wp):
+    """The tail test on raw libmp tuples, as the quadrature made it before its
+    warm loop moved onto integer pairs: the reference for ``oracle._negligible``."""
+    if term == fzero:
+        return True
+    gap = (total[2] + total[3]) - (term[2] + term[3])
+    if gap != wp:
+        return gap > wp
+    return mpf_le(mpf_abs(term), mpf_shift(mpf_abs(total), -wp))
+
+
+@st.composite
+def tail_tests(draw):
+    """(term, total, wp) as signed pairs: random; or the term's magnitude wp
+    - 1, wp or wp + 1 binades below the total's, with the term's mantissa the
+    total's, one above or one below it, times a power of two; or a zero term
+    or a zero total, at exponents down to -2 * 10**12."""
+    wp = draw(st.integers(1, 600))
+    sign = st.sampled_from([1, -1])
+    exponent = st.integers(-2 * 10**12, 10**6)
+    sm = draw(sign) * draw(st.integers(1, 2**wp))
+    se = draw(exponent)
+    shape = draw(st.sampled_from(["random", "tie", "zero term", "zero total"]))
+    if shape == "tie":
+        shift = draw(st.integers(0, 8))
+        tm = draw(sign) * (abs(sm) + draw(st.sampled_from([-1, 0, 1])) or 1) << shift
+        te = se - wp - shift + draw(st.sampled_from([-1, 0, 1]))
+    elif shape == "zero term":
+        tm, te = 0, draw(exponent)
+    else:
+        tm = draw(sign) * draw(st.integers(1, 2 ** (wp + 1)))
+        if shape == "zero total":
+            sm, se = 0, draw(exponent)
+            te = -wp - tm.bit_length() + draw(st.integers(-2, 2))
+        else:
+            te = se + draw(st.integers(-2 * wp - 8, 8))
+    return (tm, te), (sm, se), wp
+
+
+class TestTailTest:
+    """``oracle._negligible`` on pairs against the tuple test it replaced.
+    CI runs this class a second time under the ``ci`` Hypothesis profile."""
+
+    @settings(deadline=None)
+    @given(tail_tests())
+    def test_decides_as_the_tuple_test(self, term_total_wp):
+        term, total, wp = term_total_wp
+        want = tuple_negligible(from_man_exp(*term), from_man_exp(*total), wp)
+        assert oracle._negligible(term, total, wp) == want
+
+    def test_ties_on_both_sides(self):
+        for wp in (1, 64, 288):
+            total = (3 << wp, -10**12)
+            for term, want in (((3, -10**12), True), ((4, -10**12), False),
+                               ((2, -10**12), True), ((3, -10**12 + 1), False),
+                               ((-3, -10**12), True), ((6, -10**12 - 1), True)):
+                assert oracle._negligible(term, total, wp) is want, (wp, term)
+                assert tuple_negligible(from_man_exp(*term), from_man_exp(*total), wp) is want
 
 
 class TestLevelRecurrence:
@@ -805,17 +906,16 @@ class TestWeight:
 
 class TestZeroTerms:
     def test_a_zero_term_is_negligible(self):
-        total = mpf(3)._mpf_
-        assert oracle._negligible(fzero, total, 288)
-        assert oracle._negligible(fzero, fzero, 288)
-        assert not oracle._negligible(mpf(1)._mpf_, total, 288)
+        assert oracle._negligible((0, 0), (3, 0), 288)
+        assert oracle._negligible((0, 0), (0, 0), 288)
+        assert not oracle._negligible((1, 0), (3, 0), 288)
 
     def test_a_factor_that_vanishes_in_the_tail_ends_the_tail(self, monkeypatch):
         # zero terms that were never negligible walked the tail to the cap
         monkeypatch.setattr(oracle, "_TAIL_CAP", 10**3)
         cut = from_int(2**8)
         value, _ = oracle._de_quad_half_line(
-            ThetaFamily.THETA, lambda eta, eta2: fzero if mpf_gt(eta, cut) else fone, SPEC)
+            ThetaFamily.THETA, lambda eta, eta2: (0, 0) if mpf_gt(eta, cut) else (1, 0), SPEC)
         # beyond the cut theta < e^(-1600), far below 2**-288 of the whole
         # integral, which is pi times beta_0 = 1/12
         with mp.workprec(320):

@@ -1,13 +1,14 @@
-"""The one rounder and the series walk's integer steps against libmp.
+"""The one rounder and the integer steps of its two callers against libmp.
 
 ``precision._round`` rounds a signed m * 2**e to nearest, down or up at a
 given number of bits, and ``_product``, ``_quotient`` and ``_sum`` are exact
-integer arithmetic followed by it.  libmp rounds correctly in these modes, so
-each must give libmp's bits exactly: ``from_man_exp(m, e, bits, rounding)``,
-``mpf_mul``, ``mpf_div`` and ``mpf_add``.  The walk's coefficient table,
-``series._rounded_coefficient``, must hold ``from_rational``'s floor.  CI runs
-this file a second time under the ``ci`` Hypothesis profile
-(``HYPOTHESIS_PROFILE=ci``, 2,000 examples).
+integer arithmetic followed by it.  The series walk and the quadrature's warm
+node loop (``oracle._de_quad_half_line``) take every step through them.
+libmp rounds correctly in these modes, so each must give libmp's bits
+exactly: ``from_man_exp(m, e, bits, rounding)``, ``mpf_mul``, ``mpf_div`` and
+``mpf_add``.  The walk's coefficient table, ``series._rounded_coefficient``,
+must hold ``from_rational``'s floor.  CI runs this file a second time under
+the ``ci`` Hypothesis profile (``HYPOTHESIS_PROFILE=ci``, 2,000 examples).
 """
 
 import pytest
