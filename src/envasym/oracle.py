@@ -20,14 +20,11 @@ e**(-2*pi*eta); a well-known misprint in some references has 2**(-2*pi*eta).
 Quadrature results are trustworthy rather than certified: each value carries
 an a-posteriori error estimate (the difference of the last two refinement
 levels), not a proven bound.  Certification is the job of the series module.
-The quadrature's warm node loop (the factor, its product with the node's
-weight, the running sum and the tail test) is exact integer arithmetic on
-signed (mantissa, exponent) pairs, rounded to nearest by the one rounder of
-:mod:`envasym.precision`, so it has the bits of the same loop in libmp calls.
+Each warm node's term, and each step of the running sums, is one rounding
+to nearest of exact integers by the one rounder of :mod:`envasym.precision`.
 Cold nodes, the weights and the combination of levels are libmp calls at an
-explicit precision; the wrappers around the quadrature and the exact
-logarithms are operators in the private context of the precision.  Nothing
-reads or sets ``mp.prec``.
+explicit precision; the wrappers and the exact logarithms are operators in
+the private context of the precision.  Nothing reads or sets ``mp.prec``.
 """
 
 from __future__ import annotations
@@ -53,7 +50,6 @@ from mpmath.libmp import (
     mpf_neg,
     mpf_pi,
     mpf_pos,
-    mpf_pow_int,
     mpf_shift,
     mpf_sub,
     round_nearest,
@@ -64,8 +60,10 @@ from .errors import QuadratureNonConvergence
 from .precision import (
     DEFAULT_PRECISION,
     _context,
+    _exact_sum,
     _product,
     _quotient,
+    _round,
     _sum,
     checked_int,
     checked_precision,
@@ -269,13 +267,6 @@ class _Level:
         return mpf_div(fone, eta, self.wp, round_nearest), lc
 
 
-def _pair(x: tuple) -> tuple:
-    """A raw libmp number as the signed (mantissa, exponent) pair that
-    :mod:`envasym.precision`'s steps take."""
-    sign, man, exp, _ = x
-    return (-man if sign else man), exp
-
-
 def _negligible(term: tuple, total: tuple, wp: int) -> bool:
     """|term| <= 2**-wp * |total| for signed (mantissa, exponent) pairs.
 
@@ -301,8 +292,8 @@ def _node_table(precision: int) -> _NodeTable:
     return _NodeTable()
 
 
-def _de_quad_half_line(family: ThetaFamily, factor, spec: QuadratureSpec):
-    """Integrate factor(eta, eta**2) * weight(eta) over (0, inf), double-exponentially.
+def _de_quad_half_line(family: ThetaFamily, integrand, spec: QuadratureSpec):
+    """Integrate f(eta) * weight(eta) over (0, inf), double-exponentially.
 
     Substitutes eta = exp((pi/2) * sinh(t)) and applies the trapezoid rule in
     t with dyadic step refinement, reusing previous levels.  Refinement stops
@@ -312,22 +303,13 @@ def _de_quad_half_line(family: ThetaFamily, factor, spec: QuadratureSpec):
     running sum, however small the sum; eta = 0 is never sampled, so
     integrable endpoint singularities need no special casing.
 
-    The node value at t is factor(eta, eta**2) * W(t), with
-    W(t) = weight(eta) * (pi/2) * cosh(t) * eta.  These z-free values are
-    read from the precision's node table where stored, and computed
-    otherwise (see ``_NodeTable`` for what is stored when).  A computed
-    node takes eta and (pi/2)*cosh t from its level's recurrence (see
-    ``_Level``): along a level each costs two multiplications and the exp
-    of eta, and a node at -t one division more, eta(-t) = 1/eta(t).  At
-    t = 0 they are 1 and pi/2.  ``factor`` maps
-    a raw libmp eta and its square to a signed (mantissa, exponent) pair at
-    ``working_bits(P)``.  A cold node's values, the weight's included, are
-    libmp calls at that precision or, in the recurrence, at a higher one.
-    The factor's product with W and the running half-sums are
-    ``precision``'s ``_product`` and ``_sum`` on pairs, with the rows read as
-    pairs, and ``_negligible`` tests the tail on pairs; only each half-sum
-    goes back to a libmp tuple.  Every step rounds to nearest, so the bits
-    are those of the same loop in libmp calls.
+    A node's e = eta**2 and W(t) = weight(eta) * (pi/2) * cosh(t) * eta are
+    z-free and positive: read from the precision's node table where stored
+    (see ``_NodeTable``), else libmp calls at ``working_bits(P)`` on the eta
+    and (pi/2)*cosh t of the level's recurrence (see ``_Level``), 1 and pi/2
+    at t = 0.  ``integrand(e, W)`` maps their tuples' (mantissa, exponent) to
+    the node's term f(eta) * W(t), one rounding (see ``_integrand``).  The
+    half-sums are ``precision._sum`` and the tail test ``_negligible``.
 
     Returns (value, error_estimate) as mpf at working precision.  Raises
     QuadratureNonConvergence if the level cap is hit first.
@@ -347,18 +329,17 @@ def _de_quad_half_line(family: ThetaFamily, factor, spec: QuadratureSpec):
         if row is None:
             eta, lc = cold(n)
             eta2 = mpf_mul(eta, eta, wp, round_nearest)
-            w = None
             if store:
                 row = rows.setdefault(t, [eta, lc, eta2, None, None, None])
-        else:
+        elif row[column] is None:
             eta, lc, eta2 = row[:3]
-            w = row[column]
-        if w is None:
-            w = mpf_mul(mpf_mul(_weight(family, eta, wp), lc, wp, round_nearest),
-                        eta, wp, round_nearest)
-            if row is not None:
-                row[column] = w
-        return _product(factor(eta, eta2), _pair(w), wp)
+        else:  # a warm node
+            return integrand(row[2][1:3], row[column][1:3])
+        w = mpf_mul(mpf_mul(_weight(family, eta, wp), lc, wp, round_nearest),
+                    eta, wp, round_nearest)
+        if row is not None:
+            row[column] = w
+        return integrand(eta2[1:3], w[1:3])
 
     def half_sums(h, start, step):
         # sum of g(j*h) over j = start, start+step, ... on both sides of 0
@@ -405,22 +386,39 @@ def _de_quad_half_line(family: ThetaFamily, factor, spec: QuadratureSpec):
     )
 
 
-def _even_power(k: int, wp: int):
-    """(eta, eta**2) -> eta**(2k) at wp bits, as a pair: (1, 0) at k = 0, the
-    row's eta**2 at k = 1 (``mpf_pow_int`` squares as ``mpf_mul`` does), and
-    ``mpf_pow_int``'s own above, whose binary powering truncates at its own
-    working precision."""
-    if k == 0:
-        return lambda eta, eta2: (1, 0)
-    if k == 1:
-        return lambda eta, eta2: _pair(eta2)
-    return lambda eta, eta2: _pair(mpf_pow_int(eta, 2 * k, wp, round_nearest))
+def _integrand(k: int, z2, wp: int):
+    """(e, W) -> the node's term: the exact W * e**k, over the exact z2 + e
+    unless z2 is None, rounded once to nearest at wp bits, for pairs e, W and
+    z2 > 0 whose mantissas, trailing zeros dropped, have at most wp bits.
+
+    Where the smaller of z2 and e tops out (exponent plus bit length) more
+    than G = (k + 2) * wp + 2 binades below the larger, A = a * 2**u with top
+    t, s = 2**(t - G - 2) replaces it, so the sum stays near G bits.  Both lie
+    in (0, A * 2**-G), so with x = N / A, N = n * 2**v the numerator, both
+    quotients lie in (x / (1 + 2**-G), x).  They round alike, as no c * 2**f
+    with |c| < 2**(wp+1) (a representable number or a midpoint) lies there:
+    x - c * 2**f is a nonzero multiple of 2**min(v - u, f) / a, so at least
+    x / n or 2**f / a > x / (a * 2**(wp+2)) (as c * 2**f > x / 2), and both
+    exceed x * 2**-G, as n < 2**((k+1)*wp) and a < 2**wp.
+    """
+    if z2 is None:
+        return lambda e, w: _round(w[0] * e[0] ** k, w[1] + k * e[1], wp, round_nearest)
+    far = (k + 2) * wp + 2
+    top = z2[1] + z2[0].bit_length()
+
+    def term(e, w):
+        gap = top - e[1] - e[0].bit_length()  # z2's top less e's
+        d = _exact_sum(z2 if gap >= -far else (1, top - gap - far - 2),
+                       e if gap <= far else (1, top - far - 2))
+        return _quotient((w[0] * e[0] ** k, w[1] + k * e[1]), d, wp, round_nearest)
+
+    return term
 
 
 @lru_cache(maxsize=None)
 def _moment_integral(family: ThetaFamily, k: int, spec: QuadratureSpec):
     """(value, err) of  integral eta^(2k) * weight(eta) deta  over (0, inf)."""
-    return _de_quad_half_line(family, _even_power(k, working_bits(spec.precision)), spec)
+    return _de_quad_half_line(family, _integrand(k, None, working_bits(spec.precision)), spec)
 
 
 # Bounded, as it is keyed by every z seen; 1024 entries hold a demo scan's
@@ -429,14 +427,8 @@ def _moment_integral(family: ThetaFamily, k: int, spec: QuadratureSpec):
 def _damped_moment_integral(family: ThetaFamily, k: int, z: mpf, spec: QuadratureSpec):
     """(value, err) of  integral eta^(2k)/(z^2+eta^2) * weight(eta) deta."""
     wp = working_bits(spec.precision)
-    # z is rounded to wp bits before it is squared
-    z2 = _pair(mpf_pow_int(mpf_pos(z._mpf_, wp, round_nearest), 2, wp, round_nearest))
-    power = _even_power(k, wp)
-
-    def factor(eta, eta2):
-        return _quotient(power(eta, eta2), _sum(z2, _pair(eta2), wp), wp, round_nearest)
-
-    return _de_quad_half_line(family, factor, spec)
+    x = mpf_pos(z._mpf_, wp, round_nearest)[1:3]
+    return _de_quad_half_line(family, _integrand(k, _product(x, x, wp), wp), spec)
 
 
 def _finish(value, err, spec: QuadratureSpec, error: bool):

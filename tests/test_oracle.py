@@ -7,11 +7,13 @@ import threading
 import time
 from fractions import Fraction
 
+import mpmath.libmp
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf
+from mpmath.libmp import libmpf
 from mpmath.libmp import (
     fone,
     from_int,
@@ -632,9 +634,14 @@ def ambient_de_quad(family, k, z, precision, nodes=recurrence_nodes, memo=None):
                 w = mp.make_mpf(oracle._weight(family, eta._mpf_, wp)) * lc * eta
                 if memo is not None:
                     memo[family, t] = eta, w
+            # one rounding of exact values: W * e**k, over z2 + e when damped
+            e = eta * eta
+            moment = w
+            for _ in range(k):
+                moment = mp.fmul(moment, e, exact=True)
             if z2 is None:
-                return eta ** (2 * k) * w
-            return eta ** (2 * k) / (z2 + eta * eta) * w
+                return +moment
+            return mp.fdiv(moment, mp.fadd(z2, e, exact=True))
 
         def half_sums(h, start, step):
             at = nodes(start * h, step * h, wp)
@@ -738,6 +745,26 @@ class TestLibmpLoop:
             counts[precision] = len(calls)
         assert len(oracle._node_table(64).rows) < len(oracle._node_table(256).rows)
         assert counts[64] == counts[256]
+
+    def test_a_warm_node_takes_no_power(self, monkeypatch):
+        # e**k is an exact integer power: a warm node, damped or not, calls
+        # no mpf_pow_int
+        spec = QuadratureSpec(precision=256)
+        for z in ("7.3", None):
+            for _ in range(3):  # nothing stored, then storing, then reading
+                _quadrature(ThetaFamily.THETA_HAT, 4, z, spec)
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return libmpf.mpf_pow_int(*args)
+
+        with monkeypatch.context() as patch:
+            for module in (libmpf, mpmath.libmp, oracle):
+                patch.setattr(module, "mpf_pow_int", counted, raising=False)
+            for z in ("7.3", None):
+                _quadrature(ThetaFamily.THETA_HAT, 4, z, spec)
+        assert calls == []
 
 
 def tuple_negligible(term, total, wp):
@@ -913,10 +940,10 @@ class TestZeroTerms:
     def test_a_factor_that_vanishes_in_the_tail_ends_the_tail(self, monkeypatch):
         # zero terms that were never negligible walked the tail to the cap
         monkeypatch.setattr(oracle, "_TAIL_CAP", 10**3)
-        cut = from_int(2**8)
+        cut = from_int(2**16)  # on eta**2
         value, _ = oracle._de_quad_half_line(
-            ThetaFamily.THETA, lambda eta, eta2: (0, 0) if mpf_gt(eta, cut) else (1, 0), SPEC)
-        # beyond the cut theta < e^(-1600), far below 2**-288 of the whole
+            ThetaFamily.THETA, lambda e, w: (0, 0) if mpf_gt(from_man_exp(*e), cut) else w, SPEC)
+        # beyond eta = 2**8 theta < e^(-1600), far below 2**-288 of the whole
         # integral, which is pi times beta_0 = 1/12
         with mp.workprec(320):
             want = mp.pi / 12

@@ -3,18 +3,21 @@
 ``precision._round`` rounds a signed m * 2**e to nearest, down or up at a
 given number of bits, and ``_product``, ``_quotient`` and ``_sum`` are exact
 integer arithmetic followed by it.  The series walk and the quadrature's warm
-node loop (``oracle._de_quad_half_line``) take every step through them.
-libmp rounds correctly in these modes, so each must give libmp's bits
-exactly: ``from_man_exp(m, e, bits, rounding)``, ``mpf_mul``, ``mpf_div`` and
-``mpf_add``.  The walk's coefficient table, ``series._rounded_coefficient``,
-must hold ``from_rational``'s floor.  CI runs this file a second time under
-the ``ci`` Hypothesis profile (``HYPOTHESIS_PROFILE=ci``, 2,000 examples).
+node loop (``oracle._de_quad_half_line``) take every step through them; a
+node's term (``oracle._integrand``) is one ``_round`` or ``_quotient`` of
+exact integers.  libmp rounds correctly in these modes, so each must give
+libmp's bits exactly: ``from_man_exp(m, e, bits, rounding)``, ``mpf_mul``,
+``mpf_div`` and ``mpf_add``.  The walk's coefficient table,
+``series._rounded_coefficient``, must hold ``from_rational``'s floor.  CI
+runs this file a second time under the ``ci`` Hypothesis profile
+(``HYPOTHESIS_PROFILE=ci``, 2,000 examples).
 """
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath.libmp import (
+    fone,
     from_man_exp,
     from_rational,
     mpf_add,
@@ -26,6 +29,7 @@ from mpmath.libmp import (
 )
 
 from envasym import coeffs
+from envasym.oracle import _integrand
 from envasym.precision import _product, _quotient, _round, _sum
 from envasym.series import _rounded_coefficient
 
@@ -174,3 +178,87 @@ def test_sum_around_the_shortcut_threshold():
                         for x, y in (((large, 0), b), (b, (large, 0))):
                             assert raw(_sum(x, y, wp)) == mpf_add(
                                 raw(x), raw(y), wp, round_nearest), (wp, large, gap, small, sign)
+
+
+def positive(draw, max_bits):
+    return draw(st.integers(1, 2**max_bits - 1))
+
+
+def odd(draw, max_bits):
+    return 2 * draw(st.integers(1, 2 ** (max_bits - 1) - 1)) + 1
+
+
+def top(pair):
+    return pair[1] + pair[0].bit_length()
+
+
+@st.composite
+def node_terms(draw):
+    """(e, w, k, z2, wp) for ``oracle._integrand``, z2 None for an undamped
+    node.  Shapes:
+
+    * random positive pairs of at most wp bits, z2's top up to 5,000 binades
+      above or below e's;
+    * an exact tie: odd W and e, k >= 1 and wp one bit shorter than
+      W * e**k, so that W * e**k, and its quotient by z2 + e = 2**s, is a
+      midpoint;
+    * the far-gap threshold G = (k + 2) * wp + 2: the smaller of z2 and e
+      G - 3 to G + 3 binades below the larger, A, and W * e**k / A often a
+      midpoint or a representable number, where the stand-in for the
+      smaller addend must still round to the side the true one does.
+    """
+    k = draw(st.integers(0, 6))
+    shape = draw(st.sampled_from(["random", "tie", "threshold"]))
+    if shape == "tie":
+        k = max(k, 1)
+        em, wm = odd(draw, 40), odd(draw, 40)
+        wp = (wm * em**k).bit_length() - 1
+        x, y = draw(EXPONENT), draw(EXPONENT)
+        s = draw(st.integers(em.bit_length(), wp))
+        z2 = draw(st.sampled_from([None, (2**s - em, x)]))
+        return (em, x), (wm, y), k, z2, wp
+    wp = draw(st.integers(1, 300))
+    e, w = (positive(draw, wp), draw(EXPONENT)), (positive(draw, wp), draw(EXPONENT))
+    if shape == "random":
+        if draw(st.booleans()):
+            return e, w, k, None, wp
+        z2m = positive(draw, wp)
+        return e, w, k, (z2m, top(e) + draw(st.integers(-5000, 5000)) - z2m.bit_length()), wp
+    gap = (k + 2) * wp + 2 + draw(st.integers(-3, 3))
+    small = positive(draw, wp)
+    if draw(st.booleans()):  # z2 = 2**j, the larger: x = W * e**k / 2**j
+        if k and draw(st.booleans()):
+            em, wm = odd(draw, 30), odd(draw, 30)
+            wp = (wm * em**k).bit_length() - 1
+            gap = (k + 2) * wp + 2 + draw(st.integers(-3, 3))
+            small, w = em, (wm, w[1])
+        j = draw(st.integers(0, wp))
+        z2 = (2**j, draw(EXPONENT))
+        return (small, top(z2) - gap - small.bit_length()), w, k, z2, wp
+    if k and draw(st.booleans()):  # e the larger: x = W * e**(k-1)
+        em, wm = odd(draw, 30), odd(draw, 30)
+        wp = max((wm * em ** (k - 1)).bit_length() - 1, em.bit_length(), wm.bit_length())
+        gap = (k + 2) * wp + 2 + draw(st.integers(-3, 3))
+        small = min(small, 2**wp - 1)
+        e, w = (em, e[1]), (wm, w[1])
+    return e, w, k, (small, top(e) - gap - small.bit_length()), wp
+
+
+def node_reference(e, w, k, z2, wp):
+    """The node's term in libmp calls: W * e**k exactly, then one mpf_mul,
+    or one mpf_div by the exact z2 + e, at wp bits."""
+    power = fone
+    for _ in range(k):
+        power = mpf_mul(power, raw(e))
+    if z2 is None:
+        return mpf_mul(raw(w), power, wp, round_nearest)
+    return mpf_div(mpf_mul(raw(w), power), mpf_add(raw(z2), raw(e), 0), wp, round_nearest)
+
+
+@settings(deadline=None)
+@given(node_terms())
+def test_a_node_term_is_one_libmp_rounding(node):
+    e, w, k, z2, wp = node
+    got = _integrand(k, z2, wp)(e, w)
+    assert raw(got) == node_reference(e, w, k, z2, wp)
+    assert abs(got[0]).bit_length() <= wp or got[0] == 2**wp
