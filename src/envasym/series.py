@@ -429,9 +429,12 @@ def auto_truncate(
     )
 
 
-def _certificates(kind: SeriesKind, z, k: int, precision: int) -> Iterator[CertifiedValue]:
-    """The certified values at k, k + 1, k + 2, ..., from one walk."""
-    x, wp = _checked_argument(kind, z, precision)._mpf_, working_bits(precision)
+def _certificates(kind: SeriesKind, xf: Fraction, k: int,
+                  precision: int) -> Iterator[CertifiedValue]:
+    """The certified values at k, k + 1, k + 2, ..., from one walk at the exact,
+    already shifted argument xf, rounded once to nearest."""
+    wp = working_bits(precision)
+    x = rounded(xf.numerator, xf.denominator, wp, round_nearest)._mpf_
     prefix = kind.row.prefix(x, wp)
     for j, (s_j, t_j) in enumerate(_walk(kind.row, x, wp, k), k):
         value = mpf_add(prefix, s_j, wp, round_nearest)
@@ -451,14 +454,12 @@ def _certificates(kind: SeriesKind, z, k: int, precision: int) -> Iterator[Certi
         )
 
 
-def _certified(kind: SeriesKind, z, k: int, precision: int) -> CertifiedValue:
-    return next(_certificates(kind, z, k, precision))
-
-
 def _evaluate(kind: SeriesKind, z, tol, terms, precision: int) -> CertifiedValue:
     """The certified value behind the four ``ln_*`` functions.
 
-    z and ``tol`` are read once (``exact``) and passed on as Fractions.
+    z and ``tol`` are read once (``exact``) and passed on as Fractions; the
+    shifted argument and ``tol`` rounded down are formed once, here, while
+    ``auto_truncate`` (public, so that a tracer counts the search) forms its own.
     With a tolerance (``1e-12`` when neither it nor ``terms`` is given) the
     returned bound is at most ``tol``.  Rounding adds twice the value's
     ``_margin`` to the series bound; when that pushes it above ``tol`` at the k
@@ -475,12 +476,13 @@ def _evaluate(kind: SeriesKind, z, tol, terms, precision: int) -> CertifiedValue
     if terms is not None and tol is not None:
         raise ValueError("pass either tol or terms, not both")
     z = exact(z, checked_precision(precision), "series argument")
+    xf = z + Fraction(1, 2) if kind.row.half_shift else z  # as _exact_argument shifts
     if terms is not None:
-        return _certified(kind, z, checked_int(terms, 0, "terms"), precision)
+        return next(_certificates(kind, xf, checked_int(terms, 0, "terms"), precision))
     tol = exact(_DEFAULT_TOL if tol is None else tol, precision, "tolerance")
     k, _ = auto_truncate(kind, z, tol, precision)
-    tol, xf = _tolerance(tol, precision), _exact_argument(kind, z, precision)
-    for certified in _certificates(kind, z, k, precision):
+    tol = rounded(tol.numerator, tol.denominator, precision, round_floor)  # as _tolerance
+    for certified in _certificates(kind, xf, k, precision):
         k = certified.k_used
         if certified.error_bound <= tol:
             return certified

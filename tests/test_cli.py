@@ -292,8 +292,8 @@ class TestVerifyCommand:
         )
         assert "286 containment checks" in grid_detail
 
-    # At 64 bits the coefficient check's 1e-25 is below the unit roundoff
-    # of the result; it takes the quadrature's own floor there.  At 80 and
+    # At 64 bits every agreement check's gate, 8 times the quadrature floor
+    # 2**(32-P), is 2**-29, far above the unit roundoff.  At 80 and
     # 82 bits (and 116 and 118 when deep) a quadrature truth for Binet's
     # function once had an error estimate as large as the enclosure's
     # rounding margin.

@@ -342,7 +342,7 @@ def ambient_argument(kind, z, precision):
 
 
 def ambient_certified(kind, z, k, precision):
-    """(value, error_bound, error_sign) of ``series._certified``."""
+    """(value, error_bound, error_sign) of ``series._certificates``' first value."""
     zz = ambient_argument(kind, z, precision)
     with mp.workprec(precision + 32):
         s_k, t_k = ambient_pair(kind.row, zz, k, precision + 32)
@@ -412,7 +412,8 @@ class TestExplicitPrecisionPath:
                     want_prefix = AMBIENT_PREFIXES[kind](zz)
                 got, want = [], []
                 for k in EXPLICIT_KS:
-                    cv = series._certified(kind, z, k, precision)
+                    cv = next(series._certificates(
+                        kind, series._exact_argument(kind, z, precision), k, precision))
                     value, bound, sign = ambient_certified(kind, z, k, precision)
                     env = envelope_interval(kind, z, k, precision)
                     got.append((raw(cv.value, cv.error_bound, *cv.interval(),
@@ -907,6 +908,22 @@ class TestOneMeaningPerNumber:
             monkeypatch.setattr(module, "exact", counted)
         ln_gamma("7.3", "1e-12")
         assert decoded == ["7.3", "1e-12"]
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_an_evaluation_reads_each_number_once_and_its_search_once(self, kind, monkeypatch):
+        # the certified walk takes the exact argument, rounded once, not
+        # through _checked_argument; auto_truncate reads z and tol for itself
+        what = []
+        read = precision.exact
+
+        def counted(x, p, name):
+            what.append(name)
+            return read(x, p, name)
+
+        for module in (precision, series):
+            monkeypatch.setattr(module, "exact", counted)
+        EVALUATE[kind](20, "1e-12")
+        assert sorted(what) == ["series argument"] * 2 + ["tolerance"] * 2
 
 
 def assert_floor(got, exact: Fraction, precision: int):

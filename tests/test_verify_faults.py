@@ -2,33 +2,51 @@
 
 Each case plants one fault at 64 bits in a function that a check reads
 through its module attribute, and runs the whole suite: the check that reads
-the fault, and no other, must report ``passed=False``.  A warm 64-bit suite
-takes about 0.05 s, so the file costs well under a second.
+the fault, and no other, must report ``passed=False``.  Two more plant
+faults at 256 bits that only the one agreement gate, 8 times the quadrature
+floor, can see.  A warm 64-bit suite takes about 0.05 s.
 """
 
 import dataclasses
 
 import pytest
 from mpmath import mp, mpf
+from mpmath.libmp import mpf_mul
 
 from envasym import oracle, series, verify
+from envasym.oracle import ThetaFamily
+from envasym.precision import _context
 from envasym.series import SeriesKind
 
 PRECISION = 64
 SLIGHTLY_MORE = 1 + mpf(2) ** -20  # above the 64-bit quadrature floor of 2**-32
 
 
-def _scaled(factor, with_error=(False, True)):
-    """A quadrature whose value is multiplied by ``factor`` (exactly), for the
-    calls whose ``error`` flag is in ``with_error``."""
+def _one_plus_2_to(n):
+    """1 + 2**n, exactly."""
+    return mp.fadd(1, mp.ldexp(1, n), exact=True)
+
+
+def _scaled(factor):
+    """A quadrature whose value is multiplied by ``factor`` (exactly)."""
     def plant(original):
-        def fault(*args, error=False, **kwargs):
-            result = original(*args, error=error, **kwargs)
-            if error not in with_error:
-                return result
-            if error:
-                return mp.fmul(result[0], factor, exact=True), result[1]
-            return mp.fmul(result, factor, exact=True)
+        def fault(*args, **kwargs):
+            return mp.fmul(original(*args, **kwargs), factor, exact=True)
+        return fault
+    return plant
+
+
+def _tilde_weight_scaled(factor, precision):
+    """``oracle._weight`` with theta-tilde's weight at eta = 0.1, as ``verify``
+    passes it at ``precision`` (no quadrature node), multiplied by ``factor``."""
+    eta = _context(precision).mpf("0.1")._mpf_
+
+    def plant(original):
+        def fault(family, x, wp):
+            weight = original(family, x, wp)
+            if family is ThetaFamily.THETA_TILDE and x == eta:
+                return mpf_mul(weight, factor._mpf_)
+            return weight
         return fault
     return plant
 
@@ -67,10 +85,8 @@ def _certified_changed(**changes):
 
 FAULTS = {
     "coefficient-quadrature": (oracle, "coefficient_quadrature", _scaled(SLIGHTLY_MORE)),
-    # the integral identity compares theta + theta_hat with theta_tilde, the
-    # one coefficient it asks for with its error estimate
-    "weight-linear-dependence": (oracle, "coefficient_quadrature",
-                                 _scaled(SLIGHTLY_MORE, with_error=(True,))),
+    "weight-linear-dependence": (oracle, "_weight",
+                                 _tilde_weight_scaled(SLIGHTLY_MORE, PRECISION)),
     "theta-containment": (oracle, "theta_ratio", _with_error(1)),
     "remainder-identity": (oracle, "remainder_quadrature", _scaled(-1)),
     "jtilde-decomposition": (oracle, "binet_J_tilde", _scaled(-1)),
@@ -107,9 +123,9 @@ def _bound_raised(original):
     return fault
 
 
-def _failing(monkeypatch, module, name, plant):
+def _failing(monkeypatch, module, name, plant, precision=PRECISION):
     monkeypatch.setattr(module, name, plant(getattr(module, name)))
-    return [r.name for r in verify.run_verification(precision=PRECISION) if not r.passed]
+    return [r.name for r in verify.run_verification(precision=precision) if not r.passed]
 
 
 def test_every_check_has_a_fault():
@@ -128,6 +144,18 @@ def test_a_scaled_jtilde_fails_its_mismatch_check_alone(monkeypatch, factor):
     # relative gap of 1 at 64 bits
     assert _failing(monkeypatch, oracle, "binet_J_tilde", _scaled(factor)) == [
         "jtilde-decomposition"]
+
+
+@pytest.mark.parametrize("check, fault", [
+    # 2**-100 lies below 1e-25, a floor that would let it pass
+    ("coefficient-quadrature", (oracle, "coefficient_quadrature", _scaled(_one_plus_2_to(-100)))),
+    # 2**-218 lies below 2**(40-P), a pointwise cap that would let it pass
+    ("weight-linear-dependence", (oracle, "_weight",
+                                  _tilde_weight_scaled(_one_plus_2_to(-218), 256))),
+], ids=["coefficient-quadrature", "weight-linear-dependence"])
+def test_a_small_fault_at_256_bits_fails_its_check_alone(monkeypatch, check, fault):
+    # the agreement gate at 256 bits is 8 * 2**-224 = 2**-221
+    assert _failing(monkeypatch, *fault, precision=256) == [check]
 
 
 def test_a_bound_above_tol_fails_the_truncation_policy_alone(monkeypatch):
