@@ -25,8 +25,6 @@ import json
 import os
 import sys
 
-from mpmath import mp
-
 from . import coeffs, demo, series, verify
 from .errors import DomainError, QuadratureNonConvergence, ToleranceUnattainable
 from .oracle import QuadratureSpec
@@ -34,6 +32,7 @@ from .precision import (
     DEFAULT_PRECISION,
     MIN_PRECISION,
     PRECISION_ENV_VAR,
+    _nstr,
     convert,
     exact,
     format_real,
@@ -357,7 +356,7 @@ def run_cli(argv: list[str]) -> int:
     except ToleranceUnattainable as exc:
         sys.stderr.write(
             f"error: {exc}\n"
-            f"best_bound: {mp.nstr(exc.best_bound, 17)} (at k = {exc.k_best})\n"
+            f"best_bound: {_nstr(exc.best_bound, 17)} (at k = {exc.k_best})\n"
         )
         return EXIT_NUMERIC
     except (DomainError, QuadratureNonConvergence) as exc:

@@ -113,8 +113,9 @@ def _log1p(x: tuple, wp: int) -> tuple:
     return mpf_log(mpf_add(fone, x), wp, round_nearest)
 
 
-def _weight(family: ThetaFamily, eta: tuple, wp: int) -> tuple:
-    """The family's weight at raw eta > 0, rounded to nearest at wp bits.
+def _weights(families, eta: tuple, wp: int) -> list:
+    """Each family's weight at raw eta > 0, rounded to nearest at wp bits,
+    from one u, q and 1 - q and one logarithm per family.
 
     With u = 2 pi eta and q = e^(-u) the weights are theta = -ln(1 - q),
     theta-hat = ln(1 + q) and theta-tilde = ln(1 + 2q/(1 - q)), each one
@@ -135,13 +136,22 @@ def _weight(family: ThetaFamily, eta: tuple, wp: int) -> tuple:
     else:
         q = mpf_exp(mpf_neg(u), g - min(mag, 0), round_nearest)
         one_minus_q = mpf_sub(fone, q, g, round_nearest)
-    if family is ThetaFamily.THETA_HAT:
-        return _log1p(q, wp)
-    if family is ThetaFamily.THETA_TILDE:
-        return _log1p(mpf_div(mpf_shift(q, 1), one_minus_q, g, round_nearest), wp)
-    if mag <= 0:  # u < 1: 1 - q <= 1 - 1/e, far from 1
-        return mpf_neg(mpf_log(one_minus_q, wp, round_nearest))
-    return mpf_neg(_log1p(mpf_neg(q), wp))
+    weights = []
+    for family in families:
+        if family is ThetaFamily.THETA_HAT:
+            weights.append(_log1p(q, wp))
+        elif family is ThetaFamily.THETA_TILDE:
+            weights.append(_log1p(mpf_div(mpf_shift(q, 1), one_minus_q, g, round_nearest), wp))
+        elif mag <= 0:  # u < 1: 1 - q <= 1 - 1/e, far from 1
+            weights.append(mpf_neg(mpf_log(one_minus_q, wp, round_nearest)))
+        else:
+            weights.append(mpf_neg(_log1p(mpf_neg(q), wp)))
+    return weights
+
+
+def _weight(family: ThetaFamily, eta: tuple, wp: int) -> tuple:
+    """The family's weight at raw eta > 0: ``_weights``' one-family case."""
+    return _weights((family,), eta, wp)[0]
 
 
 @dataclass(frozen=True)
@@ -192,7 +202,9 @@ class _NodeTable:
     (``mpf._mpf_``) the quadrature computed.  Every quadrature fills its
     family's W in the rows that exist, but only a family's second and later
     quadratures at this precision create rows, so a one-off call leaves
-    nothing behind.
+    nothing behind.  A quadrature of a batch (``_moment_integrals``) is not
+    a one-off: it creates rows from its first node, and fills the W of every
+    family of the batch in each row it fills.
     Every stored value is a pure function of (t, precision, family), so a
     slot two quadratures fill at once holds the same number either way.
     """
@@ -292,7 +304,7 @@ def _node_table(precision: int) -> _NodeTable:
     return _NodeTable()
 
 
-def _de_quad_half_line(family: ThetaFamily, integrand, spec: QuadratureSpec):
+def _de_quad_half_line(family: ThetaFamily, integrand, spec: QuadratureSpec, batch=()):
     """Integrate f(eta) * weight(eta) over (0, inf), double-exponentially.
 
     Substitutes eta = exp((pi/2) * sinh(t)) and applies the trapezoid rule in
@@ -311,6 +323,12 @@ def _de_quad_half_line(family: ThetaFamily, integrand, spec: QuadratureSpec):
     the node's term f(eta) * W(t), one rounding (see ``_integrand``).  The
     half-sums are ``precision._sum`` and the tail test ``_negligible``.
 
+    ``batch`` holds the families of the batch of two or more quadratures
+    this one belongs to, empty for a single call.  A batch quadrature
+    stores from its first node, and where it fills a stored row it takes,
+    from one ``_weights`` call, the W of every family of the batch whose
+    column is still empty.
+
     Returns (value, error_estimate) as mpf at working precision.  Raises
     QuadratureNonConvergence if the level cap is hit first.
     """
@@ -319,7 +337,7 @@ def _de_quad_half_line(family: ThetaFamily, integrand, spec: QuadratureSpec):
     table = _node_table(prec)
     rows = table.rows
     column = _COLUMNS[family]
-    store = table.storing(family)
+    store = table.storing(family) or bool(batch)
     target = spec.effective_tol()._mpf_
 
     def g(t: float, cold, n: int):
@@ -335,11 +353,15 @@ def _de_quad_half_line(family: ThetaFamily, integrand, spec: QuadratureSpec):
             eta, lc, eta2 = row[:3]
         else:  # a warm node
             return integrand(row[2][1:3], row[column][1:3])
-        w = mpf_mul(mpf_mul(_weight(family, eta, wp), lc, wp, round_nearest),
-                    eta, wp, round_nearest)
+        families = [family]
+        if batch:  # a batch stores, so the row exists
+            families += [f for f in batch if f is not family and row[_COLUMNS[f]] is None]
+        ws = [mpf_mul(mpf_mul(weight, lc, wp, round_nearest), eta, wp, round_nearest)
+              for weight in _weights(families, eta, wp)]
         if row is not None:
-            row[column] = w
-        return integrand(eta2[1:3], w[1:3])
+            for f, w in zip(families, ws):
+                row[_COLUMNS[f]] = w
+        return integrand(eta2[1:3], ws[0][1:3])
 
     def half_sums(h, start, step):
         # sum of g(j*h) over j = start, start+step, ... on both sides of 0
@@ -415,10 +437,32 @@ def _integrand(k: int, z2, wp: int):
     return term
 
 
-@lru_cache(maxsize=None)
+# (value, err) of every moment integral computed, by (family, k, spec).
+_MOMENTS: dict = {}
+
+
+def _moment_integrals(pairs, spec: QuadratureSpec) -> list:
+    """(value, err) of  integral eta^(2k) * weight(eta) deta  over (0, inf)
+    for each (family, k) of ``pairs``, from ``_MOMENTS`` or else by a
+    quadrature, one after another at the spec's precision.
+
+    Two or more pairs are a batch: each quadrature stores the nodes it
+    computes and the W of every family of the batch there (see
+    ``_de_quad_half_line``), so a node's eta and q are made once for all
+    of them.
+    """
+    batch = tuple(dict.fromkeys(family for family, _ in pairs)) if len(pairs) > 1 else ()
+    wp = working_bits(spec.precision)
+    for family, k in pairs:
+        if (family, k, spec) not in _MOMENTS:
+            _MOMENTS[family, k, spec] = _de_quad_half_line(
+                family, _integrand(k, None, wp), spec, batch)
+    return [_MOMENTS[family, k, spec] for family, k in pairs]
+
+
 def _moment_integral(family: ThetaFamily, k: int, spec: QuadratureSpec):
-    """(value, err) of  integral eta^(2k) * weight(eta) deta  over (0, inf)."""
-    return _de_quad_half_line(family, _integrand(k, None, working_bits(spec.precision)), spec)
+    """(value, err) of one moment integral: ``_moment_integrals``' batch of one."""
+    return _moment_integrals([(family, k)], spec)[0]
 
 
 # Bounded, as it is keyed by every z seen; 1024 entries hold a demo scan's

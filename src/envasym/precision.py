@@ -13,7 +13,8 @@ the truncation search's bound up.  ``_product``, ``_quotient`` and ``_sum``
 are exact integer arithmetic on (mantissa, exponent) pairs rounded to
 nearest by it, so they have the bits of libmp's ``mpf_mul``, ``mpf_div`` and
 ``mpf_add``; ``_exact_sum`` is ``_sum`` unrounded.  The series walk and the
-quadrature's warm node loop call them.
+quadrature's warm node loop call them.  Error messages print their numbers
+through ``_nstr``.
 
 No module reads or sets mpmath's global ``mp.prec``.  Hot paths are libmp
 calls at an explicit precision; other code uses operators on the numbers of
@@ -32,7 +33,7 @@ from fractions import Fraction
 from mpmath import mp, mpf
 from mpmath.ctx_mp import MPContext
 from mpmath.ctx_mp_python import _constant
-from mpmath.libmp import from_man_exp, mpf_pos, round_floor, round_nearest, to_rational
+from mpmath.libmp import from_man_exp, mpf_pos, round_floor, round_nearest, to_rational, to_str
 
 from .errors import DomainError
 
@@ -198,6 +199,13 @@ def positive_real(x, precision: int, what: str) -> mpf:
 def to_precision(x: tuple, precision: int) -> mpf:
     """Raw x rounded to nearest at ``precision`` bits, as an mpf."""
     return mp.make_mpf(mpf_pos(x, precision, round_nearest))
+
+
+def _nstr(x, digits: int) -> str:
+    """``mp.nstr(x, digits)`` of x rounded to nearest at 128 bits first, for
+    the numbers of a message: the digits of a float much wider than that
+    pass Python's 4,300-digit limit on int-to-str conversion."""
+    return to_str(mpf_pos(x._mpf_, 128, round_nearest), digits)
 
 
 def real_to_fraction(x: mpf) -> Fraction:

@@ -77,6 +77,7 @@ from ._expansions import EXPANSIONS, Expansion
 from .errors import DomainError, ToleranceUnattainable
 from .precision import (
     DEFAULT_PRECISION,
+    _nstr,
     _product,
     _quotient,
     _sum,
@@ -414,16 +415,16 @@ def auto_truncate(
 
     k = _least(settled, _guess(kind, xf, _ln(real_to_fraction(tol))))
     if k is None:
-        raise DomainError(f"tolerance {mp.nstr(tol, 8)} for {kind.value} at "
+        raise DomainError(f"tolerance {_nstr(tol, 8)} for {kind.value} at "
                           f"this argument needs a truncation index above the cap "
                           f"of {INDEX_CAP}")
     bound = bounds[k]
     if bound <= tol:
         return k, bound
     raise ToleranceUnattainable(
-        f"tolerance {mp.nstr(tol, 8)} is below the accuracy floor of "
+        f"tolerance {_nstr(tol, 8)} is below the accuracy floor of "
         f"{kind.value} at this argument; best achievable bound is "
-        f"{mp.nstr(bound, 8)} at k = {k}",
+        f"{_nstr(bound, 8)} at k = {k}",
         best_bound=bound,
         k_best=k,
     )
@@ -490,9 +491,9 @@ def _evaluate(kind: SeriesKind, z, tol, terms, precision: int) -> CertifiedValue
         if mpf_ge(share, tol._mpf_) or k >= INDEX_CAP or _turns(kind.row, xf, k):
             break
     raise ToleranceUnattainable(
-        f"tolerance {mp.nstr(tol, 8)} is below what {precision}-bit "
+        f"tolerance {_nstr(tol, 8)} is below what {precision}-bit "
         f"precision can certify for {kind.value} at this argument; achieved "
-        f"bound is {mp.nstr(certified.error_bound, 8)} at k = {k}; "
+        f"bound is {_nstr(certified.error_bound, 8)} at k = {k}; "
         f"raise the precision",
         best_bound=certified.error_bound,
         k_best=k,

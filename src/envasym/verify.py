@@ -17,7 +17,14 @@ from mpmath.libmp import from_int
 from . import oracle, series
 from .errors import ToleranceUnattainable
 from .oracle import QuadratureSpec, ThetaFamily
-from .precision import _context, exact, real_to_fraction, to_precision, working_bits
+from .precision import (
+    _context,
+    _nstr,
+    exact,
+    real_to_fraction,
+    to_precision,
+    working_bits,
+)
 from .series import SeriesKind
 
 __all__ = ["CheckResult", "run_verification"]
@@ -90,15 +97,17 @@ def _mismatch_check(name: str, pairs, spec: QuadratureSpec) -> CheckResult:
     return CheckResult(
         name,
         worst <= allowed,
-        f"max relative mismatch {mp.nstr(worst, 4)} (allowed {mp.nstr(allowed, 3)})",
+        f"max relative mismatch {_nstr(worst, 4)} (allowed {_nstr(allowed, 3)})",
     )
 
 
 def _check_coefficient_quadrature(deep: bool, spec: QuadratureSpec) -> CheckResult:
     k_max = 6 if deep else 4
+    pairs = [(family, k) for family in ThetaFamily for k in range(k_max + 1)]
+    oracle._moment_integrals(pairs, spec)  # one batch: each node and q made once
     return _mismatch_check("coefficient-quadrature", (
         (family.row.coefficient(k), oracle.coefficient_quadrature(family, k, spec))
-        for family in ThetaFamily for k in range(k_max + 1)), spec)
+        for family, k in pairs), spec)
 
 
 def _check_theta_containment(deep: bool, spec: QuadratureSpec) -> CheckResult:

@@ -126,6 +126,19 @@ class TestEvalCommand:
         assert "best" in err
         assert "0.0005952" in err  # 1/1680, the smallest term at z = 1
 
+    def test_unattainable_tolerance_at_20000_bits_exits_2(self, capsys):
+        # printing the 20,000-bit tolerance and bound in full passed Python's
+        # 4,300-digit limit on int-to-str conversion: a traceback, exit 1
+        code, out, err = run(capsys, "eval", "--series", "binet", "--z", "7.3",
+                             "--tol", "1e-5000", "--precision", "20000")
+        assert code == 2
+        assert not out
+        lines = err.splitlines()
+        assert len(lines) == 2
+        assert lines[0].startswith("error: tolerance 1.0e-5000 is below the accuracy floor")
+        assert lines[1].startswith("best_bound: 1.42164637376")
+        assert lines[1].endswith("(at k = 23)")
+
     def test_index_above_the_cap_exits_2_at_once(self, capsys):
         # The minimum-term index at z = 1000 is about 3142; the float guess
         # rejects it before any coefficient is built.

@@ -378,15 +378,21 @@ class TestLargeArgument:
 
 
 def _clear_value_caches():
-    oracle._moment_integral.cache_clear()
+    oracle._MOMENTS.clear()
     oracle._damped_moment_integral.cache_clear()
+
+
+def _moment_quadrature(family, k, spec):
+    """The undamped moment integral by a single quadrature, bypassing ``oracle._MOMENTS``."""
+    return oracle._de_quad_half_line(
+        family, oracle._integrand(k, None, spec.precision + 32), spec)
 
 
 def _quadratures(family, k, spec):
     """The damped (z = 2) and undamped moment integrals, bypassing the value
     caches, as exact mpf tuples."""
     damped = oracle._damped_moment_integral.__wrapped__(family, k, mpf(2), spec)
-    moment = oracle._moment_integral.__wrapped__(family, k, spec)
+    moment = _moment_quadrature(family, k, spec)
     return [x._mpf_ for pair in (damped, moment) for x in pair]
 
 
@@ -480,12 +486,12 @@ class TestNodeTable:
         assert had_row
         weights = []
 
-        def weight(*args, fn=oracle._weight):
+        def weight(*args, fn=oracle._weights):
             weights.append(args)
             return fn(*args)
 
         calls = _watch(monkeypatch, table)
-        monkeypatch.setattr(oracle, "_weight", weight)
+        monkeypatch.setattr(oracle, "_weights", weight)
         binet_J_tilde(3, spec)  # THETA_TILDE's first quadrature at 256 bits
         visited = calls["visited"]
         old = [t for t in visited if t in had_row]
@@ -566,6 +572,52 @@ class TestNodeTable:
         assert row[column] == w._mpf_
         oracle._node_table.cache_clear()
         assert warm == _quadratures(ThetaFamily.THETA, 1, spec)
+
+
+MOMENT_PAIRS = [(family, k) for family in ThetaFamily for k in range(5)]
+
+
+class TestMomentBatch:
+    @pytest.mark.parametrize("precision", [64, 192])
+    def test_matches_single_calls_bit_for_bit(self, precision):
+        spec = QuadratureSpec(precision=precision)
+
+        def coefficients():
+            return [[x._mpf_ for x in coefficient_quadrature(family, k, spec, error=True)]
+                    for family, k in MOMENT_PAIRS]
+
+        oracle._node_table.cache_clear()
+        _clear_value_caches()
+        batch = [[x._mpf_ for x in pair] for pair in oracle._moment_integrals(MOMENT_PAIRS, spec)]
+        from_batch = coefficients()  # read from the batch's values
+        oracle._node_table.cache_clear()
+        _clear_value_caches()
+        assert coefficients() == from_batch  # single calls, each family's first one-off
+        assert [[x._mpf_ for x in oracle._MOMENTS[family, k, spec]]
+                for family, k in MOMENT_PAIRS] == batch
+
+    def test_a_cold_batch_makes_each_node_and_its_weights_once(self, monkeypatch):
+        spec = QuadratureSpec(precision=192)
+        oracle._node_table.cache_clear()
+        _clear_value_caches()
+        table = oracle._node_table(192)
+        calls = _watch(monkeypatch, table)
+        weights = []
+
+        def counted(families, eta, wp, fn=oracle._weights):
+            weights.append(list(families))
+            return fn(families, eta, wp)
+
+        monkeypatch.setattr(oracle, "_weights", counted)
+        oracle._moment_integrals(MOMENT_PAIRS, spec)
+        rows = table.rows
+        # every t the 15 quadratures visit has a row, created at its first visit
+        assert set(calls["visited"]) == set(rows)
+        _each_cold_node_once({**calls, "visited": list(rows)}, [t for t in rows if t != 0])
+        assert len(weights) == len(rows)
+        assert all(len(families) == 3 and set(families) == set(ThetaFamily)
+                   for families in weights)
+        assert all(None not in row for row in rows.values())
 
 
 def recurrence_nodes(t0, dt, wp):
@@ -679,7 +731,7 @@ def _quadrature(family, k, z, spec):
     """The damped (at z) or undamped (z None) moment integral, bypassing the
     value caches, as exact mpf tuples."""
     if z is None:
-        pair = oracle._moment_integral.__wrapped__(family, k, spec)
+        pair = _moment_quadrature(family, k, spec)
     else:
         zz = positive_real(z, spec.precision, "argument")
         pair = oracle._damped_moment_integral.__wrapped__(family, k, zz, spec)
@@ -963,6 +1015,49 @@ class TestThreads:
         def work(i):
             family, k, precision = jobs[i]
             results[i] = _quadratures(family, k, QuadratureSpec(precision=precision))
+
+        threads = [threading.Thread(target=work, args=(i,), daemon=True)
+                   for i in range(len(jobs))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            deadline = time.monotonic() + 120
+            for thread in threads:
+                thread.join(timeout=max(0.0, deadline - time.monotonic()))
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert results == serial
+
+    def test_four_threads_of_batches_and_single_calls_match_serial(self):
+        # a batch creates rows from its first node, so batches fill the rows
+        # the single calls read and fill at the same time
+        spec = QuadratureSpec(precision=192)
+        pairs = [(family, k) for family in ThetaFamily for k in range(3)]
+
+        def batch(order):
+            return [x._mpf_ for pair in oracle._moment_integrals(order, spec) for x in pair]
+
+        def singles(order):
+            return [x._mpf_ for family, k in order
+                    for x in (*coefficient_quadrature(family, k, spec, error=True),
+                              *theta_ratio(family, k, "2.5", spec, error=True))]
+
+        jobs = [lambda: batch(pairs), lambda: singles(pairs[::-1]),
+                lambda: batch(pairs[::-1]), lambda: singles(pairs)]
+        serial = []
+        for job in jobs:
+            oracle._node_table.cache_clear()
+            _clear_value_caches()
+            serial.append(job())
+        oracle._node_table.cache_clear()
+        _clear_value_caches()
+        results = [None] * len(jobs)
+
+        def work(i):
+            results[i] = jobs[i]()
 
         threads = [threading.Thread(target=work, args=(i,), daemon=True)
                    for i in range(len(jobs))]

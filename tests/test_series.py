@@ -611,6 +611,14 @@ class TestAutoTruncate:
         with mp.workprec(320):
             assert abs(exc.best_bound - mp.convert(Fraction(1, 1680))) < mpf(2) ** -200
 
+    def test_a_floor_far_past_the_digit_limit_raises_its_own_error(self):
+        # the message printed the 20,000-bit tol in full and passed Python's
+        # 4,300-digit limit on int-to-str conversion, a ValueError
+        with pytest.raises(ToleranceUnattainable, match="accuracy floor") as info:
+            ln_gamma("7.3", "1e-5000", precision=20000)
+        assert info.value.k_best == 23
+        assert "1.0e-5000" in str(info.value)
+
     def test_central_binomial_scan(self):
         # |terms| at n = 10: 1.25e-2, 5.2e-6, 1.56e-8 <= 1e-6 first at k = 2
         k, bound = auto_truncate(SeriesKind.CENTRAL_BINOMIAL, 10, "1e-6")
