@@ -101,6 +101,17 @@ def _mismatch_check(name: str, pairs, spec: QuadratureSpec) -> CheckResult:
     )
 
 
+def _case_check(name: str, failures: list, passing: str) -> CheckResult:
+    """Pass when ``failures`` is empty, with detail ``passing``; else append
+    how many cases failed and the first five.  This is the one gate of the
+    seven case checks: theta-containment, bracketing-grid, sign-alternation,
+    nesting-below-minimum-term, half-shift-consistency, auto-truncate-policy
+    and half-shift-relabeling."""
+    if not failures:
+        return CheckResult(name, True, passing)
+    return CheckResult(name, False, f"{passing}; {len(failures)} failures, first: {failures[:5]}")
+
+
 def _check_coefficient_quadrature(deep: bool, spec: QuadratureSpec) -> CheckResult:
     k_max = 6 if deep else 4
     pairs = [(family, k) for family in ThetaFamily for k in range(k_max + 1)]
@@ -114,18 +125,14 @@ def _check_theta_containment(deep: bool, spec: QuadratureSpec) -> CheckResult:
     ks = [0, 1, 2, 3] if deep else [0, 1, 2]
     zs = [mpf("0.25"), mpf("0.5"), 1, 5, 20, 50] if deep else [mpf("0.5"), 1, 5, 20]
     ctx = _context(spec.precision)
-    bad = []
-    for family in ThetaFamily:
-        for k in ks:
-            for z in zs:
-                theta, err = map(ctx.convert, oracle.theta_ratio(family, k, z, spec, error=True))
-                if not (theta > err and 1 - theta > err):
-                    bad.append((family.value, k, z))
-    return CheckResult(
-        "theta-containment",
-        not bad,
-        "all ratios strictly inside (0, 1)" if not bad else f"violations: {bad}",
-    )
+
+    def inside(family, k, z):
+        theta, err = map(ctx.convert, oracle.theta_ratio(family, k, z, spec, error=True))
+        return theta > err and 1 - theta > err
+
+    return _case_check("theta-containment", [
+        (family.value, k, str(z)) for family in ThetaFamily for k in ks for z in zs
+        if not inside(family, k, z)], "all ratios strictly inside (0, 1)")
 
 
 def _check_weight_linear_dependence(deep: bool, spec: QuadratureSpec) -> CheckResult:
@@ -172,70 +179,52 @@ def _check_binet_cross_check(deep: bool, spec: QuadratureSpec) -> CheckResult:
         for n in ns), spec)
 
 
-def _grid_truths(deep: bool, precision: int):
-    """(kind, z, truth, err) over every kind's grid arguments, as private-context numbers."""
+def _grid_cases(deep: bool, precision: int):
+    """(kind, z, k, truth, err) over every kind's grid arguments and k < 9
+    (k < 11 if deep); truth and err are private-context numbers."""
     ctx = _context(precision)
     for kind in SeriesKind:
         for z in _grid_arguments(kind, deep):
-            yield (kind, z, *map(ctx.convert, tail_truth(kind, z, precision)))
+            truth, err = map(ctx.convert, tail_truth(kind, z, precision))
+            for k in range(11 if deep else 9):
+                yield kind, z, k, truth, err
 
 
 def _check_bracketing_grid(deep: bool, spec: QuadratureSpec) -> CheckResult:
-    k_range = range(11) if deep else range(9)
     ctx = _context(spec.precision)
-    checks = 0
-    failures = []
-    for kind, z, truth, err in _grid_truths(deep, spec.precision):
-        for k in k_range:
-            env = series.envelope_interval(kind, z, k, spec.precision)
-            margin = min(truth - env.lo, ctx.convert(env.hi) - truth)
-            checks += 1
-            if not (env.contains(truth) and margin >= 10 * err):
-                failures.append((kind.value, str(z), k))
-    return CheckResult(
-        "bracketing-grid",
-        not failures,
-        f"{checks} containment checks"
-        + ("" if not failures else f", failures: {failures[:5]}"),
-    )
+    cases = list(_grid_cases(deep, spec.precision))
+
+    def bracketed(kind, z, k, truth, err):
+        env = series.envelope_interval(kind, z, k, spec.precision)
+        return env.contains(truth) and min(truth - env.lo, ctx.convert(env.hi) - truth) >= 10 * err
+
+    return _case_check("bracketing-grid", [
+        (kind.value, str(z), k) for kind, z, k, truth, err in cases
+        if not bracketed(kind, z, k, truth, err)], f"{len(cases)} containment checks")
 
 
 def _check_sign_alternation(deep: bool, spec: QuadratureSpec) -> CheckResult:
-    k_range = range(11) if deep else range(9)
-    bad = []
-    skipped = 0
-    for kind, z, truth, err in _grid_truths(deep, spec.precision):
-        for k in k_range:
-            remainder = truth - series.partial_sum(kind, z, k, spec.precision)
-            if abs(remainder) < 10 * err:
-                skipped += 1
-                continue
-            if mp.sign(remainder) != kind.row.sign(k):
-                bad.append((kind.value, str(z), k))
-    return CheckResult(
-        "sign-alternation",
-        not bad,
-        f"{skipped} comparisons skipped as below oracle noise"
-        + ("" if not bad else f", mismatches: {bad[:5]}"),
-    )
+    cases = [(kind, z, k, truth - series.partial_sum(kind, z, k, spec.precision), err)
+             for kind, z, k, truth, err in _grid_cases(deep, spec.precision)]
+    # a remainder within 10 err of zero has no sign the truth can decide
+    decided = [(kind, z, k, r) for kind, z, k, r, err in cases if abs(r) >= 10 * err]
+    return _case_check("sign-alternation", [
+        (kind.value, str(z), k) for kind, z, k, r in decided if mp.sign(r) != kind.row.sign(k)],
+        f"{len(cases) - len(decided)} comparisons skipped as below oracle noise")
 
 
 def _check_nesting(deep: bool, spec: QuadratureSpec) -> CheckResult:
     k_cap = 10 if deep else 8
-    bad = []
+    failures = []
     for kind in SeriesKind:
         for z in _grid_arguments(kind, deep):
             k_star = series.min_term_index(kind, z, spec.precision)
-            for k in range(min(k_cap, k_star)):
-                outer = series.envelope_interval(kind, z, k, spec.precision)
-                inner = series.envelope_interval(kind, z, k + 1, spec.precision)
-                if not (outer.lo <= inner.lo and inner.hi <= outer.hi):
-                    bad.append((kind.value, str(z), k))
-    return CheckResult(
-        "nesting-below-minimum-term",
-        not bad,
-        "nested" if not bad else f"violations: {bad[:5]}",
-    )
+            envs = [series.envelope_interval(kind, z, k, spec.precision)
+                    for k in range(min(k_cap, k_star) + 1)]
+            failures += [(kind.value, str(z), k)
+                         for k, (outer, inner) in enumerate(zip(envs, envs[1:]))
+                         if not (outer.lo <= inner.lo and inner.hi <= outer.hi)]
+    return _case_check("nesting-below-minimum-term", failures, "nested")
 
 
 def _check_half_shift_consistency(deep: bool, spec: QuadratureSpec) -> CheckResult:
@@ -244,24 +233,16 @@ def _check_half_shift_consistency(deep: bool, spec: QuadratureSpec) -> CheckResu
     # certified enclosures must contain its value from the exact ln C(2n, n).
     zs = [2, 5, 10, 30] if deep else [2, 5, 10]
     ctx = _context(spec.precision)
-    bad = []
-    for z in zs:
-        half = series.ln_gamma_plus_half(z, "1e-6", precision=spec.precision)
-        whole = series.ln_gamma(z, "1e-6", precision=spec.precision)
+
+    def contained(z):
+        lo1, hi1 = series.ln_gamma_plus_half(z, "1e-6", precision=spec.precision).interval()
+        lo2, hi2 = series.ln_gamma(z, "1e-6", precision=spec.precision).interval()
         truth, _ = tail_truth(SeriesKind.CENTRAL_BINOMIAL, z, spec.precision)
-        lo1, hi1 = half.interval()
-        lo2, hi2 = whole.interval()
-        lo = ctx.convert(lo1) - hi2 - ctx.log(z) / 2
-        hi = ctx.convert(hi1) - lo2 - ctx.log(z) / 2
-        if not (lo <= truth <= hi):
-            bad.append(z)
-    return CheckResult(
-        "half-shift-consistency",
-        not bad,
-        "interval differences contain the correction"
-        if not bad
-        else f"violations at z = {bad}",
-    )
+        return (ctx.convert(lo1) - hi2 - ctx.log(z) / 2 <= truth
+                <= ctx.convert(hi1) - lo2 - ctx.log(z) / 2)
+
+    return _case_check("half-shift-consistency", [z for z in zs if not contained(z)],
+                       "interval differences contain the correction")
 
 
 def _check_auto_truncate_policy(deep: bool, spec: QuadratureSpec) -> CheckResult:
@@ -274,48 +255,35 @@ def _check_auto_truncate_policy(deep: bool, spec: QuadratureSpec) -> CheckResult
         (SeriesKind.DE_MOIVRE, 3, "1e-8"),
     ]
     if deep:
-        samples += [
-            (SeriesKind.CENTRAL_BINOMIAL, 30, "1e-40"),
-            (SeriesKind.GAMMA_PLUS_HALF, mpf("0.5"), "1e-35"),
-        ]
-    bad = []
-    for kind, z, tol in samples:
+        samples += [(SeriesKind.CENTRAL_BINOMIAL, 30, "1e-40"),
+                    (SeriesKind.GAMMA_PLUS_HALF, mpf("0.5"), "1e-35")]
+
+    def fault(kind, z, tol):
         tol_exact = exact(tol, spec.precision, "tolerance")
         k_star = series.min_term_index(kind, z, spec.precision)
         try:
             k, bound = series.auto_truncate(kind, z, tol, spec.precision)
-            if not (real_to_fraction(bound) <= tol_exact and k <= k_star):
-                bad.append((kind.value, str(z), tol, "bad success"))
         except ToleranceUnattainable as exc:
-            floor_ok = real_to_fraction(exc.best_bound) > tol_exact and exc.k_best == k_star
-            if not floor_ok:
-                bad.append((kind.value, str(z), tol, "bad floor"))
-    return CheckResult(
-        "auto-truncate-policy",
-        not bad,
-        "bounds honored" if not bad else f"violations: {bad}",
-    )
+            held = real_to_fraction(exc.best_bound) > tol_exact and exc.k_best == k_star
+            return None if held else "bad floor"
+        return None if real_to_fraction(bound) <= tol_exact and k <= k_star else "bad success"
+
+    return _case_check("auto-truncate-policy", [
+        (kind.value, str(z), tol, label) for kind, z, tol in samples
+        if (label := fault(kind, z, tol))], "bounds honored")
 
 
 def _check_half_shift_relabeling(deep: bool, spec: QuadratureSpec) -> CheckResult:
-    samples = [(1, 0), (7, 3), (20, 4)]
-    if deep:
-        samples.append((50, 6))
+    samples = [(1, 0), (7, 3), (20, 4), (50, 6)] if deep else [(1, 0), (7, 3), (20, 4)]
     ctx = _context(spec.precision)
-    bad = []
-    for n, k in samples:
+
+    def identical(n, k):
         a = series.ln_factorial_demoivre(n, terms=k, precision=spec.precision)
-        shifted = ctx.convert(n) + 0.5
-        b = series.ln_gamma_plus_half(shifted, terms=k, precision=spec.precision)
-        if not (a.value == b.value and a.error_bound == b.error_bound):
-            bad.append((n, k))
-    return CheckResult(
-        "half-shift-relabeling",
-        not bad,
-        "factorial series identical to shifted evaluation"
-        if not bad
-        else f"mismatches: {bad}",
-    )
+        b = series.ln_gamma_plus_half(ctx.convert(n) + 0.5, terms=k, precision=spec.precision)
+        return a.value == b.value and a.error_bound == b.error_bound
+
+    return _case_check("half-shift-relabeling", [(n, k) for n, k in samples if not identical(n, k)],
+                       "factorial series identical to shifted evaluation")
 
 
 _CHECKS = [

@@ -74,6 +74,7 @@ CLI_LINES = (
     ("coeffs", "--family", "beta", "--max-k", "3"),
     ("verify", "--format", "json"),
     ("verify", "--precision", "80", "--format", "json"),
+    ("verify", "--deep", "--precision", "64", "--format", "json"),
     ("demo", "--b", "1", "--format", "json"),
     # usage errors
     ("eval", "--series", "binet", "--z", "abc"),

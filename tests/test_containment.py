@@ -9,13 +9,17 @@ building a million-digit integer.  For the real kinds at z = p/q the
 reference is mpmath's ``iv.loggamma``, which has directed endpoints but is
 not proven; the test ids say so.  Every drawn library result, and the
 ``lo``/``hi`` that ``envasym eval`` prints, read exactly, must contain the
-whole reference interval.
+whole reference interval, also when four threads at three precisions race
+to fill the rounded-coefficient table.
 """
 
 import contextlib
 import io
 import json
 import math
+import sys
+import threading
+import time
 from fractions import Fraction
 
 import pytest
@@ -27,6 +31,7 @@ from mpmath.libmp import to_rational
 
 from envasym import (
     SeriesKind,
+    envelope_interval,
     ln_central_binomial,
     ln_factorial_demoivre,
     ln_gamma,
@@ -212,3 +217,50 @@ def test_the_loggamma_reference_holds_below_one_half(w, precision):
         want = exact(mp.loggamma(mp.mpf(w.numerator) / w.denominator)._mpf_)
     assert a <= want <= b
     assert b - a <= Fraction(1, 2 ** (precision + 40))
+
+
+THREAD_TOLERANCES = {64: "1e-5", 256: "1e-30", 1024: "1e-60"}
+THREAD_ARGUMENTS = (Fraction(51, 2), Fraction(103, 3), Fraction(321, 8))
+
+
+def thread_job(precision: int) -> list:
+    """Per argument: ``ln_gamma`` by tolerance (k, value, bound, lo, hi) and
+    the Binet enclosures after 0, 4 and 12 terms, as raw bits."""
+    rows = []
+    for z in THREAD_ARGUMENTS:
+        cv = ln_gamma(z, THREAD_TOLERANCES[precision], precision=precision)
+        envs = [envelope_interval(SeriesKind.BINET_J, z, k, precision) for k in (0, 4, 12)]
+        rows.append((cv.k_used, *[x._mpf_ for x in (cv.value, cv.error_bound, *cv.interval())],
+                     *[(env.lo._mpf_, env.hi._mpf_) for env in envs]))
+    return rows
+
+
+def test_four_threads_at_mixed_precisions_match_serial_and_contain_the_reference():
+    precisions, rounds = (64, 256, 256, 1024), 3
+    serial = {p: thread_job(p) for p in set(precisions)}
+    for p, rows in serial.items():
+        for z, row in zip(THREAD_ARGUMENTS, rows):
+            lo, hi = exact(row[3]), exact(row[4])
+            assert_inside(ln_gamma_reference(iv_context(p), z), lo, hi, (z, p))
+    series._rounded_coefficient.cache_clear()  # the threads fill the table from cold
+    prec = mp.prec
+    results = [None] * len(precisions)
+
+    def work(i):
+        results[i] = [thread_job(precisions[i]) for _ in range(rounds)]
+
+    threads = [threading.Thread(target=work, args=(i,), daemon=True)
+               for i in range(len(precisions))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        deadline = time.monotonic() + 120
+        for thread in threads:
+            thread.join(timeout=max(0.0, deadline - time.monotonic()))
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert results == [[serial[p]] * rounds for p in precisions]
+    assert mp.prec == prec

@@ -4,10 +4,14 @@ Each case plants one fault at 64 bits in a function that a check reads
 through its module attribute, and runs the whole suite: the check that reads
 the fault, and no other, must report ``passed=False``.  Two more plant
 faults at 256 bits that only the one agreement gate, 8 times the quadrature
-floor, can see.  A warm 64-bit suite takes about 0.05 s.
+floor, can see.  A failing case check's detail is its passing detail, then
+the count of failing cases and the first five.  A warm 64-bit suite takes
+about 0.05 s.
 """
 
+import ast
 import dataclasses
+import re
 
 import pytest
 from mpmath import mp, mpf
@@ -123,9 +127,24 @@ def _bound_raised(original):
     return fault
 
 
-def _failing(monkeypatch, module, name, plant, precision=PRECISION):
+#: The checks that list failing cases through ``verify._case_check``.
+CASE_CHECKS = {"theta-containment", "bracketing-grid", "sign-alternation",
+               "nesting-below-minimum-term", "half-shift-consistency",
+               "auto-truncate-policy", "half-shift-relabeling"}
+
+
+def _results(monkeypatch, module, name, plant, precision=PRECISION):
     monkeypatch.setattr(module, name, plant(getattr(module, name)))
-    return [r.name for r in verify.run_verification(precision=precision) if not r.passed]
+    return verify.run_verification(precision=precision)
+
+
+def _failing(monkeypatch, *fault, precision=PRECISION):
+    return [r.name for r in _results(monkeypatch, *fault, precision=precision) if not r.passed]
+
+
+@pytest.fixture(scope="module")
+def passing_details():
+    return {r.name: r.detail for r in verify.run_verification(precision=PRECISION)}
 
 
 def test_every_check_has_a_fault():
@@ -134,8 +153,21 @@ def test_every_check_has_a_fault():
 
 
 @pytest.mark.parametrize("check", sorted(FAULTS))
-def test_the_fault_fails_its_check_alone(monkeypatch, check):
-    assert _failing(monkeypatch, *FAULTS[check]) == [check]
+def test_the_fault_fails_its_check_alone(monkeypatch, passing_details, check):
+    results = _results(monkeypatch, *FAULTS[check])
+    assert [r.name for r in results if not r.passed] == [check]
+    if check in CASE_CHECKS:
+        detail = next(r.detail for r in results if r.name == check)
+        # the passing detail with its counts free: a fault may move how many
+        # sign comparisons fall below the oracle's noise
+        head = re.sub(r"\d+", r"\\d+", re.escape(passing_details[check]))
+        match = re.fullmatch(head + r"; (\d+) failures, first: (\[.*\])", detail)
+        assert match, detail
+        count, listing = match.groups()
+        shown = ast.literal_eval(listing)
+        assert len(shown) == min(5, int(count)) > 0
+        if check == "theta-containment":  # an error estimate of 1 fails all 3 * 3 * 4 ratios
+            assert (int(count), len(shown)) == (36, 5)
 
 
 @pytest.mark.parametrize("factor", [3, SLIGHTLY_MORE], ids=["3", "1+2**-20"])
