@@ -22,7 +22,7 @@ from mpmath import mpf
 
 from .errors import DomainError
 from .oracle import QuadratureSpec, binet_J
-from .precision import _context, positive_real, to_precision, working_bits
+from .precision import _context, checked_int, positive_real, to_precision, working_bits
 from .series import SeriesKind, _checked_argument, _walk
 
 __all__ = [
@@ -109,6 +109,7 @@ def _scan(
     x_grid: Iterable, k_max: int, spec: QuadratureSpec, b: Optional[mpf]
 ) -> Iterator[ViolationWitness]:
     """Witnesses in grid order, k = 0..k_max at each argument; J itself if b is None."""
+    k_max = checked_int(k_max, 1, "k_max")
     grid = list(x_grid)
     if not grid:
         raise ValueError("x_grid must be nonempty")
@@ -126,8 +127,6 @@ def find_envelope_violation(
     each.  Returns ``None`` when no pair on this grid violates the bound by
     more than ten times the quadrature error estimate.
     """
-    if k_max < 1:
-        raise ValueError("k_max must be >= 1")
     bb = _checked_rate(b, spec.precision)
     return next(_scan(x_grid, k_max, spec, bb), None)
 

@@ -194,29 +194,30 @@ _RESEED = 1024
 
 
 class _NodeTable:
-    """The z-free node values of one working precision, keyed by the exact t.
+    """The z-free values of one working precision: node rows keyed by the
+    exact t, and the undamped moment integrals by (family, k).
 
-    A row holds eta = exp(lam*sinh t), lam*cosh t and eta**2, free of z and
-    shared by the three families, then one W(t) = weight(eta)*lam*cosh(t)*eta
-    per family, filled when first needed, all as the raw libmp tuples
-    (``mpf._mpf_``) the quadrature computed.  Every quadrature fills its
-    family's W in the rows that exist, but only a family's second and later
-    quadratures at this precision create rows, so a one-off call leaves
-    nothing behind.  A quadrature of a batch (``_moment_integrals``) is not
-    a one-off: it creates rows from its first node, and fills the W of every
-    family of the batch in each row it fills.
-    Every stored value is a pure function of (t, precision, family), so a
-    slot two quadratures fill at once holds the same number either way.
+    A row is either absent or whole: eta = exp(lam*sinh t), lam*cosh t and
+    eta**2, then W(t) = weight(eta)*lam*cosh(t)*eta of every family in
+    ``_COLUMNS`` order, all as the raw libmp tuples (``mpf._mpf_``) the
+    quadrature computed.  A quadrature that stores builds the whole row of
+    each node it computes; one that does not store computes its own W there
+    and keeps nothing.  Every undamped moment integral stores; a damped one
+    stores from its family's second damped quadrature at this precision,
+    so a one-off damped query leaves nothing behind.  Every stored value is
+    a pure function of (t, precision, family), so a row two quadratures
+    make at once is the same either way.
     """
 
     def __init__(self):
         self.rows: dict[float, list] = {}
+        self.moments: dict = {}
         # next() on a count is atomic, so no quadrature is counted twice.
-        self._quadratures = {family: itertools.count() for family in ThetaFamily}
+        self._damped = {family: itertools.count() for family in ThetaFamily}
 
     def storing(self, family: ThetaFamily) -> bool:
-        """Count one quadrature of the family; True from the second on."""
-        return next(self._quadratures[family]) > 0
+        """Count one damped quadrature of the family; True from the second on."""
+        return next(self._damped[family]) > 0
 
 
 class _Level:
@@ -304,7 +305,7 @@ def _node_table(precision: int) -> _NodeTable:
     return _NodeTable()
 
 
-def _de_quad_half_line(family: ThetaFamily, integrand, spec: QuadratureSpec, batch=()):
+def _de_quad_half_line(family: ThetaFamily, integrand, spec: QuadratureSpec, store: bool):
     """Integrate f(eta) * weight(eta) over (0, inf), double-exponentially.
 
     Substitutes eta = exp((pi/2) * sinh(t)) and applies the trapezoid rule in
@@ -316,28 +317,23 @@ def _de_quad_half_line(family: ThetaFamily, integrand, spec: QuadratureSpec, bat
     integrable endpoint singularities need no special casing.
 
     A node's e = eta**2 and W(t) = weight(eta) * (pi/2) * cosh(t) * eta are
-    z-free and positive: read from the precision's node table where stored
+    z-free and positive: read from the row of the precision's node table
     (see ``_NodeTable``), else libmp calls at ``working_bits(P)`` on the eta
     and (pi/2)*cosh t of the level's recurrence (see ``_Level``), 1 and pi/2
-    at t = 0.  ``integrand(e, W)`` maps their tuples' (mantissa, exponent) to
-    the node's term f(eta) * W(t), one rounding (see ``_integrand``).  The
-    half-sums are ``precision._sum`` and the tail test ``_negligible``.
-
-    ``batch`` holds the families of the batch of two or more quadratures
-    this one belongs to, empty for a single call.  A batch quadrature
-    stores from its first node, and where it fills a stored row it takes,
-    from one ``_weights`` call, the W of every family of the batch whose
-    column is still empty.
+    at t = 0.  With ``store`` such a node's row is built whole, the W of
+    every family from one ``_weights`` call, and kept; without it only this
+    family's W is computed.  ``integrand(e, W)`` maps their tuples'
+    (mantissa, exponent) to the node's term f(eta) * W(t), one rounding (see
+    ``_integrand``).  The half-sums are ``precision._sum`` and the tail test
+    ``_negligible``.
 
     Returns (value, error_estimate) as mpf at working precision.  Raises
     QuadratureNonConvergence if the level cap is hit first.
     """
     prec = spec.precision
     wp = working_bits(prec)
-    table = _node_table(prec)
-    rows = table.rows
-    column = _COLUMNS[family]
-    store = table.storing(family) or bool(batch)
+    rows = _node_table(prec).rows
+    families = tuple(ThetaFamily) if store else (family,)
     target = spec.effective_tol()._mpf_
 
     def g(t: float, cold, n: int):
@@ -346,22 +342,13 @@ def _de_quad_half_line(family: ThetaFamily, integrand, spec: QuadratureSpec, bat
         row = rows.get(t)
         if row is None:
             eta, lc = cold(n)
-            eta2 = mpf_mul(eta, eta, wp, round_nearest)
-            if store:
-                row = rows.setdefault(t, [eta, lc, eta2, None, None, None])
-        elif row[column] is None:
-            eta, lc, eta2 = row[:3]
-        else:  # a warm node
-            return integrand(row[2][1:3], row[column][1:3])
-        families = [family]
-        if batch:  # a batch stores, so the row exists
-            families += [f for f in batch if f is not family and row[_COLUMNS[f]] is None]
-        ws = [mpf_mul(mpf_mul(weight, lc, wp, round_nearest), eta, wp, round_nearest)
-              for weight in _weights(families, eta, wp)]
-        if row is not None:
-            for f, w in zip(families, ws):
-                row[_COLUMNS[f]] = w
-        return integrand(eta2[1:3], ws[0][1:3])
+            row = [eta, lc, mpf_mul(eta, eta, wp, round_nearest)]
+            row += [mpf_mul(mpf_mul(weight, lc, wp, round_nearest), eta, wp, round_nearest)
+                    for weight in _weights(families, eta, wp)]
+            if not store:
+                return integrand(row[2][1:3], row[3][1:3])
+            row = rows.setdefault(t, row)
+        return integrand(row[2][1:3], row[_COLUMNS[family]][1:3])
 
     def half_sums(h, start, step):
         # sum of g(j*h) over j = start, start+step, ... on both sides of 0
@@ -437,42 +424,27 @@ def _integrand(k: int, z2, wp: int):
     return term
 
 
-# (value, err) of every moment integral computed, by (family, k, spec).
-_MOMENTS: dict = {}
-
-
-def _moment_integrals(pairs, spec: QuadratureSpec) -> list:
-    """(value, err) of  integral eta^(2k) * weight(eta) deta  over (0, inf)
-    for each (family, k) of ``pairs``, from ``_MOMENTS`` or else by a
-    quadrature, one after another at the spec's precision.
-
-    Two or more pairs are a batch: each quadrature stores the nodes it
-    computes and the W of every family of the batch there (see
-    ``_de_quad_half_line``), so a node's eta and q are made once for all
-    of them.
-    """
-    batch = tuple(dict.fromkeys(family for family, _ in pairs)) if len(pairs) > 1 else ()
-    wp = working_bits(spec.precision)
-    for family, k in pairs:
-        if (family, k, spec) not in _MOMENTS:
-            _MOMENTS[family, k, spec] = _de_quad_half_line(
-                family, _integrand(k, None, wp), spec, batch)
-    return [_MOMENTS[family, k, spec] for family, k in pairs]
-
-
 def _moment_integral(family: ThetaFamily, k: int, spec: QuadratureSpec):
-    """(value, err) of one moment integral: ``_moment_integrals``' batch of one."""
-    return _moment_integrals([(family, k)], spec)[0]
+    """(value, err) of  integral eta^(2k) * weight(eta) deta  over (0, inf),
+    kept in the precision's node table.  Its quadrature stores, so every
+    node it computes gets its whole row."""
+    table = _node_table(spec.precision)
+    if (family, k) not in table.moments:
+        table.moments[family, k] = _de_quad_half_line(
+            family, _integrand(k, None, working_bits(spec.precision)), spec, True)
+    return table.moments[family, k]
 
 
 # Bounded, as it is keyed by every z seen; 1024 entries hold a demo scan's
 # grid for its perturbed and control passes many times over.
 @lru_cache(maxsize=1024)
 def _damped_moment_integral(family: ThetaFamily, k: int, z: mpf, spec: QuadratureSpec):
-    """(value, err) of  integral eta^(2k)/(z^2+eta^2) * weight(eta) deta."""
+    """(value, err) of  integral eta^(2k)/(z^2+eta^2) * weight(eta) deta,
+    storing from the family's second damped quadrature at the precision."""
     wp = working_bits(spec.precision)
     x = mpf_pos(z._mpf_, wp, round_nearest)[1:3]
-    return _de_quad_half_line(family, _integrand(k, _product(x, x, wp), wp), spec)
+    return _de_quad_half_line(family, _integrand(k, _product(x, x, wp), wp), spec,
+                              _node_table(spec.precision).storing(family))
 
 
 def _finish(value, err, spec: QuadratureSpec, error: bool):
@@ -563,8 +535,9 @@ def theta_ratio(
     k = checked_int(k, 0, "k")
     zz = positive_real(z, spec.precision, "argument")
     ctx = _context(spec.precision)
-    num, num_err = map(ctx.convert, _damped_moment_integral(family, k, zz, spec))
+    # the moment first: its rows serve the damped quadrature
     den, den_err = map(ctx.convert, _moment_integral(family, k, spec))
+    num, num_err = map(ctx.convert, _damped_moment_integral(family, k, zz, spec))
     x = ctx.convert(zz)
     value = x * x * num / den
     err = abs(value) * (num_err / abs(num) + den_err / abs(den))

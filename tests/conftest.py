@@ -1,13 +1,16 @@
 """Fixtures shared by the test modules, and the Hypothesis profiles:
-``HYPOTHESIS_PROFILE=ci`` runs each property on 2,000 examples."""
+``HYPOTHESIS_PROFILE=ci`` runs each property on 2,000 examples, and
+``HYPOTHESIS_PROFILE=mutants`` (``tests/mutants.py``) reports the first
+failing example as found, without shrinking it or saving it."""
 
 import os
 
 import pytest
-from hypothesis import settings
+from hypothesis import Phase, settings
 from mpmath import mp
 
 settings.register_profile("ci", max_examples=2000)
+settings.register_profile("mutants", database=None, phases=(Phase.explicit, Phase.generate))
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 

@@ -1,0 +1,160 @@
+"""Committed mutants of ``src/``, each with the tests that should kill it.
+
+A mutant is one exact-text patch of one file under ``src/envasym``: the old
+text, which must occur there exactly once, and the text that replaces it.
+For each mutant the script copies ``src/`` to a temporary directory, applies
+the patch there, and runs the mutant's test selection with ``PYTHONPATH`` at
+the copy (pytest's own ``pythonpath`` setting is blanked, so the copy is what
+the tests import) and Hypothesis's ``mutants`` profile, which neither shrinks
+nor saves a failing example.  It prints one JSON record per mutant: killed or not, the
+first failing test, and the seconds taken.  Run
+
+    python tests/mutants.py            # every mutant
+    python tests/mutants.py NAME ...   # the named ones
+
+from the root of the repository.  It exits 1 if a mutant survives or a
+selection cannot run.  ``tests/test_mutants.py`` checks, without running any
+mutant, that each old text still occurs exactly once.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from dataclasses import dataclass
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
+
+
+@dataclass(frozen=True)
+class Mutant:
+    name: str
+    file: str  # relative to src/envasym
+    old: str
+    new: str
+    tests: tuple[str, ...]  # pytest node ids, relative to the root
+
+
+MUTANTS = (
+    Mutant(
+        "stored-row-of-one-family",
+        "oracle.py",
+        "families = tuple(ThetaFamily) if store else (family,)",
+        "families = (family,) * 3 if store else (family,)",
+        ("tests/test_oracle.py::TestCoefficientQuadrature",
+         "tests/test_oracle.py::TestMoments::test_a_cold_coefficient_check_makes_each_row_once_and_whole"),
+    ),
+    Mutant(
+        "moment-integral-does-not-store",
+        "oracle.py",
+        "family, _integrand(k, None, working_bits(spec.precision)), spec, True)",
+        "family, _integrand(k, None, working_bits(spec.precision)), spec, False)",
+        ("tests/test_oracle.py::TestMoments",
+         "tests/test_oracle.py::TestNodeTable::test_theta_ratio_at_a_fresh_precision_makes_each_eta_once"),
+    ),
+    Mutant(
+        "first-damped-quadrature-stores",
+        "oracle.py",
+        "return next(self._damped[family]) > 0",
+        "return next(self._damped[family]) >= 0",
+        ("tests/test_oracle.py::TestNodeTable",),
+    ),
+    Mutant(
+        "theta-ratio-damped-first",
+        "oracle.py",
+        """    den, den_err = map(ctx.convert, _moment_integral(family, k, spec))
+    num, num_err = map(ctx.convert, _damped_moment_integral(family, k, zz, spec))""",
+        """    num, num_err = map(ctx.convert, _damped_moment_integral(family, k, zz, spec))
+    den, den_err = map(ctx.convert, _moment_integral(family, k, spec))""",
+        ("tests/test_oracle.py::TestNodeTable::test_theta_ratio_at_a_fresh_precision_makes_each_eta_once",),
+    ),
+    Mutant(
+        "turns-strict",
+        "series.py",
+        ">= c0.numerator * c1.denominator * xf.numerator**2)",
+        "> c0.numerator * c1.denominator * xf.numerator**2)",
+        ("tests/test_series.py::TestMinTermIndex::test_a_tie_turns_at_the_earlier_index",
+         "tests/test_series.py::TestMinTermIndex", "tests/test_series.py::TestSearchesMatchTheScan"),
+    ),
+    Mutant(
+        "interval-ends-swapped",
+        "series.py",
+        """        if self.error_sign > 0:
+            return self.value, other
+        return other, self.value""",
+        """        if self.error_sign > 0:
+            return other, self.value
+        return self.value, other""",
+        ("tests/test_containment.py",),
+    ),
+    Mutant(
+        "tolerance-rounded-up",
+        "series.py",
+        "return rounded(value.numerator, value.denominator, precision, round_floor)",
+        "return rounded(value.numerator, value.denominator, precision, round_ceiling)",
+        ("tests/test_series.py::TestTolerance", "tests/test_series.py::TestAutoTruncate"),
+    ),
+)
+
+
+def _first_failure(output: str) -> str | None:
+    """The node id of the first FAILED or ERROR line of pytest's summary."""
+    for line in output.splitlines():
+        for tag in ("FAILED ", "ERROR "):
+            if line.startswith(tag):
+                return line[len(tag):].split(" - ")[0]
+    return None
+
+
+def run(mutant: Mutant) -> dict:
+    """Apply the mutant to a copy of ``src/`` and run its selection there."""
+    start = time.perf_counter()
+    with tempfile.TemporaryDirectory() as tmp:
+        copy = Path(tmp) / "src"
+        shutil.copytree(SRC, copy, ignore=shutil.ignore_patterns("__pycache__"))
+        path = copy / "envasym" / mutant.file
+        text = path.read_text()
+        if text.count(mutant.old) != 1:
+            raise ValueError(f"{mutant.name}: old text occurs {text.count(mutant.old)} times")
+        path.write_text(text.replace(mutant.old, mutant.new))
+        env = {**os.environ, "PYTHONPATH": str(copy), "PYTHONDONTWRITEBYTECODE": "1",
+               "HYPOTHESIS_PROFILE": "mutants"}
+        proc = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-x", "-rfE", "-p", "no:cacheprovider",
+             "-o", "pythonpath=", *mutant.tests],
+            cwd=ROOT, env=env, capture_output=True, text=True)
+    record = {"name": mutant.name, "file": mutant.file,
+              "seconds": round(time.perf_counter() - start, 2)}
+    if proc.returncode == 1:
+        return {**record, "killed": True, "by": _first_failure(proc.stdout)}
+    if proc.returncode == 0:
+        return {**record, "killed": False, "by": None}
+    return {**record, "killed": None, "error": proc.stdout[-2000:] + proc.stderr[-2000:]}
+
+
+def main(argv: list[str]) -> int:
+    names = {m.name for m in MUTANTS}
+    unknown = [name for name in argv if name not in names]
+    if unknown:
+        sys.stderr.write(f"unknown mutants: {unknown}; known: {sorted(names)}\n")
+        return 2
+    failed = False
+    for mutant in MUTANTS:
+        if argv and mutant.name not in argv:
+            continue
+        record = run(mutant)
+        failed |= record["killed"] is not True
+        sys.stdout.write(json.dumps(record) + "\n")
+        sys.stdout.flush()
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -130,6 +130,14 @@ class TestWitnessSearch:
         witness = find_envelope_violation(1, [20, 10, 5], 5, SPEC)
         assert witness.x == 20
 
+    @pytest.mark.parametrize("k_max", [0, -1, True, 1.5])
+    def test_both_scans_refuse_a_k_max_that_checks_nothing(self, k_max):
+        # the control scan returned [] for k_max 0 or -1: clean, having checked nothing
+        with pytest.raises(ValueError, match="k_max must be an int >= 1"):
+            enveloping_control_scan([5], k_max, SPEC)
+        with pytest.raises(ValueError, match="k_max must be an int >= 1"):
+            find_envelope_violation(1, [5], k_max, SPEC)
+
     def test_rejects_empty_grid_and_bad_rate(self):
         with pytest.raises(ValueError):
             find_envelope_violation(1, [], 5, SPEC)

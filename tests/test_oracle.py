@@ -1,5 +1,6 @@
 """Oracle module: exact big-integer logs and quadrature cross-identities."""
 
+import collections
 import itertools
 import math
 import sys
@@ -23,6 +24,7 @@ from mpmath.libmp import (
     mpf_div,
     mpf_gt,
     mpf_le,
+    mpf_mul,
     mpf_shift,
     mpf_sub,
     round_nearest,
@@ -42,7 +44,7 @@ from envasym import (
     remainder_quadrature,
     theta_ratio,
 )
-from envasym import oracle
+from envasym import oracle, verify
 from envasym.coeffs import beta, beta_hat, beta_tilde
 from envasym.demo import enveloping_control_scan
 from envasym.precision import positive_real
@@ -378,14 +380,15 @@ class TestLargeArgument:
 
 
 def _clear_value_caches():
-    oracle._MOMENTS.clear()
     oracle._damped_moment_integral.cache_clear()
 
 
-def _moment_quadrature(family, k, spec):
-    """The undamped moment integral by a single quadrature, bypassing ``oracle._MOMENTS``."""
+def _moment_quadrature(family, k, spec, store=True):
+    """The undamped moment integral by a single quadrature, bypassing the
+    moments the precision's node table keeps; it stores as
+    ``oracle._moment_integral`` does unless ``store`` is False."""
     return oracle._de_quad_half_line(
-        family, oracle._integrand(k, None, spec.precision + 32), spec)
+        family, oracle._integrand(k, None, spec.precision + 32), spec, store)
 
 
 def _quadratures(family, k, spec):
@@ -396,11 +399,27 @@ def _quadratures(family, k, spec):
     return [x._mpf_ for pair in (damped, moment) for x in pair]
 
 
-def _stored(precision, family):
-    """Count of nodes whose W is stored for this family at this precision."""
-    column = oracle._COLUMNS[family]
-    rows = oracle._node_table(precision).rows.values()
-    return sum(row[column] is not None for row in rows)
+def _whole(rows, wp):
+    """There are rows, and each holds eta, lam*cosh t and eta**2, then each
+    family's W as that family's own weight gives it."""
+    assert rows
+    for eta, lc, eta2, *ws in rows.values():
+        assert eta2 == mpf_mul(eta, eta, wp, round_nearest)
+        assert ws == [mpf_mul(mpf_mul(oracle._weight(family, eta, wp), lc, wp, round_nearest),
+                              eta, wp, round_nearest) for family in ThetaFamily]
+    return True
+
+
+def _counted_weights(monkeypatch):
+    """Record the families of every ``oracle._weights`` call."""
+    weights = []
+
+    def counted(families, eta, wp, fn=oracle._weights):
+        weights.append(tuple(families))
+        return fn(families, eta, wp)
+
+    monkeypatch.setattr(oracle, "_weights", counted)
+    return weights
 
 
 def _watch(monkeypatch, table):
@@ -426,6 +445,14 @@ def _watch(monkeypatch, table):
     monkeypatch.setattr(oracle._Level, "node", recorded("node", 1))
     monkeypatch.setattr(oracle._Level, "mirror", recorded("mirror", -1))
     return calls
+
+
+def _etas(calls):
+    """The t of every eta the level recurrence made: mirror() at each t < 0,
+    and node() at each t > 0 less the +t of every mirror."""
+    made = collections.Counter(calls["node"])
+    made.subtract(-t for t in calls["mirror"])
+    return list(made.elements()) + calls["mirror"]
 
 
 def _each_cold_node_once(calls, cold):
@@ -454,17 +481,16 @@ class TestNodeTable:
         for _ in range(3):  # nothing stored, then storing, then reading
             for family, k in cases:
                 assert _quadratures(family, k, spec) == cold[family, k]
-        assert all(_stored(precision, family) for family in ThetaFamily)
+        assert _whole(oracle._node_table(precision).rows, precision + 32)
 
-    def test_single_call_at_a_new_precision_stores_nothing(self):
+    def test_a_first_damped_quadrature_stores_nothing_and_a_second_whole_rows(self):
         spec = QuadratureSpec(precision=192)
         oracle._node_table.cache_clear()
         _clear_value_caches()
         binet_J(3, spec)
         assert not oracle._node_table(192).rows
         binet_J(4, spec)
-        assert _stored(192, ThetaFamily.THETA)
-        assert not _stored(192, ThetaFamily.THETA_HAT)
+        assert _whole(oracle._node_table(192).rows, 192 + 32)
 
     def test_one_off_queries_of_each_family_store_nothing(self):
         spec = QuadratureSpec(precision=192)
@@ -480,28 +506,27 @@ class TestNodeTable:
         oracle._node_table.cache_clear()
         _clear_value_caches()
         binet_J(3, spec)  # stores nothing
-        binet_J(4, spec)  # creates THETA's rows
+        binet_J(4, spec)  # creates rows
         table = oracle._node_table(256)
         had_row = set(table.rows)
         assert had_row
-        weights = []
-
-        def weight(*args, fn=oracle._weights):
-            weights.append(args)
-            return fn(*args)
-
+        weights = _counted_weights(monkeypatch)
         calls = _watch(monkeypatch, table)
-        monkeypatch.setattr(oracle, "_weights", weight)
-        binet_J_tilde(3, spec)  # THETA_TILDE's first quadrature at 256 bits
-        visited = calls["visited"]
-        old = [t for t in visited if t in had_row]
-        assert old
-        _each_cold_node_once(calls, [t for t in visited if t not in had_row])
-        assert len(weights) == len(visited)
-        assert set(table.rows) == had_row
-        column = oracle._COLUMNS[ThetaFamily.THETA_TILDE]
-        assert all(table.rows[t][column] is not None for t in old)
-        assert _stored(256, ThetaFamily.THETA_TILDE) == len(old)
+        # THETA_TILDE's first damped quadrature reads the rows, computes its
+        # own W at the nodes of its longer tail and keeps nothing; its second
+        # makes whole rows there
+        for z, families in ((3, (ThetaFamily.THETA_TILDE,)), (4, tuple(ThetaFamily))):
+            before = set(table.rows)
+            for key in calls:
+                calls[key].clear()
+            weights.clear()
+            remainder_quadrature(ThetaFamily.THETA_TILDE, 4, z, spec)
+            visited = calls["visited"]
+            cold = [t for t in visited if t not in before]
+            assert 0 < len(cold) < len(visited)
+            _each_cold_node_once(calls, cold)
+            assert weights == [families] * len(cold)
+        assert set(table.rows) == had_row | set(visited)
 
     def test_a_one_off_quadrature_computes_each_node_once(self, monkeypatch):
         oracle._node_table.cache_clear()
@@ -521,7 +546,7 @@ class TestNodeTable:
                 value = remainder_quadrature(ThetaFamily.THETA_TILDE, 1, 7, call_spec)
                 results.append((call_spec.precision, value._mpf_))
         assert results[0] == results[1] == results[4]
-        assert _stored(320, ThetaFamily.THETA_TILDE)
+        assert oracle._node_table(320).rows
 
     def test_threads_reading_one_precision_match_serial(self):
         # the threads read a table two serial passes have filled; threads
@@ -573,51 +598,49 @@ class TestNodeTable:
         oracle._node_table.cache_clear()
         assert warm == _quadratures(ThetaFamily.THETA, 1, spec)
 
+    def test_theta_ratio_at_a_fresh_precision_makes_each_eta_once(self, monkeypatch):
+        # the moment comes first and stores; the damped quadrature, its
+        # family's first, reads those rows
+        oracle._node_table.cache_clear()
+        _clear_value_caches()
+        calls = _watch(monkeypatch, oracle._node_table(192))
+        theta_ratio(ThetaFamily.THETA_HAT, 2, "7.3", QuadratureSpec(precision=192))
+        etas = _etas(calls)
+        assert etas and len(set(etas)) == len(etas)
+
 
 MOMENT_PAIRS = [(family, k) for family in ThetaFamily for k in range(5)]
 
 
-class TestMomentBatch:
+class TestMoments:
     @pytest.mark.parametrize("precision", [64, 192])
-    def test_matches_single_calls_bit_for_bit(self, precision):
+    def test_match_uncached_single_quadratures_bit_for_bit(self, precision):
         spec = QuadratureSpec(precision=precision)
-
-        def coefficients():
-            return [[x._mpf_ for x in coefficient_quadrature(family, k, spec, error=True)]
-                    for family, k in MOMENT_PAIRS]
-
         oracle._node_table.cache_clear()
-        _clear_value_caches()
-        batch = [[x._mpf_ for x in pair] for pair in oracle._moment_integrals(MOMENT_PAIRS, spec)]
-        from_batch = coefficients()  # read from the batch's values
-        oracle._node_table.cache_clear()
-        _clear_value_caches()
-        assert coefficients() == from_batch  # single calls, each family's first one-off
-        assert [[x._mpf_ for x in oracle._MOMENTS[family, k, spec]]
-                for family, k in MOMENT_PAIRS] == batch
+        single = {pair: [x._mpf_ for x in _moment_quadrature(*pair, spec, store=False)]
+                  for pair in MOMENT_PAIRS}
+        assert not oracle._node_table(precision).rows
+        for order in (MOMENT_PAIRS, MOMENT_PAIRS[::-1]):
+            oracle._node_table.cache_clear()
+            moments = {pair: [x._mpf_ for x in oracle._moment_integral(*pair, spec)]
+                       for pair in order}
+            assert moments == single
+            kept = oracle._node_table(precision).moments
+            assert {pair: [x._mpf_ for x in kept[pair]] for pair in order} == single
 
-    def test_a_cold_batch_makes_each_node_and_its_weights_once(self, monkeypatch):
+    def test_a_cold_coefficient_check_makes_each_row_once_and_whole(self, monkeypatch):
         spec = QuadratureSpec(precision=192)
         oracle._node_table.cache_clear()
-        _clear_value_caches()
         table = oracle._node_table(192)
         calls = _watch(monkeypatch, table)
-        weights = []
-
-        def counted(families, eta, wp, fn=oracle._weights):
-            weights.append(list(families))
-            return fn(families, eta, wp)
-
-        monkeypatch.setattr(oracle, "_weights", counted)
-        oracle._moment_integrals(MOMENT_PAIRS, spec)
+        weights = _counted_weights(monkeypatch)
+        assert verify._check_coefficient_quadrature(False, spec).passed
         rows = table.rows
-        # every t the 15 quadratures visit has a row, created at its first visit
+        # every t the 15 quadratures visit has a row, made at its first visit
         assert set(calls["visited"]) == set(rows)
         _each_cold_node_once({**calls, "visited": list(rows)}, [t for t in rows if t != 0])
-        assert len(weights) == len(rows)
-        assert all(len(families) == 3 and set(families) == set(ThetaFamily)
-                   for families in weights)
-        assert all(None not in row for row in rows.values())
+        assert weights == [tuple(ThetaFamily)] * len(rows)
+        assert _whole(rows, 192 + 32)
 
 
 def recurrence_nodes(t0, dt, wp):
@@ -994,7 +1017,8 @@ class TestZeroTerms:
         monkeypatch.setattr(oracle, "_TAIL_CAP", 10**3)
         cut = from_int(2**16)  # on eta**2
         value, _ = oracle._de_quad_half_line(
-            ThetaFamily.THETA, lambda e, w: (0, 0) if mpf_gt(from_man_exp(*e), cut) else w, SPEC)
+            ThetaFamily.THETA, lambda e, w: (0, 0) if mpf_gt(from_man_exp(*e), cut) else w, SPEC,
+            False)
         # beyond eta = 2**8 theta < e^(-1600), far below 2**-288 of the whole
         # integral, which is pi times beta_0 = 1/12
         with mp.workprec(320):
@@ -1031,22 +1055,21 @@ class TestThreads:
         assert not any(thread.is_alive() for thread in threads)
         assert results == serial
 
-    def test_four_threads_of_batches_and_single_calls_match_serial(self):
-        # a batch creates rows from its first node, so batches fill the rows
-        # the single calls read and fill at the same time
+    def test_four_threads_of_moments_and_damped_calls_match_serial(self):
+        # the moments make whole rows from their first node, while the damped
+        # calls read them and, from each family's second, make rows too
         spec = QuadratureSpec(precision=192)
-        pairs = [(family, k) for family in ThetaFamily for k in range(3)]
 
-        def batch(order):
-            return [x._mpf_ for pair in oracle._moment_integrals(order, spec) for x in pair]
-
-        def singles(order):
+        def coefficients(order):
             return [x._mpf_ for family, k in order
-                    for x in (*coefficient_quadrature(family, k, spec, error=True),
-                              *theta_ratio(family, k, "2.5", spec, error=True))]
+                    for x in coefficient_quadrature(family, k, spec, error=True)]
 
-        jobs = [lambda: batch(pairs), lambda: singles(pairs[::-1]),
-                lambda: batch(pairs[::-1]), lambda: singles(pairs)]
+        def damped(order):
+            return [x._mpf_ for family, k in order
+                    for x in remainder_quadrature(family, k, "2.5", spec, error=True)]
+
+        jobs = [lambda: coefficients(MOMENT_PAIRS), lambda: damped(MOMENT_PAIRS[::-1]),
+                lambda: coefficients(MOMENT_PAIRS[::-1]), lambda: damped(MOMENT_PAIRS)]
         serial = []
         for job in jobs:
             oracle._node_table.cache_clear()

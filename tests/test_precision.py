@@ -26,7 +26,6 @@ GRID = ["7.5", 10]
 
 def _clear_oracle_caches():
     oracle._node_table.cache_clear()
-    oracle._MOMENTS.clear()
     oracle._damped_moment_integral.cache_clear()
 
 

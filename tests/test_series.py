@@ -7,6 +7,7 @@ import subprocess
 import sys
 import threading
 import time
+import types
 from decimal import ROUND_FLOOR, Decimal, localcontext
 from fractions import Fraction
 
@@ -581,6 +582,13 @@ class TestMinTermIndex:
     def test_rejects_what_is_not_a_positive_real(self, z):
         with pytest.raises(DomainError, match="^series argument must be a finite real > 0"):
             min_term_index(SeriesKind.BINET_J, z)
+
+    def test_a_tie_turns_at_the_earlier_index(self):
+        # no family's c(k+1)/c(k) is the square of a rational for k < 60, so
+        # no argument spells a tie; c(k) = 4**-k ties at x = 1/2 for every k
+        row = types.SimpleNamespace(coefficient=lambda k: Fraction(1, 4**k))
+        assert series._turns(row, Fraction(1, 2), 3)
+        assert not series._turns(row, Fraction(1), 3)
 
     def test_term_magnitudes_pivot_at_index(self):
         kind = SeriesKind.BINET_J
