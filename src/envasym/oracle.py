@@ -60,7 +60,6 @@ from .errors import QuadratureNonConvergence
 from .precision import (
     DEFAULT_PRECISION,
     _context,
-    _exact_sum,
     _product,
     _quotient,
     _round,
@@ -183,8 +182,9 @@ _MAX_LEVELS = 20
 _TAIL_RUN = 2
 _TAIL_CAP = 10**7
 
-# A row is [eta, lam*cosh t, eta**2, W per family]; these are the W columns.
-_COLUMNS = {family: column for column, family in enumerate(ThetaFamily, start=3)}
+# A row is [e = eta**2, W per family] as (mantissa, exponent) pairs; these are
+# the W columns.
+_COLUMNS = {family: column for column, family in enumerate(ThetaFamily, start=1)}
 
 # Bits the running a = (lam/2) e^t and b = (lam/2) e^-t of a level carry
 # beyond the working precision, and the node indices, its multiples, where
@@ -197,16 +197,17 @@ class _NodeTable:
     """The z-free values of one working precision: node rows keyed by the
     exact t, and the undamped moment integrals by (family, k).
 
-    A row is either absent or whole: eta = exp(lam*sinh t), lam*cosh t and
-    eta**2, then W(t) = weight(eta)*lam*cosh(t)*eta of every family in
-    ``_COLUMNS`` order, all as the raw libmp tuples (``mpf._mpf_``) the
-    quadrature computed.  A quadrature that stores builds the whole row of
-    each node it computes; one that does not store computes its own W there
-    and keeps nothing.  Every undamped moment integral stores; a damped one
-    stores from its family's second damped quadrature at this precision,
-    so a one-off damped query leaves nothing behind.  Every stored value is
-    a pure function of (t, precision, family), so a row two quadratures
-    make at once is the same either way.
+    A row is either absent or whole: e = eta**2 with eta = exp(lam*sinh t),
+    then W(t) = weight(eta)*lam*cosh(t)*eta of every family in ``_COLUMNS``
+    order, each the signed (mantissa, exponent) pair of the libmp value the
+    quadrature computed, the only values a quadrature reads.  A quadrature
+    that stores builds the whole row of each node it computes; one that does
+    not store computes its own W there and keeps nothing.  Every undamped
+    moment integral stores; a damped one stores from its family's second
+    damped quadrature at this precision, so a one-off damped query leaves
+    nothing behind.  Every stored value is a pure function of (t,
+    precision, family), so a row two quadratures make at once is the same
+    either way.
     """
 
     def __init__(self):
@@ -281,23 +282,71 @@ class _Level:
 
 
 def _negligible(term: tuple, total: tuple, wp: int) -> bool:
-    """|term| <= 2**-wp * |total| for signed (mantissa, exponent) pairs.
-
-    A zero term is negligible.  Otherwise it is decided from the magnitudes
-    (exponent plus bit length, 0 for a zero total) unless they lie exactly wp
-    binades apart; only then are the mantissas compared, aligned by a shift
-    no longer than either of them.
-    """
+    """|term| <= 2**-wp * |total| for nonzero signed (mantissa, exponent)
+    pairs whose magnitudes (exponent plus bit length) lie exactly wp binades
+    apart, the one case they do not decide: the mantissas compared, aligned
+    by a shift no longer than either of them."""
     (tm, te), (sm, se) = term, total
-    if not tm:
-        return True
-    gap = (se + sm.bit_length() if sm else 0) - te - tm.bit_length()
-    if gap != wp or not sm:
-        return gap > wp
     shift = te + wp - se
     if shift >= 0:
         return abs(tm) << shift <= abs(sm)
     return abs(tm) <= abs(sm) << -shift
+
+
+def _half_sum(total: tuple, rows: dict, cold, js: range, dt: float, column: int, k: int,
+              z2, wp: int) -> tuple:
+    """(total, ended): the pair total plus the terms at t = j*dt for j in js,
+    and whether the tail ended before js ran out.
+
+    A node's row is read by its exact dyadic t, else ``cold(t, j)`` makes
+    it.  Its term is one rounding to nearest at wp of exact integers: the
+    exact W * e**k over the exact z2 + e (``precision._quotient``), or W * e**k
+    (``precision._round``) when z2 is None, for pairs whose mantissas have at
+    most wp bits.  Where the smaller of z2 and e tops out (exponent plus bit
+    length) more than G = (k + 2) * wp + 2 binades below the larger, A = a * 2**u
+    with top t, s = 2**(t - G - 2) replaces it, so the sum stays near G bits.
+    Both lie in (0, A * 2**-G), so with x = N / A, N = n * 2**v the numerator,
+    both quotients lie in (x / (1 + 2**-G), x).  They round alike, as no
+    c * 2**f with |c| < 2**(wp+1) (a representable number or a midpoint) lies
+    there: x - c * 2**f is a nonzero multiple of 2**min(v - u, f) / a, so at
+    least x / n or 2**f / a > x / (a * 2**(wp+2)) (as c * 2**f > x / 2), and both
+    exceed x * 2**-G, as n < 2**((k+1)*wp) and a < 2**wp.
+
+    The running sum is ``precision._sum``.  The tail ends at the
+    _TAIL_RUN-th negligible term in a row, |term| <= 2**-wp * |total|: a zero
+    term is, and otherwise the magnitudes (exponent plus bit length, 0 for a
+    zero total) decide, unless they lie exactly wp binades apart
+    (``_negligible``).
+    """
+    get = rows.get
+    sm, se = total
+    if z2 is not None:
+        top = z2[1] + z2[0].bit_length()
+        far = (k + 2) * wp + 2
+    run = 0
+    for j in js:
+        t = j * dt
+        row = get(t) or cold(t, j)
+        (em, ee), (wm, we) = row[0], row[column]
+        if z2 is None:
+            tm, te = _round(wm * em**k, we + k * ee, wp, round_nearest)
+        else:
+            num = wm * em**k, we + k * ee
+            gap = top - ee - em.bit_length()  # z2's top less e's
+            zm, ze = z2 if gap >= -far else (1, top - gap - far - 2)
+            if gap > far:
+                em, ee = 1, top - far - 2
+            tm, te = _quotient(num, ((zm << (ze - ee)) + em, ee) if ze > ee
+                               else (zm + (em << (ee - ze)), ze), wp, round_nearest)
+        sm, se = _sum((sm, se), (tm, te), wp)
+        gap = (se + sm.bit_length() if sm else 0) - te - tm.bit_length()
+        if not tm or (gap > wp if gap != wp or not sm else _negligible((tm, te), (sm, se), wp)):
+            run += 1
+            if run >= _TAIL_RUN:
+                return (sm, se), True
+        else:
+            run = 0
+    return (sm, se), False
 
 
 @lru_cache(maxsize=4)
@@ -305,8 +354,9 @@ def _node_table(precision: int) -> _NodeTable:
     return _NodeTable()
 
 
-def _de_quad_half_line(family: ThetaFamily, integrand, spec: QuadratureSpec, store: bool):
-    """Integrate f(eta) * weight(eta) over (0, inf), double-exponentially.
+def _de_quad_half_line(family: ThetaFamily, k: int, z2, spec: QuadratureSpec, store: bool):
+    """Integrate eta**(2k) * weight(eta) over (0, inf), over z2 + eta**2 unless
+    z2 is None, double-exponentially.
 
     Substitutes eta = exp((pi/2) * sinh(t)) and applies the trapezoid rule in
     t with dyadic step refinement, reusing previous levels.  Refinement stops
@@ -320,64 +370,50 @@ def _de_quad_half_line(family: ThetaFamily, integrand, spec: QuadratureSpec, sto
     z-free and positive: read from the row of the precision's node table
     (see ``_NodeTable``), else libmp calls at ``working_bits(P)`` on the eta
     and (pi/2)*cosh t of the level's recurrence (see ``_Level``), 1 and pi/2
-    at t = 0.  With ``store`` such a node's row is built whole, the W of
-    every family from one ``_weights`` call, and kept; without it only this
-    family's W is computed.  ``integrand(e, W)`` maps their tuples'
-    (mantissa, exponent) to the node's term f(eta) * W(t), one rounding (see
-    ``_integrand``).  The half-sums are ``precision._sum`` and the tail test
-    ``_negligible``.
+    at t = 0, made pairs once.  With ``store`` such a node's row is built
+    whole, the W of every family from one ``_weights`` call, and kept;
+    without it only this family's W is computed.  Each side of a level is
+    one loop over the pairs, ``_half_sum``.
 
     Returns (value, error_estimate) as mpf at working precision.  Raises
-    QuadratureNonConvergence if the level cap is hit first.
+    QuadratureNonConvergence if the level cap or the tail cap is hit first,
+    with the last completed level's estimate and its difference from the
+    level before, each None where there is none.
     """
     prec = spec.precision
     wp = working_bits(prec)
     rows = _node_table(prec).rows
     families = tuple(ThetaFamily) if store else (family,)
-    target = spec.effective_tol()._mpf_
+    column = _COLUMNS[family]
+    estimate = err = None
 
-    def g(t: float, cold, n: int):
-        # the node value at t; cold(n) gives (eta, lam*cosh t) where t has no
-        # row.  t is dyadic, so the float key is exact.
-        row = rows.get(t)
-        if row is None:
-            eta, lc = cold(n)
-            row = [eta, lc, mpf_mul(eta, eta, wp, round_nearest)]
-            row += [mpf_mul(mpf_mul(weight, lc, wp, round_nearest), eta, wp, round_nearest)
-                    for weight in _weights(families, eta, wp)]
-            if not store:
-                return integrand(row[2][1:3], row[3][1:3])
-            row = rows.setdefault(t, row)
-        return integrand(row[2][1:3], row[_COLUMNS[family]][1:3])
+    def cold(t, eta, lc):
+        # the row at a t without one; W of this family alone unless stored
+        row = [mpf_mul(eta, eta, wp, round_nearest)[1:3]] + [None] * len(_COLUMNS)
+        for each, weight in zip(families, _weights(families, eta, wp)):
+            row[_COLUMNS[each]] = mpf_mul(mpf_mul(weight, lc, wp, round_nearest), eta,
+                                          wp, round_nearest)[1:3]
+        return rows.setdefault(t, row) if store else row
 
     def half_sums(h, start, step):
-        # sum of g(j*h) over j = start, start+step, ... on both sides of 0
+        # sum of the nodes j*h over j = start, start+step, ... on both sides of 0
         level = _Level(start * h, step * h, wp)
         total = (0, 0)
-        for sgn, cold in ((1, level.node), (-1, level.mirror)):
-            n = run = 0
-            while True:
-                j = start + n * step
-                if j > _TAIL_CAP:
-                    raise QuadratureNonConvergence(
-                        "tail truncation cap exceeded", value=mp.make_mpf(from_man_exp(*total))
-                    )
-                term = g(sgn * j * h, cold, n)
-                total = _sum(total, term, wp)
-                if _negligible(term, total, wp):
-                    run += 1
-                    if run >= _TAIL_RUN:
-                        break
-                else:
-                    run = 0
-                n += 1
+        for sgn, node in ((1, level.node), (-1, level.mirror)):
+            total, ended = _half_sum(total, rows, lambda t, j, node=node: cold(
+                t, *node((j - start) // step)), range(start, _TAIL_CAP + 1, step), sgn * h,
+                column, k, z2, wp)
+            if not ended:
+                raise _unconverged("tail truncation cap exceeded", estimate, err)
         return from_man_exp(*total)
 
     lam = mpf_shift(mpf_pi(wp, round_nearest), -1)
     h = 1.0
-    estimate = mpf_add(from_man_exp(*g(0.0, lambda n: (fone, lam), 0)), half_sums(h, 1, 1),
-                       wp, round_nearest)
-    previous = err = None
+    # the node at t = 0 alone, then its level's two sides
+    middle, _ = _half_sum((0, 0), rows, lambda t, j: cold(t, fone, lam), range(1), 0.0,
+                          column, k, z2, wp)
+    estimate = mpf_add(from_man_exp(*middle), half_sums(h, 1, 1), wp, round_nearest)
+    previous = None
     for level in range(1, _MAX_LEVELS + 1):
         h = h / 2
         # estimate/2 + h * (sum over the new nodes), with h = 2**-level
@@ -385,43 +421,18 @@ def _de_quad_half_line(family: ThetaFamily, integrand, spec: QuadratureSpec, sto
                            mpf_shift(half_sums(h, 1, 2), -level), wp, round_nearest)
         if previous is not None:
             err = mpf_abs(mpf_sub(estimate, previous, wp, round_nearest))
-            if mpf_le(err, mpf_mul(target, mpf_abs(estimate), wp, round_nearest)):
+            # effective_tol() * |estimate|, exact: the tolerance is a power of two
+            if mpf_le(err, mpf_shift(mpf_abs(estimate), 32 - prec)):
                 return mp.make_mpf(estimate), mp.make_mpf(err)
         previous = estimate
-    raise QuadratureNonConvergence(
-        f"no convergence within {_MAX_LEVELS} refinement levels",
-        value=mp.make_mpf(estimate),
-        error=None if err is None else mp.make_mpf(err),
-    )
+    raise _unconverged(f"no convergence within {_MAX_LEVELS} refinement levels", estimate, err)
 
 
-def _integrand(k: int, z2, wp: int):
-    """(e, W) -> the node's term: the exact W * e**k, over the exact z2 + e
-    unless z2 is None, rounded once to nearest at wp bits, for pairs e, W and
-    z2 > 0 whose mantissas, trailing zeros dropped, have at most wp bits.
-
-    Where the smaller of z2 and e tops out (exponent plus bit length) more
-    than G = (k + 2) * wp + 2 binades below the larger, A = a * 2**u with top
-    t, s = 2**(t - G - 2) replaces it, so the sum stays near G bits.  Both lie
-    in (0, A * 2**-G), so with x = N / A, N = n * 2**v the numerator, both
-    quotients lie in (x / (1 + 2**-G), x).  They round alike, as no c * 2**f
-    with |c| < 2**(wp+1) (a representable number or a midpoint) lies there:
-    x - c * 2**f is a nonzero multiple of 2**min(v - u, f) / a, so at least
-    x / n or 2**f / a > x / (a * 2**(wp+2)) (as c * 2**f > x / 2), and both
-    exceed x * 2**-G, as n < 2**((k+1)*wp) and a < 2**wp.
-    """
-    if z2 is None:
-        return lambda e, w: _round(w[0] * e[0] ** k, w[1] + k * e[1], wp, round_nearest)
-    far = (k + 2) * wp + 2
-    top = z2[1] + z2[0].bit_length()
-
-    def term(e, w):
-        gap = top - e[1] - e[0].bit_length()  # z2's top less e's
-        d = _exact_sum(z2 if gap >= -far else (1, top - gap - far - 2),
-                       e if gap <= far else (1, top - far - 2))
-        return _quotient((w[0] * e[0] ** k, w[1] + k * e[1]), d, wp, round_nearest)
-
-    return term
+def _unconverged(message: str, estimate, err) -> QuadratureNonConvergence:
+    """The error of a quadrature a cap stopped, with the last completed
+    level's estimate and difference as mpf, each None where there is none."""
+    value, error = (None if x is None else mp.make_mpf(x) for x in (estimate, err))
+    return QuadratureNonConvergence(message, value=value, error=error)
 
 
 def _moment_integral(family: ThetaFamily, k: int, spec: QuadratureSpec):
@@ -430,8 +441,7 @@ def _moment_integral(family: ThetaFamily, k: int, spec: QuadratureSpec):
     node it computes gets its whole row."""
     table = _node_table(spec.precision)
     if (family, k) not in table.moments:
-        table.moments[family, k] = _de_quad_half_line(
-            family, _integrand(k, None, working_bits(spec.precision)), spec, True)
+        table.moments[family, k] = _de_quad_half_line(family, k, None, spec, True)
     return table.moments[family, k]
 
 
@@ -443,7 +453,7 @@ def _damped_moment_integral(family: ThetaFamily, k: int, z: mpf, spec: Quadratur
     storing from the family's second damped quadrature at the precision."""
     wp = working_bits(spec.precision)
     x = mpf_pos(z._mpf_, wp, round_nearest)[1:3]
-    return _de_quad_half_line(family, _integrand(k, _product(x, x, wp), wp), spec,
+    return _de_quad_half_line(family, k, _product(x, x, wp), spec,
                               _node_table(spec.precision).storing(family))
 
 

@@ -12,9 +12,8 @@ integers.  z is rounded to nearest, ``tol`` and the coefficient table down,
 the truncation search's bound up.  ``_product``, ``_quotient`` and ``_sum``
 are exact integer arithmetic on (mantissa, exponent) pairs rounded to
 nearest by it, so they have the bits of libmp's ``mpf_mul``, ``mpf_div`` and
-``mpf_add``; ``_exact_sum`` is ``_sum`` unrounded.  The series walk and the
-quadrature's warm node loop call them.  Error messages print their numbers
-through ``_nstr``.
+``mpf_add``.  The series walk and the quadrature's node loop call them.
+Error messages print their numbers through ``_nstr``.
 
 No module reads or sets mpmath's global ``mp.prec``.  Hot paths are libmp
 calls at an explicit precision; other code uses operators on the numbers of
@@ -159,19 +158,11 @@ def _quotient(a: tuple, b: tuple, bits: int, rounding: str) -> tuple:
     return _round(2 * q + (r != 0), ae - be - shift - 1, bits, rounding)
 
 
-def _exact_sum(a: tuple, b: tuple) -> tuple:
-    """a + b exactly, at the smaller exponent: its length grows with their distance."""
-    (am, ae), (bm, be) = a, b
-    if ae > be:
-        return (am << (ae - be)) + bm, be
-    return am + (bm << (be - ae)), ae
-
-
 def _sum(a: tuple, b: tuple, wp: int) -> tuple:
-    """``_exact_sum`` rounded to nearest, written out (a call costs a third of
-    the step), for addends of at most wp bits.  When one addend's top bit lies
-    more than wp + 2 binades below the other's, it is below a quarter unit in
-    the other's last place, so the other is the rounded sum, returned without
+    """a + b, exact at the smaller exponent, then rounded to nearest, for
+    addends of at most wp bits.  When one addend's top bit lies more than
+    wp + 2 binades below the other's, it is below a quarter unit in the
+    other's last place, so the other is the rounded sum, returned without
     aligning: at z = 1e100000 the aligned integers grow 660,000 bits a term."""
     (am, ae), (bm, be) = a, b
     if not am or not bm:

@@ -54,8 +54,8 @@ MUTANTS = (
     Mutant(
         "moment-integral-does-not-store",
         "oracle.py",
-        "family, _integrand(k, None, working_bits(spec.precision)), spec, True)",
-        "family, _integrand(k, None, working_bits(spec.precision)), spec, False)",
+        "table.moments[family, k] = _de_quad_half_line(family, k, None, spec, True)",
+        "table.moments[family, k] = _de_quad_half_line(family, k, None, spec, False)",
         ("tests/test_oracle.py::TestMoments",
          "tests/test_oracle.py::TestNodeTable::test_theta_ratio_at_a_fresh_precision_makes_each_eta_once"),
     ),
@@ -74,6 +74,39 @@ MUTANTS = (
         """    num, num_err = map(ctx.convert, _damped_moment_integral(family, k, zz, spec))
     den, den_err = map(ctx.convert, _moment_integral(family, k, spec))""",
         ("tests/test_oracle.py::TestNodeTable::test_theta_ratio_at_a_fresh_precision_makes_each_eta_once",),
+    ),
+    Mutant(
+        "node-far-gap-at-wp-plus-2",
+        "oracle.py",
+        "far = (k + 2) * wp + 2",
+        "far = wp + 2",
+        ("tests/test_walk_rounding.py::test_a_node_term_is_one_libmp_rounding",
+         "tests/test_oracle.py::TestLibmpLoop"),
+    ),
+    Mutant(
+        "sum-shortcut-at-wp",
+        "precision.py",
+        "if abs(gap) > wp + 2:",
+        "if abs(gap) > wp:",
+        ("tests/test_walk_rounding.py::test_sum_around_the_shortcut_threshold",
+         "tests/test_walk_rounding.py::test_sum_is_libmps",
+         "tests/test_oracle.py::TestLibmpLoop"),
+    ),
+    Mutant(
+        "warm-read-wrong-column",
+        "oracle.py",
+        "(em, ee), (wm, we) = row[0], row[column]",
+        "(em, ee), (wm, we) = row[0], row[column % 3 + 1]",
+        ("tests/test_oracle.py::TestCoefficientQuadrature",
+         "tests/test_oracle.py::TestLibmpLoop"),
+    ),
+    Mutant(
+        "tail-run-of-one",
+        "oracle.py",
+        "_TAIL_RUN = 2",
+        "_TAIL_RUN = 1",
+        ("tests/test_oracle.py::TestZeroTerms",
+         "tests/test_oracle.py::TestLibmpLoop::test_matches_the_ambient_loop_bit_for_bit"),
     ),
     Mutant(
         "turns-strict",

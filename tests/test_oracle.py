@@ -25,6 +25,7 @@ from mpmath.libmp import (
     mpf_gt,
     mpf_le,
     mpf_mul,
+    mpf_pi,
     mpf_shift,
     mpf_sub,
     round_nearest,
@@ -47,7 +48,7 @@ from envasym import (
 from envasym import oracle, verify
 from envasym.coeffs import beta, beta_hat, beta_tilde
 from envasym.demo import enveloping_control_scan
-from envasym.precision import positive_real
+from envasym.precision import _round, positive_real
 
 SPEC = QuadratureSpec(precision=256)
 TIGHT = mpf(2) ** -200
@@ -289,13 +290,11 @@ class TestQuadratureSpec:
     def test_tolerance_floor(self):
         assert QuadratureSpec(precision=256).effective_tol() == mpf(2) ** -224
 
-    # The estimate after two levels, and the sum of the three nodes t = 1, 2, 3
-    # before the tail cap, at 288 bits: raw tuples, so a value that is not a
-    # finite positive mpf (mp.make_mpf of a pair passes isinstance) is seen.
+    # The estimate after two levels at 288 bits: a raw tuple, so a value that
+    # is not a finite positive mpf (mp.make_mpf of a pair passes isinstance)
+    # is seen.
     LEVEL_2 = (0, int("295586165260473897924705915904922505333777951386"
                       "321456544204875310421185107756460392137"), -293, 288)
-    TAIL_3 = (0, int("287206533851969911196028640534658032370819811689"
-                     "189650374400751291895063328724634987835"), -293, 288)
 
     @staticmethod
     def _raised(monkeypatch, name, cap):
@@ -303,7 +302,8 @@ class TestQuadratureSpec:
         _clear_value_caches()  # a cached value would skip the quadrature
         with pytest.raises(QuadratureNonConvergence) as info:
             binet_J(mpf("3.75"), SPEC)
-        mp.nstr(info.value.value, 10)
+        if info.value.value is not None:
+            mp.nstr(info.value.value, 10)
         return info.value
 
     def test_level_cap_raises(self, monkeypatch):
@@ -318,9 +318,19 @@ class TestQuadratureSpec:
         assert raised.error > 0
 
     def test_tail_cap_raises(self, monkeypatch):
-        raised = self._raised(monkeypatch, "_TAIL_CAP", 3)
+        # the tails of binet_J(3.75) reach j = 7 at level 0, 25 at level 2 and
+        # 47 at level 3: a cap of 3 trips before any level is complete, a cap
+        # of 30 at level 3, which reports level 2 as the level cap does
+        first = self._raised(monkeypatch, "_TAIL_CAP", 3)
+        assert "tail" in str(first)
+        assert first.value is None and first.error is None
+        raised = self._raised(monkeypatch, "_TAIL_CAP", 30)
         assert "tail" in str(raised)
-        assert raised.value._mpf_ == self.TAIL_3
+        capped = self._raised(monkeypatch, "_MAX_LEVELS", 2)
+        assert "levels" in str(capped)
+        assert raised.value._mpf_ == capped.value._mpf_ == self.LEVEL_2
+        assert raised.error._mpf_ == capped.error._mpf_
+        assert raised.error > 0
 
 
 class TestIntegerArguments:
@@ -387,8 +397,7 @@ def _moment_quadrature(family, k, spec, store=True):
     """The undamped moment integral by a single quadrature, bypassing the
     moments the precision's node table keeps; it stores as
     ``oracle._moment_integral`` does unless ``store`` is False."""
-    return oracle._de_quad_half_line(
-        family, oracle._integrand(k, None, spec.precision + 32), spec, store)
+    return oracle._de_quad_half_line(family, k, None, spec, store)
 
 
 def _quadratures(family, k, spec):
@@ -399,14 +408,30 @@ def _quadratures(family, k, spec):
     return [x._mpf_ for pair in (damped, moment) for x in pair]
 
 
+def _level_node(t, wp):
+    """(eta, lam*cosh t) at the node t, from the level of the quadrature that
+    visits it first: t = 0, level 0's nodes +-1, +-2, ..., or the odd
+    multiples of h = 2**-level."""
+    if t == 0:
+        return fone, mpf_shift(mpf_pi(wp, round_nearest), -1)
+    h = 1 / t.as_integer_ratio()[1]
+    start, step = (1, 1) if h == 1 else (1, 2)
+    level = oracle._Level(start * h, step * h, wp)
+    n = (int(abs(t) / h) - start) // step
+    return level.node(n) if t > 0 else level.mirror(n)
+
+
 def _whole(rows, wp):
-    """There are rows, and each holds eta, lam*cosh t and eta**2, then each
-    family's W as that family's own weight gives it."""
+    """There are rows, and each holds the pairs of e = eta**2 and of each
+    family's W, as that family's own weight gives it at the level's eta."""
     assert rows
-    for eta, lc, eta2, *ws in rows.values():
-        assert eta2 == mpf_mul(eta, eta, wp, round_nearest)
-        assert ws == [mpf_mul(mpf_mul(oracle._weight(family, eta, wp), lc, wp, round_nearest),
-                              eta, wp, round_nearest) for family in ThetaFamily]
+    for t, row in rows.items():
+        eta, lc = _level_node(t, wp)
+        want = [mpf_mul(eta, eta, wp, round_nearest)]
+        want += [mpf_mul(mpf_mul(oracle._weight(family, eta, wp), lc, wp, round_nearest),
+                         eta, wp, round_nearest) for family in ThetaFamily]
+        assert row == [x[1:3] for x in want], t
+        assert [row[oracle._COLUMNS[family]] for family in ThetaFamily] == row[1:]
     return True
 
 
@@ -593,8 +618,8 @@ class TestNodeTable:
         row = oracle._node_table(256).rows[3.5]
         column = oracle._COLUMNS[ThetaFamily.THETA]
         with mp.workprec(wp):
-            assert row[:3] == [eta._mpf_, lc._mpf_, (eta * eta)._mpf_]
-        assert row[column] == w._mpf_
+            assert row[0] == (eta * eta)._mpf_[1:3]
+        assert row[column] == w._mpf_[1:3]
         oracle._node_table.cache_clear()
         assert warm == _quadratures(ThetaFamily.THETA, 1, spec)
 
@@ -821,6 +846,35 @@ class TestLibmpLoop:
         assert len(oracle._node_table(64).rows) < len(oracle._node_table(256).rows)
         assert counts[64] == counts[256]
 
+    def test_a_warm_quadrature_makes_no_libmp_arithmetic(self, monkeypatch):
+        # on a table two earlier passes filled, a warm node reads pairs and
+        # rounds exact integers: no weight, level node, exp, log, product or
+        # quotient of libmp tuples, counted through the oracle's names
+        cases = [(ThetaFamily.THETA, 0, "7.3"), (ThetaFamily.THETA_TILDE, 3, "7.3"),
+                 (ThetaFamily.THETA_HAT, 2, None)]
+        specs = [QuadratureSpec(precision=precision) for precision in (64, 256)]
+        oracle._node_table.cache_clear()
+        for _ in range(2):  # nothing stored by a first damped quadrature, then storing
+            for spec in specs:
+                for case in cases:
+                    _quadrature(*case, spec)
+        calls = []
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls.append(name)
+                return fn(*args)
+            return wrapper
+
+        with monkeypatch.context() as patch:
+            for name in ("_weights", "mpf_exp", "mpf_log", "mpf_mul", "mpf_div"):
+                patch.setattr(oracle, name, counted(name, getattr(oracle, name)))
+            patch.setattr(oracle._Level, "node", counted("node", oracle._Level.node))
+            for spec in specs:
+                for case in cases:
+                    _quadrature(*case, spec)
+        assert calls == []
+
     def test_a_warm_node_takes_no_power(self, monkeypatch):
         # e**k is an exact integer power: a warm node, damped or not, calls
         # no mpf_pow_int
@@ -844,7 +898,7 @@ class TestLibmpLoop:
 
 def tuple_negligible(term, total, wp):
     """The tail test on raw libmp tuples, as the quadrature made it before its
-    warm loop moved onto integer pairs: the reference for ``oracle._negligible``."""
+    warm loop moved onto integer pairs: the reference for the node loop's."""
     if term == fzero:
         return True
     gap = (total[2] + total[3]) - (term[2] + term[3])
@@ -881,24 +935,50 @@ def tail_tests(draw):
     return (tm, te), (sm, se), wp
 
 
+def _exact_difference(a, b):
+    """a - b exactly, as a pair; a zero is not aligned, as the exponents lie
+    up to 2 * 10**12 apart."""
+    (am, ae), (bm, be) = a, b
+    if not (am and bm):
+        return a if am else (-bm, be)
+    e = min(ae, be)
+    return (am << (ae - e)) - (bm << (be - e)), e
+
+
+def loop_ends_tail(term, total, wp):
+    """(ended, term, got): the node loop's tail decision at a node whose term,
+    rounded to wp bits as the loop rounds it, brings the sum before it, the
+    total less the term, to got; a zero node follows, so the tail ends
+    exactly when the term is negligible against got."""
+    term = _round(*term, wp, round_nearest)
+    start = _exact_difference(total, term)
+    rows = {1.0: [(1, 0), term], 2.0: [(1, 0), (0, 0)]}
+    got, ended = oracle._half_sum(start, rows, None, range(1, 3), 1.0, 1, 0, None, wp)
+    tops = [m[1] + abs(m[0]).bit_length() for m in (start, term)]
+    if start[0] and term[0] and abs(tops[0] - tops[1]) <= wp + 2:
+        assert from_man_exp(*got) == from_man_exp(*total)  # no shortcut: exact
+    return ended, term, got
+
+
 class TestTailTest:
-    """``oracle._negligible`` on pairs against the tuple test it replaced.
+    """The node loop's tail test on pairs (``oracle._half_sum``, with
+    ``oracle._negligible`` at a tie) against the tuple test it replaced.
     CI runs this class a second time under the ``ci`` Hypothesis profile."""
 
     @settings(deadline=None)
     @given(tail_tests())
     def test_decides_as_the_tuple_test(self, term_total_wp):
-        term, total, wp = term_total_wp
-        want = tuple_negligible(from_man_exp(*term), from_man_exp(*total), wp)
-        assert oracle._negligible(term, total, wp) == want
+        ended, term, got = loop_ends_tail(*term_total_wp)
+        wp = term_total_wp[2]
+        assert ended == tuple_negligible(from_man_exp(*term), from_man_exp(*got), wp)
 
     def test_ties_on_both_sides(self):
-        for wp in (1, 64, 288):
+        for wp in (2, 64, 288):
             total = (3 << wp, -10**12)
             for term, want in (((3, -10**12), True), ((4, -10**12), False),
                                ((2, -10**12), True), ((3, -10**12 + 1), False),
                                ((-3, -10**12), True), ((6, -10**12 - 1), True)):
-                assert oracle._negligible(term, total, wp) is want, (wp, term)
+                assert loop_ends_tail(term, total, wp)[0] is want, (wp, term)
                 assert tuple_negligible(from_man_exp(*term), from_man_exp(*total), wp) is want
 
 
@@ -1008,17 +1088,29 @@ class TestWeight:
 
 class TestZeroTerms:
     def test_a_zero_term_is_negligible(self):
-        assert oracle._negligible((0, 0), (3, 0), 288)
-        assert oracle._negligible((0, 0), (0, 0), 288)
-        assert not oracle._negligible((1, 0), (3, 0), 288)
+        assert loop_ends_tail((0, 0), (3, 0), 288)[0]
+        assert loop_ends_tail((0, 0), (0, 0), 288)[0]
+        assert not loop_ends_tail((1, 0), (3, 0), 288)[0]
+
+    def test_a_lone_zero_node_does_not_end_a_tail(self):
+        # _TAIL_RUN negligible nodes in a row end a tail, a lone one does not
+        terms = [(3, 0), (0, 0), (3, 0), (0, 0), (0, 0), (3, 0)]
+        rows = {float(j): [(1, 0), w] for j, w in enumerate(terms, start=1)}
+        total, ended = oracle._half_sum((0, 0), rows, None, range(1, 7), 1.0, 1, 0, None, 64)
+        assert ended and total == (6, 0)
 
     def test_a_factor_that_vanishes_in_the_tail_ends_the_tail(self, monkeypatch):
         # zero terms that were never negligible walked the tail to the cap
         monkeypatch.setattr(oracle, "_TAIL_CAP", 10**3)
-        cut = from_int(2**16)  # on eta**2
-        value, _ = oracle._de_quad_half_line(
-            ThetaFamily.THETA, lambda e, w: (0, 0) if mpf_gt(from_man_exp(*e), cut) else w, SPEC,
-            False)
+        cut = from_int(2**8)  # on eta
+
+        def vanishing(families, eta, wp, fn=oracle._weights):
+            return [fzero] * len(families) if mpf_gt(eta, cut) else fn(families, eta, wp)
+
+        monkeypatch.setattr(oracle, "_weights", vanishing)
+        oracle._node_table.cache_clear()  # every node cold, none stored
+        value, _ = oracle._de_quad_half_line(ThetaFamily.THETA, 0, None, SPEC, False)
+        assert not oracle._node_table(SPEC.precision).rows
         # beyond eta = 2**8 theta < e^(-1600), far below 2**-288 of the whole
         # integral, which is pi times beta_0 = 1/12
         with mp.workprec(320):

@@ -2,12 +2,13 @@
 
 ``precision._round`` rounds a signed m * 2**e to nearest, down or up at a
 given number of bits, and ``_product``, ``_quotient`` and ``_sum`` are exact
-integer arithmetic followed by it.  The series walk and the quadrature's warm
-node loop (``oracle._de_quad_half_line``) take every step through them; a
-node's term (``oracle._integrand``) is one ``_round`` or ``_quotient`` of
-exact integers.  libmp rounds correctly in these modes, so each must give
-libmp's bits exactly: ``from_man_exp(m, e, bits, rounding)``, ``mpf_mul``,
-``mpf_div`` and ``mpf_add``.  The walk's coefficient table,
+integer arithmetic followed by it.  The series walk and the quadrature's
+node loop (``oracle._half_sum``) take every step through them; the loop
+forms a node's term as one ``_round`` or ``_quotient`` of exact integers,
+checked through the loop itself on one planted node.  libmp rounds
+correctly in these modes, so each must give libmp's bits exactly:
+``from_man_exp(m, e, bits, rounding)``, ``mpf_mul``, ``mpf_div`` and
+``mpf_add``.  The walk's coefficient table,
 ``series._rounded_coefficient``, must hold ``from_rational``'s floor.  CI
 runs this file a second time under the ``ci`` Hypothesis profile
 (``HYPOTHESIS_PROFILE=ci``, 2,000 examples).
@@ -29,7 +30,7 @@ from mpmath.libmp import (
 )
 
 from envasym import coeffs
-from envasym.oracle import _integrand
+from envasym.oracle import _half_sum
 from envasym.precision import _product, _quotient, _round, _sum
 from envasym.series import _rounded_coefficient
 
@@ -194,8 +195,8 @@ def top(pair):
 
 @st.composite
 def node_terms(draw):
-    """(e, w, k, z2, wp) for ``oracle._integrand``, z2 None for an undamped
-    node.  Shapes:
+    """(e, w, k, z2, wp) for a node of ``oracle._half_sum``, z2 None for an
+    undamped node.  Shapes:
 
     * random positive pairs of at most wp bits, z2's top up to 5,000 binades
       above or below e's;
@@ -244,6 +245,13 @@ def node_terms(draw):
     return e, w, k, (small, top(e) - gap - small.bit_length()), wp
 
 
+def loop_term(e, w, k, z2, wp):
+    """The term ``oracle._half_sum`` makes of one node, planted at t = 1 with
+    the pairs e and w: the loop's sum from a zero total is the term itself."""
+    got, _ = _half_sum((0, 0), {1.0: [e, w]}, None, range(1, 2), 1.0, 1, k, z2, wp)
+    return got
+
+
 def node_reference(e, w, k, z2, wp):
     """The node's term in libmp calls: W * e**k exactly, then one mpf_mul,
     or one mpf_div by the exact z2 + e, at wp bits."""
@@ -257,8 +265,12 @@ def node_reference(e, w, k, z2, wp):
 
 @settings(deadline=None)
 @given(node_terms())
+# e 11 and 43 binades below z2 = 1, inside G = 17 and 62: a stand-in at
+# wp + 2 binades rounds these quotients the other way
+@example(((29, -15), (26, 2), 1, (1, 0), 5))
+@example(((1005, -52), (3248, -5), 3, (1, 0), 12))
 def test_a_node_term_is_one_libmp_rounding(node):
     e, w, k, z2, wp = node
-    got = _integrand(k, z2, wp)(e, w)
+    got = loop_term(e, w, k, z2, wp)
     assert raw(got) == node_reference(e, w, k, z2, wp)
     assert abs(got[0]).bit_length() <= wp or got[0] == 2**wp
