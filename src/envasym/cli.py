@@ -69,37 +69,33 @@ def _build_parser() -> _Parser:
     change it; it holds no default that ``ENVASYM_PRECISION`` sets."""
     parser = _Parser(prog="envasym", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
-
-    fmt = {"choices": ["json", "csv", "plain"], "default": "json"}
     series_names = [kind.value for kind in SeriesKind]
 
     p = sub.add_parser("coeffs", help="exact rational series coefficients")
+    p.set_defaults(run=_cmd_coeffs)
     p.add_argument("--family", required=True, choices=sorted(coeffs.COEFFICIENT_FAMILIES))
     p.add_argument("--max-k", required=True, type=int, metavar="K")
-    p.add_argument("--format", **fmt)
 
     p = sub.add_parser("eval", help="certified evaluation of a full function")
+    p.set_defaults(run=_cmd_eval)
     p.add_argument("--series", required=True, choices=series_names)
     p.add_argument("--z", required=True, metavar="Z")
     group = p.add_mutually_exclusive_group()
     group.add_argument("--tol", metavar="T")
     group.add_argument("--terms", type=int, metavar="K")
-    p.add_argument("--precision", type=int, metavar="P")
-    p.add_argument("--format", **fmt)
 
     p = sub.add_parser("bound", help="enclosure of the series tail after K terms")
+    p.set_defaults(run=_cmd_bound)
     p.add_argument("--series", required=True, choices=series_names)
     p.add_argument("--z", required=True, metavar="Z")
     p.add_argument("--terms", required=True, type=int, metavar="K")
-    p.add_argument("--precision", type=int, metavar="P")
-    p.add_argument("--format", **fmt)
 
     p = sub.add_parser("verify", help="run the oracle cross-check suite")
+    p.set_defaults(run=_cmd_verify)
     p.add_argument("--deep", action="store_true")
-    p.add_argument("--precision", type=int, metavar="P")
-    p.add_argument("--format", **fmt)
 
     p = sub.add_parser("demo", help="search for envelope-violation witnesses")
+    p.set_defaults(run=_cmd_demo)
     p.add_argument("--b", required=True, metavar="B")
     p.add_argument("--x-from", default="5", metavar="A")
     p.add_argument("--x-to", default="20", metavar="C")
@@ -107,58 +103,61 @@ def _build_parser() -> _Parser:
                    help=f"grid points, 1 to {DEMO_STEPS_CAP} (default 16)")
     p.add_argument("--k-max", type=int, default=5, metavar="K",
                    help=f"largest truncation index, 1 to {series.INDEX_CAP} (default 5)")
-    p.add_argument("--precision", type=int, metavar="P")
-    p.add_argument("--format", **fmt)
 
+    # The shared options come after each command's own, as its help lists them.
+    for name, p in sub.choices.items():
+        if name != "coeffs":
+            p.add_argument("--precision", type=int, metavar="P")
+        p.add_argument("--format", choices=["json", "csv", "plain"], default="json")
     return parser
 
 
-def _resolve_precision(flag, fallback: int = DEFAULT_PRECISION) -> int:
-    """``--precision`` if given, else ``ENVASYM_PRECISION`` if set, else ``fallback``."""
-    if flag is not None:
-        if flag < MIN_PRECISION:
-            raise _UsageError(f"--precision must be >= {MIN_PRECISION}")
-        return flag
-    raw = os.environ.get(PRECISION_ENV_VAR)
+def _in_range(value: int, least: int, flag: str, cap: int | None = None) -> int:
+    """``value`` if it lies in [least, cap] (no cap when None), else a usage error."""
+    if value < least:
+        raise _UsageError(f"{flag} must be >= {least}")
+    if cap is not None and value > cap:
+        raise _UsageError(f"{flag} must be <= {cap}, got {value}")
+    return value
+
+
+def _resolve_precision(args) -> int:
+    """``--precision`` where the command has it and it is given, else
+    ``ENVASYM_PRECISION`` if set, else 256 bits, or verify's own default."""
+    flag, raw = "--precision", getattr(args, "precision", None)
     if raw is None:
-        return fallback
+        flag, raw = PRECISION_ENV_VAR, os.environ.get(PRECISION_ENV_VAR)
+    if raw is None:
+        if args.command == "verify":
+            return verify._precision(args.deep, None)
+        return DEFAULT_PRECISION
     try:
-        value = int(raw)
-    except ValueError:
+        bits = int(raw)
+    except ValueError:  # only the variable can fail: argparse reads the flag
         raise _UsageError(
             f"{PRECISION_ENV_VAR} must be an integer number of bits, got {raw!r}"
         ) from None
-    if value < MIN_PRECISION:
-        raise _UsageError(f"{PRECISION_ENV_VAR} must be >= {MIN_PRECISION}")
-    return value
+    return _in_range(bits, MIN_PRECISION, flag)
 
 
 def _parse_real(raw: str, precision: int, what: str) -> None:
     """A usage error unless ``raw`` parses as a number; callers pass ``raw`` on."""
     try:
         convert(raw, precision)
-    except (ValueError, TypeError):
+    except (ValueError, TypeError, ZeroDivisionError):  # "3/0" divides
         raise _UsageError(f"{what} must be a decimal number, got {raw!r}") from None
 
 
-def _parse_argument(raw: str, precision: int):
-    """Series argument: an int when the literal is one, so integer kinds accept
-    it, else the checked literal, so the library reads the number it spells."""
+def _series_argument(args, precision: int):
+    """eval's and bound's (kind, z): z is an int when the literal is one, so
+    integer kinds accept it, else the checked literal, so the library reads
+    the number it spells."""
+    kind = SeriesKind.from_name(args.series)
     try:
-        return int(raw)
+        return kind, int(args.z)
     except ValueError:
-        _parse_real(raw, precision, "--z")
-        return raw
-
-
-def _record(command: str, params: dict, precision: int, result) -> dict:
-    return {
-        "format_version": FORMAT_VERSION,
-        "command": command,
-        "params": params,
-        "precision": precision,
-        "result": result,
-    }
+        _parse_real(args.z, precision, "--z")
+        return kind, args.z
 
 
 def _emit(fmt: str, record: dict, csv_rows: list[dict], plain_lines: list[str]) -> None:
@@ -177,9 +176,11 @@ def _emit(fmt: str, record: dict, csv_rows: list[dict], plain_lines: list[str]) 
     sys.stdout.write("".join(line + "\n" for line in lines))
 
 
-def _cmd_coeffs(args) -> int:
-    if args.max_k < 0:
-        raise _UsageError("--max-k must be >= 0")
+# Each command takes the parsed arguments and the resolved precision and
+# returns its record's params and result, its CSV rows and its plain lines.
+
+def _cmd_coeffs(args, precision: int):
+    _in_range(args.max_k, 0, "--max-k")
     rows = []
     for k in range(args.max_k + 1):
         f = coeffs.COEFFICIENT_FAMILIES[args.family](k)
@@ -192,27 +193,21 @@ def _cmd_coeffs(args) -> int:
                 f"(sys.set_int_max_str_digits); use a smaller --max-k") from None
         rows.append({"k": k, "numerator": f.numerator, "denominator": f.denominator,
                      "fraction": fraction})
-    record = _record("coeffs", {"family": args.family, "max_k": args.max_k},
-                     _resolve_precision(None), {"rows": rows})
-    _emit(args.format, record, [{"family": args.family, **r} for r in rows],
-          [f"{args.family}({r['k']}) = {r['fraction']}" for r in rows])
-    return EXIT_OK
+    return ({"family": args.family, "max_k": args.max_k}, {"rows": rows},
+            [{"family": args.family, **r} for r in rows],
+            [f"{args.family}({r['k']}) = {r['fraction']}" for r in rows])
 
 
 _EVALUATORS = {kind: getattr(series, kind.row.evaluation) for kind in SeriesKind}
 
 
-def _cmd_eval(args) -> int:
-    precision = _resolve_precision(args.precision)
-    kind = SeriesKind.from_name(args.series)
-    z = _parse_argument(args.z, precision)
-    tol = args.tol
-    terms = args.terms
-    if terms is not None and terms < 0:
-        raise _UsageError("--terms must be >= 0")
-    if tol is None and terms is None:
-        tol = series._DEFAULT_TOL
-    if tol is not None:
+def _cmd_eval(args, precision: int):
+    kind, z = _series_argument(args, precision)
+    tol, terms = args.tol, args.terms
+    if terms is not None:
+        _in_range(terms, 0, "--terms")
+    else:
+        tol = series._DEFAULT_TOL if tol is None else tol
         # validate eagerly so garbage is a usage error, not a numeric one
         _parse_real(tol, precision, "--tol")
     certified = _EVALUATORS[kind](z, tol, terms=terms, precision=precision)
@@ -227,24 +222,20 @@ def _cmd_eval(args) -> int:
     }
     params = {"series": args.series, "z": args.z, "tol": tol, "terms": terms}
     row = {**params, "k_used": certified.k_used, **result}  # k_used is the first result column
-    _emit(args.format, _record("eval", params, precision, result), [row],
-          [f"series       = {args.series}",
-           f"z            = {args.z}",
-           f"k_used       = {certified.k_used}",
-           f"value        = {result['value']}",
-           f"error_bound  = {result['error_bound']}",
-           f"error_sign   = {certified.error_sign:+d}",
-           f"enclosure    = [{result['lo']}, {result['hi']}]",
-           f"precision    = {precision}"])
-    return EXIT_OK
+    return params, result, [row], [
+        f"series       = {args.series}",
+        f"z            = {args.z}",
+        f"k_used       = {certified.k_used}",
+        f"value        = {result['value']}",
+        f"error_bound  = {result['error_bound']}",
+        f"error_sign   = {certified.error_sign:+d}",
+        f"enclosure    = [{result['lo']}, {result['hi']}]",
+        f"precision    = {precision}"]
 
 
-def _cmd_bound(args) -> int:
-    precision = _resolve_precision(args.precision)
-    kind = SeriesKind.from_name(args.series)
-    if args.terms < 0:
-        raise _UsageError("--terms must be >= 0")
-    z = _parse_argument(args.z, precision)
+def _cmd_bound(args, precision: int):
+    _in_range(args.terms, 0, "--terms")
+    kind, z = _series_argument(args, precision)
     env = series.envelope_interval(kind, z, args.terms, precision)
     result = {
         "lo": format_real(env.lo, precision),
@@ -254,36 +245,28 @@ def _cmd_bound(args) -> int:
     }
     params = {"series": args.series, "z": args.z, "terms": args.terms}
     row = {**params, "k_used": env.k_used, **result}  # k_used is the first result column
-    _emit(args.format, _record("bound", params, precision, result), [row],
-          [f"series    = {args.series}",
-           f"z         = {args.z}",
-           f"k_used    = {env.k_used}",
-           f"enclosure = [{result['lo']}, {result['hi']}]",
-           f"bound     = {result['bound']}",
-           f"precision = {precision}"])
-    return EXIT_OK
+    return params, result, [row], [
+        f"series    = {args.series}",
+        f"z         = {args.z}",
+        f"k_used    = {env.k_used}",
+        f"enclosure = [{result['lo']}, {result['hi']}]",
+        f"bound     = {result['bound']}",
+        f"precision = {precision}"]
 
 
-def _cmd_verify(args) -> int:
-    precision = _resolve_precision(args.precision, verify._precision(args.deep, None))
+def _cmd_verify(args, precision: int):
     results = verify.run_verification(deep=args.deep, precision=precision)
     passed = all(r.passed for r in results)
     checks = [{"name": r.name, "passed": r.passed, "detail": r.detail} for r in results]
-    record = _record("verify", {"deep": args.deep}, precision,
-                     {"passed": passed, "checks": checks})
     rows = [{"deep": args.deep, **c, "detail": '"' + c["detail"].replace('"', "'") + '"'}
             for c in checks]
-    _emit(args.format, record, rows,
-          [f"{'PASS' if r.passed else 'FAIL'} {r.name}: {r.detail}" for r in results]
-          + [f"{'PASS' if passed else 'FAIL'} overall ({len(results)} checks)"])
-    return EXIT_OK if passed else EXIT_VERIFY_FAILED
+    return ({"deep": args.deep}, {"passed": passed, "checks": checks}, rows,
+            [f"{'PASS' if r.passed else 'FAIL'} {r.name}: {r.detail}" for r in results]
+            + [f"{'PASS' if passed else 'FAIL'} overall ({len(results)} checks)"])
 
 
 def _demo_grid(x_from, x_to, steps: int, precision: int):
-    if steps < 1:
-        raise _UsageError("--steps must be >= 1")
-    if steps > DEMO_STEPS_CAP:
-        raise _UsageError(f"--steps must be <= {DEMO_STEPS_CAP}, got {steps}")
+    _in_range(steps, 1, "--steps", DEMO_STEPS_CAP)
     _parse_real(x_from, precision, "--x-from")
     _parse_real(x_to, precision, "--x-to")
     a = exact(x_from, precision, "--x-from")
@@ -294,12 +277,8 @@ def _demo_grid(x_from, x_to, steps: int, precision: int):
     return [a + i * step for i in range(steps)]
 
 
-def _cmd_demo(args) -> int:
-    precision = _resolve_precision(args.precision)
-    if args.k_max < 1:
-        raise _UsageError("--k-max must be >= 1")
-    if args.k_max > series.INDEX_CAP:
-        raise _UsageError(f"--k-max must be <= {series.INDEX_CAP}, got {args.k_max}")
+def _cmd_demo(args, precision: int):
+    _in_range(args.k_max, 1, "--k-max", series.INDEX_CAP)
     _parse_real(args.b, precision, "--b")
     grid = _demo_grid(args.x_from, args.x_to, args.steps, precision)
     spec = QuadratureSpec(precision=precision)
@@ -316,8 +295,6 @@ def _cmd_demo(args) -> int:
         }
     params = {"b": args.b, "x_from": args.x_from, "x_to": args.x_to,
               "steps": args.steps, "k_max": args.k_max}
-    record = _record("demo", params, precision,
-                     {"witness": found, "control_witnesses": len(control)})
     columns = ("x", "k", "mode", "remainder", "next_term_bound")
     row = {**params, "witness_found": found is not None,
            **{key: (found or {}).get(key) for key in columns},
@@ -331,25 +308,21 @@ def _cmd_demo(args) -> int:
     else:
         lines.append("no violation witness found on this grid")
     lines.append(f"control scan witnesses (unperturbed): {len(control)}")
-    _emit(args.format, record, [row], lines)
-    return EXIT_OK
-
-
-_COMMANDS = {
-    "coeffs": _cmd_coeffs,
-    "eval": _cmd_eval,
-    "bound": _cmd_bound,
-    "verify": _cmd_verify,
-    "demo": _cmd_demo,
-}
+    return params, {"witness": found, "control_witnesses": len(control)}, [row], lines
 
 
 def run_cli(argv: list[str]) -> int:
     """Run one command and return its exit code.  In-process calls share one
-    parser, built at the first call."""
+    parser, built at the first call.  The precision is resolved, and the
+    record built and written, here, once for every command."""
     try:
         args = _build_parser().parse_args(argv)
-        return _COMMANDS[args.command](args)
+        precision = _resolve_precision(args)
+        params, result, csv_rows, plain_lines = args.run(args, precision)
+        record = {"format_version": FORMAT_VERSION, "command": args.command,
+                  "params": params, "precision": precision, "result": result}
+        _emit(args.format, record, csv_rows, plain_lines)
+        return EXIT_VERIFY_FAILED if result.get("passed") is False else EXIT_OK
     except _UsageError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE

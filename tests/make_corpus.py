@@ -78,6 +78,7 @@ CLI_LINES = (
     ("demo", "--b", "1", "--format", "json"),
     # usage errors
     ("eval", "--series", "binet", "--z", "abc"),
+    ("eval", "--series", "binet", "--z", "3/0"),
     ("bound", "--series", "binet", "--z", "3", "--terms", "-1"),
     ("eval", "--series", "binet", "--z", "3", "--precision", "32"),
     # the series' accuracy floor, and the precision's

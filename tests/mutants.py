@@ -134,6 +134,81 @@ MUTANTS = (
         "return rounded(value.numerator, value.denominator, precision, round_ceiling)",
         ("tests/test_series.py::TestTolerance", "tests/test_series.py::TestAutoTruncate"),
     ),
+    Mutant(
+        "auto-truncate-k-minus-1",
+        "series.py",
+        "return k, bound",
+        "return k - 1, bound",
+        ("tests/test_series.py::TestAutoTruncate::test_central_binomial_scan",),
+    ),
+    Mutant(
+        "within-strict",
+        "series.py",
+        """        return real_to_fraction(lo) <= x <= real_to_fraction(hi)
+    return lo <= x <= hi""",
+        """        return real_to_fraction(lo) < x < real_to_fraction(hi)
+    return lo < x < hi""",
+        ("tests/test_series.py::TestEnvelopeInterval::test_contains_decides_a_fraction_exactly",),
+    ),
+    Mutant(
+        "envelope-pad-dropped",
+        "series.py",
+        "pad = _margin(hi if mpf_gt(hi, mpf_neg(lo)) else lo, precision)",
+        "pad = (0, 0, 0, 0)",
+        ("tests/test_series.py::TestEnvelopeInterval::test_width_equals_bound_up_to_slop",),
+    ),
+    Mutant(
+        "anchor-inward",
+        "series.py",
+        "anchored = (mpf_sub if sign > 0 else mpf_add)(value, margin, wp, round_nearest)",
+        "anchored = (mpf_add if sign > 0 else mpf_sub)(value, margin, wp, round_nearest)",
+        ("tests/test_containment.py",),
+    ),
+    Mutant(
+        "certificate-share-dropped",
+        "series.py",
+        """        bound = mpf_add(mpf_add(mpf_abs(t_j), _margin(t_j, precision), wp, round_nearest),
+                        mpf_shift(margin, 1), wp, round_nearest)""",
+        "        bound = mpf_add(mpf_abs(t_j), _margin(t_j, precision), wp, round_nearest)",
+        ("tests/test_containment.py",),
+    ),
+    Mutant(
+        "demoivre-half-shift-dropped",
+        "_expansions.py",
+        '"beta-hat", "theta-hat", -1, True, True, _half_shift_prefix,',
+        '"beta-hat", "theta-hat", -1, False, True, _half_shift_prefix,',
+        ("tests/test_containment.py",),
+    ),
+    Mutant(
+        "verify-failure-exits-0",
+        "cli.py",
+        'return EXIT_VERIFY_FAILED if result.get("passed") is False else EXIT_OK',
+        "return EXIT_OK",
+        ("tests/test_cli.py::TestOutputFormats::test_verify_csv_header_and_quoted_detail",),
+    ),
+    Mutant(
+        "precision-env-ignored",
+        "cli.py",
+        "os.environ.get(PRECISION_ENV_VAR)",
+        "None",
+        ("tests/test_cli.py::TestPrecisionPlumbing::test_env_var_overrides_default",
+         "tests/test_cli.py::TestPrecisionPlumbing"),
+    ),
+    Mutant(
+        "index-cap-off-by-one",
+        "cli.py",
+        "cap is not None and value > cap:",
+        "cap is not None and value > cap + 1:",
+        ("tests/test_cli.py::TestDemoCommand::test_steps_above_the_cap_exit_1_before_the_grid_is_built",
+         "tests/test_cli.py::TestUsageErrors::test_index_below_its_range"),
+    ),
+    Mutant(
+        "zero-denominator-not-usage",
+        "cli.py",
+        "except (ValueError, TypeError, ZeroDivisionError):",
+        "except (ValueError, TypeError):",
+        ("tests/test_cli.py::TestUsageErrors::test_a_zero_denominator_is_usage_error",),
+    ),
 )
 
 

@@ -482,13 +482,45 @@ class TestUsageErrors:
         assert code == 0
         assert "--tol" in out
 
-    @pytest.mark.parametrize("argv, message", [
-        (["coeffs", "--family", "beta", "--max-k", "-1"], "--max-k must be >= 0"),
-        (["demo", "--b", "1", "--steps", "0"], "--steps must be >= 1"),
-        (["demo", "--b", "1", "--k-max", "0"], "--k-max must be >= 1"),
+    @pytest.mark.parametrize("env, argv, message", [
+        (None, ["coeffs", "--family", "beta", "--max-k", "-1"], "--max-k must be >= 0"),
+        (None, ["eval", "--series", "binet", "--z", "3", "--terms", "-1"],
+         "--terms must be >= 0"),
+        (None, ["bound", "--series", "binet", "--z", "3", "--terms", "-1"],
+         "--terms must be >= 0"),
+        (None, ["demo", "--b", "1", "--steps", "0"], "--steps must be >= 1"),
+        (None, ["demo", "--b", "1", "--steps", "1001"], "--steps must be <= 1000, got 1001"),
+        (None, ["demo", "--b", "1", "--k-max", "0"], "--k-max must be >= 1"),
+        (None, ["demo", "--b", "1", "--k-max", "1001"], "--k-max must be <= 1000, got 1001"),
+        (None, ["eval", "--series", "binet", "--z", "3", "--precision", "32"],
+         f"--precision must be >= {MIN_PRECISION}"),
+        ("lots", ["eval", "--series", "binet", "--z", "3"],
+         f"{PRECISION_ENV_VAR} must be an integer number of bits, got 'lots'"),
+        ("32", ["verify"], f"{PRECISION_ENV_VAR} must be >= {MIN_PRECISION}"),
+        # every command resolves the precision first, coeffs too, which has no flag
+        ("lots", ["coeffs", "--family", "beta", "--max-k", "-1"],
+         f"{PRECISION_ENV_VAR} must be an integer number of bits, got 'lots'"),
     ])
-    def test_index_below_its_range(self, capsys, argv, message):
+    def test_index_below_its_range(self, capsys, monkeypatch, env, argv, message):
+        if env is None:
+            monkeypatch.delenv(PRECISION_ENV_VAR, raising=False)
+        else:
+            monkeypatch.setenv(PRECISION_ENV_VAR, env)
         assert run(capsys, *argv) == (1, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--series", "binet", "--z", "3/0"],
+        ["bound", "--series", "binet", "--terms", "2", "--z", "3/0"],
+        ["eval", "--series", "binet", "--z", "3", "--tol", "3/0"],
+        ["demo", "--b", "3/0"],
+        ["demo", "--b", "1", "--x-from", "3/0"],
+        ["demo", "--b", "1", "--x-to", "3/0"],
+    ], ids=lambda argv: f"{argv[0]} {argv[-2]}")
+    def test_a_zero_denominator_is_usage_error(self, capsys, argv):
+        # mpmath divides the literal, and its ZeroDivisionError escaped as a traceback
+        flag = argv[-2]
+        assert run(capsys, *argv) == (
+            1, "", f"error: {flag} must be a decimal number, got '3/0'\n")
 
 
 # One call of each kind, a usage error and help among them; eval comes twice.
