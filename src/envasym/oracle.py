@@ -186,9 +186,8 @@ _TAIL_CAP = 10**7
 # the W columns.
 _COLUMNS = {family: column for column, family in enumerate(ThetaFamily, start=1)}
 
-# Bits the running a = (lam/2) e^t and b = (lam/2) e^-t of a level carry
-# beyond the working precision, and the node indices, its multiples, where
-# they are recomputed from a direct exp.
+# Bits the running E = e^-t of a level carries beyond the working precision,
+# and the node indices, its multiples, where it is recomputed from a direct exp.
 _NODE_GUARD = 30
 _RESEED = 1024
 
@@ -197,8 +196,8 @@ class _NodeTable:
     """The z-free values of one working precision: node rows keyed by the
     exact t, and the undamped moment integrals by (family, k).
 
-    A row is either absent or whole: e = eta**2 with eta = exp(lam*sinh t),
-    then W(t) = weight(eta)*lam*cosh(t)*eta of every family in ``_COLUMNS``
+    A row is either absent or whole: e = eta**2 with eta = exp(t - e^-t),
+    then W(t) = weight(eta)*eta*(1 + e^-t) of every family in ``_COLUMNS``
     order, each the signed (mantissa, exponent) pair of the libmp value the
     quadrature computed, the only values a quadrature reads.  A quadrature
     that stores builds the whole row of each node it computes; one that does
@@ -222,63 +221,51 @@ class _NodeTable:
 
 
 class _Level:
-    """(eta, lam*cosh t) at the nodes t = t0 + n*dt of one refinement level,
-    and at their mirrors -t, from a recurrence instead of exps.
+    """(eta, 1 + E) with E = e^-t at the nodes t = t0 + n*dt of one side of a
+    refinement level (dt < 0 on the t < 0 side), from a recurrence instead of
+    exps: eta = exp(t - E), and d(eta)/dt = eta*(1 + E).
 
-    With lam = pi/2, a = (lam/2) e^t and b = (lam/2) e^-t, lam*sinh t = a - b
-    and lam*cosh t = a + b, and a step along the level multiplies a by e^dt
-    and b by e^-dt, at gp = wp + _NODE_GUARD bits.  At every index n
-    divisible by _RESEED, a and b are made afresh from one exp, so the a and
-    b at n come from the same n % _RESEED steps whatever ran before, and
-    every value is a pure function of (t, wp).  Rounded to nearest at wp,
+    A step along the level multiplies E by e^-dt at gp = wp + _NODE_GUARD
+    bits.  At every index n divisible by _RESEED, E is made afresh from one
+    exp, so the E at n comes from the same n % _RESEED steps whatever ran
+    before, and every value is a pure function of (t, wp).  Rounded to
+    nearest at wp, eta = exp(t - E) from the exact t, and 1 + E.
 
-        lam*cosh t = a + b,    eta(t) = exp(a - b),    eta(-t) = 1/eta(t).
-
-    Error: a and b start within 3 roundings of 2**-gp and each step adds 3,
-    so they stay within 3*_RESEED*2**-gp < 2**-(wp+18) relative; the
-    exponent a - b is then within 2**-(wp+17)*lam*cosh t.  For |t| <= 11,
-    where lam*cosh t < 2**16 (beyond every tail below P = 50,000), eta(t)
-    and lam*cosh t are within 2**(1-wp) relative and eta(-t) within
-    2**(2-wp).
+    Error: E starts within one rounding of 2**-gp and each step adds two
+    (the product's and the step factor's), so it stays within
+    2*_RESEED*2**-gp < 2**-(wp+18) relative, and the exponent t - E within
+    2**-(wp+18)*E + 2**-gp*|t - E|.  For t >= -11, where E < 2**16 (beyond
+    every tail below P = 50,000), eta and 1 + E are within 2**(1-wp)
+    relative.
     """
 
     def __init__(self, t0: float, dt: float, wp: int):
         self.t0, self.dt, self.wp, self.gp = t0, dt, wp, wp + _NODE_GUARD
-        self._steps = None  # (e^dt, e^-dt) at gp bits, made on first use
-        self._last = None  # (n, a, b) of the last index computed
+        self._step = None  # e^-dt at gp bits, made on first use
+        self._last = None  # (n, E) of the last index computed
 
-    def _ab(self, n: int) -> tuple:
-        """a and b at index n, rounded to nearest at gp bits."""
+    def _e(self, n: int) -> tuple:
+        """E at index n, rounded to nearest at gp bits."""
         gp = self.gp
         start = n - n % _RESEED
         if self._last is None or not start <= self._last[0] <= n:
-            quarter_pi = mpf_shift(mpf_pi(gp, round_nearest), -2)
-            e = mpf_exp(from_float(self.t0 + start * self.dt), gp, round_nearest)
-            self._last = (start, mpf_mul(quarter_pi, e, gp, round_nearest),
-                          mpf_div(quarter_pi, e, gp, round_nearest))
-        m, a, b = self._last
+            self._last = start, mpf_exp(from_float(-(self.t0 + start * self.dt)), gp,
+                                        round_nearest)
+        m, e = self._last
         if m < n:
-            if self._steps is None:
-                up = mpf_exp(from_float(self.dt), gp, round_nearest)
-                self._steps = up, mpf_div(fone, up, gp, round_nearest)
-            up, down = self._steps
+            if self._step is None:
+                self._step = mpf_exp(from_float(-self.dt), gp, round_nearest)
             for _ in range(n - m):
-                a = mpf_mul(a, up, gp, round_nearest)
-                b = mpf_mul(b, down, gp, round_nearest)
-        self._last = (n, a, b)
-        return a, b
+                e = mpf_mul(e, self._step, gp, round_nearest)
+        self._last = n, e
+        return e
 
     def node(self, n: int) -> tuple:
-        """(eta, lam*cosh t) at t = t0 + n*dt."""
-        a, b = self._ab(n)
-        wp = self.wp
-        return (mpf_exp(mpf_sub(a, b, self.gp, round_nearest), wp, round_nearest),
-                mpf_add(a, b, wp, round_nearest))
-
-    def mirror(self, n: int) -> tuple:
-        """(eta, lam*cosh t) at t = -(t0 + n*dt)."""
-        eta, lc = self.node(n)
-        return mpf_div(fone, eta, self.wp, round_nearest), lc
+        """(eta, 1 + E) at t = t0 + n*dt."""
+        e = self._e(n)
+        t = from_float(self.t0 + n * self.dt)
+        return (mpf_exp(mpf_sub(t, e, self.gp, round_nearest), self.wp, round_nearest),
+                mpf_add(fone, e, self.wp, round_nearest))
 
 
 def _negligible(term: tuple, total: tuple, wp: int) -> bool:
@@ -358,21 +345,23 @@ def _de_quad_half_line(family: ThetaFamily, k: int, z2, spec: QuadratureSpec, st
     """Integrate eta**(2k) * weight(eta) over (0, inf), over z2 + eta**2 unless
     z2 is None, double-exponentially.
 
-    Substitutes eta = exp((pi/2) * sinh(t)) and applies the trapezoid rule in
-    t with dyadic step refinement, reusing previous levels.  Refinement stops
-    when two successive levels agree to the spec's relative tolerance; the
-    returned error is that last inter-level difference.  The infinite tails
-    are truncated where the transformed integrand falls to 2**-(P+32) of the
-    running sum, however small the sum; eta = 0 is never sampled, so
-    integrable endpoint singularities need no special casing.
+    Substitutes eta = exp(t - e^-t), the map of Mori and Sugihara (2001) for
+    integrands that decay exponentially in eta, as the weights do, and
+    applies the trapezoid rule in t with dyadic step refinement, reusing
+    previous levels.  Refinement stops when two successive levels agree to
+    the spec's relative tolerance; the returned error is that last
+    inter-level difference.  The infinite tails are truncated where the
+    transformed integrand falls to 2**-(P+32) of the running sum, however
+    small the sum; eta = 0 is never sampled, so integrable endpoint
+    singularities need no special casing.
 
-    A node's e = eta**2 and W(t) = weight(eta) * (pi/2) * cosh(t) * eta are
-    z-free and positive: read from the row of the precision's node table
-    (see ``_NodeTable``), else libmp calls at ``working_bits(P)`` on the eta
-    and (pi/2)*cosh t of the level's recurrence (see ``_Level``), 1 and pi/2
-    at t = 0, made pairs once.  With ``store`` such a node's row is built
-    whole, the W of every family from one ``_weights`` call, and kept;
-    without it only this family's W is computed.  Each side of a level is
+    A node's e = eta**2 and W(t) = weight(eta) * eta * (1 + e^-t) are z-free
+    and positive: read from the row of the precision's node table (see
+    ``_NodeTable``), else libmp calls at ``working_bits(P)`` on the eta and
+    1 + e^-t of the level's recurrence (see ``_Level``), made pairs once.
+    With ``store`` such a node's row is built whole, the W of every family
+    from one ``_weights`` call, and kept; without it only this family's W is
+    computed.  Each side of a level is
     one loop over the pairs, ``_half_sum``.
 
     Returns (value, error_estimate) as mpf at working precision.  Raises
@@ -387,31 +376,30 @@ def _de_quad_half_line(family: ThetaFamily, k: int, z2, spec: QuadratureSpec, st
     column = _COLUMNS[family]
     estimate = err = None
 
-    def cold(t, eta, lc):
+    def cold(t, eta, factor):
         # the row at a t without one; W of this family alone unless stored
         row = [mpf_mul(eta, eta, wp, round_nearest)[1:3]] + [None] * len(_COLUMNS)
         for each, weight in zip(families, _weights(families, eta, wp)):
-            row[_COLUMNS[each]] = mpf_mul(mpf_mul(weight, lc, wp, round_nearest), eta,
+            row[_COLUMNS[each]] = mpf_mul(mpf_mul(weight, factor, wp, round_nearest), eta,
                                           wp, round_nearest)[1:3]
         return rows.setdefault(t, row) if store else row
 
     def half_sums(h, start, step):
         # sum of the nodes j*h over j = start, start+step, ... on both sides of 0
-        level = _Level(start * h, step * h, wp)
         total = (0, 0)
-        for sgn, node in ((1, level.node), (-1, level.mirror)):
-            total, ended = _half_sum(total, rows, lambda t, j, node=node: cold(
-                t, *node((j - start) // step)), range(start, _TAIL_CAP + 1, step), sgn * h,
+        for dt in (h, -h):
+            level = _Level(start * dt, step * dt, wp)
+            total, ended = _half_sum(total, rows, lambda t, j, level=level: cold(
+                t, *level.node((j - start) // step)), range(start, _TAIL_CAP + 1, step), dt,
                 column, k, z2, wp)
             if not ended:
                 raise _unconverged("tail truncation cap exceeded", estimate, err)
         return from_man_exp(*total)
 
-    lam = mpf_shift(mpf_pi(wp, round_nearest), -1)
     h = 1.0
     # the node at t = 0 alone, then its level's two sides
-    middle, _ = _half_sum((0, 0), rows, lambda t, j: cold(t, fone, lam), range(1), 0.0,
-                          column, k, z2, wp)
+    middle, _ = _half_sum((0, 0), rows, lambda t, j: cold(t, *_Level(t, h, wp).node(0)),
+                          range(1), 0.0, column, k, z2, wp)
     estimate = mpf_add(from_man_exp(*middle), half_sums(h, 1, 1), wp, round_nearest)
     previous = None
     for level in range(1, _MAX_LEVELS + 1):

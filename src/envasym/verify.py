@@ -86,8 +86,8 @@ def _mismatch_check(name: str, pairs, spec: QuadratureSpec) -> CheckResult:
     sums and products of up to three quadratures, each asked for
     ``effective_tol`` relative, so a pair's errors add to a few times it.
     The worst mismatch measured at every even P from 64 to 140 bits and at
-    256 and 512, default and deep, is 2^-23.7 times it (jtilde-decomposition
-    at 64 bits)."""
+    256 and 512, default and deep, is 2^-31.3 times it (remainder-identity
+    at 94 bits)."""
     ctx = _context(spec.precision)
     allowed = _MISMATCH_FACTOR * ctx.convert(spec.effective_tol())
     worst = ctx.zero

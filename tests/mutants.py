@@ -93,6 +93,38 @@ MUTANTS = (
          "tests/test_oracle.py::TestLibmpLoop"),
     ),
     Mutant(
+        "round-ties-away",
+        "precision.py",
+        "if h & 1 and (h & 2 or m & ((1 << (n - 1)) - 1)):",
+        "if h & 1:",
+        ("tests/test_walk_rounding.py::test_round_is_libmps_in_every_mode",),
+    ),
+    Mutant(
+        "quotient-without-sticky-bit",
+        "precision.py",
+        "return _round(2 * q + (r != 0), ae - be - shift - 1, bits, rounding)",
+        "return _round(2 * q, ae - be - shift - 1, bits, rounding)",
+        ("tests/test_walk_rounding.py::test_quotient_is_libmps_in_every_mode",
+         "tests/test_walk_rounding.py::test_product_and_quotient_are_libmps"),
+    ),
+    Mutant(
+        "floor-toward-zero",
+        "precision.py",
+        """    if rounding == round_floor:
+        return m >> n, e + n""",
+        """    if rounding == round_floor:
+        return (m >> n if m >= 0 else -(-m >> n)), e + n""",
+        ("tests/test_walk_rounding.py::test_round_is_libmps_in_every_mode",),
+    ),
+    Mutant(
+        "level-factor-dropped",
+        "oracle.py",
+        "mpf_add(fone, e, self.wp, round_nearest))",
+        "fone)",
+        ("tests/test_oracle.py::TestCoefficientQuadrature",
+         "tests/test_oracle.py::TestLevelRecurrence"),
+    ),
+    Mutant(
         "warm-read-wrong-column",
         "oracle.py",
         "(em, ee), (wm, we) = row[0], row[column]",

@@ -1,6 +1,5 @@
 """Oracle module: exact big-integer logs and quadrature cross-identities."""
 
-import collections
 import itertools
 import math
 import sys
@@ -16,16 +15,13 @@ from hypothesis import strategies as st
 from mpmath import mp, mpf
 from mpmath.libmp import libmpf
 from mpmath.libmp import (
-    fone,
     from_int,
     from_man_exp,
     fzero,
     mpf_abs,
-    mpf_div,
     mpf_gt,
     mpf_le,
     mpf_mul,
-    mpf_pi,
     mpf_shift,
     mpf_sub,
     round_nearest,
@@ -293,8 +289,8 @@ class TestQuadratureSpec:
     # The estimate after two levels at 288 bits: a raw tuple, so a value that
     # is not a finite positive mpf (mp.make_mpf of a pair passes isinstance)
     # is seen.
-    LEVEL_2 = (0, int("295586165260473897924705915904922505333777951386"
-                      "321456544204875310421185107756460392137"), -293, 288)
+    LEVEL_2 = (0, int("36948270731636241318857594509966059499453076"
+                      "690273053930457858933860993938987813084547"), -290, 285)
 
     @staticmethod
     def _raised(monkeypatch, name, cap):
@@ -319,7 +315,7 @@ class TestQuadratureSpec:
 
     def test_tail_cap_raises(self, monkeypatch):
         # the tails of binet_J(3.75) reach j = 7 at level 0, 25 at level 2 and
-        # 47 at level 3: a cap of 3 trips before any level is complete, a cap
+        # 45 at level 3: a cap of 3 trips before any level is complete, a cap
         # of 30 at level 3, which reports level 2 as the level cap does
         first = self._raised(monkeypatch, "_TAIL_CAP", 3)
         assert "tail" in str(first)
@@ -409,16 +405,15 @@ def _quadratures(family, k, spec):
 
 
 def _level_node(t, wp):
-    """(eta, lam*cosh t) at the node t, from the level of the quadrature that
-    visits it first: t = 0, level 0's nodes +-1, +-2, ..., or the odd
+    """(eta, 1 + e^-t) at the node t, from the level side of the quadrature
+    that visits it first: t = 0, level 0's nodes +-1, +-2, ..., or the odd
     multiples of h = 2**-level."""
     if t == 0:
-        return fone, mpf_shift(mpf_pi(wp, round_nearest), -1)
+        return oracle._Level(0.0, 1.0, wp).node(0)
     h = 1 / t.as_integer_ratio()[1]
     start, step = (1, 1) if h == 1 else (1, 2)
-    level = oracle._Level(start * h, step * h, wp)
-    n = (int(abs(t) / h) - start) // step
-    return level.node(n) if t > 0 else level.mirror(n)
+    dt = math.copysign(h, t)
+    return oracle._Level(start * dt, step * dt, wp).node((int(abs(t) / h) - start) // step)
 
 
 def _whole(rows, wp):
@@ -426,9 +421,9 @@ def _whole(rows, wp):
     family's W, as that family's own weight gives it at the level's eta."""
     assert rows
     for t, row in rows.items():
-        eta, lc = _level_node(t, wp)
+        eta, factor = _level_node(t, wp)
         want = [mpf_mul(eta, eta, wp, round_nearest)]
-        want += [mpf_mul(mpf_mul(oracle._weight(family, eta, wp), lc, wp, round_nearest),
+        want += [mpf_mul(mpf_mul(oracle._weight(family, eta, wp), factor, wp, round_nearest),
                          eta, wp, round_nearest) for family in ThetaFamily]
         assert row == [x[1:3] for x in want], t
         assert [row[oracle._COLUMNS[family]] for family in ThetaFamily] == row[1:]
@@ -448,45 +443,30 @@ def _counted_weights(monkeypatch):
 
 
 def _watch(monkeypatch, table):
-    """Record the t of every row lookup in the table, and of every call of
-    the level recurrence: node() makes the exp of a node at t > 0, mirror()
-    the node at -t from node() at +t and a division."""
-    calls = {"visited": [], "node": [], "mirror": []}
+    """Record the t of every row lookup in the table ("visited"), and of
+    every node the level recurrence makes ("node")."""
+    calls = {"visited": [], "node": []}
 
     class Visits(dict):
         def get(self, t, default=None):
             calls["visited"].append(t)
             return super().get(t, default)
 
-    def recorded(name, sign):
-        fn = getattr(oracle._Level, name)
-
-        def wrapper(level, n):
-            calls[name].append(sign * (level.t0 + n * level.dt))
-            return fn(level, n)
-        return wrapper
+    def node(level, n, fn=oracle._Level.node):
+        calls["node"].append(level.t0 + n * level.dt)
+        return fn(level, n)
 
     monkeypatch.setattr(table, "rows", Visits(table.rows))
-    monkeypatch.setattr(oracle._Level, "node", recorded("node", 1))
-    monkeypatch.setattr(oracle._Level, "mirror", recorded("mirror", -1))
+    monkeypatch.setattr(oracle._Level, "node", node)
     return calls
 
 
-def _etas(calls):
-    """The t of every eta the level recurrence made: mirror() at each t < 0,
-    and node() at each t > 0 less the +t of every mirror."""
-    made = collections.Counter(calls["node"])
-    made.subtract(-t for t in calls["mirror"])
-    return list(made.elements()) + calls["mirror"]
-
-
 def _each_cold_node_once(calls, cold):
-    """Every t in ``cold`` (the visited t without a row) is computed once; a
-    mirror at -t calls node() at +t, whether or not the walk visited +t."""
-    visited, nodes, mirrors = calls["visited"], calls["node"], calls["mirror"]
+    """No t is visited twice, and every t in ``cold`` (the visited t without
+    a row) is made once by the level recurrence, and no other."""
+    visited = calls["visited"]
     assert len(set(visited)) == len(visited)
-    assert sorted(mirrors) == sorted(t for t in cold if t < 0)
-    assert sorted(nodes) == sorted([t for t in cold if t > 0] + [-t for t in mirrors])
+    assert sorted(calls["node"]) == sorted(cold)
 
 
 class TestNodeTable:
@@ -558,7 +538,7 @@ class TestNodeTable:
         _clear_value_caches()
         calls = _watch(monkeypatch, oracle._node_table(192))
         binet_J(3, QuadratureSpec(precision=192))  # one-off: every node is cold
-        _each_cold_node_once(calls, [t for t in calls["visited"] if t != 0])
+        _each_cold_node_once(calls, calls["visited"])
 
     def test_other_precision_leaves_result_unchanged(self):
         spec = QuadratureSpec(precision=256)
@@ -602,8 +582,9 @@ class TestNodeTable:
         assert len(oracle._node_table(256).rows) == rows
 
     def test_a_deep_tail_node_is_stored_as_computed(self):
-        # the transformed node at t = 3.5, reached at step h = 1/2, where W's
-        # exponent is below -10**12
+        # the last transformed nodes of two tails: at t = 5.5, reached at step
+        # h = 1/2, W is below 2**-2000; at t = -7, reached at step h = 1,
+        # e = eta**2 is below 2**-3000
         spec = QuadratureSpec(precision=256)
         oracle._node_table.cache_clear()
         _clear_value_caches()
@@ -611,15 +592,16 @@ class TestNodeTable:
         binet_J(4, spec)
         warm = _quadratures(ThetaFamily.THETA, 1, spec)
         wp = 256 + 32
-        eta, lc = recurrence_nodes(0.5, 1.0, wp)(3.5)  # level 1: t = 0.5 + 3 * 1
-        with mp.workprec(wp):
-            w = mp.make_mpf(oracle._weight(ThetaFamily.THETA, eta._mpf_, wp)) * lc * eta
-        assert w._mpf_[2] < -10**12
-        row = oracle._node_table(256).rows[3.5]
         column = oracle._COLUMNS[ThetaFamily.THETA]
-        with mp.workprec(wp):
-            assert row[0] == (eta * eta)._mpf_[1:3]
-        assert row[column] == w._mpf_[1:3]
+        for t, t0, w_top, e_top in ((5.5, 0.5, -2000, math.inf), (-7.0, 1.0, 0, -3000)):
+            eta, factor = recurrence_nodes(t0, 1.0, wp)(t)
+            with mp.workprec(wp):
+                w = mp.make_mpf(oracle._weight(ThetaFamily.THETA, eta._mpf_, wp)) * factor * eta
+                e = eta * eta
+            assert mp.log(w, 2) < w_top and mp.log(e, 2) < e_top
+            row = oracle._node_table(256).rows[t]
+            assert row[0] == e._mpf_[1:3]
+            assert row[column] == w._mpf_[1:3]
         oracle._node_table.cache_clear()
         assert warm == _quadratures(ThetaFamily.THETA, 1, spec)
 
@@ -630,8 +612,23 @@ class TestNodeTable:
         _clear_value_caches()
         calls = _watch(monkeypatch, oracle._node_table(192))
         theta_ratio(ThetaFamily.THETA_HAT, 2, "7.3", QuadratureSpec(precision=192))
-        etas = _etas(calls)
+        etas = calls["node"]
         assert etas and len(set(etas)) == len(etas)
+
+
+class TestNodeCounts:
+    """The cold level nodes of a fresh one-off ``binet_J``: the map
+    eta = exp(t - e^-t) needs these; eta = exp((pi/2) sinh t) needed 943,
+    943, 944 and 4,077.  A change that loses the gain fails here."""
+
+    @pytest.mark.parametrize("precision, z, nodes", [
+        (256, "0.5", 591), (256, "2.5", 593), (256, "50", 593), (512, "2.5", 1318)])
+    def test_a_fresh_binet_J_makes_so_many_nodes(self, monkeypatch, precision, z, nodes):
+        oracle._node_table.cache_clear()
+        _clear_value_caches()
+        calls = _watch(monkeypatch, oracle._node_table(precision))
+        binet_J(z, QuadratureSpec(precision=precision))
+        assert len(calls["node"]) == len(set(calls["visited"])) == nodes
 
 
 MOMENT_PAIRS = [(family, k) for family in ThetaFamily for k in range(5)]
@@ -663,47 +660,53 @@ class TestMoments:
         rows = table.rows
         # every t the 15 quadratures visit has a row, made at its first visit
         assert set(calls["visited"]) == set(rows)
-        _each_cold_node_once({**calls, "visited": list(rows)}, [t for t in rows if t != 0])
+        _each_cold_node_once({**calls, "visited": list(rows)}, list(rows))
         assert weights == [tuple(ThetaFamily)] * len(rows)
         assert _whole(rows, 192 + 32)
 
 
 def recurrence_nodes(t0, dt, wp):
-    """t -> (eta, lam*cosh t) at the nodes t = +-(t0 + n*dt) of one level and
-    at t = 0, by the recurrence ``oracle._Level`` documents, on mpf operators:
-    a and b at every index in turn, from a direct exp at every _RESEED-th."""
+    """t -> (eta, 1 + E), E = e^-t, at the nodes t = +-(t0 + n*dt) of one
+    level and at t = 0, by the recurrence ``oracle._Level`` documents, on mpf
+    operators: E at every index of a side in turn, from a direct exp at every
+    _RESEED-th, and eta = exp(t - E)."""
     gp = wp + oracle._NODE_GUARD
-    pairs = []  # (a, b) at n = 0, 1, ...
+    sides = {1: [], -1: []}  # E at n = 0, 1, ... on the side t > 0 and t < 0
     with mp.workprec(gp):
-        up = mp.exp(dt)
-        down = 1 / up
+        steps = {sign: mp.exp(-sign * dt) for sign in sides}
 
     def at(t):
-        if t == 0:
-            with mp.workprec(wp):
-                return mpf(1), mp.pi / 2
+        sign = 1 if t > 0 else -1
         n = int((abs(t) - t0) / dt)
+        es = sides[sign]
         with mp.workprec(gp):
-            while len(pairs) <= n:
-                m = len(pairs)
-                if m % oracle._RESEED == 0:
-                    e = mp.exp(t0 + m * dt)
-                    pairs.append((mp.pi / 4 * e, mp.pi / 4 / e))
-                else:
-                    a, b = pairs[-1]
-                    pairs.append((a * up, b * down))
-            a, b = pairs[n]
-            exponent = a - b
+            while len(es) <= n:
+                m = len(es)
+                es.append(mp.exp(-sign * (t0 + m * dt)) if m % oracle._RESEED == 0
+                          else es[-1] * steps[sign])
+            e = es[n]
+            exponent = t - e
         with mp.workprec(wp):
-            eta = mp.exp(exponent)
-            return eta if t > 0 else 1 / eta, a + b
+            return mp.exp(exponent), 1 + e
 
     return at
 
 
-def cosh_sinh_nodes(t0, dt, wp):
-    """t -> (eta, lam*cosh t) from a cosh and a sinh at each t, the route
-    the quadrature took before the recurrence."""
+def direct_nodes(t0, dt, wp):
+    """t -> (eta, 1 + e^-t) from a direct exp of -t and of t - e^-t at each
+    t, an independent route to the recurrence's values."""
+    def at(t):
+        with mp.workprec(wp):
+            e = mp.exp(-t)
+            return mp.exp(t - e), 1 + e
+
+    return at
+
+
+def sinh_nodes(t0, dt, wp):
+    """t -> (eta, d(eta)/dt / eta) = (exp(lam*sinh t), lam*cosh t), lam =
+    pi/2: the substitution the quadrature used before exp(t - e^-t), from a
+    cosh and a sinh at each t."""
     def at(t):
         with mp.workprec(wp):
             lam = mp.pi / 2
@@ -716,10 +719,10 @@ def ambient_de_quad(family, k, z, precision, nodes=recurrence_nodes, memo=None):
     """(value, err) of the ambient-context loop with no node table, the
     reference for ``oracle._de_quad_half_line``: the damped moment integral
     at z, or the undamped one when z is None.  ``nodes(t0, dt, wp)`` gives
-    eta and lam*cosh t on the level with nodes +-(t0 + n*dt).  A ``memo``
-    dict, shared by calls at one precision and one ``nodes``, keeps eta and
-    the weight by (family, t): each t lies on one level, so they depend on
-    nothing else."""
+    eta and the factor d(eta)/dt / eta on the level with nodes +-(t0 + n*dt).
+    A ``memo`` dict, shared by calls at one precision and one ``nodes``,
+    keeps eta and the weight by (family, t): each t lies on one level, so
+    they depend on nothing else."""
     wp = precision + 32
     with mp.workprec(wp):
         tail_eps = mpf(2) ** (-(precision + 32))
@@ -730,8 +733,8 @@ def ambient_de_quad(family, k, z, precision, nodes=recurrence_nodes, memo=None):
             if memo is not None and (family, t) in memo:
                 eta, w = memo[family, t]
             else:
-                eta, lc = at(t)
-                w = mp.make_mpf(oracle._weight(family, eta._mpf_, wp)) * lc * eta
+                eta, factor = at(t)
+                w = mp.make_mpf(oracle._weight(family, eta._mpf_, wp)) * factor * eta
                 if memo is not None:
                     memo[family, t] = eta, w
             # one rounding of exact values: W * e**k, over z2 + e when damped
@@ -789,8 +792,10 @@ def _quadrature(family, k, z, spec):
 class TestLibmpLoop:
     CASES = [(family, k, z) for family in ThetaFamily for k in (0, 1, 2, 3, 4)
              for z in ("0.5", "2", "7.3", "45", None)]
-    COSH_SINH_CASES = [(family, k, z) for family, k, z in CASES
-                       if k in (0, 3) and z in ("2", "7.3", None)]
+    DIRECT_CASES = [(family, k, z) for family, k, z in CASES
+                    if k in (0, 3) and z in ("2", "7.3", None)]
+    SINH_CASES = [(family, k, z) for family in ThetaFamily for k in (0, 2, 6)
+                  for z in (None, "0.25", "0.5", "7.3", "50")]
 
     @pytest.mark.parametrize("precision", [64, 128, 256])
     def test_matches_the_ambient_loop_bit_for_bit(self, precision):
@@ -810,17 +815,28 @@ class TestLibmpLoop:
                         assert _quadrature(*case, spec) == want[case], case
                 assert mp.prec == ambient
 
-    @pytest.mark.parametrize("precision", [64, 128, 256])
-    def test_matches_the_cosh_sinh_loop_within_the_tolerance(self, precision):
-        # the route before the recurrence, an independent reference: values
-        # agree to the quadrature's own tolerance 2**(32-P) relative
+    @staticmethod
+    def _within_the_tolerance(cases, precision, nodes):
+        """The quadrature agrees with the ambient loop on ``nodes`` to its own
+        tolerance 2**(32-P) relative in every case."""
         spec = QuadratureSpec(precision=precision)
-        for family, k, z in self.COSH_SINH_CASES:
+        memo = {}
+        for family, k, z in cases:
             zz = None if z is None else positive_real(z, precision, "argument")
-            want, _ = ambient_de_quad(family, k, zz, precision, nodes=cosh_sinh_nodes)
+            want, _ = ambient_de_quad(family, k, zz, precision, nodes=nodes, memo=memo)
             got = mp.make_mpf(_quadrature(family, k, z, spec)[0])
             with mp.workprec(precision + 64):
                 assert abs(got - want) <= mpf(2) ** (32 - precision) * abs(want), (family, k, z)
+
+    @pytest.mark.parametrize("precision", [64, 128, 256])
+    def test_matches_the_direct_exp_loop_within_the_tolerance(self, precision):
+        # eta and 1 + e^-t from exps at each t, not the recurrence
+        self._within_the_tolerance(self.DIRECT_CASES, precision, direct_nodes)
+
+    @pytest.mark.parametrize("precision", [64, 128, 256])
+    def test_matches_the_sinh_substitution_within_the_tolerance(self, precision):
+        # an independent rule: eta = exp((pi/2) sinh t), other nodes, other tails
+        self._within_the_tolerance(self.SINH_CASES, precision, sinh_nodes)
 
     def test_a_warm_node_makes_no_context_arithmetic(self, monkeypatch):
         mpf_type = type(mpf(1))
@@ -982,59 +998,81 @@ class TestTailTest:
                 assert tuple_negligible(from_man_exp(*term), from_man_exp(*total), wp) is want
 
 
-class TestLevelRecurrence:
-    """``oracle._Level`` against a direct exp and cosh at P + 96 bits."""
+def _level_errors(pairs, ts, wp):
+    """Relative errors of (eta, 1 + e^-t) at each t, in units of 2**-wp,
+    against a direct exp at wp + 64 bits."""
+    errors = []
+    with mp.workprec(wp + 64):
+        for (eta, factor), t in zip(pairs, ts):
+            e = mp.exp(-t)
+            errors.append([abs(mp.make_mpf(x) / y - 1) * mpf(2) ** wp
+                           for x, y in zip((eta, factor), (mp.exp(t - e), 1 + e))])
+    return errors
 
-    @staticmethod
-    def _errors(pairs, ts, wp):
-        """Relative errors of (eta, lam*cosh t) at each t, in units of 2**-wp."""
-        errors = []
-        with mp.workprec(wp + 64):
-            lam = mp.pi / 2
-            for (eta, lc), t in zip(pairs, ts):
-                want = mp.exp(lam * mp.sinh(t)), lam * mp.cosh(t)
-                errors.append([abs(mp.make_mpf(x) / y - 1) * mpf(2) ** wp
-                               for x, y in zip((eta, lc), want)])
-        return errors
+
+@st.composite
+def level_walks(draw):
+    """(t0, dt, n, m, precision): a level side t0 + n*dt, t0 = j0*h and dt =
+    step*h signed, h = 2**-level, with n past a reseed where the level is
+    fine enough, all at t >= -11; and an index m <= n visited first."""
+    h = 2.0 ** -draw(st.integers(0, 12))
+    sign = draw(st.sampled_from([1, -1]))
+    j0, step = draw(st.integers(0, 3)), draw(st.sampled_from([1, 2]))
+    reach = int((11 - j0 * h) / (step * h))
+    n = draw(st.integers(0, min(reach, 2 * oracle._RESEED + 50)))
+    m = draw(st.integers(0, n))
+    precision = draw(st.sampled_from([64, 128, 256, 512, 1024]))
+    return sign * j0 * h, sign * step * h, n, m, precision
+
+
+class TestLevelRecurrence:
+    """``oracle._Level`` against a direct exp at P + 96 bits, within the
+    bound its docstring states: 2**(1-wp) relative, 2 units of 2**-wp.  CI
+    runs the property a second time under the ``ci`` Hypothesis profile."""
 
     @pytest.mark.parametrize("precision", [64, 512])
     def test_a_walk_past_a_reseed_stays_within_the_bound(self, precision):
-        # level 10: t = (2n + 1) / 1024, up to t = 2.98, a reseed at n = 1024
+        # level 10: t = +-(2n + 1) / 1024, out to +-2.98, a reseed at n = 1024
         wp = precision + 32
         h = 2.0 ** -10
         count = oracle._RESEED + 500
-        level = oracle._Level(h, 2 * h, wp)
-        positive = [level.node(n) for n in range(count)]
-        ts = [h + n * 2 * h for n in range(count)]
-        # eta(t) and lam*cosh t within 2 units, eta(-t) = 1/eta(t) within 4
-        assert all(e <= 2 and c <= 2 for e, c in self._errors(positive, ts, wp))
-        mirrors = [level.mirror(n) for n in range(count)]
-        assert [lc for _, lc in mirrors] == [lc for _, lc in positive]
-        assert all(e <= 4 for e, _ in self._errors(mirrors, [-t for t in ts], wp))
+        for dt in (h, -h):
+            level = oracle._Level(dt, 2 * dt, wp)
+            nodes = [level.node(n) for n in range(count)]
+            ts = [dt + n * 2 * dt for n in range(count)]
+            assert all(e <= 2 and f <= 2 for e, f in _level_errors(nodes, ts, wp))
 
     def test_far_tails_stay_within_the_bound(self):
-        # level 1 up to t = 10.5, where lam*cosh t is near 2**15
+        # level 1 out to t = -10.5, where E = e^-t is near 2**15, and to
+        # t = 10.5; the last nodes of a 512-bit binet_J lie at t = -7.5 and 6
         wp = 512 + 32
-        level = oracle._Level(0.5, 1.0, wp)
-        ts = [0.5 + n for n in range(11)]
-        positive = [level.node(n) for n in range(11)]
-        assert all(e <= 2 and c <= 2 for e, c in self._errors(positive, ts, wp))
-        negative = [level.mirror(n) for n in range(11)]
-        assert all(e <= 4 for e, _ in self._errors(negative, [-t for t in ts], wp))
+        for dt in (1.0, -1.0):
+            level = oracle._Level(dt / 2, dt, wp)
+            ts = [dt / 2 + n * dt for n in range(11)]
+            nodes = [level.node(n) for n in range(11)]
+            assert all(e <= 2 and f <= 2 for e, f in _level_errors(nodes, ts, wp))
 
     def test_a_node_does_not_depend_on_what_ran_before(self):
         wp = 128 + 32
         h = 2.0 ** -10
-        walked = oracle._Level(h, 2 * h, wp)
-        sequence = [walked.node(n) for n in range(1100)]
-        for order in ([1099, 1030, 5], [5, 1023, 1024, 1099], [1030, 1029]):
-            fresh = oracle._Level(h, 2 * h, wp)
-            assert [fresh.node(n) for n in order] == [sequence[n] for n in order], order
-        # a mirror divides by the eta its +t has in the walk
-        for n in (3, 1050):
-            eta, lc = sequence[n]
-            assert oracle._Level(h, 2 * h, wp).mirror(n) == (
-                mpf_div(fone, eta, wp, round_nearest), lc)
+        for dt in (h, -h):
+            walked = oracle._Level(dt, 2 * dt, wp)
+            sequence = [walked.node(n) for n in range(1100)]
+            for order in ([1099, 1030, 5], [5, 1023, 1024, 1099], [1030, 1029]):
+                fresh = oracle._Level(dt, 2 * dt, wp)
+                assert [fresh.node(n) for n in order] == [sequence[n] for n in order], order
+
+    @settings(deadline=None)
+    @given(level_walks())
+    def test_any_node_is_within_the_bound_whatever_ran_before(self, walk):
+        t0, dt, n, m, precision = walk
+        wp = precision + 32
+        walked = oracle._Level(t0, dt, wp)
+        walked.node(m)
+        got = walked.node(n)
+        assert got == oracle._Level(t0, dt, wp).node(n)
+        [(e, f)] = _level_errors([got], [t0 + n * dt], wp)
+        assert e <= 2 and f <= 2
 
 
 class TestDampedValueCache:
