@@ -10,8 +10,11 @@ They differ only in the facts each row below records:
 * ``half_shift``        whether x is z + 1/2 rather than z;
 * ``integer_argument``  whether the certified evaluation takes a positive integer;
 * ``prefix``            the elementary part of the full function: ``prefix(x, wp)``
-                        maps a raw x to the raw bits that the mpf expression in
-                        its comment has at ``mp.prec = wp``, by the same libmp calls;
+                        maps the (mantissa, exponent) pair of an x > 0 to the
+                        pair of the bits that the mpf expression in its comment
+                        has at ``mp.prec = wp``.  Its adds, products and shifts
+                        are ``precision``'s pair steps, rounded to nearest; only
+                        the logarithms and pi are libmp calls;
 * ``evaluation``        name of the certified evaluation in ``series``.
 
 ``series.SeriesKind`` and ``oracle.ThetaFamily`` expose their rows as a
@@ -27,36 +30,40 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from mpmath.libmp import fhalf, from_int, mpf_add, mpf_log, mpf_mul, mpf_pi, mpf_shift, mpf_sub
+from mpmath.libmp import from_man_exp, mpf_log, mpf_pi
 from mpmath.libmp import round_nearest as rnd
 
 from . import coeffs
+from .precision import _pair, _product, _sum
+
+
+def _ln(x: tuple, wp: int) -> tuple:
+    """ln x of a pair x > 0 at wp bits: libmp's ``mpf_log`` of the packed pair."""
+    return _pair(mpf_log(from_man_exp(*x), wp, rnd))
 
 
 @functools.lru_cache(maxsize=16)
 def _constants(wp: int) -> tuple:
-    """Raw ``mp.log(2*mp.pi)/2``, ``mp.log(4)`` and ``+mp.pi`` at ``mp.prec = wp``."""
-    pi = mpf_pi(wp, rnd)
-    return mpf_shift(mpf_log(mpf_shift(pi, 1), wp, rnd), -1), mpf_log(from_int(4), wp, rnd), pi
+    """The pairs of ``mp.log(2*mp.pi)/2``, ``mp.log(4)`` and ``+mp.pi`` at ``mp.prec = wp``."""
+    pi = _pair(mpf_pi(wp, rnd))
+    return _product(_ln((pi[0], pi[1] + 1), wp), (1, -1), wp), _ln((4, 0), wp), pi
 
 
-def _stirling_prefix(x: tuple, wp: int) -> tuple:
-    # (x - 1/2) ln x - x + ln(2 pi)/2
-    product = mpf_mul(mpf_sub(x, fhalf, wp, rnd), mpf_log(x, wp, rnd), wp, rnd)
-    return mpf_add(mpf_sub(product, x, wp, rnd), _constants(wp)[0], wp, rnd)
+def _stirling_prefix(x: tuple, wp: int, half: int = 1) -> tuple:
+    # (x - half/2) ln x - x + ln(2 pi)/2: Stirling's prefix for half = 1, and
+    # Gauss's x ln x - x + ln(2 pi)/2 for half = 0
+    product = _product(_sum(x, (-half, -1), wp), _ln(x, wp), wp)
+    return _sum(_sum(product, (-x[0], x[1]), wp), _constants(wp)[0], wp)
+
+
+_half_shift_prefix = functools.partial(_stirling_prefix, half=0)
 
 
 def _central_binomial_prefix(x: tuple, wp: int) -> tuple:
     # x ln 4 - ln(pi x)/2
     _, ln4, pi = _constants(wp)
-    half_ln_pi_x = mpf_shift(mpf_log(mpf_mul(pi, x, wp, rnd), wp, rnd), -1)
-    return mpf_sub(mpf_mul(x, ln4, wp, rnd), half_ln_pi_x, wp, rnd)
-
-
-def _half_shift_prefix(x: tuple, wp: int) -> tuple:
-    # x ln x - x + ln(2 pi)/2
-    product = mpf_mul(x, mpf_log(x, wp, rnd), wp, rnd)
-    return mpf_add(mpf_sub(product, x, wp, rnd), _constants(wp)[0], wp, rnd)
+    m, e = _ln(_product(pi, x, wp), wp)
+    return _sum(_product(x, ln4, wp), (-m, e - 1), wp)
 
 
 @dataclass(frozen=True)

@@ -205,7 +205,7 @@ def _cmd_eval(args, precision: int):
     kind, z = _series_argument(args, precision)
     tol, terms = args.tol, args.terms
     if terms is not None:
-        _in_range(terms, 0, "--terms")
+        _in_range(terms, 0, "--terms", series.INDEX_CAP)
     else:
         tol = series._DEFAULT_TOL if tol is None else tol
         # validate eagerly so garbage is a usage error, not a numeric one
@@ -234,7 +234,7 @@ def _cmd_eval(args, precision: int):
 
 
 def _cmd_bound(args, precision: int):
-    _in_range(args.terms, 0, "--terms")
+    _in_range(args.terms, 0, "--terms", series.INDEX_CAP)
     kind, z = _series_argument(args, precision)
     env = series.envelope_interval(kind, z, args.terms, precision)
     result = {

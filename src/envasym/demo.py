@@ -19,10 +19,11 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
 from mpmath import mpf
+from mpmath.libmp import from_man_exp
 
 from .errors import DomainError
 from .oracle import QuadratureSpec, binet_J
-from .precision import _context, checked_int, positive_real, to_precision, working_bits
+from .precision import _context, _pair, checked_int, positive_real, to_precision, working_bits
 from .series import SeriesKind, _checked_argument, _walk
 
 __all__ = [
@@ -77,7 +78,7 @@ def _violations_at(
 ) -> list[ViolationWitness]:
     """Witnesses among the truncation indices ``ks`` at one argument, from one
     walk of the series."""
-    walk = _walk(SeriesKind.BINET_J.row, xx._mpf_, working_bits(spec.precision), ks.start)
+    walk = _walk(SeriesKind.BINET_J.row, _pair(xx._mpf_), working_bits(spec.precision), ks.start)
     ctx = _context(spec.precision)
     j_val, j_err = binet_J(xx, spec, error=True)
     f_val = ctx.convert(j_val)
@@ -86,8 +87,8 @@ def _violations_at(
     noise_floor = _ERROR_MARGIN_FACTOR * ctx.convert(j_err)
     found = []
     for k, (s_k, t_k) in zip(ks, walk):
-        remainder = f_val - ctx.make_mpf(s_k)
-        t_k = ctx.make_mpf(t_k)
+        remainder = f_val - ctx.make_mpf(from_man_exp(*s_k))
+        t_k = ctx.make_mpf(from_man_exp(*t_k))
         bound = abs(t_k)
         if abs(remainder) - bound > noise_floor:
             mode = ViolationMode.MAGNITUDE_EXCEEDED

@@ -12,15 +12,18 @@ integers.  z is rounded to nearest, ``tol`` and the coefficient table down,
 the truncation search's bound up.  ``_product``, ``_quotient`` and ``_sum``
 are exact integer arithmetic on (mantissa, exponent) pairs rounded to
 nearest by it, so they have the bits of libmp's ``mpf_mul``, ``mpf_div`` and
-``mpf_add``.  The series walk and the quadrature's node loop call them.
-Error messages print their numbers through ``_nstr``.
+``mpf_add``.  The series walk, the assembly of its enclosures, the elementary
+prefixes and the quadrature's node loop call them: a pair is the one number
+form of the certified path, ``_pair`` reads one from a libmp tuple and
+``_to_mpf`` rounds one into the mpf the API returns.  Error messages print
+their numbers through ``_nstr``.
 
-No module reads or sets mpmath's global ``mp.prec``.  Hot paths are libmp
-calls at an explicit precision; other code uses operators on the numbers of
-``_context(P)``, a private context at ``working_bits(P)``.  An operator rounds
-at its left operand's context, so a global mpf goes through ``ctx.convert``
-(exact) before any arithmetic, and results go back as global mpf values,
-``to_precision(x._mpf_, P)``.
+No module reads or sets mpmath's global ``mp.prec``.  Hot paths are pair
+steps or libmp calls at an explicit precision; other code uses operators on
+the numbers of ``_context(P)``, a private context at ``working_bits(P)``.  An
+operator rounds at its left operand's context, so a global mpf goes through
+``ctx.convert`` (exact) before any arithmetic, and results go back as global
+mpf values, ``to_precision(x._mpf_, P)``.
 """
 
 from __future__ import annotations
@@ -173,6 +176,17 @@ def _sum(a: tuple, b: tuple, wp: int) -> tuple:
     if ae > be:
         return _round((am << (ae - be)) + bm, be, wp, round_nearest)
     return _round(am + (bm << (be - ae)), ae, wp, round_nearest)
+
+
+def _pair(x: tuple) -> tuple:
+    """The signed (mantissa, exponent) pair of a finite libmp tuple
+    (sign, mantissa, exponent, bit count)."""
+    return (-x[1] if x[0] else x[1]), x[2]
+
+
+def _to_mpf(x: tuple, bits: int) -> mpf:
+    """A pair rounded to nearest at ``bits`` bits, as an mpf."""
+    return mp.make_mpf(from_man_exp(*_round(*x, bits, round_nearest)))
 
 
 def rounded(p: int, q: int, precision: int, rounding: str) -> mpf:

@@ -41,8 +41,12 @@ exponents outside ``+-EXPONENT_LIMIT`` raise :class:`DomainError`.
 Rigor contract: the mathematical bounds are exact in exact arithmetic; each
 computed endpoint or bound x is widened outward by ``_margin(x, P)``, the exact
 2**-(P-32) |x| (``auto_truncate``'s ``slop`` is its exact twin), so containment
-survives rounding at P bits.  Every step is a libmp call at explicit precision,
-or in the walk its correctly rounded integer twin.
+survives rounding at P bits.  Every step from the exact argument to the
+returned mpf is one of ``precision``'s steps on (mantissa, exponent) pairs,
+rounded to nearest at the working precision: the walk, the prefix's sums and
+products, and the assembly of each value, bound and end.  Only the prefix's
+logarithms and pi are libmp calls, correctly rounded at the working precision.
+Pairs become mpf only where the API returns one.
 """
 
 from __future__ import annotations
@@ -56,21 +60,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
-from mpmath import mp, mpf
-from mpmath.libmp import (
-    from_man_exp,
-    mpf_abs,
-    mpf_add,
-    mpf_ge,
-    mpf_gt,
-    mpf_le,
-    mpf_neg,
-    mpf_shift,
-    mpf_sub,
-    round_ceiling,
-    round_floor,
-    round_nearest,
-)
+from mpmath import mpf
+from mpmath.libmp import round_ceiling, round_floor, round_nearest
 
 from . import coeffs
 from ._expansions import EXPANSIONS, Expansion
@@ -78,16 +69,17 @@ from .errors import DomainError, ToleranceUnattainable
 from .precision import (
     DEFAULT_PRECISION,
     _nstr,
+    _pair,
     _product,
     _quotient,
     _sum,
+    _to_mpf,
     checked_int,
     checked_precision,
     exact,
     positive_real,
     real_to_fraction,
     rounded,
-    to_precision,
     working_bits,
 )
 
@@ -108,11 +100,13 @@ __all__ = [
 
 _DEFAULT_TOL = "1e-12"
 
-#: Largest index ``min_term_index`` and ``auto_truncate`` return.  An input
-#: whose index lies above it raises :class:`DomainError`: at once when the
-#: float guess lies above it, before any coefficient is built, else when the
-#: exact search passes it.  Building the coefficients up to the cap takes one
-#: to two seconds; explicit ``terms=`` are not capped.
+#: Largest order the package takes or returns: the index ``min_term_index``
+#: and ``auto_truncate`` return, and an explicit ``terms=`` or k of ``term``,
+#: ``partial_sum`` and ``envelope_interval``.  An order above it raises
+#: :class:`DomainError`: an explicit one at once, a searched one at once when
+#: the float guess lies above it, else when the exact search passes it; either
+#: way before any coefficient above the cap is built.  Building the
+#: coefficients up to the cap takes one to two seconds.
 INDEX_CAP = 1000
 
 
@@ -170,11 +164,9 @@ class CertifiedValue:
 
     def interval(self) -> tuple[mpf, mpf]:
         """The enclosure as an ordered (lo, hi) pair."""
-        other = mp.make_mpf((mpf_add if self.error_sign > 0 else mpf_sub)(
-            self.value._mpf_, self.error_bound._mpf_, working_bits(self.precision), round_nearest))
-        if self.error_sign > 0:
-            return self.value, other
-        return other, self.value
+        wp, (m, e) = working_bits(self.precision), _pair(self.error_bound._mpf_)
+        other = _to_mpf(_sum(_pair(self.value._mpf_), (self.error_sign * m, e), wp), wp)
+        return (self.value, other) if self.error_sign > 0 else (other, self.value)
 
     def contains(self, x) -> bool:
         return _within(*self.interval(), x)
@@ -193,15 +185,23 @@ def _checked_argument(kind: SeriesKind, z, precision: int) -> mpf:
 
 
 def _margin(x: tuple, precision: int) -> tuple:
-    """The rounding margin 2**-(precision-32) |x| of a raw x: an exact shift."""
-    return mpf_shift(mpf_abs(x), 32 - precision)
+    """The rounding margin 2**-(precision-32) |x| of a pair x: an exact shift."""
+    return abs(x[0]), x[1] + 32 - precision
+
+
+def _capped(k, what: str) -> int:
+    """k as an int in [0, INDEX_CAP]: ValueError below, DomainError above."""
+    k = checked_int(k, 0, what)
+    if k > INDEX_CAP:
+        raise DomainError(f"{what} must be at most the cap of {INDEX_CAP}, got {k}")
+    return k
 
 
 def term(kind: SeriesKind, j: int, z, precision: int = DEFAULT_PRECISION) -> mpf:
     """The signed j-th term at working precision: the walk's t_j, so it costs
     j + 1 divisions and multiplications, not one power and one division."""
     _, t_j, _ = _sum_and_term(kind, z, checked_int(j, 0, "term index"), precision)
-    return to_precision(t_j, precision)
+    return _to_mpf(t_j, precision)
 
 
 @functools.lru_cache(maxsize=8192)
@@ -214,23 +214,23 @@ def _rounded_coefficient(family: str, j: int, prec: int) -> tuple:
 
 
 def _walk(row: Expansion, x: tuple, wp: int, start: int = 0) -> Iterator[tuple]:
-    """Raw (s_j, t_j) for j = start, start + 1, ...: s_j the sum of the first
-    j terms and t_j = c(j) / (sign(j) x^(2j+1)) the signed term j, at ``wp``
-    bits whatever ``mp.prec`` is; x is the raw, already shifted argument.
+    """The pairs (s_j, t_j) for j = start, start + 1, ...: s_j the sum of the
+    first j terms and t_j = c(j) / (sign(j) x^(2j+1)) the signed term j, at
+    ``wp`` bits whatever ``mp.prec`` is; x is the pair of the already shifted
+    argument.
 
     The power (one ``_product`` by -x^2 per term), the sum and each term
-    are integer pairs rounded to nearest in ``precision``; only the yielded
-    pairs, from ``start`` on, become libmp tuples.  Correctly rounded steps
-    have one answer, the bits of the same loop in libmp calls, which
+    are integer pairs rounded to nearest in ``precision``.  Correctly rounded
+    steps have one answer, the bits of the same loop in libmp calls, which
     ``tests/test_series.py::ambient_walk`` runs as the reference."""
-    xm, xe = x[1], x[2]
-    minus_x2 = _product((-xm, xe), (xm, xe), wp)
+    xm, xe = x
+    minus_x2 = _product((-xm, xe), x, wp)
     power = (xm if row.first_sign > 0 else -xm), xe
     total = (0, 0)
     for j in itertools.count():
         t_j = _quotient(_rounded_coefficient(row.coefficients, j, wp), power, wp, round_nearest)
         if j >= start:
-            yield from_man_exp(*total), from_man_exp(*t_j)
+            yield total, t_j
         total = _sum(total, t_j, wp)
         power = _product(power, minus_x2, wp)
 
@@ -243,14 +243,15 @@ def _walk_to(row: Expansion, x: tuple, wp: int, k: int) -> tuple:
 def partial_sum(kind: SeriesKind, z, k: int, precision: int = DEFAULT_PRECISION) -> mpf:
     """Sum of the first k terms (an empty sum for k = 0)."""
     s_k, _, _ = _sum_and_term(kind, z, k, precision)
-    return to_precision(s_k, precision)
+    return _to_mpf(s_k, precision)
 
 
 def _sum_and_term(kind: SeriesKind, z, k: int, precision: int) -> tuple:
-    """Raw (s_k, t_k) for the checked argument at the working precision wp, and wp."""
-    k = checked_int(k, 0, "term count")
+    """The pairs (s_k, t_k) at the checked argument and the working precision
+    wp, and wp; k above ``INDEX_CAP`` raises before the argument is read."""
+    k = _capped(k, "term count")
     zz, wp = _checked_argument(kind, z, precision), working_bits(precision)
-    return (*_walk_to(kind.row, zz._mpf_, wp, k), wp)
+    return (*_walk_to(kind.row, _pair(zz._mpf_), wp, k), wp)
 
 
 def envelope_interval(
@@ -262,16 +263,16 @@ def envelope_interval(
     remainder always lies strictly between consecutive partial sums.
     """
     s_k, t_k, wp = _sum_and_term(kind, z, k, precision)
-    s_next = mpf_add(s_k, t_k, wp, round_nearest)
-    lo, hi = (s_k, s_next) if mpf_le(s_k, s_next) else (s_next, s_k)
-    # lo <= hi, so hi or lo has the larger magnitude; both ends move by its margin.
-    pad = _margin(hi if mpf_gt(hi, mpf_neg(lo)) else lo, precision)
+    # Rounding is monotone, so s_k + t_k lies on t_k's side of s_k.  The end of
+    # larger magnitude has the sign of lo + hi; both ends move by its margin.
+    s_next = _sum(s_k, t_k, wp)
+    lo, hi = (s_k, s_next) if t_k[0] > 0 else (s_next, s_k)
+    pm, pe = _margin(hi if _sum(hi, lo, wp)[0] > 0 else lo, precision)
     return EnvelopeInterval(
-        lo=to_precision(mpf_sub(lo, pad, wp, round_nearest), precision),
-        hi=to_precision(mpf_add(hi, pad, wp, round_nearest), precision),
+        lo=_to_mpf(_sum(lo, (-pm, pe), wp), precision),
+        hi=_to_mpf(_sum(hi, (pm, pe), wp), precision),
         k_used=k,
-        bound=to_precision(mpf_add(mpf_abs(t_k), _margin(t_k, precision), wp, round_nearest),
-                           precision),
+        bound=_to_mpf(_sum((abs(t_k[0]), t_k[1]), _margin(t_k, precision), wp), precision),
         precision=precision,
     )
 
@@ -435,20 +436,19 @@ def _certificates(kind: SeriesKind, xf: Fraction, k: int,
     """The certified values at k, k + 1, k + 2, ..., from one walk at the exact,
     already shifted argument xf, rounded once to nearest."""
     wp = working_bits(precision)
-    x = rounded(xf.numerator, xf.denominator, wp, round_nearest)._mpf_
+    x = _quotient((xf.numerator, 0), (xf.denominator, 0), wp, round_nearest)
     prefix = kind.row.prefix(x, wp)
     for j, (s_j, t_j) in enumerate(_walk(kind.row, x, wp, k), k):
-        value = mpf_add(prefix, s_j, wp, round_nearest)
+        value = _sum(prefix, s_j, wp)
         sign = kind.row.sign(j)
         # Pull the anchor outward by value's margin and widen the widened term
         # by twice that, so the containment survives rounding of value itself.
-        margin = _margin(value, precision)
-        anchored = (mpf_sub if sign > 0 else mpf_add)(value, margin, wp, round_nearest)
-        bound = mpf_add(mpf_add(mpf_abs(t_j), _margin(t_j, precision), wp, round_nearest),
-                        mpf_shift(margin, 1), wp, round_nearest)
+        mm, me = _margin(value, precision)
+        anchored = _sum(value, (-sign * mm, me), wp)
+        bound = _sum(_sum((abs(t_j[0]), t_j[1]), _margin(t_j, precision), wp), (mm, me + 1), wp)
         yield CertifiedValue(
-            value=to_precision(anchored, precision),
-            error_bound=to_precision(bound, precision),
+            value=_to_mpf(anchored, precision),
+            error_bound=_to_mpf(bound, precision),
             error_sign=sign,
             k_used=j,
             precision=precision,
@@ -479,7 +479,7 @@ def _evaluate(kind: SeriesKind, z, tol, terms, precision: int) -> CertifiedValue
     z = exact(z, checked_precision(precision), "series argument")
     xf = z + Fraction(1, 2) if kind.row.half_shift else z  # as _exact_argument shifts
     if terms is not None:
-        return next(_certificates(kind, xf, checked_int(terms, 0, "terms"), precision))
+        return next(_certificates(kind, xf, _capped(terms, "terms"), precision))
     tol = exact(_DEFAULT_TOL if tol is None else tol, precision, "tolerance")
     k, _ = auto_truncate(kind, z, tol, precision)
     tol = rounded(tol.numerator, tol.denominator, precision, round_floor)  # as _tolerance
@@ -487,8 +487,8 @@ def _evaluate(kind: SeriesKind, z, tol, terms, precision: int) -> CertifiedValue
         k = certified.k_used
         if certified.error_bound <= tol:
             return certified
-        share = mpf_shift(_margin(certified.value._mpf_, precision), 1)
-        if mpf_ge(share, tol._mpf_) or k >= INDEX_CAP or _turns(kind.row, xf, k):
+        mm, me = _margin(_pair(certified.value._mpf_), precision)
+        if _to_mpf((mm, me + 1), precision) >= tol or k >= INDEX_CAP or _turns(kind.row, xf, k):
             break
     raise ToleranceUnattainable(
         f"tolerance {_nstr(tol, 8)} is below what {precision}-bit "

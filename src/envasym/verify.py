@@ -12,7 +12,7 @@ import itertools
 from dataclasses import dataclass
 
 from mpmath import mp, mpf
-from mpmath.libmp import from_int
+from mpmath.libmp import from_int, from_man_exp
 
 from . import oracle, series
 from .errors import ToleranceUnattainable
@@ -20,6 +20,7 @@ from .oracle import QuadratureSpec, ThetaFamily
 from .precision import (
     _context,
     _nstr,
+    _pair,
     exact,
     real_to_fraction,
     to_precision,
@@ -66,7 +67,8 @@ def tail_truth(kind: SeriesKind, z, precision: int):
     else:
         raise ValueError(f"no exact oracle for {kind} at z = {z}")
     full = ctx.convert(full)
-    value = full - ctx.make_mpf(kind.row.prefix(zz._mpf_, working_bits(hi_prec)))
+    prefix = kind.row.prefix(_pair(zz._mpf_), working_bits(hi_prec))
+    value = full - ctx.make_mpf(from_man_exp(*prefix))
     err = (abs(full) + abs(value) + 1) * ctx.mpf(2) ** (6 - hi_prec)
     return to_precision(value._mpf_, precision), to_precision(err._mpf_, precision)
 
@@ -152,7 +154,8 @@ def _check_remainder_identity(deep: bool, spec: QuadratureSpec) -> CheckResult:
     ctx, prec = _context(spec.precision), working_bits(spec.precision)
     return _mismatch_check("remainder-identity", (
         (ctx.convert(oracle.theta_ratio(family, k, z, spec))
-         * ctx.make_mpf(series._walk_to(family.row, ctx.convert(z)._mpf_, prec, k)[1]),
+         * ctx.make_mpf(from_man_exp(
+             *series._walk_to(family.row, _pair(ctx.convert(z)._mpf_), prec, k)[1])),
          oracle.remainder_quadrature(family, k, z, spec))
         for family in ThetaFamily for k in ks for z in zs), spec)
 
@@ -172,7 +175,7 @@ def _check_binet_cross_check(deep: bool, spec: QuadratureSpec) -> CheckResult:
     ctx = _context(spec.precision)
     return _mismatch_check("binet-vs-exact-gamma", (
         (ctx.convert(oracle.exact_ln_factorial(n - 1, spec.precision + 64))
-         - ctx.make_mpf(row.prefix(from_int(n), wp)),
+         - ctx.make_mpf(from_man_exp(*row.prefix(_pair(from_int(n)), wp))),
          oracle.binet_J(n, spec))
         for n in ns), spec)
 

@@ -84,8 +84,10 @@ CLI_LINES = (
     # the series' accuracy floor, and the precision's
     ("eval", "--series", "binet", "--z", "1", "--tol", "1e-30"),
     ("eval", "--series", "binet", "--z", "50", "--tol", "1e-80"),
-    # the index cap and the exponent limit
+    # the index cap, searched and explicit, and the exponent limit
     ("eval", "--series", "binet", "--z", "1000", "--tol", "1e-5000"),
+    ("eval", "--series", "binet", "--z", "7.3", "--terms", "1001"),
+    ("bound", "--series", "binet", "--z", "7.3", "--terms", "1001"),
     ("eval", "--series", "binet", "--z", "20.5", "--tol", "1e-100001"),
     # domain errors
     ("eval", "--series", "central-binom", "--z", "1e3"),

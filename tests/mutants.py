@@ -151,12 +151,8 @@ MUTANTS = (
     Mutant(
         "interval-ends-swapped",
         "series.py",
-        """        if self.error_sign > 0:
-            return self.value, other
-        return other, self.value""",
-        """        if self.error_sign > 0:
-            return other, self.value
-        return self.value, other""",
+        "return (self.value, other) if self.error_sign > 0 else (other, self.value)",
+        "return (other, self.value) if self.error_sign > 0 else (self.value, other)",
         ("tests/test_containment.py",),
     ),
     Mutant(
@@ -185,23 +181,37 @@ MUTANTS = (
     Mutant(
         "envelope-pad-dropped",
         "series.py",
-        "pad = _margin(hi if mpf_gt(hi, mpf_neg(lo)) else lo, precision)",
-        "pad = (0, 0, 0, 0)",
+        "pm, pe = _margin(hi if _sum(hi, lo, wp)[0] > 0 else lo, precision)",
+        "pm, pe = 0, 0",
         ("tests/test_series.py::TestEnvelopeInterval::test_width_equals_bound_up_to_slop",),
     ),
     Mutant(
         "anchor-inward",
         "series.py",
-        "anchored = (mpf_sub if sign > 0 else mpf_add)(value, margin, wp, round_nearest)",
-        "anchored = (mpf_add if sign > 0 else mpf_sub)(value, margin, wp, round_nearest)",
+        "anchored = _sum(value, (-sign * mm, me), wp)",
+        "anchored = _sum(value, (sign * mm, me), wp)",
         ("tests/test_containment.py",),
     ),
     Mutant(
         "certificate-share-dropped",
         "series.py",
-        """        bound = mpf_add(mpf_add(mpf_abs(t_j), _margin(t_j, precision), wp, round_nearest),
-                        mpf_shift(margin, 1), wp, round_nearest)""",
-        "        bound = mpf_add(mpf_abs(t_j), _margin(t_j, precision), wp, round_nearest)",
+        "bound = _sum(_sum((abs(t_j[0]), t_j[1]), _margin(t_j, precision), wp), (mm, me + 1), wp)",
+        "bound = _sum((abs(t_j[0]), t_j[1]), _margin(t_j, precision), wp)",
+        ("tests/test_containment.py",),
+    ),
+    Mutant(
+        "margin-at-2-to-minus-p-plus-8",
+        "series.py",
+        "return abs(x[0]), x[1] + 32 - precision",
+        "return abs(x[0]), x[1] - 8 - precision",
+        ("tests/test_containment.py",),
+    ),
+    Mutant(
+        "half-ln-2pi-off-by-2-to-minus-p-minus-40",
+        "_expansions.py",
+        "return _product(_ln((pi[0], pi[1] + 1), wp), (1, -1), wp), _ln((4, 0), wp), pi",
+        "return (_sum(_product(_ln((pi[0], pi[1] + 1), wp), (1, -1), wp), (1, 72 - wp), wp),\n"
+        "            _ln((4, 0), wp), pi)",
         ("tests/test_containment.py",),
     ),
     Mutant(

@@ -151,6 +151,19 @@ class TestEvalCommand:
         assert not out
         assert f"cap of {INDEX_CAP}" in err
 
+    @pytest.mark.parametrize("command", ["eval", "bound"])
+    def test_terms_above_the_cap_exit_1_before_any_coefficient_is_built(
+            self, capsys, monkeypatch, command):
+        # cold, eval --series binet --z 7.3 --terms 3000 ran for 70 s
+        calls = []
+        for family, build in coeffs.COEFFICIENT_FAMILIES.items():
+            monkeypatch.setitem(coeffs.COEFFICIENT_FAMILIES, family,
+                                lambda j, build=build: calls.append(j) or build(j))
+        code, out, err = run(capsys, command, "--series", "binet", "--z", "7.3",
+                             "--terms", str(INDEX_CAP + 1))
+        assert (code, out, calls) == (1, "", [])
+        assert err == f"error: --terms must be <= {INDEX_CAP}, got {INDEX_CAP + 1}\n"
+
     def test_decides_on_the_argument_as_typed(self, capsys):
         # sqrt(beta(6)/beta(5)) - 1e-35: the terms turn at k = 5, but the
         # 96-bit rounding of this decimal lies past the turn, where k = 6.
@@ -488,6 +501,10 @@ class TestUsageErrors:
          "--terms must be >= 0"),
         (None, ["bound", "--series", "binet", "--z", "3", "--terms", "-1"],
          "--terms must be >= 0"),
+        (None, ["eval", "--series", "binet", "--z", "3", "--terms", "1001"],
+         "--terms must be <= 1000, got 1001"),
+        (None, ["bound", "--series", "binet", "--z", "3", "--terms", "1001"],
+         "--terms must be <= 1000, got 1001"),
         (None, ["demo", "--b", "1", "--steps", "0"], "--steps must be >= 1"),
         (None, ["demo", "--b", "1", "--steps", "1001"], "--steps must be <= 1000, got 1001"),
         (None, ["demo", "--b", "1", "--k-max", "0"], "--k-max must be >= 1"),

@@ -239,3 +239,44 @@ def test_the_rounding_check_sees_a_rounding(tmp_path):
                       "w = from_man_exp(*pair)\nv = from_man_exp(1, 2, prec=53)\n")
     assert _roundings(module) == [
         "m.py:2 divmod", "m.py:4 from_man_exp", "m.py:5 from_rational", "m.py:7 from_man_exp"]
+
+
+_LIBMP_ARITHMETIC = {"mpf_add", "mpf_sub", "mpf_mul", "mpf_div", "mpf_shift", "mpf_abs",
+                     "mpf_neg", "mpf_le", "mpf_gt", "mpf_ge"}
+
+
+def _libmp_arithmetic(path: pathlib.Path) -> list[str]:
+    """Imports of, and references to, libmp's arithmetic and comparisons
+    (``mpf_add`` and its kin), as file:line name: a call by name or as an
+    attribute, or a function picked by an expression and then called."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.Name):
+            names = [node.id]
+        elif isinstance(node, ast.Attribute):
+            names = [node.attr]
+        else:
+            continue
+        found += [(node.lineno, name) for name in names if name in _LIBMP_ARITHMETIC]
+    return [f"{path.name}:{line} {name}" for line, name in sorted(found)]
+
+
+@pytest.mark.parametrize("name", ["series.py", "_expansions.py"])
+def test_the_certified_path_runs_on_pairs(name):
+    # every step of the walk, the assembly and the prefixes is one of
+    # precision's pair steps; only the prefixes' mpf_log and mpf_pi are libmp
+    assert _libmp_arithmetic(pathlib.Path(envasym.__file__).parent / name) == []
+
+
+def test_the_pair_check_sees_libmp_arithmetic(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text("from mpmath.libmp import mpf_add, mpf_log as log, mpf_ge\n"
+                      "from mpmath import libmp\nx = libmp.mpf_shift(y, 1)\n"
+                      "z = mpf_le(x, y) or log(x, 53, 'n')\nw = (mpf_sub if s else add)(x, y)\n"
+                      "v = libmp.mpf_pi(53, 'n')\n")
+    assert _libmp_arithmetic(module) == [
+        "m.py:1 mpf_add", "m.py:1 mpf_ge", "m.py:3 mpf_shift", "m.py:4 mpf_le",
+        "m.py:5 mpf_sub"]

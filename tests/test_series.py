@@ -17,8 +17,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf
 from mpmath.libmp import (
+    from_int,
     from_man_exp,
     from_rational,
+    mpf_abs,
+    mpf_add,
+    mpf_gt,
+    mpf_le,
+    mpf_log,
+    mpf_mul,
+    mpf_neg,
+    mpf_pi,
+    mpf_pos,
+    mpf_shift,
+    mpf_sub,
     round_ceiling,
     round_floor,
     round_nearest,
@@ -48,7 +60,7 @@ from envasym import (
 from envasym import coeffs, precision, series
 from envasym._expansions import Expansion, _constants
 from envasym.coeffs import COEFFICIENT_FAMILIES, beta, beta_hat, beta_tilde
-from envasym.precision import positive_real, real_to_fraction, rounded
+from envasym.precision import _pair, positive_real, real_to_fraction, rounded
 from envasym.series import INDEX_CAP
 
 P = 256
@@ -244,6 +256,77 @@ def ambient_pair(row, zz, k, wp):
     return next(itertools.islice(ambient_walk(row, zz, wp), k, None))
 
 
+def libmp_prefix(kind, x, wp):
+    """The elementary prefix at a libmp x as libmp calls at wp, to nearest:
+    the reference for the pair prefixes of ``_expansions``."""
+    rnd = round_nearest
+    pi = mpf_pi(wp, rnd)
+    half_ln_2pi = mpf_shift(mpf_log(mpf_shift(pi, 1), wp, rnd), -1)
+    if kind is SeriesKind.CENTRAL_BINOMIAL:  # x ln 4 - ln(pi x)/2
+        half_ln_pi_x = mpf_shift(mpf_log(mpf_mul(pi, x, wp, rnd), wp, rnd), -1)
+        return mpf_sub(mpf_mul(x, mpf_log(from_int(4), wp, rnd), wp, rnd), half_ln_pi_x, wp, rnd)
+    if kind is SeriesKind.BINET_J:  # (x - 1/2) ln x - x + ln(2 pi)/2
+        factor = mpf_sub(x, from_man_exp(1, -1), wp, rnd)
+    else:  # x ln x - x + ln(2 pi)/2
+        factor = x
+    product = mpf_mul(factor, mpf_log(x, wp, rnd), wp, rnd)
+    return mpf_add(mpf_sub(product, x, wp, rnd), half_ln_2pi, wp, rnd)
+
+
+def ambient_certificates(kind, xf, k, precision):
+    """The certified path at k as libmp calls at wp = precision + 32, to
+    nearest, over ``ambient_walk``: the reference for the pair assembly.
+    Returns the libmp tuples of ``_certificates``' value, error bound and
+    ``interval()`` ends, then of ``envelope_interval``'s lo, hi and bound, at
+    the exact, already shifted argument xf."""
+    wp, rnd = precision + 32, round_nearest
+
+    def margin(x):
+        return mpf_shift(mpf_abs(x), 32 - precision)
+
+    x = from_rational(xf.numerator, xf.denominator, wp, rnd)
+    s_k, t_k = raw(*ambient_pair(kind.row, mp.make_mpf(x), k, wp))
+    value = mpf_add(libmp_prefix(kind, x, wp), s_k, wp, rnd)
+    sign = kind.row.sign(k)
+    anchored = (mpf_sub if sign > 0 else mpf_add)(value, margin(value), wp, rnd)
+    bound = mpf_add(mpf_add(mpf_abs(t_k), margin(t_k), wp, rnd),
+                    mpf_shift(margin(value), 1), wp, rnd)
+    value, bound = mpf_pos(anchored, precision, rnd), mpf_pos(bound, precision, rnd)
+    other = (mpf_add if sign > 0 else mpf_sub)(value, bound, wp, rnd)
+    s_next = mpf_add(s_k, t_k, wp, rnd)
+    lo, hi = (s_k, s_next) if mpf_le(s_k, s_next) else (s_next, s_k)
+    pad = margin(hi if mpf_gt(hi, mpf_neg(lo)) else lo)
+    return [value, bound, *((value, other) if sign > 0 else (other, value)),
+            mpf_pos(mpf_sub(lo, pad, wp, rnd), precision, rnd),
+            mpf_pos(mpf_add(hi, pad, wp, rnd), precision, rnd),
+            mpf_pos(mpf_add(mpf_abs(t_k), margin(t_k), wp, rnd), precision, rnd)]
+
+
+@st.composite
+def certified_cases(draw):
+    """(kind, z, k, precision): every kind, an exact rational z > 0 from
+    about 1e-4 to 1e6, k from 0 to 30 and P from 64 to 1,024 bits."""
+    z = Fraction(draw(st.integers(1, 10**6)), draw(st.integers(1, 10**4)))
+    return (draw(st.sampled_from(ALL_KINDS)), z, draw(st.integers(0, 30)),
+            draw(st.integers(64, 1024)))
+
+
+class TestPairAssembly:
+    """The certified path on pairs against the same path as libmp calls,
+    bit for bit.  CI runs the property under the ``ci`` Hypothesis profile."""
+
+    @settings(deadline=None)
+    @given(certified_cases())
+    def test_the_assembly_is_the_libmp_assembly(self, case):
+        kind, z, k, precision = case
+        xf = series._exact_argument(kind, z, precision)
+        cv = next(series._certificates(kind, xf, k, precision))
+        env = envelope_interval(kind, z, k, precision)
+        assert (cv.k_used, cv.error_sign) == (k, kind.row.sign(k))
+        assert raw(cv.value, cv.error_bound, *cv.interval(), env.lo, env.hi, env.bound) == (
+            ambient_certificates(kind, xf, k, precision))
+
+
 SUM_PRECISIONS = (64, 256, 512)
 # dyadic, non-dyadic, integer; 3's odd powers cross wp + 1 bits, so some
 # steps of the walk are exact ties
@@ -262,9 +345,9 @@ class TestRoundedCoefficientSum:
         for z in SUM_ARGUMENTS:
             zz = series._checked_argument(kind, z, precision)
             expected = itertools.islice(ambient_walk(kind.row, zz, wp), SUM_K_MAX + 1)
-            got = itertools.islice(series._walk(kind.row, zz._mpf_, wp), SUM_K_MAX + 1)
-            for k, ((s_k, t_k), want) in enumerate(zip(got, expected, strict=True)):
-                assert [s_k, t_k] == raw(*want), (z, k)
+            got = itertools.islice(series._walk(kind.row, _pair(zz._mpf_), wp), SUM_K_MAX + 1)
+            for k, (pairs, want) in enumerate(zip(got, expected, strict=True)):
+                assert packed(*pairs) == raw(*want), (z, k)
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_the_ambient_precision_is_not_read(self, kind):
@@ -272,14 +355,14 @@ class TestRoundedCoefficientSum:
         zz = series._checked_argument(kind, "7.3", 256)
         expected = ambient_pair(kind.row, zz, 40, wp)
         with mp.workprec(53):
-            got = series._walk_to(kind.row, zz._mpf_, wp, 40)
+            got = series._walk_to(kind.row, _pair(zz._mpf_), wp, 40)
             assert mp.prec == 53
-        assert list(got) == raw(*expected)
+        assert packed(*got) == raw(*expected)
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_a_walk_from_start_is_the_tail_of_the_whole_walk(self, kind):
         wp = 256 + 32
-        zz = series._checked_argument(kind, "7.3", 256)._mpf_
+        zz = _pair(series._checked_argument(kind, "7.3", 256)._mpf_)
         for start in (0, 1, 7, 40):
             assert (list(itertools.islice(series._walk(kind.row, zz, wp, start), 10))
                     == list(itertools.islice(series._walk(kind.row, zz, wp), start, start + 10)))
@@ -291,9 +374,9 @@ class TestRoundedCoefficientSum:
         zz = series._checked_argument(SeriesKind.BINET_J, "1e100000", 256)
         expected = ambient_pair(row, zz, 300, wp)
         start = time.perf_counter()
-        got = series._walk_to(row, zz._mpf_, wp, 300)
+        got = series._walk_to(row, _pair(zz._mpf_), wp, 300)
         assert time.perf_counter() - start < 0.5
-        assert list(got) == raw(*expected)
+        assert packed(*got) == raw(*expected)
 
     def test_the_coefficient_table_is_bounded(self):
         assert series._rounded_coefficient.cache_info().maxsize == 8192
@@ -307,8 +390,9 @@ class TestRoundedCoefficientSum:
                    for k in ks] for z in SUM_ARGUMENTS}
 
         def ambient(row, x, wp, start=0):
-            for pair in itertools.islice(ambient_walk(row, mp.make_mpf(x), wp), start, None):
-                yield tuple(raw(*pair))
+            x = mp.make_mpf(from_man_exp(*x))
+            for pair in itertools.islice(ambient_walk(row, x, wp), start, None):
+                yield tuple(_pair(v._mpf_) for v in pair)
 
         monkeypatch.setattr(series, "_walk", ambient)
         for z in SUM_ARGUMENTS:
@@ -396,6 +480,11 @@ def raw(*xs):
     return [x._mpf_ for x in xs]
 
 
+def packed(*pairs):
+    """The libmp tuples of (mantissa, exponent) pairs."""
+    return [from_man_exp(*pair) for pair in pairs]
+
+
 class TestExplicitPrecisionPath:
     """The libmp certified path against the global-context path it replaced,
     bit for bit, whatever the ambient precision."""
@@ -408,7 +497,7 @@ class TestExplicitPrecisionPath:
             with mp.workprec(ambient):
                 zz = positive_real(z, precision, "z")
                 want_zz = ambient_positive_real(z, precision)
-                prefix = kind.row.prefix(zz._mpf_, precision + 32)
+                prefix = from_man_exp(*kind.row.prefix(_pair(zz._mpf_), precision + 32))
                 with mp.workprec(precision + 32):
                     want_prefix = AMBIENT_PREFIXES[kind](zz)
                 got, want = [], []
@@ -442,7 +531,7 @@ class TestExplicitPrecisionPath:
     def test_the_constants_are_the_global_context_ones(self, wp):
         with mp.workprec(wp):
             want = raw(mp.log(2 * mp.pi) / 2, mp.log(4), +mp.pi)
-        assert list(_constants(wp)) == want
+        assert packed(*_constants(wp)) == want
 
     def test_the_log_estimate_is_cached(self):
         assert coeffs.log_estimate.cache_info().maxsize == 4096
@@ -1057,9 +1146,28 @@ class TestIndexCap:
             auto_truncate(SeriesKind.BINET_J, 3, "1e-30")
         assert auto_truncate(SeriesKind.BINET_J, 3, "1e-4")[0] == 2
 
-    def test_explicit_terms_are_not_capped(self):
-        cv = ln_gamma(2000, terms=INDEX_CAP + 1, precision=64)
-        assert cv.k_used == INDEX_CAP + 1
+    def test_an_explicit_order_above_the_cap_raises_before_building_coefficients(
+            self, monkeypatch):
+        calls = []
+        for family, build in COEFFICIENT_FAMILIES.items():
+            monkeypatch.setitem(COEFFICIENT_FAMILIES, family,
+                                lambda j, build=build: calls.append(j) or build(j))
+        series._rounded_coefficient.cache_clear()
+        above = INDEX_CAP + 1
+        for kind in SeriesKind:
+            evaluate = getattr(series, kind.row.evaluation)
+            with pytest.raises(DomainError, match=f"^terms must be at most the cap of "
+                                                  f"{INDEX_CAP}, got {above}$"):
+                evaluate(2000, terms=above, precision=64)
+            for call in (lambda: term(kind, above, 2000, 64),
+                         lambda: partial_sum(kind, 2000, above, 64),
+                         lambda: envelope_interval(kind, 2000, above, 64)):
+                with pytest.raises(DomainError, match=f"^term count must be at most the cap "
+                                                      f"of {INDEX_CAP}, got {above}$"):
+                    call()
+        assert calls == []
+        # the cap itself is an order the package takes
+        assert ln_gamma(2000, terms=INDEX_CAP, precision=64).k_used == INDEX_CAP
 
     def test_search_does_not_build_past_a_reached_tolerance(self):
         # In a fresh interpreter: the minimum-term index at n = 10**6 is about
