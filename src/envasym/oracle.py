@@ -20,11 +20,11 @@ e**(-2*pi*eta); a well-known misprint in some references has 2**(-2*pi*eta).
 Quadrature results are trustworthy rather than certified: each value carries
 an a-posteriori error estimate (the difference of the last two refinement
 levels), not a proven bound.  Certification is the job of the series module.
-Each warm node's term, and each step of the running sums, is one rounding
-to nearest of exact integers by the one rounder of :mod:`envasym.precision`.
-Cold nodes, the weights and the combination of levels are libmp calls at an
-explicit precision; the wrappers and the exact logarithms are operators in
-the private context of the precision.  Nothing reads or sets ``mp.prec``.
+The node loop sums exact integers in fixed point; only the returned value
+and error are rounded, by the one rounder of :mod:`envasym.precision`.
+Cold nodes and the weights are libmp calls at an explicit precision; the
+wrappers and the exact logarithms are operators in the private context of
+the precision.  Nothing reads or sets ``mp.prec``.
 """
 
 from __future__ import annotations
@@ -40,11 +40,9 @@ from mpmath.libmp import (
     fone,
     from_float,
     from_man_exp,
-    mpf_abs,
     mpf_add,
     mpf_div,
     mpf_exp,
-    mpf_le,
     mpf_log,
     mpf_mul,
     mpf_neg,
@@ -61,9 +59,7 @@ from .precision import (
     DEFAULT_PRECISION,
     _context,
     _product,
-    _quotient,
     _round,
-    _sum,
     checked_int,
     checked_precision,
     positive_real,
@@ -182,6 +178,10 @@ _MAX_LEVELS = 20
 _TAIL_RUN = 2
 _TAIL_CAP = 10**7
 
+# Bits a quadrature's level-0 sum carries in its fixed-point unit: the sums
+# then stay within 2**-(wp+8) relative of their exact values (see _half_sum).
+_SUM_GUARD = 38
+
 # A row is [e = eta**2, W per family] as (mantissa, exponent) pairs; these are
 # the W columns.
 _COLUMNS = {family: column for column, family in enumerate(ThetaFamily, start=1)}
@@ -203,7 +203,8 @@ class _NodeTable:
     that stores builds the whole row of each node it computes; one that does
     not store computes its own W there and keeps nothing.  Every undamped
     moment integral stores; a damped one stores from its family's second
-    damped quadrature at this precision, so a one-off damped query leaves
+    damped quadrature at this precision, or once its moment integral is kept
+    (as ``theta_ratio`` takes it first), so a one-off damped query leaves
     nothing behind.  Every stored value is a pure function of (t,
     precision, family), so a row two quadratures make at once is the same
     either way.
@@ -215,9 +216,10 @@ class _NodeTable:
         # next() on a count is atomic, so no quadrature is counted twice.
         self._damped = {family: itertools.count() for family in ThetaFamily}
 
-    def storing(self, family: ThetaFamily) -> bool:
-        """Count one damped quadrature of the family; True from the second on."""
-        return next(self._damped[family]) > 0
+    def storing(self, family: ThetaFamily, k: int) -> bool:
+        """Count one damped quadrature of the family; True from the second on,
+        or where the table holds the moment integral of (family, k)."""
+        return next(self._damped[family]) > 0 or (family, k) in self.moments
 
 
 class _Level:
@@ -268,72 +270,58 @@ class _Level:
                 mpf_add(fone, e, self.wp, round_nearest))
 
 
-def _negligible(term: tuple, total: tuple, wp: int) -> bool:
-    """|term| <= 2**-wp * |total| for nonzero signed (mantissa, exponent)
-    pairs whose magnitudes (exponent plus bit length) lie exactly wp binades
-    apart, the one case they do not decide: the mantissas compared, aligned
-    by a shift no longer than either of them."""
-    (tm, te), (sm, se) = term, total
-    shift = te + wp - se
-    if shift >= 0:
-        return abs(tm) << shift <= abs(sm)
-    return abs(tm) <= abs(sm) << -shift
-
-
-def _half_sum(total: tuple, rows: dict, cold, js: range, dt: float, column: int, k: int,
-              z2, wp: int) -> tuple:
-    """(total, ended): the pair total plus the terms at t = j*dt for j in js,
-    and whether the tail ended before js ran out.
+def _half_sum(total: int, rows: dict, cold, js: range, dt: float, column: int, k: int,
+              z2, u: int, wp: int) -> tuple:
+    """(total, ended): the integer total plus the terms at t = j*dt for j in
+    js, in units of 2**u, and whether the tail ended before js ran out.
 
     A node's row is read by its exact dyadic t, else ``cold(t, j)`` makes
-    it.  Its term is one rounding to nearest at wp of exact integers: the
-    exact W * e**k over the exact z2 + e (``precision._quotient``), or W * e**k
-    (``precision._round``) when z2 is None, for pairs whose mantissas have at
-    most wp bits.  Where the smaller of z2 and e tops out (exponent plus bit
-    length) more than G = (k + 2) * wp + 2 binades below the larger, A = a * 2**u
-    with top t, s = 2**(t - G - 2) replaces it, so the sum stays near G bits.
-    Both lie in (0, A * 2**-G), so with x = N / A, N = n * 2**v the numerator,
-    both quotients lie in (x / (1 + 2**-G), x).  They round alike, as no
-    c * 2**f with |c| < 2**(wp+1) (a representable number or a midpoint) lies
-    there: x - c * 2**f is a nonzero multiple of 2**min(v - u, f) / a, so at
-    least x / n or 2**f / a > x / (a * 2**(wp+2)) (as c * 2**f > x / 2), and both
-    exceed x * 2**-G, as n < 2**((k+1)*wp) and a < 2**wp.
+    it.  Its term is q = floor(x / 2**u) of the exact x = W * e**k over the
+    exact z2 + e, or of W * e**k when z2 is None: one floor division of
+    exact integers, the numerator shifted first (nested floors are exact).
+    Where the smaller addend of z2 + e tops out (exponent plus bit length)
+    more than T = wp + G + 8 binades below the larger, G = _SUM_GUARD, it
+    is dropped, which leaves q in [floor(x), x * (1 + 2**-T)].  The tail
+    ends at the _TAIL_RUN-th negligible term in a row, q <= 2**-wp * total,
+    the sum so far (a zero term is): exactly, q <= total >> wp.
 
-    The running sum is ``precision._sum``.  The tail ends at the
-    _TAIL_RUN-th negligible term in a row, |term| <= 2**-wp * |total|: a zero
-    term is, and otherwise the magnitudes (exponent plus bit length, 0 for a
-    zero total) decide, unless they lie exactly wp binades apart
-    (``_negligible``).
+    Error: ``_de_quad_half_line`` sums each level's n nodes, S_l, in one
+    unit 2**u that leaves the level-0 sum S_0 wp + G bits (rescaling it
+    costs under one unit).  So S_l * 2**(u-l) is within (n + 1) * 2**(u-l)
+    plus 2**-T relative of the exact trapezoid sum of the stored inputs,
+    and as S_l >= S_0 >= 2**(wp+G-1), within 2**-(wp+8) relative for any
+    n < 2**28, more nodes than the caps allow.
     """
     get = rows.get
-    sm, se = total
     if z2 is not None:
-        top = z2[1] + z2[0].bit_length()
-        far = (k + 2) * wp + 2
+        zm, ze = z2
+        top = ze + zm.bit_length()
+        far = wp + _SUM_GUARD + 8
     run = 0
     for j in js:
         t = j * dt
         row = get(t) or cold(t, j)
         (em, ee), (wm, we) = row[0], row[column]
-        if z2 is None:
-            tm, te = _round(wm * em**k, we + k * ee, wp, round_nearest)
-        else:
-            num = wm * em**k, we + k * ee
+        num, shift = wm * em**k, we + k * ee - u
+        if z2 is not None:
+            # the divisor: the larger addend alone, or the exact z2 + e
             gap = top - ee - em.bit_length()  # z2's top less e's
-            zm, ze = z2 if gap >= -far else (1, top - gap - far - 2)
             if gap > far:
-                em, ee = 1, top - far - 2
-            tm, te = _quotient(num, ((zm << (ze - ee)) + em, ee) if ze > ee
-                               else (zm + (em << (ee - ze)), ze), wp, round_nearest)
-        sm, se = _sum((sm, se), (tm, te), wp)
-        gap = (se + sm.bit_length() if sm else 0) - te - tm.bit_length()
-        if not tm or (gap > wp if gap != wp or not sm else _negligible((tm, te), (sm, se), wp)):
+                em, ee = zm, ze
+            elif gap >= -far:
+                em, ee = ((zm << (ze - ee)) + em, ee) if ze > ee else (zm + (em << (ee - ze)), ze)
+            shift -= ee
+            q = (num << shift if shift >= 0 else num >> -shift) // em
+        else:
+            q = num << shift if shift >= 0 else num >> -shift
+        total += q
+        if q <= total >> wp:
             run += 1
             if run >= _TAIL_RUN:
-                return (sm, se), True
+                return total, True
         else:
             run = 0
-    return (sm, se), False
+    return total, False
 
 
 @lru_cache(maxsize=4)
@@ -361,8 +349,10 @@ def _de_quad_half_line(family: ThetaFamily, k: int, z2, spec: QuadratureSpec, st
     1 + e^-t of the level's recurrence (see ``_Level``), made pairs once.
     With ``store`` such a node's row is built whole, the W of every family
     from one ``_weights`` call, and kept; without it only this family's W is
-    computed.  Each side of a level is
-    one loop over the pairs, ``_half_sum``.
+    computed.  Each side of a level is one loop over the pairs,
+    ``_half_sum``, which adds each node's term exactly, as an integer in the
+    quadrature's one unit.  Two levels' sums are compared exactly, and the
+    estimate and the difference are rounded to working precision once each.
 
     Returns (value, error_estimate) as mpf at working precision.  Raises
     QuadratureNonConvergence if the level cap or the tail cap is hit first,
@@ -384,35 +374,40 @@ def _de_quad_half_line(family: ThetaFamily, k: int, z2, spec: QuadratureSpec, st
                                           wp, round_nearest)[1:3]
         return rows.setdefault(t, row) if store else row
 
-    def half_sums(h, start, step):
+    def half_sums(h, start, step, u):
         # sum of the nodes j*h over j = start, start+step, ... on both sides of 0
-        total = (0, 0)
+        total = 0
         for dt in (h, -h):
             level = _Level(start * dt, step * dt, wp)
             total, ended = _half_sum(total, rows, lambda t, j, level=level: cold(
                 t, *level.node((j - start) // step)), range(start, _TAIL_CAP + 1, step), dt,
-                column, k, z2, wp)
+                column, k, z2, u, wp)
             if not ended:
                 raise _unconverged("tail truncation cap exceeded", estimate, err)
-        return from_man_exp(*total)
+        return total
 
-    h = 1.0
-    # the node at t = 0 alone, then its level's two sides
-    middle, _ = _half_sum((0, 0), rows, lambda t, j: cold(t, *_Level(t, h, wp).node(0)),
-                          range(1), 0.0, column, k, z2, wp)
-    estimate = mpf_add(from_man_exp(*middle), half_sums(h, 1, 1), wp, round_nearest)
-    previous = None
+    # the node at t = 0 alone, at a unit that leaves it more than wp + G bits
+    # (from a lower bound on its W * e**k and an upper one on its z2 + e)
+    middle = rows.get(0.0) or cold(0.0, *_Level(0.0, 1.0, wp).node(0))
+    (em, ee), (wm, we) = middle[0], middle[column]
+    u = we + wm.bit_length() - 1 + k * (ee + em.bit_length() - 1) - wp - _SUM_GUARD
+    if z2 is not None:
+        u -= max(z2[1] + z2[0].bit_length(), ee + em.bit_length()) + 1
+    total = _half_sum(0, {0.0: middle}, None, range(1), 0.0, column, k, z2, u, wp)[0]
+    # then its level's two sides, and the sum rescaled to wp + G bits
+    total += half_sums(1.0, 1, 1, u)
+    shift = total.bit_length() - wp - _SUM_GUARD
+    total, u = total >> shift, u + shift
     for level in range(1, _MAX_LEVELS + 1):
-        h = h / 2
-        # estimate/2 + h * (sum over the new nodes), with h = 2**-level
-        estimate = mpf_add(mpf_shift(estimate, -1),
-                           mpf_shift(half_sums(h, 1, 2), -level), wp, round_nearest)
-        if previous is not None:
-            err = mpf_abs(mpf_sub(estimate, previous, wp, round_nearest))
-            # effective_tol() * |estimate|, exact: the tolerance is a power of two
-            if mpf_le(err, mpf_shift(mpf_abs(estimate), 32 - prec)):
+        # the sum over level l's nodes, in units of 2**(u - l)
+        previous, total = total, total + half_sums(2.0**-level, 1, 2, u)
+        estimate = from_man_exp(*_round(total, u - level, wp, round_nearest))
+        if level > 1:
+            diff = abs(total - 2 * previous)
+            err = from_man_exp(*_round(diff, u - level, wp, round_nearest))
+            # |difference| <= effective_tol() * estimate, exact
+            if diff << (prec - 32) <= total:
                 return mp.make_mpf(estimate), mp.make_mpf(err)
-        previous = estimate
     raise _unconverged(f"no convergence within {_MAX_LEVELS} refinement levels", estimate, err)
 
 
@@ -438,11 +433,12 @@ def _moment_integral(family: ThetaFamily, k: int, spec: QuadratureSpec):
 @lru_cache(maxsize=1024)
 def _damped_moment_integral(family: ThetaFamily, k: int, z: mpf, spec: QuadratureSpec):
     """(value, err) of  integral eta^(2k)/(z^2+eta^2) * weight(eta) deta,
-    storing from the family's second damped quadrature at the precision."""
+    storing from the family's second damped quadrature at the precision, or
+    after the (family, k) moment integral."""
     wp = working_bits(spec.precision)
     x = mpf_pos(z._mpf_, wp, round_nearest)[1:3]
     return _de_quad_half_line(family, k, _product(x, x, wp), spec,
-                              _node_table(spec.precision).storing(family))
+                              _node_table(spec.precision).storing(family, k))
 
 
 def _finish(value, err, spec: QuadratureSpec, error: bool):

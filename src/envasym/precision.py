@@ -12,9 +12,9 @@ integers.  z is rounded to nearest, ``tol`` and the coefficient table down,
 the truncation search's bound up.  ``_product``, ``_quotient`` and ``_sum``
 are exact integer arithmetic on (mantissa, exponent) pairs rounded to
 nearest by it, so they have the bits of libmp's ``mpf_mul``, ``mpf_div`` and
-``mpf_add``.  The series walk, the assembly of its enclosures, the elementary
-prefixes and the quadrature's node loop call them: a pair is the one number
-form of the certified path, ``_pair`` reads one from a libmp tuple and
+``mpf_add``.  The series walk, the assembly of its enclosures and the
+elementary prefixes call them, and the quadrature rounds its exact sums by
+``_round``: a pair is the one number form of the certified path, ``_pair`` reads one from a libmp tuple and
 ``_to_mpf`` rounds one into the mpf the API returns.  Error messages print
 their numbers through ``_nstr``.
 

@@ -78,10 +78,26 @@ MUTANTS = (
     Mutant(
         "node-far-gap-at-wp-plus-2",
         "oracle.py",
-        "far = (k + 2) * wp + 2",
+        "far = wp + _SUM_GUARD + 8",
         "far = wp + 2",
-        ("tests/test_walk_rounding.py::test_a_node_term_is_one_libmp_rounding",
+        ("tests/test_walk_rounding.py::test_a_node_term_is_the_floor_of_its_exact_value",
          "tests/test_oracle.py::TestLibmpLoop"),
+    ),
+    Mutant(
+        "fixed-point-guard-dropped",
+        "oracle.py",
+        "_SUM_GUARD = 38",
+        "_SUM_GUARD = 0",
+        ("tests/test_oracle.py::TestFixedPointSums",),
+    ),
+    Mutant(
+        "level-difference-undoubled",
+        "oracle.py",
+        "diff = abs(total - 2 * previous)",
+        "diff = abs(total - previous)",
+        # every full quadrature then runs to the level cap, each level twice
+        # as long: the killer caps the levels and checks the difference
+        ("tests/test_oracle.py::TestQuadratureSpec::test_level_cap_raises",),
     ),
     Mutant(
         "sum-shortcut-at-wp",
@@ -89,8 +105,7 @@ MUTANTS = (
         "if abs(gap) > wp + 2:",
         "if abs(gap) > wp:",
         ("tests/test_walk_rounding.py::test_sum_around_the_shortcut_threshold",
-         "tests/test_walk_rounding.py::test_sum_is_libmps",
-         "tests/test_oracle.py::TestLibmpLoop"),
+         "tests/test_walk_rounding.py::test_sum_is_libmps"),
     ),
     Mutant(
         "round-ties-away",

@@ -14,18 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf
 from mpmath.libmp import libmpf
-from mpmath.libmp import (
-    from_int,
-    from_man_exp,
-    fzero,
-    mpf_abs,
-    mpf_gt,
-    mpf_le,
-    mpf_mul,
-    mpf_shift,
-    mpf_sub,
-    round_nearest,
-)
+from mpmath.libmp import from_int, from_man_exp, fzero, mpf_gt, mpf_mul, round_nearest
 
 from envasym import (
     DomainError,
@@ -44,7 +33,7 @@ from envasym import (
 from envasym import oracle, verify
 from envasym.coeffs import beta, beta_hat, beta_tilde
 from envasym.demo import enveloping_control_scan
-from envasym.precision import _round, positive_real
+from envasym.precision import _product, positive_real
 
 SPEC = QuadratureSpec(precision=256)
 TIGHT = mpf(2) ** -200
@@ -289,8 +278,8 @@ class TestQuadratureSpec:
     # The estimate after two levels at 288 bits: a raw tuple, so a value that
     # is not a finite positive mpf (mp.make_mpf of a pair passes isinstance)
     # is seen.
-    LEVEL_2 = (0, int("36948270731636241318857594509966059499453076"
-                      "690273053930457858933860993938987813084547"), -290, 285)
+    LEVEL_2 = (0, int("2955861658530899305508607560797284759956246135"
+                      "22184431443662871470887951511902504676377"), -293, 288)
 
     @staticmethod
     def _raised(monkeypatch, name, cap):
@@ -307,10 +296,12 @@ class TestQuadratureSpec:
         assert first.error is None  # one level has nothing to differ from
         raised = self._raised(monkeypatch, "_MAX_LEVELS", 2)
         assert raised.value._mpf_ == self.LEVEL_2
-        # the error is the difference of the last two levels (it was always 0)
+        # the error is the difference of the last two levels (it was always
+        # 0), each of the three rounded once from exact sums
         wp = SPEC.precision + 32
-        assert raised.error._mpf_ == mpf_abs(
-            mpf_sub(self.LEVEL_2, first.value._mpf_, wp, round_nearest))
+        level_2 = _fraction(raised.value)
+        difference = abs(level_2 - _fraction(first.value))
+        assert abs(_fraction(raised.error) - difference) <= 2 ** (2 - wp) * level_2
         assert raised.error > 0
 
     def test_tail_cap_raises(self, monkeypatch):
@@ -605,6 +596,20 @@ class TestNodeTable:
         oracle._node_table.cache_clear()
         assert warm == _quadratures(ThetaFamily.THETA, 1, spec)
 
+    def test_deep_verification_makes_whole_rows_of_the_damped_tails(self, monkeypatch):
+        # theta-containment's first damped quadrature at 512 bits (z = 0.25)
+        # runs past its moment's rows; as the moment is kept it stores, and
+        # its 1,288 one-family weights are whole rows, which the family's
+        # later damped quadratures would make anyway.  The one-family
+        # weights left are weight-linear-dependence's pointwise ones.
+        oracle._node_table.cache_clear()
+        _clear_value_caches()
+        weights = _counted_weights(monkeypatch)
+        assert all(check.passed for check in verify.run_verification(deep=True))
+        rows = oracle._node_table(512).rows
+        assert sum(len(families) == 1 for families in weights) <= 12
+        assert len(rows) == 2634 == weights.count(tuple(ThetaFamily))
+
     def test_theta_ratio_at_a_fresh_precision_makes_each_eta_once(self, monkeypatch):
         # the moment comes first and stores; the damped quadrature, its
         # family's first, reads those rows
@@ -715,47 +720,77 @@ def sinh_nodes(t0, dt, wp):
     return at
 
 
+def _pair_fraction(pair):
+    """The exact value of a (mantissa, exponent) pair."""
+    return Fraction(pair[0]) * Fraction(2) ** pair[1]
+
+
+def _fraction(x):
+    """The exact value of a finite mpf."""
+    return _pair_fraction(x.man_exp)
+
+
+def _top(x):
+    """Exponent plus bit length of a nonzero mpf: 2**(top-1) <= |x| < 2**top."""
+    return x._mpf_[2] + x._mpf_[3]
+
+
 def ambient_de_quad(family, k, z, precision, nodes=recurrence_nodes, memo=None):
-    """(value, err) of the ambient-context loop with no node table, the
-    reference for ``oracle._de_quad_half_line``: the damped moment integral
-    at z, or the undamped one when z is None.  ``nodes(t0, dt, wp)`` gives
-    eta and the factor d(eta)/dt / eta on the level with nodes +-(t0 + n*dt).
-    A ``memo`` dict, shared by calls at one precision and one ``nodes``,
-    keeps eta and the weight by (family, t): each t lies on one level, so
-    they depend on nothing else."""
+    """(value, err) of the fixed-point loop with no node table, the reference
+    for ``oracle._de_quad_half_line``: the damped moment integral at z, or the
+    undamped one when z is None.  ``nodes(t0, dt, wp)`` gives eta and the
+    factor d(eta)/dt / eta on the level with nodes +-(t0 + n*dt); eta, W and
+    e = eta**2 are mpf operators in the ambient context at P + 32 bits, and
+    a node's term the floor of its exact value in one unit 2**u, as
+    ``oracle._half_sum``'s docstring states.  A ``memo`` dict, shared
+    by calls at one precision and one ``nodes``, keeps e and W by (family, t):
+    each t lies on one level, so they depend on nothing else."""
     wp = precision + 32
+    guard = oracle._SUM_GUARD
+    far = wp + guard + 8
     with mp.workprec(wp):
-        tail_eps = mpf(2) ** (-(precision + 32))
-        target = mpf(2) ** (32 - precision)
         z2 = None if z is None else mp.mpf(z) ** 2
 
-        def g(t, at):
+        def row(t, at):
             if memo is not None and (family, t) in memo:
-                eta, w = memo[family, t]
-            else:
-                eta, factor = at(t)
-                w = mp.make_mpf(oracle._weight(family, eta._mpf_, wp)) * factor * eta
-                if memo is not None:
-                    memo[family, t] = eta, w
-            # one rounding of exact values: W * e**k, over z2 + e when damped
-            e = eta * eta
-            moment = w
-            for _ in range(k):
-                moment = mp.fmul(moment, e, exact=True)
-            if z2 is None:
-                return +moment
-            return mp.fdiv(moment, mp.fadd(z2, e, exact=True))
+                return memo[family, t]
+            eta, factor = at(t)
+            e, w = eta * eta, mp.make_mpf(oracle._weight(family, eta._mpf_, wp)) * factor * eta
+            if memo is not None:
+                memo[family, t] = e, w
+            return e, w
 
-        def half_sums(h, start, step):
+        def term(t, at, u):
+            # floor of x = W * e**k, over z2 + e when damped, in units of
+            # 2**u, as one floor of integers, the power of two in the
+            # divisor when it is negative; of z2 and e, one more than far
+            # binades below the other is dropped
+            e, w = row(t, at)
+            bound = _top(w) + k * _top(e)  # x < 2**bound
+            if z2 is not None:
+                bound -= max(_top(z2), _top(e)) - 1
+            if bound <= u:
+                return 0  # without the huge divisor of a deep tail node
+            (wm, we), (em, ee) = w.man_exp, e.man_exp
+            num, shift, den = wm * em**k, we + k * ee - u, 1
+            if z2 is not None:
+                (zm, ze), gap = z2.man_exp, _top(z2) - _top(e)
+                low = ze if gap > far else ee if gap < -far else min(ze, ee)
+                den = ((zm << (ze - low) if gap >= -far else 0)
+                       + (em << (ee - low) if gap <= far else 0))
+                shift -= low
+            return (num << shift) // den if shift >= 0 else num // (den << -shift)
+
+        def half_sums(h, start, step, u):
             at = nodes(start * h, step * h, wp)
-            total = mpf(0)
+            total = 0
             for sgn in (1, -1):
                 j = start
                 run = 0
                 while True:
-                    term = g(sgn * j * h, at)
-                    total += term
-                    if abs(term) <= tail_eps * abs(total):
+                    q = term(sgn * j * h, at, u)
+                    total += q
+                    if q * 2**wp <= total:
                         run += 1
                         if run >= 2:
                             break
@@ -764,17 +799,22 @@ def ambient_de_quad(family, k, z, precision, nodes=recurrence_nodes, memo=None):
                     j += step
             return total
 
-        h = 1.0
-        estimate = h * (g(0.0, nodes(0.0, 1.0, wp)) + half_sums(h, 1, 1))
-        previous = None
-        for _ in range(oracle._MAX_LEVELS):
-            h = h / 2
-            estimate = estimate / 2 + h * half_sums(h, 1, 2)
-            if previous is not None:
-                err = abs(estimate - previous)
-                if err <= target * abs(estimate):
-                    return estimate, err
-            previous = estimate
+        middle = nodes(0.0, 1.0, wp)
+        e, w = row(0.0, middle)
+        # the middle node then has more than wp + guard bits
+        u = _top(w) - 1 + k * (_top(e) - 1) - wp - guard
+        if z2 is not None:
+            u -= max(_top(z2), _top(e)) + 1
+        total = term(0.0, middle, u) + half_sums(1.0, 1, 1, u)
+        shift = total.bit_length() - wp - guard
+        total, u = total >> shift, u + shift
+        for level in range(1, oracle._MAX_LEVELS + 1):
+            previous, total = total, total + half_sums(2.0**-level, 1, 2, u)
+            if level > 1:
+                diff = abs(total - 2 * previous)
+                if diff * 2 ** (precision - 32) <= total:
+                    return tuple(mp.make_mpf(from_man_exp(m, u - level, wp, round_nearest))
+                                 for m in (total, diff))
         raise AssertionError("the reference did not converge")
 
 
@@ -864,7 +904,7 @@ class TestLibmpLoop:
 
     def test_a_warm_quadrature_makes_no_libmp_arithmetic(self, monkeypatch):
         # on a table two earlier passes filled, a warm node reads pairs and
-        # rounds exact integers: no weight, level node, exp, log, product or
+        # sums exact integers: no weight, level node, exp, log, product or
         # quotient of libmp tuples, counted through the oracle's names
         cases = [(ThetaFamily.THETA, 0, "7.3"), (ThetaFamily.THETA_TILDE, 3, "7.3"),
                  (ThetaFamily.THETA_HAT, 2, None)]
@@ -912,90 +952,104 @@ class TestLibmpLoop:
         assert calls == []
 
 
-def tuple_negligible(term, total, wp):
-    """The tail test on raw libmp tuples, as the quadrature made it before its
-    warm loop moved onto integer pairs: the reference for the node loop's."""
-    if term == fzero:
-        return True
-    gap = (total[2] + total[3]) - (term[2] + term[3])
-    if gap != wp:
-        return gap > wp
-    return mpf_le(mpf_abs(term), mpf_shift(mpf_abs(total), -wp))
-
-
 @st.composite
 def tail_tests(draw):
-    """(term, total, wp) as signed pairs: random; or the term's magnitude wp
-    - 1, wp or wp + 1 binades below the total's, with the term's mantissa the
-    total's, one above or one below it, times a power of two; or a zero term
-    or a zero total, at exponents down to -2 * 10**12."""
+    """(term, before, wp): the integer term of a node and the sum of the
+    level's nodes before it: random; or term * 2**wp one below, at or one
+    above the total before + term; or a zero term; or a first node, with
+    nothing before it."""
     wp = draw(st.integers(1, 600))
-    sign = st.sampled_from([1, -1])
-    exponent = st.integers(-2 * 10**12, 10**6)
-    sm = draw(sign) * draw(st.integers(1, 2**wp))
-    se = draw(exponent)
-    shape = draw(st.sampled_from(["random", "tie", "zero term", "zero total"]))
+    term = draw(st.integers(0, 2 ** (wp + 8)))
+    shape = draw(st.sampled_from(["random", "tie", "zero term", "first node"]))
     if shape == "tie":
-        shift = draw(st.integers(0, 8))
-        tm = draw(sign) * (abs(sm) + draw(st.sampled_from([-1, 0, 1])) or 1) << shift
-        te = se - wp - shift + draw(st.sampled_from([-1, 0, 1]))
-    elif shape == "zero term":
-        tm, te = 0, draw(exponent)
+        term = max(term, 1)
+        before = (term << wp) - term + draw(st.sampled_from([-1, 0, 1]))
+    elif shape == "first node":
+        before = 0
     else:
-        tm = draw(sign) * draw(st.integers(1, 2 ** (wp + 1)))
-        if shape == "zero total":
-            sm, se = 0, draw(exponent)
-            te = -wp - tm.bit_length() + draw(st.integers(-2, 2))
-        else:
-            te = se + draw(st.integers(-2 * wp - 8, 8))
-    return (tm, te), (sm, se), wp
+        before = draw(st.integers(0, 2 ** (2 * wp + 8)))
+        term = 0 if shape == "zero term" else term
+    return term, before, wp
 
 
-def _exact_difference(a, b):
-    """a - b exactly, as a pair; a zero is not aligned, as the exponents lie
-    up to 2 * 10**12 apart."""
-    (am, ae), (bm, be) = a, b
-    if not (am and bm):
-        return a if am else (-bm, be)
-    e = min(ae, be)
-    return (am << (ae - e)) - (bm << (be - e)), e
-
-
-def loop_ends_tail(term, total, wp):
-    """(ended, term, got): the node loop's tail decision at a node whose term,
-    rounded to wp bits as the loop rounds it, brings the sum before it, the
-    total less the term, to got; a zero node follows, so the tail ends
-    exactly when the term is negligible against got."""
-    term = _round(*term, wp, round_nearest)
-    start = _exact_difference(total, term)
-    rows = {1.0: [(1, 0), term], 2.0: [(1, 0), (0, 0)]}
-    got, ended = oracle._half_sum(start, rows, None, range(1, 3), 1.0, 1, 0, None, wp)
-    tops = [m[1] + abs(m[0]).bit_length() for m in (start, term)]
-    if start[0] and term[0] and abs(tops[0] - tops[1]) <= wp + 2:
-        assert from_man_exp(*got) == from_man_exp(*total)  # no shortcut: exact
-    return ended, term, got
+def loop_ends_tail(term, before, wp):
+    """Whether the node loop's tail ends at a node whose term is the integer
+    ``term``, after the sum ``before`` of the level's earlier nodes: W =
+    term, e = 1 and a unit of 1 plant it exactly.  A zero node follows, so
+    the tail ends exactly when the term is negligible."""
+    rows = {1.0: [(1, 0), (term, 0)], 2.0: [(1, 0), (0, 0)]}
+    total, ended = oracle._half_sum(before, rows, None, range(1, 3), 1.0, 1, 0, None, 0, wp)
+    assert total == before + term
+    return ended
 
 
 class TestTailTest:
-    """The node loop's tail test on pairs (``oracle._half_sum``, with
-    ``oracle._negligible`` at a tie) against the tuple test it replaced.
-    CI runs this class a second time under the ``ci`` Hypothesis profile."""
+    """The node loop's tail test on integer terms (``oracle._half_sum``)
+    against the exact test it states: term <= 2**-wp times the sum with the
+    term.  CI runs this class a second time under the ``ci`` Hypothesis
+    profile."""
 
     @settings(deadline=None)
     @given(tail_tests())
-    def test_decides_as_the_tuple_test(self, term_total_wp):
-        ended, term, got = loop_ends_tail(*term_total_wp)
-        wp = term_total_wp[2]
-        assert ended == tuple_negligible(from_man_exp(*term), from_man_exp(*got), wp)
+    def test_decides_as_the_exact_test(self, term_before_wp):
+        term, before, wp = term_before_wp
+        want = Fraction(term) <= Fraction(before + term, 2**wp)
+        assert loop_ends_tail(term, before, wp) is want
 
     def test_ties_on_both_sides(self):
         for wp in (2, 64, 288):
-            total = (3 << wp, -10**12)
-            for term, want in (((3, -10**12), True), ((4, -10**12), False),
-                               ((2, -10**12), True), ((3, -10**12 + 1), False),
-                               ((-3, -10**12), True), ((6, -10**12 - 1), True)):
-                assert loop_ends_tail(term, total, wp)[0] is want, (wp, term)
-                assert tuple_negligible(from_man_exp(*term), from_man_exp(*total), wp) is want
+            for term in (1, 3, 2**wp + 1):
+                total = term << wp
+                for before, want in ((total - term, True), (total - term - 1, False),
+                                     (total - term + 1, True)):
+                    assert loop_ends_tail(term, before, wp) is want, (wp, term, before)
+
+
+class TestFixedPointSums:
+    """Each level's sum, S_l in units of 2**(u-l), against the exact
+    trapezoid sum T_l of the rows the quadrature stored: within the bound
+    ``oracle._half_sum`` states, (n + 1) units plus 2**-T relative for n
+    nodes, and so 2**-(wp+8) relative."""
+
+    CASES = [(family, k, z) for family in ThetaFamily
+             for k, z in ((0, None), (3, None), (0, "0.5"), (2, "7.3"), (1, "45"))]
+
+    @pytest.mark.parametrize("precision", [64, 128])
+    def test_every_level_is_within_the_bound_of_the_exact_trapezoid_sum(
+            self, monkeypatch, precision):
+        spec = QuadratureSpec(precision=precision)
+        wp = precision + 32
+        far = wp + oracle._SUM_GUARD + 8
+        sums = {}  # u - l: S_l, the first of the level's two roundings
+
+        def recorded(m, e, bits, rounding, fn=oracle._round):
+            sums.setdefault(e, m)
+            return fn(m, e, bits, rounding)
+
+        monkeypatch.setattr(oracle, "_round", recorded)
+        for family, k, z in self.CASES:
+            z2 = None
+            if z is not None:
+                x = positive_real(z, precision, "argument").man_exp
+                z2 = _product(x, x, wp)
+            oracle._node_table.cache_clear()
+            sums.clear()
+            oracle._de_quad_half_line(family, k, z2, spec, True)  # stores every node
+            column = oracle._COLUMNS[family]
+            new = {}  # level: the exact W * e**k, over z2 + e when damped, of its new nodes
+            for t, (e, *ws) in oracle._node_table(precision).rows.items():
+                x = _pair_fraction(ws[column - 1]) * _pair_fraction(e) ** k
+                if z2 is not None:
+                    x /= _pair_fraction(z2) + _pair_fraction(e)
+                new.setdefault(t.as_integer_ratio()[1].bit_length() - 1, []).append(x)
+            nodes, want = len(new[0]), sum(new[0])
+            for level, (exponent, total) in enumerate(sums.items(), start=1):
+                nodes, want = nodes + len(new[level]), want + sum(new[level])
+                trapezoid = want / 2**level
+                error = abs(_pair_fraction((total, exponent)) - trapezoid)
+                case = (family, k, z, level)
+                assert error <= (nodes + 1) * Fraction(2) ** exponent + trapezoid / 2**far, case
+                assert error <= trapezoid / 2 ** (wp + 8), case
 
 
 def _level_errors(pairs, ts, wp):
@@ -1126,16 +1180,16 @@ class TestWeight:
 
 class TestZeroTerms:
     def test_a_zero_term_is_negligible(self):
-        assert loop_ends_tail((0, 0), (3, 0), 288)[0]
-        assert loop_ends_tail((0, 0), (0, 0), 288)[0]
-        assert not loop_ends_tail((1, 0), (3, 0), 288)[0]
+        assert loop_ends_tail(0, 3, 288)
+        assert loop_ends_tail(0, 0, 288)
+        assert not loop_ends_tail(1, 2, 288)
 
     def test_a_lone_zero_node_does_not_end_a_tail(self):
         # _TAIL_RUN negligible nodes in a row end a tail, a lone one does not
-        terms = [(3, 0), (0, 0), (3, 0), (0, 0), (0, 0), (3, 0)]
-        rows = {float(j): [(1, 0), w] for j, w in enumerate(terms, start=1)}
-        total, ended = oracle._half_sum((0, 0), rows, None, range(1, 7), 1.0, 1, 0, None, 64)
-        assert ended and total == (6, 0)
+        terms = [3, 0, 3, 0, 0, 3]
+        rows = {float(j): [(1, 0), (w, 0)] for j, w in enumerate(terms, start=1)}
+        total, ended = oracle._half_sum(0, rows, None, range(1, 7), 1.0, 1, 0, None, 0, 64)
+        assert ended and total == 6
 
     def test_a_factor_that_vanishes_in_the_tail_ends_the_tail(self, monkeypatch):
         # zero terms that were never negligible walked the tail to the cap

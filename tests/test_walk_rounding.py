@@ -1,24 +1,26 @@
-"""The one rounder and the integer steps of its two callers against libmp.
+"""The one rounder and the integer steps of the series walk against libmp,
+and the quadrature's node terms against exact fractions.
 
 ``precision._round`` rounds a signed m * 2**e to nearest, down or up at a
 given number of bits, and ``_product``, ``_quotient`` and ``_sum`` are exact
-integer arithmetic followed by it.  The series walk and the quadrature's
-node loop (``oracle._half_sum``) take every step through them; the loop
-forms a node's term as one ``_round`` or ``_quotient`` of exact integers,
-checked through the loop itself on one planted node.  libmp rounds
-correctly in these modes, so each must give libmp's bits exactly:
-``from_man_exp(m, e, bits, rounding)``, ``mpf_mul``, ``mpf_div`` and
-``mpf_add``.  The walk's coefficient table,
-``series._rounded_coefficient``, must hold ``from_rational``'s floor.  CI
-runs this file a second time under the ``ci`` Hypothesis profile
-(``HYPOTHESIS_PROFILE=ci``, 2,000 examples).
+integer arithmetic followed by it.  The series walk takes every step
+through them.  libmp rounds correctly in these modes, so each must give
+libmp's bits exactly: ``from_man_exp(m, e, bits, rounding)``, ``mpf_mul``,
+``mpf_div`` and ``mpf_add``.  The walk's coefficient table,
+``series._rounded_coefficient``, must hold ``from_rational``'s floor.  The
+quadrature's node loop (``oracle._half_sum``) rounds nothing: a node's term
+is the floor of its exact value in a fixed unit, checked through the loop
+itself on one planted node.  CI runs this file a second time under the
+``ci`` Hypothesis profile (``HYPOTHESIS_PROFILE=ci``, 2,000 examples).
 """
+
+import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath.libmp import (
-    fone,
     from_man_exp,
     from_rational,
     mpf_add,
@@ -29,7 +31,7 @@ from mpmath.libmp import (
     round_nearest,
 )
 
-from envasym import coeffs
+from envasym import coeffs, oracle
 from envasym.oracle import _half_sum
 from envasym.precision import _product, _quotient, _round, _sum
 from envasym.series import _rounded_coefficient
@@ -185,92 +187,91 @@ def positive(draw, max_bits):
     return draw(st.integers(1, 2**max_bits - 1))
 
 
-def odd(draw, max_bits):
-    return 2 * draw(st.integers(1, 2 ** (max_bits - 1) - 1)) + 1
-
-
 def top(pair):
     return pair[1] + pair[0].bit_length()
 
 
+def exact(pair):
+    return Fraction(pair[0]) * Fraction(2) ** pair[1]
+
+
+def far(wp):
+    """T: the binades below the larger addend of z2 + e past which the node
+    loop drops the smaller."""
+    return wp + oracle._SUM_GUARD + 8
+
+
 @st.composite
 def node_terms(draw):
-    """(e, w, k, z2, wp) for a node of ``oracle._half_sum``, z2 None for an
-    undamped node.  Shapes:
+    """(e, w, k, z2, u, wp) for a node of ``oracle._half_sum`` in units of
+    2**u, z2 None for an undamped node.  Shapes:
 
     * random positive pairs of at most wp bits, z2's top up to 5,000 binades
-      above or below e's;
-    * an exact tie: odd W and e, k >= 1 and wp one bit shorter than
-      W * e**k, so that W * e**k, and its quotient by z2 + e = 2**s, is a
-      midpoint;
-    * the far-gap threshold G = (k + 2) * wp + 2: the smaller of z2 and e
-      G - 3 to G + 3 binades below the larger, A, and W * e**k / A often a
-      midpoint or a representable number, where the stand-in for the
-      smaller addend must still round to the side the true one does.
+      above or below e's, and x = W * e**k / (z2 + e) from below one unit to
+      wp + G + 20 bits;
+    * an exact multiple: x = c + d / D in units, D the exact z2 + e (1 when
+      undamped) and d in {-1, 0, 1}, so that x is an integer or just off one;
+    * the drop threshold T: the smaller of z2 and e T - 3 to T + 3 binades
+      below the larger, or wp - 3 to T + 3 (where a threshold near wp would
+      drop it), and x below 2**T units.
     """
     k = draw(st.integers(0, 6))
-    shape = draw(st.sampled_from(["random", "tie", "threshold"]))
-    if shape == "tie":
-        k = max(k, 1)
-        em, wm = odd(draw, 40), odd(draw, 40)
-        wp = (wm * em**k).bit_length() - 1
-        x, y = draw(EXPONENT), draw(EXPONENT)
-        s = draw(st.integers(em.bit_length(), wp))
-        z2 = draw(st.sampled_from([None, (2**s - em, x)]))
-        return (em, x), (wm, y), k, z2, wp
     wp = draw(st.integers(1, 300))
+    shape = draw(st.sampled_from(["random", "exact", "threshold"]))
     e, w = (positive(draw, wp), draw(EXPONENT)), (positive(draw, wp), draw(EXPONENT))
-    if shape == "random":
+    z2 = None
+    if shape == "exact":
+        if k:
+            e = (1, e[1])  # e**k a power of two
         if draw(st.booleans()):
-            return e, w, k, None, wp
+            z2m = positive(draw, wp)
+            z2 = (z2m, top(e) + draw(st.integers(-wp, wp)) - z2m.bit_length())
+            d = exact(z2) + exact(e)
+            dm, de = d.numerator, -(d.denominator.bit_length() - 1)
+        else:
+            dm, de = 1, 0
+        u = draw(EXPONENT)
+        c = draw(st.integers(1, 2 ** (wp + oracle._SUM_GUARD)))
+        return e, (c * dm + draw(st.sampled_from([-1, 0, 1])), de - k * e[1] + u), k, z2, u, wp
+    if shape == "threshold":
+        small = positive(draw, wp)
+        gap = draw(st.one_of(st.integers(far(wp) - 3, far(wp) + 3),
+                             st.integers(wp - 3, far(wp) + 3)))
+        if draw(st.booleans()):  # e the smaller
+            z2 = (positive(draw, wp), top(e) + gap - wp)
+            e = (small, top(z2) - gap - small.bit_length())
+        else:
+            z2 = (small, top(e) - gap - small.bit_length())
+    elif draw(st.booleans()):
         z2m = positive(draw, wp)
-        return e, w, k, (z2m, top(e) + draw(st.integers(-5000, 5000)) - z2m.bit_length()), wp
-    gap = (k + 2) * wp + 2 + draw(st.integers(-3, 3))
-    small = positive(draw, wp)
-    if draw(st.booleans()):  # z2 = 2**j, the larger: x = W * e**k / 2**j
-        if k and draw(st.booleans()):
-            em, wm = odd(draw, 30), odd(draw, 30)
-            wp = (wm * em**k).bit_length() - 1
-            gap = (k + 2) * wp + 2 + draw(st.integers(-3, 3))
-            small, w = em, (wm, w[1])
-        j = draw(st.integers(0, wp))
-        z2 = (2**j, draw(EXPONENT))
-        return (small, top(z2) - gap - small.bit_length()), w, k, z2, wp
-    if k and draw(st.booleans()):  # e the larger: x = W * e**(k-1)
-        em, wm = odd(draw, 30), odd(draw, 30)
-        wp = max((wm * em ** (k - 1)).bit_length() - 1, em.bit_length(), wm.bit_length())
-        gap = (k + 2) * wp + 2 + draw(st.integers(-3, 3))
-        small = min(small, 2**wp - 1)
-        e, w = (em, e[1]), (wm, w[1])
-    return e, w, k, (small, top(e) - gap - small.bit_length()), wp
+        z2 = (z2m, top(e) + draw(st.integers(-5000, 5000)) - z2m.bit_length())
+    # x < 2**bound units at u = 0
+    bound = top(w) + k * top(e) - (0 if z2 is None else max(top(z2), top(e)) - 1)
+    most = far(wp) if shape == "threshold" else wp + oracle._SUM_GUARD + 20
+    return e, w, k, z2, bound - draw(st.integers(-4, most)), wp
 
 
-def loop_term(e, w, k, z2, wp):
+def loop_term(e, w, k, z2, u, wp):
     """The term ``oracle._half_sum`` makes of one node, planted at t = 1 with
-    the pairs e and w: the loop's sum from a zero total is the term itself."""
-    got, _ = _half_sum((0, 0), {1.0: [e, w]}, None, range(1, 2), 1.0, 1, k, z2, wp)
+    the pairs e and w: the loop's sum from 0 is the term itself."""
+    got, _ = _half_sum(0, {1.0: [e, w]}, None, range(1, 2), 1.0, 1, k, z2, u, wp)
     return got
-
-
-def node_reference(e, w, k, z2, wp):
-    """The node's term in libmp calls: W * e**k exactly, then one mpf_mul,
-    or one mpf_div by the exact z2 + e, at wp bits."""
-    power = fone
-    for _ in range(k):
-        power = mpf_mul(power, raw(e))
-    if z2 is None:
-        return mpf_mul(raw(w), power, wp, round_nearest)
-    return mpf_div(mpf_mul(raw(w), power), mpf_add(raw(z2), raw(e), 0), wp, round_nearest)
 
 
 @settings(deadline=None)
 @given(node_terms())
-# e 11 and 43 binades below z2 = 1, inside G = 17 and 62: a stand-in at
-# wp + 2 binades rounds these quotients the other way
-@example(((29, -15), (26, 2), 1, (1, 0), 5))
-@example(((1005, -52), (3248, -5), 3, (1, 0), 12))
-def test_a_node_term_is_one_libmp_rounding(node):
-    e, w, k, z2, wp = node
-    got = loop_term(e, w, k, z2, wp)
-    assert raw(got) == node_reference(e, w, k, z2, wp)
-    assert abs(got[0]).bit_length() <= wp or got[0] == 2**wp
+def test_a_node_term_is_the_floor_of_its_exact_value(node):
+    # x = W * e**k / (z2 + e) in units of 2**u, exact; where the loop drops
+    # the smaller addend, the term lies in [floor(x), x * (1 + 2**-T)], and
+    # within 2 of x below 2**T units
+    e, w, k, z2, u, wp = node
+    x = exact(w) * exact(e) ** k / Fraction(2) ** u
+    if z2 is not None:
+        x /= exact(z2) + exact(e)
+    got = loop_term(e, w, k, z2, u, wp)
+    if z2 is None or abs(top(z2) - top(e)) <= far(wp):
+        assert got == math.floor(x)
+    else:
+        assert math.floor(x) <= got <= x * (1 + Fraction(1, 2 ** far(wp)))
+        if x < 2 ** far(wp):
+            assert got - x < 2
