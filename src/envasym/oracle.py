@@ -144,11 +144,6 @@ def _weights(families, eta: tuple, wp: int) -> list:
     return weights
 
 
-def _weight(family: ThetaFamily, eta: tuple, wp: int) -> tuple:
-    """The family's weight at raw eta > 0: ``_weights``' one-family case."""
-    return _weights((family,), eta, wp)[0]
-
-
 @dataclass(frozen=True)
 class QuadratureSpec:
     """The working precision of a quadrature, in bits.
@@ -193,8 +188,7 @@ _RESEED = 1024
 
 
 class _NodeTable:
-    """The z-free values of one working precision: node rows keyed by the
-    exact t, and the undamped moment integrals by (family, k).
+    """The node rows of one working precision, keyed by the exact t.
 
     A row is either absent or whole: e = eta**2 with eta = exp(t - e^-t),
     then W(t) = weight(eta)*eta*(1 + e^-t) of every family in ``_COLUMNS``
@@ -203,23 +197,21 @@ class _NodeTable:
     that stores builds the whole row of each node it computes; one that does
     not store computes its own W there and keeps nothing.  Every undamped
     moment integral stores; a damped one stores from its family's second
-    damped quadrature at this precision, or once its moment integral is kept
-    (as ``theta_ratio`` takes it first), so a one-off damped query leaves
-    nothing behind.  Every stored value is a pure function of (t,
-    precision, family), so a row two quadratures make at once is the same
-    either way.
+    damped quadrature at this precision, or once the table holds any row, so
+    a one-off damped query at a fresh precision leaves nothing behind.  Every
+    stored value is a pure function of (t, precision, family), so a row two
+    quadratures make at once is the same either way.
     """
 
     def __init__(self):
         self.rows: dict[float, list] = {}
-        self.moments: dict = {}
         # next() on a count is atomic, so no quadrature is counted twice.
         self._damped = {family: itertools.count() for family in ThetaFamily}
 
-    def storing(self, family: ThetaFamily, k: int) -> bool:
+    def storing(self, family: ThetaFamily) -> bool:
         """Count one damped quadrature of the family; True from the second on,
-        or where the table holds the moment integral of (family, k)."""
-        return next(self._damped[family]) > 0 or (family, k) in self.moments
+        or once the table holds a row."""
+        return next(self._damped[family]) > 0 or bool(self.rows)
 
 
 class _Level:
@@ -271,9 +263,10 @@ class _Level:
 
 
 def _half_sum(total: int, rows: dict, cold, js: range, dt: float, column: int, k: int,
-              z2, u: int, wp: int) -> tuple:
-    """(total, ended): the integer total plus the terms at t = j*dt for j in
-    js, in units of 2**u, and whether the tail ended before js ran out.
+              z2, u: int, wp: int, after: int = 0) -> tuple:
+    """(total, peak): the integer total plus the terms at t = j*dt for j in
+    js, in units of 2**u, and the j of the largest term, or None if the
+    tail did not end before js ran out.
 
     A node's row is read by its exact dyadic t, else ``cold(t, j)`` makes
     it.  Its term is q = floor(x / 2**u) of the exact x = W * e**k over the
@@ -282,8 +275,13 @@ def _half_sum(total: int, rows: dict, cold, js: range, dt: float, column: int, k
     Where the smaller addend of z2 + e tops out (exponent plus bit length)
     more than T = wp + G + 8 binades below the larger, G = _SUM_GUARD, it
     is dropped, which leaves q in [floor(x), x * (1 + 2**-T)].  The tail
-    ends at the _TAIL_RUN-th negligible term in a row, q <= 2**-wp * total,
-    the sum so far (a zero term is): exactly, q <= total >> wp.
+    ends at the _TAIL_RUN-th negligible term in a row past j = ``after``,
+    q <= 2**-wp * total, the sum so far (a zero term is): exactly,
+    q <= total >> wp.  A refinement level passes twice the j of the
+    previous level's largest term on the side, the same t at half the step:
+    at large k the mass lies near eta = k/pi, and a fine level's first
+    nodes fall below one unit of the sum, which must not end the side
+    before it reaches the mass.
 
     Error: ``_de_quad_half_line`` sums each level's n nodes, S_l, in one
     unit 2**u that leaves the level-0 sum S_0 wp + G bits (rescaling it
@@ -297,7 +295,7 @@ def _half_sum(total: int, rows: dict, cold, js: range, dt: float, column: int, k
         zm, ze = z2
         top = ze + zm.bit_length()
         far = wp + _SUM_GUARD + 8
-    run = 0
+    run = largest = peak = 0
     for j in js:
         t = j * dt
         row = get(t) or cold(t, j)
@@ -315,13 +313,15 @@ def _half_sum(total: int, rows: dict, cold, js: range, dt: float, column: int, k
         else:
             q = num << shift if shift >= 0 else num >> -shift
         total += q
-        if q <= total >> wp:
+        if q > largest:
+            largest, peak = q, j
+        if q <= total >> wp and j > after:
             run += 1
             if run >= _TAIL_RUN:
-                return total, True
+                return total, peak
         else:
             run = 0
-    return total, False
+    return total, None
 
 
 @lru_cache(maxsize=4)
@@ -374,15 +374,17 @@ def _de_quad_half_line(family: ThetaFamily, k: int, z2, spec: QuadratureSpec, st
                                           wp, round_nearest)[1:3]
         return rows.setdefault(t, row) if store else row
 
+    peaks = [0, 0]  # the j of the last level's largest term on each side
+
     def half_sums(h, start, step, u):
         # sum of the nodes j*h over j = start, start+step, ... on both sides of 0
         total = 0
-        for dt in (h, -h):
+        for side, dt in enumerate((h, -h)):
             level = _Level(start * dt, step * dt, wp)
-            total, ended = _half_sum(total, rows, lambda t, j, level=level: cold(
+            total, peaks[side] = _half_sum(total, rows, lambda t, j, level=level: cold(
                 t, *level.node((j - start) // step)), range(start, _TAIL_CAP + 1, step), dt,
-                column, k, z2, u, wp)
-            if not ended:
+                column, k, z2, u, wp, 2 * peaks[side])
+            if peaks[side] is None:
                 raise _unconverged("tail truncation cap exceeded", estimate, err)
         return total
 
@@ -418,27 +420,20 @@ def _unconverged(message: str, estimate, err) -> QuadratureNonConvergence:
     return QuadratureNonConvergence(message, value=value, error=error)
 
 
-def _moment_integral(family: ThetaFamily, k: int, spec: QuadratureSpec):
-    """(value, err) of  integral eta^(2k) * weight(eta) deta  over (0, inf),
-    kept in the precision's node table.  Its quadrature stores, so every
-    node it computes gets its whole row."""
-    table = _node_table(spec.precision)
-    if (family, k) not in table.moments:
-        table.moments[family, k] = _de_quad_half_line(family, k, None, spec, True)
-    return table.moments[family, k]
-
-
 # Bounded, as it is keyed by every z seen; 1024 entries hold a demo scan's
 # grid for its perturbed and control passes many times over.
 @lru_cache(maxsize=1024)
-def _damped_moment_integral(family: ThetaFamily, k: int, z: mpf, spec: QuadratureSpec):
-    """(value, err) of  integral eta^(2k)/(z^2+eta^2) * weight(eta) deta,
-    storing from the family's second damped quadrature at the precision, or
-    after the (family, k) moment integral."""
+def _integral(family: ThetaFamily, k: int, z, spec: QuadratureSpec):
+    """(value, err) of  integral eta^(2k) * weight(eta) deta  over (0, inf),
+    over z^2 + eta^2 unless z is None: every quadrature result the oracle
+    keeps.  The undamped moment stores, so every node it computes gets its
+    whole row; a damped integral stores as ``_NodeTable.storing`` decides."""
+    if z is None:
+        return _de_quad_half_line(family, k, None, spec, True)
     wp = working_bits(spec.precision)
     x = mpf_pos(z._mpf_, wp, round_nearest)[1:3]
     return _de_quad_half_line(family, k, _product(x, x, wp), spec,
-                              _node_table(spec.precision).storing(family, k))
+                              _node_table(spec.precision).storing(family))
 
 
 def _finish(value, err, spec: QuadratureSpec, error: bool):
@@ -486,7 +481,7 @@ def exact_ln_gamma_half(n: int, precision: int = DEFAULT_PRECISION) -> mpf:
 def _remainder(family: ThetaFamily, k: int, z, spec: QuadratureSpec):
     """(remainder, error): sign(k) z / (pi z^(2k)) times the damped moment integral."""
     zz = positive_real(z, spec.precision, "argument")
-    value, err = _damped_moment_integral(family, k, zz, spec)
+    value, err = _integral(family, k, zz, spec)
     ctx = _context(spec.precision)
     x = ctx.convert(zz)
     scale = x / (ctx.pi * x ** (2 * k))
@@ -530,8 +525,8 @@ def theta_ratio(
     zz = positive_real(z, spec.precision, "argument")
     ctx = _context(spec.precision)
     # the moment first: its rows serve the damped quadrature
-    den, den_err = map(ctx.convert, _moment_integral(family, k, spec))
-    num, num_err = map(ctx.convert, _damped_moment_integral(family, k, zz, spec))
+    den, den_err = map(ctx.convert, _integral(family, k, None, spec))
+    num, num_err = map(ctx.convert, _integral(family, k, zz, spec))
     x = ctx.convert(zz)
     value = x * x * num / den
     err = abs(value) * (num_err / abs(num) + den_err / abs(den))
@@ -568,6 +563,6 @@ def coefficient_quadrature(
     two must agree, and the test suite holds them to it.
     """
     k = checked_int(k, 0, "k")
-    value, err = _moment_integral(family, k, spec)
+    value, err = _integral(family, k, None, spec)
     inv_pi = 1 / _context(spec.precision).pi
     return _finish(inv_pi * value, inv_pi * err, spec, error)

@@ -459,8 +459,8 @@ def _evaluate(kind: SeriesKind, z, tol, terms, precision: int) -> CertifiedValue
     """The certified value behind the four ``ln_*`` functions.
 
     z and ``tol`` are read once (``exact``) and passed on as Fractions; the
-    shifted argument and ``tol`` rounded down are formed once, here, while
-    ``auto_truncate`` (public, so that a tracer counts the search) forms its own.
+    shifted argument and ``tol`` rounded down are formed here by the helpers
+    ``auto_truncate`` (public, so that a tracer counts the search) uses too.
     With a tolerance (``1e-12`` when neither it nor ``terms`` is given) the
     returned bound is at most ``tol``.  Rounding adds twice the value's
     ``_margin`` to the series bound; when that pushes it above ``tol`` at the k
@@ -477,12 +477,12 @@ def _evaluate(kind: SeriesKind, z, tol, terms, precision: int) -> CertifiedValue
     if terms is not None and tol is not None:
         raise ValueError("pass either tol or terms, not both")
     z = exact(z, checked_precision(precision), "series argument")
-    xf = z + Fraction(1, 2) if kind.row.half_shift else z  # as _exact_argument shifts
+    xf = _exact_argument(kind, z, precision)
     if terms is not None:
         return next(_certificates(kind, xf, _capped(terms, "terms"), precision))
     tol = exact(_DEFAULT_TOL if tol is None else tol, precision, "tolerance")
     k, _ = auto_truncate(kind, z, tol, precision)
-    tol = rounded(tol.numerator, tol.denominator, precision, round_floor)  # as _tolerance
+    tol = _tolerance(tol, precision)
     for certified in _certificates(kind, xf, k, precision):
         k = certified.k_used
         if certified.error_bound <= tol:

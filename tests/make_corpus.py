@@ -154,6 +154,11 @@ def _oracle_records():
             *[(f"coefficient_quadrature {f.value} k=4",
                lambda spec, f=f: coefficient_quadrature(f, 4, spec, error=True))
               for f in ThetaFamily],
+            # large k, where the mass lies near eta = k/pi, far from t = 0
+            ("coefficient_quadrature theta k=60",
+             lambda spec: coefficient_quadrature(ThetaFamily.THETA, 60, spec, error=True)),
+            ("theta_ratio theta k=60 z='0.5'",
+             lambda spec: theta_ratio(ThetaFamily.THETA, 60, "0.5", spec, error=True)),
         ],
         512: [
             ("binet_J z='7.3'", lambda spec: binet_J("7.3", spec, error=True)),
@@ -161,6 +166,8 @@ def _oracle_records():
              lambda spec: theta_ratio(ThetaFamily.THETA_HAT, 2, 5, spec, error=True)),
             ("coefficient_quadrature theta-tilde k=4",
              lambda spec: coefficient_quadrature(ThetaFamily.THETA_TILDE, 4, spec, error=True)),
+            ("coefficient_quadrature theta k=67",
+             lambda spec: coefficient_quadrature(ThetaFamily.THETA, 67, spec, error=True)),
         ],
     }
     for p in ORACLE_PRECISIONS:

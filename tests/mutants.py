@@ -54,8 +54,8 @@ MUTANTS = (
     Mutant(
         "moment-integral-does-not-store",
         "oracle.py",
-        "table.moments[family, k] = _de_quad_half_line(family, k, None, spec, True)",
-        "table.moments[family, k] = _de_quad_half_line(family, k, None, spec, False)",
+        "return _de_quad_half_line(family, k, None, spec, True)",
+        "return _de_quad_half_line(family, k, None, spec, False)",
         ("tests/test_oracle.py::TestMoments",
          "tests/test_oracle.py::TestNodeTable::test_theta_ratio_at_a_fresh_precision_makes_each_eta_once"),
     ),
@@ -67,12 +67,19 @@ MUTANTS = (
         ("tests/test_oracle.py::TestNodeTable",),
     ),
     Mutant(
+        "damped-store-ignores-rows",
+        "oracle.py",
+        " or bool(self.rows)",
+        "",
+        ("tests/test_oracle.py::TestNodeTable::test_no_node_is_computed_twice_at_a_precision",),
+    ),
+    Mutant(
         "theta-ratio-damped-first",
         "oracle.py",
-        """    den, den_err = map(ctx.convert, _moment_integral(family, k, spec))
-    num, num_err = map(ctx.convert, _damped_moment_integral(family, k, zz, spec))""",
-        """    num, num_err = map(ctx.convert, _damped_moment_integral(family, k, zz, spec))
-    den, den_err = map(ctx.convert, _moment_integral(family, k, spec))""",
+        """    den, den_err = map(ctx.convert, _integral(family, k, None, spec))
+    num, num_err = map(ctx.convert, _integral(family, k, zz, spec))""",
+        """    num, num_err = map(ctx.convert, _integral(family, k, zz, spec))
+    den, den_err = map(ctx.convert, _integral(family, k, None, spec))""",
         ("tests/test_oracle.py::TestNodeTable::test_theta_ratio_at_a_fresh_precision_makes_each_eta_once",),
     ),
     Mutant(
@@ -154,6 +161,13 @@ MUTANTS = (
         "_TAIL_RUN = 1",
         ("tests/test_oracle.py::TestZeroTerms",
          "tests/test_oracle.py::TestLibmpLoop::test_matches_the_ambient_loop_bit_for_bit"),
+    ),
+    Mutant(
+        "tail-test-before-the-last-peak",
+        "oracle.py",
+        "if q <= total >> wp and j > after:",
+        "if q <= total >> wp:",
+        ("tests/test_oracle.py::TestLargeMoments",),
     ),
     Mutant(
         "turns-strict",

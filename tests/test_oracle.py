@@ -33,7 +33,7 @@ from envasym import (
 from envasym import oracle, verify
 from envasym.coeffs import beta, beta_hat, beta_tilde
 from envasym.demo import enveloping_control_scan
-from envasym.precision import _product, positive_real
+from envasym.precision import _product, positive_real, real_to_fraction
 
 SPEC = QuadratureSpec(precision=256)
 TIGHT = mpf(2) ** -200
@@ -42,6 +42,12 @@ TIGHT = mpf(2) ** -200
 def close(a, b, tol=TIGHT):
     with mp.workprec(320):
         return abs(a - b) <= tol * max(1, abs(b))
+
+
+def _weight(family, eta, wp):
+    """One family's weight at raw eta, as a quadrature that does not store
+    computes it."""
+    return oracle._weights((family,), eta, wp)[0]
 
 
 class TestExactLogs:
@@ -239,8 +245,8 @@ class TestWeightLinearDependence:
     @pytest.mark.parametrize("eta", ["0.1", "0.5", "1", "2"])
     def test_pointwise(self, eta):
         with mp.workprec(288):
-            theta, tilde, hat = (mp.make_mpf(oracle._weight(family, mpf(eta)._mpf_, 288))
-                                 for family in ThetaFamily)
+            theta, tilde, hat = map(mp.make_mpf,
+                                    oracle._weights(tuple(ThetaFamily), mpf(eta)._mpf_, 288))
             assert abs(theta + hat - tilde) <= mpf(2) ** -230 * tilde
 
     @pytest.mark.parametrize("k", range(3))
@@ -271,6 +277,37 @@ class TestWeightAccuracyAtHighMoments:
             assert abs(got - want) / want <= mpf(2) ** -400
 
 
+def _agrees_with_exact_coefficient(family, k, precision):
+    """The quadrature coefficient lies within 2**(40-P) relative of the exact one."""
+    got = real_to_fraction(coefficient_quadrature(family, k, QuadratureSpec(precision)))
+    want = family.row.coefficient(k)
+    return abs(got - want) <= abs(want) * Fraction(2) ** (40 - precision)
+
+
+class TestLargeMoments:
+    """At large k the mass lies near eta = k/pi.  A refinement level whose
+    first nodes on the t > 0 side fell below one unit of the sum ended that
+    side there, and no two levels agreed: the quadratures below raised
+    QuadratureNonConvergence.  CI runs the property a second time under the
+    ``ci`` Hypothesis profile."""
+
+    @pytest.mark.parametrize("family, k, precision", [
+        *((family, 24, 64) for family in ThetaFamily),
+        (ThetaFamily.THETA, 45, 256), (ThetaFamily.THETA, 67, 512)])
+    def test_first_failing_orders(self, family, k, precision):
+        assert _agrees_with_exact_coefficient(family, k, precision)
+
+    @pytest.mark.parametrize("z", ["0.5", "5", "50"])
+    def test_theta_ratio_at_k_60_lies_strictly_inside(self, z):
+        value, err = theta_ratio(ThetaFamily.THETA, 60, z, error=True)
+        assert err < value and value + err < 1
+
+    @settings(deadline=None)
+    @given(st.sampled_from(list(ThetaFamily)), st.integers(0, 200), st.sampled_from([64, 128]))
+    def test_every_family_agrees_with_its_exact_coefficient(self, family, k, precision):
+        assert _agrees_with_exact_coefficient(family, k, precision)
+
+
 class TestQuadratureSpec:
     def test_tolerance_floor(self):
         assert QuadratureSpec(precision=256).effective_tol() == mpf(2) ** -224
@@ -284,7 +321,7 @@ class TestQuadratureSpec:
     @staticmethod
     def _raised(monkeypatch, name, cap):
         monkeypatch.setattr(oracle, name, cap)
-        _clear_value_caches()  # a cached value would skip the quadrature
+        oracle._integral.cache_clear()  # a cached value would skip the quadrature
         with pytest.raises(QuadratureNonConvergence) as info:
             binet_J(mpf("3.75"), SPEC)
         if info.value.value is not None:
@@ -376,21 +413,23 @@ class TestLargeArgument:
         assert self._near(remainder_quadrature(family, 1, self.Z, self.SPEC), want)
 
 
-def _clear_value_caches():
-    oracle._damped_moment_integral.cache_clear()
+def _clear_caches():
+    """Every node table and every kept quadrature result: the oracle cold."""
+    oracle._node_table.cache_clear()
+    oracle._integral.cache_clear()
 
 
 def _moment_quadrature(family, k, spec, store=True):
     """The undamped moment integral by a single quadrature, bypassing the
-    moments the precision's node table keeps; it stores as
-    ``oracle._moment_integral`` does unless ``store`` is False."""
+    results ``oracle._integral`` keeps; it stores as ``_integral`` does
+    unless ``store`` is False."""
     return oracle._de_quad_half_line(family, k, None, spec, store)
 
 
 def _quadratures(family, k, spec):
     """The damped (z = 2) and undamped moment integrals, bypassing the value
     caches, as exact mpf tuples."""
-    damped = oracle._damped_moment_integral.__wrapped__(family, k, mpf(2), spec)
+    damped = oracle._integral.__wrapped__(family, k, mpf(2), spec)
     moment = _moment_quadrature(family, k, spec)
     return [x._mpf_ for pair in (damped, moment) for x in pair]
 
@@ -414,7 +453,7 @@ def _whole(rows, wp):
     for t, row in rows.items():
         eta, factor = _level_node(t, wp)
         want = [mpf_mul(eta, eta, wp, round_nearest)]
-        want += [mpf_mul(mpf_mul(oracle._weight(family, eta, wp), factor, wp, round_nearest),
+        want += [mpf_mul(mpf_mul(_weight(family, eta, wp), factor, wp, round_nearest),
                          eta, wp, round_nearest) for family in ThetaFamily]
         assert row == [x[1:3] for x in want], t
         assert [row[oracle._COLUMNS[family]] for family in ThetaFamily] == row[1:]
@@ -471,9 +510,9 @@ class TestNodeTable:
         cases = [(family, k) for family in ThetaFamily for k in (0, 3)]
         cold = {}
         for family, k in cases:
-            oracle._node_table.cache_clear()
+            _clear_caches()
             cold[family, k] = _quadratures(family, k, spec)
-        oracle._node_table.cache_clear()
+        _clear_caches()
         for _ in range(3):  # nothing stored, then storing, then reading
             for family, k in cases:
                 assert _quadratures(family, k, spec) == cold[family, k]
@@ -481,8 +520,7 @@ class TestNodeTable:
 
     def test_a_first_damped_quadrature_stores_nothing_and_a_second_whole_rows(self):
         spec = QuadratureSpec(precision=192)
-        oracle._node_table.cache_clear()
-        _clear_value_caches()
+        _clear_caches()
         binet_J(3, spec)
         assert not oracle._node_table(192).rows
         binet_J(4, spec)
@@ -490,8 +528,7 @@ class TestNodeTable:
 
     def test_one_off_queries_of_each_family_store_nothing(self):
         spec = QuadratureSpec(precision=192)
-        oracle._node_table.cache_clear()
-        _clear_value_caches()
+        _clear_caches()
         binet_J(3, spec)
         binet_J_tilde(3, spec)
         remainder_quadrature(ThetaFamily.THETA_HAT, 1, 3, spec)
@@ -499,8 +536,7 @@ class TestNodeTable:
 
     def test_no_node_is_computed_twice_at_a_precision(self, monkeypatch):
         spec = QuadratureSpec(precision=256)
-        oracle._node_table.cache_clear()
-        _clear_value_caches()
+        _clear_caches()
         binet_J(3, spec)  # stores nothing
         binet_J(4, spec)  # creates rows
         table = oracle._node_table(256)
@@ -508,10 +544,10 @@ class TestNodeTable:
         assert had_row
         weights = _counted_weights(monkeypatch)
         calls = _watch(monkeypatch, table)
-        # THETA_TILDE's first damped quadrature reads the rows, computes its
-        # own W at the nodes of its longer tail and keeps nothing; its second
-        # makes whole rows there
-        for z, families in ((3, (ThetaFamily.THETA_TILDE,)), (4, tuple(ThetaFamily))):
+        # THETA_TILDE's first damped quadrature reads the rows and, as the
+        # table holds rows, makes whole rows at the nodes of its longer tail;
+        # its second makes only the nodes the first did not reach
+        for z in (3, 4):
             before = set(table.rows)
             for key in calls:
                 calls[key].clear()
@@ -519,14 +555,15 @@ class TestNodeTable:
             remainder_quadrature(ThetaFamily.THETA_TILDE, 4, z, spec)
             visited = calls["visited"]
             cold = [t for t in visited if t not in before]
-            assert 0 < len(cold) < len(visited)
+            assert len(cold) < len(visited)
             _each_cold_node_once(calls, cold)
-            assert weights == [families] * len(cold)
-        assert set(table.rows) == had_row | set(visited)
+            assert weights == [tuple(ThetaFamily)] * len(cold)
+            assert set(table.rows) == before | set(visited)
+            if z == 3:
+                assert cold and set(table.rows) == had_row | set(visited)
 
     def test_a_one_off_quadrature_computes_each_node_once(self, monkeypatch):
-        oracle._node_table.cache_clear()
-        _clear_value_caches()
+        _clear_caches()
         calls = _watch(monkeypatch, oracle._node_table(192))
         binet_J(3, QuadratureSpec(precision=192))  # one-off: every node is cold
         _each_cold_node_once(calls, calls["visited"])
@@ -534,11 +571,11 @@ class TestNodeTable:
     def test_other_precision_leaves_result_unchanged(self):
         spec = QuadratureSpec(precision=256)
         deep = QuadratureSpec(precision=320)
-        oracle._node_table.cache_clear()
+        _clear_caches()
         results = []
         for calls in ([spec, spec], [deep, deep], [spec]):
             for call_spec in calls:
-                _clear_value_caches()
+                oracle._integral.cache_clear()
                 value = remainder_quadrature(ThetaFamily.THETA_TILDE, 1, 7, call_spec)
                 results.append((call_spec.precision, value._mpf_))
         assert results[0] == results[1] == results[4]
@@ -549,7 +586,7 @@ class TestNodeTable:
         # filling cold tables are TestThreads' case
         spec = QuadratureSpec(precision=256)
         jobs = [(family, k) for family in ThetaFamily for k in (1, 2)]
-        oracle._node_table.cache_clear()
+        _clear_caches()
         for _ in range(2):
             serial = [_quadratures(family, k, spec) for family, k in jobs]
         rows = len(oracle._node_table(256).rows)
@@ -577,8 +614,7 @@ class TestNodeTable:
         # h = 1/2, W is below 2**-2000; at t = -7, reached at step h = 1,
         # e = eta**2 is below 2**-3000
         spec = QuadratureSpec(precision=256)
-        oracle._node_table.cache_clear()
-        _clear_value_caches()
+        _clear_caches()
         binet_J(3, spec)  # nothing stored, then storing, then reading
         binet_J(4, spec)
         warm = _quadratures(ThetaFamily.THETA, 1, spec)
@@ -587,34 +623,31 @@ class TestNodeTable:
         for t, t0, w_top, e_top in ((5.5, 0.5, -2000, math.inf), (-7.0, 1.0, 0, -3000)):
             eta, factor = recurrence_nodes(t0, 1.0, wp)(t)
             with mp.workprec(wp):
-                w = mp.make_mpf(oracle._weight(ThetaFamily.THETA, eta._mpf_, wp)) * factor * eta
+                w = mp.make_mpf(_weight(ThetaFamily.THETA, eta._mpf_, wp)) * factor * eta
                 e = eta * eta
             assert mp.log(w, 2) < w_top and mp.log(e, 2) < e_top
             row = oracle._node_table(256).rows[t]
             assert row[0] == e._mpf_[1:3]
             assert row[column] == w._mpf_[1:3]
-        oracle._node_table.cache_clear()
+        _clear_caches()
         assert warm == _quadratures(ThetaFamily.THETA, 1, spec)
 
     def test_deep_verification_makes_whole_rows_of_the_damped_tails(self, monkeypatch):
         # theta-containment's first damped quadrature at 512 bits (z = 0.25)
-        # runs past its moment's rows; as the moment is kept it stores, and
-        # its 1,288 one-family weights are whole rows, which the family's
-        # later damped quadratures would make anyway.  The one-family
-        # weights left are weight-linear-dependence's pointwise ones.
-        oracle._node_table.cache_clear()
-        _clear_value_caches()
+        # runs past its moment's rows; as the table holds rows it stores, and
+        # its 1,288 weights are whole rows, which the family's later damped
+        # quadratures would make anyway.  Every other weight is whole too:
+        # weight-linear-dependence takes its 4 pointwise ones in one call each.
+        _clear_caches()
         weights = _counted_weights(monkeypatch)
         assert all(check.passed for check in verify.run_verification(deep=True))
-        rows = oracle._node_table(512).rows
-        assert sum(len(families) == 1 for families in weights) <= 12
-        assert len(rows) == 2634 == weights.count(tuple(ThetaFamily))
+        assert len(oracle._node_table(512).rows) == 2634
+        assert weights == [tuple(ThetaFamily)] * (2634 + 4)
 
     def test_theta_ratio_at_a_fresh_precision_makes_each_eta_once(self, monkeypatch):
         # the moment comes first and stores; the damped quadrature, its
         # family's first, reads those rows
-        oracle._node_table.cache_clear()
-        _clear_value_caches()
+        _clear_caches()
         calls = _watch(monkeypatch, oracle._node_table(192))
         theta_ratio(ThetaFamily.THETA_HAT, 2, "7.3", QuadratureSpec(precision=192))
         etas = calls["node"]
@@ -629,8 +662,7 @@ class TestNodeCounts:
     @pytest.mark.parametrize("precision, z, nodes", [
         (256, "0.5", 591), (256, "2.5", 593), (256, "50", 593), (512, "2.5", 1318)])
     def test_a_fresh_binet_J_makes_so_many_nodes(self, monkeypatch, precision, z, nodes):
-        oracle._node_table.cache_clear()
-        _clear_value_caches()
+        _clear_caches()
         calls = _watch(monkeypatch, oracle._node_table(precision))
         binet_J(z, QuadratureSpec(precision=precision))
         assert len(calls["node"]) == len(set(calls["visited"])) == nodes
@@ -643,21 +675,20 @@ class TestMoments:
     @pytest.mark.parametrize("precision", [64, 192])
     def test_match_uncached_single_quadratures_bit_for_bit(self, precision):
         spec = QuadratureSpec(precision=precision)
-        oracle._node_table.cache_clear()
+        _clear_caches()
         single = {pair: [x._mpf_ for x in _moment_quadrature(*pair, spec, store=False)]
                   for pair in MOMENT_PAIRS}
         assert not oracle._node_table(precision).rows
         for order in (MOMENT_PAIRS, MOMENT_PAIRS[::-1]):
-            oracle._node_table.cache_clear()
-            moments = {pair: [x._mpf_ for x in oracle._moment_integral(*pair, spec)]
-                       for pair in order}
-            assert moments == single
-            kept = oracle._node_table(precision).moments
-            assert {pair: [x._mpf_ for x in kept[pair]] for pair in order} == single
+            _clear_caches()
+            moments = {pair: oracle._integral(*pair, None, spec) for pair in order}
+            assert {pair: [x._mpf_ for x in moments[pair]] for pair in order} == single
+            # kept: a second read is the same result, not a new quadrature
+            assert all(oracle._integral(*pair, None, spec) is moments[pair] for pair in order)
 
     def test_a_cold_coefficient_check_makes_each_row_once_and_whole(self, monkeypatch):
         spec = QuadratureSpec(precision=192)
-        oracle._node_table.cache_clear()
+        _clear_caches()
         table = oracle._node_table(192)
         calls = _watch(monkeypatch, table)
         weights = _counted_weights(monkeypatch)
@@ -755,7 +786,7 @@ def ambient_de_quad(family, k, z, precision, nodes=recurrence_nodes, memo=None):
             if memo is not None and (family, t) in memo:
                 return memo[family, t]
             eta, factor = at(t)
-            e, w = eta * eta, mp.make_mpf(oracle._weight(family, eta._mpf_, wp)) * factor * eta
+            e, w = eta * eta, mp.make_mpf(_weight(family, eta._mpf_, wp)) * factor * eta
             if memo is not None:
                 memo[family, t] = e, w
             return e, w
@@ -825,7 +856,7 @@ def _quadrature(family, k, z, spec):
         pair = _moment_quadrature(family, k, spec)
     else:
         zz = positive_real(z, spec.precision, "argument")
-        pair = oracle._damped_moment_integral.__wrapped__(family, k, zz, spec)
+        pair = oracle._integral.__wrapped__(family, k, zz, spec)
     return [x._mpf_ for x in pair]
 
 
@@ -846,7 +877,7 @@ class TestLibmpLoop:
             want[family, k, z] = [x._mpf_ for x in ambient_de_quad(family, k, zz, precision,
                                                                    memo=memo)]
         for ambient in (53, 1000):
-            oracle._node_table.cache_clear()
+            _clear_caches()
             with mp.workprec(ambient):
                 # the first case of each family stores nothing, the next ones
                 # fill the table, the later passes read it
@@ -909,7 +940,7 @@ class TestLibmpLoop:
         cases = [(ThetaFamily.THETA, 0, "7.3"), (ThetaFamily.THETA_TILDE, 3, "7.3"),
                  (ThetaFamily.THETA_HAT, 2, None)]
         specs = [QuadratureSpec(precision=precision) for precision in (64, 256)]
-        oracle._node_table.cache_clear()
+        _clear_caches()
         for _ in range(2):  # nothing stored by a first damped quadrature, then storing
             for spec in specs:
                 for case in cases:
@@ -978,9 +1009,9 @@ def loop_ends_tail(term, before, wp):
     term, e = 1 and a unit of 1 plant it exactly.  A zero node follows, so
     the tail ends exactly when the term is negligible."""
     rows = {1.0: [(1, 0), (term, 0)], 2.0: [(1, 0), (0, 0)]}
-    total, ended = oracle._half_sum(before, rows, None, range(1, 3), 1.0, 1, 0, None, 0, wp)
+    total, peak = oracle._half_sum(before, rows, None, range(1, 3), 1.0, 1, 0, None, 0, wp)
     assert total == before + term
-    return ended
+    return peak is not None
 
 
 class TestTailTest:
@@ -1032,7 +1063,7 @@ class TestFixedPointSums:
             if z is not None:
                 x = positive_real(z, precision, "argument").man_exp
                 z2 = _product(x, x, wp)
-            oracle._node_table.cache_clear()
+            _clear_caches()
             sums.clear()
             oracle._de_quad_half_line(family, k, z2, spec, True)  # stores every node
             column = oracle._COLUMNS[family]
@@ -1131,20 +1162,20 @@ class TestLevelRecurrence:
 
 class TestDampedValueCache:
     def test_bounded_and_hit_by_a_repeated_scan(self):
-        info = oracle._damped_moment_integral.cache_info()
+        info = oracle._integral.cache_info()
         assert info.maxsize is not None
         spec = QuadratureSpec(precision=128)
         grid = [5, 6, 7]
-        oracle._damped_moment_integral.cache_clear()
+        oracle._integral.cache_clear()
         enveloping_control_scan(grid, 2, spec)
         enveloping_control_scan(grid, 2, spec)
-        info = oracle._damped_moment_integral.cache_info()
+        info = oracle._integral.cache_info()
         assert (info.hits, info.misses) == (len(grid), len(grid))
 
 
 def reference_weight(family, eta, precision):
     """The weight at raw eta through mpmath's own functions at ``precision``
-    bits: a route that shares no code with ``oracle._weight``."""
+    bits: a route that shares no code with ``oracle._weights``."""
     with mp.workprec(precision):
         u = 2 * mp.pi * mp.make_mpf(eta)
         if family is ThetaFamily.THETA:
@@ -1162,8 +1193,8 @@ class TestWeight:
         wp = precision + 32
         with mp.workprec(wp):
             eta = (mpf(2) ** log2_eta)._mpf_
-        for family in ThetaFamily:
-            got = oracle._weight(family, eta, wp)
+        for family, got in zip(ThetaFamily, oracle._weights(tuple(ThetaFamily), eta, wp)):
+            assert got == _weight(family, eta, wp)  # alone, the same bits
             want = reference_weight(family, eta, precision + 200)
             with mp.workprec(precision + 200):
                 assert want > 0 and mp.make_mpf(got) > 0
@@ -1174,7 +1205,7 @@ class TestWeight:
         # q = e^(-2 pi eta) near 2**-(10**13) at eta = 2**40: the weight is q or 2q,
         # and a logarithm of 1 + q would round it to 0
         for precision in (64, 1024):
-            w = oracle._weight(family, from_int(2**40), precision + 32)
+            w = _weight(family, from_int(2**40), precision + 32)
             assert w[0] == 0 and w[1] > 0 and w[2] + w[3] < -9 * 10**12
 
 
@@ -1188,8 +1219,8 @@ class TestZeroTerms:
         # _TAIL_RUN negligible nodes in a row end a tail, a lone one does not
         terms = [3, 0, 3, 0, 0, 3]
         rows = {float(j): [(1, 0), (w, 0)] for j, w in enumerate(terms, start=1)}
-        total, ended = oracle._half_sum(0, rows, None, range(1, 7), 1.0, 1, 0, None, 0, 64)
-        assert ended and total == 6
+        total, peak = oracle._half_sum(0, rows, None, range(1, 7), 1.0, 1, 0, None, 0, 64)
+        assert peak == 1 and total == 6
 
     def test_a_factor_that_vanishes_in_the_tail_ends_the_tail(self, monkeypatch):
         # zero terms that were never negligible walked the tail to the cap
@@ -1200,7 +1231,7 @@ class TestZeroTerms:
             return [fzero] * len(families) if mpf_gt(eta, cut) else fn(families, eta, wp)
 
         monkeypatch.setattr(oracle, "_weights", vanishing)
-        oracle._node_table.cache_clear()  # every node cold, none stored
+        _clear_caches()  # every node cold, none stored
         value, _ = oracle._de_quad_half_line(ThetaFamily.THETA, 0, None, SPEC, False)
         assert not oracle._node_table(SPEC.precision).rows
         # beyond eta = 2**8 theta < e^(-1600), far below 2**-288 of the whole
@@ -1217,7 +1248,7 @@ class TestThreads:
                 (ThetaFamily.THETA_TILDE, 0, 256), (ThetaFamily.THETA_HAT, 0, 320)]
         serial = [_quadratures(family, k, QuadratureSpec(precision=precision))
                   for family, k, precision in jobs]
-        oracle._node_table.cache_clear()
+        _clear_caches()
         results = [None] * len(jobs)
 
         def work(i):
@@ -1256,11 +1287,9 @@ class TestThreads:
                 lambda: coefficients(MOMENT_PAIRS[::-1]), lambda: damped(MOMENT_PAIRS)]
         serial = []
         for job in jobs:
-            oracle._node_table.cache_clear()
-            _clear_value_caches()
+            _clear_caches()
             serial.append(job())
-        oracle._node_table.cache_clear()
-        _clear_value_caches()
+        _clear_caches()
         results = [None] * len(jobs)
 
         def work(i):
@@ -1299,8 +1328,7 @@ class TestNoGlobalPrecisionWrites:
         for call in self.CALLS.values():  # make the private contexts
             call()
         writes = precision_writes()
-        oracle._node_table.cache_clear()
-        _clear_value_caches()
+        _clear_caches()
         for _ in range(3):  # cold, storing, warm
             for call in self.CALLS.values():
                 call()
@@ -1313,8 +1341,8 @@ def ambient_wrappers(family, k, z, precision):
     the global context."""
     spec = QuadratureSpec(precision=precision)
     zz = positive_real(z, precision, "argument")
-    num, num_err = oracle._damped_moment_integral(family, k, zz, spec)
-    den, den_err = oracle._moment_integral(family, k, spec)
+    num, num_err = oracle._integral(family, k, zz, spec)
+    den, den_err = oracle._integral(family, k, None, spec)
     with mp.workprec(precision + 32):
         scale = zz / (mp.pi * zz ** (2 * k))
         values = [family.row.sign(k) * scale * num, scale * num_err]

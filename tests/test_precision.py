@@ -26,7 +26,7 @@ GRID = ["7.5", 10]
 
 def _clear_oracle_caches():
     oracle._node_table.cache_clear()
-    oracle._damped_moment_integral.cache_clear()
+    oracle._integral.cache_clear()
 
 
 class TestNoGlobalPrecisionWrites:

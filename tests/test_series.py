@@ -1017,7 +1017,9 @@ class TestOneMeaningPerNumber:
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_an_evaluation_reads_each_number_once_and_its_search_once(self, kind, monkeypatch):
         # the certified walk takes the exact argument, rounded once, not
-        # through _checked_argument; auto_truncate reads z and tol for itself
+        # through _checked_argument; _evaluate reads z and tol once, and
+        # _exact_argument, _tolerance and auto_truncate each pass on the
+        # Fraction they are given (see test_a_fraction_is_returned_as_it_is)
         what = []
         read = precision.exact
 
@@ -1028,7 +1030,7 @@ class TestOneMeaningPerNumber:
         for module in (precision, series):
             monkeypatch.setattr(module, "exact", counted)
         EVALUATE[kind](20, "1e-12")
-        assert sorted(what) == ["series argument"] * 2 + ["tolerance"] * 2
+        assert sorted(what) == ["series argument"] * 3 + ["tolerance"] * 3
 
 
 def assert_floor(got, exact: Fraction, precision: int):

@@ -41,16 +41,17 @@ def _scaled(factor):
 
 
 def _tilde_weight_scaled(factor, precision):
-    """``oracle._weight`` with theta-tilde's weight at eta = 0.1, as ``verify``
+    """``oracle._weights`` with theta-tilde's weight at eta = 0.1, as ``verify``
     passes it at ``precision`` (no quadrature node), multiplied by ``factor``."""
     eta = _context(precision).mpf("0.1")._mpf_
 
     def plant(original):
-        def fault(family, x, wp):
-            weight = original(family, x, wp)
-            if family is ThetaFamily.THETA_TILDE and x == eta:
-                return mpf_mul(weight, factor._mpf_)
-            return weight
+        def fault(families, x, wp):
+            weights = original(families, x, wp)
+            if x == eta:
+                return [mpf_mul(w, factor._mpf_) if family is ThetaFamily.THETA_TILDE else w
+                        for family, w in zip(families, weights)]
+            return weights
         return fault
     return plant
 
@@ -89,7 +90,7 @@ def _certified_changed(**changes):
 
 FAULTS = {
     "coefficient-quadrature": (oracle, "coefficient_quadrature", _scaled(SLIGHTLY_MORE)),
-    "weight-linear-dependence": (oracle, "_weight",
+    "weight-linear-dependence": (oracle, "_weights",
                                  _tilde_weight_scaled(SLIGHTLY_MORE, PRECISION)),
     "theta-containment": (oracle, "theta_ratio", _with_error(1)),
     "remainder-identity": (oracle, "remainder_quadrature", _scaled(-1)),
@@ -182,7 +183,7 @@ def test_a_scaled_jtilde_fails_its_mismatch_check_alone(monkeypatch, factor):
     # 2**-100 lies below 1e-25, a floor that would let it pass
     ("coefficient-quadrature", (oracle, "coefficient_quadrature", _scaled(_one_plus_2_to(-100)))),
     # 2**-218 lies below 2**(40-P), a pointwise cap that would let it pass
-    ("weight-linear-dependence", (oracle, "_weight",
+    ("weight-linear-dependence", (oracle, "_weights",
                                   _tilde_weight_scaled(_one_plus_2_to(-218), 256))),
 ], ids=["coefficient-quadrature", "weight-linear-dependence"])
 def test_a_small_fault_at_256_bits_fails_its_check_alone(monkeypatch, check, fault):
