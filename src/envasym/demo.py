@@ -23,7 +23,7 @@ from mpmath.libmp import from_man_exp
 
 from .errors import DomainError
 from .oracle import QuadratureSpec, binet_J
-from .precision import _context, _pair, checked_int, positive_real, to_precision, working_bits
+from .precision import _context, _pair, checked_index, positive_real, to_precision, working_bits
 from .series import SeriesKind, _checked_argument, _walk
 
 __all__ = [
@@ -110,7 +110,7 @@ def _scan(
     x_grid: Iterable, k_max: int, spec: QuadratureSpec, b: Optional[mpf]
 ) -> Iterator[ViolationWitness]:
     """Witnesses in grid order, k = 0..k_max at each argument; J itself if b is None."""
-    k_max = checked_int(k_max, 1, "k_max")
+    k_max = checked_index(k_max, "k_max", 1)
     grid = list(x_grid)
     if not grid:
         raise ValueError("x_grid must be nonempty")
@@ -126,7 +126,9 @@ def find_envelope_violation(
 
     Scans arguments in the given order and truncation index 0..k_max within
     each.  Returns ``None`` when no pair on this grid violates the bound by
-    more than ten times the quadrature error estimate.
+    more than ten times the quadrature error estimate.  k_max above
+    ``INDEX_CAP`` raises :class:`DomainError` before any coefficient is
+    built or any quadrature runs.
     """
     bb = _checked_rate(b, spec.precision)
     return next(_scan(x_grid, k_max, spec, bb), None)

@@ -22,9 +22,13 @@ an a-posteriori error estimate (the difference of the last two refinement
 levels), not a proven bound.  Certification is the job of the series module.
 The node loop sums exact integers in fixed point; only the returned value
 and error are rounded, by the one rounder of :mod:`envasym.precision`.
-Cold nodes and the weights are libmp calls at an explicit precision; the
-wrappers and the exact logarithms are operators in the private context of
-the precision.  Nothing reads or sets ``mp.prec``.
+A cold node takes eta from one exp; its weights are fixed-point series in
+u = 2*pi*eta where u is small and in q = exp(-u) where q is small, each
+rounded once, and libmp's exp and logarithm between them.  The series'
+coefficients are exact rationals the module derives itself, from the power
+series of sinh, cosh and their quotient, not from :mod:`envasym.coeffs`.
+The wrappers and the exact logarithms are operators in the private context
+of the precision.  Nothing reads or sets ``mp.prec``.
 """
 
 from __future__ import annotations
@@ -33,6 +37,7 @@ import enum
 import itertools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 
 from mpmath import mp, mpf
@@ -43,6 +48,7 @@ from mpmath.libmp import (
     mpf_add,
     mpf_div,
     mpf_exp,
+    mpf_ln2,
     mpf_log,
     mpf_mul,
     mpf_neg,
@@ -51,6 +57,7 @@ from mpmath.libmp import (
     mpf_shift,
     mpf_sub,
     round_nearest,
+    to_fixed,
 )
 
 from ._expansions import WEIGHTS
@@ -60,7 +67,7 @@ from .precision import (
     _context,
     _product,
     _round,
-    checked_int,
+    checked_index,
     checked_precision,
     positive_real,
     to_precision,
@@ -95,52 +102,207 @@ class ThetaFamily(enum.Enum):
 # Bits a weight's intermediate values carry beyond the precision it returns.
 _WEIGHT_GUARD = 10
 
+# Bits the fixed-point unit of the two series branches carries beyond wp.
+_SERIES_GUARD = 16
 
-def _log1p(x: tuple, wp: int) -> tuple:
-    """Raw ln(1 + x) for raw x > -1, rounded to nearest at wp bits.
+# The most terms a series branch of ``_weights`` takes, which sets where it
+# starts (``_edges``).  In the edge binade a node's weights cost, in µs (one
+# family / all three; the exp and logarithms they replace in brackets):
+# small u 12 / 35 (30 / 57) at 256 bits, 24 / 72 (56 / 110) at 512; small
+# q 29 / 44 (40 / 66) at 256 bits, 43 / 66 (61 / 106) at 512.
+_SMALL_U_TERMS = 24
+_SMALL_Q_TERMS = 12
 
-    Where x*x/3 is below 2**-(wp+2*_WEIGHT_GUARD), x - x*x/2 is the value;
-    it never rounds to 0 however small x is.  Elsewhere 1 + x is formed
-    exactly, and ``mpf_log`` adds the bits its cancellation near 1 costs.
+
+def _log_of_series(f: list) -> list:
+    """ln of the power series f with f[0] = 1, to as many terms, exactly:
+    g' f = f' gives n g_n = n f_n - sum of k g_k f_(n-k) over 0 < k < n."""
+    g = [Fraction(0)]
+    for n in range(1, len(f)):
+        g.append(f[n] - sum((k * g[k] * f[n - k] for k in range(1, n)), Fraction(0)) / n)
+    return g
+
+
+@lru_cache(maxsize=1)
+def _exact_log_tables() -> tuple:
+    """(A, C, D): the coefficients of u**2, ..., u**(2n) of ln(sinh x / x),
+    ln(cosh x) and ln(tanh x / x) at x = u/2, n = _SMALL_U_TERMS, as exact
+    rationals, from the series of sinh x / x and cosh x in x**2 and their
+    quotient."""
+    n = _SMALL_U_TERMS
+    sinhc = [Fraction(1, math.factorial(2 * i + 1)) for i in range(n + 1)]
+    cosh = [Fraction(1, math.factorial(2 * i)) for i in range(n + 1)]
+    tanhc = []
+    for i in range(n + 1):
+        tanhc.append(sinhc[i] - sum(cosh[j] * tanhc[i - j] for j in range(1, i + 1)))
+    return tuple(tuple(c / 4**i for i, c in enumerate(_log_of_series(f)) if i)
+                 for f in (sinhc, cosh, tanhc))
+
+
+@lru_cache(maxsize=16)
+def _fixed_constants(f: int) -> tuple:
+    """2 pi, ln 2 pi, ln 2 and ln pi in units of 2**-f, floored; the tables
+    A, C and D rounded to nearest in the same unit; and 1/i floored for
+    1 < i <= _SMALL_Q_TERMS, the small-q series' coefficients."""
+    p = f + 8
+    pi = mpf_pi(p, round_nearest)
+    constants = [mpf_shift(pi, 1), mpf_log(mpf_shift(pi, 1), p, round_nearest),
+                 mpf_ln2(p, round_nearest), mpf_log(pi, p, round_nearest)]
+    tables = [tuple(round(c * (1 << f)) for c in table) for table in _exact_log_tables()]
+    inverses = tuple((1 << f) // i for i in range(2, _SMALL_Q_TERMS + 1))
+    return (*(to_fixed(c, f) for c in constants), *tables, inverses)
+
+
+@lru_cache(maxsize=16)
+def _edges(wp: int) -> tuple:
+    """(a, b): eta < 2**a takes the small-u branch of ``_weights``, eta >=
+    2**(b-1) the small-q branch, f = wp + _SERIES_GUARD.
+
+    a is the largest of at most -5 with ceil((f + 2)/(3 - 2(a + 3))) <=
+    _SMALL_U_TERMS + 1: u = 2 pi eta < 2**(a+3) <= 1/4, so at most
+    _SMALL_U_TERMS terms of each table reach one unit (see ``_small_u``).
+    b is the least with _SMALL_Q_TERMS * floor(4.5 * 2**b) >= f: from
+    eta >= 2**(b-1), u >= pi * 2**b and q = e^-u < 2**-(4.5 * 2**b), so
+    _SMALL_Q_TERMS terms of the relative series leave a tail below one unit
+    (see ``_small_q``).  At 256 bits (a, b) = (-8, 3): u < 2**-5 and
+    q < 2**-36; at 512 bits (-13, 4): u < 2**-10 and q < 2**-72."""
+    f = wp + _SERIES_GUARD
+    a = -5
+    while -(-(f + 2) // (3 - 2 * (a + 3))) > _SMALL_U_TERMS + 1:
+        a -= 1
+    b = 1
+    while _SMALL_Q_TERMS * (9 << b >> 1) < f:
+        b += 1
+    return a, b
+
+
+def _terms(rho: int, m: int, f: int) -> int:
+    """The least n with (n + 1)(rho - 2m) >= f + 2: past n terms, a table
+    with r = (u/R)**2 < 2**(2m - rho) leaves a tail below 4 r**(n+1) <=
+    2**-f (see ``_small_u``)."""
+    return -(-(f + 2) // (rho - 2 * m)) - 1
+
+
+def _small_u(families, eta: tuple, s: tuple, wp: int) -> list:
+    """The weights at eta < 2**a, a from ``_edges``, in fixed point.
+
+    With u = 2 pi eta and s = ln eta,
+    theta = -ln 2pi - s + u/2 - A(u**2), theta-hat = ln 2 - u/2 + C(u**2) and
+    theta-tilde = -ln pi - s - D(u**2), A, C and D the tables of
+    ``_exact_log_tables``, from ln(1 - q) = ln u - u/2 + ln(sinh(u/2)/(u/2)),
+    ln(1 + q) = ln 2 - u/2 + ln cosh(u/2) and ln coth(u/2) = -ln(u/2) -
+    ln(tanh(u/2)/(u/2)).
+
+    Error, in units of 2**-f, f = wp + _SERIES_GUARD: a coefficient of
+    u**(2n) is below zeta(2) (1 + 4**-n) R**(-2n) < 2.1 R**(-2n), R = 2 pi
+    for A and pi for C and D (the Bernoulli form of each), so with 2**m the
+    power of two above the integer u, r = (u/R)**2 < 2**(2m - rho), rho = 5
+    and 3 (log2 pi > 1.65 also covers u's floor), and u < 1/4 leaves the
+    tail past n terms below 2.1 r**(n+1) / (1 - r) < 4 r**(n+1), one unit
+    at n = ``_terms(rho, m, f)``.  Horner's rule floors once per term, and
+    later terms multiply each floor by u**2 < 1/16, so a sum is within 2.2
+    units plus its tail.  With the floored ln 2 pi, ln 2 or ln pi (1), s (1)
+    and u/2 (2), a weight is within 7 units of its value at (eta, s), and
+    above 1/2, so within 2**-(wp+12) relative before its one rounding to wp.
+    No integer grows with |log2 u|: a u below 2**-f is 0.
     """
-    if x[2] + x[3] < -(wp // 2 + _WEIGHT_GUARD):
-        return mpf_sub(x, mpf_shift(mpf_mul(x, x, wp, round_nearest), -1), wp, round_nearest)
-    return mpf_log(mpf_add(fone, x), wp, round_nearest)
-
-
-def _weights(families, eta: tuple, wp: int) -> list:
-    """Each family's weight at raw eta > 0, rounded to nearest at wp bits,
-    from one u, q and 1 - q and one logarithm per family.
-
-    With u = 2 pi eta and q = e^(-u) the weights are theta = -ln(1 - q),
-    theta-hat = ln(1 + q) and theta-tilde = ln(1 + 2q/(1 - q)), each one
-    logarithm of a quantity known to ``_WEIGHT_GUARD`` bits more than wp, so
-    the result is within about one rounding at wp bits.  u carries as many
-    bits again as its integer part, so that q keeps them at large eta; q,
-    which reaches 2**-(10**12) in the tails, never rounds to 0.  Below
-    u = 1, 1 - q cancels about -log2(u) bits, so q carries that many more,
-    and once u*u is negligible 1 - q is u - u*u/2.
-    """
-    g = wp + _WEIGHT_GUARD
-    pu = g + max(eta[2] + eta[3] + 3, 0)  # u < 2**(mag(eta) + 3)
-    u = mpf_mul(mpf_pi(pu, round_nearest), mpf_shift(eta, 1), pu, round_nearest)
-    mag = u[2] + u[3]
-    if mag < -(g // 2):
-        q = mpf_sub(fone, u, g, round_nearest)
-        one_minus_q = mpf_sub(u, mpf_shift(mpf_mul(u, u, g, round_nearest), -1), g, round_nearest)
-    else:
-        q = mpf_exp(mpf_neg(u), g - min(mag, 0), round_nearest)
-        one_minus_q = mpf_sub(fone, q, g, round_nearest)
+    f = wp + _SERIES_GUARD
+    two_pi, ln_2pi, ln_2, ln_pi, *tables, _ = _fixed_constants(f)
+    u = two_pi * eta[1] >> -eta[2]
+    y, m, log_eta = u * u >> f, u.bit_length() - f, to_fixed(s, f)
     weights = []
     for family in families:
-        if family is ThetaFamily.THETA_HAT:
-            weights.append(_log1p(q, wp))
-        elif family is ThetaFamily.THETA_TILDE:
-            weights.append(_log1p(mpf_div(mpf_shift(q, 1), one_minus_q, g, round_nearest), wp))
-        elif mag <= 0:  # u < 1: 1 - q <= 1 - 1/e, far from 1
-            weights.append(mpf_neg(mpf_log(one_minus_q, wp, round_nearest)))
+        if family is ThetaFamily.THETA:
+            x = -ln_2pi - log_eta + (u >> 1) - _horner(tables[0], y, _terms(5, m, f), f)
+        elif family is ThetaFamily.THETA_HAT:
+            x = ln_2 - (u >> 1) + _horner(tables[1], y, _terms(3, m, f), f)
         else:
-            weights.append(mpf_neg(_log1p(mpf_neg(q), wp)))
+            x = -ln_pi - log_eta - _horner(tables[2], y, _terms(3, m, f), f)
+        weights.append(from_man_exp(*_round(x, -f, wp, round_nearest)))
+    return weights
+
+
+def _horner(table: tuple, y: int, n: int, f: int) -> int:
+    """The sum of table[i-1] * y**i over 0 < i <= n, in units of 2**-f."""
+    total = 0
+    for c in reversed(table[:n]):
+        total = (total + c) * y >> f
+    return total
+
+
+def _small_q(families, q: tuple, wp: int) -> list:
+    """The weights at eta >= 2**(b-1), b from ``_edges``, as q times a
+    relative series in fixed point, from -ln(1 - q), ln(1 + q) and
+    2 atanh(q): theta = q (1 + q/2 + q**2/3 + ...) to the power
+    q**(_SMALL_Q_TERMS-1), theta-hat the same with alternating signs, and
+    theta-tilde = 2q (1 + q**2/3 + q**4/5 + ...) to the same power or one
+    below.
+
+    Error, in units of 2**-f, f = wp + _SERIES_GUARD: q < 2**-(f /
+    _SMALL_Q_TERMS) <= 1/2, so each tail is below q**_SMALL_Q_TERMS < 1
+    unit.  The coefficients are floored, Horner's rule floors once per
+    term, and later terms multiply each floor by |q| or q**2 <= 1/2, so a
+    sum near 2**f is within 4 units, and with q within 2**-(wp+9) relative
+    (see ``_weights``) a weight is within 2**-(wp+8) relative before its one
+    rounding to wp.  No integer grows with |log2 q|: a q below 2**-f is 0
+    in the series, and the weight is q or 2q rounded.
+    """
+    f = wp + _SERIES_GUARD
+    x, inverses = to_fixed(q, f), _fixed_constants(f)[-1]
+    weights = []
+    for family in families:
+        if family is ThetaFamily.THETA_TILDE:  # twice the odd terms
+            total, e = _horner(inverses[1::2], x * x >> f, (_SMALL_Q_TERMS - 1) // 2, f), 1 - f
+        else:
+            y = -x if family is ThetaFamily.THETA_HAT else x
+            total, e = _horner(inverses, y, _SMALL_Q_TERMS - 1, f), -f
+        weights.append(from_man_exp(*_round(q[1] * ((1 << f) + total), q[2] + e, wp,
+                                            round_nearest)))
+    return weights
+
+
+def _weights(families, eta: tuple, s: tuple, wp: int) -> list:
+    """Each family's weight at raw eta > 0 with s = ln eta, rounded to
+    nearest at wp bits, by one of three branches chosen from the binade of
+    eta and wp (``_edges``).  With u = 2 pi eta and q = e^-u:
+
+    * small u: a fixed-point series in u**2 with s and u, neither q nor a
+      logarithm (``_small_u``);
+    * small q: q times a fixed-point series in q, no logarithm
+      (``_small_q``);
+    * between them, theta = -ln(1 - q), theta-hat = ln(1 + q) and
+      theta-tilde = ln(1 + 2q/(1 - q)), each one logarithm of a quantity
+      known to ``_WEIGHT_GUARD`` bits more than wp, so within about one
+      rounding at wp bits.
+
+    Each family's weight depends on (eta, s, wp) alone, so alone or in a
+    row it has the same bits.  u carries as many bits again as its integer
+    part, so that q keeps them at large eta.  Below u = 1, 1 - q cancels
+    about -log2(u) bits, so q carries that many more.
+    """
+    small_u, small_q = _edges(wp)
+    top = eta[2] + eta[3]
+    if top <= small_u:
+        return _small_u(families, eta, s, wp)
+    g = wp + _WEIGHT_GUARD
+    pu = g + max(top + 3, 0)  # u < 2**(top + 3)
+    u = mpf_mul(mpf_pi(pu, round_nearest), mpf_shift(eta, 1), pu, round_nearest)
+    mag = u[2] + u[3]
+    q = mpf_exp(mpf_neg(u), g - min(mag, 0), round_nearest)
+    if top >= small_q:
+        return _small_q(families, q, wp)
+    one_minus_q = mpf_sub(fone, q, g, round_nearest)
+    weights = []
+    for family in families:
+        # 1 + x is exact, and mpf_log adds the bits its cancellation near 1 costs
+        if family is ThetaFamily.THETA_HAT:
+            weights.append(mpf_log(mpf_add(fone, q), wp, round_nearest))
+        elif family is ThetaFamily.THETA_TILDE:
+            x = mpf_div(mpf_shift(q, 1), one_minus_q, g, round_nearest)
+            weights.append(mpf_log(mpf_add(fone, x), wp, round_nearest))
+        else:  # below u = 1, 1 - q < 1 - 1/e is far from 1
+            x = one_minus_q if mag <= 0 else mpf_sub(fone, q)
+            weights.append(mpf_neg(mpf_log(x, wp, round_nearest)))
     return weights
 
 
@@ -217,13 +379,16 @@ class _NodeTable:
 class _Level:
     """(eta, 1 + E) with E = e^-t at the nodes t = t0 + n*dt of one side of a
     refinement level (dt < 0 on the t < 0 side), from a recurrence instead of
-    exps: eta = exp(t - E), and d(eta)/dt = eta*(1 + E).
+    exps: eta = exp(t - E), and d(eta)/dt = eta*(1 + E).  The exponent
+    s = t - E = ln eta goes to the weights, whose small-u branch needs no
+    other logarithm.
 
     A step along the level multiplies E by e^-dt at gp = wp + _NODE_GUARD
     bits.  At every index n divisible by _RESEED, E is made afresh from one
     exp, so the E at n comes from the same n % _RESEED steps whatever ran
-    before, and every value is a pure function of (t, wp).  Rounded to
-    nearest at wp, eta = exp(t - E) from the exact t, and 1 + E.
+    before, and every value is a pure function of (t, wp).  s = t - E is
+    rounded to nearest at gp bits from the exact t; eta = exp(s) and 1 + E
+    at wp.
 
     Error: E starts within one rounding of 2**-gp and each step adds two
     (the product's and the step factor's), so it stays within
@@ -255,11 +420,10 @@ class _Level:
         return e
 
     def node(self, n: int) -> tuple:
-        """(eta, 1 + E) at t = t0 + n*dt."""
+        """(eta, 1 + E, s) at t = t0 + n*dt, s = t - E = ln eta at gp bits."""
         e = self._e(n)
-        t = from_float(self.t0 + n * self.dt)
-        return (mpf_exp(mpf_sub(t, e, self.gp, round_nearest), self.wp, round_nearest),
-                mpf_add(fone, e, self.wp, round_nearest))
+        s = mpf_sub(from_float(self.t0 + n * self.dt), e, self.gp, round_nearest)
+        return (mpf_exp(s, self.wp, round_nearest), mpf_add(fone, e, self.wp, round_nearest), s)
 
 
 def _half_sum(total: int, rows: dict, cold, js: range, dt: float, column: int, k: int,
@@ -345,8 +509,9 @@ def _de_quad_half_line(family: ThetaFamily, k: int, z2, spec: QuadratureSpec, st
 
     A node's e = eta**2 and W(t) = weight(eta) * eta * (1 + e^-t) are z-free
     and positive: read from the row of the precision's node table (see
-    ``_NodeTable``), else libmp calls at ``working_bits(P)`` on the eta and
-    1 + e^-t of the level's recurrence (see ``_Level``), made pairs once.
+    ``_NodeTable``), else made at ``working_bits(P)`` from the eta, 1 + e^-t
+    and s = ln eta of the level's recurrence (see ``_Level``) and the
+    weights (see ``_weights``), and made pairs once.
     With ``store`` such a node's row is built whole, the W of every family
     from one ``_weights`` call, and kept; without it only this family's W is
     computed.  Each side of a level is one loop over the pairs,
@@ -366,10 +531,10 @@ def _de_quad_half_line(family: ThetaFamily, k: int, z2, spec: QuadratureSpec, st
     column = _COLUMNS[family]
     estimate = err = None
 
-    def cold(t, eta, factor):
+    def cold(t, eta, factor, s):
         # the row at a t without one; W of this family alone unless stored
         row = [mpf_mul(eta, eta, wp, round_nearest)[1:3]] + [None] * len(_COLUMNS)
-        for each, weight in zip(families, _weights(families, eta, wp)):
+        for each, weight in zip(families, _weights(families, eta, s, wp)):
             row[_COLUMNS[each]] = mpf_mul(mpf_mul(weight, factor, wp, round_nearest), eta,
                                           wp, round_nearest)[1:3]
         return rows.setdefault(t, row) if store else row
@@ -519,9 +684,10 @@ def theta_ratio(
 
     This ratio is exactly the fraction of the first omitted term that the
     true remainder amounts to, so its containment in (0, 1) is the
-    enveloping property itself.
+    enveloping property itself.  k above ``INDEX_CAP`` raises
+    :class:`DomainError` before any quadrature runs.
     """
-    k = checked_int(k, 0, "k")
+    k = checked_index(k, "k")
     zz = positive_real(z, spec.precision, "argument")
     ctx = _context(spec.precision)
     # the moment first: its rows serve the damped quadrature
@@ -544,9 +710,10 @@ def remainder_quadrature(
     """Signed truncation remainder after k terms, from its integral form.
 
     Its sign is ``family.row.sign(k)``.  The k = 0 remainder is the whole
-    correction function.
+    correction function.  k above ``INDEX_CAP`` raises :class:`DomainError`
+    before any quadrature runs.
     """
-    k = checked_int(k, 0, "k")
+    k = checked_index(k, "k")
     return _finish(*_remainder(family, k, z, spec), spec, error)
 
 
@@ -560,9 +727,10 @@ def coefficient_quadrature(
     """The k-th series coefficient as (1/pi) times a moment integral.
 
     Independent of the Bernoulli-number route in :mod:`envasym.coeffs`; the
-    two must agree, and the test suite holds them to it.
+    two must agree, and the test suite holds them to it.  k above
+    ``INDEX_CAP`` raises :class:`DomainError` before any quadrature runs.
     """
-    k = checked_int(k, 0, "k")
+    k = checked_index(k, "k")
     value, err = _integral(family, k, None, spec)
     inv_pi = 1 / _context(spec.precision).pi
     return _finish(inv_pi * value, inv_pi * err, spec, error)

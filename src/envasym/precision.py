@@ -49,6 +49,17 @@ PRECISION_ENV_VAR = "ENVASYM_PRECISION"
 #: Largest decimal exponent ``exact`` reads: building 10**|e| takes seconds beyond it.
 EXPONENT_LIMIT = 100_000
 
+#: Largest order the package takes or returns: the index ``min_term_index``
+#: and ``auto_truncate`` return, an explicit ``terms=`` or k of ``term``,
+#: ``partial_sum`` and ``envelope_interval``, the k of the oracle's
+#: ``theta_ratio``, ``remainder_quadrature`` and ``coefficient_quadrature``,
+#: and the k_max of the demo's scans.  An order above it raises
+#: :class:`DomainError`: an explicit one at once, a searched one at once when
+#: the float guess lies above it, else when the exact search passes it; either
+#: way before any coefficient above the cap is built or any quadrature runs.
+#: Building the coefficients up to the cap takes one to two seconds.
+INDEX_CAP = 1000
+
 
 def working_bits(precision: int) -> int:
     """The working precision ``precision + GUARD_BITS`` of a P-bit result."""
@@ -83,6 +94,14 @@ def checked_int(value, least: int, what: str) -> int:
     except TypeError:
         pass
     raise ValueError(f"{what} must be an int >= {least}, got {value!r}")
+
+
+def checked_index(k, what: str, least: int = 0) -> int:
+    """k as an int in [least, INDEX_CAP]: ValueError below, DomainError above."""
+    k = checked_int(k, least, what)
+    if k > INDEX_CAP:
+        raise DomainError(f"{what} must be at most the cap of {INDEX_CAP}, got {k}")
+    return k
 
 
 def checked_precision(precision) -> int:

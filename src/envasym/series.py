@@ -68,12 +68,14 @@ from ._expansions import EXPANSIONS, Expansion
 from .errors import DomainError, ToleranceUnattainable
 from .precision import (
     DEFAULT_PRECISION,
+    INDEX_CAP,
     _nstr,
     _pair,
     _product,
     _quotient,
     _sum,
     _to_mpf,
+    checked_index,
     checked_int,
     checked_precision,
     exact,
@@ -99,15 +101,6 @@ __all__ = [
 ]
 
 _DEFAULT_TOL = "1e-12"
-
-#: Largest order the package takes or returns: the index ``min_term_index``
-#: and ``auto_truncate`` return, and an explicit ``terms=`` or k of ``term``,
-#: ``partial_sum`` and ``envelope_interval``.  An order above it raises
-#: :class:`DomainError`: an explicit one at once, a searched one at once when
-#: the float guess lies above it, else when the exact search passes it; either
-#: way before any coefficient above the cap is built.  Building the
-#: coefficients up to the cap takes one to two seconds.
-INDEX_CAP = 1000
 
 
 class SeriesKind(enum.Enum):
@@ -189,14 +182,6 @@ def _margin(x: tuple, precision: int) -> tuple:
     return abs(x[0]), x[1] + 32 - precision
 
 
-def _capped(k, what: str) -> int:
-    """k as an int in [0, INDEX_CAP]: ValueError below, DomainError above."""
-    k = checked_int(k, 0, what)
-    if k > INDEX_CAP:
-        raise DomainError(f"{what} must be at most the cap of {INDEX_CAP}, got {k}")
-    return k
-
-
 def term(kind: SeriesKind, j: int, z, precision: int = DEFAULT_PRECISION) -> mpf:
     """The signed j-th term at working precision: the walk's t_j, so it costs
     j + 1 divisions and multiplications, not one power and one division."""
@@ -249,7 +234,7 @@ def partial_sum(kind: SeriesKind, z, k: int, precision: int = DEFAULT_PRECISION)
 def _sum_and_term(kind: SeriesKind, z, k: int, precision: int) -> tuple:
     """The pairs (s_k, t_k) at the checked argument and the working precision
     wp, and wp; k above ``INDEX_CAP`` raises before the argument is read."""
-    k = _capped(k, "term count")
+    k = checked_index(k, "term count")
     zz, wp = _checked_argument(kind, z, precision), working_bits(precision)
     return (*_walk_to(kind.row, _pair(zz._mpf_), wp, k), wp)
 
@@ -479,7 +464,7 @@ def _evaluate(kind: SeriesKind, z, tol, terms, precision: int) -> CertifiedValue
     z = exact(z, checked_precision(precision), "series argument")
     xf = _exact_argument(kind, z, precision)
     if terms is not None:
-        return next(_certificates(kind, xf, _capped(terms, "terms"), precision))
+        return next(_certificates(kind, xf, checked_index(terms, "terms"), precision))
     tol = exact(_DEFAULT_TOL if tol is None else tol, precision, "tolerance")
     k, _ = auto_truncate(kind, z, tol, precision)
     tol = _tolerance(tol, precision)

@@ -140,8 +140,8 @@ def _check_weight_linear_dependence(deep: bool, spec: QuadratureSpec) -> CheckRe
     # ThetaFamily iterates THETA, THETA_TILDE, THETA_HAT
     k_max = 4 if deep else 2
     ctx, wp = _context(spec.precision), working_bits(spec.precision)
-    weights = (map(ctx.make_mpf, oracle._weights(tuple(ThetaFamily), ctx.mpf(eta)._mpf_, wp))
-               for eta in ["0.1", "0.5", 1, 2])
+    weights = (map(ctx.make_mpf, oracle._weights(tuple(ThetaFamily), x._mpf_, ctx.ln(x)._mpf_, wp))
+               for x in map(ctx.mpf, ["0.1", "0.5", 1, 2]))
     integrals = ([ctx.convert(oracle.coefficient_quadrature(family, k, spec))
                   for family in ThetaFamily] for k in range(k_max + 1))
     return _mismatch_check("weight-linear-dependence", (

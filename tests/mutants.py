@@ -141,8 +141,8 @@ MUTANTS = (
     Mutant(
         "level-factor-dropped",
         "oracle.py",
-        "mpf_add(fone, e, self.wp, round_nearest))",
-        "fone)",
+        "mpf_add(fone, e, self.wp, round_nearest), s)",
+        "fone, s)",
         ("tests/test_oracle.py::TestCoefficientQuadrature",
          "tests/test_oracle.py::TestLevelRecurrence"),
     ),
@@ -279,6 +279,20 @@ MUTANTS = (
         "except (ValueError, TypeError, ZeroDivisionError):",
         "except (ValueError, TypeError):",
         ("tests/test_cli.py::TestUsageErrors::test_a_zero_denominator_is_usage_error",),
+    ),
+    Mutant(
+        "small-u-series-one-term-short",
+        "oracle.py",
+        "return -(-(f + 2) // (rho - 2 * m)) - 1",
+        "return -(-(f + 2) // (rho - 2 * m)) - 2",
+        ("tests/test_oracle.py::TestWeight",),
+    ),
+    Mutant(
+        "small-q-one-binade-early",
+        "oracle.py",
+        "if top >= small_q:",
+        "if top >= small_q - 1:",
+        ("tests/test_oracle.py::TestWeight",),
     ),
 )
 

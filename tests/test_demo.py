@@ -13,11 +13,13 @@ from envasym import (
     demo,
     enveloping_control_scan,
     find_envelope_violation,
+    oracle,
     perturbed_binet,
     revalidate_witness,
+    series,
 )
-from envasym.coeffs import beta
-from envasym.precision import positive_real
+from envasym.coeffs import COEFFICIENT_FAMILIES, beta
+from envasym.precision import INDEX_CAP, positive_real
 from envasym.series import SeriesKind, _checked_argument
 
 SPEC = QuadratureSpec(precision=256)
@@ -137,6 +139,22 @@ class TestWitnessSearch:
             enveloping_control_scan([5], k_max, SPEC)
         with pytest.raises(ValueError, match="k_max must be an int >= 1"):
             find_envelope_violation(1, [5], k_max, SPEC)
+
+    def test_a_k_max_above_the_cap_raises_before_any_coefficient_or_quadrature(
+            self, monkeypatch):
+        calls = []
+        for family, build in COEFFICIENT_FAMILIES.items():
+            monkeypatch.setitem(COEFFICIENT_FAMILIES, family,
+                                lambda j, build=build: calls.append(j) or build(j))
+        monkeypatch.setattr(oracle, "_de_quad_half_line", lambda *args: calls.append(args))
+        series._rounded_coefficient.cache_clear()
+        above = INDEX_CAP + 1
+        message = f"^k_max must be at most the cap of {INDEX_CAP}, got {above}$"
+        with pytest.raises(DomainError, match=message):
+            find_envelope_violation(1, [5], above, SPEC)
+        with pytest.raises(DomainError, match=message):
+            enveloping_control_scan([5], above, SPEC)
+        assert calls == []
 
     def test_rejects_empty_grid_and_bad_rate(self):
         with pytest.raises(ValueError):

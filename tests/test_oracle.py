@@ -33,7 +33,7 @@ from envasym import (
 from envasym import oracle, verify
 from envasym.coeffs import beta, beta_hat, beta_tilde
 from envasym.demo import enveloping_control_scan
-from envasym.precision import _product, positive_real, real_to_fraction
+from envasym.precision import INDEX_CAP, _product, positive_real, real_to_fraction
 
 SPEC = QuadratureSpec(precision=256)
 TIGHT = mpf(2) ** -200
@@ -44,10 +44,10 @@ def close(a, b, tol=TIGHT):
         return abs(a - b) <= tol * max(1, abs(b))
 
 
-def _weight(family, eta, wp):
-    """One family's weight at raw eta, as a quadrature that does not store
-    computes it."""
-    return oracle._weights((family,), eta, wp)[0]
+def _weight(family, eta, s, wp):
+    """One family's weight at raw eta with s = ln eta, as a quadrature that
+    does not store computes it."""
+    return oracle._weights((family,), eta, s, wp)[0]
 
 
 class TestExactLogs:
@@ -242,11 +242,13 @@ class TestCoefficientQuadrature:
 
 
 class TestWeightLinearDependence:
-    @pytest.mark.parametrize("eta", ["0.1", "0.5", "1", "2"])
+    # 1e-6 and 30 lie in the small-u and the small-q branch of the weights
+    @pytest.mark.parametrize("eta", ["1e-6", "0.1", "0.5", "1", "2", "30"])
     def test_pointwise(self, eta):
         with mp.workprec(288):
-            theta, tilde, hat = map(mp.make_mpf,
-                                    oracle._weights(tuple(ThetaFamily), mpf(eta)._mpf_, 288))
+            x = mpf(eta)
+            theta, tilde, hat = map(mp.make_mpf, oracle._weights(
+                tuple(ThetaFamily), x._mpf_, mp.log(x)._mpf_, 288))
             assert abs(theta + hat - tilde) <= mpf(2) ** -230 * tilde
 
     @pytest.mark.parametrize("k", range(3))
@@ -383,6 +385,21 @@ class TestIntegerArguments:
             QuadratureSpec(bad)
 
 
+class TestIndexCap:
+    def test_an_order_above_the_cap_raises_before_any_quadrature(self, monkeypatch):
+        quadratures = []
+        monkeypatch.setattr(oracle, "_de_quad_half_line", lambda *args: quadratures.append(args))
+        _clear_caches()
+        above = INDEX_CAP + 1
+        for call in (lambda: theta_ratio(ThetaFamily.THETA, above, "7.3"),
+                     lambda: remainder_quadrature(ThetaFamily.THETA_HAT, above, "7.3"),
+                     lambda: coefficient_quadrature(ThetaFamily.THETA_TILDE, above)):
+            with pytest.raises(DomainError, match=f"^k must be at most the cap of {INDEX_CAP}, "
+                                                  f"got {above}$"):
+                call()
+        assert quadratures == []
+
+
 class TestLargeArgument:
     # At z = 1e50 the damped integral is about 2**-330, far below 2**-(P+32)
     # at 128 bits; a tail test with that absolute floor stopped every tail at
@@ -435,7 +452,7 @@ def _quadratures(family, k, spec):
 
 
 def _level_node(t, wp):
-    """(eta, 1 + e^-t) at the node t, from the level side of the quadrature
+    """(eta, 1 + e^-t, s) at the node t, from the level side of the quadrature
     that visits it first: t = 0, level 0's nodes +-1, +-2, ..., or the odd
     multiples of h = 2**-level."""
     if t == 0:
@@ -451,9 +468,9 @@ def _whole(rows, wp):
     family's W, as that family's own weight gives it at the level's eta."""
     assert rows
     for t, row in rows.items():
-        eta, factor = _level_node(t, wp)
+        eta, factor, s = _level_node(t, wp)
         want = [mpf_mul(eta, eta, wp, round_nearest)]
-        want += [mpf_mul(mpf_mul(_weight(family, eta, wp), factor, wp, round_nearest),
+        want += [mpf_mul(mpf_mul(_weight(family, eta, s, wp), factor, wp, round_nearest),
                          eta, wp, round_nearest) for family in ThetaFamily]
         assert row == [x[1:3] for x in want], t
         assert [row[oracle._COLUMNS[family]] for family in ThetaFamily] == row[1:]
@@ -464,9 +481,9 @@ def _counted_weights(monkeypatch):
     """Record the families of every ``oracle._weights`` call."""
     weights = []
 
-    def counted(families, eta, wp, fn=oracle._weights):
+    def counted(families, eta, s, wp, fn=oracle._weights):
         weights.append(tuple(families))
-        return fn(families, eta, wp)
+        return fn(families, eta, s, wp)
 
     monkeypatch.setattr(oracle, "_weights", counted)
     return weights
@@ -621,9 +638,9 @@ class TestNodeTable:
         wp = 256 + 32
         column = oracle._COLUMNS[ThetaFamily.THETA]
         for t, t0, w_top, e_top in ((5.5, 0.5, -2000, math.inf), (-7.0, 1.0, 0, -3000)):
-            eta, factor = recurrence_nodes(t0, 1.0, wp)(t)
+            eta, factor, s = recurrence_nodes(t0, 1.0, wp)(t)
             with mp.workprec(wp):
-                w = mp.make_mpf(_weight(ThetaFamily.THETA, eta._mpf_, wp)) * factor * eta
+                w = mp.make_mpf(_weight(ThetaFamily.THETA, eta._mpf_, s._mpf_, wp)) * factor * eta
                 e = eta * eta
             assert mp.log(w, 2) < w_top and mp.log(e, 2) < e_top
             row = oracle._node_table(256).rows[t]
@@ -702,10 +719,10 @@ class TestMoments:
 
 
 def recurrence_nodes(t0, dt, wp):
-    """t -> (eta, 1 + E), E = e^-t, at the nodes t = +-(t0 + n*dt) of one
+    """t -> (eta, 1 + E, s), E = e^-t and s = t - E, at the nodes t = +-(t0 + n*dt) of one
     level and at t = 0, by the recurrence ``oracle._Level`` documents, on mpf
     operators: E at every index of a side in turn, from a direct exp at every
-    _RESEED-th, and eta = exp(t - E)."""
+    _RESEED-th, s = t - E and eta = exp(s)."""
     gp = wp + oracle._NODE_GUARD
     sides = {1: [], -1: []}  # E at n = 0, 1, ... on the side t > 0 and t < 0
     with mp.workprec(gp):
@@ -723,30 +740,30 @@ def recurrence_nodes(t0, dt, wp):
             e = es[n]
             exponent = t - e
         with mp.workprec(wp):
-            return mp.exp(exponent), 1 + e
+            return mp.exp(exponent), 1 + e, exponent
 
     return at
 
 
 def direct_nodes(t0, dt, wp):
-    """t -> (eta, 1 + e^-t) from a direct exp of -t and of t - e^-t at each
-    t, an independent route to the recurrence's values."""
+    """t -> (eta, 1 + e^-t, s) from a direct exp of -t and of s = t - e^-t
+    at each t, an independent route to the recurrence's values."""
     def at(t):
         with mp.workprec(wp):
             e = mp.exp(-t)
-            return mp.exp(t - e), 1 + e
+            return mp.exp(t - e), 1 + e, t - e
 
     return at
 
 
 def sinh_nodes(t0, dt, wp):
-    """t -> (eta, d(eta)/dt / eta) = (exp(lam*sinh t), lam*cosh t), lam =
-    pi/2: the substitution the quadrature used before exp(t - e^-t), from a
-    cosh and a sinh at each t."""
+    """t -> (eta, d(eta)/dt / eta, ln eta) = (exp(lam*sinh t), lam*cosh t,
+    lam*sinh t), lam = pi/2: the substitution the quadrature used before
+    exp(t - e^-t), from a cosh and a sinh at each t."""
     def at(t):
         with mp.workprec(wp):
             lam = mp.pi / 2
-            return mp.exp(lam * mp.sinh(t)), lam * mp.cosh(t)
+            return mp.exp(lam * mp.sinh(t)), lam * mp.cosh(t), lam * mp.sinh(t)
 
     return at
 
@@ -785,8 +802,8 @@ def ambient_de_quad(family, k, z, precision, nodes=recurrence_nodes, memo=None):
         def row(t, at):
             if memo is not None and (family, t) in memo:
                 return memo[family, t]
-            eta, factor = at(t)
-            e, w = eta * eta, mp.make_mpf(_weight(family, eta._mpf_, wp)) * factor * eta
+            eta, factor, s = at(t)
+            e, w = eta * eta, mp.make_mpf(_weight(family, eta._mpf_, s._mpf_, wp)) * factor * eta
             if memo is not None:
                 memo[family, t] = e, w
             return e, w
@@ -1064,8 +1081,9 @@ class TestFixedPointSums:
                 x = positive_real(z, precision, "argument").man_exp
                 z2 = _product(x, x, wp)
             _clear_caches()
-            sums.clear()
             oracle._de_quad_half_line(family, k, z2, spec, True)  # stores every node
+            sums.clear()  # then the same sums from the rows alone, no weight rounded
+            oracle._de_quad_half_line(family, k, z2, spec, True)
             column = oracle._COLUMNS[family]
             new = {}  # level: the exact W * e**k, over z2 + e when damped, of its new nodes
             for t, (e, *ws) in oracle._node_table(precision).rows.items():
@@ -1083,15 +1101,16 @@ class TestFixedPointSums:
                 assert error <= trapezoid / 2 ** (wp + 8), case
 
 
-def _level_errors(pairs, ts, wp):
-    """Relative errors of (eta, 1 + e^-t) at each t, in units of 2**-wp,
-    against a direct exp at wp + 64 bits."""
+def _level_errors(nodes, ts, wp):
+    """Relative errors of (eta, 1 + e^-t) at each t, and the absolute error
+    of s = ln eta, in units of 2**-wp, against a direct exp at wp + 64 bits."""
     errors = []
     with mp.workprec(wp + 64):
-        for (eta, factor), t in zip(pairs, ts):
+        for (eta, factor, s), t in zip(nodes, ts):
             e = mp.exp(-t)
             errors.append([abs(mp.make_mpf(x) / y - 1) * mpf(2) ** wp
-                           for x, y in zip((eta, factor), (mp.exp(t - e), 1 + e))])
+                           for x, y in zip((eta, factor), (mp.exp(t - e), 1 + e))]
+                          + [abs(mp.make_mpf(s) - (t - e)) * mpf(2) ** wp])
     return errors
 
 
@@ -1112,7 +1131,8 @@ def level_walks(draw):
 
 class TestLevelRecurrence:
     """``oracle._Level`` against a direct exp at P + 96 bits, within the
-    bound its docstring states: 2**(1-wp) relative, 2 units of 2**-wp.  CI
+    bound its docstring states: 2**(1-wp) relative, 2 units of 2**-wp, and
+    s within one unit.  CI
     runs the property a second time under the ``ci`` Hypothesis profile."""
 
     @pytest.mark.parametrize("precision", [64, 512])
@@ -1125,7 +1145,7 @@ class TestLevelRecurrence:
             level = oracle._Level(dt, 2 * dt, wp)
             nodes = [level.node(n) for n in range(count)]
             ts = [dt + n * 2 * dt for n in range(count)]
-            assert all(e <= 2 and f <= 2 for e, f in _level_errors(nodes, ts, wp))
+            assert all(e <= 2 and f <= 2 and s <= 1 for e, f, s in _level_errors(nodes, ts, wp))
 
     def test_far_tails_stay_within_the_bound(self):
         # level 1 out to t = -10.5, where E = e^-t is near 2**15, and to
@@ -1135,7 +1155,7 @@ class TestLevelRecurrence:
             level = oracle._Level(dt / 2, dt, wp)
             ts = [dt / 2 + n * dt for n in range(11)]
             nodes = [level.node(n) for n in range(11)]
-            assert all(e <= 2 and f <= 2 for e, f in _level_errors(nodes, ts, wp))
+            assert all(e <= 2 and f <= 2 and s <= 1 for e, f, s in _level_errors(nodes, ts, wp))
 
     def test_a_node_does_not_depend_on_what_ran_before(self):
         wp = 128 + 32
@@ -1156,8 +1176,8 @@ class TestLevelRecurrence:
         walked.node(m)
         got = walked.node(n)
         assert got == oracle._Level(t0, dt, wp).node(n)
-        [(e, f)] = _level_errors([got], [t0 + n * dt], wp)
-        assert e <= 2 and f <= 2
+        [(e, f, s)] = _level_errors([got], [t0 + n * dt], wp)
+        assert e <= 2 and f <= 2 and s <= 1
 
 
 class TestDampedValueCache:
@@ -1185,27 +1205,62 @@ def reference_weight(family, eta, precision):
         return mp.log(mp.coth(u / 2)) if u < 1 else 2 * mp.atanh(mp.exp(-u))
 
 
+@st.composite
+def weight_points(draw):
+    """(eta, s, precision): a wp-bit eta, wp = precision + 32, and s = ln eta
+    at the node recurrence's wp + _NODE_GUARD bits, as ``_Level.node`` gives
+    them; eta in the last binade of the small-u branch of ``oracle._weights``
+    or the one above it, in the first of the small-q branch or the one below
+    it, deep in either tail, or anywhere between, with the binade's least
+    and greatest mantissas among the draws."""
+    precision = draw(st.sampled_from([64, 128, 256, 512, 1024]))
+    wp = precision + 32
+    small_u, small_q = oracle._edges(wp)
+    top = draw(st.one_of(
+        st.sampled_from([small_u, small_u + 1]),  # u near the small-u edge
+        st.sampled_from([small_q - 1, small_q]),  # q near the small-q edge
+        st.integers(-100_000, small_u),  # deep in the small-u tail
+        st.integers(small_q, 41),  # deep in the small-q tail, q near 2**-(10**13)
+        st.integers(small_u, small_q)))
+    mantissa = draw(st.one_of(st.sampled_from([2 ** (wp - 1), 2**wp - 1]),
+                              st.integers(2 ** (wp - 1), 2**wp - 1)))
+    eta = from_man_exp(mantissa, top - wp)
+    with mp.workprec(wp + oracle._NODE_GUARD):
+        s = mp.log(mp.make_mpf(eta))._mpf_
+    return eta, s, precision
+
+
 class TestWeight:
-    @settings(max_examples=150, deadline=None)
-    @given(st.floats(min_value=-2000, max_value=12),
-           st.sampled_from([64, 128, 256, 512, 1024]))
-    def test_within_one_unit_of_2_to_the_minus_working_bits(self, log2_eta, precision):
+    """``oracle._weights`` on both sides of each branch edge and deep in both
+    tails.  CI runs the property a second time under the ``ci`` Hypothesis
+    profile."""
+
+    @settings(deadline=None)
+    @given(weight_points())
+    def test_within_one_unit_of_2_to_the_minus_working_bits(self, point):
+        eta, s, precision = point
         wp = precision + 32
-        with mp.workprec(wp):
-            eta = (mpf(2) ** log2_eta)._mpf_
-        for family, got in zip(ThetaFamily, oracle._weights(tuple(ThetaFamily), eta, wp)):
-            assert got == _weight(family, eta, wp)  # alone, the same bits
+        weights = oracle._weights(tuple(ThetaFamily), eta, s, wp)
+        for family, got in zip(ThetaFamily, weights):
+            assert got == _weight(family, eta, s, wp)  # alone, the same bits
             want = reference_weight(family, eta, precision + 200)
             with mp.workprec(precision + 200):
                 assert want > 0 and mp.make_mpf(got) > 0
                 assert abs(mp.make_mpf(got) - want) <= mpf(2) ** -wp * want, family
+        # theta-tilde = theta + theta-hat within 2 units in theta-tilde's last place
+        theta, tilde, hat = map(mp.make_mpf, weights)
+        with mp.workprec(precision + 200):
+            assert abs(tilde - (theta + hat)) <= 2 * mpf(2) ** (_top(tilde) - wp)
 
     @pytest.mark.parametrize("family", list(ThetaFamily))
     def test_positive_deep_in_the_tail(self, family):
         # q = e^(-2 pi eta) near 2**-(10**13) at eta = 2**40: the weight is q or 2q,
         # and a logarithm of 1 + q would round it to 0
         for precision in (64, 1024):
-            w = _weight(family, from_int(2**40), precision + 32)
+            wp = precision + 32
+            with mp.workprec(wp + oracle._NODE_GUARD):
+                s = mp.log(2**40)._mpf_
+            w = _weight(family, from_int(2**40), s, wp)
             assert w[0] == 0 and w[1] > 0 and w[2] + w[3] < -9 * 10**12
 
 
@@ -1227,8 +1282,8 @@ class TestZeroTerms:
         monkeypatch.setattr(oracle, "_TAIL_CAP", 10**3)
         cut = from_int(2**8)  # on eta
 
-        def vanishing(families, eta, wp, fn=oracle._weights):
-            return [fzero] * len(families) if mpf_gt(eta, cut) else fn(families, eta, wp)
+        def vanishing(families, eta, s, wp, fn=oracle._weights):
+            return [fzero] * len(families) if mpf_gt(eta, cut) else fn(families, eta, s, wp)
 
         monkeypatch.setattr(oracle, "_weights", vanishing)
         _clear_caches()  # every node cold, none stored

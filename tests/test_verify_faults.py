@@ -46,8 +46,8 @@ def _tilde_weight_scaled(factor, precision):
     eta = _context(precision).mpf("0.1")._mpf_
 
     def plant(original):
-        def fault(families, x, wp):
-            weights = original(families, x, wp)
+        def fault(families, x, s, wp):
+            weights = original(families, x, s, wp)
             if x == eta:
                 return [mpf_mul(w, factor._mpf_) if family is ThetaFamily.THETA_TILDE else w
                         for family, w in zip(families, weights)]
