@@ -26,7 +26,8 @@ class ToleranceUnattainable(ArithmeticError):
 
 
 class QuadratureNonConvergence(RuntimeError):
-    """Dyadic refinement hit its level cap before the error target was met.
+    """A quadrature spent its node budget before two refinement levels met
+    the error target.
 
     Attributes:
         value: best value computed so far.

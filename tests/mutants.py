@@ -102,9 +102,9 @@ MUTANTS = (
         "oracle.py",
         "diff = abs(total - 2 * previous)",
         "diff = abs(total - previous)",
-        # every full quadrature then runs to the level cap, each level twice
-        # as long: the killer caps the levels and checks the difference
-        ("tests/test_oracle.py::TestQuadratureSpec::test_level_cap_raises",),
+        # every full quadrature then runs until its node budget is spent: the
+        # killer sets a small budget and checks the reported difference
+        ("tests/test_oracle.py::TestQuadratureSpec::test_a_budget_spent_during_level_3_reports_level_2",),
     ),
     Mutant(
         "sum-shortcut-at-wp",

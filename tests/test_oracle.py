@@ -10,7 +10,7 @@ from fractions import Fraction
 import mpmath.libmp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf
 from mpmath.libmp import libmpf
@@ -83,6 +83,19 @@ class TestExactLogs:
             exact_ln_central_binomial(0)
         with pytest.raises(ValueError):
             exact_ln_gamma_half(-2)
+
+    # exact_ln_factorial(5, True) returned 4.0, (5, 10) 4.7890625 and
+    # exact_ln_central_binomial(True) ln 2; a float or string n raised a bare
+    # TypeError
+    @pytest.mark.parametrize("function", [exact_ln_factorial, exact_ln_central_binomial,
+                                          exact_ln_gamma_half])
+    def test_n_and_the_precision_are_checked(self, function):
+        for n in (True, 5.0, "5", -1):
+            with pytest.raises(ValueError, match="n must be an int >= "):
+                function(n)
+        for precision in (True, 10, 64.0):
+            with pytest.raises(ValueError, match="precision must be an int >= 64"):
+                function(5, precision)
 
 
 class TestBinetJ:
@@ -320,20 +333,27 @@ class TestQuadratureSpec:
     LEVEL_2 = (0, int("2955861658530899305508607560797284759956246135"
                       "22184431443662871470887951511902504676377"), -293, 288)
 
+    # binet_J(3.75) at 256 bits has visited 13 nodes when level 0 ends, 26
+    # when level 1 ends, 48 when level 2 ends and 87 when level 3 ends.
     @staticmethod
-    def _raised(monkeypatch, name, cap):
-        monkeypatch.setattr(oracle, name, cap)
+    def _raised(monkeypatch, budget):
+        monkeypatch.setattr(oracle, "_NODE_BUDGET", budget)
         oracle._integral.cache_clear()  # a cached value would skip the quadrature
-        with pytest.raises(QuadratureNonConvergence) as info:
+        with pytest.raises(QuadratureNonConvergence, match=f"within {budget} nodes") as info:
             binet_J(mpf("3.75"), SPEC)
         if info.value.value is not None:
             mp.nstr(info.value.value, 10)
         return info.value
 
-    def test_level_cap_raises(self, monkeypatch):
-        first = self._raised(monkeypatch, "_MAX_LEVELS", 1)
+    def test_a_budget_spent_before_level_0_ends_reports_nothing(self, monkeypatch):
+        for budget in (1, 4, 12):
+            raised = self._raised(monkeypatch, budget)
+            assert raised.value is None and raised.error is None
+
+    def test_a_budget_spent_during_level_3_reports_level_2(self, monkeypatch):
+        first = self._raised(monkeypatch, 40)  # spent during level 2
         assert first.error is None  # one level has nothing to differ from
-        raised = self._raised(monkeypatch, "_MAX_LEVELS", 2)
+        raised = self._raised(monkeypatch, 60)
         assert raised.value._mpf_ == self.LEVEL_2
         # the error is the difference of the last two levels (it was always
         # 0), each of the three rounded once from exact sums
@@ -342,21 +362,10 @@ class TestQuadratureSpec:
         difference = abs(level_2 - _fraction(first.value))
         assert abs(_fraction(raised.error) - difference) <= 2 ** (2 - wp) * level_2
         assert raised.error > 0
-
-    def test_tail_cap_raises(self, monkeypatch):
-        # the tails of binet_J(3.75) reach j = 7 at level 0, 25 at level 2 and
-        # 45 at level 3: a cap of 3 trips before any level is complete, a cap
-        # of 30 at level 3, which reports level 2 as the level cap does
-        first = self._raised(monkeypatch, "_TAIL_CAP", 3)
-        assert "tail" in str(first)
-        assert first.value is None and first.error is None
-        raised = self._raised(monkeypatch, "_TAIL_CAP", 30)
-        assert "tail" in str(raised)
-        capped = self._raised(monkeypatch, "_MAX_LEVELS", 2)
-        assert "levels" in str(capped)
-        assert raised.value._mpf_ == capped.value._mpf_ == self.LEVEL_2
-        assert raised.error._mpf_ == capped.error._mpf_
-        assert raised.error > 0
+        # a budget spent as level 2 ends, or one node before level 3 ends, reports the same
+        for budget in (48, 86):
+            same = self._raised(monkeypatch, budget)
+            assert (same.value._mpf_, same.error._mpf_) == (self.LEVEL_2, raised.error._mpf_)
 
 
 class TestIntegerArguments:
@@ -684,6 +693,13 @@ class TestNodeCounts:
         binet_J(z, QuadratureSpec(precision=precision))
         assert len(calls["node"]) == len(set(calls["visited"])) == nodes
 
+    def test_the_node_budget_is_at_least_twice_a_cold_binet_J_at_1e_minus_30(self, monkeypatch):
+        # _half_sum's fixed-point bound holds for fewer than 2**28 nodes
+        _clear_caches()
+        calls = _watch(monkeypatch, oracle._node_table(128))
+        binet_J("1e-30", QuadratureSpec(precision=128))
+        assert 2 * len(calls["visited"]) <= oracle._NODE_BUDGET < 2**28
+
 
 MOMENT_PAIRS = [(family, k) for family in ThetaFamily for k in range(5)]
 
@@ -856,7 +872,7 @@ def ambient_de_quad(family, k, z, precision, nodes=recurrence_nodes, memo=None):
         total = term(0.0, middle, u) + half_sums(1.0, 1, 1, u)
         shift = total.bit_length() - wp - guard
         total, u = total >> shift, u + shift
-        for level in range(1, oracle._MAX_LEVELS + 1):
+        for level in range(1, 21):  # a bound of its own, so that the test ends
             previous, total = total, total + half_sums(2.0**-level, 1, 2, u)
             if level > 1:
                 diff = abs(total - 2 * previous)
@@ -1026,7 +1042,7 @@ def loop_ends_tail(term, before, wp):
     term, e = 1 and a unit of 1 plant it exactly.  A zero node follows, so
     the tail ends exactly when the term is negligible."""
     rows = {1.0: [(1, 0), (term, 0)], 2.0: [(1, 0), (0, 0)]}
-    total, peak = oracle._half_sum(before, rows, None, range(1, 3), 1.0, 1, 0, None, 0, wp)
+    total, peak, _ = oracle._half_sum(before, rows, None, range(1, 3), 1.0, 1, 0, None, 0, wp)
     assert total == before + term
     return peak is not None
 
@@ -1224,10 +1240,33 @@ def weight_points(draw):
         st.integers(small_u, small_q)))
     mantissa = draw(st.one_of(st.sampled_from([2 ** (wp - 1), 2**wp - 1]),
                               st.integers(2 ** (wp - 1), 2**wp - 1)))
-    eta = from_man_exp(mantissa, top - wp)
-    with mp.workprec(wp + oracle._NODE_GUARD):
+    return _weight_point(precision, top, mantissa)
+
+
+def _weight_point(precision, top, mantissa):
+    """(eta, s, precision) for eta = mantissa * 2**(top - wp), a wp-bit
+    mantissa, as ``weight_points`` draws it."""
+    eta = from_man_exp(mantissa, top - precision - 32)
+    with mp.workprec(precision + 32 + oracle._NODE_GUARD):
         s = mp.log(mp.make_mpf(eta))._mpf_
     return eta, s, precision
+
+
+def _edge_examples(test):
+    """The property's explicit examples, points a random draw reaches only by
+    luck: the least, a middle and the greatest mantissa of the binade 15
+    below the small-u edge at 64 bits and 17 below it at 128, where a small-u
+    series one term short misses its one-unit budget; and the least mantissa
+    of the binade below the small-q edge at 128 and 256 bits, where the
+    small-q series would miss it."""
+    for precision, below in ((64, 15), (128, 17)):
+        wp = precision + 32
+        for mantissa in (2 ** (wp - 1), 3 << (wp - 2), 2**wp - 1):
+            test = example(_weight_point(precision, oracle._edges(wp)[0] - below, mantissa))(test)
+    for precision in (128, 256):
+        wp = precision + 32
+        test = example(_weight_point(precision, oracle._edges(wp)[1] - 1, 2 ** (wp - 1)))(test)
+    return test
 
 
 class TestWeight:
@@ -1237,6 +1276,7 @@ class TestWeight:
 
     @settings(deadline=None)
     @given(weight_points())
+    @_edge_examples
     def test_within_one_unit_of_2_to_the_minus_working_bits(self, point):
         eta, s, precision = point
         wp = precision + 32
@@ -1274,12 +1314,12 @@ class TestZeroTerms:
         # _TAIL_RUN negligible nodes in a row end a tail, a lone one does not
         terms = [3, 0, 3, 0, 0, 3]
         rows = {float(j): [(1, 0), (w, 0)] for j, w in enumerate(terms, start=1)}
-        total, peak = oracle._half_sum(0, rows, None, range(1, 7), 1.0, 1, 0, None, 0, 64)
-        assert peak == 1 and total == 6
+        # the tail ends at the second zero in a row, the fifth node summed
+        assert oracle._half_sum(0, rows, None, range(1, 7), 1.0, 1, 0, None, 0, 64) == (6, 1, 5)
 
     def test_a_factor_that_vanishes_in_the_tail_ends_the_tail(self, monkeypatch):
-        # zero terms that were never negligible walked the tail to the cap
-        monkeypatch.setattr(oracle, "_TAIL_CAP", 10**3)
+        # zero terms that were never negligible would walk the tail until
+        # the node budget is spent
         cut = from_int(2**8)  # on eta
 
         def vanishing(families, eta, s, wp, fn=oracle._weights):

@@ -254,8 +254,7 @@ def node_terms(draw):
 def loop_term(e, w, k, z2, u, wp):
     """The term ``oracle._half_sum`` makes of one node, planted at t = 1 with
     the pairs e and w: the loop's sum from 0 is the term itself."""
-    got, _ = _half_sum(0, {1.0: [e, w]}, None, range(1, 2), 1.0, 1, k, z2, u, wp)
-    return got
+    return _half_sum(0, {1.0: [e, w]}, None, range(1, 2), 1.0, 1, k, z2, u, wp)[0]
 
 
 @settings(deadline=None)
