@@ -109,13 +109,13 @@ def _violations_at(
 def _scan(
     x_grid: Iterable, k_max: int, spec: QuadratureSpec, b: Optional[mpf]
 ) -> Iterator[ViolationWitness]:
-    """Witnesses in grid order, k = 0..k_max at each argument; J itself if b is None."""
+    """Witnesses in grid order, k = 0..k_max at each argument; J itself if b is None.
+    Every argument is checked before the first quadrature, wherever a bad one sits."""
     k_max = checked_index(k_max, "k_max", 1)
-    grid = list(x_grid)
+    grid = [_checked_argument(SeriesKind.BINET_J, x, spec.precision) for x in x_grid]
     if not grid:
         raise ValueError("x_grid must be nonempty")
-    for x in grid:
-        xx = _checked_argument(SeriesKind.BINET_J, x, spec.precision)
+    for xx in grid:
         yield from _violations_at(xx, range(k_max + 1), spec, b)
 
 

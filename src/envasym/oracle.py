@@ -25,8 +25,11 @@ and error are rounded, by the one rounder of :mod:`envasym.precision`.
 A cold node takes eta from one exp; its weights are fixed-point series in
 u = 2*pi*eta where u is small and in q = exp(-u) where q is small, each
 rounded once, and libmp's exp and logarithm between them.  The series'
-coefficients are exact rationals the module derives itself, from the power
-series of sinh, cosh and their quotient, not from :mod:`envasym.coeffs`.
+coefficients are exact rationals the module derives itself, not from
+:mod:`envasym.coeffs`: the small-u tables from the one power series of
+ln(sinh x / x), whose x**(2n) coefficient times 4**n - 1 and 2 - 4**n gives
+those of ln cosh x and ln(tanh x / x), by sinh 2x = 2 sinh x cosh x, the same
+duplication that turns Binet's series into the central binomial one.
 The wrappers and the exact logarithms are operators in the private context
 of the precision.  Nothing reads or sets ``mp.prec``.
 """
@@ -128,16 +131,14 @@ def _log_of_series(f: list) -> list:
 def _exact_log_tables() -> tuple:
     """(A, C, D): the coefficients of u**2, ..., u**(2n) of ln(sinh x / x),
     ln(cosh x) and ln(tanh x / x) at x = u/2, n = _SMALL_U_TERMS, as exact
-    rationals, from the series of sinh x / x and cosh x in x**2 and their
-    quotient."""
-    n = _SMALL_U_TERMS
-    sinhc = [Fraction(1, math.factorial(2 * i + 1)) for i in range(n + 1)]
-    cosh = [Fraction(1, math.factorial(2 * i)) for i in range(n + 1)]
-    tanhc = []
-    for i in range(n + 1):
-        tanhc.append(sinhc[i] - sum(cosh[j] * tanhc[i - j] for j in range(1, i + 1)))
-    return tuple(tuple(c / 4**i for i, c in enumerate(_log_of_series(f)) if i)
-                 for f in (sinhc, cosh, tanhc))
+    rationals, from the one series of sinh x / x in x**2.  By duplication,
+    sinh 2x = 2 sinh x cosh x gives ln cosh x = ln(sinh 2x / 2x) - ln(sinh x
+    / x), so C_n = (4**n - 1) A_n, and tanh = sinh / cosh gives D_n = A_n -
+    C_n = (2 - 4**n) A_n."""
+    sinhc = [Fraction(1, math.factorial(2 * i + 1)) for i in range(_SMALL_U_TERMS + 1)]
+    a = [c / 4**p for p, c in enumerate(_log_of_series(sinhc)) if p]
+    return (tuple(a), tuple((4**p - 1) * c for p, c in enumerate(a, 1)),
+            tuple((2 - 4**p) * c for p, c in enumerate(a, 1)))
 
 
 @lru_cache(maxsize=16)
@@ -192,11 +193,13 @@ def _small_u(families, eta: tuple, s: tuple, wp: int) -> list:
     theta-tilde = -ln pi - s - D(u**2), A, C and D the tables of
     ``_exact_log_tables``, from ln(1 - q) = ln u - u/2 + ln(sinh(u/2)/(u/2)),
     ln(1 + q) = ln 2 - u/2 + ln cosh(u/2) and ln coth(u/2) = -ln(u/2) -
-    ln(tanh(u/2)/(u/2)).
+    ln(tanh(u/2)/(u/2)).  By duplication C_n = (4**n - 1) A_n and D_n =
+    (2 - 4**n) A_n, the coefficients of u**(2n).
 
-    Error, in units of 2**-f, f = wp + _SERIES_GUARD: a coefficient of
-    u**(2n) is below zeta(2) (1 + 4**-n) R**(-2n) < 2.1 R**(-2n), R = 2 pi
-    for A and pi for C and D (the Bernoulli form of each), so with 2**m the
+    Error, in units of 2**-f, f = wp + _SERIES_GUARD: |A_n| = zeta(2n) /
+    (n (2 pi)**(2n)) from its Bernoulli form, and |C_n| and |D_n| are below
+    4**n |A_n|, so a coefficient of u**(2n) is below zeta(2) R**(-2n) < 2.1
+    R**(-2n), R = 2 pi for A and pi for C and D, so with 2**m the
     power of two above the integer u, r = (u/R)**2 < 2**(2m - rho), rho = 5
     and 3 (log2 pi > 1.65 also covers u's floor), and u < 1/4 leaves the
     tail past n terms below 2.1 r**(n+1) / (1 - r) < 4 r**(n+1), one unit

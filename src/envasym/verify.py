@@ -18,6 +18,7 @@ from . import oracle, series
 from .errors import ToleranceUnattainable
 from .oracle import QuadratureSpec, ThetaFamily
 from .precision import (
+    DEFAULT_PRECISION,
     _context,
     _nstr,
     _pair,
@@ -304,9 +305,10 @@ _CHECKS = [
 
 
 def _precision(deep: bool, precision: int | None) -> int:
-    """The working precision of a run: as given, else 256 bits (512 if deep)."""
+    """The working precision of a run: as given, else the default (512 bits if
+    deep)."""
     if precision is None:
-        return 512 if deep else 256
+        return 512 if deep else DEFAULT_PRECISION
     return precision
 
 

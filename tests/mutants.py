@@ -5,9 +5,12 @@ text, which must occur there exactly once, and the text that replaces it.
 For each mutant the script copies ``src/`` to a temporary directory, applies
 the patch there, and runs the mutant's test selection with ``PYTHONPATH`` at
 the copy (pytest's own ``pythonpath`` setting is blanked, so the copy is what
-the tests import) and Hypothesis's ``mutants`` profile, which neither shrinks
-nor saves a failing example.  It prints one JSON record per mutant: killed or not, the
-first failing test, and the seconds taken.  Run
+the tests import) and Hypothesis's ``mutants`` profile, which runs each
+property on its explicit ``@example``s only and saves nothing.  No kill
+depends on a draw, so every run gives each mutant the same verdict and the
+same first failing test; a mutant that only generated examples would kill
+survives, and needs an explicit killer.  It prints one JSON record per
+mutant: killed or not, the first failing test, and the seconds taken.  Run
 
     python tests/mutants.py            # every mutant
     python tests/mutants.py NAME ...   # the named ones
@@ -293,6 +296,34 @@ MUTANTS = (
         "if top >= small_q:",
         "if top >= small_q - 1:",
         ("tests/test_oracle.py::TestWeight",),
+    ),
+    Mutant(
+        "cosh-table-factor-4-to-the-n-plus-1",
+        "oracle.py",
+        "(4**p - 1) * c",
+        "(4**p + 1) * c",
+        ("tests/test_oracle.py::TestWeight",),
+    ),
+    Mutant(
+        "tanh-table-factor-2-plus-4-to-the-n",
+        "oracle.py",
+        "(2 - 4**p) * c",
+        "(2 + 4**p) * c",
+        ("tests/test_oracle.py::TestWeight",),
+    ),
+    Mutant(
+        "verify-agreement-gate-2-to-the-40",
+        "verify.py",
+        "_MISMATCH_FACTOR = 8",
+        "_MISMATCH_FACTOR = 2**40",
+        ("tests/test_verify_faults.py",),
+    ),
+    Mutant(
+        "demo-sign-test-inverted",
+        "demo.py",
+        "ctx.sign(remainder) != ctx.sign(t_k)",
+        "ctx.sign(remainder) == ctx.sign(t_k)",
+        ("tests/test_demo.py::TestWitnessSearch::test_control_scan_is_clean",),
     ),
 )
 

@@ -14,6 +14,7 @@ to fill the rounded-coefficient table.
 """
 
 import contextlib
+import functools
 import io
 import json
 import math
@@ -217,6 +218,29 @@ def test_the_loggamma_reference_holds_below_one_half(w, precision):
         want = exact(mp.loggamma(mp.mpf(w.numerator) / w.denominator)._mpf_)
     assert a <= want <= b
     assert b - a <= Fraction(1, 2 ** (precision + 40))
+
+
+@functools.lru_cache(maxsize=None)
+def pinned_reference(kind, z: int, precision: int):
+    ctx = iv_context(precision)
+    if kind in CASES:
+        return CASES[kind][1](ctx, z)
+    return ln_gamma_reference(ctx, z + REAL_CASES[kind][1])
+
+
+@pytest.mark.parametrize("terms", range(4))
+@pytest.mark.parametrize("precision", (64, 128))
+@pytest.mark.parametrize("z", (7, 1000, 10**6))
+@pytest.mark.parametrize("kind", [*CASES, *REAL_CASES], ids=lambda kind: kind.value)
+def test_a_pinned_grid_contains_its_reference(kind, z, precision, terms):
+    """The two properties above at fixed points, for every kind: their
+    ``st.data()`` draws take no ``@example``, and the mutation suite runs
+    explicit examples only.  The real kinds' reference is the unproven
+    ``iv.loggamma``."""
+    evaluate = {**CASES, **REAL_CASES}[kind][0]
+    lo, hi = evaluate(z, terms=terms, precision=precision).interval()
+    assert_inside(pinned_reference(kind, z, precision), exact(lo._mpf_), exact(hi._mpf_),
+                  (z, precision, terms))
 
 
 THREAD_TOLERANCES = {64: "1e-5", 256: "1e-30", 1024: "1e-60"}

@@ -156,6 +156,19 @@ class TestWitnessSearch:
             enveloping_control_scan([5], above, SPEC)
         assert calls == []
 
+    def test_a_bad_argument_anywhere_in_the_grid_raises_before_any_quadrature(
+            self, monkeypatch):
+        # the scan read its grid lazily: the first call returned the witness at
+        # x = 5 and never read the other two points
+        calls = []
+        monkeypatch.setattr(demo, "binet_J",
+                            lambda *args, **kwargs: calls.append(args) or binet_J(*args, **kwargs))
+        with pytest.raises(DomainError):
+            find_envelope_violation(1, [5, -1, "abc"], 3, QuadratureSpec(64))
+        with pytest.raises(DomainError):
+            enveloping_control_scan([5, -1], 3, QuadratureSpec(64))
+        assert calls == []
+
     def test_rejects_empty_grid_and_bad_rate(self):
         with pytest.raises(ValueError):
             find_envelope_violation(1, [], 5, SPEC)

@@ -31,7 +31,7 @@ from envasym import (
     theta_ratio,
 )
 from envasym import oracle, verify
-from envasym.coeffs import beta, beta_hat, beta_tilde
+from envasym.coeffs import bernoulli_even, beta, beta_hat, beta_tilde
 from envasym.demo import enveloping_control_scan
 from envasym.precision import INDEX_CAP, _product, positive_real, real_to_fraction
 
@@ -1291,6 +1291,20 @@ class TestWeight:
         theta, tilde, hat = map(mp.make_mpf, weights)
         with mp.workprec(precision + 200):
             assert abs(tilde - (theta + hat)) <= 2 * mpf(2) ** (_top(tilde) - wp)
+
+    def test_small_u_tables_are_one_series_and_its_duplicates(self, monkeypatch):
+        # A_n = B_2n / (2n (2n)!) is the u**(2n) coefficient of ln(sinh(u/2)/(u/2));
+        # sinh 2x = 2 sinh x cosh x makes C_n = (4**n - 1) A_n and D_n = (2 - 4**n) A_n
+        calls = []
+        monkeypatch.setattr(oracle, "_log_of_series",
+                            lambda f, log=oracle._log_of_series: calls.append(f) or log(f))
+        tables = oracle._exact_log_tables.__wrapped__()
+        assert len(calls) == 1
+        a = [bernoulli_even(n) / (2 * n * math.factorial(2 * n))
+             for n in range(1, oracle._SMALL_U_TERMS + 1)]
+        assert tables == (tuple(a), tuple((4**n - 1) * c for n, c in enumerate(a, 1)),
+                          tuple((2 - 4**n) * c for n, c in enumerate(a, 1)))
+        assert tables == oracle._exact_log_tables()
 
     @pytest.mark.parametrize("family", list(ThetaFamily))
     def test_positive_deep_in_the_tail(self, family):

@@ -119,6 +119,9 @@ def divisions(draw):
 # 400 bits over 3 at 53: the numerator's shift would be negative
 @example(((2**400 - 1, 0), (-3, 0), 53), round_floor)
 @example(((2**400 - 1, 0), (3, 0), 53), round_ceiling)
+# a remainder of 1 under a floor quotient of 2**55, whose dropped bits are
+# zero: only the sticky bit rounds the ceiling up
+@example((((3 << 100) + 1, 0), (3, 0), 53), round_ceiling)
 def test_quotient_is_libmps_in_every_mode(a_b_bits, rounding):
     a, b, bits = a_b_bits
     assert raw(_quotient(a, b, bits, rounding)) == mpf_div(raw(a), raw(b), bits, rounding)
