@@ -356,30 +356,41 @@ _RESEED = 1024
 
 
 class _NodeTable:
-    """The node rows of one working precision, keyed by the exact t.
+    """The node rows of one working precision, in the order a quadrature
+    walks them: ``middle``, the row at t = 0 or none, and ``sides[level,
+    side]``, the rows of one side of a refinement level, side 0 at t > 0 and
+    side 1 at t < 0.  Row i of level 0 lies at t = +-(i + 1), and row i of
+    level l >= 1 at t = +-(2i + 1) * 2**-l.  Every quadrature at the
+    precision walks each side from its first node, so a stored side is a
+    prefix of it.
 
     A row is either absent or whole: e = eta**2 with eta = exp(t - e^-t),
     then W(t) = weight(eta)*eta*(1 + e^-t) of every family in ``_COLUMNS``
     order, each the signed (mantissa, exponent) pair of the libmp value the
     quadrature computed, the only values a quadrature reads.  A quadrature
-    that stores builds the whole row of each node it computes; one that does
-    not store computes its own W there and keeps nothing.  Every undamped
-    moment integral stores; a damped one stores from its family's second
-    damped quadrature at this precision, or once the table holds any row, so
-    a one-off damped query at a fresh precision leaves nothing behind.  Every
-    stored value is a pure function of (t, precision, family), so a row two
-    quadratures make at once is the same either way.
+    that stores builds the whole row of each node past the stored prefix and
+    writes row i as ``rows[i:i + 1] = [row]``: it has read or written rows 0
+    to i - 1, so this appends the row, or replaces the equal row another
+    quadrature has just appended.  One that does not store computes its own
+    W there and writes nothing.  Every undamped moment integral stores; a
+    damped one stores from its family's second damped quadrature at this
+    precision, or once the table holds any row, so a one-off damped query at
+    a fresh precision leaves nothing behind.  Every stored value is a pure
+    function of (t, precision, family), so a row two quadratures make at
+    once is the same either way.
     """
 
     def __init__(self):
-        self.rows: dict[float, list] = {}
+        self.middle = []
+        self.sides = {}
         # next() on a count is atomic, so no quadrature is counted twice.
         self._damped = {family: itertools.count() for family in ThetaFamily}
 
     def storing(self, family: ThetaFamily) -> bool:
         """Count one damped quadrature of the family; True from the second on,
-        or once the table holds a row."""
-        return next(self._damped[family]) > 0 or bool(self.rows)
+        or once the table holds a row: every storing quadrature writes the
+        middle row first, so the middle row alone tells."""
+        return next(self._damped[family]) > 0 or bool(self.middle)
 
 
 class _Level:
@@ -432,26 +443,29 @@ class _Level:
         return (mpf_exp(s, self.wp, round_nearest), mpf_add(fone, e, self.wp, round_nearest), s)
 
 
-def _half_sum(total: int, rows: dict, cold, js: range, dt: float, column: int, k: int,
-              z2, u: int, wp: int, after: int = 0) -> tuple:
-    """(total, peak, n): the integer total plus the terms at t = j*dt for j
-    in js, in units of 2**u; the j of the largest term, or None if the tail
-    did not end before js ran out; and the n nodes of js summed.
+def _half_sum(total: int, rows: list, cold, n: int, column: int, k: int, z2, u: int,
+              wp: int, after: int = -1) -> tuple:
+    """(total, peak, m): the integer total plus the terms of the first n
+    nodes of one side of a level, in units of 2**u; the index of the largest
+    term, or None if the tail did not end within n nodes; and the m nodes
+    summed.
 
-    A node's row is read by its exact dyadic t, else ``cold(t, j)`` makes
-    it.  Its term is q = floor(x / 2**u) of the exact x = W * e**k over the
-    exact z2 + e, or of W * e**k when z2 is None: one floor division of
-    exact integers, the numerator shifted first (nested floors are exact).
-    Where the smaller addend of z2 + e tops out (exponent plus bit length)
-    more than T = wp + G + 8 binades below the larger, G = _SUM_GUARD, it
-    is dropped, which leaves q in [floor(x), x * (1 + 2**-T)].  The tail
-    ends at the _TAIL_RUN-th negligible term in a row past j = ``after``,
-    q <= 2**-wp * total, the sum so far (a zero term is): exactly,
-    q <= total >> wp.  A refinement level passes twice the j of the
-    previous level's largest term on the side, the same t at half the step:
-    at large k the mass lies near eta = k/pi, and a fine level's first
-    nodes fall below one unit of the sum, which must not end the side
-    before it reaches the mass.
+    The sum has two phases: the first of the side's stored rows, as many as
+    it holds on entry (at most n), read in order, with no t and no lookup;
+    then ``cold(i)`` makes the row of each index i past them, also where
+    another quadrature appends it meanwhile.  At k = 0 a term takes W alone,
+    with no power of e.  A node's term is q = floor(x / 2**u) of the exact
+    x = W * e**k over the exact z2 + e, or of W * e**k when z2 is None: one
+    floor division of exact integers, the numerator shifted first (nested
+    floors are exact).  Where the smaller addend of z2 + e tops out
+    (exponent plus bit length) more than T = wp + G + 8 binades below the
+    larger, G = _SUM_GUARD, it is dropped, which leaves q in [floor(x),
+    x * (1 + 2**-T)].  The tail ends at the _TAIL_RUN-th negligible term in
+    a row past index ``after``, q <= 2**-wp * total, the sum so far (a zero
+    term is): exactly, q <= total >> wp.  A refinement level passes the t of
+    the previous level's largest term on the side: at large k the mass lies
+    near eta = k/pi, and a fine level's first nodes fall below one unit of
+    the sum, which must not end the side before it reaches the mass.
 
     Error: ``_de_quad_half_line`` sums each level's n nodes, S_l, in one
     unit 2**u that leaves the level-0 sum S_0 wp + G bits (rescaling it
@@ -460,17 +474,19 @@ def _half_sum(total: int, rows: dict, cold, js: range, dt: float, column: int, k
     and as S_l >= S_0 >= 2**(wp+G-1), within 2**-(wp+8) relative for any
     n < 2**28, and no quadrature visits more than ``_NODE_BUDGET`` = 2**18.
     """
-    get = rows.get
+    warm = min(len(rows), n)
+    nodes = itertools.chain(itertools.islice(rows, warm), map(cold, range(warm, n)))
     if z2 is not None:
         zm, ze = z2
         top = ze + zm.bit_length()
         far = wp + _SUM_GUARD + 8
-    run = largest = peak = 0
-    for j in js:
-        t = j * dt
-        row = get(t) or cold(t, j)
+    run = largest = 0
+    peak = -1
+    for i, row in enumerate(nodes):
         (em, ee), (wm, we) = row[0], row[column]
-        num, shift = wm * em**k, we + k * ee - u
+        num, shift = wm, we - u
+        if k:
+            num, shift = wm * em**k, shift + k * ee
         if z2 is not None:
             # the divisor: the larger addend alone, or the exact z2 + e
             gap = top - ee - em.bit_length()  # z2's top less e's
@@ -484,14 +500,14 @@ def _half_sum(total: int, rows: dict, cold, js: range, dt: float, column: int, k
             q = num << shift if shift >= 0 else num >> -shift
         total += q
         if q > largest:
-            largest, peak = q, j
-        if q <= total >> wp and j > after:
+            largest, peak = q, i
+        if q <= total >> wp and i > after:
             run += 1
             if run >= _TAIL_RUN:
-                return total, peak, js.index(j) + 1
+                return total, peak, i + 1
         else:
             run = 0
-    return total, None, len(js)
+    return total, None, n
 
 
 @lru_cache(maxsize=4)
@@ -514,19 +530,21 @@ def _de_quad_half_line(family: ThetaFamily, k: int, z2, spec: QuadratureSpec, st
     singularities need no special casing.
 
     A node's e = eta**2 and W(t) = weight(eta) * eta * (1 + e^-t) are z-free
-    and positive: read from the row of the precision's node table (see
-    ``_NodeTable``), else made at ``working_bits(P)`` from the eta, 1 + e^-t
-    and s = ln eta of the level's recurrence (see ``_Level``) and the
-    weights (see ``_weights``), and made pairs once.
+    and positive: read in order from the stored prefix of its side in the
+    precision's node table (see ``_NodeTable``), else, past that prefix,
+    made at ``working_bits(P)`` from the eta, 1 + e^-t and s = ln eta of the
+    level's recurrence (see ``_Level``) and the weights (see ``_weights``),
+    and made pairs once.
     With ``store`` such a node's row is built whole, the W of every family
-    from one ``_weights`` call, and kept; without it only this family's W is
-    computed.  Each side of a level is one loop over the pairs,
-    ``_half_sum``, which adds each node's term exactly, as an integer in the
-    quadrature's one unit.  Two levels' sums are compared exactly, and the
-    estimate and the difference are rounded to working precision once each.
+    from one ``_weights`` call, and written at its index; without it only
+    this family's W is computed, and nothing is written.  Each side of a
+    level is one loop over the pairs, ``_half_sum``, which adds each node's
+    term exactly, as an integer in the quadrature's one unit.  Two levels'
+    sums are compared exactly, and the estimate and the difference are
+    rounded to working precision once each.
 
-    Each side's index range is cut to the nodes left of ``_NODE_BUDGET``,
-    which bounds the nodes the whole quadrature visits, warm or cold.
+    Each side is cut to the nodes left of ``_NODE_BUDGET``, which bounds
+    the nodes the whole quadrature visits, warm or cold.
 
     Returns (value, error_estimate) as mpf at working precision.  Raises
     QuadratureNonConvergence once the budget is spent before two levels
@@ -535,61 +553,67 @@ def _de_quad_half_line(family: ThetaFamily, k: int, z2, spec: QuadratureSpec, st
     """
     prec = spec.precision
     wp = working_bits(prec)
-    rows = _node_table(prec).rows
+    table = _node_table(prec)
     families = tuple(ThetaFamily) if store else (family,)
     column = _COLUMNS[family]
     estimate = err = None
 
-    def cold(t, eta, factor, s):
-        # the row at a t without one; W of this family alone unless stored
-        row = [mpf_mul(eta, eta, wp, round_nearest)[1:3]] + [None] * len(_COLUMNS)
-        for each, weight in zip(families, _weights(families, eta, s, wp)):
-            row[_COLUMNS[each]] = mpf_mul(mpf_mul(weight, factor, wp, round_nearest), eta,
-                                          wp, round_nearest)[1:3]
-        return rows.setdefault(t, row) if store else row
+    def cold(rows, node):
+        # i -> the row of node i of rows' side from node(i) = (eta, 1 + e^-t,
+        # s): whole and written to rows if stored, else W of this family alone
+        def make(i):
+            eta, factor, s = node(i)
+            row = [mpf_mul(eta, eta, wp, round_nearest)[1:3]] + [None] * len(_COLUMNS)
+            for each, weight in zip(families, _weights(families, eta, s, wp)):
+                row[_COLUMNS[each]] = mpf_mul(mpf_mul(weight, factor, wp, round_nearest), eta,
+                                              wp, round_nearest)[1:3]
+            if store:
+                rows[i:i + 1] = [row]
+            return row
+        return make
 
-    peaks = [0, 0]  # the j of the last level's largest term on each side
+    peaks = [-1, -1]  # the index of the last level's largest term on each side
     left = _NODE_BUDGET - 1  # the nodes not yet visited, past the middle one
 
-    def half_sums(h, start, step, u):
-        # sum of the nodes j*h over j = start, start+step, ... on both sides of
-        # 0, as many as are left
+    def half_sums(level, u):
+        # the sum over both sides of the level, as many nodes as are left;
+        # the tail test starts past the t of the last level's peak p: past
+        # index p on level 1, and 2p on finer ones
         nonlocal left
         total = 0
-        for side, dt in enumerate((h, -h)):
-            level = _Level(start * dt, step * dt, wp)
-            total, peaks[side], n = _half_sum(total, rows, lambda t, j, level=level: cold(
-                t, *level.node((j - start) // step)), range(start, start + left * step, step),
-                dt, column, k, z2, u, wp, 2 * peaks[side])
+        for side, dt in enumerate((2.0**-level, -2.0**-level)):
+            rows = table.sides.setdefault((level, side), [])
+            walk = _Level(dt, 2 * dt if level else dt, wp)
+            total, peaks[side], n = _half_sum(total, rows, cold(rows, walk.node), left, column,
+                                              k, z2, u, wp, peaks[side] << (level > 1))
             left -= n
             if peaks[side] is None:
-                value, error = (None if x is None else mp.make_mpf(x) for x in (estimate, err))
                 raise QuadratureNonConvergence(f"no convergence within {_NODE_BUDGET} nodes",
-                                               value=value, error=error)
+                                               value=estimate, error=err)
         return total
 
     # the node at t = 0 alone, at a unit that leaves it more than wp + G bits
     # (from a lower bound on its W * e**k and an upper one on its z2 + e)
-    middle = rows.get(0.0) or cold(0.0, *_Level(0.0, 1.0, wp).node(0))
-    (em, ee), (wm, we) = middle[0], middle[column]
+    middle = table.middle[:1] or [cold(table.middle, _Level(0.0, 1.0, wp).node)(0)]
+    (em, ee), (wm, we) = middle[0][0], middle[0][column]
     u = we + wm.bit_length() - 1 + k * (ee + em.bit_length() - 1) - wp - _SUM_GUARD
     if z2 is not None:
         u -= max(z2[1] + z2[0].bit_length(), ee + em.bit_length()) + 1
-    total = _half_sum(0, {0.0: middle}, None, range(1), 0.0, column, k, z2, u, wp)[0]
+    total = _half_sum(0, middle, None, 1, column, k, z2, u, wp)[0]
     # then its level's two sides, and the sum rescaled to wp + G bits
-    total += half_sums(1.0, 1, 1, u)
+    total += half_sums(0, u)
     shift = total.bit_length() - wp - _SUM_GUARD
     total, u = total >> shift, u + shift
     for level in itertools.count(1):
         # the sum over level l's nodes, in units of 2**(u - l)
-        previous, total = total, total + half_sums(2.0**-level, 1, 2, u)
-        estimate = from_man_exp(*_round(total, u - level, wp, round_nearest))
+        previous, total = total, total + half_sums(level, u)
+        estimate = mp.make_mpf(from_man_exp(*_round(total, u - level, wp, round_nearest)))
         if level > 1:
             diff = abs(total - 2 * previous)
-            err = from_man_exp(*_round(diff, u - level, wp, round_nearest))
+            err = mp.make_mpf(from_man_exp(*_round(diff, u - level, wp, round_nearest)))
             # |difference| <= effective_tol() * estimate, exact
             if diff << (prec - 32) <= total:
-                return mp.make_mpf(estimate), mp.make_mpf(err)
+                return estimate, err
 
 
 # Bounded, as it is keyed by every z seen; 1024 entries hold a demo scan's

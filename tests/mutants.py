@@ -72,9 +72,26 @@ MUTANTS = (
     Mutant(
         "damped-store-ignores-rows",
         "oracle.py",
-        " or bool(self.rows)",
+        " or bool(self.middle)",
         "",
         ("tests/test_oracle.py::TestNodeTable::test_no_node_is_computed_twice_at_a_precision",),
+    ),
+    Mutant(
+        "unstored-quadrature-writes-rows",
+        "oracle.py",
+        """            if store:
+                rows[i:i + 1] = [row]""",
+        """            rows[i:i + 1] = [row]""",
+        ("tests/test_oracle.py::TestNodeTable::test_one_off_queries_of_each_family_store_nothing",
+         "tests/test_oracle.py::TestNodeTable::test_a_first_damped_quadrature_stores_nothing_and_a_second_whole_rows"),
+    ),
+    Mutant(
+        "cold-phase-one-past-the-prefix",
+        "oracle.py",
+        "map(cold, range(warm, n))",
+        "map(cold, range(warm + 1, n))",
+        ("tests/test_oracle.py::TestNodeTable::test_warm_table_matches_cold_bit_for_bit",
+         "tests/test_oracle.py::TestThreads"),
     ),
     Mutant(
         "theta-ratio-damped-first",
@@ -168,7 +185,7 @@ MUTANTS = (
     Mutant(
         "tail-test-before-the-last-peak",
         "oracle.py",
-        "if q <= total >> wp and j > after:",
+        "if q <= total >> wp and i > after:",
         "if q <= total >> wp:",
         ("tests/test_oracle.py::TestLargeMoments",),
     ),

@@ -472,6 +472,23 @@ def _level_node(t, wp):
     return oracle._Level(start * dt, step * dt, wp).node((int(abs(t) / h) - start) // step)
 
 
+def _node_t(level, side, i):
+    """The t of row i of a side of a level of the node table: +-(i + 1) on
+    level 0 and +-(2i + 1) * 2**-level on the others, side 1 the t < 0 one."""
+    t = i + 1.0 if level == 0 else (2 * i + 1) * 2.0**-level
+    return -t if side else t
+
+
+def _table_rows(precision):
+    """{t: row} of every row of the precision's node table: the middle row at
+    t = 0 and each side's rows at their t."""
+    table = oracle._node_table(precision)
+    rows = dict(zip([0.0], table.middle))
+    for key, side in table.sides.items():
+        rows.update((_node_t(*key, i), row) for i, row in enumerate(side))
+    return rows
+
+
 def _whole(rows, wp):
     """There are rows, and each holds the pairs of e = eta**2 and of each
     family's W, as that family's own weight gives it at the level's eta."""
@@ -499,20 +516,23 @@ def _counted_weights(monkeypatch):
 
 
 def _watch(monkeypatch, table):
-    """Record the t of every row lookup in the table ("visited"), and of
+    """Record the t of every node a quadrature sums ("visited"), from the
+    side each ``oracle._half_sum`` call walks and the nodes it sums, and of
     every node the level recurrence makes ("node")."""
     calls = {"visited": [], "node": []}
 
-    class Visits(dict):
-        def get(self, t, default=None):
-            calls["visited"].append(t)
-            return super().get(t, default)
+    def summed(total, rows, *args, fn=oracle._half_sum):
+        result = fn(total, rows, *args)
+        # a side of the table, or else the middle row's own list
+        key = next((key for key, side in table.sides.items() if side is rows), None)
+        calls["visited"] += [0.0] if key is None else [_node_t(*key, i) for i in range(result[2])]
+        return result
 
     def node(level, n, fn=oracle._Level.node):
         calls["node"].append(level.t0 + n * level.dt)
         return fn(level, n)
 
-    monkeypatch.setattr(table, "rows", Visits(table.rows))
+    monkeypatch.setattr(oracle, "_half_sum", summed)
     monkeypatch.setattr(oracle._Level, "node", node)
     return calls
 
@@ -542,15 +562,15 @@ class TestNodeTable:
         for _ in range(3):  # nothing stored, then storing, then reading
             for family, k in cases:
                 assert _quadratures(family, k, spec) == cold[family, k]
-        assert _whole(oracle._node_table(precision).rows, precision + 32)
+        assert _whole(_table_rows(precision), precision + 32)
 
     def test_a_first_damped_quadrature_stores_nothing_and_a_second_whole_rows(self):
         spec = QuadratureSpec(precision=192)
         _clear_caches()
         binet_J(3, spec)
-        assert not oracle._node_table(192).rows
+        assert not _table_rows(192)
         binet_J(4, spec)
-        assert _whole(oracle._node_table(192).rows, 192 + 32)
+        assert _whole(_table_rows(192), 192 + 32)
 
     def test_one_off_queries_of_each_family_store_nothing(self):
         spec = QuadratureSpec(precision=192)
@@ -558,7 +578,7 @@ class TestNodeTable:
         binet_J(3, spec)
         binet_J_tilde(3, spec)
         remainder_quadrature(ThetaFamily.THETA_HAT, 1, 3, spec)
-        assert not oracle._node_table(192).rows
+        assert not _table_rows(192)
 
     def test_no_node_is_computed_twice_at_a_precision(self, monkeypatch):
         spec = QuadratureSpec(precision=256)
@@ -566,7 +586,7 @@ class TestNodeTable:
         binet_J(3, spec)  # stores nothing
         binet_J(4, spec)  # creates rows
         table = oracle._node_table(256)
-        had_row = set(table.rows)
+        had_row = set(_table_rows(256))
         assert had_row
         weights = _counted_weights(monkeypatch)
         calls = _watch(monkeypatch, table)
@@ -574,7 +594,7 @@ class TestNodeTable:
         # table holds rows, makes whole rows at the nodes of its longer tail;
         # its second makes only the nodes the first did not reach
         for z in (3, 4):
-            before = set(table.rows)
+            before = set(_table_rows(256))
             for key in calls:
                 calls[key].clear()
             weights.clear()
@@ -584,9 +604,9 @@ class TestNodeTable:
             assert len(cold) < len(visited)
             _each_cold_node_once(calls, cold)
             assert weights == [tuple(ThetaFamily)] * len(cold)
-            assert set(table.rows) == before | set(visited)
+            assert set(_table_rows(256)) == before | set(visited)
             if z == 3:
-                assert cold and set(table.rows) == had_row | set(visited)
+                assert cold and set(_table_rows(256)) == had_row | set(visited)
 
     def test_a_one_off_quadrature_computes_each_node_once(self, monkeypatch):
         _clear_caches()
@@ -605,7 +625,7 @@ class TestNodeTable:
                 value = remainder_quadrature(ThetaFamily.THETA_TILDE, 1, 7, call_spec)
                 results.append((call_spec.precision, value._mpf_))
         assert results[0] == results[1] == results[4]
-        assert oracle._node_table(320).rows
+        assert _table_rows(320)
 
     def test_threads_reading_one_precision_match_serial(self):
         # the threads read a table two serial passes have filled; threads
@@ -615,7 +635,7 @@ class TestNodeTable:
         _clear_caches()
         for _ in range(2):
             serial = [_quadratures(family, k, spec) for family, k in jobs]
-        rows = len(oracle._node_table(256).rows)
+        rows = _table_rows(256)
         results = [None] * len(jobs)
 
         def work(i):
@@ -633,7 +653,7 @@ class TestNodeTable:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert results == [[want, want] for want in serial]
-        assert len(oracle._node_table(256).rows) == rows
+        assert _table_rows(256) == rows
 
     def test_a_deep_tail_node_is_stored_as_computed(self):
         # the last transformed nodes of two tails: at t = 5.5, reached at step
@@ -652,7 +672,7 @@ class TestNodeTable:
                 w = mp.make_mpf(_weight(ThetaFamily.THETA, eta._mpf_, s._mpf_, wp)) * factor * eta
                 e = eta * eta
             assert mp.log(w, 2) < w_top and mp.log(e, 2) < e_top
-            row = oracle._node_table(256).rows[t]
+            row = _table_rows(256)[t]
             assert row[0] == e._mpf_[1:3]
             assert row[column] == w._mpf_[1:3]
         _clear_caches()
@@ -667,7 +687,7 @@ class TestNodeTable:
         _clear_caches()
         weights = _counted_weights(monkeypatch)
         assert all(check.passed for check in verify.run_verification(deep=True))
-        assert len(oracle._node_table(512).rows) == 2634
+        assert len(_table_rows(512)) == 2634
         assert weights == [tuple(ThetaFamily)] * (2634 + 4)
 
     def test_theta_ratio_at_a_fresh_precision_makes_each_eta_once(self, monkeypatch):
@@ -711,7 +731,7 @@ class TestMoments:
         _clear_caches()
         single = {pair: [x._mpf_ for x in _moment_quadrature(*pair, spec, store=False)]
                   for pair in MOMENT_PAIRS}
-        assert not oracle._node_table(precision).rows
+        assert not _table_rows(precision)
         for order in (MOMENT_PAIRS, MOMENT_PAIRS[::-1]):
             _clear_caches()
             moments = {pair: oracle._integral(*pair, None, spec) for pair in order}
@@ -726,7 +746,7 @@ class TestMoments:
         calls = _watch(monkeypatch, table)
         weights = _counted_weights(monkeypatch)
         assert verify._check_coefficient_quadrature(False, spec).passed
-        rows = table.rows
+        rows = _table_rows(192)
         # every t the 15 quadratures visit has a row, made at its first visit
         assert set(calls["visited"]) == set(rows)
         _each_cold_node_once({**calls, "visited": list(rows)}, list(rows))
@@ -963,7 +983,7 @@ class TestLibmpLoop:
                     patch.setattr(mpf_type, name, counted(getattr(mpf_type, name)))
                 _quadrature(ThetaFamily.THETA, 1, "7.3", spec)
             counts[precision] = len(calls)
-        assert len(oracle._node_table(64).rows) < len(oracle._node_table(256).rows)
+        assert len(_table_rows(64)) < len(_table_rows(256))
         assert counts[64] == counts[256]
 
     def test_a_warm_quadrature_makes_no_libmp_arithmetic(self, monkeypatch):
@@ -1041,8 +1061,8 @@ def loop_ends_tail(term, before, wp):
     ``term``, after the sum ``before`` of the level's earlier nodes: W =
     term, e = 1 and a unit of 1 plant it exactly.  A zero node follows, so
     the tail ends exactly when the term is negligible."""
-    rows = {1.0: [(1, 0), (term, 0)], 2.0: [(1, 0), (0, 0)]}
-    total, peak, _ = oracle._half_sum(before, rows, None, range(1, 3), 1.0, 1, 0, None, 0, wp)
+    rows = [[(1, 0), (term, 0)], [(1, 0), (0, 0)]]
+    total, peak, _ = oracle._half_sum(before, rows, None, 2, 1, 0, None, 0, wp)
     assert total == before + term
     return peak is not None
 
@@ -1102,7 +1122,7 @@ class TestFixedPointSums:
             oracle._de_quad_half_line(family, k, z2, spec, True)
             column = oracle._COLUMNS[family]
             new = {}  # level: the exact W * e**k, over z2 + e when damped, of its new nodes
-            for t, (e, *ws) in oracle._node_table(precision).rows.items():
+            for t, (e, *ws) in _table_rows(precision).items():
                 x = _pair_fraction(ws[column - 1]) * _pair_fraction(e) ** k
                 if z2 is not None:
                     x /= _pair_fraction(z2) + _pair_fraction(e)
@@ -1185,6 +1205,16 @@ class TestLevelRecurrence:
 
     @settings(deadline=None)
     @given(level_walks())
+    # level 10 past its reseed at n = 1024, walked from either side of it
+    @example((2.0**-10, 2.0**-9, 1030, 1020, 128))
+    @example((-(2.0**-10), -(2.0**-9), 1024, 1023, 64))
+    @example((2.0**-10, 2.0**-9, 1100, 0, 1024))
+    # level 1 out to t = -10.5, where E = e^-t is near 2**15, and level 0 to t = 11
+    @example((-0.5, -1.0, 10, 9, 512))
+    @example((1.0, 1.0, 10, 3, 256))
+    # the first node of a side, and t = 0
+    @example((3 * 2.0**-12, 2.0**-11, 0, 0, 64))
+    @example((0.0, 1.0, 0, 0, 512))
     def test_any_node_is_within_the_bound_whatever_ran_before(self, walk):
         t0, dt, n, m, precision = walk
         wp = precision + 32
@@ -1327,9 +1357,9 @@ class TestZeroTerms:
     def test_a_lone_zero_node_does_not_end_a_tail(self):
         # _TAIL_RUN negligible nodes in a row end a tail, a lone one does not
         terms = [3, 0, 3, 0, 0, 3]
-        rows = {float(j): [(1, 0), (w, 0)] for j, w in enumerate(terms, start=1)}
+        rows = [[(1, 0), (w, 0)] for w in terms]
         # the tail ends at the second zero in a row, the fifth node summed
-        assert oracle._half_sum(0, rows, None, range(1, 7), 1.0, 1, 0, None, 0, 64) == (6, 1, 5)
+        assert oracle._half_sum(0, rows, None, 6, 1, 0, None, 0, 64) == (6, 0, 5)
 
     def test_a_factor_that_vanishes_in_the_tail_ends_the_tail(self, monkeypatch):
         # zero terms that were never negligible would walk the tail until
@@ -1342,7 +1372,7 @@ class TestZeroTerms:
         monkeypatch.setattr(oracle, "_weights", vanishing)
         _clear_caches()  # every node cold, none stored
         value, _ = oracle._de_quad_half_line(ThetaFamily.THETA, 0, None, SPEC, False)
-        assert not oracle._node_table(SPEC.precision).rows
+        assert not _table_rows(SPEC.precision)
         # beyond eta = 2**8 theta < e^(-1600), far below 2**-288 of the whole
         # integral, which is pi times beta_0 = 1/12
         with mp.workprec(320):
@@ -1350,13 +1380,33 @@ class TestZeroTerms:
         assert close(value, want)
 
 
+def _arrays(*precisions):
+    """Each precision's node table as plain lists: the middle row, and the
+    rows of each side by (level, side), empty sides left out."""
+    tables = {precision: oracle._node_table(precision) for precision in precisions}
+    return {precision: (list(table.middle),
+                        {key: list(side) for key, side in table.sides.items() if side})
+            for precision, table in tables.items()}
+
+
 class TestThreads:
+    """Threads on cold tables give the serial results, and leave the rows a
+    serial fill leaves: each side as long, the same row at each index, none
+    duplicated or shifted.  In both cases the moments alone fill the same
+    rows, so the rows do not depend on which damped quadratures store."""
+
     def test_six_cold_threads_at_two_precisions_match_serial(self):
         jobs = [(ThetaFamily.THETA, 1, 256), (ThetaFamily.THETA_TILDE, 1, 320),
                 (ThetaFamily.THETA_HAT, 2, 256), (ThetaFamily.THETA, 2, 320),
                 (ThetaFamily.THETA_TILDE, 0, 256), (ThetaFamily.THETA_HAT, 0, 320)]
+        _clear_caches()
         serial = [_quadratures(family, k, QuadratureSpec(precision=precision))
                   for family, k, precision in jobs]
+        filled = _arrays(256, 320)
+        _clear_caches()
+        for family, k, precision in jobs:
+            _moment_quadrature(family, k, QuadratureSpec(precision=precision))
+        assert _arrays(256, 320) == filled
         _clear_caches()
         results = [None] * len(jobs)
 
@@ -1378,6 +1428,7 @@ class TestThreads:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert results == serial
+        assert _arrays(256, 320) == filled
 
     def test_four_threads_of_moments_and_damped_calls_match_serial(self):
         # the moments make whole rows from their first node, while the damped
@@ -1399,6 +1450,13 @@ class TestThreads:
             _clear_caches()
             serial.append(job())
         _clear_caches()
+        for job in jobs:
+            job()
+        filled = _arrays(192)
+        _clear_caches()
+        coefficients(MOMENT_PAIRS)
+        assert _arrays(192) == filled
+        _clear_caches()
         results = [None] * len(jobs)
 
         def work(i):
@@ -1418,6 +1476,7 @@ class TestThreads:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert results == serial
+        assert _arrays(192) == filled
 
 
 class TestNoGlobalPrecisionWrites:

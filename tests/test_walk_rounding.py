@@ -84,9 +84,18 @@ def test_round_is_libmps_in_every_mode(m_wp, e, rounding):
 
 
 @settings(deadline=None)
-@given(st.data(), WP)
-def test_product_and_quotient_are_libmps(data, wp):
-    a, b = data.draw(operand(wp)), data.draw(nonzero(wp))
+@given(WP.flatmap(lambda wp: st.tuples(operand(wp), nonzero(wp), st.just(wp))))
+# products that carry to a new binade or tie, of either sign
+@example(((2**53 - 1, 0), (2**53 - 1, 0), 53))
+@example(((-(2**52 + 1), 7), (2**52 + 1, -3), 53))
+@example(((3, 0), (-5, 0), 1))
+# 2**54 + 2 + 1/3 lies just off the tie between two 53-bit neighbours:
+# only the remainder rounds it away from the even one
+@example(((3 * (2**54 + 2) + 1, 0), (3, 0), 53))
+@example(((-(3 * (2**54 + 2) + 1), 0), (3, 0), 53))
+@example(((0, 5), (-1, 0), 8))
+def test_product_and_quotient_are_libmps(a_b_wp):
+    a, b, wp = a_b_wp
     assert raw(_product(a, b, wp)) == mpf_mul(raw(a), raw(b), wp, round_nearest)
     assert raw(_quotient(a, b, wp, round_nearest)) == mpf_div(raw(a), raw(b), wp, round_nearest)
 
@@ -166,6 +175,15 @@ def addends(draw):
 
 @settings(deadline=None)
 @given(addends())
+# 2**52 - 3/8 at 53 bits, 54 binades apart: the smaller addend moves the
+# sum, and rounds it to 2**52 - 1/2; 2**52 - 3/16, 55 apart, rounds to 2**52
+@example(((1 << 52, 0), (-3, -3), 53))
+@example(((-3, -3), (1 << 52, 0), 53))
+@example(((1 << 52, 0), (-3, -4), 53))
+# cancellation, a zero at any exponent, and a carry into a new binade
+@example(((2**40 + 1, -7), (-(2**40 + 1), -7), 41))
+@example(((0, 100), (-5, -3), 3))
+@example(((2**53 - 1, 0), (1, 0), 53))
 def test_sum_is_libmps(a_b_wp):
     a, b, wp = a_b_wp
     assert raw(_sum(a, b, wp)) == mpf_add(raw(a), raw(b), wp, round_nearest)
@@ -255,13 +273,26 @@ def node_terms(draw):
 
 
 def loop_term(e, w, k, z2, u, wp):
-    """The term ``oracle._half_sum`` makes of one node, planted at t = 1 with
-    the pairs e and w: the loop's sum from 0 is the term itself."""
-    return _half_sum(0, {1.0: [e, w]}, None, range(1, 2), 1.0, 1, k, z2, u, wp)[0]
+    """The term ``oracle._half_sum`` makes of one node, planted as the one
+    stored row of a side with the pairs e and w: the loop's sum from 0 is the
+    term itself."""
+    return _half_sum(0, [[e, w]], None, 1, 1, k, z2, u, wp)[0]
 
 
 @settings(deadline=None)
 @given(node_terms())
+# damped at k = 0, z2 = 2**60 and e = 1 at wp = 53: 60 binades apart, inside
+# T = 99, so e counts, and x = 2**200 / (2**60 + 1) floors below 2**140
+@example(((1, 0), (1, 200), 0, (1, 60), 0, 53))
+# the same with e 100 binades below z2, past T: dropped, x within 2**-T
+@example(((1, 0), (1, 200), 0, (1, 100), 0, 53))
+# z2 the smaller, 99 and 100 binades below e, at k = 2
+@example(((5, 100), (7, 30), 2, (3, 2), -40, 53))
+@example(((5, 100), (7, 30), 2, (3, 1), -40, 53))
+# undamped: W * e**3 in units of 2**-5, a negative shift, and a term below one unit
+@example(((3, -2), (5, 10), 3, None, -5, 20))
+@example(((3, -2), (5, 10), 3, None, 40, 20))
+@example(((2**20 - 1, -30), (2**20 - 1, -30), 0, None, -10, 20))
 def test_a_node_term_is_the_floor_of_its_exact_value(node):
     # x = W * e**k / (z2 + e) in units of 2**u, exact; where the loop drops
     # the smaller addend, the term lies in [floor(x), x * (1 + 2**-T)], and
