@@ -21,6 +21,7 @@ from typing import Iterable, Iterator, Optional
 from mpmath import mpf
 from mpmath.libmp import from_man_exp
 
+from .coeffs import beta
 from .errors import DomainError
 from .oracle import QuadratureSpec, binet_J
 from .precision import _context, _pair, checked_index, positive_real, to_precision, working_bits
@@ -115,6 +116,7 @@ def _scan(
     grid = [_checked_argument(SeriesKind.BINET_J, x, spec.precision) for x in x_grid]
     if not grid:
         raise ValueError("x_grid must be nonempty")
+    beta(k_max)  # the Bernoulli table grows to c(k_max) once, not in steps as the walks climb
     for xx in grid:
         yield from _violations_at(xx, range(k_max + 1), spec, b)
 

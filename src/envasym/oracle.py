@@ -393,17 +393,18 @@ class _NodeTable:
         return next(self._damped[family]) > 0 or bool(self.middle)
 
 
-class _Level:
-    """(eta, 1 + E) with E = e^-t at the nodes t = t0 + n*dt of one side of a
-    refinement level (dt < 0 on the t < 0 side), from a recurrence instead of
-    exps: eta = exp(t - E), and d(eta)/dt = eta*(1 + E).  The exponent
-    s = t - E = ln eta goes to the weights, whose small-u branch needs no
-    other logarithm.
+def _nodes(t0: float, dt: float, wp: int, start: int):
+    """(eta, 1 + E, s) with E = e^-t at the nodes t = t0 + n*dt of one side
+    of a refinement level (dt < 0 on the t < 0 side), n = start, start + 1,
+    ..., from a recurrence instead of exps: eta = exp(t - E), and d(eta)/dt =
+    eta*(1 + E).  The exponent s = t - E = ln eta goes to the weights, whose
+    small-u branch needs no other logarithm.
 
-    A step along the level multiplies E by e^-dt at gp = wp + _NODE_GUARD
+    A step along the side multiplies E by e^-dt at gp = wp + _NODE_GUARD
     bits.  At every index n divisible by _RESEED, E is made afresh from one
-    exp, so the E at n comes from the same n % _RESEED steps whatever ran
-    before, and every value is a pure function of (t, wp).  s = t - E is
+    exp, and the stream starts at the last such index at or below start, so
+    the E at n comes from the same n % _RESEED steps wherever the stream
+    started, and every value is a pure function of (t, wp).  s = t - E is
     rounded to nearest at gp bits from the exact t; eta = exp(s) and 1 + E
     at wp.
 
@@ -414,33 +415,17 @@ class _Level:
     every tail below P = 50,000), eta and 1 + E are within 2**(1-wp)
     relative.
     """
-
-    def __init__(self, t0: float, dt: float, wp: int):
-        self.t0, self.dt, self.wp, self.gp = t0, dt, wp, wp + _NODE_GUARD
-        self._step = None  # e^-dt at gp bits, made on first use
-        self._last = None  # (n, E) of the last index computed
-
-    def _e(self, n: int) -> tuple:
-        """E at index n, rounded to nearest at gp bits."""
-        gp = self.gp
-        start = n - n % _RESEED
-        if self._last is None or not start <= self._last[0] <= n:
-            self._last = start, mpf_exp(from_float(-(self.t0 + start * self.dt)), gp,
-                                        round_nearest)
-        m, e = self._last
-        if m < n:
-            if self._step is None:
-                self._step = mpf_exp(from_float(-self.dt), gp, round_nearest)
-            for _ in range(n - m):
-                e = mpf_mul(e, self._step, gp, round_nearest)
-        self._last = n, e
-        return e
-
-    def node(self, n: int) -> tuple:
-        """(eta, 1 + E, s) at t = t0 + n*dt, s = t - E = ln eta at gp bits."""
-        e = self._e(n)
-        s = mpf_sub(from_float(self.t0 + n * self.dt), e, self.gp, round_nearest)
-        return (mpf_exp(s, self.wp, round_nearest), mpf_add(fone, e, self.wp, round_nearest), s)
+    gp = wp + _NODE_GUARD
+    step = mpf_exp(from_float(-dt), gp, round_nearest)
+    for n in itertools.count(start - start % _RESEED):
+        t = t0 + n * dt
+        if n % _RESEED:
+            e = mpf_mul(e, step, gp, round_nearest)
+        else:
+            e = mpf_exp(from_float(-t), gp, round_nearest)
+        if n >= start:
+            s = mpf_sub(from_float(t), e, gp, round_nearest)
+            yield mpf_exp(s, wp, round_nearest), mpf_add(fone, e, wp, round_nearest), s
 
 
 def _half_sum(total: int, rows: list, cold, n: int, column: int, k: int, z2, u: int,
@@ -452,12 +437,13 @@ def _half_sum(total: int, rows: list, cold, n: int, column: int, k: int, z2, u: 
 
     The sum has two phases: the first of the side's stored rows, as many as
     it holds on entry (at most n), read in order, with no t and no lookup;
-    then ``cold(i)`` makes the row of each index i past them, also where
-    another quadrature appends it meanwhile.  At k = 0 a term takes W alone,
-    with no power of e.  A node's term is q = floor(x / 2**u) of the exact
-    x = W * e**k over the exact z2 + e, or of W * e**k when z2 is None: one
-    floor division of exact integers, the numerator shifted first (nested
-    floors are exact).  Where the smaller addend of z2 + e tops out
+    then ``cold(warm, n)``, the stream of the rows of indices warm to n - 1
+    past them, also where another quadrature appends them meanwhile; cold
+    may be None where the stored rows cover all n.  At k = 0 a term takes W
+    alone, with no power of e.  A node's term is q = floor(x / 2**u) of the
+    exact x = W * e**k over the exact z2 + e, or of W * e**k when z2 is
+    None: one floor division of exact integers, the numerator shifted first
+    (nested floors are exact).  Where the smaller addend of z2 + e tops out
     (exponent plus bit length) more than T = wp + G + 8 binades below the
     larger, G = _SUM_GUARD, it is dropped, which leaves q in [floor(x),
     x * (1 + 2**-T)].  The tail ends at the _TAIL_RUN-th negligible term in
@@ -475,7 +461,7 @@ def _half_sum(total: int, rows: list, cold, n: int, column: int, k: int, z2, u: 
     n < 2**28, and no quadrature visits more than ``_NODE_BUDGET`` = 2**18.
     """
     warm = min(len(rows), n)
-    nodes = itertools.chain(itertools.islice(rows, warm), map(cold, range(warm, n)))
+    nodes = itertools.chain(itertools.islice(rows, warm), cold(warm, n) if warm < n else ())
     if z2 is not None:
         zm, ze = z2
         top = ze + zm.bit_length()
@@ -533,7 +519,7 @@ def _de_quad_half_line(family: ThetaFamily, k: int, z2, spec: QuadratureSpec, st
     and positive: read in order from the stored prefix of its side in the
     precision's node table (see ``_NodeTable``), else, past that prefix,
     made at ``working_bits(P)`` from the eta, 1 + e^-t and s = ln eta of the
-    level's recurrence (see ``_Level``) and the weights (see ``_weights``),
+    side's stream (see ``_nodes``) and the weights (see ``_weights``),
     and made pairs once.
     With ``store`` such a node's row is built whole, the W of every family
     from one ``_weights`` call, and written at its index; without it only
@@ -558,19 +544,20 @@ def _de_quad_half_line(family: ThetaFamily, k: int, z2, spec: QuadratureSpec, st
     column = _COLUMNS[family]
     estimate = err = None
 
-    def cold(rows, node):
-        # i -> the row of node i of rows' side from node(i) = (eta, 1 + e^-t,
-        # s): whole and written to rows if stored, else W of this family alone
-        def make(i):
-            eta, factor, s = node(i)
-            row = [mpf_mul(eta, eta, wp, round_nearest)[1:3]] + [None] * len(_COLUMNS)
-            for each, weight in zip(families, _weights(families, eta, s, wp)):
-                row[_COLUMNS[each]] = mpf_mul(mpf_mul(weight, factor, wp, round_nearest), eta,
-                                              wp, round_nearest)[1:3]
-            if store:
-                rows[i:i + 1] = [row]
-            return row
-        return make
+    def cold(rows, t0, dt):
+        # (start, n) -> the rows of nodes start to n - 1 of rows' side, from its
+        # stream of (eta, 1 + e^-t, s) at t = t0 + i*dt: whole and written to
+        # rows if stored, else W of this family alone
+        def stream(start, n):
+            for i, (eta, factor, s) in zip(range(start, n), _nodes(t0, dt, wp, start)):
+                row = [mpf_mul(eta, eta, wp, round_nearest)[1:3]] + [None] * len(_COLUMNS)
+                for each, weight in zip(families, _weights(families, eta, s, wp)):
+                    row[_COLUMNS[each]] = mpf_mul(mpf_mul(weight, factor, wp, round_nearest), eta,
+                                                  wp, round_nearest)[1:3]
+                if store:
+                    rows[i:i + 1] = [row]
+                yield row
+        return stream
 
     peaks = [-1, -1]  # the index of the last level's largest term on each side
     left = _NODE_BUDGET - 1  # the nodes not yet visited, past the middle one
@@ -583,9 +570,9 @@ def _de_quad_half_line(family: ThetaFamily, k: int, z2, spec: QuadratureSpec, st
         total = 0
         for side, dt in enumerate((2.0**-level, -2.0**-level)):
             rows = table.sides.setdefault((level, side), [])
-            walk = _Level(dt, 2 * dt if level else dt, wp)
-            total, peaks[side], n = _half_sum(total, rows, cold(rows, walk.node), left, column,
-                                              k, z2, u, wp, peaks[side] << (level > 1))
+            stream = cold(rows, dt, 2 * dt if level else dt)
+            total, peaks[side], n = _half_sum(total, rows, stream, left, column, k, z2, u, wp,
+                                              peaks[side] << (level > 1))
             left -= n
             if peaks[side] is None:
                 raise QuadratureNonConvergence(f"no convergence within {_NODE_BUDGET} nodes",
@@ -594,7 +581,7 @@ def _de_quad_half_line(family: ThetaFamily, k: int, z2, spec: QuadratureSpec, st
 
     # the node at t = 0 alone, at a unit that leaves it more than wp + G bits
     # (from a lower bound on its W * e**k and an upper one on its z2 + e)
-    middle = table.middle[:1] or [cold(table.middle, _Level(0.0, 1.0, wp).node)(0)]
+    middle = table.middle[:1] or list(cold(table.middle, 0.0, 1.0)(0, 1))
     (em, ee), (wm, we) = middle[0][0], middle[0][column]
     u = we + wm.bit_length() - 1 + k * (ee + em.bit_length() - 1) - wp - _SUM_GUARD
     if z2 is not None:

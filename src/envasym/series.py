@@ -212,6 +212,8 @@ def _walk(row: Expansion, x: tuple, wp: int, start: int = 0) -> Iterator[tuple]:
     minus_x2 = _product((-xm, xe), x, wp)
     power = (xm if row.first_sign > 0 else -xm), xe
     total = (0, 0)
+    # c(start) first: the Bernoulli table grows to it once, not in steps as j climbs
+    _rounded_coefficient(row.coefficients, start, wp)
     for j in itertools.count():
         t_j = _quotient(_rounded_coefficient(row.coefficients, j, wp), power, wp, round_nearest)
         if j >= start:

@@ -79,17 +79,17 @@ MUTANTS = (
     Mutant(
         "unstored-quadrature-writes-rows",
         "oracle.py",
-        """            if store:
-                rows[i:i + 1] = [row]""",
-        """            rows[i:i + 1] = [row]""",
+        """                if store:
+                    rows[i:i + 1] = [row]""",
+        """                rows[i:i + 1] = [row]""",
         ("tests/test_oracle.py::TestNodeTable::test_one_off_queries_of_each_family_store_nothing",
          "tests/test_oracle.py::TestNodeTable::test_a_first_damped_quadrature_stores_nothing_and_a_second_whole_rows"),
     ),
     Mutant(
         "cold-phase-one-past-the-prefix",
         "oracle.py",
-        "map(cold, range(warm, n))",
-        "map(cold, range(warm + 1, n))",
+        "cold(warm, n) if warm < n else ()",
+        "cold(warm + 1, n) if warm < n else ()",
         ("tests/test_oracle.py::TestNodeTable::test_warm_table_matches_cold_bit_for_bit",
          "tests/test_oracle.py::TestThreads"),
     ),
@@ -161,9 +161,21 @@ MUTANTS = (
     Mutant(
         "level-factor-dropped",
         "oracle.py",
-        "mpf_add(fone, e, self.wp, round_nearest), s)",
-        "fone, s)",
+        "mpf_add(fone, e, wp, round_nearest), s",
+        "fone, s",
         ("tests/test_oracle.py::TestCoefficientQuadrature",
+         "tests/test_oracle.py::TestLevelRecurrence"),
+    ),
+    Mutant(
+        "stream-seeded-at-its-start",
+        "oracle.py",
+        """    for n in itertools.count(start - start % _RESEED):
+        t = t0 + n * dt
+        if n % _RESEED:""",
+        """    for n in itertools.count(start):
+        t = t0 + n * dt
+        if n % _RESEED and n > start:""",
+        ("tests/test_oracle.py::TestLevelRecurrence::test_a_node_does_not_depend_on_what_ran_before",
          "tests/test_oracle.py::TestLevelRecurrence"),
     ),
     Mutant(

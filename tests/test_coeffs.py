@@ -12,7 +12,19 @@ from hypothesis import given
 from hypothesis import strategies as st
 from mpmath import mp, mpf
 
-from envasym import bernoulli_even, beta, beta_hat, beta_tilde, coeffs, zeta_even
+from envasym import (
+    QuadratureSpec,
+    SeriesKind,
+    bernoulli_even,
+    beta,
+    beta_hat,
+    beta_tilde,
+    coeffs,
+    find_envelope_violation,
+    partial_sum,
+    series,
+    zeta_even,
+)
 from envasym.coeffs import coefficient_table
 
 # Exact table for k = 0..6, checked against the published values digit for digit.
@@ -135,6 +147,25 @@ def test_table_grows_an_eighth_past_the_request(monkeypatch):
     b = mp.bernfrac(1400)
     assert bernoulli_even(700) == Fraction(int(b[0]), int(b[1]))
     assert len(coeffs._BERNOULLI_EVEN) <= 790
+
+
+@pytest.mark.parametrize("walk", [
+    lambda: partial_sum(SeriesKind.BINET_J, "7.3", 1000, 64),
+    lambda: find_envelope_violation(1, ["7.3"], 1000, QuadratureSpec(64)),
+], ids=["partial-sum", "demo-scan"])
+def test_a_cold_walk_to_a_known_index_builds_the_table_once(monkeypatch, walk):
+    # a walk asks for c(0), c(1), ... in order, and each request past the
+    # table grows it an eighth past itself: 33 builds up to c(1000), unless
+    # the walk asks for its last coefficient first
+    builds = []
+    tangent_numbers = coeffs._tangent_numbers
+    monkeypatch.setattr(coeffs, "_BERNOULLI_EVEN", [Fraction(1)])
+    monkeypatch.setattr(coeffs, "_tangent_numbers",
+                        lambda n: builds.append(n) or tangent_numbers(n))
+    for cache in (beta, beta_tilde, beta_hat, series._rounded_coefficient):
+        cache.cache_clear()
+    walk()
+    assert len(builds) == 1
 
 
 def test_tangent_numbers_start():

@@ -24,7 +24,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 from mpmath.ctx_iv import MPIntervalContext
@@ -97,20 +97,30 @@ def top_index(kind, n: int) -> int:
 
 @pytest.mark.parametrize("kind", list(CASES))
 @settings(max_examples=25, deadline=None)
-@given(n=st.integers(1, 10**6), precision=st.integers(64, 1024), by_terms=st.booleans(), data=st.data())
-def test_the_enclosure_contains_the_log_of_the_exact_integer(kind, n, precision, by_terms, data):
+@given(n=st.integers(1, 10**6), precision=st.integers(64, 1024), by_terms=st.booleans(),
+       pick=st.integers(0, 10**9))
+# the least n at the least precision, and n = 10**6 at the greatest; at
+# n = 9, where k* is 28 and 30, the cap, 28 terms; tols at the floor and far
+# above it
+@example(n=1, precision=64, by_terms=True, pick=0)
+@example(n=10**6, precision=1024, by_terms=False, pick=10**9)
+@example(n=9, precision=100, by_terms=True, pick=28)
+@example(n=37, precision=333, by_terms=False, pick=0)
+@example(n=5, precision=64, by_terms=False, pick=10**9 - 1)
+def test_the_enclosure_contains_the_log_of_the_exact_integer(kind, n, precision, by_terms, pick):
+    # ``pick`` chooses the terms in [0, k_top], or the digits of the tol
     evaluate, truth_of, _ = CASES[kind]
     truth = truth_of(iv_context(precision), n)
     k_top = top_index(kind, n)
     if by_terms:
-        k = data.draw(st.integers(0, k_top), label="terms")
+        k = pick % (k_top + 1)
         option, cv = ["--terms", str(k)], evaluate(n, terms=k, precision=precision)
     else:
         # a tol of 10^-d at or above the certified bound at k_top <= k*, so
         # some index at this precision meets it and the evaluation must too
         floor = evaluate(n, terms=k_top, precision=precision).error_bound
         digits = max(0, int(-mp.log10(floor)))
-        tol = f"1e-{data.draw(st.integers(0, digits), label='digits')}"
+        tol = f"1e-{pick % (digits + 1)}"
         option = ["--tol", tol]
         cv = evaluate(n, tol, precision=precision)
         assert exact(cv.error_bound._mpf_) <= Fraction(tol)
@@ -177,21 +187,31 @@ def test_spellings_cover_every_form():
 @pytest.mark.parametrize("kind", list(REAL_CASES),
                          ids=[f"{k.value}-vs-unproven-iv.loggamma" for k in REAL_CASES])
 @settings(max_examples=100, deadline=None)
-@given(q=st.sampled_from([1, 2, 3, 7, 10, 1000]), data=st.data(),
-       precision=st.integers(64, 1024), by_terms=st.booleans())
-def test_the_enclosure_contains_the_interval_loggamma(kind, q, data, precision, by_terms):
+@given(z=st.sampled_from([1, 2, 3, 7, 10, 1000]).flatmap(
+           lambda q: st.integers(1, 10**5 * q).map(lambda p: Fraction(p, q))),
+       pick=st.integers(0, 10**9), precision=st.integers(64, 1024), by_terms=st.booleans())
+# z = p/q for each q, the least and the greatest z among them; at z = 1/1000
+# the floor at k_top lies above 1, and so does the tol, 1e2
+@example(z=Fraction(1, 1000), pick=0, precision=64, by_terms=False)
+@example(z=Fraction(1), pick=10**9, precision=1024, by_terms=True)
+@example(z=Fraction(73, 10), pick=7, precision=256, by_terms=False)
+@example(z=Fraction(10**5), pick=3, precision=64, by_terms=True)
+@example(z=Fraction(22, 7), pick=10**9 - 1, precision=512, by_terms=False)
+@example(z=Fraction(2, 3), pick=12, precision=100, by_terms=True)
+@example(z=Fraction(1, 2), pick=5, precision=80, by_terms=False)
+def test_the_enclosure_contains_the_interval_loggamma(kind, z, pick, precision, by_terms):
+    # ``pick`` chooses the terms in [0, k_top], or the digits of the tol
     evaluate, shift = REAL_CASES[kind]
-    z = Fraction(data.draw(st.integers(1, 10**5 * q), label="p"), q)
     truth = ln_gamma_reference(iv_context(precision), z + shift)
     k_top = min(30, min_term_index(kind, min(z, 10)))
     if by_terms:
-        k = data.draw(st.integers(0, k_top), label="terms")
+        k = pick % (k_top + 1)
         option, arguments = ["--terms", str(k)], {"terms": k}
     else:
         # a tol of 10^-d at or above the certified bound at k_top <= k*
         floor = evaluate(z, terms=k_top, precision=precision).error_bound
         most = math.floor(-mp.log10(floor))
-        tol = f"1e{-data.draw(st.integers(min(0, most), most), label='digits')}"
+        tol = f"1e{-(pick % (most + 1) if most >= 0 else most)}"
         option, arguments = ["--tol", tol], {"tol": tol}
     # every spelling is one number: the same working-precision argument, the same result
     results = {repr(x): (series._checked_argument(kind, x, precision)._mpf_,

@@ -319,6 +319,15 @@ class TestLargeMoments:
 
     @settings(deadline=None)
     @given(st.sampled_from(list(ThetaFamily)), st.integers(0, 200), st.sampled_from([64, 128]))
+    # each family at k = 0 and at the largest k drawn, and between
+    @example(ThetaFamily.THETA, 0, 64)
+    @example(ThetaFamily.THETA_TILDE, 0, 128)
+    @example(ThetaFamily.THETA_HAT, 0, 64)
+    @example(ThetaFamily.THETA, 200, 128)
+    @example(ThetaFamily.THETA_TILDE, 200, 64)
+    @example(ThetaFamily.THETA_HAT, 200, 128)
+    @example(ThetaFamily.THETA_TILDE, 37, 64)
+    @example(ThetaFamily.THETA_HAT, 101, 128)
     def test_every_family_agrees_with_its_exact_coefficient(self, family, k, precision):
         assert _agrees_with_exact_coefficient(family, k, precision)
 
@@ -465,11 +474,11 @@ def _level_node(t, wp):
     that visits it first: t = 0, level 0's nodes +-1, +-2, ..., or the odd
     multiples of h = 2**-level."""
     if t == 0:
-        return oracle._Level(0.0, 1.0, wp).node(0)
+        return next(oracle._nodes(0.0, 1.0, wp, 0))
     h = 1 / t.as_integer_ratio()[1]
     start, step = (1, 1) if h == 1 else (1, 2)
     dt = math.copysign(h, t)
-    return oracle._Level(start * dt, step * dt, wp).node((int(abs(t) / h) - start) // step)
+    return next(oracle._nodes(start * dt, step * dt, wp, (int(abs(t) / h) - start) // step))
 
 
 def _node_t(level, side, i):
@@ -518,7 +527,7 @@ def _counted_weights(monkeypatch):
 def _watch(monkeypatch, table):
     """Record the t of every node a quadrature sums ("visited"), from the
     side each ``oracle._half_sum`` call walks and the nodes it sums, and of
-    every node the level recurrence makes ("node")."""
+    every node a side's stream yields ("node")."""
     calls = {"visited": [], "node": []}
 
     def summed(total, rows, *args, fn=oracle._half_sum):
@@ -528,18 +537,19 @@ def _watch(monkeypatch, table):
         calls["visited"] += [0.0] if key is None else [_node_t(*key, i) for i in range(result[2])]
         return result
 
-    def node(level, n, fn=oracle._Level.node):
-        calls["node"].append(level.t0 + n * level.dt)
-        return fn(level, n)
+    def nodes(t0, dt, wp, start, fn=oracle._nodes):
+        for n, node in enumerate(fn(t0, dt, wp, start), start):
+            calls["node"].append(t0 + n * dt)
+            yield node
 
     monkeypatch.setattr(oracle, "_half_sum", summed)
-    monkeypatch.setattr(oracle._Level, "node", node)
+    monkeypatch.setattr(oracle, "_nodes", nodes)
     return calls
 
 
 def _each_cold_node_once(calls, cold):
     """No t is visited twice, and every t in ``cold`` (the visited t without
-    a row) is made once by the level recurrence, and no other."""
+    a row) is yielded once by a side's stream, and no other."""
     visited = calls["visited"]
     assert len(set(visited)) == len(visited)
     assert sorted(calls["node"]) == sorted(cold)
@@ -701,9 +711,9 @@ class TestNodeTable:
 
 
 class TestNodeCounts:
-    """The cold level nodes of a fresh one-off ``binet_J``: the map
-    eta = exp(t - e^-t) needs these; eta = exp((pi/2) sinh t) needed 943,
-    943, 944 and 4,077.  A change that loses the gain fails here."""
+    """The cold nodes that the streams of a fresh one-off ``binet_J`` yield:
+    the map eta = exp(t - e^-t) needs these; eta = exp((pi/2) sinh t) needed
+    943, 943, 944 and 4,077.  A change that loses the gain fails here."""
 
     @pytest.mark.parametrize("precision, z, nodes", [
         (256, "0.5", 591), (256, "2.5", 593), (256, "50", 593), (512, "2.5", 1318)])
@@ -756,7 +766,7 @@ class TestMoments:
 
 def recurrence_nodes(t0, dt, wp):
     """t -> (eta, 1 + E, s), E = e^-t and s = t - E, at the nodes t = +-(t0 + n*dt) of one
-    level and at t = 0, by the recurrence ``oracle._Level`` documents, on mpf
+    level and at t = 0, by the recurrence ``oracle._nodes`` documents, on mpf
     operators: E at every index of a side in turn, from a direct exp at every
     _RESEED-th, s = t - E and eta = exp(s)."""
     gp = wp + oracle._NODE_GUARD
@@ -988,7 +998,7 @@ class TestLibmpLoop:
 
     def test_a_warm_quadrature_makes_no_libmp_arithmetic(self, monkeypatch):
         # on a table two earlier passes filled, a warm node reads pairs and
-        # sums exact integers: no weight, level node, exp, log, product or
+        # sums exact integers: no weight, node stream, exp, log, product or
         # quotient of libmp tuples, counted through the oracle's names
         cases = [(ThetaFamily.THETA, 0, "7.3"), (ThetaFamily.THETA_TILDE, 3, "7.3"),
                  (ThetaFamily.THETA_HAT, 2, None)]
@@ -1007,9 +1017,8 @@ class TestLibmpLoop:
             return wrapper
 
         with monkeypatch.context() as patch:
-            for name in ("_weights", "mpf_exp", "mpf_log", "mpf_mul", "mpf_div"):
+            for name in ("_weights", "_nodes", "mpf_exp", "mpf_log", "mpf_mul", "mpf_div"):
                 patch.setattr(oracle, name, counted(name, getattr(oracle, name)))
-            patch.setattr(oracle._Level, "node", counted("node", oracle._Level.node))
             for spec in specs:
                 for case in cases:
                     _quadrature(*case, spec)
@@ -1154,7 +1163,7 @@ def _level_errors(nodes, ts, wp):
 def level_walks(draw):
     """(t0, dt, n, m, precision): a level side t0 + n*dt, t0 = j0*h and dt =
     step*h signed, h = 2**-level, with n past a reseed where the level is
-    fine enough, all at t >= -11; and an index m <= n visited first."""
+    fine enough, all at t >= -11; and an index m <= n a stream starts at."""
     h = 2.0 ** -draw(st.integers(0, 12))
     sign = draw(st.sampled_from([1, -1]))
     j0, step = draw(st.integers(0, 3)), draw(st.sampled_from([1, 2]))
@@ -1165,8 +1174,13 @@ def level_walks(draw):
     return sign * j0 * h, sign * step * h, n, m, precision
 
 
+def _stream(t0, dt, wp, start, count):
+    """The first ``count`` nodes of ``oracle._nodes`` from index ``start``."""
+    return list(itertools.islice(oracle._nodes(t0, dt, wp, start), count))
+
+
 class TestLevelRecurrence:
-    """``oracle._Level`` against a direct exp at P + 96 bits, within the
+    """``oracle._nodes`` against a direct exp at P + 96 bits, within the
     bound its docstring states: 2**(1-wp) relative, 2 units of 2**-wp, and
     s within one unit.  CI
     runs the property a second time under the ``ci`` Hypothesis profile."""
@@ -1178,8 +1192,7 @@ class TestLevelRecurrence:
         h = 2.0 ** -10
         count = oracle._RESEED + 500
         for dt in (h, -h):
-            level = oracle._Level(dt, 2 * dt, wp)
-            nodes = [level.node(n) for n in range(count)]
+            nodes = _stream(dt, 2 * dt, wp, 0, count)
             ts = [dt + n * 2 * dt for n in range(count)]
             assert all(e <= 2 and f <= 2 and s <= 1 for e, f, s in _level_errors(nodes, ts, wp))
 
@@ -1188,26 +1201,33 @@ class TestLevelRecurrence:
         # t = 10.5; the last nodes of a 512-bit binet_J lie at t = -7.5 and 6
         wp = 512 + 32
         for dt in (1.0, -1.0):
-            level = oracle._Level(dt / 2, dt, wp)
             ts = [dt / 2 + n * dt for n in range(11)]
-            nodes = [level.node(n) for n in range(11)]
+            nodes = _stream(dt / 2, dt, wp, 0, 11)
             assert all(e <= 2 and f <= 2 and s <= 1 for e, f, s in _level_errors(nodes, ts, wp))
 
     def test_a_node_does_not_depend_on_what_ran_before(self):
+        # a stream started anywhere at or below n yields the node n of a
+        # stream started at 0: on both sides of the reseed at n = 1024
         wp = 128 + 32
         h = 2.0 ** -10
         for dt in (h, -h):
-            walked = oracle._Level(dt, 2 * dt, wp)
-            sequence = [walked.node(n) for n in range(1100)]
-            for order in ([1099, 1030, 5], [5, 1023, 1024, 1099], [1030, 1029]):
-                fresh = oracle._Level(dt, 2 * dt, wp)
-                assert [fresh.node(n) for n in order] == [sequence[n] for n in order], order
+            sequence = _stream(dt, 2 * dt, wp, 0, 1100)
+            for n, m in itertools.product((5, 1023, 1024, 1030, 1099), (0, 4, 1023, 1024, 1030)):
+                m = min(m, n)
+                assert _stream(dt, 2 * dt, wp, m, n - m + 1)[-1] == sequence[n], (dt, m, n)
 
     @settings(deadline=None)
     @given(level_walks())
-    # level 10 past its reseed at n = 1024, walked from either side of it
+    # level 10 past its reseed at n = 1024, streams started on either side
+    # of it, on both sides of the level
     @example((2.0**-10, 2.0**-9, 1030, 1020, 128))
+    @example((-(2.0**-10), -(2.0**-9), 1030, 1024, 128))
     @example((-(2.0**-10), -(2.0**-9), 1024, 1023, 64))
+    @example((2.0**-10, 2.0**-9, 1024, 0, 256))
+    @example((2.0**-10, 2.0**-9, 1023, 1000, 64))
+    @example((-(2.0**-10), -(2.0**-9), 1023, 0, 512))
+    @example((2.0**-10, 2.0**-9, 1099, 1024, 64))
+    @example((-(2.0**-10), -(2.0**-9), 1099, 1, 128))
     @example((2.0**-10, 2.0**-9, 1100, 0, 1024))
     # level 1 out to t = -10.5, where E = e^-t is near 2**15, and level 0 to t = 11
     @example((-0.5, -1.0, 10, 9, 512))
@@ -1216,12 +1236,12 @@ class TestLevelRecurrence:
     @example((3 * 2.0**-12, 2.0**-11, 0, 0, 64))
     @example((0.0, 1.0, 0, 0, 512))
     def test_any_node_is_within_the_bound_whatever_ran_before(self, walk):
+        # the node n of a stream started at m <= n is that of a stream
+        # started at n, and within the bound
         t0, dt, n, m, precision = walk
         wp = precision + 32
-        walked = oracle._Level(t0, dt, wp)
-        walked.node(m)
-        got = walked.node(n)
-        assert got == oracle._Level(t0, dt, wp).node(n)
+        got = _stream(t0, dt, wp, m, n - m + 1)[-1]
+        assert got == next(oracle._nodes(t0, dt, wp, n))
         [(e, f, s)] = _level_errors([got], [t0 + n * dt], wp)
         assert e <= 2 and f <= 2 and s <= 1
 
@@ -1254,7 +1274,7 @@ def reference_weight(family, eta, precision):
 @st.composite
 def weight_points(draw):
     """(eta, s, precision): a wp-bit eta, wp = precision + 32, and s = ln eta
-    at the node recurrence's wp + _NODE_GUARD bits, as ``_Level.node`` gives
+    at the node recurrence's wp + _NODE_GUARD bits, as ``oracle._nodes`` gives
     them; eta in the last binade of the small-u branch of ``oracle._weights``
     or the one above it, in the first of the small-q branch or the one below
     it, deep in either tail, or anywhere between, with the binade's least

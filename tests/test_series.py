@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf
 from mpmath.libmp import (
@@ -729,6 +729,14 @@ class TestAutoTruncate:
         z=st.fractions(min_value=Fraction(1, 2), max_value=40, max_denominator=1024),
         exponent=st.integers(min_value=1, max_value=30),
     )
+    # each kind: met at k = 0, 2 and 9, and beyond the floor at k* = 1 and 9
+    @example(kind=SeriesKind.GAMMA_PLUS_HALF, z=Fraction(7, 2), exponent=1)
+    @example(kind=SeriesKind.BINET_J, z=Fraction(1023, 1024), exponent=1)
+    @example(kind=SeriesKind.CENTRAL_BINOMIAL, z=Fraction(10), exponent=6)
+    @example(kind=SeriesKind.DE_MOIVRE, z=Fraction(40), exponent=30)
+    @example(kind=SeriesKind.BINET_J, z=Fraction(1, 2), exponent=30)
+    @example(kind=SeriesKind.GAMMA_PLUS_HALF, z=Fraction(1, 2), exponent=3)
+    @example(kind=SeriesKind.CENTRAL_BINOMIAL, z=Fraction(3), exponent=12)
     def test_policy_postconditions(self, kind, z, exponent):
         tol = mpf(10) ** -exponent
         k_star = min_term_index(kind, z)
