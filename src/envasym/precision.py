@@ -15,8 +15,9 @@ nearest by it, so they have the bits of libmp's ``mpf_mul``, ``mpf_div`` and
 ``mpf_add``.  The series walk, the assembly of its enclosures and the
 elementary prefixes call them, and the quadrature rounds its exact sums by
 ``_round``: a pair is the one number form of the certified path, ``_pair`` reads one from a libmp tuple and
-``_to_mpf`` rounds one into the mpf the API returns.  Error messages print
-their numbers through ``_nstr``.
+``_to_mpf`` rounds one into the mpf the API returns.  ``_at_most`` compares
+two pairs exactly, so a decision against a bound needs no mpf.  Error
+messages print their numbers through ``_nstr``.
 
 No module reads or sets mpmath's global ``mp.prec``.  Hot paths are pair
 steps or libmp calls at an explicit precision; other code uses operators on
@@ -121,7 +122,7 @@ def exact(x, precision: int, what: str) -> Fraction:
     the value of an int (not a bool), float or mpf; a positive Fraction is
     returned as it is.  What ``Fraction`` refuses (an mpmath constant,
     "1 / 3", a numpy float32) counts as ``convert(x, precision)``."""
-    if isinstance(x, Fraction) and x > 0:
+    if isinstance(x, Fraction) and x.numerator > 0:  # its denominator is positive
         return x
     if isinstance(x, str):
         digits = x.lower().partition("e")[2].strip().lstrip("+-").replace("_", "").lstrip("0")
@@ -195,6 +196,18 @@ def _sum(a: tuple, b: tuple, wp: int) -> tuple:
     if ae > be:
         return _round((am << (ae - be)) + bm, be, wp, round_nearest)
     return _round(am + (bm << (be - ae)), ae, wp, round_nearest)
+
+
+def _at_most(a: tuple, b: tuple) -> bool:
+    """a <= b for pairs with nonnegative mantissas, decided exactly: on the
+    binades of the top bits first, so a far exponent aligns no long integer."""
+    (am, ae), (bm, be) = a, b
+    if not am or not bm:
+        return not am
+    top = ae + am.bit_length() - be - bm.bit_length()
+    if top:
+        return top < 0
+    return am << (ae - be) <= bm if ae >= be else am <= bm << (be - ae)
 
 
 def _pair(x: tuple) -> tuple:

@@ -35,8 +35,13 @@ z and ``tol`` count as the numbers they spell (``precision.exact``); the one
 rounder takes x to nearest, ``tol`` and the coefficients down, the search
 bound up.  ``min_term_index`` and ``auto_truncate`` decide exactly, walking
 from a float estimate of the index, so the index is the one a scan from k = 0
-would give, whatever the precision.  Indices above ``INDEX_CAP`` and decimal
-exponents outside ``+-EXPONENT_LIMIT`` raise :class:`DomainError`.
+would give, whatever the precision.  ``tol`` is rounded down once per call,
+to a P-bit (mantissa, exponent) pair, and every decision against it (each
+probe of the search, ``_evaluate``'s check of the certified bound and its
+rounding-share stop) compares pairs with ``precision._at_most``: a P-bit
+bound is at most ``tol`` exactly when it is at most ``tol`` rounded down.
+Indices above ``INDEX_CAP`` and decimal exponents outside
+``+-EXPONENT_LIMIT`` raise :class:`DomainError`.
 
 Rigor contract: the mathematical bounds are exact in exact arithmetic; each
 computed endpoint or bound x is widened outward by ``_margin(x, P)``, the exact
@@ -44,9 +49,11 @@ computed endpoint or bound x is widened outward by ``_margin(x, P)``, the exact
 survives rounding at P bits.  Every step from the exact argument to the
 returned mpf is one of ``precision``'s steps on (mantissa, exponent) pairs,
 rounded to nearest at the working precision: the walk, the prefix's sums and
-products, and the assembly of each value, bound and end.  Only the prefix's
-logarithms and pi are libmp calls, correctly rounded at the working precision.
-Pairs become mpf only where the API returns one.
+products, and the assembly of each value, bound and end; every comparison
+with ``tol`` is exact, on pairs.  Only the prefix's logarithms and pi are
+libmp calls, correctly rounded at the working precision.  Pairs become mpf
+only where the API returns one: a value, a bound or an end, and the numbers
+an error message prints.
 """
 
 from __future__ import annotations
@@ -69,6 +76,7 @@ from .errors import DomainError, ToleranceUnattainable
 from .precision import (
     DEFAULT_PRECISION,
     INDEX_CAP,
+    _at_most,
     _nstr,
     _pair,
     _product,
@@ -81,7 +89,6 @@ from .precision import (
     exact,
     positive_real,
     real_to_fraction,
-    rounded,
     working_bits,
 )
 
@@ -320,16 +327,32 @@ def _guess(kind: SeriesKind, xf: Fraction, ln_tol: float | None = None) -> int:
     """Float guess at the least k where the terms turn (or the bound meets tol).
 
     The float mirror of the exact tests, with ``coeffs.log_estimate`` for
-    ln c(k); ``INDEX_CAP + 1`` when neither holds up to the cap.
+    ln c(k); ``INDEX_CAP + 1`` when neither holds up to the cap.  Without
+    c(k)'s factor a - b 2^-(2k+1), the turn test is (2k+1)(2k+2) >= (2 pi x)^2,
+    solved in closed form for a k within one of the float turn.  The terms
+    fall up to the turn, so the tol test is bisected below k, on the fixed
+    midpoints of range(INDEX_CAP + 1) (few distinct ln c(j) are cached);
+    only when it fails there is k moved by one where the factor decides.
     """
     ln_c = functools.partial(coeffs.log_estimate, kind.row.coefficients)
     ln_x = _ln(xf)
 
-    def holds(k):
-        return (ln_c(k + 1) - ln_c(k) >= 2 * ln_x
-                or ln_tol is not None and ln_c(k) - (2 * k + 1) * ln_x <= ln_tol)
+    def turns(k):
+        return ln_c(k + 1) - ln_c(k) >= 2 * ln_x
 
-    return bisect.bisect_left(range(INDEX_CAP + 1), True, key=holds)
+    def meets(k):
+        return ln_tol is not None and ln_c(k) - (2 * k + 1) * ln_x <= ln_tol
+
+    r = 2 * math.pi * math.exp(min(ln_x, 10))  # pi x passes the cap before x = e^10
+    k = min(INDEX_CAP + 1, max(0, math.ceil((math.sqrt(1 + 4 * r * r) - 3) / 4)))
+    j = bisect.bisect_left(range(INDEX_CAP + 1), True, key=lambda j: j >= k or meets(j))
+    if j < k:
+        return j
+    if k <= INDEX_CAP and not turns(k) and not meets(k):
+        k += 1
+    elif k and turns(k - 1):
+        k -= 1
+    return k
 
 
 def _turns(row: Expansion, xf: Fraction, k: int) -> bool:
@@ -359,11 +382,17 @@ def min_term_index(kind: SeriesKind, z, precision: int = DEFAULT_PRECISION) -> i
     return k
 
 
-def _tolerance(tol, precision: int) -> mpf:
-    """The exact ``tol`` (see ``exact``) rounded down to ``precision`` bits: a
+def _tolerance_pair(tol: Fraction, precision: int) -> tuple:
+    """The exact ``tol`` rounded down to ``precision`` bits, as a pair: a
     precision-bit bound is at most ``tol`` exactly when it is at most this."""
+    return _quotient((tol.numerator, 0), (tol.denominator, 0), precision, round_floor)
+
+
+def _tolerance(tol, precision: int) -> mpf:
+    """``_tolerance_pair`` of the exact ``tol`` (see ``exact``) as an mpf, the
+    number the messages print."""
     value = exact(tol, precision, "tolerance")
-    return rounded(value.numerator, value.denominator, precision, round_floor)
+    return _to_mpf(_tolerance_pair(value, precision), precision)
 
 
 def auto_truncate(
@@ -386,31 +415,35 @@ def auto_truncate(
     The index is the least k where the bound meets ``tol`` or the terms
     turn; it is found by exact checks walking from a float guess, with the
     same result as a scan from k = 0, and without computing the minimum-term
-    index when ``tol`` is met first.
+    index when ``tol`` is met first.  Each check rounds its bound to a pair
+    and compares it with the pair of ``tol`` rounded down once; only the
+    returned bound and the messages' numbers become mpf.
     """
     xf = _exact_argument(kind, z, precision)
-    tol = _tolerance(tol, precision)
-    # The bound c(k) (1 + slop) / x^(2k+1) as one integer ratio; slop is _margin's twin.
-    slop = Fraction(1, 2 ** (precision - 32))
+    tol = exact(tol, precision, "tolerance")
+    tol_pair = _tolerance_pair(tol, precision)
+    # The bound c(k) (1 + slop) / x^(2k+1) as one integer ratio; slop = 2^-s is
+    # _margin's twin, so its factor is (2^s + 1) / 2^s, the 2^s an exponent.
+    s = precision - 32
+    inflate = (1 << s) + 1
     bounds = {}
 
     def settled(k):
         c, power = kind.row.coefficient(k), 2 * k + 1
-        bounds[k] = rounded(
-            c.numerator * (slop.denominator + slop.numerator) * xf.denominator**power,
-            c.denominator * slop.denominator * xf.numerator**power, precision, round_ceiling)
-        return bounds[k] <= tol or _turns(kind.row, xf, k)
+        bounds[k] = _quotient((c.numerator * inflate * xf.denominator**power, 0),
+                              (c.denominator * xf.numerator**power, s), precision, round_ceiling)
+        return _at_most(bounds[k], tol_pair) or _turns(kind.row, xf, k)
 
-    k = _least(settled, _guess(kind, xf, _ln(real_to_fraction(tol))))
+    k = _least(settled, _guess(kind, xf, _ln(tol)))
     if k is None:
-        raise DomainError(f"tolerance {_nstr(tol, 8)} for {kind.value} at "
-                          f"this argument needs a truncation index above the cap "
+        raise DomainError(f"tolerance {_nstr(_tolerance(tol, precision), 8)} for {kind.value} "
+                          f"at this argument needs a truncation index above the cap "
                           f"of {INDEX_CAP}")
-    bound = bounds[k]
-    if bound <= tol:
+    bound = _to_mpf(bounds[k], precision)
+    if _at_most(bounds[k], tol_pair):
         return k, bound
     raise ToleranceUnattainable(
-        f"tolerance {_nstr(tol, 8)} is below the accuracy floor of "
+        f"tolerance {_nstr(_tolerance(tol, precision), 8)} is below the accuracy floor of "
         f"{kind.value} at this argument; best achievable bound is "
         f"{_nstr(bound, 8)} at k = {k}",
         best_bound=bound,
@@ -446,8 +479,9 @@ def _evaluate(kind: SeriesKind, z, tol, terms, precision: int) -> CertifiedValue
     """The certified value behind the four ``ln_*`` functions.
 
     z and ``tol`` are read once (``exact``) and passed on as Fractions; the
-    shifted argument and ``tol`` rounded down are formed here by the helpers
-    ``auto_truncate`` (public, so that a tracer counts the search) uses too.
+    shifted argument and the pair of ``tol`` rounded down are formed here by
+    the helpers ``auto_truncate`` (public, so that a tracer counts the
+    search) uses too, and the bounds are compared with that pair.
     With a tolerance (``1e-12`` when neither it nor ``terms`` is given) the
     returned bound is at most ``tol``.  Rounding adds twice the value's
     ``_margin`` to the series bound; when that pushes it above ``tol`` at the k
@@ -469,16 +503,16 @@ def _evaluate(kind: SeriesKind, z, tol, terms, precision: int) -> CertifiedValue
         return next(_certificates(kind, xf, checked_index(terms, "terms"), precision))
     tol = exact(_DEFAULT_TOL if tol is None else tol, precision, "tolerance")
     k, _ = auto_truncate(kind, z, tol, precision)
-    tol = _tolerance(tol, precision)
+    tol_pair = _tolerance_pair(tol, precision)
     for certified in _certificates(kind, xf, k, precision):
         k = certified.k_used
-        if certified.error_bound <= tol:
+        if _at_most(_pair(certified.error_bound._mpf_), tol_pair):
             return certified
         mm, me = _margin(_pair(certified.value._mpf_), precision)
-        if _to_mpf((mm, me + 1), precision) >= tol or k >= INDEX_CAP or _turns(kind.row, xf, k):
+        if _at_most(tol_pair, (mm, me + 1)) or k >= INDEX_CAP or _turns(kind.row, xf, k):
             break
     raise ToleranceUnattainable(
-        f"tolerance {_nstr(tol, 8)} is below what {precision}-bit "
+        f"tolerance {_nstr(_tolerance(tol, precision), 8)} is below what {precision}-bit "
         f"precision can certify for {kind.value} at this argument; achieved "
         f"bound is {_nstr(certified.error_bound, 8)} at k = {k}; "
         f"raise the precision",

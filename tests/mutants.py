@@ -14,14 +14,18 @@ mutant: killed or not, the first failing test, and the seconds taken.  Run
 
     python tests/mutants.py            # every mutant
     python tests/mutants.py NAME ...   # the named ones
+    python tests/mutants.py --runs 10  # the suite ten times over
 
 from the root of the repository.  It exits 1 if a mutant survives or a
-selection cannot run.  ``tests/test_mutants.py`` checks, without running any
-mutant, that each old text still occurs exactly once.
+selection cannot run, and with ``--runs N`` also if a mutant's verdict or
+first failing test differs between runs; a last line then sums the runs up.
+``tests/test_mutants.py`` checks, without running any mutant, that each old
+text still occurs exactly once.
 """
 
 from __future__ import annotations
 
+import argparse
 import json
 import os
 import shutil
@@ -219,9 +223,33 @@ MUTANTS = (
     Mutant(
         "tolerance-rounded-up",
         "series.py",
-        "return rounded(value.numerator, value.denominator, precision, round_floor)",
-        "return rounded(value.numerator, value.denominator, precision, round_ceiling)",
+        "return _quotient((tol.numerator, 0), (tol.denominator, 0), precision, round_floor)",
+        "return _quotient((tol.numerator, 0), (tol.denominator, 0), precision, round_ceiling)",
         ("tests/test_series.py::TestTolerance", "tests/test_series.py::TestAutoTruncate"),
+    ),
+    Mutant(
+        "pair-comparison-strict",
+        "precision.py",
+        "return am << (ae - be) <= bm if ae >= be else am <= bm << (be - ae)",
+        "return am << (ae - be) < bm if ae >= be else am < bm << (be - ae)",
+        ("tests/test_series.py::TestSearchesMatchTheScan::test_ties_at_the_tolerance",
+         "tests/test_series.py::TestSearchesMatchTheScan"
+         "::test_both_searches_match_the_scan_at_and_beside_a_bound",
+         "tests/test_walk_rounding.py::test_at_most_is_the_exact_comparison"),
+    ),
+    Mutant(
+        "turn-guess-uncorrected",
+        "series.py",
+        """    if k <= INDEX_CAP and not turns(k) and not meets(k):
+        k += 1
+    elif k and turns(k - 1):
+        k -= 1
+""",
+        "",
+        # the exact search still finds every answer: only the walk grows
+        ("tests/test_series.py::TestSearchCost"
+         "::test_the_guess_is_the_answer_or_one_below_and_the_walk_is_short",
+         "tests/test_series.py::TestLeast::test_the_float_guess_is_the_answer_or_one_below"),
     ),
     Mutant(
         "auto-truncate-k-minus-1",
@@ -393,20 +421,31 @@ def run(mutant: Mutant) -> dict:
 
 
 def main(argv: list[str]) -> int:
+    parser = argparse.ArgumentParser(description="Run the committed mutants.")
+    parser.add_argument("names", nargs="*", help="mutants to run (default: all)")
+    parser.add_argument("--runs", type=int, default=1, help="times to run the suite")
+    args = parser.parse_args(argv)
+    if args.runs < 1:
+        parser.error("--runs must be at least 1")
     names = {m.name for m in MUTANTS}
-    unknown = [name for name in argv if name not in names]
+    unknown = [name for name in args.names if name not in names]
     if unknown:
         sys.stderr.write(f"unknown mutants: {unknown}; known: {sorted(names)}\n")
         return 2
-    failed = False
-    for mutant in MUTANTS:
-        if argv and mutant.name not in argv:
-            continue
-        record = run(mutant)
-        failed |= record["killed"] is not True
-        sys.stdout.write(json.dumps(record) + "\n")
-        sys.stdout.flush()
-    return 1 if failed else 0
+    selected = [m for m in MUTANTS if not args.names or m.name in args.names]
+    failed, verdicts = False, {}
+    for n in range(1, args.runs + 1):
+        for mutant in selected:
+            record = run(mutant)
+            failed |= record["killed"] is not True
+            verdicts.setdefault(mutant.name, set()).add((record["killed"], record.get("by")))
+            sys.stdout.write(json.dumps({**record, "run": n} if args.runs > 1 else record) + "\n")
+            sys.stdout.flush()
+    unstable = sorted(name for name, seen in verdicts.items() if len(seen) > 1)
+    if args.runs > 1:
+        sys.stdout.write(json.dumps({"runs": args.runs, "mutants": len(selected),
+                                     "all_killed": not failed, "unstable": unstable}) + "\n")
+    return 1 if failed or unstable else 0
 
 
 if __name__ == "__main__":

@@ -835,6 +835,22 @@ def search_result(kind, z, precision, tol):
     return k, bound, True
 
 
+def scan_bound(kind, z, precision, j):
+    """scan_reference's rounded-up bound at index j, as a Fraction."""
+    xf = Fraction(z) + (Fraction(1, 2) if kind is SeriesKind.DE_MOIVRE else 0)
+    x = kind.row.coefficient(j) * (1 + Fraction(1, 2 ** (precision - 32))) / xf ** (2 * j + 1)
+    return real_to_fraction(rounded(x.numerator, x.denominator, precision, round_ceiling))
+
+
+@st.composite
+def search_arguments(draw):
+    """z = p/q from 0.5 to 300, one binade drawn first, so that most draws keep
+    the reference scan to the turn short."""
+    q, e = draw(st.integers(1, 16)), draw(st.integers(-1, 8))
+    lo, hi = max(Fraction(1, 2), Fraction(2) ** e), min(Fraction(300), Fraction(2) ** (e + 1))
+    return Fraction(draw(st.integers(math.ceil(lo * q), math.floor(hi * q))), q)
+
+
 # Dyadic and non-dyadic real arguments from 0.5 to about 300.
 REAL_ARGUMENTS = ["0.5", "0.7", "1", "2.25", "3.1", "17.5", "20.3", "49.9", "64",
                   "123.4", "299.9", "300"]
@@ -896,6 +912,24 @@ class TestSearchesMatchTheScan:
         expected = answers()
         monkeypatch.setattr(series, "_guess", lambda *args: guess)
         assert answers() == expected
+
+    @settings(deadline=None)
+    @given(kind=st.sampled_from(ALL_KINDS), z=search_arguments(),
+           precision=st.sampled_from(SEARCH_PRECISIONS), j=st.integers(0, 10),
+           side=st.sampled_from([-1, 0, 1]))
+    # ties: tol is the bound at j, below the turn, so the search meets it there
+    @example(kind=SeriesKind.BINET_J, z=Fraction(3), precision=64, j=0, side=0)
+    @example(kind=SeriesKind.GAMMA_PLUS_HALF, z=Fraction(7, 2), precision=256, j=3, side=0)
+    @example(kind=SeriesKind.CENTRAL_BINOMIAL, z=Fraction(300), precision=512, j=10, side=0)
+    @example(kind=SeriesKind.DE_MOIVRE, z=Fraction(1, 2), precision=64, j=1, side=0)
+    # 2^-200 either side of a bound
+    @example(kind=SeriesKind.BINET_J, z=Fraction(41, 2), precision=64, j=3, side=-1)
+    @example(kind=SeriesKind.CENTRAL_BINOMIAL, z=Fraction(17, 16), precision=256, j=2, side=1)
+    def test_both_searches_match_the_scan_at_and_beside_a_bound(self, kind, z, precision, j,
+                                                                 side):
+        tol = scan_bound(kind, z, precision, j) + side * Fraction(1, 2**200)
+        assert min_term_index(kind, z, precision) == scan_reference(kind, z, precision)[0]
+        assert search_result(kind, z, precision, tol) == scan_reference(kind, z, precision, tol)
 
 
 def near_turn(kind, k: int, offset: str) -> str:
@@ -1026,8 +1060,9 @@ class TestOneMeaningPerNumber:
     def test_an_evaluation_reads_each_number_once_and_its_search_once(self, kind, monkeypatch):
         # the certified walk takes the exact argument, rounded once, not
         # through _checked_argument; _evaluate reads z and tol once, and
-        # _exact_argument, _tolerance and auto_truncate each pass on the
-        # Fraction they are given (see test_a_fraction_is_returned_as_it_is)
+        # _exact_argument and auto_truncate each pass on the Fraction they
+        # are given (see test_a_fraction_is_returned_as_it_is); _evaluate
+        # rounds its Fraction of tol without reading it again
         what = []
         read = precision.exact
 
@@ -1038,7 +1073,7 @@ class TestOneMeaningPerNumber:
         for module in (precision, series):
             monkeypatch.setattr(module, "exact", counted)
         EVALUATE[kind](20, "1e-12")
-        assert sorted(what) == ["series argument"] * 3 + ["tolerance"] * 3
+        assert sorted(what) == ["series argument"] * 3 + ["tolerance"] * 2
 
 
 def assert_floor(got, exact: Fraction, precision: int):
@@ -1130,6 +1165,68 @@ class TestLeast:
                     ln_tol = series._ln(real_to_fraction(series._tolerance(tol, precision)))
                     guess = series._guess(kind, xf, ln_tol)
                 assert answer - guess in (0, 1), (z, tol)
+
+
+# (kind, z, tol) within certify-warm's ranges: z from 0.5 to 200 or n up to
+# 10**6, tol from 1e-6 to 1e-40, floor raises among them.  At gamma-half's
+# z = 0.56 the closed-form turn needs its correction by one.
+COST_GRID = [(kind, z, tol) for kind in ALL_KINDS
+             for z in ((1, 2, 30, 1000, 10**6) if kind.row.integer_argument
+                       else ("0.5", "0.56", "3.7", "20.5", "199.9"))
+             for tol in ("1e-6", "1e-40")]
+
+
+class TestSearchCost:
+    """What a search costs, counted: its probes, its mpfs and its Fractions."""
+
+    def test_the_guess_is_the_answer_or_one_below_and_the_walk_is_short(self, monkeypatch):
+        assert len(COST_GRID) == 40
+        least, walks = series._least, []
+
+        def counted(holds, guess):
+            probes = []
+            walks.append((guess, probes))
+            return least(lambda k: probes.append(k) or holds(k), guess)
+
+        monkeypatch.setattr(series, "_least", counted)
+        for kind, z, tol in COST_GRID:
+            walks.clear()
+            answer = search_result(kind, z, 256, tol)[0]
+            [(guess, probes)] = walks
+            assert answer - guess in (0, 1), (kind, z, tol)
+            assert len(probes) <= abs(answer - guess) + 2, (kind, z, tol)
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_only_the_returned_numbers_are_built(self, kind, monkeypatch):
+        # the search builds one mpf, the bound it returns, and an evaluation
+        # two more, its value and error bound; neither builds a Fraction
+        # beyond reading z and shifting it by 1/2
+        z = 20 if kind.row.integer_argument else Fraction(41, 2)
+        zf, tol = Fraction(z), Fraction(1, 10**12)
+        EVALUATE[kind](z, tol)
+        builds = {}
+        make_mpf, new = mp.make_mpf, Fraction.__new__
+
+        def counted(what, build):
+            def call(*args, **kwargs):
+                builds[what] += 1
+                return build(*args, **kwargs)
+            return call
+
+        monkeypatch.setattr(mp, "make_mpf", counted("mpf", make_mpf))
+        monkeypatch.setattr(Fraction, "__new__", staticmethod(counted("Fraction", new)))
+
+        def built(call):
+            builds.update(mpf=0, Fraction=0)
+            call()
+            return dict(builds)
+
+        decoded = built(lambda: precision.exact(z, P, "series argument"))["Fraction"]
+        shifted = built(lambda: series._exact_argument(kind, zf, P))["Fraction"]
+        assert built(lambda: auto_truncate(kind, z, tol, P)) == {
+            "mpf": 1, "Fraction": decoded + shifted}
+        assert built(lambda: EVALUATE[kind](z, tol)) == {
+            "mpf": 3, "Fraction": decoded + 2 * shifted}
 
 
 class TestIndexCap:

@@ -6,7 +6,8 @@ given number of bits, and ``_product``, ``_quotient`` and ``_sum`` are exact
 integer arithmetic followed by it.  The series walk takes every step
 through them.  libmp rounds correctly in these modes, so each must give
 libmp's bits exactly: ``from_man_exp(m, e, bits, rounding)``, ``mpf_mul``,
-``mpf_div`` and ``mpf_add``.  The walk's coefficient table,
+``mpf_div`` and ``mpf_add``; the searches' one comparison, ``_at_most``,
+must be the exact one.  The walk's coefficient table,
 ``series._rounded_coefficient``, must hold ``from_rational``'s floor.  The
 quadrature's node loop (``oracle._half_sum``) rounds nothing: a node's term
 is the floor of its exact value in a fixed unit, checked through the loop
@@ -33,7 +34,7 @@ from mpmath.libmp import (
 
 from envasym import coeffs, oracle
 from envasym.oracle import _half_sum
-from envasym.precision import _product, _quotient, _round, _sum
+from envasym.precision import _at_most, _product, _quotient, _round, _sum
 from envasym.series import _rounded_coefficient
 
 WP = st.integers(1, 600)
@@ -187,6 +188,27 @@ def addends(draw):
 def test_sum_is_libmps(a_b_wp):
     a, b, wp = a_b_wp
     assert raw(_sum(a, b, wp)) == mpf_add(raw(a), raw(b), wp, round_nearest)
+
+
+def exact_value(pair) -> Fraction:
+    return pair[0] * Fraction(2) ** pair[1]
+
+
+NONNEGATIVE = st.tuples(st.integers(0, 2**80), EXPONENT)
+
+
+@settings(deadline=None)
+@given(NONNEGATIVE, NONNEGATIVE)
+@example((6, 0), (3, 1))  # one number in two forms: a tie
+@example((3, 1), (6, 0))
+@example((2**80, -80), (1, 0))
+@example((2**80 - 1, -80), (1, 0))
+@example((1, 0), (2**80 - 1, -80))
+@example((0, 5), (1, -3000))  # zero lies below every positive pair
+@example((1, -3000), (0, 5))
+@example((0, 7), (0, -7))
+def test_at_most_is_the_exact_comparison(a, b):
+    assert _at_most(a, b) == (exact_value(a) <= exact_value(b))
 
 
 def test_sum_around_the_shortcut_threshold():
